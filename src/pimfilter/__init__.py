@@ -13,7 +13,6 @@ from .crossbar import (
     WriteExternal,
     execute,
     taint_violations,
-    validate,
 )
 from .gates import (
     Build,

@@ -17,10 +17,9 @@ import sys
 
 from . import genome as genome_mod
 from . import io as pio
-from . import oracle, perf
+from . import perf
 from .crossbar import CrossbarState, execute
 from .gates import build_adder, build_copy, build_half_adder, build_mux, build_not, build_popcount, build_subtractor
-from .kernel import plan_layout, run_kernel
 
 
 def _cmd_synth(args):
@@ -50,7 +49,7 @@ def _cmd_filter(args):
     if args.read_length is not None:
         config.read_length = args.read_length
     if args.iter_factor is not None:
-        config.iter_factor = None if args.iter_factor == 0 else args.iter_factor
+        config.iter_factor = args.iter_factor
     if args.active_limit is not None:
         config.active_limit = args.active_limit
     if args.permissive:
@@ -62,6 +61,7 @@ def _cmd_filter(args):
     if args.eth is None and not args.config:
         print("error: --eth or --config is required", file=sys.stderr)
         return 1
+    config.__post_init__()
     with open(args.genome) as fh:
         fasta = pio.parse_fasta(fh)
     with open(args.candidates) as fh:
@@ -95,35 +95,28 @@ def _cmd_filter(args):
 
 def _cmd_validate(args):
     rng = random.Random(args.seed)
-    layout = plan_layout()
     glen = 2 * 6400 + 100
     ref = pio.synth_genome(glen, rng)
-    tiles = genome_mod.partition(glen)
-    states = {}
     eths = [int(v) for v in args.eths.split(",")]
-    mismatches = 0
-    cache = {}
-    for _ in range(args.trials):
+    trials = {}  # eth -> candidates
+    for i in range(args.trials):
         eth = rng.choice(eths)
         pos = rng.randint(0, glen - 100)
         if rng.random() < 0.5:
             read = pio.mutate_read(ref[pos:pos + 100], rng.randint(0, 2 * eth + 2), rng)
         else:
             read = pio.synth_genome(100, rng)
-        t, off = genome_mod.route(pos, glen)
-        if t not in states:
-            states[t] = CrossbarState()
-            genome_mod.load_tile(states[t], layout, ref, tiles[t])
-        counts = oracle.histogram(read)
-        res = run_kernel(states[t], layout, counts, off, eth=eth, cache=cache)
-        want = oracle.decide(counts, ref[pos:pos + 100], eth)
-        mismatches += res.discard != want
+        trials.setdefault(eth, []).append(pio.CandidateRecord(f"t{i}", read, pos))
+    mismatches = sum(
+        genome_mod.run_filter(ref, cands, eth, iter_factor=None,
+                              verify_oracle=True).stats.oracle_mismatches
+        for eth, cands in trials.items())
     print(f"{mismatches} mismatches")
     return 0 if mismatches == 0 else 1
 
 
 def _cmd_model(args):
-    params = perf.figure_params() if args.mode == "figure" else perf.table_params()
+    params = perf.figure_params() if args.mode == "figure" else perf.PerfParams()
     if args.cycles_per_iteration:
         params = perf.PerfParams(
             cycles_per_iteration=args.cycles_per_iteration,

@@ -18,28 +18,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _axis_members(spec):
-    """Iterate an axis spec (int, range, or sequence of ints)."""
-    if isinstance(spec, range):
+def _axis(spec):
+    """Members of an axis spec (int, range, or sequence of ints).
+
+    A range or tuple comes back as is, so normalizing stays cheap on the
+    hot validation path; _compile_op turns members into numpy indices.
+    """
+    if isinstance(spec, (range, tuple)):
         return spec
     if isinstance(spec, (int, np.integer)):
         return (int(spec),)
     return tuple(int(v) for v in spec)
 
 
-def _axis_index(spec):
-    """Numpy index for an axis spec. Ranges become slices (fast path)."""
-    if isinstance(spec, range):
-        return slice(spec.start, spec.stop, spec.step)
-    if isinstance(spec, (int, np.integer)):
-        return [int(spec)]
-    return list(spec)
-
-
 def _axis_str(spec):
     if isinstance(spec, range):
         return f"{spec.start}:{spec.stop}" + (f":{spec.step}" if spec.step != 1 else "")
-    return ",".join(str(v) for v in _axis_members(spec))
+    return ",".join(str(v) for v in _axis(spec))
 
 
 @dataclass(eq=False)
@@ -142,24 +137,6 @@ class MicroProgram:
         if pos != len(self.ops):
             raise ValueError("annotations do not cover the op list")
 
-    def with_write_bits(self, op_index, bits):
-        """Copy of the program with new bits in the WriteExternal at op_index.
-
-        Keeps the cached structural-validation flag: the cell addresses are
-        unchanged, only the data differs.
-        """
-        old = self.ops[op_index]
-        if not isinstance(old, WriteExternal):
-            raise TypeError("op_index does not address a WriteExternal")
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != len(old.cells):
-            raise ValueError("bit count does not match cell count")
-        ops = list(self.ops)
-        ops[op_index] = WriteExternal(old.cells, bits, old.cycles)
-        prog = MicroProgram(ops, self.annotations)
-        prog._structure_ok = self._structure_ok
-        return prog
-
 
 class ProgramBuilder:
     """Accumulates micro-ops and step annotations for a MicroProgram."""
@@ -219,13 +196,6 @@ class CrossbarState:
         self.compute_cycles = 0
         self.init_cycles = 0
 
-    def clone(self):
-        other = CrossbarState(self.rows, self.cols)
-        other.cells = self.cells.copy()
-        other.compute_cycles = self.compute_cycles
-        other.init_cycles = self.init_cycles
-        return other
-
     # Host-side accessors. These model pre-stored data (no cycle cost);
     # cycle-counted writes go through the WriteExternal micro-op.
     def set_bits(self, cells, bits):
@@ -250,46 +220,35 @@ def validate_structure(op, rows, cols):
     """State-independent checks: addressing, aliasing, shape."""
     bad = []
 
-    def check_rows(spec, what="row"):
-        members = _axis_members(spec)
+    def check(spec, bound, what):
+        members = _axis(spec)
         if len(members) == 0:
             bad.append(f"empty {what} set")
-        for r in members:
-            if not 0 <= r < rows:
-                bad.append(f"{what} out of bounds")
-                break
-
-    def check_cols(spec, what="column"):
-        members = _axis_members(spec)
-        if len(members) == 0:
-            bad.append(f"empty {what} set")
-        for c in members:
-            if not 0 <= c < cols:
-                bad.append(f"{what} out of bounds")
-                break
+        elif min(members) < 0 or max(members) >= bound:
+            bad.append(f"{what} out of bounds")
 
     if isinstance(op, Init):
         if not op.regions:
             bad.append("empty cell set")
         for r, c in op.regions:
-            check_rows(r)
-            check_cols(c)
+            check(r, rows, "row")
+            check(c, cols, "column")
     elif isinstance(op, NorRow):
         if len(op.input_cols) == 0:
             bad.append("empty input set")
         if op.output_col in op.input_cols:
             bad.append("output among inputs")
-        check_cols(op.input_cols, "column")
-        check_cols((op.output_col,), "column")
-        check_rows(op.rows)
+        check(op.input_cols, cols, "column")
+        check((op.output_col,), cols, "column")
+        check(op.rows, rows, "row")
     elif isinstance(op, NorCol):
         if len(op.input_rows) == 0:
             bad.append("empty input set")
         if op.output_row in op.input_rows:
             bad.append("output among inputs")
-        check_rows(op.input_rows, "row")
-        check_rows((op.output_row,), "row")
-        check_cols(op.cols)
+        check(op.input_rows, rows, "row")
+        check((op.output_row,), rows, "row")
+        check(op.cols, cols, "column")
     elif isinstance(op, WriteExternal):
         if len(op.cells) == 0:
             bad.append("empty cell set")
@@ -300,27 +259,13 @@ def validate_structure(op, rows, cols):
         if op.cycles < 0:
             bad.append("negative cycle cost")
         for r, c in op.cells:
-            check_rows((r,), "row")
-            check_cols((c,), "column")
+            check((r,), rows, "row")
+            check((c,), cols, "column")
     elif isinstance(op, ReadCell):
-        check_rows((op.row,), "row")
-        check_cols((op.col,), "column")
+        check((op.row,), rows, "row")
+        check((op.col,), cols, "column")
     else:
         bad.append(f"unknown op {type(op).__name__}")
-    return bad
-
-
-def validate(op, state, strict=True):
-    """All violated constraints of `op` against `state` (empty list = ok)."""
-    bad = validate_structure(op, state.rows, state.cols)
-    if bad:
-        return bad
-    if strict and isinstance(op, NorRow):
-        if not state.cells[_axis_index(op.rows), op.output_col].all():
-            bad.append("output not initialized")
-    elif strict and isinstance(op, NorCol):
-        if not state.cells[op.output_row, _axis_index(op.cols)].all():
-            bad.append("output not initialized")
     return bad
 
 
@@ -354,43 +299,40 @@ def _validate_program_structure(program, rows, cols):
 _SMALL = 8
 
 
-def _compile_axis(spec):
-    """(numpy_index, small_members): one of the two is None.
+def _compile_op(op):
+    """Numpy indices of an Init or NOR op, computed once and cached on it.
 
-    Row/column sets of at most _SMALL members run as scalar loops; larger
-    sets become slices when they form an arithmetic progression, else
+    A NOR compiles to (transposed, inputs, output, index, small): a column
+    NOR is a row NOR on the transposed grid. Line sets of at most _SMALL
+    members run as a scalar loop over `small`; larger sets use `index`.
+    Members become slices when they form an arithmetic progression, else
     fancy-index lists.
     """
-    if isinstance(spec, (int, np.integer)):
-        return None, (int(spec),)
-    if isinstance(spec, range):
-        if len(spec) <= _SMALL:
-            return None, tuple(spec)
-        return slice(spec.start, spec.stop, spec.step), None
-    t = tuple(int(v) for v in spec)
-    if len(t) <= _SMALL:
-        return None, t
-    step = t[1] - t[0]
-    if step > 0 and all(t[k + 1] - t[k] == step for k in range(len(t) - 1)):
-        return slice(t[0], t[-1] + 1, step), None
-    return list(t), None
+    def index(members):
+        if isinstance(members, range):
+            return slice(members.start, members.stop, members.step)
+        step = members[1] - members[0] if len(members) > 1 else 1
+        if step > 0 and all(b - a == step for a, b in zip(members, members[1:])):
+            return slice(members[0], members[-1] + 1, step)
+        return list(members)
 
-
-def _compile_op(op):
-    if isinstance(op, NorRow):
-        return _compile_axis(op.rows)
-    if isinstance(op, NorCol):
-        return _compile_axis(op.cols)
     if isinstance(op, Init):
         pre = []
         for r, c in op.regions:
-            ri, ci = _axis_index(r), _axis_index(c)
+            ri, ci = index(_axis(r)), index(_axis(c))
             if isinstance(ri, list) and isinstance(ci, list):
                 pre.append(np.ix_(ri, ci))
             else:
                 pre.append((ri, ci))
         return pre
-    return None
+    if isinstance(op, NorRow):
+        transposed, ins, out, lines = False, op.input_cols, op.output_col, op.rows
+    else:
+        transposed, ins, out, lines = True, op.input_rows, op.output_row, op.cols
+    members = _axis(lines)
+    if len(members) <= _SMALL:
+        return transposed, ins, out, None, members
+    return transposed, ins, out, index(members), None
 
 
 def execute(program, state, strict=True, trace=None):
@@ -407,6 +349,7 @@ def execute(program, state, strict=True, trace=None):
     """
     _validate_program_structure(program, state.rows, state.cols)
     cells = state.cells
+    cells_t = cells.T
     readout = []
     compute = 0
     init = 0
@@ -419,65 +362,34 @@ def execute(program, state, strict=True, trace=None):
             c = op._c
             if c is None:
                 c = op._c = _compile_op(op)
-            idx, small = c
-            if cls is NorRow:
-                ics = op.input_cols
-                out = op.output_col
-                if small is not None:
-                    for r in small:
-                        row = cells[r]
-                        acc = row[ics[0]]
-                        for cc in ics[1:]:
-                            acc = acc | row[cc]
-                        if strict:
-                            if row[out] != 1:
-                                raise MicroOpError(i, op, ["output not initialized"])
-                            row[out] = 0 if acc else 1
-                        elif acc:
-                            row[out] = 0
-                else:
-                    if strict and not cells[idx, out].all():
-                        raise MicroOpError(i, op, ["output not initialized"])
-                    if len(ics) == 1:
-                        acc = cells[idx, ics[0]] ^ 1
-                    else:
-                        acc = cells[idx, ics[0]] | cells[idx, ics[1]]
-                        for cc in ics[2:]:
-                            acc |= cells[idx, cc]
-                        acc ^= 1
+            transposed, ins, out, idx, small = c
+            grid = cells_t if transposed else cells
+            if small is not None:
+                for r in small:
+                    line = grid[r]
+                    acc = line[ins[0]]
+                    for k in ins[1:]:
+                        acc = acc | line[k]
                     if strict:
-                        cells[idx, out] = acc
-                    else:
-                        cells[idx, out] &= acc
+                        if line[out] != 1:
+                            raise MicroOpError(i, op, ["output not initialized"])
+                        line[out] = 0 if acc else 1
+                    elif acc:
+                        line[out] = 0
             else:
-                irs = op.input_rows
-                out = op.output_row
-                if small is not None:
-                    orow = cells[out]
-                    for cc in small:
-                        acc = cells[irs[0], cc]
-                        for r in irs[1:]:
-                            acc = acc | cells[r, cc]
-                        if strict:
-                            if orow[cc] != 1:
-                                raise MicroOpError(i, op, ["output not initialized"])
-                            orow[cc] = 0 if acc else 1
-                        elif acc:
-                            orow[cc] = 0
+                if strict and not grid[idx, out].all():
+                    raise MicroOpError(i, op, ["output not initialized"])
+                if len(ins) == 1:
+                    acc = grid[idx, ins[0]] ^ 1
                 else:
-                    if strict and not cells[out, idx].all():
-                        raise MicroOpError(i, op, ["output not initialized"])
-                    if len(irs) == 1:
-                        acc = cells[irs[0], idx] ^ 1
-                    else:
-                        acc = cells[irs[0], idx] | cells[irs[1], idx]
-                        for r in irs[2:]:
-                            acc |= cells[r, idx]
-                        acc ^= 1
-                    if strict:
-                        cells[out, idx] = acc
-                    else:
-                        cells[out, idx] &= acc
+                    acc = grid[idx, ins[0]] | grid[idx, ins[1]]
+                    for k in ins[2:]:
+                        acc |= grid[idx, k]
+                    acc ^= 1
+                if strict:
+                    grid[idx, out] = acc
+                else:
+                    grid[idx, out] &= acc
             compute += 1
             kind, cost = "compute", 1
         elif cls is Init:
@@ -538,13 +450,13 @@ def taint_violations(program, defined_cells):
     for i, op in enumerate(program.ops):
         if isinstance(op, Init):
             for r, c in op.regions:
-                known.update((rr, cc) for rr in _axis_members(r) for cc in _axis_members(c))
+                known.update((rr, cc) for rr in _axis(r) for cc in _axis(c))
         elif isinstance(op, NorRow):
-            rows = _axis_members(op.rows)
+            rows = _axis(op.rows)
             read(((r, c) for r in rows for c in op.input_cols), i, op)
             known.update((r, op.output_col) for r in rows)
         elif isinstance(op, NorCol):
-            cols = _axis_members(op.cols)
+            cols = _axis(op.cols)
             read(((r, c) for c in cols for r in op.input_rows), i, op)
             known.update((op.output_row, c) for c in cols)
         elif isinstance(op, WriteExternal):

@@ -31,7 +31,7 @@ emitted programs pass the read-before-define taint check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crossbar import MicroProgram, ProgramBuilder
 
@@ -51,9 +51,6 @@ class ColumnPool:
     def take_one(self):
         return self.take(1)[0]
 
-    def remaining(self):
-        return len(self._free)
-
 
 @dataclass
 class Build:
@@ -62,7 +59,6 @@ class Build:
     program: MicroProgram
     compute_cycles: int
     result_cells: list
-    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +366,7 @@ def build_not(src_cells, dst_cells, rows=128, cols=256):
             pb.init(((dr,), (dc,)))
             pb.nor_row((sc,), dc, (dr,))
         cycles = len(src)
-    return Build(pb.build(), cycles, dst, {"kind": "NOT"})
+    return Build(pb.build(), cycles, dst)
 
 
 def build_copy(src_cells, dst_cells, tmp_cells=None, rows=128, cols=256):
@@ -395,7 +391,7 @@ def build_copy(src_cells, dst_cells, tmp_cells=None, rows=128, cols=256):
     first = build_not(src, tmp_cells, rows, cols)
     second = build_not(tmp_cells, dst, rows, cols)
     program = MicroProgram(first.program.ops + second.program.ops)
-    return Build(program, first.compute_cycles + second.compute_cycles, dst, {"kind": "COPY"})
+    return Build(program, first.compute_cycles + second.compute_cycles, dst)
 
 
 def build_half_adder(a_cell, b_cell, s_cell, c_cell, scratch_cells=None, rows=128, cols=256):
@@ -412,7 +408,7 @@ def build_half_adder(a_cell, b_cell, s_cell, c_cell, scratch_cells=None, rows=12
     pb = ProgramBuilder(rows, cols)
     pb.init(((row,), tuple(sc3) + (s_cell[1], c_cell[1])))
     cycles = _half_adder_gates(pb, a_cell[1], b_cell[1], s_cell[1], c_cell[1], sc3, (row,))
-    return Build(pb.build(), cycles, [s_cell, c_cell], {"kind": "HALF_ADDER"})
+    return Build(pb.build(), cycles, [s_cell, c_cell])
 
 
 def _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, rows, cols, borrow):
@@ -432,8 +428,7 @@ def _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, rows, cols, b
         [c for _, c in x_cells], [c for _, c in y_cells], [c for _, c in z_cells],
         pool, (row,), borrow=borrow,
     )
-    kind = "SUBTRACTOR" if borrow else "ADDER"
-    return Build(pb.build(), cycles, list(z_cells), {"kind": kind, "width": width})
+    return Build(pb.build(), cycles, list(z_cells))
 
 
 def build_adder(width, x_cells, y_cells, z_cells, scratch_cells=None, rows=128, cols=256):
@@ -468,7 +463,7 @@ def build_mux(width, x_cells, y_cells, sel_cell, z_cells, scratch_cells=None, ro
     pb.init(((row,), tuple(sc) + tuple(c for _, c in z_cells)))
     cycles = _mux_gates(pb, width, [c for _, c in x_cells], [c for _, c in y_cells],
                         sel_cell[1], [c for _, c in z_cells], sc, (row,))
-    return Build(pb.build(), cycles, list(z_cells), {"kind": "MUX", "width": width})
+    return Build(pb.build(), cycles, list(z_cells))
 
 
 def build_popcount(col, height, start_row=0, result_cols=None, rows=128, cols=256, ones_row=None):
@@ -484,4 +479,4 @@ def build_popcount(col, height, start_row=0, result_cols=None, rows=128, cols=25
         result_cols = pool.take(min(width + 1, height + 1) if height > 1 else 1)
     pb = ProgramBuilder(rows, cols)
     cycles, result_cells = emit_popcount(pb, col, height, pool, result_cols, start_row, ones_row)
-    return Build(pb.build(), cycles, result_cells, {"kind": "POPCOUNT", "height": height})
+    return Build(pb.build(), cycles, result_cells)

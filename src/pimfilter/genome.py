@@ -11,7 +11,7 @@ never lose a true location.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import oracle
 from .crossbar import CrossbarState
@@ -94,12 +94,15 @@ def schedule(queue_lengths, iter_factor=5, active_limit=None):
     """Per-tile processed counts under the iteration cap, plus the report.
 
     The cap is iter_factor times the mean queue length over all tiles
-    (empty ones included). Each wave activates at most `active_limit`
-    tiles in ascending index order, one location each; whatever a tile
-    still holds past its cap is overflow, passed through unfiltered.
+    (empty ones included); None disables it. Each wave activates at most
+    `active_limit` tiles in ascending index order, one location each;
+    whatever a tile still holds past its cap is overflow, passed through
+    unfiltered.
     """
     n = len(queue_lengths)
     total = sum(queue_lengths)
+    if iter_factor is not None and not 0 <= iter_factor < math.inf:
+        raise ValueError("iter_factor must be a finite number >= 0")
     if iter_factor is None:
         cap = total
     else:
@@ -135,7 +138,6 @@ class FilterStats:
     bytes_transferred: int = 0
     waves: int = 0
     tiles: int = 0
-    tiles_active: int = 0
     oracle_mismatches: int | None = None
 
 
@@ -151,12 +153,11 @@ class FilterRun:
     decisions: list
     stats: FilterStats
     report: ScheduleReport
-    layout: object = field(repr=False, default=None)
 
 
 def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
                active_limit=None, strict=True, verify_oracle=False,
-               trace=None, rows=128, cols=256):
+               trace=None):
     """Simulate the whole filter over a genome and its candidate list.
 
     Decisions come back in (tile index, queue order); every non-overflow
@@ -164,7 +165,7 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     marked passthrough. With `verify_oracle` each kernel decision is also
     checked against the golden model and mismatches are counted.
     """
-    layout = plan_layout(read_length, rows, cols)
+    layout = plan_layout(read_length)
     glen = len(genome)
     tiles = partition(glen, read_length)
     queues = [[] for _ in tiles]
@@ -184,8 +185,7 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
         queue = queues[tile.index]
         if not queue:
             continue
-        stats.tiles_active += 1
-        state = CrossbarState(rows, cols)
+        state = CrossbarState()
         load_tile(state, layout, genome, tile, eth)
         for j, (cand, off, counts) in enumerate(queue):
             if j < processed[tile.index]:
@@ -212,4 +212,4 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
         stats.discard_rate = stats.discarded / stats.processed
     if stats.queued:
         stats.passthrough_rate = stats.passthrough / stats.queued
-    return FilterRun(decisions, stats, report, layout)
+    return FilterRun(decisions, stats, report)

@@ -10,17 +10,22 @@ alphabet handling.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .oracle import BASES, BaseCounts, edit_distance, histogram
+from .oracle import BASES, BaseCounts, edit_distance
 
 MAX_POSITION = 2**32 - 1
 
 
 @dataclass
 class RunConfig:
-    """Knobs of a full filtering run."""
+    """Knobs of a full filtering run.
+
+    `iter_factor` 0 or None disables the per-tile cap; a negative or
+    non-finite factor is rejected.
+    """
 
     eth: int = 0
     read_length: int = 100
@@ -29,20 +34,21 @@ class RunConfig:
     strict: bool = True
     verify_oracle: bool = False
     trace: str | None = None
-    seed: int = 0
-    rows: int = 128
-    cols: int = 256
 
     def __post_init__(self):
         if self.eth < 0:
             raise ValueError("eth must be >= 0")
         if not 1 <= self.read_length <= 100:
             raise ValueError("read_length must be 1..100")
+        if self.iter_factor == 0:
+            self.iter_factor = None  # 0 disables the cap, as None does
+        elif self.iter_factor is not None and not 0 < self.iter_factor < math.inf:
+            raise ValueError("iter_factor must be a finite number >= 0")
 
     _FIELD_TYPES = {
         "eth": int, "read_length": int, "iter_factor": float,
         "active_limit": int, "strict": bool, "verify_oracle": bool,
-        "trace": str, "seed": int, "rows": int, "cols": int,
+        "trace": str,
     }
 
     def apply_line(self, key, value):
@@ -270,7 +276,6 @@ def mutate_read(window, max_edits, rng):
 class SynthFixture:
     genome: str
     candidates: list
-    true_positions: dict = field(default_factory=dict)  # read_id -> position
 
 
 def synth_fixture(genome_len=100_000, reads=100, decoys_per_read=1,
@@ -283,15 +288,13 @@ def synth_fixture(genome_len=100_000, reads=100, decoys_per_read=1,
     rng = random.Random(seed)
     genome = synth_genome(genome_len, rng)
     candidates = []
-    true_positions = {}
     max_pos = genome_len - read_length
     for i in range(reads):
         pos = rng.randint(0, max_pos)
         window = genome[pos:pos + read_length]
         read = mutate_read(window, max_edits, rng)
         read_id = f"r{i}"
-        true_positions[read_id] = pos
         candidates.append(CandidateRecord(read_id, read, pos))
         for _ in range(decoys_per_read):
             candidates.append(CandidateRecord(read_id, read, rng.randint(0, max_pos)))
-    return SynthFixture(genome, candidates, true_positions)
+    return SynthFixture(genome, candidates)

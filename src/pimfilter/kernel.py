@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crossbar import (
-    CrossbarState,
     MicroProgram,
     NorRow,
     ProgramBuilder,
+    WriteExternal,
     _validate_program_structure,
     execute,
 )
@@ -193,26 +193,25 @@ def counts_bits(count):
     return [(count >> i) & 1 for i in range(8)]
 
 
-def build_program(layout, offset, counts=None):
+def build_program(layout, offset):
     """Emit the full annotated micro-program for one location check.
 
-    :param counts: BaseCounts of the read; None leaves zero placeholders
-        that run_kernel patches per read.
+    The step-1 count writes hold zero placeholders that run_kernel
+    patches per read.
     """
     L = layout
     n = L.read_length
     ranges = window_row_ranges(offset, n)
     if ranges[-1][0] >= FRAGMENTS_PER_TILE:
         raise ValueError("window spills past the stored slice")
-    counts = counts or BaseCounts(0, 0, 0, 0)
     lanes = tuple(L.lane_rows[b] for b in BASES)
     pb = ProgramBuilder(L.rows, L.cols)
 
     # Step 1: host write of the four read counts, two cycles per value.
     with pb.step("1"):
-        for base, value in zip(BASES, counts):
+        for base in BASES:
             cells = tuple((L.lane_rows[base], c) for c in L.rb_cols)
-            pb.write(cells, counts_bits(value), cycles=2)
+            pb.write(cells, counts_bits(0), cycles=2)
 
     # Step 2: inverted copy of the window into the P column pair. The
     # window may span two fragments, one NOT per bit column per fragment.
@@ -385,7 +384,8 @@ def _patched_program(layout, offset, counts, cache):
     The program depends on the offset only through the row phase (which
     fixes every row range) and the fragment pair (which fixes the two or
     four source columns of the window copy), so templates are cached per
-    row phase and the step-2 gates patched per fragment.
+    row phase. The count writes of step 1 are patched per read and the
+    copy gates of step 2 per fragment pair.
     """
     if not 0 <= offset <= TILE_STRIDE:
         raise ValueError("offset out of range")
@@ -399,15 +399,16 @@ def _patched_program(layout, offset, counts, cache):
         _validate_program_structure(template, layout.rows, layout.cols)
         if cache is not None:
             cache[r0] = template
+    spans = {label: range(start, end) for label, start, end in template.annotations}
     ops = list(template.ops)
-    for i, value in enumerate(counts):
-        ops[i] = type(ops[i])(ops[i].cells, tuple(counts_bits(value)), ops[i].cycles)
+    for i, value in zip(spans["1"], counts):
+        old = ops[i]
+        ops[i] = WriteExternal(old.cells, tuple(counts_bits(value)), old.cycles)
     if pair:
-        base = 5  # four count writes, then the step-2 init
-        for k in range(2 * len(window_row_ranges(r0, layout.read_length))):
-            old = ops[base + k]
-            ops[base + k] = NorRow((old.input_cols[0] + 2 * pair,),
-                                   old.output_col, old.rows)
+        for i in spans["2"]:
+            old = ops[i]
+            if isinstance(old, NorRow):
+                ops[i] = NorRow((old.input_cols[0] + 2 * pair,), old.output_col, old.rows)
     program = MicroProgram(ops, template.annotations)
     program._structure_ok = True  # columns stay within the genome region
     return program

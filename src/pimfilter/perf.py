@@ -3,8 +3,8 @@
 Pure arithmetic over a handful of constants: arrays work in lockstep,
 each check costs a fixed cycle count, and every candidate location moves
 13 bytes over the host link. Two modes differ only in the iteration
-factor: `table_params` (factor 5) models a per-tile cap of five times
-the mean queue length, `figure_params` (factor 1) the idealised
+factor: the `PerfParams` default (factor 5) models a per-tile cap of
+five times the mean queue length, `figure_params` (factor 1) the idealised
 one-location-per-iteration sweep used for scaling curves.
 """
 
@@ -38,10 +38,6 @@ class PerfParams:
                   locations=self.locations, iter_factor=self.iter_factor,
                   bytes_per_location=self.bytes_per_location,
                   transfer_rate_gb_s=self.transfer_rate_gb_s)
-
-
-def table_params(**overrides):
-    return PerfParams(**overrides)
 
 
 def figure_params(**overrides):

@@ -266,7 +266,7 @@ def test_criterion_5_kernel_cycle_budget():
 # 6. Analytic model headline numbers, 3 significant figures.
 
 def test_criterion_6_analytic_reproduction():
-    p = perf.table_params()
+    p = perf.PerfParams()
     comp = perf.compute_latency(p, p.crossbars)
     gb = perf.total_transferred_bytes(p) / perf.GB
     xfer = perf.transfer_latency(p)
@@ -285,7 +285,7 @@ def test_criterion_6_analytic_reproduction():
 # 7. Power throttling.
 
 def test_criterion_7_power_throttling():
-    p = perf.table_params()
+    p = perf.PerfParams()
     allowed = perf.power_constrained_arrays(perf.PowerParams(budget_w=100),
                                             p.crossbars)
     assert allowed == 100_000

@@ -10,13 +10,13 @@ from pimfilter.crossbar import (
     Init,
     MicroOpError,
     MicroProgram,
+    NorCol,
     NorRow,
     ProgramBuilder,
     ReadCell,
     WriteExternal,
     execute,
     taint_violations,
-    validate,
 )
 
 
@@ -24,32 +24,38 @@ def fresh(rows=128, cols=256):
     return CrossbarState(rows, cols)
 
 
+def run_op(op, state=None, strict=True):
+    """Execute a one-op program; the crossbar contract raises MicroOpError."""
+    return execute(MicroProgram([op]), state or fresh(), strict=strict)
+
+
 class TestValidate:
     def test_output_among_inputs(self):
-        op = NorRow((3, 4), 3, (0,))
-        assert any("output among inputs" in v for v in validate(op, fresh()))
+        with pytest.raises(MicroOpError, match="output among inputs"):
+            run_op(NorRow((3, 4), 3, (0,)))
 
     def test_ok_when_output_initialized(self):
         s = fresh()
         s.cells[0, 5] = 1
-        assert validate(NorRow((3, 4), 5, (0,)), s) == []
+        assert run_op(NorRow((3, 4), 5, (0,)), s).compute_cycles == 1
 
     def test_row_out_of_bounds(self):
-        op = ReadCell(200, 0)
-        assert any("row out of bounds" in v for v in validate(op, fresh()))
+        with pytest.raises(MicroOpError, match="row out of bounds"):
+            run_op(ReadCell(200, 0))
 
     def test_column_out_of_bounds(self):
-        op = NorRow((300,), 5, (0,))
-        assert any("column out of bounds" in v for v in validate(op, fresh()))
+        with pytest.raises(MicroOpError, match="column out of bounds"):
+            run_op(NorRow((300,), 5, (0,)))
 
     def test_uninitialized_output_flagged_in_strict_only(self):
         op = NorRow((3, 4), 5, (0,))
-        assert any("not initialized" in v for v in validate(op, fresh(), strict=True))
-        assert validate(op, fresh(), strict=False) == []
+        with pytest.raises(MicroOpError, match="not initialized"):
+            run_op(op, strict=True)
+        run_op(op, strict=False)
 
     def test_write_external_shape(self):
-        op = WriteExternal(((0, 0),), (1, 0), 2)
-        assert validate(op, fresh())
+        with pytest.raises(MicroOpError, match="bit count"):
+            run_op(WriteExternal(((0, 0),), (1, 0), 2))
 
 
 class TestExecute:
@@ -116,6 +122,30 @@ class TestExecute:
         assert s.get_bits([(7, 0), (7, 1), (7, 2)]) == [1, 0, 1]
         assert res.compute_cycles == 1
 
+    @pytest.mark.parametrize("lines", [
+        (0, 1, 2),                               # scalar loop
+        range(10, 60),                           # slice
+        tuple(range(5, 100, 3)),                 # progression -> slice
+        (1, 4, 9, 16, 25, 36, 49, 64, 81),       # fancy index
+    ])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_column_nor_is_row_nor_on_transpose(self, lines, strict):
+        rng = np.random.default_rng(3)
+        grid = rng.integers(0, 2, size=(128, 128), dtype=np.uint8)
+        members, ins, out = list(lines), (3, 7, 11), 20
+        if strict:
+            grid[members, out] = 1
+        row, col = fresh(128, 128), fresh(128, 128)
+        row.cells[:] = grid
+        col.cells[:] = grid.T
+        execute(MicroProgram([NorRow(ins, out, lines)]), row, strict=strict)
+        execute(MicroProgram([NorCol(ins, out, lines)]), col, strict=strict)
+        want = 1 - grid[np.ix_(members, ins)].any(axis=1)
+        if not strict:
+            want &= grid[members, out]
+        assert (row.cells[members, out] == want).all()
+        assert (col.cells == row.cells.T).all()
+
     def test_frame_property(self):
         # cells not addressed by an op are unchanged
         s = fresh()
@@ -143,7 +173,9 @@ class TestExecute:
         pb.write(((60, 60),), (1,), 2)
         pb.read(60, 60)
         prog = pb.build()
-        s1, s2 = base.clone(), base.clone()
+        s1, s2 = fresh(), fresh()
+        s1.cells[:] = base.cells
+        s2.cells[:] = base.cells
         r1, r2 = execute(prog, s1), execute(prog, s2)
         assert (s1.cells == s2.cells).all()
         assert (r1.readout, r1.compute_cycles, r1.init_cycles) == \
@@ -237,17 +269,6 @@ class TestProgram:
         assert lines[0].startswith("init 1 init ")
         assert lines[1].startswith("compute 1 nor_row ")
         assert lines[2].startswith("compute 2 read ")
-
-    def test_with_write_bits_patches_data_only(self):
-        pb = ProgramBuilder()
-        pb.write(((0, 0), (0, 1)), (0, 0), cycles=2)
-        prog = pb.build()
-        patched = prog.with_write_bits(0, (1, 1))
-        s = fresh()
-        execute(patched, s)
-        assert s.get_bits([(0, 0), (0, 1)]) == [1, 1]
-        with pytest.raises(ValueError):
-            prog.with_write_bits(0, (1,))
 
 
 class TestTaint:

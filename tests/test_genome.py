@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -119,6 +120,14 @@ class TestSchedule:
     def test_cap_disabled(self):
         processed, report = schedule([100, 0, 0], iter_factor=None)
         assert report.overflow == 0
+
+    def test_negative_or_infinite_factor_rejected(self):
+        # a negative cap never drains a queue and an infinite one cannot
+        # be rounded; empty queues keep this test from hanging if the
+        # check is missing
+        for factor in (-1, math.inf):
+            with pytest.raises(ValueError, match="iter_factor"):
+                schedule([0, 0], iter_factor=factor)
 
 
 @pytest.fixture(scope="module")

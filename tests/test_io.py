@@ -169,6 +169,22 @@ class TestSynth:
         with pytest.raises(ValueError, match="key=value"):
             parse_config(io.StringIO("just words\n"))
 
+    def test_iter_factor_zero_disables_cap(self):
+        assert RunConfig(iter_factor=0).iter_factor is None
+        assert parse_config(io.StringIO("iter_factor=0\n")).iter_factor is None
+
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "inf", "nan"])
+    def test_bad_iter_factor_rejected(self, value):
+        with pytest.raises(ValueError, match="iter_factor"):
+            RunConfig(iter_factor=float(value))
+        with pytest.raises(ValueError, match="iter_factor"):
+            parse_config(io.StringIO(f"iter_factor={value}\n"))
+
+    @pytest.mark.parametrize("line", ["rows=64", "cols=128", "seed=3"])
+    def test_unused_keys_rejected(self, line):
+        with pytest.raises(ValueError, match="unknown config key"):
+            parse_config(io.StringIO(line + "\n"))
+
 
 class TestCli:
     def test_synth_filter_pipeline(self, tmp_path, capsys):
@@ -205,6 +221,35 @@ class TestCli:
                      "--candidates", str(tmp_path / "candidates.tsv"),
                      "--config", str(cfg), "--out", str(out)]) == 0
         assert "# oracle_mismatches 0" in out.read_text()
+
+    def test_iter_factor_zero_same_from_flag_and_file(self, tmp_path):
+        main(["synth", "--out-dir", str(tmp_path), "--genome-len", "6600",
+              "--reads", "4", "--decoys", "2", "--seed", "7"])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eth=2\niter_factor=0\n")
+        args = ["filter", "--genome", str(tmp_path / "genome.fa"),
+                "--candidates", str(tmp_path / "candidates.tsv")]
+        flag, file = tmp_path / "flag.tsv", tmp_path / "file.tsv"
+        assert main(args + ["--eth", "2", "--iter-factor", "0", "--out", str(flag)]) == 0
+        assert main(args + ["--config", str(cfg), "--out", str(file)]) == 0
+        assert flag.read_text() == file.read_text()
+        assert "# passthrough 0\n" in flag.read_text()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_iter_factor_exits_1(self, tmp_path, capsys, source):
+        (tmp_path / "genome.fa").write_text(">g\n" + "ACGT" * 50 + "\n")
+        # no candidates, so a run that skips the check returns at once
+        (tmp_path / "candidates.tsv").write_text("# read_id\tread_seq\tposition\n")
+        args = ["filter", "--genome", str(tmp_path / "genome.fa"),
+                "--candidates", str(tmp_path / "candidates.tsv"),
+                "--out", str(tmp_path / "r.tsv")]
+        if source == "flag":
+            args += ["--eth", "2", "--iter-factor", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text("eth=2\niter_factor=-1\n")
+            args += ["--config", str(tmp_path / "run.cfg")]
+        assert main(args) == 1
+        assert "iter_factor" in capsys.readouterr().err
 
     def test_validate_reports_zero_mismatches(self, capsys):
         assert main(["validate", "--trials", "40", "--seed", "1"]) == 0

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from pimfilter import oracle
-from pimfilter.crossbar import CrossbarState, NorRow, taint_violations
+from pimfilter.crossbar import CrossbarState, NorRow, execute, taint_violations
 from pimfilter.genome import load_tile, partition
 from pimfilter.io import synth_genome
 from pimfilter.kernel import (
     BASES,
     COMPUTE_BUDGET,
+    FRAGMENT_ROWS,
     STEP_BUDGETS,
     TOTAL_BUDGET,
     build_program,
@@ -106,6 +107,37 @@ class TestBudgets:
         counts = oracle.histogram(genome[0:100])
         res = run_kernel(state, layout, counts, 0, cache=cache)
         assert res.steps["1"].compute == 8  # two cycles per stored count
+
+
+class TestEveryRowPhase:
+    # A program depends on its offset only through the row phase
+    # offset % 100, so the 100 phases cover every program of a read length.
+    @pytest.mark.parametrize("read_length,totals", [
+        (100, (194598, 190498, 4500)),
+        (64, (195844, 191344, 4900)),
+        (1, (195592, 191092, 4900)),
+    ])
+    def test_programs_valid_clean_and_within_budget(self, read_length, totals):
+        layout = plan_layout(read_length)
+        defined = {(r, c) for r in range(FRAGMENT_ROWS) for c in range(layout.genome_cols)}
+        defined |= {(layout.lane_rows["A"], c) for c in layout.thr_cols}
+        ops = compute = init = 0
+        for r0 in range(FRAGMENT_ROWS):
+            prog = build_program(layout, r0)
+            assert taint_violations(prog, defined) == [], r0
+            # execute checks structure and annotations first and raises
+            # MicroOpError or ValueError on a violation
+            res = execute(prog, CrossbarState(layout.rows, layout.cols))
+            assert res.compute_cycles <= COMPUTE_BUDGET, r0
+            assert res.compute_cycles + res.init_cycles <= TOTAL_BUDGET, r0
+            if read_length == 100:
+                for label, budget in STEP_BUDGETS.items():
+                    assert res.steps[label].compute <= budget, (r0, label)
+            ops += len(prog.ops)
+            compute += res.compute_cycles
+            init += res.init_cycles
+        # pinned: a change to any program or to cycle accounting shows here
+        assert (ops, compute, init) == totals
 
 
 class TestDecisions:

@@ -13,7 +13,6 @@ from pimfilter.perf import (
     figure_params,
     latency_curve,
     power_constrained_arrays,
-    table_params,
     total_latency,
     total_transferred_bytes,
     transfer_latency,
@@ -26,16 +25,16 @@ def sig3(value, target):
 
 class TestComputeLatency:
     def test_full_array_count(self):
-        assert sig3(compute_latency(table_params(), 500_000), 13.8)
+        assert sig3(compute_latency(PerfParams(), 500_000), 13.8)
 
     def test_power_throttled_count(self):
-        assert sig3(compute_latency(table_params(), 100_000), 69.0)
+        assert sig3(compute_latency(PerfParams(), 100_000), 69.0)
 
     def test_single_array_figure_mode(self):
         assert sig3(compute_latency(figure_params(), 1), 1.38e6)
 
     def test_product_with_arrays_is_constant(self):
-        p = table_params()
+        p = PerfParams()
         ref = compute_latency(p, 1) * 1
         for n in (7, 1000, 499_999):
             assert math.isclose(compute_latency(p, n) * n, ref)
@@ -43,37 +42,37 @@ class TestComputeLatency:
 
 class TestTransfer:
     def test_total_bytes(self):
-        assert sig3(total_transferred_bytes(table_params()) / GB, 598.0)
+        assert sig3(total_transferred_bytes(PerfParams()) / GB, 598.0)
 
     def test_latency(self):
-        assert sig3(transfer_latency(table_params()), 59.8)
+        assert sig3(transfer_latency(PerfParams()), 59.8)
 
     def test_zero_locations_rejected(self):
         with pytest.raises(ValueError):
             PerfParams(locations=0)
 
     def test_rate_halved_latency_doubled(self):
-        base = transfer_latency(table_params())
-        halved = transfer_latency(table_params(transfer_rate_gb_s=5.0))
+        base = transfer_latency(PerfParams())
+        halved = transfer_latency(PerfParams(transfer_rate_gb_s=5.0))
         assert math.isclose(halved, 2 * base)
 
 
 class TestTotal:
     def test_headline_number(self):
-        total, speedups = total_latency(table_params(), 500_000)
+        total, speedups = total_latency(PerfParams(), 500_000)
         assert sig3(total, 73.6)
         assert round(speedups.compute) == 160
         assert round(speedups.transfer) == 86
         assert round(speedups.total) == 100
 
     def test_total_is_sum_of_parts(self):
-        p = table_params()
+        p = PerfParams()
         total, _ = total_latency(p, 12_345)
         assert math.isclose(total, compute_latency(p, 12_345) + transfer_latency(p))
 
     def test_throttled_total_ratio(self):
-        full, _ = total_latency(table_params(), 500_000)
-        throttled, _ = total_latency(table_params(), 100_000)
+        full, _ = total_latency(PerfParams(), 500_000)
+        throttled, _ = total_latency(PerfParams(), 100_000)
         assert sig3(throttled, 128.8)
         assert abs(throttled / full - 1.75) <= 0.01
 
@@ -132,4 +131,4 @@ class TestValidation:
 
     def test_at_least_one_array(self):
         with pytest.raises(ValueError):
-            compute_latency(table_params(), 0)
+            compute_latency(PerfParams(), 0)
