@@ -21,8 +21,8 @@ import numpy as np
 def _axis(spec):
     """Members of an axis spec (int, range, or sequence of ints).
 
-    A range or tuple comes back as is, so normalizing stays cheap on the
-    hot validation path; _compile_op turns members into numpy indices.
+    A range or tuple comes back as is, so normalizing stays cheap; _lower
+    turns members into numpy indices.
     """
     if isinstance(spec, (range, tuple)):
         return spec
@@ -57,6 +57,7 @@ class NorRow:
     output_col: int
     rows: object
     _c: object = field(default=None, init=False, repr=False)
+    cycles = 1
 
     def describe(self):
         return f"nor_row in=[{','.join(map(str, self.input_cols))}] out={self.output_col} rows=[{_axis_str(self.rows)}]"
@@ -71,6 +72,7 @@ class NorCol:
     output_row: int
     cols: object
     _c: object = field(default=None, init=False, repr=False)
+    cycles = 1
 
     def describe(self):
         return f"nor_col in=[{','.join(map(str, self.input_rows))}] out={self.output_row} cols=[{_axis_str(self.cols)}]"
@@ -83,6 +85,7 @@ class WriteExternal:
     cells: tuple
     bits: tuple
     cycles: int = 2
+    _c: object = field(default=None, init=False, repr=False)
 
     def describe(self):
         pairs = " ".join(f"({r},{c})={b}" for (r, c), b in zip(self.cells, self.bits))
@@ -95,12 +98,11 @@ class ReadCell:
 
     row: int
     col: int
+    _c: object = field(default=None, init=False, repr=False)
+    cycles = 1
 
     def describe(self):
         return f"read ({self.row},{self.col})"
-
-
-MicroOp = (Init, NorRow, NorCol, WriteExternal, ReadCell)
 
 
 class MicroOpError(RuntimeError):
@@ -124,7 +126,6 @@ class MicroProgram:
 
     ops: list
     annotations: tuple = ()
-    _structure_ok: bool = field(default=False, repr=False, compare=False)
 
     def check_annotations(self):
         if not self.annotations:
@@ -216,59 +217,6 @@ class CrossbarState:
         return sum(int(self.cells[r, c]) << i for i, (r, c) in enumerate(cells))
 
 
-def validate_structure(op, rows, cols):
-    """State-independent checks: addressing, aliasing, shape."""
-    bad = []
-
-    def check(spec, bound, what):
-        members = _axis(spec)
-        if len(members) == 0:
-            bad.append(f"empty {what} set")
-        elif min(members) < 0 or max(members) >= bound:
-            bad.append(f"{what} out of bounds")
-
-    if isinstance(op, Init):
-        if not op.regions:
-            bad.append("empty cell set")
-        for r, c in op.regions:
-            check(r, rows, "row")
-            check(c, cols, "column")
-    elif isinstance(op, NorRow):
-        if len(op.input_cols) == 0:
-            bad.append("empty input set")
-        if op.output_col in op.input_cols:
-            bad.append("output among inputs")
-        check(op.input_cols, cols, "column")
-        check((op.output_col,), cols, "column")
-        check(op.rows, rows, "row")
-    elif isinstance(op, NorCol):
-        if len(op.input_rows) == 0:
-            bad.append("empty input set")
-        if op.output_row in op.input_rows:
-            bad.append("output among inputs")
-        check(op.input_rows, rows, "row")
-        check((op.output_row,), rows, "row")
-        check(op.cols, cols, "column")
-    elif isinstance(op, WriteExternal):
-        if len(op.cells) == 0:
-            bad.append("empty cell set")
-        if len(op.cells) != len(op.bits):
-            bad.append("bit count does not match cell count")
-        if any(b not in (0, 1) for b in op.bits):
-            bad.append("bits must be 0 or 1")
-        if op.cycles < 0:
-            bad.append("negative cycle cost")
-        for r, c in op.cells:
-            check((r,), rows, "row")
-            check((c,), cols, "column")
-    elif isinstance(op, ReadCell):
-        check((op.row,), rows, "row")
-        check((op.col,), cols, "column")
-    else:
-        bad.append(f"unknown op {type(op).__name__}")
-    return bad
-
-
 @dataclass
 class StepCycles:
     compute: int = 0
@@ -285,96 +233,173 @@ class ExecResult:
     steps: dict
 
 
-def _validate_program_structure(program, rows, cols):
-    if program._structure_ok:
-        return
-    for i, op in enumerate(program.ops):
-        bad = validate_structure(op, rows, cols)
-        if bad:
-            raise MicroOpError(i, op, bad)
-    program.check_annotations()
-    program._structure_ok = True
-
-
 _SMALL = 8
 
 
-def _compile_op(op):
-    """Numpy indices of an Init or NOR op, computed once and cached on it.
+def _lower(op, shape):
+    """Check one op against a grid of `shape` and lower it to numpy indices.
 
-    A NOR compiles to (transposed, inputs, output, index, small): a column
-    NOR is a row NOR on the transposed grid. Line sets of at most _SMALL
-    members run as a scalar loop over `small`; larger sets use `index`.
+    The checks do not depend on cell values: addressing, aliasing and
+    shape. A well-formed op gets a tuple starting with `shape` cached on
+    op._c and yields no violations; an op with violations is not cached,
+    so it fails again on every run. After the shape come:
+
+    - Init: a list of one index pair per region;
+    - NorRow and NorCol: transposed, inputs, output, index, small. A
+      column NOR is a row NOR on the transposed grid. A line set of at
+      most _SMALL members runs as a scalar loop over `small`; a larger
+      one uses `index`. A repeated line counts once;
+    - WriteExternal: ((row, col), bit) pairs;
+    - ReadCell: the (row, col) index.
+
     Members become slices when they form an arithmetic progression, else
     fancy-index lists.
     """
-    def index(members):
-        if isinstance(members, range):
-            return slice(members.start, members.stop, members.step)
-        step = members[1] - members[0] if len(members) > 1 else 1
-        if step > 0 and all(b - a == step for a, b in zip(members, members[1:])):
-            return slice(members[0], members[-1] + 1, step)
-        return list(members)
+    row, col = ("row", shape[0]), ("column", shape[1])
+    bad = []
+
+    def members(spec, axis):
+        what, bound = axis
+        m = _axis(spec)
+        if len(m) == 0:
+            bad.append(f"empty {what} set")
+        elif min(m) < 0 or max(m) >= bound:
+            bad.append(f"{what} out of bounds")
+        return m
+
+    def index(m):
+        if isinstance(m, range):
+            return slice(m.start, m.stop, m.step)
+        step = m[1] - m[0] if len(m) > 1 else 1
+        if step > 0 and all(b - a == step for a, b in zip(m, m[1:])):
+            return slice(m[0], m[-1] + 1, step)
+        return list(m)
 
     if isinstance(op, Init):
-        pre = []
-        for r, c in op.regions:
-            ri, ci = index(_axis(r)), index(_axis(c))
-            if isinstance(ri, list) and isinstance(ci, list):
-                pre.append(np.ix_(ri, ci))
+        if not op.regions:
+            bad.append("empty cell set")
+        regions = [(members(r, row), members(c, col)) for r, c in op.regions]
+        if not bad:
+            pairs = []
+            for r, c in regions:
+                ri, ci = index(r), index(c)
+                lists = isinstance(ri, list) and isinstance(ci, list)
+                pairs.append(np.ix_(ri, ci) if lists else (ri, ci))
+            op._c = (shape, pairs)
+    elif isinstance(op, (NorRow, NorCol)):
+        if isinstance(op, NorRow):
+            transposed, ins, out, lines, gate, line = (
+                False, op.input_cols, op.output_col, op.rows, col, row)
+        else:
+            transposed, ins, out, lines, gate, line = (
+                True, op.input_rows, op.output_row, op.cols, row, col)
+        if len(ins) == 0:
+            bad.append("empty input set")
+        if out in ins:
+            bad.append("output among inputs")
+        members(ins, gate)
+        members((out,), gate)
+        m = members(lines, line)
+        if len(set(m)) < len(m):
+            m = tuple(dict.fromkeys(m))
+        if not bad:
+            if len(m) <= _SMALL:
+                op._c = (shape, transposed, ins, out, None, m)
             else:
-                pre.append((ri, ci))
-        return pre
-    if isinstance(op, NorRow):
-        transposed, ins, out, lines = False, op.input_cols, op.output_col, op.rows
+                op._c = (shape, transposed, ins, out, index(m), None)
+    elif isinstance(op, WriteExternal):
+        if len(op.cells) == 0:
+            bad.append("empty cell set")
+        if len(op.cells) != len(op.bits):
+            bad.append("bit count does not match cell count")
+        if any(b not in (0, 1) for b in op.bits):
+            bad.append("bits must be 0 or 1")
+        if op.cycles < 0:
+            bad.append("negative cycle cost")
+        for r, c in op.cells:
+            members((r,), row)
+            members((c,), col)
+        if not bad:
+            op._c = (shape, tuple(((r, c), b) for (r, c), b in zip(op.cells, op.bits)))
+    elif isinstance(op, ReadCell):
+        members((op.row,), row)
+        members((op.col,), col)
+        if not bad:
+            op._c = (shape, (op.row, op.col))
     else:
-        transposed, ins, out, lines = True, op.input_rows, op.output_row, op.cols
-    members = _axis(lines)
-    if len(members) <= _SMALL:
-        return transposed, ins, out, None, members
-    return transposed, ins, out, index(members), None
+        bad.append(f"unknown op {type(op).__name__}")
+    return bad
+
+
+def _lower_program(program, shape):
+    """Lower every op of `program` not yet lowered for `shape`.
+
+    Raises MicroOpError at the first op with a violation, before any op
+    runs. Returns the compute and init cycles of the whole program and
+    per step label; they follow from the op costs alone: an Init takes
+    one init cycle, any other op `op.cycles` compute cycles.
+    """
+    program.check_annotations()
+    ops = program.ops
+    steps = {}
+    compute = init = 0
+    for label, start, end in program.annotations or ((None, 0, len(ops)),):
+        step_compute, step_init = compute, init
+        for i in range(start, end):
+            op = ops[i]
+            try:
+                c = op._c
+            except AttributeError:  # not a micro-op; _lower says so
+                c = None
+            if c is None or c[0] != shape:
+                bad = _lower(op, shape)
+                if bad:
+                    raise MicroOpError(i, op, bad)
+            if op.__class__ is Init:
+                init += 1
+            else:
+                compute += op.cycles
+        if label is not None:
+            sc = steps.setdefault(label, StepCycles())
+            sc.compute += compute - step_compute
+            sc.init += init - step_init
+    return compute, init, steps
 
 
 def execute(program, state, strict=True, trace=None):
     """Run a MicroProgram on a CrossbarState, mutating it in place.
 
-    In strict mode a NOR whose output cell is not 1 aborts with the
-    violation list. In permissive mode the gate conditionally switches:
-    output <- old_output AND NOR(inputs). Addressing and aliasing
-    violations abort in both modes.
+    Every op is checked and lowered before the first one runs, so an
+    addressing, aliasing or shape violation aborts with the state
+    untouched. Both modes evaluate a NOR by conditional switching:
+    output <- output AND NOR(inputs). Strict mode adds the precondition
+    that the output cell holds 1 and aborts at the first gate that
+    finds a 0 there.
 
     :param trace: optional callable receiving one line per op,
         formatted `cycle_kind cycle_index op_descriptor`.
     :return: ExecResult with read-out bits and the cycle report.
     """
-    _validate_program_structure(program, state.rows, state.cols)
     cells = state.cells
+    compute, init, steps = _lower_program(program, cells.shape)
     cells_t = cells.T
     readout = []
-    compute = 0
-    init = 0
-    steps = {}
-    spans = list(program.annotations)
-    span_i = 0
+    traced_compute = traced_init = 0
     for i, op in enumerate(program.ops):
         cls = op.__class__
+        c = op._c
         if cls is NorRow or cls is NorCol:
-            c = op._c
-            if c is None:
-                c = op._c = _compile_op(op)
-            transposed, ins, out, idx, small = c
+            _, transposed, ins, out, idx, small = c
             grid = cells_t if transposed else cells
             if small is not None:
                 for r in small:
                     line = grid[r]
+                    if strict and line[out] != 1:
+                        raise MicroOpError(i, op, ["output not initialized"])
                     acc = line[ins[0]]
                     for k in ins[1:]:
                         acc = acc | line[k]
-                    if strict:
-                        if line[out] != 1:
-                            raise MicroOpError(i, op, ["output not initialized"])
-                        line[out] = 0 if acc else 1
-                    elif acc:
+                    if acc:
                         line[out] = 0
             else:
                 if strict and not grid[idx, out].all():
@@ -386,44 +411,22 @@ def execute(program, state, strict=True, trace=None):
                     for k in ins[2:]:
                         acc |= grid[idx, k]
                     acc ^= 1
-                if strict:
-                    grid[idx, out] = acc
-                else:
-                    grid[idx, out] &= acc
-            compute += 1
-            kind, cost = "compute", 1
+                grid[idx, out] &= acc
         elif cls is Init:
-            pre = op._c
-            if pre is None:
-                pre = op._c = _compile_op(op)
-            for index in pre:
+            for index in c[1]:
                 cells[index] = 1
-            init += 1
-            kind, cost = "init", 1
         elif cls is WriteExternal:
-            for (r, c), b in zip(op.cells, op.bits):
-                cells[r, c] = b
-            compute += op.cycles
-            kind, cost = "compute", op.cycles
+            for cell, b in c[1]:
+                cells[cell] = b
         else:  # ReadCell
-            readout.append(int(cells[op.row, op.col]))
-            compute += 1
-            kind, cost = "compute", 1
-
-        if spans:
-            while span_i < len(spans) and i >= spans[span_i][2]:
-                span_i += 1
-            label = spans[span_i][0]
-            sc = steps.get(label)
-            if sc is None:
-                sc = steps[label] = StepCycles()
-            if kind == "compute":
-                sc.compute += cost
-            else:
-                sc.init += cost
+            readout.append(int(cells[c[1]]))
         if trace is not None:
-            index = init if kind == "init" else compute
-            trace(f"{kind} {index} {op.describe()}")
+            if cls is Init:
+                traced_init += 1
+                trace(f"init {traced_init} {op.describe()}")
+            else:
+                traced_compute += op.cycles
+                trace(f"compute {traced_compute} {op.describe()}")
 
     state.compute_cycles += compute
     state.init_cycles += init

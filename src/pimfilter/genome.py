@@ -94,7 +94,7 @@ def schedule(queue_lengths, iter_factor=5, active_limit=None):
     """Per-tile processed counts under the iteration cap, plus the report.
 
     The cap is iter_factor times the mean queue length over all tiles
-    (empty ones included); None disables it. Each wave activates at most
+    (empty ones included); None or 0 disables it. Each wave activates at most
     `active_limit` tiles in ascending index order, one location each;
     whatever a tile still holds past its cap is overflow, passed through
     unfiltered.
@@ -103,7 +103,7 @@ def schedule(queue_lengths, iter_factor=5, active_limit=None):
     total = sum(queue_lengths)
     if iter_factor is not None and not 0 <= iter_factor < math.inf:
         raise ValueError("iter_factor must be a finite number >= 0")
-    if iter_factor is None:
+    if not iter_factor:
         cap = total
     else:
         cap = math.ceil(iter_factor * total / n) if n else 0

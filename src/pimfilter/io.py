@@ -40,9 +40,7 @@ class RunConfig:
             raise ValueError("eth must be >= 0")
         if not 1 <= self.read_length <= 100:
             raise ValueError("read_length must be 1..100")
-        if self.iter_factor == 0:
-            self.iter_factor = None  # 0 disables the cap, as None does
-        elif self.iter_factor is not None and not 0 < self.iter_factor < math.inf:
+        if self.iter_factor is not None and not 0 <= self.iter_factor < math.inf:
             raise ValueError("iter_factor must be a finite number >= 0")
 
     _FIELD_TYPES = {

@@ -34,7 +34,6 @@ from .crossbar import (
     NorRow,
     ProgramBuilder,
     WriteExternal,
-    _validate_program_structure,
     execute,
 )
 from .gates import (
@@ -396,7 +395,6 @@ def _patched_program(layout, offset, counts, cache):
         template = cache[r0]
     else:
         template = build_program(layout, r0)
-        _validate_program_structure(template, layout.rows, layout.cols)
         if cache is not None:
             cache[r0] = template
     spans = {label: range(start, end) for label, start, end in template.annotations}
@@ -409,6 +407,4 @@ def _patched_program(layout, offset, counts, cache):
             old = ops[i]
             if isinstance(old, NorRow):
                 ops[i] = NorRow((old.input_cols[0] + 2 * pair,), old.output_col, old.rows)
-    program = MicroProgram(ops, template.annotations)
-    program._structure_ok = True  # columns stay within the genome region
-    return program
+    return MicroProgram(ops, template.annotations)

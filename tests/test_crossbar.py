@@ -219,6 +219,45 @@ class TestExecute:
         assert res.readout == [1, 0]
         assert res.compute_cycles == 2 + 2  # declared cost + one per read
 
+    def test_bad_last_op_aborts_before_any_op_runs(self):
+        s = fresh()
+        s.cells[:] = np.random.default_rng(2).integers(0, 2, size=s.cells.shape, dtype=np.uint8)
+        s.compute_cycles, s.init_cycles = 7, 3
+        before = s.cells.copy()
+        pb = ProgramBuilder()
+        pb.init((range(0, 20), (5,)))
+        pb.nor_row((3, 4), 5, range(0, 20))
+        pb.write(((60, 60),), (1,), 2)
+        pb.read(200, 0)
+        prog = pb.build()
+        with pytest.raises(MicroOpError, match="row out of bounds") as err:
+            execute(prog, s)
+        assert err.value.op_index == len(prog.ops) - 1
+        assert (s.cells == before).all()
+        assert (s.compute_cycles, s.init_cycles) == (7, 3)
+
+    def test_ops_are_checked_again_on_a_grid_of_another_shape(self):
+        pb = ProgramBuilder()
+        pb.init(((0,), (100,)))
+        pb.nor_row((3,), 100, (0,))
+        prog = pb.build()
+        execute(prog, fresh())
+        small = fresh(64, 64)
+        with pytest.raises(MicroOpError, match="column out of bounds") as err:
+            execute(prog, small)
+        assert err.value.op_index == 0
+        assert not small.cells.any()
+
+    @pytest.mark.parametrize("lines", [(0, 0), (0,) * 9 + tuple(range(1, 9))])
+    def test_repeated_line_switches_once(self, lines):
+        # a gate acts on a set of lines: a repeated line must not see its
+        # own output as an uninitialized cell
+        s = fresh()
+        s.cells[:9, 3] = 1
+        s.cells[:9, 5] = 1
+        execute(MicroProgram([NorRow((3,), 5, lines)]), s, strict=True)
+        assert not s.cells[sorted(set(lines)), 5].any()
+
     def test_counters_accumulate_monotonically(self):
         s = fresh()
         pb = ProgramBuilder()
@@ -303,3 +342,120 @@ def test_nor_row_matches_boolean_model(bits, k):
     execute(pb.build(), s)
     for r, pattern in enumerate(table):
         assert s.cells[r, k] == int(not any(pattern))
+
+
+# Differential check: execute against a cell-by-cell model of the crossbar
+# contract on a 16x16 grid.
+GRID = 16
+
+
+def members(spec):
+    return (spec,) if isinstance(spec, int) else tuple(spec)
+
+
+def model_run(program, grid, strict):
+    """Reference semantics: (cells, readout, compute, init, steps, trace)."""
+    cells = [list(map(int, row)) for row in grid]
+    readout, costs, trace = [], [], []
+    compute = init = 0
+    for op in program.ops:
+        if isinstance(op, Init):
+            for rs, cs in op.regions:
+                for r in members(rs):
+                    for c in members(cs):
+                        cells[r][c] = 1
+            cost = (0, 1)
+        elif isinstance(op, (NorRow, NorCol)):
+            row = isinstance(op, NorRow)
+            ins, out, lines = ((op.input_cols, op.output_col, op.rows) if row
+                               else (op.input_rows, op.output_row, op.cols))
+            for line in sorted(set(members(lines))):
+                *inputs, (r, c) = [(line, k) if row else (k, line) for k in ins + (out,)]
+                assert not strict or cells[r][c] == 1
+                cells[r][c] &= int(not any(cells[i][j] for i, j in inputs))
+            cost = (1, 0)
+        elif isinstance(op, WriteExternal):
+            for (r, c), b in zip(op.cells, op.bits):
+                cells[r][c] = b
+            cost = (op.cycles, 0)
+        else:
+            readout.append(cells[op.row][op.col])
+            cost = (1, 0)
+        compute += cost[0]
+        init += cost[1]
+        trace.append(f"init {init}" if isinstance(op, Init) else f"compute {compute}")
+        costs.append(cost)
+    steps = {}
+    for label, start, end in program.annotations:
+        step = steps.setdefault(label, [0, 0])
+        step[0] += sum(c for c, _ in costs[start:end])
+        step[1] += sum(i for _, i in costs[start:end])
+    return cells, readout, compute, init, steps, trace
+
+
+coord = st.integers(0, GRID - 1)
+line_sets = st.one_of(
+    coord,
+    st.builds(lambda a, n: range(a, min(GRID, a + n)), coord, st.integers(1, GRID)),
+    st.builds(lambda a, n, k: tuple(range(a, min(GRID, a + n * k), k)),
+              coord, st.integers(1, GRID), st.integers(1, 5)),
+    st.lists(coord, min_size=1, max_size=GRID).map(tuple),
+)
+
+
+@st.composite
+def nor_ops(draw, strict):
+    ins = tuple(draw(st.lists(coord, min_size=1, max_size=3, unique=True)))
+    out = draw(coord.filter(lambda v: v not in ins))
+    lines = draw(line_sets)
+    if draw(st.booleans()):
+        op, region = NorRow(ins, out, lines), (lines, (out,))
+    else:
+        op, region = NorCol(ins, out, lines), ((out,), lines)
+    return [Init((region,)), op] if strict else [op]
+
+
+def other_ops():
+    cell = st.tuples(coord, coord)
+    return st.one_of(
+        st.lists(st.tuples(line_sets, line_sets), min_size=1, max_size=2)
+        .map(lambda regions: [Init(tuple(regions))]),
+        st.builds(lambda cells, cycles, bits: [WriteExternal(
+            tuple(cells), tuple(bits[:len(cells)]), cycles)],
+            st.lists(cell, min_size=1, max_size=4), st.integers(0, 3),
+            st.lists(st.integers(0, 1), min_size=4, max_size=4)),
+        st.builds(lambda rc: [ReadCell(*rc)], cell),
+    )
+
+
+@st.composite
+def programs(draw, strict):
+    ops = [op for group in draw(st.lists(st.one_of(nor_ops(strict), other_ops()),
+                                         min_size=1, max_size=12))
+           for op in group]
+    cuts = sorted(draw(st.sets(st.integers(1, len(ops) - 1), max_size=4))) if len(ops) > 1 else []
+    bounds = [0] + cuts + [len(ops)]
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=len(bounds) - 1,
+                           max_size=len(bounds) - 1))
+    return MicroProgram(ops, tuple(zip(labels, bounds, bounds[1:])))
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_execute_matches_cell_model(strict, data):
+    program = data.draw(programs(strict))
+    grid = np.array(data.draw(st.lists(st.integers(0, 1), min_size=GRID * GRID,
+                                       max_size=GRID * GRID)), dtype=np.uint8)
+    grid = grid.reshape(GRID, GRID)
+    state = fresh(GRID, GRID)
+    state.cells[:] = grid
+    trace = []
+    res = execute(program, state, strict=strict, trace=trace.append)
+    cells, readout, compute, init, steps, model_trace = model_run(program, grid, strict)
+    assert state.cells.tolist() == cells
+    assert res.readout == readout
+    assert (res.compute_cycles, res.init_cycles) == (compute, init)
+    assert (state.compute_cycles, state.init_cycles) == (compute, init)
+    assert {k: [v.compute, v.init] for k, v in res.steps.items()} == steps
+    assert [" ".join(line.split(" ", 2)[:2]) for line in trace] == model_trace

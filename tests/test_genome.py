@@ -121,6 +121,9 @@ class TestSchedule:
         processed, report = schedule([100, 0, 0], iter_factor=None)
         assert report.overflow == 0
 
+    def test_zero_factor_disables_cap(self):
+        assert schedule([3, 1], iter_factor=0) == schedule([3, 1], iter_factor=None)
+
     def test_negative_or_infinite_factor_rejected(self):
         # a negative cap never drains a queue and an infinite one cannot
         # be rounded; empty queues keep this test from hanging if the
@@ -175,6 +178,14 @@ class TestRunFilter:
         assert passthrough and len(passthrough) == run.stats.passthrough
         assert run.report.overflow == len(passthrough)
         assert not any(d.verdict == "discard" for d in passthrough)
+
+    def test_zero_factor_runs_uncapped(self):
+        rng = random.Random(9)
+        genome = synth_genome(6_600, rng)
+        cands = [CandidateRecord(f"r{i}", synth_genome(100, rng), 40 + i) for i in range(3)]
+        run = run_filter(genome, cands, eth=1, iter_factor=0)
+        assert run.stats.passthrough == 0
+        assert run.decisions == run_filter(genome, cands, eth=1, iter_factor=None).decisions
 
     def test_determinism(self):
         fixture = synth_fixture(genome_len=13_000, reads=6, decoys_per_read=1, seed=8)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pimfilter.cli import main
-from pimfilter.genome import FilterStats, Decision
+from pimfilter.genome import FilterStats, Decision, schedule
 from pimfilter.io import (
     CandidateError,
     CandidateRecord,
@@ -170,8 +170,10 @@ class TestSynth:
             parse_config(io.StringIO("just words\n"))
 
     def test_iter_factor_zero_disables_cap(self):
-        assert RunConfig(iter_factor=0).iter_factor is None
-        assert parse_config(io.StringIO("iter_factor=0\n")).iter_factor is None
+        uncapped = schedule([3, 1], iter_factor=None)
+        assert schedule([3, 1], RunConfig(iter_factor=0).iter_factor) == uncapped
+        from_file = parse_config(io.StringIO("iter_factor=0\n")).iter_factor
+        assert schedule([3, 1], from_file) == uncapped
 
     @pytest.mark.parametrize("value", ["-1", "-0.5", "inf", "nan"])
     def test_bad_iter_factor_rejected(self, value):
