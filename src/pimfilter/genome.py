@@ -180,7 +180,6 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     if verify_oracle:
         stats.oracle_mismatches = 0
     decisions = []
-    cache = {}
     for tile in tiles:
         queue = queues[tile.index]
         if not queue:
@@ -189,8 +188,7 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
         load_tile(state, layout, genome, tile, eth)
         for j, (cand, off, counts) in enumerate(queue):
             if j < processed[tile.index]:
-                res = run_kernel(state, layout, counts, off, strict=strict,
-                                 cache=cache, trace=trace)
+                res = run_kernel(state, layout, counts, off, strict=strict, trace=trace)
                 verdict = "discard" if res.discard else "keep"
                 stats.processed += 1
                 stats.discarded += res.discard

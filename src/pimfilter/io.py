@@ -48,18 +48,32 @@ class RunConfig:
         "active_limit": int, "strict": bool, "verify_oracle": bool,
         "trace": str,
     }
+    _NONE_KEYS = ("iter_factor", "active_limit", "trace")
+    _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
 
     def apply_line(self, key, value):
+        """Set `key` from its text, then check the whole config again.
+
+        Booleans take 1/0, true/false, yes/no or on/off in any case; only
+        iter_factor, active_limit and trace take `none` or an empty value.
+        """
         kind = self._FIELD_TYPES.get(key)
         if kind is None:
             raise ValueError(f"unknown config key {key!r}")
-        if value.lower() in ("none", ""):
+        word = value.lower()
+        if word in ("none", ""):
+            if key not in self._NONE_KEYS:
+                raise ValueError(f"{key} needs a value")
             parsed = None
         elif kind is bool:
-            parsed = value.lower() in ("1", "true", "yes", "on")
+            if word not in self._BOOLS:
+                raise ValueError(f"{key} must be 1/0, true/false, yes/no or on/off, got {value!r}")
+            parsed = self._BOOLS[word]
         else:
             parsed = kind(value)
         setattr(self, key, parsed)
+        self.__post_init__()
 
 
 def parse_config(stream, config=None):
@@ -76,7 +90,6 @@ def parse_config(stream, config=None):
             config.apply_line(key.strip(), value.strip())
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
-    config.__post_init__()
     return config
 
 

@@ -27,15 +27,10 @@ Per-step compute cycles at read length 100, against the step budgets:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .crossbar import (
-    MicroProgram,
-    NorRow,
-    ProgramBuilder,
-    WriteExternal,
-    execute,
-)
+from .crossbar import ProgramBuilder, execute
 from .gates import (
     ColumnPool,
     _adder_gates,
@@ -192,25 +187,26 @@ def counts_bits(count):
     return [(count >> i) & 1 for i in range(8)]
 
 
-def build_program(layout, offset):
+def build_program(layout, offset, counts):
     """Emit the full annotated micro-program for one location check.
 
-    The step-1 count writes hold zero placeholders that run_kernel
-    patches per read.
+    Steps 1-3 and a short read's bitmap zeroing depend on the read counts
+    and the window placement and are emitted here. Every other op comes
+    from the layout's shared body (_body), so those op objects, and their
+    lowered forms, are reused by every location.
     """
     L = layout
     n = L.read_length
     ranges = window_row_ranges(offset, n)
     if ranges[-1][0] >= FRAGMENTS_PER_TILE:
         raise ValueError("window spills past the stored slice")
-    lanes = tuple(L.lane_rows[b] for b in BASES)
     pb = ProgramBuilder(L.rows, L.cols)
 
     # Step 1: host write of the four read counts, two cycles per value.
     with pb.step("1"):
-        for base in BASES:
+        for base, count in zip(BASES, counts):
             cells = tuple((L.lane_rows[base], c) for c in L.rb_cols)
-            pb.write(cells, counts_bits(0), cycles=2)
+            pb.write(cells, counts_bits(count), cycles=2)
 
     # Step 2: inverted copy of the window into the P column pair. The
     # window may span two fragments, one NOT per bit column per fragment.
@@ -222,17 +218,13 @@ def build_program(layout, offset):
 
     # Step 3: the four base comparisons. NOT(pa) and NOT(pb) are computed
     # once and reused, so A costs three gates and T, G, C one each.
-    window_rows = range(0, FRAGMENT_ROWS) if n == FRAGMENT_ROWS else None
     with pb.step("3"):
         pa, pxb = L.p_cols
         mc = L.match_cols
         targets = (L.na_col, L.nb_col) + tuple(mc[b] for b in BASES)
-        if window_rows is not None:
-            spans = [window_rows]
-            pb.init((window_rows, targets))
-        else:
-            spans = [rng for _, rng in ranges]
-            pb.init(*((rng, targets) for rng in spans))
+        # a full-length window covers every row, whatever its phase
+        spans = [range(0, FRAGMENT_ROWS)] if n == FRAGMENT_ROWS else [rng for _, rng in ranges]
+        pb.init(*((rng, targets) for rng in spans))
         for rng in spans:
             pb.nor_row((pa,), L.na_col, rng)
             pb.nor_row((pxb,), L.nb_col, rng)
@@ -241,15 +233,38 @@ def build_program(layout, offset):
             pb.nor_row((pa, L.nb_col), mc["G"], rng)
             pb.nor_row((pa, pxb), mc["C"], rng)
 
+    # Steps 4-13 from the shared body; a short read first zeroes the
+    # bitmap rows its window leaves untouched, at the start of each
+    # base's step-4 span.
+    body = _body(n, L.rows, L.cols)
+    zero_bases = iter(BASES)
+    for label, start, end in body.annotations:
+        with pb.step(label):
+            if label == "4" and n < FRAGMENT_ROWS:
+                _zero_match_rows(pb, L, next(zero_bases), ranges)
+            pb.ops.extend(body.ops[start:end])
+    return pb.build()
+
+
+@functools.cache
+def _body(read_length, rows, cols):
+    """Steps 4-13 for one layout, built once per process.
+
+    Keyed by plan_layout's arguments, since KernelLayout holds dicts and
+    cannot be hashed. A short read's zeroing takes pool_cols[0], so its
+    popcounts draw their working columns from the rest of the pool.
+    """
+    L = plan_layout(read_length, rows, cols)
+    lanes = tuple(L.lane_rows[b] for b in BASES)
+    pool_cols = L.pool_cols[1:] if read_length < FRAGMENT_ROWS else L.pool_cols
+    pb = ProgramBuilder(rows, cols)
+
     # Steps 4 and 5, interleaved per base type: count one bitmap, then
     # stage its result band into that base's lane before the band is
     # reused for the next count.
     for base in BASES:
-        pool = ColumnPool(L.pool_cols)
         with pb.step("4"):
-            if window_rows is None:
-                _zero_match_rows(pb, L, pool, base, ranges)
-            emit_popcount(pb, L.match_cols[base], FRAGMENT_ROWS, pool,
+            emit_popcount(pb, L.match_cols[base], FRAGMENT_ROWS, ColumnPool(pool_cols),
                           L.res_cols, start_row=0, ones_row=L.ones_row)
         with pb.step("5"):
             lane = L.lane_rows[base]
@@ -333,13 +348,10 @@ def _complement_rows(spans):
     return rest
 
 
-def _zero_match_rows(pb, layout, pool, base, ranges):
+def _zero_match_rows(pb, layout, base, ranges):
     """Zero the bitmap rows a short read leaves untouched."""
-    spans = [rng for _, rng in ranges]
-    rest = _complement_rows(spans)
-    if not rest:
-        return
-    ones = pool.take_one()
+    rest = _complement_rows([rng for _, rng in ranges])
+    ones = layout.pool_cols[0]
     col = layout.match_cols[base]
     pb.init(*(((rng, (ones, col))) for rng in rest))
     for rng in rest:
@@ -356,14 +368,12 @@ class KernelResult:
     steps: dict
 
 
-def run_kernel(state, layout, counts, offset, eth=None, strict=True,
-               cache=None, trace=None):
+def run_kernel(state, layout, counts, offset, eth=None, strict=True, trace=None):
     """Run one location check on a pre-loaded crossbar.
 
     The genome slice must already be stored (see genome.load_tile). When
     `eth` is given the threshold constant is refreshed first, as the host
-    does at tile load time. `cache` is an optional dict reusing built
-    programs across calls that share an offset.
+    does at tile load time.
     """
     if not isinstance(counts, BaseCounts):
         counts = BaseCounts(*counts)
@@ -371,40 +381,7 @@ def run_kernel(state, layout, counts, offset, eth=None, strict=True,
         raise ValueError("read histogram does not sum to the read length")
     if eth is not None:
         store_threshold(state, layout, eth)
-    program = _patched_program(layout, offset, counts, cache)
+    program = build_program(layout, offset, counts)
     result = execute(program, state, strict=strict, trace=trace)
     return KernelResult(result.readout[0], result.compute_cycles,
                         result.init_cycles, result.steps)
-
-
-def _patched_program(layout, offset, counts, cache):
-    """Program for (offset, counts), reusing cached templates.
-
-    The program depends on the offset only through the row phase (which
-    fixes every row range) and the fragment pair (which fixes the two or
-    four source columns of the window copy), so templates are cached per
-    row phase. The count writes of step 1 are patched per read and the
-    copy gates of step 2 per fragment pair.
-    """
-    if not 0 <= offset <= TILE_STRIDE:
-        raise ValueError("offset out of range")
-    if offset + layout.read_length > TILE_SPAN:
-        raise ValueError("window spills past the stored slice")
-    pair, r0 = divmod(offset, FRAGMENT_ROWS)
-    if cache is not None and r0 in cache:
-        template = cache[r0]
-    else:
-        template = build_program(layout, r0)
-        if cache is not None:
-            cache[r0] = template
-    spans = {label: range(start, end) for label, start, end in template.annotations}
-    ops = list(template.ops)
-    for i, value in zip(spans["1"], counts):
-        old = ops[i]
-        ops[i] = WriteExternal(old.cells, tuple(counts_bits(value)), old.cycles)
-    if pair:
-        for i in spans["2"]:
-            old = ops[i]
-            if isinstance(old, NorRow):
-                ops[i] = NorRow((old.input_cols[0] + 2 * pair,), old.output_col, old.rows)
-    return MicroProgram(ops, template.annotations)

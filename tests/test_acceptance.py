@@ -241,12 +241,11 @@ def test_criterion_5_kernel_cycle_budget():
     genome = synth_genome(6600, rng)
     state = CrossbarState()
     load_tile(state, layout, genome, partition(len(genome))[0], eth=5)
-    cache = {}
     worst = {label: 0 for label in STEP_BUDGETS}
     worst_compute = worst_total = 0
     for offset in (0, 1, 37, 99, 100, 123, 3200, 6399, 6400):
         counts = oracle.histogram(synth_genome(100, rng))
-        res = run_kernel(state, layout, counts, offset, cache=cache)
+        res = run_kernel(state, layout, counts, offset)
         for label, budget in STEP_BUDGETS.items():
             spent = res.steps[label].compute
             assert spent <= budget, f"step {label} at offset {offset}"

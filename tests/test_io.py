@@ -182,6 +182,23 @@ class TestSynth:
         with pytest.raises(ValueError, match="iter_factor"):
             parse_config(io.StringIO(f"iter_factor={value}\n"))
 
+    @pytest.mark.parametrize("line,value", [
+        ("strict=OFF", False), ("strict=Yes", True), ("strict=0", False),
+        ("verify_oracle=on", True), ("verify_oracle=No", False),
+        ("iter_factor=", None), ("active_limit=none", None), ("trace=None", None),
+    ])
+    def test_accepted_config_values(self, line, value):
+        key = line.partition("=")[0]
+        assert getattr(parse_config(io.StringIO(line + "\n")), key) == value
+
+    @pytest.mark.parametrize("line", [
+        "strict=ture", "verify_oracle=yes please", "strict=none", "strict=",
+        "eth=none", "read_length=", "eth=abc", "eth=-1", "read_length=101",
+    ])
+    def test_wrong_config_values_rejected(self, line):
+        with pytest.raises(ValueError, match="^config line 2: "):
+            parse_config(io.StringIO("# run\n" + line + "\n"))
+
     @pytest.mark.parametrize("line", ["rows=64", "cols=128", "seed=3"])
     def test_unused_keys_rejected(self, line):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -252,6 +269,17 @@ class TestCli:
             args += ["--config", str(tmp_path / "run.cfg")]
         assert main(args) == 1
         assert "iter_factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["strict=ture", "eth=none", "read_length="])
+    def test_wrong_config_value_exits_1(self, tmp_path, capsys, line):
+        (tmp_path / "genome.fa").write_text(">g\n" + "ACGT" * 50 + "\n")
+        (tmp_path / "candidates.tsv").write_text("# read_id\tread_seq\tposition\n")
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        assert main(["filter", "--genome", str(tmp_path / "genome.fa"),
+                     "--candidates", str(tmp_path / "candidates.tsv"),
+                     "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(tmp_path / "r.tsv")]) == 1
+        assert capsys.readouterr().err.startswith("error: config line 1: ")
 
     def test_validate_reports_zero_mismatches(self, capsys):
         assert main(["validate", "--trials", "40", "--seed", "1"]) == 0

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from pimfilter import oracle
-from pimfilter.crossbar import CrossbarState, NorRow, execute, taint_violations
+from pimfilter import crossbar, oracle
+from pimfilter.crossbar import CrossbarState, NorRow, _axis, execute, taint_violations
 from pimfilter.genome import load_tile, partition
 from pimfilter.io import synth_genome
 from pimfilter.kernel import (
@@ -11,6 +12,7 @@ from pimfilter.kernel import (
     COMPUTE_BUDGET,
     FRAGMENT_ROWS,
     STEP_BUDGETS,
+    TILE_STRIDE,
     TOTAL_BUDGET,
     build_program,
     encode_base,
@@ -29,11 +31,6 @@ def tile_state(layout):
     state = CrossbarState()
     load_tile(state, layout, genome, partition(len(genome))[0], eth=5)
     return genome, state
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return {}
 
 
 class TestEncoding:
@@ -81,10 +78,10 @@ class TestWindowRows:
 
 
 class TestBudgets:
-    def test_per_step_and_totals(self, layout, tile_state, cache):
+    def test_per_step_and_totals(self, layout, tile_state):
         genome, state = tile_state
         counts = oracle.histogram(genome[123:223])
-        res = run_kernel(state, layout, counts, 123, cache=cache)
+        res = run_kernel(state, layout, counts, 123)
         for label, budget in STEP_BUDGETS.items():
             assert res.steps[label].compute <= budget, label
         assert res.compute_cycles <= COMPUTE_BUDGET
@@ -92,7 +89,7 @@ class TestBudgets:
 
     def test_comparison_step_structure(self, layout):
         # two shared inversions feed the A comparison; T, G, C cost one each
-        prog = build_program(layout, 0)
+        prog = build_program(layout, 0, oracle.BaseCounts(100, 0, 0, 0))
         spans = {label: (s, e) for label, s, e in prog.annotations if label == "3"}
         s, e = spans["3"]
         gates = [op for op in prog.ops[s:e] if isinstance(op, NorRow)]
@@ -102,10 +99,10 @@ class TestBudgets:
         m_a = gates[2]
         assert set(m_a.input_cols) == {na.output_col, nb.output_col}
 
-    def test_write_step_cost(self, layout, tile_state, cache):
+    def test_write_step_cost(self, layout, tile_state):
         genome, state = tile_state
         counts = oracle.histogram(genome[0:100])
-        res = run_kernel(state, layout, counts, 0, cache=cache)
+        res = run_kernel(state, layout, counts, 0)
         assert res.steps["1"].compute == 8  # two cycles per stored count
 
 
@@ -121,9 +118,10 @@ class TestEveryRowPhase:
         layout = plan_layout(read_length)
         defined = {(r, c) for r in range(FRAGMENT_ROWS) for c in range(layout.genome_cols)}
         defined |= {(layout.lane_rows["A"], c) for c in layout.thr_cols}
+        counts = oracle.BaseCounts(read_length, 0, 0, 0)
         ops = compute = init = 0
         for r0 in range(FRAGMENT_ROWS):
-            prog = build_program(layout, r0)
+            prog = build_program(layout, r0, counts)
             assert taint_violations(prog, defined) == [], r0
             # execute checks structure and annotations first and raises
             # MicroOpError or ValueError on a violation
@@ -139,12 +137,69 @@ class TestEveryRowPhase:
         # pinned: a change to any program or to cycle accounting shows here
         assert (ops, compute, init) == totals
 
+    @pytest.mark.parametrize("read_length,counts,digest", [
+        (100, (10, 20, 30, 40), "0795463040e9ae4ccf0e81ade5320ac37b09c1a13ec4991ad3497445a2418916"),
+        (64, (1, 2, 3, 58), "173d9e78e80ffb88ca9f0af8c115ed251e56c34ec0425d0f554942b9a2ddcb62"),
+        (1, (0, 0, 1, 0), "4a2ec7bbc65544a2dcfae58206c8fb3a0179a96c2c7d834f7a6c51279e26fe56"),
+    ])
+    def test_op_stream_pinned(self, read_length, counts, digest):
+        # every row phase in the first, second and last fragment pair;
+        # the digest covers each op's text and the step annotations
+        layout = plan_layout(read_length)
+        h = hashlib.sha256()
+        for pair in (0, 1, 64):
+            for offset in range(FRAGMENT_ROWS * pair, min(FRAGMENT_ROWS * (pair + 1), TILE_STRIDE + 1)):
+                prog = build_program(layout, offset, oracle.BaseCounts(*counts))
+                text = repr(prog.annotations) + "\n" + "\n".join(op.describe() for op in prog.ops) + "\n"
+                h.update(text.encode())
+        assert h.hexdigest() == digest
+
+
+class TestSharedBody:
+    @pytest.mark.parametrize("read_length,unshared", [(100, 16), (64, 30)])
+    def test_body_is_shared_and_lowered_once(self, monkeypatch, read_length, unshared):
+        layout = plan_layout(read_length)
+        counts = oracle.BaseCounts(read_length, 0, 0, 0)
+        first = build_program(layout, 250, counts)
+        second = build_program(layout, 137, counts)
+
+        def body_ops(prog):
+            # ops past step 3, less a short read's bitmap zeroing, which
+            # is the only user of the pool's first column in step 4
+            spare = layout.pool_cols[0]
+            out = []
+            for label, start, end in prog.annotations:
+                for op in prog.ops[start:end]:
+                    if label in ("1", "2", "3"):
+                        continue
+                    if label == "4" and read_length < FRAGMENT_ROWS and (
+                            spare in getattr(op, "input_cols", ())
+                            or any(spare in _axis(c) for _, c in getattr(op, "regions", ()))):
+                        continue
+                    out.append(op)
+            return out
+
+        shared = body_ops(first)
+        assert len(shared) == len(body_ops(second)) > 1800
+        assert all(a is b for a, b in zip(shared, body_ops(second)))
+
+        execute(first, CrossbarState(layout.rows, layout.cols))
+        lowered = []
+        real_lower = crossbar._lower
+        monkeypatch.setattr(crossbar, "_lower",
+                            lambda op, shape: lowered.append(op) or real_lower(op, shape))
+        execute(second, CrossbarState(layout.rows, layout.cols))
+        first_ids = {id(op) for op in first.ops}
+        fresh = [op for op in second.ops if id(op) not in first_ids]
+        assert [id(op) for op in lowered] == [id(op) for op in fresh]
+        assert len(lowered) == unshared
+
 
 class TestDecisions:
-    def test_exact_window_kept_at_zero_threshold(self, layout, tile_state, cache):
+    def test_exact_window_kept_at_zero_threshold(self, layout, tile_state):
         genome, state = tile_state
         counts = oracle.histogram(genome[200:300])
-        res = run_kernel(state, layout, counts, 200, eth=0, cache=cache)
+        res = run_kernel(state, layout, counts, 200, eth=0)
         assert res.discard == 0
 
     def test_all_a_read_against_all_a_window(self, layout):
@@ -171,12 +226,12 @@ class TestDecisions:
         assert run_kernel(state, layout, counts, 0, eth=k).discard == 0
         assert run_kernel(state, layout, counts, 0, eth=k - 1).discard == 1
 
-    def test_window_lands_in_p_as_row_rotation(self, layout, tile_state, cache):
+    def test_window_lands_in_p_as_row_rotation(self, layout, tile_state):
         # the inverted window copy rotates rows by the in-fragment phase
         genome, state = tile_state
         offset = 250  # split across two fragments, phase 50
         counts = oracle.histogram("ACGT" * 25)
-        run_kernel(state, layout, counts, offset, cache=cache)
+        run_kernel(state, layout, counts, offset)
         window = genome[offset:offset + 100]
         r0 = offset % 100
         for r in range(100):
@@ -184,19 +239,19 @@ class TestDecisions:
             a, b = encode_base(window[(r - r0) % 100])
             assert (pa, pb) == (1 - a, 1 - b)
 
-    def test_window_counts_reach_the_lanes(self, layout, tile_state, cache):
+    def test_window_counts_reach_the_lanes(self, layout, tile_state):
         genome, state = tile_state
         offset = 4321
         window = genome[offset:offset + 100]
         counts = oracle.histogram("ACGT" * 25)
-        run_kernel(state, layout, counts, offset, cache=cache)
+        run_kernel(state, layout, counts, offset)
         want = oracle.histogram(window)
         got = [state.read_value([(layout.lane_rows[b], c) for c in layout.res_cols])
                for b in BASES]
         assert got == [want.a, want.t, want.g, want.c]
         assert sum(got) == 100
 
-    def test_permutation_invariance(self, layout, cache):
+    def test_permutation_invariance(self, layout):
         rng = random.Random(5)
         window = list("ACGT" * 25)
         rng.shuffle(window)
@@ -208,10 +263,10 @@ class TestDecisions:
             genome = w + "A" * 6450
             state = CrossbarState()
             load_tile(state, layout, genome, partition(len(genome))[0], eth=3)
-            results.append(run_kernel(state, layout, counts, 0, cache=cache).discard)
+            results.append(run_kernel(state, layout, counts, 0).discard)
         assert results[0] == results[1]
 
-    def test_randomized_against_golden_model(self, layout, tile_state, cache):
+    def test_randomized_against_golden_model(self, layout, tile_state):
         genome, state = tile_state
         rng = random.Random(17)
         for _ in range(150):
@@ -224,7 +279,7 @@ class TestDecisions:
                     read[rng.randrange(100)] = rng.choice("ACGT")
                 read = "".join(read)
             counts = oracle.histogram(read)
-            res = run_kernel(state, layout, counts, offset, eth=eth, cache=cache)
+            res = run_kernel(state, layout, counts, offset, eth=eth)
             assert res.discard == oracle.decide(counts, genome[offset:offset + 100], eth)
 
 
@@ -250,7 +305,7 @@ class TestValidation:
             store_threshold(state, layout, 101)
 
     def test_program_taint_clean(self, layout):
-        prog = build_program(layout, 123)
+        prog = build_program(layout, 123, oracle.BaseCounts(100, 0, 0, 0))
         defined = {(r, c) for r in range(100) for c in range(layout.genome_cols)}
         defined |= {(layout.lane_rows["A"], c) for c in layout.thr_cols}
         assert taint_violations(prog, defined) == []
