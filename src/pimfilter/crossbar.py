@@ -8,6 +8,9 @@ clock cycle, which is the source of intra-crossbar parallelism. A gate
 output cell must hold 1 before the gate evaluates; setting any batch of
 cells to 1 costs one cycle, tracked in a separate counter so that gate
 cost accounting can exclude initialization.
+
+Every crossbar is a fixed ROWS x COLS array, and each op class states
+its own compute-cycle cost; every cycle count derives from those costs.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+
+ROWS, COLS = 128, 256
 
 
 def _axis(spec):
@@ -39,10 +44,12 @@ def _axis_str(spec):
 
 @dataclass(eq=False)
 class Init:
-    """Set every cell in the listed (rows, cols) regions to 1. One init cycle."""
+    """Set every cell in the listed (rows, cols) regions to 1. One init
+    cycle, no compute cycle."""
 
     regions: tuple
     _c: object = field(default=None, init=False, repr=False)
+    cycles = 0
 
     def describe(self):
         return "init " + " ".join(f"[{_axis_str(r)}]x[{_axis_str(c)}]" for r, c in self.regions)
@@ -142,9 +149,7 @@ class MicroProgram:
 class ProgramBuilder:
     """Accumulates micro-ops and step annotations for a MicroProgram."""
 
-    def __init__(self, rows=128, cols=256):
-        self.rows = rows
-        self.cols = cols
+    def __init__(self):
         self.ops = []
         self._spans = []
         self._open_label = None
@@ -186,16 +191,10 @@ class ProgramBuilder:
 
 
 class CrossbarState:
-    """Cell grid plus cycle counters for one crossbar."""
+    """Cell grid of one ROWS x COLS crossbar."""
 
-    def __init__(self, rows=128, cols=256):
-        if rows < 1 or cols < 1:
-            raise ValueError("crossbar dimensions must be positive")
-        self.rows = rows
-        self.cols = cols
-        self.cells = np.zeros((rows, cols), dtype=np.uint8)
-        self.compute_cycles = 0
-        self.init_cycles = 0
+    def __init__(self):
+        self.cells = np.zeros((ROWS, COLS), dtype=np.uint8)
 
     # Host-side accessors. These model pre-stored data (no cycle cost);
     # cycle-counted writes go through the WriteExternal micro-op.
@@ -236,13 +235,13 @@ class ExecResult:
 _SMALL = 8
 
 
-def _lower(op, shape):
-    """Check one op against a grid of `shape` and lower it to numpy indices.
+def _lower(op):
+    """Check one op against the crossbar and lower it to numpy indices.
 
     The checks do not depend on cell values: addressing, aliasing and
-    shape. A well-formed op gets a tuple starting with `shape` cached on
-    op._c and yields no violations; an op with violations is not cached,
-    so it fails again on every run. After the shape come:
+    shape. A well-formed op gets its lowered form cached on op._c and
+    yields no violations; an op with violations is not cached, so it
+    fails again on every run. The lowered forms:
 
     - Init: a list of one index pair per region;
     - NorRow and NorCol: transposed, inputs, output, index, small. A
@@ -255,7 +254,7 @@ def _lower(op, shape):
     Members become slices when they form an arithmetic progression, else
     fancy-index lists.
     """
-    row, col = ("row", shape[0]), ("column", shape[1])
+    row, col = ("row", ROWS), ("column", COLS)
     bad = []
 
     def members(spec, axis):
@@ -285,7 +284,7 @@ def _lower(op, shape):
                 ri, ci = index(r), index(c)
                 lists = isinstance(ri, list) and isinstance(ci, list)
                 pairs.append(np.ix_(ri, ci) if lists else (ri, ci))
-            op._c = (shape, pairs)
+            op._c = pairs
     elif isinstance(op, (NorRow, NorCol)):
         if isinstance(op, NorRow):
             transposed, ins, out, lines, gate, line = (
@@ -304,9 +303,9 @@ def _lower(op, shape):
             m = tuple(dict.fromkeys(m))
         if not bad:
             if len(m) <= _SMALL:
-                op._c = (shape, transposed, ins, out, None, m)
+                op._c = (transposed, ins, out, None, m)
             else:
-                op._c = (shape, transposed, ins, out, index(m), None)
+                op._c = (transposed, ins, out, index(m), None)
     elif isinstance(op, WriteExternal):
         if len(op.cells) == 0:
             bad.append("empty cell set")
@@ -320,24 +319,24 @@ def _lower(op, shape):
             members((r,), row)
             members((c,), col)
         if not bad:
-            op._c = (shape, tuple(((r, c), b) for (r, c), b in zip(op.cells, op.bits)))
+            op._c = tuple(((r, c), b) for (r, c), b in zip(op.cells, op.bits))
     elif isinstance(op, ReadCell):
         members((op.row,), row)
         members((op.col,), col)
         if not bad:
-            op._c = (shape, (op.row, op.col))
+            op._c = (op.row, op.col)
     else:
         bad.append(f"unknown op {type(op).__name__}")
     return bad
 
 
-def _lower_program(program, shape):
-    """Lower every op of `program` not yet lowered for `shape`.
+def _lower_program(program):
+    """Lower every op of `program` not yet lowered.
 
     Raises MicroOpError at the first op with a violation, before any op
     runs. Returns the compute and init cycles of the whole program and
-    per step label; they follow from the op costs alone: an Init takes
-    one init cycle, any other op `op.cycles` compute cycles.
+    per step label; they follow from the op costs alone: each op takes
+    `op.cycles` compute cycles, and an Init one init cycle.
     """
     program.check_annotations()
     ops = program.ops
@@ -351,14 +350,12 @@ def _lower_program(program, shape):
                 c = op._c
             except AttributeError:  # not a micro-op; _lower says so
                 c = None
-            if c is None or c[0] != shape:
-                bad = _lower(op, shape)
+            if c is None:
+                bad = _lower(op)
                 if bad:
                     raise MicroOpError(i, op, bad)
-            if op.__class__ is Init:
-                init += 1
-            else:
-                compute += op.cycles
+            compute += op.cycles
+            init += op.__class__ is Init
         if label is not None:
             sc = steps.setdefault(label, StepCycles())
             sc.compute += compute - step_compute
@@ -381,7 +378,7 @@ def execute(program, state, strict=True, trace=None):
     :return: ExecResult with read-out bits and the cycle report.
     """
     cells = state.cells
-    compute, init, steps = _lower_program(program, cells.shape)
+    compute, init, steps = _lower_program(program)
     cells_t = cells.T
     readout = []
     traced_compute = traced_init = 0
@@ -389,7 +386,7 @@ def execute(program, state, strict=True, trace=None):
         cls = op.__class__
         c = op._c
         if cls is NorRow or cls is NorCol:
-            _, transposed, ins, out, idx, small = c
+            transposed, ins, out, idx, small = c
             grid = cells_t if transposed else cells
             if small is not None:
                 for r in small:
@@ -413,13 +410,13 @@ def execute(program, state, strict=True, trace=None):
                     acc ^= 1
                 grid[idx, out] &= acc
         elif cls is Init:
-            for index in c[1]:
+            for index in c:
                 cells[index] = 1
         elif cls is WriteExternal:
-            for cell, b in c[1]:
+            for cell, b in c:
                 cells[cell] = b
         else:  # ReadCell
-            readout.append(int(cells[c[1]]))
+            readout.append(int(cells[c]))
         if trace is not None:
             if cls is Init:
                 traced_init += 1
@@ -428,8 +425,6 @@ def execute(program, state, strict=True, trace=None):
                 traced_compute += op.cycles
                 trace(f"compute {traced_compute} {op.describe()}")
 
-    state.compute_cycles += compute
-    state.init_cycles += init
     return ExecResult(readout, compute, init, steps)
 
 

@@ -1,7 +1,8 @@
 """Builders for compound in-crossbar operations.
 
 Every builder emits a MicroProgram made of NOR gates (plus batched
-initializations) and declares its compute-cycle cost up front:
+initializations) on the fixed crossbar. A Build's compute-cycle cost is
+the sum of its emitted ops' costs; by construction it comes to:
 
     NOT              1 per parallelizable group
     COPY             2 (two chained NOTs)
@@ -9,7 +10,7 @@ initializations) and declares its compute-cycle cost up front:
     N-bit adder      9*N + 1
     N-bit subtractor 9*N + 1
     N-bit mux        4*N
-    popcount         counted by construction (<= 414 for 100 bits)
+    popcount         whatever the tree needs (<= 414 for 100 bits)
 
 The adder and subtractor share one nine-gate cell per bit. With operands
 (a, b) and chain bit q:
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crossbar import MicroProgram, ProgramBuilder
+from .crossbar import COLS, ROWS, MicroProgram, ProgramBuilder
 
 
 class ColumnPool:
@@ -54,11 +55,14 @@ class ColumnPool:
 
 @dataclass
 class Build:
-    """A built compound op: the program, its declared cost, result cells."""
+    """A built compound op: the program and its result cells."""
 
     program: MicroProgram
-    compute_cycles: int
     result_cells: list
+
+    @property
+    def compute_cycles(self):
+        return sum(op.cycles for op in self.program.ops)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +95,6 @@ def _adder_gates(pb, width, x_cols, y_cols, z_cols, t_cols, carry_cols, rows, ch
         else:
             pb.nor_row((t1, t5), q_next, rows)
         q = q_next
-    return 9 * width
 
 
 def _half_adder_gates(pb, a_col, b_col, s_col, c_col, sc3, rows):
@@ -102,7 +105,6 @@ def _half_adder_gates(pb, a_col, b_col, s_col, c_col, sc3, rows):
     pb.nor_row((na, nb), c_col, rows)
     pb.nor_row((a_col, b_col), t, rows)
     pb.nor_row((c_col, t), s_col, rows)
-    return 5
 
 
 def _mux_gates(pb, width, x_cols, y_cols, sel_col, z_cols, sc_cols, rows):
@@ -113,7 +115,6 @@ def _mux_gates(pb, width, x_cols, y_cols, sel_col, z_cols, sc_cols, rows):
         pb.nor_row((x_cols[i], sel_col), m1, rows)
         pb.nor_row((y_cols[i], nsel), m2, rows)
         pb.nor_row((m1, m2), z_cols[i], rows)
-    return 4 * width
 
 
 def _twos_complement_gates(pb, width, v_cols, z_cols, sc_cols, rows, one_col):
@@ -131,21 +132,19 @@ def _twos_complement_gates(pb, width, v_cols, z_cols, sc_cols, rows, one_col):
         pb.nor_row((c, t1), t3, rows)
         pb.nor_row((c_next, t3), z_cols[i], rows)
         c = c_next
-    return 4 * width
 
 
 def emit_adder(pb, width, x_cols, y_cols, z_cols, pool, rows, carry_in_col=None, borrow=False):
     """Init + gates for a full adder/subtractor over `rows` in parallel.
 
-    Returns the compute cycles emitted: 9*width, plus 1 when the zero
-    seed has to be produced here (no carry_in_col given).
+    Emits 9*width gates, plus 1 for the zero seed when no carry_in_col
+    is given.
     """
     if len(z_cols) != width + 1:
         raise ValueError("result needs width+1 cells")
     t_cols = pool.take(7 * width)
     carry_cols = pool.take(width - 1) if width > 1 else []
     init_cols = list(t_cols) + list(carry_cols) + list(z_cols)
-    cycles = 0
     seed_ops = []
     if carry_in_col is None:
         ones = pool.take_one()
@@ -153,12 +152,10 @@ def emit_adder(pb, width, x_cols, y_cols, z_cols, pool, rows, carry_in_col=None,
         init_cols += [ones, zero]
         seed_ops.append((ones, zero))
         carry_in_col = zero
-        cycles += 1
     pb.init((rows, tuple(init_cols)))
     for ones, zero in seed_ops:
         pb.nor_row((ones,), zero, rows)
-    cycles += _adder_gates(pb, width, x_cols, y_cols, z_cols, t_cols, carry_cols, rows, carry_in_col, borrow=borrow)
-    return cycles
+    _adder_gates(pb, width, x_cols, y_cols, z_cols, t_cols, carry_cols, rows, carry_in_col, borrow=borrow)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +179,10 @@ def emit_popcount(pb, col, height, pool, result_cols, start_row=0, ones_row=None
     every pair of the level; an odd value carries over unmodified and is
     zero-extended when it finally meets a wider partner.
 
-    Returns (compute_cycles, result_cells) where result_cells are the
-    ceil(log2(height+1)) value bits, little-endian. When the full result
-    band is wider (final add emits a carry cell) the extra cells are
-    guaranteed zero for any column of at most `height` set bits.
+    Returns the result cells: the ceil(log2(height+1)) value bits,
+    little-endian. When the full result band is wider (final add emits
+    a carry cell) the extra cells are guaranteed zero for any column of
+    at most `height` set bits.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
@@ -198,11 +195,11 @@ def emit_popcount(pb, col, height, pool, result_cols, start_row=0, ones_row=None
         pb.init(((start_row,), (tmp, result_cols[0])))
         pb.nor_row((col,), tmp, (start_row,))
         pb.nor_row((tmp,), result_cols[0], (start_row,))
-        return 2, [(start_row, result_cols[0])]
+        return [(start_row, result_cols[0])]
 
     if ones_row is None:
         ones_row = start_row + height
-    if not 0 <= ones_row < pb.rows or start_row <= ones_row < start_row + height:
+    if not 0 <= ones_row < ROWS or start_row <= ones_row < start_row + height:
         raise ValueError("ones_row must lie outside the bit column")
 
     band_width = final_width + 1
@@ -214,7 +211,6 @@ def emit_popcount(pb, col, height, pool, result_cols, start_row=0, ones_row=None
     tree_rows = range(start_row, start_row + height)
     pb.init((tree_rows, (ones_col, zero_col)))
     pb.nor_row((ones_col,), zero_col, tree_rows)
-    cycles = 1
 
     bands = []  # {"cols": tuple, "live": int}
     values = [_Value(start_row + i, (col,), -1) for i in range(height)]
@@ -272,17 +268,14 @@ def emit_popcount(pb, col, height, pool, result_cols, start_row=0, ones_row=None
         for src_cols, rows_ in shift_groups.items():
             for k, src in enumerate(src_cols):
                 pb.nor_row((src,), tmp_cols[k], tuple(rows_))
-                cycles += 1
 
         # Per-pair vertical moves and zero extensions.
         for a_cols, members in groups.items():
             w = len(a_cols)
             for a, b in members:
                 pb.nor_col((b.row,), a.row, tuple(tmp_cols[:len(b.cols)]))
-                cycles += 1
                 if len(b.cols) < w:
                     pb.nor_col((ones_row,), a.row, tuple(tmp_cols[len(b.cols):w]))
-                    cycles += 1
 
         # Row-parallel adds.
         new_values = []
@@ -291,11 +284,11 @@ def emit_popcount(pb, col, height, pool, result_cols, start_row=0, ones_row=None
             a_rows = tuple(a.row for a, _ in members)
             z_cols = tuple(dest_cols[:w + 1])
             if w == 1:
-                cycles += _half_adder_gates(pb, a_cols[0], tmp_cols[0], z_cols[0], z_cols[1], scratch[:3], a_rows)
+                _half_adder_gates(pb, a_cols[0], tmp_cols[0], z_cols[0], z_cols[1], scratch[:3], a_rows)
             else:
                 t_cols = scratch[:7 * w]
                 carry_cols = scratch[7 * w:8 * w - 1]
-                cycles += _adder_gates(pb, w, a_cols, tmp_cols[:w], z_cols, t_cols, carry_cols, a_rows, zero_col)
+                _adder_gates(pb, w, a_cols, tmp_cols[:w], z_cols, t_cols, carry_cols, a_rows, zero_col)
             for a, b in members:
                 retire(a)
                 retire(b)
@@ -305,8 +298,7 @@ def emit_popcount(pb, col, height, pool, result_cols, start_row=0, ones_row=None
         values = new_values + ([leftover] if leftover is not None else [])
 
     final = values[0]
-    result_cells = [(final.row, c) for c in list(final.cols)[:final_width]]
-    return cycles, result_cells
+    return [(final.row, c) for c in list(final.cols)[:final_width]]
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +322,11 @@ def _single_row(cells, what):
     return rows.pop()
 
 
-def _pool_for_row(used_cols, cols):
-    return ColumnPool(c for c in range(cols) if c not in set(used_cols))
+def _pool_for_row(used_cols):
+    return ColumnPool(c for c in range(COLS) if c not in set(used_cols))
 
 
-def build_not(src_cells, dst_cells, rows=128, cols=256):
+def build_not(src_cells, dst_cells):
     """dst <- bitwise NOT of src. One cycle per parallelizable group:
     a column-aligned group (same source and destination column, matching
     rows) or a row-aligned group (same rows, matching columns) inverts in
@@ -343,7 +335,7 @@ def build_not(src_cells, dst_cells, rows=128, cols=256):
     if len(src) != len(dst) or not src:
         raise ValueError("src and dst must be same nonempty length")
     _require_disjoint(src, dst)
-    pb = ProgramBuilder(rows, cols)
+    pb = ProgramBuilder()
 
     src_cols = {c for _, c in src}
     dst_cols = {c for _, c in dst}
@@ -353,23 +345,20 @@ def build_not(src_cells, dst_cells, rows=128, cols=256):
         row_set = tuple(r for r, _ in src)
         pb.init((row_set, (dst[0][1],)))
         pb.nor_row((src[0][1],), dst[0][1], row_set)
-        cycles = 1
     elif len(src_rows) == 1 and len(dst_rows) == 1 and all(a[1] == b[1] for a, b in zip(src, dst)):
         col_set = tuple(c for _, c in src)
         pb.init(((dst[0][0],), col_set))
         pb.nor_col((src[0][0],), dst[0][0], col_set)
-        cycles = 1
     else:
         for (sr, sc), (dr, dc) in zip(src, dst):
             if sr != dr:
                 raise ValueError("scattered NOT bits must stay in their row")
             pb.init(((dr,), (dc,)))
             pb.nor_row((sc,), dc, (dr,))
-        cycles = len(src)
-    return Build(pb.build(), cycles, dst)
+    return Build(pb.build(), dst)
 
 
-def build_copy(src_cells, dst_cells, tmp_cells=None, rows=128, cols=256):
+def build_copy(src_cells, dst_cells, tmp_cells=None):
     """dst <- src via two chained NOTs. Two cycles per group."""
     src, dst = list(src_cells), list(dst_cells)
     if len(src) != len(dst) or not src:
@@ -377,41 +366,40 @@ def build_copy(src_cells, dst_cells, tmp_cells=None, rows=128, cols=256):
     _require_disjoint(src, dst)
     if tmp_cells is None:
         used_cols = {c for _, c in src} | {c for _, c in dst}
-        free_cols = [c for c in range(cols) if c not in used_cols]
+        free_cols = [c for c in range(COLS) if c not in used_cols]
         src_cols = {c for _, c in src}
         src_rows = {r for r, _ in src}
         if len(src_cols) == 1 and all(a[0] == b[0] for a, b in zip(src, dst)):
             tmp_cells = [(r, free_cols[0]) for r, _ in src]
         elif len(src_rows) == 1 and all(a[1] == b[1] for a, b in zip(src, dst)):
             used_rows = src_rows | {r for r, _ in dst}
-            tmp_row = next(r for r in range(rows) if r not in used_rows)
+            tmp_row = next(r for r in range(ROWS) if r not in used_rows)
             tmp_cells = [(tmp_row, c) for _, c in src]
         else:
             tmp_cells = [(r, free_cols[i]) for i, (r, _) in enumerate(src)]
-    first = build_not(src, tmp_cells, rows, cols)
-    second = build_not(tmp_cells, dst, rows, cols)
-    program = MicroProgram(first.program.ops + second.program.ops)
-    return Build(program, first.compute_cycles + second.compute_cycles, dst)
+    first = build_not(src, tmp_cells)
+    second = build_not(tmp_cells, dst)
+    return Build(MicroProgram(first.program.ops + second.program.ops), dst)
 
 
-def build_half_adder(a_cell, b_cell, s_cell, c_cell, scratch_cells=None, rows=128, cols=256):
+def build_half_adder(a_cell, b_cell, s_cell, c_cell, scratch_cells=None):
     """(s, c) <- a + b for single-bit cells in one row. Five cycles."""
     row = _single_row([a_cell, b_cell, s_cell, c_cell], "half adder cells")
     _require_disjoint([a_cell, b_cell], [s_cell, c_cell])
     if scratch_cells is None:
-        pool = _pool_for_row([c for _, c in (a_cell, b_cell, s_cell, c_cell)], cols)
+        pool = _pool_for_row([c for _, c in (a_cell, b_cell, s_cell, c_cell)])
         sc3 = pool.take(3)
     else:
         sc3 = [c for _, c in scratch_cells]
         if len(sc3) < 3:
             raise ValueError("half adder needs 3 scratch cells")
-    pb = ProgramBuilder(rows, cols)
+    pb = ProgramBuilder()
     pb.init(((row,), tuple(sc3) + (s_cell[1], c_cell[1])))
-    cycles = _half_adder_gates(pb, a_cell[1], b_cell[1], s_cell[1], c_cell[1], sc3, (row,))
-    return Build(pb.build(), cycles, [s_cell, c_cell])
+    _half_adder_gates(pb, a_cell[1], b_cell[1], s_cell[1], c_cell[1], sc3, (row,))
+    return Build(pb.build(), [s_cell, c_cell])
 
 
-def _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, rows, cols, borrow):
+def _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, borrow):
     if len(x_cells) != width or len(y_cells) != width:
         raise ValueError("operands must be `width` bits")
     if len(z_cells) != width + 1:
@@ -419,35 +407,35 @@ def _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, rows, cols, b
     row = _single_row(list(x_cells) + list(y_cells) + list(z_cells), "operands")
     _require_disjoint(x_cells, y_cells, z_cells)
     if scratch_cells is None:
-        pool = _pool_for_row([c for _, c in list(x_cells) + list(y_cells) + list(z_cells)], cols)
+        pool = _pool_for_row([c for _, c in list(x_cells) + list(y_cells) + list(z_cells)])
     else:
         pool = ColumnPool([c for _, c in scratch_cells])
-    pb = ProgramBuilder(rows, cols)
-    cycles = emit_adder(
+    pb = ProgramBuilder()
+    emit_adder(
         pb, width,
         [c for _, c in x_cells], [c for _, c in y_cells], [c for _, c in z_cells],
         pool, (row,), borrow=borrow,
     )
-    return Build(pb.build(), cycles, list(z_cells))
+    return Build(pb.build(), list(z_cells))
 
 
-def build_adder(width, x_cells, y_cells, z_cells, scratch_cells=None, rows=128, cols=256):
+def build_adder(width, x_cells, y_cells, z_cells, scratch_cells=None):
     """z <- x + y over width-bit little-endian operands in one row.
 
     z carries width+1 bits including the carry-out. Cycles: 9*width + 1.
     """
-    return _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, rows, cols, borrow=False)
+    return _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, borrow=False)
 
 
-def build_subtractor(width, x_cells, y_cells, z_cells, scratch_cells=None, rows=128, cols=256):
+def build_subtractor(width, x_cells, y_cells, z_cells, scratch_cells=None):
     """z <- x - y in width+1-bit two's complement (msb = sign).
 
     Cycles: 9*width + 1.
     """
-    return _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, rows, cols, borrow=True)
+    return _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, borrow=True)
 
 
-def build_mux(width, x_cells, y_cells, sel_cell, z_cells, scratch_cells=None, rows=128, cols=256):
+def build_mux(width, x_cells, y_cells, sel_cell, z_cells, scratch_cells=None):
     """z <- x when sel = 0, else y. Cycles: 4*width."""
     if len(x_cells) != width or len(y_cells) != width or len(z_cells) != width:
         raise ValueError("mux operands and result must be `width` bits")
@@ -455,28 +443,28 @@ def build_mux(width, x_cells, y_cells, sel_cell, z_cells, scratch_cells=None, ro
     _require_disjoint(x_cells, y_cells, [sel_cell], z_cells)
     if scratch_cells is None:
         used = [c for _, c in list(x_cells) + list(y_cells) + list(z_cells)] + [sel_cell[1]]
-        pool = _pool_for_row(used, cols)
+        pool = _pool_for_row(used)
     else:
         pool = ColumnPool([c for _, c in scratch_cells])
     sc = pool.take(3 * width)
-    pb = ProgramBuilder(rows, cols)
+    pb = ProgramBuilder()
     pb.init(((row,), tuple(sc) + tuple(c for _, c in z_cells)))
-    cycles = _mux_gates(pb, width, [c for _, c in x_cells], [c for _, c in y_cells],
-                        sel_cell[1], [c for _, c in z_cells], sc, (row,))
-    return Build(pb.build(), cycles, list(z_cells))
+    _mux_gates(pb, width, [c for _, c in x_cells], [c for _, c in y_cells],
+               sel_cell[1], [c for _, c in z_cells], sc, (row,))
+    return Build(pb.build(), list(z_cells))
 
 
-def build_popcount(col, height, start_row=0, result_cols=None, rows=128, cols=256, ones_row=None):
+def build_popcount(col, height, start_row=0, result_cols=None, ones_row=None):
     """Sum the 1-bits of `col` between start_row and start_row+height.
 
     The result lands little-endian at the end of the first value's row;
     result cells are returned in the Build. Cycle cost is whatever the
-    tree needed, recorded in compute_cycles (380 for a 100-bit column).
+    tree needed (380 for a 100-bit column).
     """
-    pool = ColumnPool(c for c in range(cols) if c != col and (result_cols is None or c not in result_cols))
+    pool = ColumnPool(c for c in range(COLS) if c != col and (result_cols is None or c not in result_cols))
     width = height.bit_length()
     if result_cols is None:
         result_cols = pool.take(min(width + 1, height + 1) if height > 1 else 1)
-    pb = ProgramBuilder(rows, cols)
-    cycles, result_cells = emit_popcount(pb, col, height, pool, result_cols, start_row, ones_row)
-    return Build(pb.build(), cycles, result_cells)
+    pb = ProgramBuilder()
+    result_cells = emit_popcount(pb, col, height, pool, result_cols, start_row, ones_row)
+    return Build(pb.build(), result_cells)

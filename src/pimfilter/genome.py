@@ -137,7 +137,6 @@ class FilterStats:
     init_cycles: int = 0
     bytes_transferred: int = 0
     waves: int = 0
-    tiles: int = 0
     oracle_mismatches: int | None = None
 
 
@@ -176,7 +175,7 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
 
     processed, report = schedule([len(q) for q in queues], iter_factor, active_limit)
 
-    stats = FilterStats(queued=len(candidates), tiles=len(tiles))
+    stats = FilterStats(queued=len(candidates))
     if verify_oracle:
         stats.oracle_mismatches = 0
     decisions = []

@@ -36,12 +36,14 @@ class RunConfig:
     trace: str | None = None
 
     def __post_init__(self):
-        if self.eth < 0:
-            raise ValueError("eth must be >= 0")
         if not 1 <= self.read_length <= 100:
             raise ValueError("read_length must be 1..100")
+        if not 0 <= self.eth <= self.read_length:
+            raise ValueError(f"eth must be 0..{self.read_length} (the read length)")
         if self.iter_factor is not None and not 0 <= self.iter_factor < math.inf:
             raise ValueError("iter_factor must be a finite number >= 0")
+        if self.active_limit is not None and self.active_limit < 1:
+            raise ValueError("active_limit must be >= 1")
 
     _FIELD_TYPES = {
         "eth": int, "read_length": int, "iter_factor": float,

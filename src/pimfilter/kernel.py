@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .crossbar import ProgramBuilder, execute
+from .crossbar import COLS, ProgramBuilder, execute
 from .gates import (
     ColumnPool,
     _adder_gates,
@@ -92,8 +92,6 @@ def match_value(base, pa, pb):
 class KernelLayout:
     """Concrete cell placement of every kernel operand on one crossbar."""
 
-    rows: int
-    cols: int
     read_length: int
     genome_cols: int            # leftmost columns holding the slice
     p_cols: tuple               # inverted window bit pair
@@ -120,21 +118,19 @@ class KernelLayout:
     lane_scratch: tuple         # shared scratch band, re-initialized per use
 
 
-def plan_layout(read_length=100, rows=128, cols=256):
+def plan_layout(read_length=100):
     if not 1 <= read_length <= FRAGMENT_ROWS:
         raise ValueError(f"read length must be 1..{FRAGMENT_ROWS}")
-    if rows < 106 or cols < 234:
-        raise ValueError("array too small for the kernel layout")
     genome_cols = 2 * FRAGMENTS_PER_TILE
     p_cols = (genome_cols, genome_cols + 1)
     na_col, nb_col = genome_cols + 6, genome_cols + 7
     match_cols = {b: genome_cols + 2 + i for i, b in enumerate(BASES)}
     res_cols = tuple(range(genome_cols + 8, genome_cols + 16))
-    pool_cols = tuple(range(genome_cols + 16, cols))
+    pool_cols = tuple(range(genome_cols + 16, COLS))
 
-    lanes = ColumnPool(c for c in range(cols) if c not in res_cols)
+    lanes = ColumnPool(c for c in range(COLS) if c not in res_cols)
     layout = KernelLayout(
-        rows=rows, cols=cols, read_length=read_length,
+        read_length=read_length,
         genome_cols=genome_cols, p_cols=p_cols, na_col=na_col, nb_col=nb_col,
         match_cols=match_cols, res_cols=res_cols, pool_cols=pool_cols,
         lane_rows={b: FRAGMENT_ROWS + i for i, b in enumerate(BASES)},
@@ -200,7 +196,7 @@ def build_program(layout, offset, counts):
     ranges = window_row_ranges(offset, n)
     if ranges[-1][0] >= FRAGMENTS_PER_TILE:
         raise ValueError("window spills past the stored slice")
-    pb = ProgramBuilder(L.rows, L.cols)
+    pb = ProgramBuilder()
 
     # Step 1: host write of the four read counts, two cycles per value.
     with pb.step("1"):
@@ -236,7 +232,7 @@ def build_program(layout, offset, counts):
     # Steps 4-13 from the shared body; a short read first zeroes the
     # bitmap rows its window leaves untouched, at the start of each
     # base's step-4 span.
-    body = _body(n, L.rows, L.cols)
+    body = _body(n)
     zero_bases = iter(BASES)
     for label, start, end in body.annotations:
         with pb.step(label):
@@ -247,17 +243,18 @@ def build_program(layout, offset, counts):
 
 
 @functools.cache
-def _body(read_length, rows, cols):
-    """Steps 4-13 for one layout, built once per process.
+def _body(read_length):
+    """Steps 4-13 for one read length, built once per process.
 
-    Keyed by plan_layout's arguments, since KernelLayout holds dicts and
-    cannot be hashed. A short read's zeroing takes pool_cols[0], so its
-    popcounts draw their working columns from the rest of the pool.
+    Takes the read length rather than the layout, since KernelLayout
+    holds dicts and cannot be hashed. A short read's zeroing takes
+    pool_cols[0], so its popcounts draw their working columns from the
+    rest of the pool.
     """
-    L = plan_layout(read_length, rows, cols)
+    L = plan_layout(read_length)
     lanes = tuple(L.lane_rows[b] for b in BASES)
     pool_cols = L.pool_cols[1:] if read_length < FRAGMENT_ROWS else L.pool_cols
-    pb = ProgramBuilder(rows, cols)
+    pb = ProgramBuilder()
 
     # Steps 4 and 5, interleaved per base type: count one bitmap, then
     # stage its result band into that base's lane before the band is

@@ -20,8 +20,8 @@ from pimfilter.crossbar import (
 )
 
 
-def fresh(rows=128, cols=256):
-    return CrossbarState(rows, cols)
+def fresh():
+    return CrossbarState()
 
 
 def run_op(op, state=None, strict=True):
@@ -135,16 +135,17 @@ class TestExecute:
         members, ins, out = list(lines), (3, 7, 11), 20
         if strict:
             grid[members, out] = 1
-        row, col = fresh(128, 128), fresh(128, 128)
-        row.cells[:] = grid
-        col.cells[:] = grid.T
+        row, col = fresh(), fresh()
+        row.cells[:, :128] = grid
+        col.cells[:, :128] = grid.T
         execute(MicroProgram([NorRow(ins, out, lines)]), row, strict=strict)
         execute(MicroProgram([NorCol(ins, out, lines)]), col, strict=strict)
         want = 1 - grid[np.ix_(members, ins)].any(axis=1)
         if not strict:
             want &= grid[members, out]
         assert (row.cells[members, out] == want).all()
-        assert (col.cells == row.cells.T).all()
+        assert (col.cells[:, :128] == row.cells[:, :128].T).all()
+        assert not row.cells[:, 128:].any() and not col.cells[:, 128:].any()
 
     def test_frame_property(self):
         # cells not addressed by an op are unchanged
@@ -222,7 +223,6 @@ class TestExecute:
     def test_bad_last_op_aborts_before_any_op_runs(self):
         s = fresh()
         s.cells[:] = np.random.default_rng(2).integers(0, 2, size=s.cells.shape, dtype=np.uint8)
-        s.compute_cycles, s.init_cycles = 7, 3
         before = s.cells.copy()
         pb = ProgramBuilder()
         pb.init((range(0, 20), (5,)))
@@ -234,19 +234,6 @@ class TestExecute:
             execute(prog, s)
         assert err.value.op_index == len(prog.ops) - 1
         assert (s.cells == before).all()
-        assert (s.compute_cycles, s.init_cycles) == (7, 3)
-
-    def test_ops_are_checked_again_on_a_grid_of_another_shape(self):
-        pb = ProgramBuilder()
-        pb.init(((0,), (100,)))
-        pb.nor_row((3,), 100, (0,))
-        prog = pb.build()
-        execute(prog, fresh())
-        small = fresh(64, 64)
-        with pytest.raises(MicroOpError, match="column out of bounds") as err:
-            execute(prog, small)
-        assert err.value.op_index == 0
-        assert not small.cells.any()
 
     @pytest.mark.parametrize("lines", [(0, 0), (0,) * 9 + tuple(range(1, 9))])
     def test_repeated_line_switches_once(self, lines):
@@ -257,17 +244,6 @@ class TestExecute:
         s.cells[:9, 5] = 1
         execute(MicroProgram([NorRow((3,), 5, lines)]), s, strict=True)
         assert not s.cells[sorted(set(lines)), 5].any()
-
-    def test_counters_accumulate_monotonically(self):
-        s = fresh()
-        pb = ProgramBuilder()
-        pb.init(((0,), (1,)))
-        pb.nor_row((0,), 1, (0,))
-        prog = pb.build()
-        execute(prog, s)
-        c1, i1 = s.compute_cycles, s.init_cycles
-        execute(prog, s)
-        assert s.compute_cycles > c1 and s.init_cycles > i1
 
 
 class TestProgram:
@@ -345,7 +321,7 @@ def test_nor_row_matches_boolean_model(bits, k):
 
 
 # Differential check: execute against a cell-by-cell model of the crossbar
-# contract on a 16x16 grid.
+# contract on the 16x16 corner of the grid.
 GRID = 16
 
 
@@ -448,14 +424,14 @@ def test_execute_matches_cell_model(strict, data):
     grid = np.array(data.draw(st.lists(st.integers(0, 1), min_size=GRID * GRID,
                                        max_size=GRID * GRID)), dtype=np.uint8)
     grid = grid.reshape(GRID, GRID)
-    state = fresh(GRID, GRID)
-    state.cells[:] = grid
+    state = fresh()
+    state.cells[:GRID, :GRID] = grid
     trace = []
     res = execute(program, state, strict=strict, trace=trace.append)
     cells, readout, compute, init, steps, model_trace = model_run(program, grid, strict)
-    assert state.cells.tolist() == cells
+    assert state.cells[:GRID, :GRID].tolist() == cells
+    assert not state.cells[GRID:].any() and not state.cells[:, GRID:].any()
     assert res.readout == readout
     assert (res.compute_cycles, res.init_cycles) == (compute, init)
-    assert (state.compute_cycles, state.init_cycles) == (compute, init)
     assert {k: [v.compute, v.init] for k, v in res.steps.items()} == steps
     assert [" ".join(line.split(" ", 2)[:2]) for line in trace] == model_trace

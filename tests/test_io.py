@@ -159,6 +159,14 @@ class TestSynth:
             RunConfig(eth=-1)
         with pytest.raises(ValueError):
             RunConfig(read_length=101)
+        # values the run would reject late, or ignore
+        with pytest.raises(ValueError, match="active_limit"):
+            RunConfig(active_limit=0)
+        with pytest.raises(ValueError, match="eth"):
+            RunConfig(eth=101)
+        with pytest.raises(ValueError, match="eth"):
+            RunConfig(eth=65, read_length=64)
+        assert RunConfig(eth=64, read_length=64, active_limit=1).active_limit == 1
 
     def test_parse_config_file(self):
         text = "eth=4\niter_factor=none  # uncapped\nactive_limit=3\nstrict=false\n"
@@ -194,6 +202,7 @@ class TestSynth:
     @pytest.mark.parametrize("line", [
         "strict=ture", "verify_oracle=yes please", "strict=none", "strict=",
         "eth=none", "read_length=", "eth=abc", "eth=-1", "read_length=101",
+        "eth=101", "active_limit=0", "active_limit=-1",
     ])
     def test_wrong_config_values_rejected(self, line):
         with pytest.raises(ValueError, match="^config line 2: "):
@@ -270,7 +279,8 @@ class TestCli:
         assert main(args) == 1
         assert "iter_factor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["strict=ture", "eth=none", "read_length="])
+    @pytest.mark.parametrize("line", ["strict=ture", "eth=none", "read_length=",
+                                      "active_limit=0", "eth=101"])
     def test_wrong_config_value_exits_1(self, tmp_path, capsys, line):
         (tmp_path / "genome.fa").write_text(">g\n" + "ACGT" * 50 + "\n")
         (tmp_path / "candidates.tsv").write_text("# read_id\tread_seq\tposition\n")
@@ -280,6 +290,19 @@ class TestCli:
                      "--config", str(tmp_path / "run.cfg"),
                      "--out", str(tmp_path / "r.tsv")]) == 1
         assert capsys.readouterr().err.startswith("error: config line 1: ")
+
+    @pytest.mark.parametrize("flags,match", [
+        (["--eth", "2", "--active-limit", "0"], "active_limit"),
+        (["--eth", "500"], "eth"),
+        (["--eth", "70", "--read-length", "64"], "eth"),
+    ])
+    def test_wrong_filter_flag_exits_1_before_reading_input(self, tmp_path, capsys, flags, match):
+        # the input files do not exist: the flags must fail first
+        assert main(["filter", "--genome", str(tmp_path / "nope.fa"),
+                     "--candidates", str(tmp_path / "nope.tsv"),
+                     "--out", str(tmp_path / "r.tsv")] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err and "nope" not in err
 
     def test_validate_reports_zero_mismatches(self, capsys):
         assert main(["validate", "--trials", "40", "--seed", "1"]) == 0
@@ -302,9 +325,28 @@ class TestCli:
         assert lines[0] == "arrays\tpim_seconds\tcpu_seconds"
         assert len(lines) > 100
 
+    @pytest.mark.parametrize("flag", ["--arrays", "--cycles-per-iteration"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_model_non_positive_value_exits_1(self, capsys, flag, value):
+        assert main(["model", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_gates_selftest(self, capsys):
+        # declared: the paper's stated cost; popcount: the tree's own count
         assert main(["gates"]) == 0
-        assert "all gate checks passed" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "NOT (4-bit group)          declared    1  measured    1  ok\n"
+            "COPY (4-bit group)         declared    2  measured    2  ok\n"
+            "half adder                 declared    5  measured    5  ok\n"
+            "4-bit adder                declared   37  measured   37  ok\n"
+            "4-bit subtractor           declared   37  measured   37  ok\n"
+            "8-bit adder                declared   73  measured   73  ok\n"
+            "8-bit subtractor           declared   73  measured   73  ok\n"
+            "8-bit mux                  declared   32  measured   32  ok\n"
+            "popcount (100 bits)        declared  380  measured  380  ok\n"
+            "all gate checks passed\n"
+        )
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         code = main(["filter", "--genome", str(tmp_path / "nope.fa"),

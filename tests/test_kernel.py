@@ -125,7 +125,7 @@ class TestEveryRowPhase:
             assert taint_violations(prog, defined) == [], r0
             # execute checks structure and annotations first and raises
             # MicroOpError or ValueError on a violation
-            res = execute(prog, CrossbarState(layout.rows, layout.cols))
+            res = execute(prog, CrossbarState())
             assert res.compute_cycles <= COMPUTE_BUDGET, r0
             assert res.compute_cycles + res.init_cycles <= TOTAL_BUDGET, r0
             if read_length == 100:
@@ -183,12 +183,12 @@ class TestSharedBody:
         assert len(shared) == len(body_ops(second)) > 1800
         assert all(a is b for a, b in zip(shared, body_ops(second)))
 
-        execute(first, CrossbarState(layout.rows, layout.cols))
+        execute(first, CrossbarState())
         lowered = []
         real_lower = crossbar._lower
         monkeypatch.setattr(crossbar, "_lower",
-                            lambda op, shape: lowered.append(op) or real_lower(op, shape))
-        execute(second, CrossbarState(layout.rows, layout.cols))
+                            lambda op: lowered.append(op) or real_lower(op))
+        execute(second, CrossbarState())
         first_ids = {id(op) for op in first.ops}
         fresh = [op for op in second.ops if id(op) not in first_ids]
         assert [id(op) for op in lowered] == [id(op) for op in fresh]
