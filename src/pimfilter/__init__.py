@@ -30,7 +30,6 @@ from .kernel import (
     STEP_BUDGETS,
     build_program,
     encode_base,
-    match_value,
     plan_layout,
     run_kernel,
 )

@@ -65,7 +65,7 @@ def _cmd_filter(args):
     with open(args.genome) as fh:
         fasta = pio.parse_fasta(fh)
     with open(args.candidates) as fh:
-        candidates = pio.parse_candidates(fh, config.read_length, args.raw_histograms)
+        candidates = pio.parse_candidates(fh, config.read_length)
 
     trace_fh = open(config.trace, "w") if config.trace else None
     try:
@@ -248,7 +248,6 @@ def main(argv=None):
     p.add_argument("--active-limit", type=int, default=None)
     p.add_argument("--permissive", action="store_true",
                    help="model conditional switching instead of strict init checks")
-    p.add_argument("--raw-histograms", action="store_true")
     p.add_argument("--verify-oracle", action="store_true")
     p.add_argument("--trace", default=None, help="write a micro-op trace file")
     p.set_defaults(func=_cmd_filter)

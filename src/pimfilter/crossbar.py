@@ -87,12 +87,13 @@ class NorCol:
 
 @dataclass(eq=False)
 class WriteExternal:
-    """Host-driven write of explicit bits into cells, at a declared cost."""
+    """Host-driven write of explicit bits into cells. Two compute cycles,
+    whatever the number of cells."""
 
     cells: tuple
     bits: tuple
-    cycles: int = 2
     _c: object = field(default=None, init=False, repr=False)
+    cycles = 2
 
     def describe(self):
         pairs = " ".join(f"({r},{c})={b}" for (r, c), b in zip(self.cells, self.bits))
@@ -176,8 +177,8 @@ class ProgramBuilder:
     def nor_col(self, input_rows, output_row, cols):
         self.ops.append(NorCol(tuple(input_rows), int(output_row), cols))
 
-    def write(self, cells, bits, cycles):
-        self.ops.append(WriteExternal(tuple(cells), tuple(int(b) for b in bits), int(cycles)))
+    def write(self, cells, bits):
+        self.ops.append(WriteExternal(tuple(cells), tuple(int(b) for b in bits)))
 
     def read(self, row, col):
         self.ops.append(ReadCell(int(row), int(col)))
@@ -313,8 +314,6 @@ def _lower(op):
             bad.append("bit count does not match cell count")
         if any(b not in (0, 1) for b in op.bits):
             bad.append("bits must be 0 or 1")
-        if op.cycles < 0:
-            bad.append("negative cycle cost")
         for r, c in op.cells:
             members((r,), row)
             members((c,), col)

@@ -168,8 +168,9 @@ class _Value:
     band: int  # -1 when the bits live in the caller's input column
 
 
-def emit_popcount(pb, col, height, pool, result_cols, start_row=0, ones_row=None):
-    """Sum the bits of one column with a pairing reduction tree.
+def emit_popcount(pb, col, height, pool, res_cols, ones_row=None):
+    """Sum the bits of rows 0..height-1 of one column with a pairing
+    reduction tree.
 
     Each level pairs vertically adjacent values. The second value of every
     pair is aligned into the first's row: one inverted row-parallel shift
@@ -179,27 +180,29 @@ def emit_popcount(pb, col, height, pool, result_cols, start_row=0, ones_row=None
     every pair of the level; an odd value carries over unmodified and is
     zero-extended when it finally meets a wider partner.
 
-    Returns the result cells: the ceil(log2(height+1)) value bits,
-    little-endian. When the full result band is wider (final add emits
-    a carry cell) the extra cells are guaranteed zero for any column of
-    at most `height` set bits.
+    The final add writes `res_cols` in the first value's row, and the
+    zero extensions read `ones_row` (default: row `height`), a row
+    outside the bit column. Returns the result cells: the
+    ceil(log2(height+1)) value bits, little-endian. When the full result
+    band is wider (final add emits a carry cell) the extra cells are
+    guaranteed zero for any column of at most `height` set bits.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
     final_width = height.bit_length()
-    if len(result_cols) < min(final_width + 1, height + 1) and height > 1:
+    if len(res_cols) < min(final_width + 1, height + 1) and height > 1:
         raise ValueError("result band too narrow")
 
     if height == 1:
         tmp = pool.take_one()
-        pb.init(((start_row,), (tmp, result_cols[0])))
-        pb.nor_row((col,), tmp, (start_row,))
-        pb.nor_row((tmp,), result_cols[0], (start_row,))
-        return [(start_row, result_cols[0])]
+        pb.init(((0,), (tmp, res_cols[0])))
+        pb.nor_row((col,), tmp, (0,))
+        pb.nor_row((tmp,), res_cols[0], (0,))
+        return [(0, res_cols[0])]
 
     if ones_row is None:
-        ones_row = start_row + height
-    if not 0 <= ones_row < ROWS or start_row <= ones_row < start_row + height:
+        ones_row = height
+    if not height <= ones_row < ROWS:
         raise ValueError("ones_row must lie outside the bit column")
 
     band_width = final_width + 1
@@ -208,12 +211,12 @@ def emit_popcount(pb, col, height, pool, result_cols, start_row=0, ones_row=None
     ones_col = pool.take_one()
     zero_col = pool.take_one()
 
-    tree_rows = range(start_row, start_row + height)
+    tree_rows = range(height)
     pb.init((tree_rows, (ones_col, zero_col)))
     pb.nor_row((ones_col,), zero_col, tree_rows)
 
     bands = []  # {"cols": tuple, "live": int}
-    values = [_Value(start_row + i, (col,), -1) for i in range(height)]
+    values = [_Value(i, (col,), -1) for i in range(height)]
 
     def retire(v):
         if v.band >= 0:
@@ -238,7 +241,7 @@ def emit_popcount(pb, col, height, pool, result_cols, start_row=0, ones_row=None
             groups.setdefault(a.cols, []).append((a, b))
 
         if last:
-            dest_cols = tuple(result_cols)
+            dest_cols = tuple(res_cols)
             dest_band = None
         else:
             dest_band = take_band()
@@ -303,8 +306,8 @@ def emit_popcount(pb, col, height, pool, result_cols, start_row=0, ones_row=None
 
 # ---------------------------------------------------------------------------
 # Standalone builders. Operands are explicit (row, col) cells; arithmetic
-# operands sit little-endian in a single row, and scratch columns are
-# taken from the unused remainder of that row unless given explicitly.
+# operands sit little-endian in a single row, and each builder takes its
+# scratch cells from the columns (or rows) its operands leave free.
 
 def _require_disjoint(*cell_groups):
     seen = set()
@@ -358,58 +361,49 @@ def build_not(src_cells, dst_cells):
     return Build(pb.build(), dst)
 
 
-def build_copy(src_cells, dst_cells, tmp_cells=None):
-    """dst <- src via two chained NOTs. Two cycles per group."""
+def build_copy(src_cells, dst_cells):
+    """dst <- src via two chained NOTs through free scratch cells. Two
+    cycles per group."""
     src, dst = list(src_cells), list(dst_cells)
     if len(src) != len(dst) or not src:
         raise ValueError("src and dst must be same nonempty length")
     _require_disjoint(src, dst)
-    if tmp_cells is None:
-        used_cols = {c for _, c in src} | {c for _, c in dst}
-        free_cols = [c for c in range(COLS) if c not in used_cols]
-        src_cols = {c for _, c in src}
-        src_rows = {r for r, _ in src}
-        if len(src_cols) == 1 and all(a[0] == b[0] for a, b in zip(src, dst)):
-            tmp_cells = [(r, free_cols[0]) for r, _ in src]
-        elif len(src_rows) == 1 and all(a[1] == b[1] for a, b in zip(src, dst)):
-            used_rows = src_rows | {r for r, _ in dst}
-            tmp_row = next(r for r in range(ROWS) if r not in used_rows)
-            tmp_cells = [(tmp_row, c) for _, c in src]
-        else:
-            tmp_cells = [(r, free_cols[i]) for i, (r, _) in enumerate(src)]
-    first = build_not(src, tmp_cells)
-    second = build_not(tmp_cells, dst)
+    used_cols = {c for _, c in src} | {c for _, c in dst}
+    free_cols = [c for c in range(COLS) if c not in used_cols]
+    src_cols = {c for _, c in src}
+    src_rows = {r for r, _ in src}
+    if len(src_cols) == 1 and all(a[0] == b[0] for a, b in zip(src, dst)):
+        mid_cells = [(r, free_cols[0]) for r, _ in src]
+    elif len(src_rows) == 1 and all(a[1] == b[1] for a, b in zip(src, dst)):
+        used_rows = src_rows | {r for r, _ in dst}
+        tmp_row = next(r for r in range(ROWS) if r not in used_rows)
+        mid_cells = [(tmp_row, c) for _, c in src]
+    else:
+        mid_cells = [(r, free_cols[i]) for i, (r, _) in enumerate(src)]
+    first = build_not(src, mid_cells)
+    second = build_not(mid_cells, dst)
     return Build(MicroProgram(first.program.ops + second.program.ops), dst)
 
 
-def build_half_adder(a_cell, b_cell, s_cell, c_cell, scratch_cells=None):
+def build_half_adder(a_cell, b_cell, s_cell, c_cell):
     """(s, c) <- a + b for single-bit cells in one row. Five cycles."""
     row = _single_row([a_cell, b_cell, s_cell, c_cell], "half adder cells")
     _require_disjoint([a_cell, b_cell], [s_cell, c_cell])
-    if scratch_cells is None:
-        pool = _pool_for_row([c for _, c in (a_cell, b_cell, s_cell, c_cell)])
-        sc3 = pool.take(3)
-    else:
-        sc3 = [c for _, c in scratch_cells]
-        if len(sc3) < 3:
-            raise ValueError("half adder needs 3 scratch cells")
+    sc3 = _pool_for_row([c for _, c in (a_cell, b_cell, s_cell, c_cell)]).take(3)
     pb = ProgramBuilder()
     pb.init(((row,), tuple(sc3) + (s_cell[1], c_cell[1])))
     _half_adder_gates(pb, a_cell[1], b_cell[1], s_cell[1], c_cell[1], sc3, (row,))
     return Build(pb.build(), [s_cell, c_cell])
 
 
-def _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, borrow):
+def _build_addsub(width, x_cells, y_cells, z_cells, borrow):
     if len(x_cells) != width or len(y_cells) != width:
         raise ValueError("operands must be `width` bits")
     if len(z_cells) != width + 1:
         raise ValueError("result must be width+1 bits")
     row = _single_row(list(x_cells) + list(y_cells) + list(z_cells), "operands")
     _require_disjoint(x_cells, y_cells, z_cells)
-    if scratch_cells is None:
-        pool = _pool_for_row([c for _, c in list(x_cells) + list(y_cells) + list(z_cells)])
-    else:
-        pool = ColumnPool([c for _, c in scratch_cells])
+    pool = _pool_for_row([c for _, c in list(x_cells) + list(y_cells) + list(z_cells)])
     pb = ProgramBuilder()
     emit_adder(
         pb, width,
@@ -419,34 +413,30 @@ def _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, borrow):
     return Build(pb.build(), list(z_cells))
 
 
-def build_adder(width, x_cells, y_cells, z_cells, scratch_cells=None):
+def build_adder(width, x_cells, y_cells, z_cells):
     """z <- x + y over width-bit little-endian operands in one row.
 
     z carries width+1 bits including the carry-out. Cycles: 9*width + 1.
     """
-    return _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, borrow=False)
+    return _build_addsub(width, x_cells, y_cells, z_cells, borrow=False)
 
 
-def build_subtractor(width, x_cells, y_cells, z_cells, scratch_cells=None):
+def build_subtractor(width, x_cells, y_cells, z_cells):
     """z <- x - y in width+1-bit two's complement (msb = sign).
 
     Cycles: 9*width + 1.
     """
-    return _build_addsub(width, x_cells, y_cells, z_cells, scratch_cells, borrow=True)
+    return _build_addsub(width, x_cells, y_cells, z_cells, borrow=True)
 
 
-def build_mux(width, x_cells, y_cells, sel_cell, z_cells, scratch_cells=None):
+def build_mux(width, x_cells, y_cells, sel_cell, z_cells):
     """z <- x when sel = 0, else y. Cycles: 4*width."""
     if len(x_cells) != width or len(y_cells) != width or len(z_cells) != width:
         raise ValueError("mux operands and result must be `width` bits")
     row = _single_row(list(x_cells) + list(y_cells) + list(z_cells) + [sel_cell], "mux cells")
     _require_disjoint(x_cells, y_cells, [sel_cell], z_cells)
-    if scratch_cells is None:
-        used = [c for _, c in list(x_cells) + list(y_cells) + list(z_cells)] + [sel_cell[1]]
-        pool = _pool_for_row(used)
-    else:
-        pool = ColumnPool([c for _, c in scratch_cells])
-    sc = pool.take(3 * width)
+    used = [c for _, c in list(x_cells) + list(y_cells) + list(z_cells)] + [sel_cell[1]]
+    sc = _pool_for_row(used).take(3 * width)
     pb = ProgramBuilder()
     pb.init(((row,), tuple(sc) + tuple(c for _, c in z_cells)))
     _mux_gates(pb, width, [c for _, c in x_cells], [c for _, c in y_cells],
@@ -454,17 +444,17 @@ def build_mux(width, x_cells, y_cells, sel_cell, z_cells, scratch_cells=None):
     return Build(pb.build(), list(z_cells))
 
 
-def build_popcount(col, height, start_row=0, result_cols=None, ones_row=None):
-    """Sum the 1-bits of `col` between start_row and start_row+height.
+def build_popcount(col, height):
+    """Sum the 1-bits of `col` in rows 0..height-1.
 
-    The result lands little-endian at the end of the first value's row;
-    result cells are returned in the Build. Cycle cost is whatever the
-    tree needed (380 for a 100-bit column).
+    The result lands little-endian in row 0, in the lowest columns other
+    than `col`; result cells are returned in the Build. Row `height`
+    holds the tree's constant ones. Cycle cost is whatever the tree
+    needed (380 for a 100-bit column).
     """
-    pool = ColumnPool(c for c in range(COLS) if c != col and (result_cols is None or c not in result_cols))
+    pool = ColumnPool(c for c in range(COLS) if c != col)
     width = height.bit_length()
-    if result_cols is None:
-        result_cols = pool.take(min(width + 1, height + 1) if height > 1 else 1)
+    res_cols = pool.take(min(width + 1, height + 1) if height > 1 else 1)
     pb = ProgramBuilder()
-    result_cells = emit_popcount(pb, col, height, pool, result_cols, start_row, ones_row)
+    result_cells = emit_popcount(pb, col, height, pool, res_cols)
     return Build(pb.build(), result_cells)

@@ -67,16 +67,15 @@ def route(position, genome_length, read_length=100):
     return tile, offset
 
 
-def load_tile(state, layout, genome, tile, eth=None):
-    """Pre-store one tile's bases (and the threshold constant) in an array."""
+def load_tile(state, layout, genome, tile, eth):
+    """Pre-store one tile's bases and the threshold constant in an array."""
     cells = state.cells
     for i in range(tile.length):
         a, b = encode_base(genome[tile.start + i])
         pair, row = divmod(i, FRAGMENT_ROWS)
         cells[row, 2 * pair] = a
         cells[row, 2 * pair + 1] = b
-    if eth is not None:
-        store_threshold(state, layout, eth)
+    store_threshold(state, layout, eth)
 
 
 @dataclass
@@ -170,8 +169,7 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     queues = [[] for _ in tiles]
     for cand in candidates:
         t, off = route(cand.position, glen, read_length)
-        counts = cand.counts if cand.counts is not None else oracle.histogram(cand.seq)
-        queues[t].append((cand, off, counts))
+        queues[t].append((cand, off, oracle.histogram(cand.seq)))
 
     processed, report = schedule([len(q) for q in queues], iter_factor, active_limit)
 

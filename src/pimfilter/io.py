@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .oracle import BASES, BaseCounts, edit_distance
+from .oracle import BASES, edit_distance
 
 MAX_POSITION = 2**32 - 1
 
@@ -106,50 +106,28 @@ class FastaError(ValueError):
 @dataclass
 class Fasta:
     seq: str
-    records: list  # (name, start, length) per input record
-
-    def __len__(self):
-        return len(self.seq)
 
 
 def parse_fasta(stream):
     """Concatenated uppercase reference from a FASTA stream.
 
-    Multi-record files concatenate in order; record boundaries are kept.
-    Any letter outside ACGT fails with its line and column.
+    Multi-record files concatenate in order into one sequence; header
+    lines only separate records, and no record boundary is kept. Any
+    letter outside ACGT fails with its line and column.
     """
     parts = []
-    records = []
-    name = None
-    rec_start = 0
-    total = 0
-
-    def close_record():
-        nonlocal rec_start
-        if name is not None:
-            records.append((name, rec_start, total - rec_start))
-        rec_start = total
-
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n").rstrip("\r")
-        if not line:
+        if not line or line.startswith(">"):
             continue
-        if line.startswith(">"):
-            close_record()
-            name = line[1:].strip() or f"record{len(records) + 1}"
-            continue
-        if name is None:
-            name = "record1"
         seq = line.upper()
         for col, ch in enumerate(seq, start=1):
             if ch not in "ACGT":
                 raise FastaError(f"invalid base {ch!r}", lineno, col)
         parts.append(seq)
-        total += len(seq)
-    close_record()
-    if total == 0:
+    if not parts:
         raise FastaError("no sequence data")
-    return Fasta("".join(parts), records)
+    return Fasta("".join(parts))
 
 
 class CandidateError(ValueError):
@@ -161,30 +139,16 @@ class CandidateError(ValueError):
 @dataclass
 class CandidateRecord:
     read_id: str
-    seq: str | None
+    seq: str
     position: int
-    counts: BaseCounts | None = None
 
 
-def _parse_counts(text, read_length, lineno):
-    try:
-        values = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise CandidateError("malformed histogram", lineno) from None
-    if len(values) != 4 or any(v < 0 for v in values):
-        raise CandidateError("histogram needs four non-negative counts", lineno)
-    counts = BaseCounts(*values)
-    if counts.total != read_length:
-        raise CandidateError("histogram does not sum to the read length", lineno)
-    return counts
-
-
-def parse_candidates(stream, read_length=100, raw_histograms=False):
+def parse_candidates(stream, read_length=100):
     """Candidate records from `read_id<TAB>read_seq<TAB>position` lines.
 
-    Lines starting with '#' and blank lines are skipped. With
-    `raw_histograms` the middle field is `A,T,G,C` counts instead of a
-    sequence (testing hook for the histogram write path).
+    Lines starting with '#' and blank lines are skipped. Each read must
+    be `read_length` ACGT letters (any case), and each position an
+    integer in 0..2**32-1; a bad line fails with its line number.
     """
     out = []
     for lineno, raw in enumerate(stream, start=1):
@@ -201,10 +165,6 @@ def parse_candidates(stream, read_length=100, raw_histograms=False):
             raise CandidateError("malformed position", lineno) from None
         if not 0 <= position <= MAX_POSITION:
             raise CandidateError("position overflows 32 bits", lineno)
-        if raw_histograms:
-            out.append(CandidateRecord(read_id, None, position,
-                                       _parse_counts(body, read_length, lineno)))
-            continue
         seq = body.upper()
         if len(seq) != read_length:
             raise CandidateError(
@@ -233,10 +193,11 @@ def emit_results(decisions, stats, stream):
         stream.write(f"# oracle_mismatches {stats.oracle_mismatches}\n")
 
 
-def write_fasta(seq, stream, name="synthetic", width=70):
+def write_fasta(seq, stream, name):
+    """One record, 70 bases per line."""
     stream.write(f">{name}\n")
-    for i in range(0, len(seq), width):
-        stream.write(seq[i:i + width] + "\n")
+    for i in range(0, len(seq), 70):
+        stream.write(seq[i:i + 70] + "\n")
 
 
 def write_candidates(records, stream):
@@ -296,8 +257,18 @@ def synth_fixture(genome_len=100_000, reads=100, decoys_per_read=1,
     """Deterministic genome + candidate list for tests and the CLI.
 
     Every read is a (possibly mutated) genome window queried at its true
-    position, plus `decoys_per_read` additional random positions.
+    position, plus `decoys_per_read` additional random positions. The
+    read length must be 1..100, as `parse_candidates` and the filter
+    accept, and the genome must hold at least one read.
     """
+    if not 1 <= read_length <= 100:
+        raise ValueError("read_length must be 1..100")
+    if genome_len < read_length:
+        raise ValueError(f"genome_len must be >= read_length ({read_length})")
+    for name, value in (("reads", reads), ("decoys_per_read", decoys_per_read),
+                        ("max_edits", max_edits)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
     rng = random.Random(seed)
     genome = synth_genome(genome_len, rng)
     candidates = []

@@ -39,7 +39,6 @@ from .gates import (
     emit_adder,
     emit_popcount,
 )
-from .oracle import BaseCounts
 
 BASES = "ATGC"
 BASE_CODES = {"A": (0, 0), "T": (0, 1), "G": (1, 0), "C": (1, 1)}
@@ -64,28 +63,6 @@ def encode_base(base):
         return BASE_CODES[base]
     except KeyError:
         raise ValueError(f"invalid base {base!r}") from None
-
-
-def match_value(base, pa, pb):
-    """Evaluate the match network for `base` on an inverted bit pair.
-
-    The window is stored inverted, so with (pa, pb) the complemented code
-    bits, each base type has its own two-level NOR expression that is 1
-    exactly when the original base equals `base`:
-
-        A: NOR(NOR(pa), NOR(pb))    G: NOR(pa, NOR(pb))
-        T: NOR(NOR(pa), pb)         C: NOR(pa, pb)
-    """
-    na, nb = 1 - pa, 1 - pb
-    if base == "A":
-        return 1 - (na | nb)
-    if base == "T":
-        return 1 - (na | pb)
-    if base == "G":
-        return 1 - (pa | nb)
-    if base == "C":
-        return 1 - (pa | pb)
-    raise ValueError(f"invalid base {base!r}")
 
 
 @dataclass(frozen=True)
@@ -202,7 +179,7 @@ def build_program(layout, offset, counts):
     with pb.step("1"):
         for base, count in zip(BASES, counts):
             cells = tuple((L.lane_rows[base], c) for c in L.rb_cols)
-            pb.write(cells, counts_bits(count), cycles=2)
+            pb.write(cells, counts_bits(count))
 
     # Step 2: inverted copy of the window into the P column pair. The
     # window may span two fragments, one NOT per bit column per fragment.
@@ -262,7 +239,7 @@ def _body(read_length):
     for base in BASES:
         with pb.step("4"):
             emit_popcount(pb, L.match_cols[base], FRAGMENT_ROWS, ColumnPool(pool_cols),
-                          L.res_cols, start_row=0, ones_row=L.ones_row)
+                          L.res_cols, ones_row=L.ones_row)
         with pb.step("5"):
             lane = L.lane_rows[base]
             pb.init(((L.stage_row,), L.res_cols), ((lane,), L.res_cols))
@@ -365,19 +342,15 @@ class KernelResult:
     steps: dict
 
 
-def run_kernel(state, layout, counts, offset, eth=None, strict=True, trace=None):
+def run_kernel(state, layout, counts, offset, strict=True, trace=None):
     """Run one location check on a pre-loaded crossbar.
 
-    The genome slice must already be stored (see genome.load_tile). When
-    `eth` is given the threshold constant is refreshed first, as the host
-    does at tile load time.
+    The genome slice and the threshold constant must already be stored
+    (see genome.load_tile and store_threshold). `counts` is the read's
+    oracle.BaseCounts.
     """
-    if not isinstance(counts, BaseCounts):
-        counts = BaseCounts(*counts)
     if counts.total != layout.read_length:
         raise ValueError("read histogram does not sum to the read length")
-    if eth is not None:
-        store_threshold(state, layout, eth)
     program = build_program(layout, offset, counts)
     result = execute(program, state, strict=strict, trace=trace)
     return KernelResult(result.readout[0], result.compute_cycles,

@@ -18,8 +18,8 @@ GB = 1e9
 
 def _positive(**kv):
     for name, value in kv.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be positive")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be a finite positive number")
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,8 @@ class PerfParams:
                   transfer_rate_gb_s=self.transfer_rate_gb_s)
 
 
-def figure_params(**overrides):
-    overrides.setdefault("iter_factor", 1.0)
-    return PerfParams(**overrides)
+def figure_params():
+    return PerfParams(iter_factor=1.0)
 
 
 @dataclass(frozen=True)
@@ -108,13 +107,13 @@ def total_latency(params, active_arrays, cpu=CpuBaseline()):
 
 def power_constrained_arrays(power, requested_arrays):
     """Arrays allowed to run simultaneously under the power budget."""
-    allowed = int(power.budget_w / power.watts_per_thousand_arrays * 1000)
-    return min(requested_arrays, allowed)
+    allowed = power.budget_w / power.watts_per_thousand_arrays * 1000
+    # compare as floats first: a budget near the float limit gives inf here
+    return requested_arrays if allowed >= requested_arrays else int(allowed)
 
 
-def crossover_arrays(params=None, cpu=CpuBaseline()):
+def crossover_arrays(params, cpu=CpuBaseline()):
     """Smallest array count whose total latency beats the CPU baseline."""
-    params = params or figure_params()
     xfer = transfer_latency(params)
     if xfer >= cpu.total_s:
         raise ValueError("transfer alone exceeds the baseline")

@@ -55,7 +55,7 @@ class TestValidate:
 
     def test_write_external_shape(self):
         with pytest.raises(MicroOpError, match="bit count"):
-            run_op(WriteExternal(((0, 0),), (1, 0), 2))
+            run_op(WriteExternal(((0, 0),), (1, 0)))
 
 
 class TestExecute:
@@ -171,7 +171,7 @@ class TestExecute:
         pb.init((range(0, 50), (10, 11, 12)))
         pb.nor_row((0, 1), 10, range(0, 50))
         pb.nor_row((10,), 11, range(0, 50))
-        pb.write(((60, 60),), (1,), 2)
+        pb.write(((60, 60),), (1,))
         pb.read(60, 60)
         prog = pb.build()
         s1, s2 = fresh(), fresh()
@@ -213,12 +213,12 @@ class TestExecute:
     def test_write_external_cost_and_read(self):
         s = fresh()
         pb = ProgramBuilder()
-        pb.write(((2, 2), (2, 3)), (1, 0), cycles=2)
+        pb.write(((2, 2), (2, 3)), (1, 0))
         pb.read(2, 2)
         pb.read(2, 3)
         res = execute(pb.build(), s)
         assert res.readout == [1, 0]
-        assert res.compute_cycles == 2 + 2  # declared cost + one per read
+        assert res.compute_cycles == 2 + 2  # fixed write cost + one per read
 
     def test_bad_last_op_aborts_before_any_op_runs(self):
         s = fresh()
@@ -227,7 +227,7 @@ class TestExecute:
         pb = ProgramBuilder()
         pb.init((range(0, 20), (5,)))
         pb.nor_row((3, 4), 5, range(0, 20))
-        pb.write(((60, 60),), (1,), 2)
+        pb.write(((60, 60),), (1,))
         pb.read(200, 0)
         prog = pb.build()
         with pytest.raises(MicroOpError, match="row out of bounds") as err:
@@ -353,7 +353,7 @@ def model_run(program, grid, strict):
         elif isinstance(op, WriteExternal):
             for (r, c), b in zip(op.cells, op.bits):
                 cells[r][c] = b
-            cost = (op.cycles, 0)
+            cost = (2, 0)
         else:
             readout.append(cells[op.row][op.col])
             cost = (1, 0)
@@ -396,9 +396,9 @@ def other_ops():
     return st.one_of(
         st.lists(st.tuples(line_sets, line_sets), min_size=1, max_size=2)
         .map(lambda regions: [Init(tuple(regions))]),
-        st.builds(lambda cells, cycles, bits: [WriteExternal(
-            tuple(cells), tuple(bits[:len(cells)]), cycles)],
-            st.lists(cell, min_size=1, max_size=4), st.integers(0, 3),
+        st.builds(lambda cells, bits: [WriteExternal(
+            tuple(cells), tuple(bits[:len(cells)]))],
+            st.lists(cell, min_size=1, max_size=4),
             st.lists(st.integers(0, 1), min_size=4, max_size=4)),
         st.builds(lambda rc: [ReadCell(*rc)], cell),
     )

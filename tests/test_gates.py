@@ -115,11 +115,6 @@ class TestAdder:
             state, _ = run(b, [(x, xv), (y, yv)])
             assert state.read_value(z) == xv + yv
 
-    def test_insufficient_scratch(self):
-        x, y, z = lane(8, "xyz")
-        with pytest.raises(ValueError, match="scratch"):
-            build_adder(8, x, y, z, scratch_cells=[(0, c) for c in range(40, 50)])
-
 
 class TestSubtractor:
     def test_cycle_cost_formula(self):
@@ -225,7 +220,7 @@ class TestPopcount:
             assert res.compute_cycles == b.compute_cycles
 
     def test_result_at_first_value_row(self):
-        b = build_popcount(3, 100, start_row=0)
+        b = build_popcount(3, 100)
         assert all(r == 0 for r, _ in b.result_cells)
 
 

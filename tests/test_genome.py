@@ -84,11 +84,12 @@ class TestLoadTile:
         genome = synth_genome(7000, rng)
         tile = partition(len(genome))[0]
         state = CrossbarState()
-        load_tile(state, layout, genome, tile)
+        load_tile(state, layout, genome, tile, 3)
         for i in (0, 1, 99, 100, 101, 6499):
             a, b = encode_base(genome[i])
             pair, row = divmod(i, FRAGMENT_ROWS)
             assert (state.cells[row, 2 * pair], state.cells[row, 2 * pair + 1]) == (a, b)
+        assert state.read_value([(layout.lane_rows["A"], c) for c in layout.thr_cols]) == 6
 
 
 class TestSchedule:

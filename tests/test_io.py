@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 
@@ -20,14 +21,13 @@ from pimfilter.io import (
     write_candidates,
     write_fasta,
 )
-from pimfilter.oracle import BaseCounts, edit_distance
+from pimfilter.oracle import edit_distance
 
 
 class TestFasta:
     def test_minimal(self):
         fa = parse_fasta(io.StringIO(">x\nACGT\n"))
-        assert fa.seq == "ACGT" and len(fa) == 4
-        assert fa.records == [("x", 0, 4)]
+        assert fa.seq == "ACGT"
 
     def test_case_folding(self):
         assert parse_fasta(io.StringIO(">x\nacgt\n")).seq == "ACGT"
@@ -44,11 +44,10 @@ class TestFasta:
     def test_multi_record_concatenation(self):
         fa = parse_fasta(io.StringIO(">a\nAC\nGT\n>b\nTTTT\n"))
         assert fa.seq == "ACGTTTTT"
-        assert fa.records == [("a", 0, 4), ("b", 4, 4)]
 
     def test_headerless_sequence(self):
         fa = parse_fasta(io.StringIO("ACGT\n"))
-        assert fa.records[0][1:] == (0, 4)
+        assert fa.seq == "ACGT"
 
 
 class TestCandidates:
@@ -77,12 +76,6 @@ class TestCandidates:
     def test_invalid_base(self):
         with pytest.raises(CandidateError, match="non-ACGT"):
             parse_candidates(io.StringIO("r1\t" + "N" * 100 + "\t0\n"))
-
-    def test_raw_histograms(self):
-        recs = parse_candidates(io.StringIO("r1\t40,30,20,10\t5\n"), raw_histograms=True)
-        assert recs[0].counts == BaseCounts(40, 30, 20, 10)
-        with pytest.raises(CandidateError, match="sum"):
-            parse_candidates(io.StringIO("r1\t1,1,1,1\t5\n"), raw_histograms=True)
 
 
 class TestEmit:
@@ -144,6 +137,24 @@ class TestSynth:
         a = synth_fixture(genome_len=5_000, reads=4, seed=1)
         b = synth_fixture(genome_len=5_000, reads=4, seed=2)
         assert a.genome != b.genome
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"genome_len": 50}, "genome_len"),
+        ({"genome_len": 63, "read_length": 64}, "genome_len"),
+        ({"read_length": 0}, "read_length"),
+        ({"read_length": 101}, "read_length"),
+        ({"reads": -1}, "reads"),
+        ({"decoys_per_read": -2}, "decoys_per_read"),
+        ({"max_edits": -1}, "max_edits"),
+    ])
+    def test_bad_fixture_arguments_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            synth_fixture(**{"genome_len": 1_000, **kwargs})
+
+    def test_edge_fixture_arguments_accepted(self):
+        fx = synth_fixture(genome_len=100, reads=2, decoys_per_read=0)
+        assert [c.position for c in fx.candidates] == [0, 0]
+        assert synth_fixture(genome_len=1, read_length=1, reads=0).candidates == []
 
     def test_mutate_read_certified_distance(self):
         rng = random.Random(9)
@@ -226,6 +237,46 @@ class TestCli:
         text = out.read_text()
         assert text.startswith("read_id\tposition\tverdict\n")
         assert "# oracle_mismatches 0" in text
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--genome-len", "50", "genome_len"),
+        ("--edits", "-1", "max_edits"),
+        ("--read-length", "0", "read_length"),
+        ("--read-length", "101", "read_length"),
+        ("--reads", "-1", "reads"),
+        ("--decoys", "-2", "decoys_per_read"),
+    ])
+    def test_synth_bad_argument_exits_1(self, tmp_path, capsys, flag, value, name):
+        out_dir = tmp_path / "fx"
+        assert main(["synth", "--out-dir", str(out_dir), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be ")
+        assert not out_dir.exists()
+
+    # sha256 of the results file and of the trace. Any change to the op
+    # stream, the cycle counts or the decisions shows here; regenerate
+    # only for a deliberate change, and record the old and new values.
+    PINNED_FILTER_OUTPUT = {
+        100: ("8be996560f950fe284b45f3878012de71706935762ac2e5b707fb6d6084a15da",
+              "ab9c84ae0de4a3c95dfeb0adfe99523bf0da42b611deceef64776a9a062c085b"),
+        64: ("6be03c25871977e28be87dcbb5db16ee8006d8246c5da5477a0a610731d8ebed",
+             "1055eb5b8483ea928c1b8ea8402577c8bc8f9cd6305410cdd8c7edb65a103f36"),
+    }
+
+    @pytest.mark.parametrize("mode", [[], ["--permissive"]], ids=["strict", "permissive"])
+    @pytest.mark.parametrize("read_length", [100, 64])
+    def test_filter_output_pinned(self, tmp_path, read_length, mode):
+        assert main(["synth", "--out-dir", str(tmp_path), "--genome-len", "13000",
+                     "--reads", "4", "--seed", "1",
+                     "--read-length", str(read_length)]) == 0
+        results, trace = tmp_path / "r.tsv", tmp_path / "trace.txt"
+        assert main(["filter", "--genome", str(tmp_path / "genome.fa"),
+                     "--candidates", str(tmp_path / "candidates.tsv"),
+                     "--eth", "3", "--read-length", str(read_length),
+                     "--verify-oracle", "--trace", str(trace),
+                     "--out", str(results)] + mode) == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (results, trace))
+        assert digests == self.PINNED_FILTER_OUTPUT[read_length]
 
     def test_filter_trace(self, tmp_path):
         main(["synth", "--out-dir", str(tmp_path), "--genome-len", "6600",
@@ -325,8 +376,13 @@ class TestCli:
         assert lines[0] == "arrays\tpim_seconds\tcpu_seconds"
         assert len(lines) > 100
 
-    @pytest.mark.parametrize("flag", ["--arrays", "--cycles-per-iteration"])
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value,flag", [
+        (value, flag) for value in ("0", "-1")
+        for flag in ("--arrays", "--cycles-per-iteration", "--power-budget")
+    ] + [
+        (value, flag) for value in ("nan", "inf")
+        for flag in ("--cycles-per-iteration", "--power-budget")
+    ])
     def test_model_non_positive_value_exits_1(self, capsys, flag, value):
         assert main(["model", flag, value]) == 1
         captured = capsys.readouterr()

@@ -16,7 +16,6 @@ from pimfilter.kernel import (
     TOTAL_BUDGET,
     build_program,
     encode_base,
-    match_value,
     plan_layout,
     run_kernel,
     store_threshold,
@@ -41,6 +40,28 @@ class TestEncoding:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             encode_base("N")
+
+
+def match_value(base, pa, pb):
+    """Evaluate the match network for `base` on an inverted bit pair.
+
+    The window is stored inverted, so with (pa, pb) the complemented code
+    bits, each base type has its own two-level NOR expression that is 1
+    exactly when the original base equals `base`:
+
+        A: NOR(NOR(pa), NOR(pb))    G: NOR(pa, NOR(pb))
+        T: NOR(NOR(pa), pb)         C: NOR(pa, pb)
+    """
+    na, nb = 1 - pa, 1 - pb
+    if base == "A":
+        return 1 - (na | nb)
+    if base == "T":
+        return 1 - (na | pb)
+    if base == "G":
+        return 1 - (pa | nb)
+    if base == "C":
+        return 1 - (pa | pb)
+    raise ValueError(f"invalid base {base!r}")
 
 
 class TestMatchExpressions:
@@ -199,7 +220,8 @@ class TestDecisions:
     def test_exact_window_kept_at_zero_threshold(self, layout, tile_state):
         genome, state = tile_state
         counts = oracle.histogram(genome[200:300])
-        res = run_kernel(state, layout, counts, 200, eth=0)
+        store_threshold(state, layout, 0)
+        res = run_kernel(state, layout, counts, 200)
         assert res.discard == 0
 
     def test_all_a_read_against_all_a_window(self, layout):
@@ -221,10 +243,11 @@ class TestDecisions:
         k = 7
         genome = "T" * k + "A" * 6500
         state = CrossbarState()
-        load_tile(state, layout, genome, partition(len(genome))[0])
+        load_tile(state, layout, genome, partition(len(genome))[0], eth=k)
         counts = oracle.BaseCounts(100, 0, 0, 0)
-        assert run_kernel(state, layout, counts, 0, eth=k).discard == 0
-        assert run_kernel(state, layout, counts, 0, eth=k - 1).discard == 1
+        assert run_kernel(state, layout, counts, 0).discard == 0
+        store_threshold(state, layout, k - 1)
+        assert run_kernel(state, layout, counts, 0).discard == 1
 
     def test_window_lands_in_p_as_row_rotation(self, layout, tile_state):
         # the inverted window copy rotates rows by the in-fragment phase
@@ -279,7 +302,8 @@ class TestDecisions:
                     read[rng.randrange(100)] = rng.choice("ACGT")
                 read = "".join(read)
             counts = oracle.histogram(read)
-            res = run_kernel(state, layout, counts, offset, eth=eth)
+            store_threshold(state, layout, eth)
+            res = run_kernel(state, layout, counts, offset)
             assert res.discard == oracle.decide(counts, genome[offset:offset + 100], eth)
 
 
@@ -320,5 +344,5 @@ class TestValidation:
             offset = rng.randint(0, 6400)
             read = synth_genome(60, rng)
             counts = oracle.histogram(read)
-            res = run_kernel(state, short, counts, offset, eth=2)
+            res = run_kernel(state, short, counts, offset)
             assert res.discard == oracle.decide(counts, genome[offset:offset + 60], 2)

@@ -87,10 +87,14 @@ class TestPower:
     def test_unconstrained(self):
         assert power_constrained_arrays(PowerParams(budget_w=500), 500_000) == 500_000
 
+    def test_budget_near_float_limit(self):
+        # the allowed count overflows to inf; it must not reach int()
+        assert power_constrained_arrays(PowerParams(budget_w=1e308), 500_000) == 500_000
+
 
 class TestCurve:
     def test_crossover_near_190(self):
-        assert abs(crossover_arrays() - 190) <= 5
+        assert abs(crossover_arrays(figure_params()) - 190) <= 5
 
     def test_crossover_is_tight(self):
         p = figure_params()
@@ -132,3 +136,10 @@ class TestValidation:
     def test_at_least_one_array(self):
         with pytest.raises(ValueError):
             compute_latency(PerfParams(), 0)
+
+    @pytest.mark.parametrize("value", [0, -1, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_non_positive_rejected(self, value):
+        with pytest.raises(ValueError, match="cycles_per_iteration"):
+            PerfParams(cycles_per_iteration=value)
+        with pytest.raises(ValueError, match="budget_w"):
+            PowerParams(budget_w=value)
