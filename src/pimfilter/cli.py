@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import random
 import sys
@@ -131,6 +132,13 @@ def _cmd_model(args):
     comp = perf.compute_latency(params, arrays)
     xfer = perf.transfer_latency(params)
     total, speedups = perf.total_latency(params, arrays, cpu)
+    if not math.isfinite(total):
+        raise ValueError(f"latency is not finite (compute latency {comp:g} s)")
+    crossover = perf.crossover_arrays(params, cpu) if args.mode == "figure" else None
+    curve = None
+    if args.curve:
+        counts = [1] + list(range(1000, params.crossbars + 1, 1000)) + [params.crossbars]
+        curve = perf.curve_tsv(params, counts, cpu)
     print(f"active arrays            {arrays}")
     print(f"compute latency (s)      {comp:.6g}")
     print(f"data transferred (GB)    {perf.total_transferred_bytes(params) / perf.GB:.6g}")
@@ -139,12 +147,11 @@ def _cmd_model(args):
     print(f"speedup vs CPU compute   {speedups.compute:.6g}x")
     print(f"speedup vs CPU transfer  {speedups.transfer:.6g}x")
     print(f"speedup vs CPU total     {speedups.total:.6g}x")
-    if args.mode == "figure":
-        print(f"crossover arrays         {perf.crossover_arrays(params, cpu)}")
-    if args.curve:
-        counts = [1] + list(range(1000, params.crossbars + 1, 1000)) + [params.crossbars]
+    if crossover is not None:
+        print(f"crossover arrays         {crossover}")
+    if curve is not None:
         with open(args.curve, "w") as fh:
-            fh.write(perf.curve_tsv(params, counts, cpu))
+            fh.write(curve)
         print(f"wrote curve to {args.curve}")
     return 0
 

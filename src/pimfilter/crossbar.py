@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ROWS, COLS = 128, 256
+_COL_BYTES = ROWS // 8  # one packed grid column
 
 
 def _axis(spec):
     """Members of an axis spec (int, range, or sequence of ints).
 
     A range or tuple comes back as is, so normalizing stays cheap; _lower
-    turns members into numpy indices.
+    turns members into bitmasks.
     """
     if isinstance(spec, (range, tuple)):
         return spec
@@ -233,27 +234,22 @@ class ExecResult:
     steps: dict
 
 
-_SMALL = 8
-
-
 def _lower(op):
-    """Check one op against the crossbar and lower it to numpy indices.
+    """Check one op against the crossbar and lower it to bitmask form.
 
     The checks do not depend on cell values: addressing, aliasing and
     shape. A well-formed op gets its lowered form cached on op._c and
     yields no violations; an op with violations is not cached, so it
-    fails again on every run. The lowered forms:
+    fails again on every run. The forms address the column grid that
+    execute runs on, where bit r of column c is cell (r, c). A repeated
+    line switches once: a row set is one bitmask, and a column NOR that
+    meets a column again finds it already switched:
 
-    - Init: a list of one index pair per region;
-    - NorRow and NorCol: transposed, inputs, output, index, small. A
-      column NOR is a row NOR on the transposed grid. A line set of at
-      most _SMALL members runs as a scalar loop over `small`; a larger
-      one uses `index`. A repeated line counts once;
-    - WriteExternal: ((row, col), bit) pairs;
-    - ReadCell: the (row, col) index.
-
-    Members become slices when they form an arithmetic progression, else
-    fancy-index lists.
+    - Init: one (cols, row_mask) pair per region;
+    - NorRow: (input_cols, output_col, row_mask);
+    - NorCol: (input_row_mask, output_row_bit, cols);
+    - WriteExternal: one (col, row_bit, bit) triple per cell;
+    - ReadCell: (col, row_bit).
     """
     row, col = ("row", ROWS), ("column", COLS)
     bad = []
@@ -267,32 +263,20 @@ def _lower(op):
             bad.append(f"{what} out of bounds")
         return m
 
-    def index(m):
-        if isinstance(m, range):
-            return slice(m.start, m.stop, m.step)
-        step = m[1] - m[0] if len(m) > 1 else 1
-        if step > 0 and all(b - a == step for a, b in zip(m, m[1:])):
-            return slice(m[0], m[-1] + 1, step)
-        return list(m)
+    def mask(m):
+        return sum(1 << r for r in set(m))
 
     if isinstance(op, Init):
         if not op.regions:
             bad.append("empty cell set")
         regions = [(members(r, row), members(c, col)) for r, c in op.regions]
         if not bad:
-            pairs = []
-            for r, c in regions:
-                ri, ci = index(r), index(c)
-                lists = isinstance(ri, list) and isinstance(ci, list)
-                pairs.append(np.ix_(ri, ci) if lists else (ri, ci))
-            op._c = pairs
+            op._c = tuple((c, mask(r)) for r, c in regions)
     elif isinstance(op, (NorRow, NorCol)):
         if isinstance(op, NorRow):
-            transposed, ins, out, lines, gate, line = (
-                False, op.input_cols, op.output_col, op.rows, col, row)
+            ins, out, lines, gate, line = op.input_cols, op.output_col, op.rows, col, row
         else:
-            transposed, ins, out, lines, gate, line = (
-                True, op.input_rows, op.output_row, op.cols, row, col)
+            ins, out, lines, gate, line = op.input_rows, op.output_row, op.cols, row, col
         if len(ins) == 0:
             bad.append("empty input set")
         if out in ins:
@@ -300,13 +284,8 @@ def _lower(op):
         members(ins, gate)
         members((out,), gate)
         m = members(lines, line)
-        if len(set(m)) < len(m):
-            m = tuple(dict.fromkeys(m))
         if not bad:
-            if len(m) <= _SMALL:
-                op._c = (transposed, ins, out, None, m)
-            else:
-                op._c = (transposed, ins, out, index(m), None)
+            op._c = (ins, out, mask(m)) if gate is col else (mask(ins), 1 << out, m)
     elif isinstance(op, WriteExternal):
         if len(op.cells) == 0:
             bad.append("empty cell set")
@@ -318,12 +297,12 @@ def _lower(op):
             members((r,), row)
             members((c,), col)
         if not bad:
-            op._c = tuple(((r, c), b) for (r, c), b in zip(op.cells, op.bits))
+            op._c = tuple((c, 1 << r, b) for (r, c), b in zip(op.cells, op.bits))
     elif isinstance(op, ReadCell):
         members((op.row,), row)
         members((op.col,), col)
         if not bad:
-            op._c = (op.row, op.col)
+            op._c = (op.col, 1 << op.row)
     else:
         bad.append(f"unknown op {type(op).__name__}")
     return bad
@@ -367,62 +346,65 @@ def execute(program, state, strict=True, trace=None):
 
     Every op is checked and lowered before the first one runs, so an
     addressing, aliasing or shape violation aborts with the state
-    untouched. Both modes evaluate a NOR by conditional switching:
+    untouched. The ops then run on a grid of COLS Python ints, where bit
+    r of column c is cell (r, c): state.cells is packed into it once on
+    entry and written back once on exit, error or not. A NorRow is one
+    bitwise expression over its whole row mask; a NorCol is one per
+    column. Both modes evaluate a NOR by conditional switching:
     output <- output AND NOR(inputs). Strict mode adds the precondition
-    that the output cell holds 1 and aborts at the first gate that
-    finds a 0 there.
+    that every output cell of a gate holds 1, checked before the gate
+    switches any cell, and aborts at the first gate that finds a 0.
 
     :param trace: optional callable receiving one line per op,
         formatted `cycle_kind cycle_index op_descriptor`.
     :return: ExecResult with read-out bits and the cycle report.
     """
-    cells = state.cells
     compute, init, steps = _lower_program(program)
-    cells_t = cells.T
+    packed = np.packbits(state.cells.T.copy(), bitorder="little").tobytes()
+    g = [int.from_bytes(packed[i:i + _COL_BYTES], "little")
+         for i in range(0, len(packed), _COL_BYTES)]
     readout = []
     traced_compute = traced_init = 0
-    for i, op in enumerate(program.ops):
-        cls = op.__class__
-        c = op._c
-        if cls is NorRow or cls is NorCol:
-            transposed, ins, out, idx, small = c
-            grid = cells_t if transposed else cells
-            if small is not None:
-                for r in small:
-                    line = grid[r]
-                    if strict and line[out] != 1:
-                        raise MicroOpError(i, op, ["output not initialized"])
-                    acc = line[ins[0]]
-                    for k in ins[1:]:
-                        acc = acc | line[k]
-                    if acc:
-                        line[out] = 0
-            else:
-                if strict and not grid[idx, out].all():
+    try:
+        for i, op in enumerate(program.ops):
+            cls = op.__class__
+            lowered = op._c
+            if cls is NorRow:
+                ins, out, rows = lowered
+                v = g[out]
+                if strict and v & rows != rows:
                     raise MicroOpError(i, op, ["output not initialized"])
-                if len(ins) == 1:
-                    acc = grid[idx, ins[0]] ^ 1
+                acc = 0
+                for k in ins:
+                    acc |= g[k]
+                g[out] = v & ~(acc & rows)
+            elif cls is NorCol:
+                ins, out, cols = lowered
+                if strict and not all(g[k] & out for k in cols):
+                    raise MicroOpError(i, op, ["output not initialized"])
+                for k in cols:
+                    if g[k] & ins:
+                        g[k] &= ~out
+            elif cls is Init:
+                for cols, rows in lowered:
+                    for k in cols:
+                        g[k] |= rows
+            elif cls is WriteExternal:
+                for k, bit, b in lowered:
+                    g[k] = g[k] | bit if b else g[k] & ~bit
+            else:  # ReadCell
+                k, bit = lowered
+                readout.append(1 if g[k] & bit else 0)
+            if trace is not None:
+                if cls is Init:
+                    traced_init += 1
+                    trace(f"init {traced_init} {op.describe()}")
                 else:
-                    acc = grid[idx, ins[0]] | grid[idx, ins[1]]
-                    for k in ins[2:]:
-                        acc |= grid[idx, k]
-                    acc ^= 1
-                grid[idx, out] &= acc
-        elif cls is Init:
-            for index in c:
-                cells[index] = 1
-        elif cls is WriteExternal:
-            for cell, b in c:
-                cells[cell] = b
-        else:  # ReadCell
-            readout.append(int(cells[c]))
-        if trace is not None:
-            if cls is Init:
-                traced_init += 1
-                trace(f"init {traced_init} {op.describe()}")
-            else:
-                traced_compute += op.cycles
-                trace(f"compute {traced_compute} {op.describe()}")
+                    traced_compute += op.cycles
+                    trace(f"compute {traced_compute} {op.describe()}")
+    finally:
+        packed = np.frombuffer(b"".join(v.to_bytes(_COL_BYTES, "little") for v in g), np.uint8)
+        state.cells[:] = np.unpackbits(packed, bitorder="little").reshape(COLS, ROWS).T
 
     return ExecResult(readout, compute, init, steps)
 

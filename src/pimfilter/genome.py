@@ -13,9 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import oracle
 from .crossbar import CrossbarState
 from .kernel import (
+    BASE_CODES,
     FRAGMENT_ROWS,
     TILE_SPAN,
     TILE_STRIDE,
@@ -26,6 +29,10 @@ from .kernel import (
 )
 
 BYTES_PER_LOCATION = 13  # 60 bits in, 33 bits out, rounded up per direction
+
+# Two-bit code of each byte value, first bit high; 4 marks a non-base.
+_CODES = np.full(256, 4, np.uint8)
+_CODES[[ord(b) for b in BASE_CODES]] = [2 * a + b for a, b in BASE_CODES.values()]
 
 
 @dataclass(frozen=True)
@@ -68,13 +75,19 @@ def route(position, genome_length, read_length=100):
 
 
 def load_tile(state, layout, genome, tile, eth):
-    """Pre-store one tile's bases and the threshold constant in an array."""
-    cells = state.cells
-    for i in range(tile.length):
-        a, b = encode_base(genome[tile.start + i])
-        pair, row = divmod(i, FRAGMENT_ROWS)
-        cells[row, 2 * pair] = a
-        cells[row, 2 * pair + 1] = b
+    """Pre-store one tile's bases and the threshold constant in an array.
+
+    Base i of the tile is the bit pair in row i % 100, columns
+    2 * (i // 100) and the next one; a short final tile is zero padded.
+    """
+    seq = genome[tile.start:tile.start + tile.length]
+    codes = _CODES[np.frombuffer(seq.encode(), np.uint8)]
+    if (codes > 3).any():
+        encode_base(next(b for b in seq if b not in BASE_CODES))
+    pairs = np.zeros((TILE_SPAN, 2), np.uint8)
+    pairs[:tile.length] = codes[:, None] >> np.array((1, 0), np.uint8) & 1
+    state.cells[:FRAGMENT_ROWS, :layout.genome_cols] = \
+        pairs.reshape(-1, FRAGMENT_ROWS, 2).transpose(1, 0, 2).reshape(FRAGMENT_ROWS, -1)
     store_threshold(state, layout, eth)
 
 

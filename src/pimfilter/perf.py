@@ -119,6 +119,8 @@ def crossover_arrays(params, cpu=CpuBaseline()):
         raise ValueError("transfer alone exceeds the baseline")
     per_array = params.iter_factor * params.locations \
         * params.cycles_per_iteration * params.cycle_time_ns * 1e-9
+    if not math.isfinite(per_array):
+        raise ValueError("latency of one array is not finite")
     n = math.floor(per_array / (cpu.total_s - xfer)) + 1
     while compute_latency(params, n) + xfer >= cpu.total_s:  # guard rounding
         n += 1
@@ -127,10 +129,13 @@ def crossover_arrays(params, cpu=CpuBaseline()):
 
 def latency_curve(params, array_counts, cpu=CpuBaseline()):
     """(arrays, pim seconds, cpu seconds) triples, non-increasing in arrays."""
-    return [
+    curve = [
         (n, compute_latency(params, n) + transfer_latency(params), cpu.total_s)
         for n in array_counts
     ]
+    if not all(math.isfinite(pim_s) for _, pim_s, _ in curve):
+        raise ValueError("latency is not finite")
+    return curve
 
 
 def curve_tsv(params, array_counts, cpu=CpuBaseline()):

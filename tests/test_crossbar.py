@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimfilter.crossbar import (
+    COLS,
+    ROWS,
     CrossbarState,
     Init,
     MicroOpError,
@@ -123,10 +125,10 @@ class TestExecute:
         assert res.compute_cycles == 1
 
     @pytest.mark.parametrize("lines", [
-        (0, 1, 2),                               # scalar loop
-        range(10, 60),                           # slice
-        tuple(range(5, 100, 3)),                 # progression -> slice
-        (1, 4, 9, 16, 25, 36, 49, 64, 81),       # fancy index
+        (0, 1, 2),                               # few adjacent lines
+        range(10, 60),                           # range of many lines
+        tuple(range(5, 100, 3)),                 # strided tuple
+        (1, 4, 9, 16, 25, 36, 49, 64, 81),       # irregular tuple
     ])
     @pytest.mark.parametrize("strict", [True, False])
     def test_column_nor_is_row_nor_on_transpose(self, lines, strict):
@@ -187,6 +189,20 @@ class TestExecute:
         pb.nor_row((3, 4), 5, (0,))
         with pytest.raises(MicroOpError, match="not initialized"):
             execute(pb.build(), fresh())
+
+    @pytest.mark.parametrize("gate,lines", [
+        (NorRow, (0, 1, 2)), (NorRow, tuple(range(20, 32))), (NorCol, (0, 1, 2)),
+    ])
+    def test_strict_failure_switches_no_cell(self, gate, lines):
+        # a gate checks its whole output set before it switches any cell
+        s = fresh()
+        grid = s.cells if gate is NorRow else s.cells.T
+        grid[list(lines), 3] = 1        # every line's NOR gives 0
+        grid[list(lines[:-1]), 5] = 1   # each output but the last holds 1
+        before = s.cells.copy()
+        with pytest.raises(MicroOpError, match="not initialized"):
+            run_op(gate((3, 4), 5, lines), s)
+        assert (s.cells == before).all()
 
     def test_permissive_masks_output(self):
         # output <- old AND NOR(inputs): a 0 output can never flip back to 1
@@ -321,7 +337,9 @@ def test_nor_row_matches_boolean_model(bits, k):
 
 
 # Differential check: execute against a cell-by-cell model of the crossbar
-# contract on the 16x16 corner of the grid.
+# contract. The ops address a 16x16 window of the grid whose origin is drawn
+# so that it also lands on the far edges: rows 112-127 are the top bits of
+# each packed column, and column 255 is the last column.
 GRID = 16
 
 
@@ -331,7 +349,7 @@ def members(spec):
 
 def model_run(program, grid, strict):
     """Reference semantics: (cells, readout, compute, init, steps, trace)."""
-    cells = [list(map(int, row)) for row in grid]
+    cells = grid.tolist()
     readout, costs, trace = [], [], []
     compute = init = 0
     for op in program.ops:
@@ -369,32 +387,39 @@ def model_run(program, grid, strict):
     return cells, readout, compute, init, steps, trace
 
 
-coord = st.integers(0, GRID - 1)
-line_sets = st.one_of(
-    coord,
-    st.builds(lambda a, n: range(a, min(GRID, a + n)), coord, st.integers(1, GRID)),
-    st.builds(lambda a, n, k: tuple(range(a, min(GRID, a + n * k), k)),
-              coord, st.integers(1, GRID), st.integers(1, 5)),
-    st.lists(coord, min_size=1, max_size=GRID).map(tuple),
-)
+def coords(lo):
+    return st.integers(lo, lo + GRID - 1)
+
+
+def line_sets(lo):
+    hi = lo + GRID
+    return st.one_of(
+        coords(lo),
+        st.builds(lambda a, n: range(a, min(hi, a + n)), coords(lo), st.integers(1, GRID)),
+        st.builds(lambda a, n, k: tuple(range(a, min(hi, a + n * k), k)),
+                  coords(lo), st.integers(1, GRID), st.integers(1, 5)),
+        st.lists(coords(lo), min_size=1, max_size=GRID).map(tuple),
+    )
 
 
 @st.composite
-def nor_ops(draw, strict):
-    ins = tuple(draw(st.lists(coord, min_size=1, max_size=3, unique=True)))
-    out = draw(coord.filter(lambda v: v not in ins))
-    lines = draw(line_sets)
-    if draw(st.booleans()):
+def nor_ops(draw, strict, r0, c0):
+    row = draw(st.booleans())
+    gate, line = (c0, r0) if row else (r0, c0)
+    ins = tuple(draw(st.lists(coords(gate), min_size=1, max_size=3, unique=True)))
+    out = draw(coords(gate).filter(lambda v: v not in ins))
+    lines = draw(line_sets(line))
+    if row:
         op, region = NorRow(ins, out, lines), (lines, (out,))
     else:
         op, region = NorCol(ins, out, lines), ((out,), lines)
     return [Init((region,)), op] if strict else [op]
 
 
-def other_ops():
-    cell = st.tuples(coord, coord)
+def other_ops(r0, c0):
+    cell = st.tuples(coords(r0), coords(c0))
     return st.one_of(
-        st.lists(st.tuples(line_sets, line_sets), min_size=1, max_size=2)
+        st.lists(st.tuples(line_sets(r0), line_sets(c0)), min_size=1, max_size=2)
         .map(lambda regions: [Init(tuple(regions))]),
         st.builds(lambda cells, bits: [WriteExternal(
             tuple(cells), tuple(bits[:len(cells)]))],
@@ -405,8 +430,8 @@ def other_ops():
 
 
 @st.composite
-def programs(draw, strict):
-    ops = [op for group in draw(st.lists(st.one_of(nor_ops(strict), other_ops()),
+def programs(draw, strict, r0, c0):
+    ops = [op for group in draw(st.lists(st.one_of(nor_ops(strict, r0, c0), other_ops(r0, c0)),
                                          min_size=1, max_size=12))
            for op in group]
     cuts = sorted(draw(st.sets(st.integers(1, len(ops) - 1), max_size=4))) if len(ops) > 1 else []
@@ -416,21 +441,25 @@ def programs(draw, strict):
     return MicroProgram(ops, tuple(zip(labels, bounds, bounds[1:])))
 
 
+def origins(size):
+    return st.sampled_from((0, size - GRID)) | st.integers(0, size - GRID)
+
+
 @pytest.mark.parametrize("strict", [True, False])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_execute_matches_cell_model(strict, data):
-    program = data.draw(programs(strict))
-    grid = np.array(data.draw(st.lists(st.integers(0, 1), min_size=GRID * GRID,
-                                       max_size=GRID * GRID)), dtype=np.uint8)
-    grid = grid.reshape(GRID, GRID)
+    r0, c0 = data.draw(origins(ROWS)), data.draw(origins(COLS))
+    program = data.draw(programs(strict, r0, c0))
+    window = np.array(data.draw(st.lists(st.integers(0, 1), min_size=GRID * GRID,
+                                         max_size=GRID * GRID)), dtype=np.uint8)
     state = fresh()
-    state.cells[:GRID, :GRID] = grid
+    state.cells[r0:r0 + GRID, c0:c0 + GRID] = window.reshape(GRID, GRID)
+    grid = state.cells.copy()
     trace = []
     res = execute(program, state, strict=strict, trace=trace.append)
     cells, readout, compute, init, steps, model_trace = model_run(program, grid, strict)
-    assert state.cells[:GRID, :GRID].tolist() == cells
-    assert not state.cells[GRID:].any() and not state.cells[:, GRID:].any()
+    assert state.cells.tolist() == cells
     assert res.readout == readout
     assert (res.compute_cycles, res.init_cycles) == (compute, init)
     assert {k: [v.compute, v.init] for k, v in res.steps.items()} == steps

@@ -78,6 +78,17 @@ class TestRoute:
             assert off + 100 <= TILE_SPAN
 
 
+def looped_tile(genome, tile):
+    """Reference: each stored base written cell by cell."""
+    cells = CrossbarState().cells
+    for i in range(tile.length):
+        a, b = encode_base(genome[tile.start + i])
+        pair, row = divmod(i, FRAGMENT_ROWS)
+        cells[row, 2 * pair] = a
+        cells[row, 2 * pair + 1] = b
+    return cells
+
+
 class TestLoadTile:
     def test_cells_match_encoding(self, layout):
         rng = random.Random(3)
@@ -85,11 +96,25 @@ class TestLoadTile:
         tile = partition(len(genome))[0]
         state = CrossbarState()
         load_tile(state, layout, genome, tile, 3)
-        for i in (0, 1, 99, 100, 101, 6499):
-            a, b = encode_base(genome[i])
-            pair, row = divmod(i, FRAGMENT_ROWS)
-            assert (state.cells[row, 2 * pair], state.cells[row, 2 * pair + 1]) == (a, b)
+        assert tile.length == TILE_SPAN
+        assert (state.cells[:FRAGMENT_ROWS] == looped_tile(genome, tile)[:FRAGMENT_ROWS]).all()
         assert state.read_value([(layout.lane_rows["A"], c) for c in layout.thr_cols]) == 6
+
+    def test_short_final_tile_is_zero_padded(self, layout):
+        genome = synth_genome(6400 + 3210, random.Random(4))
+        tile = partition(len(genome))[-1]
+        state = CrossbarState()
+        state.cells[:FRAGMENT_ROWS, :layout.genome_cols] = 1  # padding must be written
+        load_tile(state, layout, genome, tile, 3)
+        assert tile.length == 3210
+        assert (state.cells[:FRAGMENT_ROWS] == looped_tile(genome, tile)[:FRAGMENT_ROWS]).all()
+
+    @pytest.mark.parametrize("bad", ["N", "a", "\u00e9"])
+    def test_invalid_base_is_named(self, layout, bad):
+        genome = synth_genome(7000, random.Random(5))
+        genome = genome[:4321] + bad + genome[4322:]
+        with pytest.raises(ValueError, match=f"invalid base {bad!r}"):
+            load_tile(CrossbarState(), layout, genome, partition(len(genome))[0], 3)
 
 
 class TestSchedule:

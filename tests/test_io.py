@@ -388,6 +388,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("args", [
+        ["--cycles-per-iteration", "1e308"],
+        ["--arrays", "1", "--cycles-per-iteration", "1e303"],
+        ["--mode", "figure", "--cycles-per-iteration", "1e300"],
+        ["--cycles-per-iteration", "1e300"],  # only the curve's one-array row overflows
+    ])
+    def test_model_overflowing_latency_exits_1(self, tmp_path, capsys, args):
+        # finite inputs whose latency overflows the float range
+        curve = tmp_path / "curve.tsv"
+        assert main(["model", *args, "--curve", str(curve)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not curve.exists()
+
     def test_gates_selftest(self, capsys):
         # declared: the paper's stated cost; popcount: the tree's own count
         assert main(["gates"]) == 0
