@@ -95,10 +95,15 @@ def _cmd_filter(args):
 
 
 def _cmd_validate(args):
+    if args.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {args.trials}")
+    eths = [int(v) for v in args.eths.split(",")]
+    bad = [e for e in eths if not 0 <= e <= 100]
+    if bad:
+        raise ValueError(f"eths must be in 0..100 (the read length), got {bad[0]}")
     rng = random.Random(args.seed)
     glen = 2 * 6400 + 100
     ref = pio.synth_genome(glen, rng)
-    eths = [int(v) for v in args.eths.split(",")]
     trials = {}  # eth -> candidates
     for i in range(args.trials):
         eth = rng.choice(eths)

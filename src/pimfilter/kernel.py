@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .crossbar import COLS, ProgramBuilder, execute
+from .crossbar import COLS, Block, ProgramBuilder, execute
 from .gates import (
     ColumnPool,
     _adder_gates,
@@ -165,8 +165,9 @@ def build_program(layout, offset, counts):
 
     Steps 1-3 and a short read's bitmap zeroing depend on the read counts
     and the window placement and are emitted here. Every other op comes
-    from the layout's shared body (_body), so those op objects, and their
-    lowered forms, are reused by every location.
+    from the layout's shared body (_body), added as one Block per step
+    span, so those op objects, their lowered forms, their cycle counts
+    and their compiled code are reused by every location.
     """
     L = layout
     n = L.read_length
@@ -209,19 +210,19 @@ def build_program(layout, offset, counts):
     # Steps 4-13 from the shared body; a short read first zeroes the
     # bitmap rows its window leaves untouched, at the start of each
     # base's step-4 span.
-    body = _body(n)
     zero_bases = iter(BASES)
-    for label, start, end in body.annotations:
+    for label, block in _body(n):
         with pb.step(label):
             if label == "4" and n < FRAGMENT_ROWS:
                 _zero_match_rows(pb, L, next(zero_bases), ranges)
-            pb.ops.extend(body.ops[start:end])
+            pb.include(block)
     return pb.build()
 
 
 @functools.cache
 def _body(read_length):
-    """Steps 4-13 for one read length, built once per process.
+    """Steps 4-13 for one read length as (label, Block) pairs, one per
+    step span, built once per process.
 
     Takes the read length rather than the layout, since KernelLayout
     holds dicts and cannot be hashed. A short read's zeroing takes
@@ -308,7 +309,8 @@ def _body(read_length):
     with pb.step("13"):
         pb.read(lane_a, L.res12_cols[8])
 
-    return pb.build()
+    body = pb.build()
+    return tuple((label, Block(body.ops[start:end])) for label, start, end in body.annotations)
 
 
 def _complement_rows(spans):

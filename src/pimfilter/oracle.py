@@ -33,12 +33,11 @@ def histogram(seq):
 
     :raises ValueError: on any other letter.
     """
-    counts = {"A": 0, "T": 0, "G": 0, "C": 0}
-    for i, ch in enumerate(seq):
-        if ch not in counts:
-            raise ValueError(f"invalid base {ch!r} at position {i}")
-        counts[ch] += 1
-    return BaseCounts(counts["A"], counts["T"], counts["G"], counts["C"])
+    counts = BaseCounts(*map(seq.count, BASES))
+    if counts.total != len(seq):
+        i, ch = next((i, ch) for i, ch in enumerate(seq) if ch not in BASES)
+        raise ValueError(f"invalid base {ch!r} at position {i}")
+    return counts
 
 
 def base_count_error(read_counts, window_counts):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from pimfilter.crossbar import (
     COLS,
     ROWS,
+    Block,
     CrossbarState,
     Init,
     MicroOpError,
@@ -348,11 +350,16 @@ def members(spec):
 
 
 def model_run(program, grid, strict):
-    """Reference semantics: (cells, readout, compute, init, steps, trace)."""
+    """Reference semantics: (cells, readout, compute, init, steps, trace, failed).
+
+    A strict gate that finds an output cell at 0 stops the run before it
+    switches any cell: `failed` is its op index, the cells and trace are
+    those it left, and the cycle counts are None. Otherwise `failed` is None.
+    """
     cells = grid.tolist()
     readout, costs, trace = [], [], []
     compute = init = 0
-    for op in program.ops:
+    for index, op in enumerate(program.ops):
         if isinstance(op, Init):
             for rs, cs in op.regions:
                 for r in members(rs):
@@ -363,9 +370,11 @@ def model_run(program, grid, strict):
             row = isinstance(op, NorRow)
             ins, out, lines = ((op.input_cols, op.output_col, op.rows) if row
                                else (op.input_rows, op.output_row, op.cols))
-            for line in sorted(set(members(lines))):
-                *inputs, (r, c) = [(line, k) if row else (k, line) for k in ins + (out,)]
-                assert not strict or cells[r][c] == 1
+            gates = [[(line, k) if row else (k, line) for k in ins + (out,)]
+                     for line in sorted(set(members(lines)))]
+            if strict and any(cells[r][c] != 1 for *_, (r, c) in gates):
+                return cells, readout, None, None, None, trace, index
+            for *inputs, (r, c) in gates:
                 cells[r][c] &= int(not any(cells[i][j] for i, j in inputs))
             cost = (1, 0)
         elif isinstance(op, WriteExternal):
@@ -384,7 +393,7 @@ def model_run(program, grid, strict):
         step = steps.setdefault(label, [0, 0])
         step[0] += sum(c for c, _ in costs[start:end])
         step[1] += sum(i for _, i in costs[start:end])
-    return cells, readout, compute, init, steps, trace
+    return cells, readout, compute, init, steps, trace, None
 
 
 def coords(lo):
@@ -413,7 +422,9 @@ def nor_ops(draw, strict, r0, c0):
         op, region = NorRow(ins, out, lines), (lines, (out,))
     else:
         op, region = NorCol(ins, out, lines), ((out,), lines)
-    return [Init((region,)), op] if strict else [op]
+    # in strict mode most gates get their outputs initialized; the others
+    # fail unless the drawn grid already holds 1 there
+    return [Init((region,)), op] if strict and draw(st.integers(0, 4)) else [op]
 
 
 def other_ops(r0, c0):
@@ -445,22 +456,85 @@ def origins(size):
     return st.sampled_from((0, size - GRID)) | st.integers(0, size - GRID)
 
 
+def run_program(program, grid, strict):
+    """execute on a copy of grid: (cells, ExecResult or None, MicroOpError or None, trace)."""
+    state = fresh()
+    state.cells[:] = grid
+    trace = []
+    try:
+        res, err = execute(program, state, strict=strict, trace=trace.append), None
+    except MicroOpError as exc:
+        res, err = None, exc
+    return state.cells.tolist(), res, err, trace
+
+
+def with_block(program, cut):
+    """The same program with ops[cut:] added as one Block after the others."""
+    pb = ProgramBuilder()
+    pb.ops.extend(program.ops[:cut])
+    pb.include(Block(program.ops[cut:]))
+    return dataclasses.replace(pb.build(), annotations=program.annotations)
+
+
 @pytest.mark.parametrize("strict", [True, False])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_execute_matches_cell_model(strict, data):
+    # the interpreter, the whole program as one compiled Block, and a
+    # Block after interpreted ops must all agree with the cell model
     r0, c0 = data.draw(origins(ROWS)), data.draw(origins(COLS))
     program = data.draw(programs(strict, r0, c0))
+    cut = data.draw(st.integers(0, len(program.ops) - 1))
     window = np.array(data.draw(st.lists(st.integers(0, 1), min_size=GRID * GRID,
                                          max_size=GRID * GRID)), dtype=np.uint8)
-    state = fresh()
-    state.cells[r0:r0 + GRID, c0:c0 + GRID] = window.reshape(GRID, GRID)
-    grid = state.cells.copy()
-    trace = []
-    res = execute(program, state, strict=strict, trace=trace.append)
-    cells, readout, compute, init, steps, model_trace = model_run(program, grid, strict)
-    assert state.cells.tolist() == cells
-    assert res.readout == readout
-    assert (res.compute_cycles, res.init_cycles) == (compute, init)
-    assert {k: [v.compute, v.init] for k, v in res.steps.items()} == steps
-    assert [" ".join(line.split(" ", 2)[:2]) for line in trace] == model_trace
+    grid = fresh().cells
+    grid[r0:r0 + GRID, c0:c0 + GRID] = window.reshape(GRID, GRID)
+    cells, readout, compute, init, steps, model_trace, failed = model_run(program, grid, strict)
+    interpreted = run_program(program, grid, strict)
+    for got, res, err, trace in (interpreted, run_program(with_block(program, 0), grid, strict),
+                                 run_program(with_block(program, cut), grid, strict)):
+        assert got == cells
+        assert [" ".join(line.split(" ", 2)[:2]) for line in trace] == model_trace
+        assert trace == interpreted[3]
+        if failed is None:
+            assert err is None
+            assert res.readout == readout
+            assert (res.compute_cycles, res.init_cycles) == (compute, init)
+            assert {k: [v.compute, v.init] for k, v in res.steps.items()} == steps
+        else:
+            assert res is None
+            assert err.op_index == failed
+            assert err.violations == ["output not initialized"]
+            assert str(err) == str(interpreted[2])
+
+
+def test_block_fails_in_its_second_chunk():
+    # 101 ops, more than one compiled chunk, after one interpreted op; the
+    # gate at block index 80 finds its output column at 0
+    rng = np.random.default_rng(5)
+    grid = rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
+    grid[:, 120] = 0
+    ops = []
+    for k in range(50):
+        lines = range(k, k + 20)
+        ops += [Init(((lines, (150 + k,)),)), NorRow((k, k + 1), 150 + k, lines)]
+    ops.insert(80, NorRow((3,), 120, range(0, 10)))
+    head = WriteExternal(((0, 0),), (1,))
+    pb = ProgramBuilder()
+    pb.ops.append(head)
+    pb.include(Block(ops))
+    block = pb.build()
+    plain = MicroProgram([head] + ops)
+    for strict in (True, False):
+        want, want_res, want_err, want_trace = run_program(plain, grid, strict)
+        got, res, err, trace = run_program(block, grid, strict)
+        assert got == want
+        assert trace == want_trace
+        if strict:
+            assert want_err.op_index == err.op_index == 81
+            assert str(err) == str(want_err)
+            assert len(trace) == 81
+        else:
+            assert err is None and len(trace) == len(plain.ops)
+            assert (res.readout, res.compute_cycles, res.init_cycles) == \
+                   (want_res.readout, want_res.compute_cycles, want_res.init_cycles)

@@ -359,6 +359,19 @@ class TestCli:
         assert main(["validate", "--trials", "40", "--seed", "1"]) == 0
         assert "0 mismatches" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags,name", [
+        (["--trials", "-3"], "trials"),
+        (["--trials", "0"], "trials"),
+        (["--trials", "5", "--eths", "5,200"], "eths"),
+        (["--trials", "5", "--eths", "-1"], "eths"),
+    ])
+    def test_validate_bad_argument_exits_1_before_any_trial(self, monkeypatch, capsys, flags, name):
+        monkeypatch.setattr("pimfilter.genome.run_filter",
+                            lambda *a, **k: pytest.fail("a trial ran"))
+        assert main(["validate"] + flags) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith(f"error: {name} must be ") and out.out == ""
+
     def test_model_table_numbers(self, capsys):
         assert main(["model"]) == 0
         out = capsys.readouterr().out

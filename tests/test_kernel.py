@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 import random
 
@@ -205,15 +207,40 @@ class TestSharedBody:
         assert all(a is b for a, b in zip(shared, body_ops(second)))
 
         execute(first, CrossbarState())
-        lowered = []
-        real_lower = crossbar._lower
+        lowered, compiled = [], []
+        real_lower, real_compile = crossbar._lower, crossbar._compile
         monkeypatch.setattr(crossbar, "_lower",
                             lambda op: lowered.append(op) or real_lower(op))
+        monkeypatch.setattr(crossbar, "_compile",
+                            lambda *args: compiled.append(args) or real_compile(*args))
         execute(second, CrossbarState())
         first_ids = {id(op) for op in first.ops}
         fresh = [op for op in second.ops if id(op) not in first_ids]
         assert [id(op) for op in lowered] == [id(op) for op in fresh]
         assert len(lowered) == unshared
+        assert compiled == []
+
+        # _lower_program reads the ops outside blocks one by one; it checks
+        # each block's ops as one slice and adds its cached cycle sums
+        visited = []
+
+        class Recording(list):
+            def __getitem__(self, i):
+                if isinstance(i, int):
+                    visited.append(i)
+                return super().__getitem__(i)
+
+        crossbar._lower_program(dataclasses.replace(second, ops=Recording(second.ops)))
+        in_blocks = {i for start, block in second.blocks for i in range(start, start + len(block.ops))}
+        assert visited == [i for i in range(len(second.ops)) if i not in in_blocks]
+        assert len(visited) == unshared
+
+    def test_edited_program_is_rejected(self):
+        prog = build_program(plan_layout(100), 250, oracle.BaseCounts(100, 0, 0, 0))
+        start, block = prog.blocks[3]
+        prog.ops[start + 5] = copy.copy(prog.ops[start + 5])
+        with pytest.raises(ValueError, match="do not hold the block"):
+            execute(prog, CrossbarState())
 
 
 class TestDecisions:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -46,6 +47,17 @@ class TestHistogram:
     def test_rejects_invalid_letter(self):
         with pytest.raises(ValueError, match="position 2"):
             histogram("ACNT")
+
+    @given(st.text(alphabet="ACGTacgtNU-", max_size=40))
+    def test_matches_counter_model(self, seq):
+        bad = [(i, ch) for i, ch in enumerate(seq) if ch not in "ATGC"]
+        if bad:
+            i, ch = bad[0]
+            with pytest.raises(ValueError, match=f"^invalid base {ch!r} at position {i}$"):
+                histogram(seq)
+        else:
+            counts = Counter(seq)
+            assert histogram(seq) == BaseCounts(*(counts[b] for b in "ATGC"))
 
     @given(seqs)
     def test_total_is_length(self, seq):
