@@ -27,6 +27,7 @@ _COL_BYTES = ROWS // 8  # one packed grid column
 # one step span per function raised peak RSS by 7.5 MB (CPython 3.11,
 # x86-64), against 2.1 MB with 64-op chunks, which ran no slower.
 _CHUNK_OPS = 64
+_BITS = frozenset((0, 1))
 
 
 def _axis(spec):
@@ -133,17 +134,23 @@ class Block:
     """A run of ops that many programs share, added with ProgramBuilder.include.
 
     The ops are checked, lowered and cycle-counted once, when the first
-    program holding them is lowered, and compiled once per strict mode,
-    on the first run in that mode, into straight-line functions of at
-    most _CHUNK_OPS ops each (see _compile). execute runs those functions
-    in place of interpreting the ops; the interpreter stays the reference
-    they are tested against.
+    program holding them is lowered (Block.cycles). The same pass proves
+    the block init-dominated when every gate output is set by an Init
+    inside the block, with no write since (_init_dominated); strict mode
+    then cannot fail inside it. A block is compiled once per effective
+    mode, on its first run in that mode, into straight-line functions of
+    at most _CHUNK_OPS ops each (see _compile): a proved block runs the
+    non-checking code in both modes, so both share one compiled form,
+    while an unproved one keeps the checking code in strict mode. execute
+    runs those functions in place of interpreting the ops; the
+    interpreter stays the reference they are tested against.
     """
 
     def __init__(self, ops):
         self.ops = tuple(ops)
+        self.proved = False  # set when the ops are lowered
         self._cycles = None  # prefix sums of compute and init cycles
-        self._chunks = {}    # strict -> compiled functions
+        self._chunks = {}    # checking -> compiled functions
 
     def cycles(self, start):
         """Prefix sums (compute, init) over the ops, lowering them first.
@@ -154,6 +161,7 @@ class Block:
         if self._cycles is None:
             for j, op in enumerate(self.ops):
                 _lowered(op, start + j)
+            self.proved = _init_dominated(self.ops)
             self._cycles = (tuple(accumulate((op.cycles for op in self.ops), initial=0)),
                             tuple(accumulate((op.__class__ is Init for op in self.ops), initial=0)))
         return self._cycles
@@ -162,11 +170,11 @@ class Block:
         """Run the lowered ops on the column grid g, appending read bits to
         readout. Returns the index of the strict gate that found an
         uninitialized output, with no cell of it switched, or None."""
-        strict = bool(strict)
-        chunks = self._chunks.get(strict)
+        checking = bool(strict) and not self.proved
+        chunks = self._chunks.get(checking)
         if chunks is None:
-            chunks = self._chunks[strict] = [
-                _compile(self.ops[i:i + _CHUNK_OPS], i, strict)
+            chunks = self._chunks[checking] = [
+                _compile(self.ops[i:i + _CHUNK_OPS], i, checking)
                 for i in range(0, len(self.ops), _CHUNK_OPS)]
         append = readout.append
         for chunk in chunks:
@@ -225,6 +233,12 @@ class ProgramBuilder:
             self._spans.append((self._open_label, self._open_start, len(self.ops)))
             self._open_label = None
 
+    def annotate(self, label, start):
+        """Label ops[start:] as one step span: a step without a with-block."""
+        if self._open_label is not None:
+            raise RuntimeError("step annotations cannot nest")
+        self._spans.append((label, start, len(self.ops)))
+
     def init(self, *regions):
         self.ops.append(Init(tuple((r, c) for r, c in regions)))
 
@@ -235,7 +249,7 @@ class ProgramBuilder:
         self.ops.append(NorCol(tuple(input_rows), int(output_row), cols))
 
     def write(self, cells, bits):
-        self.ops.append(WriteExternal(tuple(cells), tuple(int(b) for b in bits)))
+        self.ops.append(WriteExternal(tuple(cells), tuple(map(int, bits))))
 
     def read(self, row, col):
         self.ops.append(ReadCell(int(row), int(col)))
@@ -254,29 +268,68 @@ class ProgramBuilder:
 
 
 class CrossbarState:
-    """Cell grid of one ROWS x COLS crossbar."""
+    """Cell grid of one ROWS x COLS crossbar, held packed.
+
+    `cols` is a list of COLS Python ints in which bit r of cols[c] is
+    cell (r, c); execute runs programs on it in place. `cells` reads a
+    read-only numpy snapshot of the grid, and assigning a ROWS x COLS
+    grid of 0s and 1s to it loads the whole array.
+    """
 
     def __init__(self):
-        self.cells = np.zeros((ROWS, COLS), dtype=np.uint8)
+        self.cols = [0] * COLS
+
+    @property
+    def cells(self):
+        packed = np.frombuffer(b"".join(v.to_bytes(_COL_BYTES, "little") for v in self.cols),
+                               np.uint8)
+        grid = np.unpackbits(packed, bitorder="little").reshape(COLS, ROWS).T
+        grid.flags.writeable = False
+        return grid
+
+    @cells.setter
+    def cells(self, grid):
+        grid = np.asarray(grid)
+        if grid.shape != (ROWS, COLS) or ((grid != 0) & (grid != 1)).any():
+            raise ValueError(f"a grid must be {ROWS}x{COLS} cells of 0 or 1")
+        packed = np.packbits(grid.T.astype(np.uint8), axis=1, bitorder="little").tobytes()
+        self.cols[:] = [int.from_bytes(packed[i:i + _COL_BYTES], "little")
+                        for i in range(0, len(packed), _COL_BYTES)]
 
     # Host-side accessors. These model pre-stored data (no cycle cost);
     # cycle-counted writes go through the WriteExternal micro-op.
     def set_bits(self, cells, bits):
-        for (r, c), b in zip(cells, bits):
+        cols = self.cols
+        for cell, b in zip(cells, bits):
             if b not in (0, 1):
                 raise ValueError(f"cell value must be 0 or 1, got {b}")
-            self.cells[r, c] = b
+            r, c = _cell(cell)
+            if b:
+                cols[c] |= 1 << r
+            else:
+                cols[c] &= ~(1 << r)
 
     def get_bits(self, cells):
-        return [int(self.cells[r, c]) for r, c in cells]
+        cols = self.cols
+        return [cols[c] >> r & 1 for r, c in map(_cell, cells)]
 
     def write_value(self, cells, value):
         """Store an unsigned integer little-endian across `cells`."""
+        if not 0 <= value < 1 << len(cells):
+            raise ValueError(f"{value} does not fit in {len(cells)} cells")
         self.set_bits(cells, [(value >> i) & 1 for i in range(len(cells))])
 
     def read_value(self, cells):
         """Read cells as a little-endian unsigned integer."""
-        return sum(int(self.cells[r, c]) << i for i, (r, c) in enumerate(cells))
+        return sum(b << i for i, b in enumerate(self.get_bits(cells)))
+
+
+def _cell(cell):
+    """(row, col) of a cell; IndexError if it is outside the array."""
+    r, c = cell
+    if not (0 <= r < ROWS and 0 <= c < COLS):
+        raise IndexError(f"cell ({r}, {c}) is outside the {ROWS}x{COLS} array")
+    return r, c
 
 
 @dataclass
@@ -295,6 +348,39 @@ class ExecResult:
     steps: dict
 
 
+def _members(spec, what, bound, bad):
+    """Members of an axis spec; an empty set or one outside 0..bound-1
+    appends its violation to bad. A range is bounded by its two ends."""
+    m = _axis(spec)
+    if not m:
+        bad.append(f"empty {what} set")
+    elif m.__class__ is range:
+        lo, hi = (m[0], m[-1]) if m.step > 0 else (m[-1], m[0])
+        if lo < 0 or hi >= bound:
+            bad.append(f"{what} out of bounds")
+    elif min(m) < 0 or max(m) >= bound:
+        bad.append(f"{what} out of bounds")
+    return m
+
+
+def _mask(m):
+    """Bitmask of in-bounds lines: a unit-step range in one shift, any
+    other set line by line (a repeated line sets its bit once)."""
+    if m.__class__ is range and m.step == 1:
+        return ((1 << len(m)) - 1) << m.start
+    return sum(1 << r for r in set(m))
+
+
+def _gate_checks(ins, out, what, bound, bad):
+    if len(ins) == 0:
+        bad.append("empty input set")
+    if out in ins:
+        bad.append("output among inputs")
+    _members(ins, what, bound, bad)
+    if not 0 <= out < bound:
+        bad.append(f"{what} out of bounds")
+
+
 def _lower(op):
     """Check one op against the crossbar and lower it to bitmask form.
 
@@ -311,57 +397,48 @@ def _lower(op):
     - NorCol: (input_row_mask, output_row_bit, cols);
     - WriteExternal: one (col, row_bit, bit) triple per cell;
     - ReadCell: (col, row_bit).
+
+    The cost does not grow with the row count of a unit-step range: its
+    bounds come from its ends and its mask from one shift.
     """
-    row, col = ("row", ROWS), ("column", COLS)
     bad = []
-
-    def members(spec, axis):
-        what, bound = axis
-        m = _axis(spec)
-        if len(m) == 0:
-            bad.append(f"empty {what} set")
-        elif min(m) < 0 or max(m) >= bound:
-            bad.append(f"{what} out of bounds")
-        return m
-
-    def mask(m):
-        return sum(1 << r for r in set(m))
-
     if isinstance(op, Init):
         if not op.regions:
             bad.append("empty cell set")
-        regions = [(members(r, row), members(c, col)) for r, c in op.regions]
+        regions = [(_members(r, "row", ROWS, bad), _members(c, "column", COLS, bad))
+                   for r, c in op.regions]
         if not bad:
-            op._c = tuple((c, mask(r)) for r, c in regions)
-    elif isinstance(op, (NorRow, NorCol)):
-        if isinstance(op, NorRow):
-            ins, out, lines, gate, line = op.input_cols, op.output_col, op.rows, col, row
-        else:
-            ins, out, lines, gate, line = op.input_rows, op.output_row, op.cols, row, col
-        if len(ins) == 0:
-            bad.append("empty input set")
-        if out in ins:
-            bad.append("output among inputs")
-        members(ins, gate)
-        members((out,), gate)
-        m = members(lines, line)
+            op._c = tuple([(c, _mask(r)) for r, c in regions])
+    elif isinstance(op, NorRow):
+        _gate_checks(op.input_cols, op.output_col, "column", COLS, bad)
+        rows = _members(op.rows, "row", ROWS, bad)
         if not bad:
-            op._c = (ins, out, mask(m)) if gate is col else (mask(ins), 1 << out, m)
+            op._c = (op.input_cols, op.output_col, _mask(rows))
+    elif isinstance(op, NorCol):
+        _gate_checks(op.input_rows, op.output_row, "row", ROWS, bad)
+        cols = _members(op.cols, "column", COLS, bad)
+        if not bad:
+            op._c = (_mask(op.input_rows), 1 << op.output_row, cols)
     elif isinstance(op, WriteExternal):
-        if len(op.cells) == 0:
+        cells, bits = op.cells, op.bits
+        if len(cells) == 0:
             bad.append("empty cell set")
-        if len(op.cells) != len(op.bits):
+        if len(cells) != len(bits):
             bad.append("bit count does not match cell count")
-        if any(b not in (0, 1) for b in op.bits):
+        if not _BITS.issuperset(bits):
             bad.append("bits must be 0 or 1")
-        for r, c in op.cells:
-            members((r,), row)
-            members((c,), col)
+        for r, c in cells:
+            if not 0 <= r < ROWS:
+                bad.append("row out of bounds")
+            if not 0 <= c < COLS:
+                bad.append("column out of bounds")
         if not bad:
-            op._c = tuple((c, 1 << r, b) for (r, c), b in zip(op.cells, op.bits))
+            op._c = tuple([(c, 1 << r, b) for (r, c), b in zip(cells, bits)])
     elif isinstance(op, ReadCell):
-        members((op.row,), row)
-        members((op.col,), col)
+        if not 0 <= op.row < ROWS:
+            bad.append("row out of bounds")
+        if not 0 <= op.col < COLS:
+            bad.append("column out of bounds")
         if not bad:
             op._c = (op.col, 1 << op.row)
     else:
@@ -402,7 +479,7 @@ def _lower_program(program):
     for start, block in blocks:
         stop = start + len(block.ops)
         # ops compare by identity (eq=False), so this is an identity check
-        if start < pos or tuple(ops[start:stop]) != block.ops:
+        if start < pos or ops[start:stop] != list(block.ops):
             raise ValueError(f"ops {start}:{stop} do not hold the block included there")
         pos = stop
     steps = {}
@@ -432,15 +509,50 @@ def _lower_program(program):
     return compute, init, steps
 
 
-def _compile(ops, first, strict):
+def _init_dominated(ops):
+    """True if every gate output of the lowered ops is a cell that an Init
+    among them set to 1 with no write since, so that a strict run cannot
+    fail inside them, whatever the grid held before.
+
+    Tracks, per column, the row mask of such cells: an Init adds its
+    mask, a gate needs its whole output mask in the set and then takes it
+    out, and a WriteExternal takes out its cells.
+    """
+    ready = [0] * COLS
+    for op in ops:
+        cls = op.__class__
+        lowered = op._c
+        if cls is NorRow:
+            ins, out, rows = lowered
+            if ready[out] & rows != rows:
+                return False
+            ready[out] &= ~rows
+        elif cls is NorCol:
+            ins, out, cols = lowered
+            if not all(ready[k] & out for k in cols):
+                return False
+            for k in cols:
+                ready[k] &= ~out
+        elif cls is Init:
+            for cols, rows in lowered:
+                for k in cols:
+                    ready[k] |= rows
+        elif cls is WriteExternal:
+            for k, bit, b in lowered:
+                ready[k] &= ~bit
+    return True
+
+
+def _compile(ops, first, checking):
     """Compile lowered ops, numbered from `first` in their block, into one
     straight-line function chunk(g, append).
 
     The code is built from the same lowered forms as _interpret. Each
-    column the ops touch is a local and each mask a constant. A strict
-    gate tests its whole output mask first and, finding a 0, leaves the
-    loop around the code before it switches any cell; the chunk then
-    writes back the columns it wrote and returns the gate's block index.
+    column the ops touch is a local and each mask a constant. With
+    `checking` (strict mode), a gate tests its whole output mask first
+    and, finding a 0, leaves the loop around the code before it switches
+    any cell; the chunk then writes back the columns it wrote and
+    returns the gate's block index.
     (A return inside try/finally would copy the write-back to every gate.)
     """
     lines, touched, written = [], {}, {}
@@ -458,13 +570,13 @@ def _compile(ops, first, strict):
             ins, out, rows = lowered
             acc = " | ".join(col(k) for k in ins)
             v = col(out, True)
-            if strict:
+            if checking:
                 lines.append(f"if {v} & {rows} != {rows}: failed = {j}; break")
             lines.append(f"{v} &= ~(({acc}) & {rows})")
         elif cls is NorCol:
             ins, out, cols = lowered
             cols = [col(k, True) for k in dict.fromkeys(cols)]
-            if strict:
+            if checking:
                 lines.append(f"if not {' & '.join(cols)} & {out}: failed = {j}; break")
             lines.extend(f"if {v} & {ins}: {v} &= {~out}" for v in cols)
         elif cls is Init:
@@ -550,44 +662,38 @@ def execute(program, state, strict=True, trace=None):
 
     Every op is checked and lowered before the first one runs, so an
     addressing, aliasing or shape violation aborts with the state
-    untouched. The ops then run on a grid of COLS Python ints, where bit
-    r of column c is cell (r, c): state.cells is packed into it once on
-    entry and written back once on exit, error or not. The program's
-    blocks run as their compiled code (Block.run) and every other op
-    through the interpreter (_interpret); both give the same cells,
-    readout, errors and trace. A NorRow is one bitwise expression over
-    its whole row mask; a NorCol is one per column. Both modes evaluate
-    a NOR by conditional switching: output <- output AND NOR(inputs).
-    Strict mode adds the precondition that every output cell of a gate
-    holds 1, checked before the gate switches any cell, and aborts at
-    the first gate that finds a 0.
+    untouched. The ops then run in place on state.cols, the packed grid
+    of COLS Python ints where bit r of column c is cell (r, c). The
+    program's blocks run as their compiled code (Block.run) and every
+    other op through the interpreter (_interpret); both give the same
+    cells, readout, errors and trace. A NorRow is one bitwise expression
+    over its whole row mask; a NorCol is one per column. Both modes
+    evaluate a NOR by conditional switching: output <- output AND
+    NOR(inputs). Strict mode adds the precondition that every output
+    cell of a gate holds 1, checked before the gate switches any cell,
+    and aborts at the first gate that finds a 0, leaving the cells the
+    ops before it wrote. A block proved init-dominated cannot fail that
+    check, so it runs without it.
 
     :param trace: optional callable receiving one line per op run,
         formatted `cycle_kind cycle_index op_descriptor`.
     :return: ExecResult with read-out bits and the cycle report.
     """
     compute, init, steps = _lower_program(program)
-    packed = np.packbits(state.cells.T.copy(), bitorder="little").tobytes()
-    g = [int.from_bytes(packed[i:i + _COL_BYTES], "little")
-         for i in range(0, len(packed), _COL_BYTES)]
+    g = state.cols
     ops = program.ops
     readout = []
     emit = None if trace is None else _tracer(trace)
-    try:
-        pos = 0
-        for start, block in program.blocks:
-            _interpret(ops, pos, start, g, readout, strict, emit)
-            failed = block.run(g, readout, strict)
-            if emit is not None:
-                emit(block.ops[:failed])
-            if failed is not None:
-                raise MicroOpError(start + failed, block.ops[failed], ["output not initialized"])
-            pos = start + len(block.ops)
-        _interpret(ops, pos, len(ops), g, readout, strict, emit)
-    finally:
-        packed = np.frombuffer(b"".join(v.to_bytes(_COL_BYTES, "little") for v in g), np.uint8)
-        state.cells[:] = np.unpackbits(packed, bitorder="little").reshape(COLS, ROWS).T
-
+    pos = 0
+    for start, block in program.blocks:
+        _interpret(ops, pos, start, g, readout, strict, emit)
+        failed = block.run(g, readout, strict)
+        if emit is not None:
+            emit(block.ops[:failed])
+        if failed is not None:
+            raise MicroOpError(start + failed, block.ops[failed], ["output not initialized"])
+        pos = start + len(block.ops)
+    _interpret(ops, pos, len(ops), g, readout, strict, emit)
     return ExecResult(readout, compute, init, steps)
 
 

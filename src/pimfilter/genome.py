@@ -33,6 +33,7 @@ BYTES_PER_LOCATION = 13  # 60 bits in, 33 bits out, rounded up per direction
 # Two-bit code of each byte value, first bit high; 4 marks a non-base.
 _CODES = np.full(256, 4, np.uint8)
 _CODES[[ord(b) for b in BASE_CODES]] = [2 * a + b for a, b in BASE_CODES.values()]
+_ABOVE_SLICE = -1 << FRAGMENT_ROWS  # rows past the genome slice, kept by load_tile
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,8 @@ def load_tile(state, layout, genome, tile, eth):
 
     Base i of the tile is the bit pair in row i % 100, columns
     2 * (i // 100) and the next one; a short final tile is zero padded.
+    The genome columns are packed straight into state.cols, and their
+    rows past the slice keep what they held.
     """
     seq = genome[tile.start:tile.start + tile.length]
     codes = _CODES[np.frombuffer(seq.encode(), np.uint8)]
@@ -86,8 +89,14 @@ def load_tile(state, layout, genome, tile, eth):
         encode_base(next(b for b in seq if b not in BASE_CODES))
     pairs = np.zeros((TILE_SPAN, 2), np.uint8)
     pairs[:tile.length] = codes[:, None] >> np.array((1, 0), np.uint8) & 1
-    state.cells[:FRAGMENT_ROWS, :layout.genome_cols] = \
-        pairs.reshape(-1, FRAGMENT_ROWS, 2).transpose(1, 0, 2).reshape(FRAGMENT_ROWS, -1)
+    # one line of 100 row bits per genome column, packed 13 bytes a column
+    lines = pairs.reshape(-1, FRAGMENT_ROWS, 2).transpose(0, 2, 1).reshape(layout.genome_cols, -1)
+    packed = np.packbits(lines, axis=1, bitorder="little").tobytes()
+    width = len(packed) // layout.genome_cols
+    cols = state.cols
+    for c in range(layout.genome_cols):
+        fresh = int.from_bytes(packed[c * width:(c + 1) * width], "little")
+        cols[c] = cols[c] & _ABOVE_SLICE | fresh
     store_threshold(state, layout, eth)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .oracle import BASES, edit_distance
 
 MAX_POSITION = 2**32 - 1
+_DROP_ACGT = str.maketrans("", "", "ACGT")  # what is left is not a base
 
 
 @dataclass
@@ -113,7 +114,8 @@ def parse_fasta(stream):
 
     Multi-record files concatenate in order into one sequence; header
     lines only separate records, and no record boundary is kept. Any
-    letter outside ACGT fails with its line and column.
+    letter outside ACGT fails with its line and column. Each line is
+    checked in one call; only a failing line is scanned letter by letter.
     """
     parts = []
     for lineno, raw in enumerate(stream, start=1):
@@ -121,9 +123,9 @@ def parse_fasta(stream):
         if not line or line.startswith(">"):
             continue
         seq = line.upper()
-        for col, ch in enumerate(seq, start=1):
-            if ch not in "ACGT":
-                raise FastaError(f"invalid base {ch!r}", lineno, col)
+        if seq.translate(_DROP_ACGT):
+            col, ch = next((col, ch) for col, ch in enumerate(seq, start=1) if ch not in "ACGT")
+            raise FastaError(f"invalid base {ch!r}", lineno, col)
         parts.append(seq)
     if not parts:
         raise FastaError("no sequence data")
@@ -169,7 +171,7 @@ def parse_candidates(stream, read_length=100):
         if len(seq) != read_length:
             raise CandidateError(
                 f"read length {len(seq)} != {read_length}", lineno)
-        if any(ch not in "ACGT" for ch in seq):
+        if seq.translate(_DROP_ACGT):
             raise CandidateError("read has a non-ACGT base", lineno)
         out.append(CandidateRecord(read_id, seq, position))
     return out

@@ -212,10 +212,11 @@ def build_program(layout, offset, counts):
     # base's step-4 span.
     zero_bases = iter(BASES)
     for label, block in _body(n):
-        with pb.step(label):
-            if label == "4" and n < FRAGMENT_ROWS:
-                _zero_match_rows(pb, L, next(zero_bases), ranges)
-            pb.include(block)
+        start = len(pb.ops)
+        if label == "4" and n < FRAGMENT_ROWS:
+            _zero_match_rows(pb, L, next(zero_bases), ranges)
+        pb.include(block)
+        pb.annotate(label, start)
     return pb.build()
 
 

@@ -19,6 +19,7 @@ from pimfilter.crossbar import (
     ProgramBuilder,
     ReadCell,
     WriteExternal,
+    _lower,
     execute,
     taint_violations,
 )
@@ -40,7 +41,7 @@ class TestValidate:
 
     def test_ok_when_output_initialized(self):
         s = fresh()
-        s.cells[0, 5] = 1
+        s.set_bits([(0, 5)], [1])
         assert run_op(NorRow((3, 4), 5, (0,)), s).compute_cycles == 1
 
     def test_row_out_of_bounds(self):
@@ -75,7 +76,7 @@ class TestExecute:
 
     def test_nor_with_high_input(self):
         s = fresh()
-        s.cells[0, 3] = 1
+        s.set_bits([(0, 3)], [1])
         pb = ProgramBuilder()
         pb.init(((0,), (5,)))
         pb.nor_row((3, 4), 5, (0,))
@@ -140,8 +141,8 @@ class TestExecute:
         if strict:
             grid[members, out] = 1
         row, col = fresh(), fresh()
-        row.cells[:, :128] = grid
-        col.cells[:, :128] = grid.T
+        row.cells = np.pad(grid, ((0, 0), (0, COLS - 128)))
+        col.cells = np.pad(grid.T, ((0, 0), (0, COLS - 128)))
         execute(MicroProgram([NorRow(ins, out, lines)]), row, strict=strict)
         execute(MicroProgram([NorCol(ins, out, lines)]), col, strict=strict)
         want = 1 - grid[np.ix_(members, ins)].any(axis=1)
@@ -155,7 +156,7 @@ class TestExecute:
         # cells not addressed by an op are unchanged
         s = fresh()
         rng = np.random.default_rng(0)
-        s.cells[:] = rng.integers(0, 2, size=s.cells.shape, dtype=np.uint8)
+        s.cells = rng.integers(0, 2, size=s.cells.shape, dtype=np.uint8)
         before = s.cells.copy()
         pb = ProgramBuilder()
         pb.init((range(10, 20), (5,)))
@@ -170,7 +171,7 @@ class TestExecute:
     def test_replay_is_deterministic(self):
         rng = np.random.default_rng(1)
         base = fresh()
-        base.cells[:] = rng.integers(0, 2, size=base.cells.shape, dtype=np.uint8)
+        base.cells = rng.integers(0, 2, size=base.cells.shape, dtype=np.uint8)
         pb = ProgramBuilder()
         pb.init((range(0, 50), (10, 11, 12)))
         pb.nor_row((0, 1), 10, range(0, 50))
@@ -179,8 +180,8 @@ class TestExecute:
         pb.read(60, 60)
         prog = pb.build()
         s1, s2 = fresh(), fresh()
-        s1.cells[:] = base.cells
-        s2.cells[:] = base.cells
+        s1.cells = base.cells
+        s2.cells = base.cells
         r1, r2 = execute(prog, s1), execute(prog, s2)
         assert (s1.cells == s2.cells).all()
         assert (r1.readout, r1.compute_cycles, r1.init_cycles) == \
@@ -198,9 +199,11 @@ class TestExecute:
     def test_strict_failure_switches_no_cell(self, gate, lines):
         # a gate checks its whole output set before it switches any cell
         s = fresh()
-        grid = s.cells if gate is NorRow else s.cells.T
+        cells = np.zeros((ROWS, COLS), np.uint8)
+        grid = cells if gate is NorRow else cells.T
         grid[list(lines), 3] = 1        # every line's NOR gives 0
         grid[list(lines[:-1]), 5] = 1   # each output but the last holds 1
+        s.cells = cells
         before = s.cells.copy()
         with pytest.raises(MicroOpError, match="not initialized"):
             run_op(gate((3, 4), 5, lines), s)
@@ -209,14 +212,13 @@ class TestExecute:
     def test_permissive_masks_output(self):
         # output <- old AND NOR(inputs): a 0 output can never flip back to 1
         s = fresh()
-        s.cells[0, 3] = 0
-        s.cells[0, 5] = 0
+        s.set_bits([(0, 3), (0, 5)], [0, 0])
         pb = ProgramBuilder()
         pb.nor_row((3,), 5, (0,))
         execute(pb.build(), s, strict=False)
         assert s.cells[0, 5] == 0  # NOR says 1, stale 0 wins
 
-        s.cells[1, 5] = 1
+        s.set_bits([(1, 5)], [1])
         pb = ProgramBuilder()
         pb.nor_row((3,), 5, (1,))
         execute(pb.build(), s, strict=False)
@@ -240,7 +242,7 @@ class TestExecute:
 
     def test_bad_last_op_aborts_before_any_op_runs(self):
         s = fresh()
-        s.cells[:] = np.random.default_rng(2).integers(0, 2, size=s.cells.shape, dtype=np.uint8)
+        s.cells = np.random.default_rng(2).integers(0, 2, size=s.cells.shape, dtype=np.uint8)
         before = s.cells.copy()
         pb = ProgramBuilder()
         pb.init((range(0, 20), (5,)))
@@ -258,8 +260,7 @@ class TestExecute:
         # a gate acts on a set of lines: a repeated line must not see its
         # own output as an uninitialized cell
         s = fresh()
-        s.cells[:9, 3] = 1
-        s.cells[:9, 5] = 1
+        s.set_bits([(r, c) for r in range(9) for c in (3, 5)], [1] * 18)
         execute(MicroProgram([NorRow((3,), 5, lines)]), s, strict=True)
         assert not s.cells[sorted(set(lines)), 5].any()
 
@@ -459,7 +460,7 @@ def origins(size):
 def run_program(program, grid, strict):
     """execute on a copy of grid: (cells, ExecResult or None, MicroOpError or None, trace)."""
     state = fresh()
-    state.cells[:] = grid
+    state.cells = grid
     trace = []
     try:
         res, err = execute(program, state, strict=strict, trace=trace.append), None
@@ -487,11 +488,12 @@ def test_execute_matches_cell_model(strict, data):
     cut = data.draw(st.integers(0, len(program.ops) - 1))
     window = np.array(data.draw(st.lists(st.integers(0, 1), min_size=GRID * GRID,
                                          max_size=GRID * GRID)), dtype=np.uint8)
-    grid = fresh().cells
+    grid = np.zeros((ROWS, COLS), np.uint8)
     grid[r0:r0 + GRID, c0:c0 + GRID] = window.reshape(GRID, GRID)
     cells, readout, compute, init, steps, model_trace, failed = model_run(program, grid, strict)
     interpreted = run_program(program, grid, strict)
-    for got, res, err, trace in (interpreted, run_program(with_block(program, 0), grid, strict),
+    whole = with_block(program, 0)
+    for got, res, err, trace in (interpreted, run_program(whole, grid, strict),
                                  run_program(with_block(program, cut), grid, strict)):
         assert got == cells
         assert [" ".join(line.split(" ", 2)[:2]) for line in trace] == model_trace
@@ -506,6 +508,20 @@ def test_execute_matches_cell_model(strict, data):
             assert err.op_index == failed
             assert err.violations == ["output not initialized"]
             assert str(err) == str(interpreted[2])
+
+    # a block proved init-dominated cannot fail in strict mode, whatever
+    # the grid held: both modes run it alike and match the cell model
+    if whole.blocks[0][1].proved:
+        model = model_run(program, grid, False)
+        assert model_run(program, grid, True) == model
+        runs = [run_program(whole, grid, mode) for mode in (True, False)]
+        for got, res, err, trace in runs:
+            assert err is None
+            assert got == model[0]
+            assert (res.readout, res.compute_cycles, res.init_cycles) == model[1:4]
+            assert {k: [v.compute, v.init] for k, v in res.steps.items()} == model[4]
+            assert [" ".join(line.split(" ", 2)[:2]) for line in trace] == model[5]
+        assert runs[0][3] == runs[1][3]
 
 
 def test_block_fails_in_its_second_chunk():
@@ -525,6 +541,8 @@ def test_block_fails_in_its_second_chunk():
     pb.include(Block(ops))
     block = pb.build()
     plain = MicroProgram([head] + ops)
+    block.blocks[0][1].cycles(1)
+    assert not block.blocks[0][1].proved
     for strict in (True, False):
         want, want_res, want_err, want_trace = run_program(plain, grid, strict)
         got, res, err, trace = run_program(block, grid, strict)
@@ -538,3 +556,130 @@ def test_block_fails_in_its_second_chunk():
             assert err is None and len(trace) == len(plain.ops)
             assert (res.readout, res.compute_cycles, res.init_cycles) == \
                    (want_res.readout, want_res.compute_cycles, want_res.init_cycles)
+
+
+class TestInitDominance:
+    @pytest.mark.parametrize("ops,proved", [
+        ([Init((((0, 1), (5,)),)), NorRow((3,), 5, (0, 1))], True),
+        ([Init((((7,), (0, 1)),)), NorCol((3,), 7, (0, 1))], True),
+        # a read switches no cell
+        ([Init((((0,), (5,)),)), ReadCell(0, 5), NorRow((3,), 5, (0,))], True),
+        # no Init, or one that misses an output line
+        ([NorRow((3,), 5, (0,))], False),
+        ([Init((((0,), (5,)),)), NorRow((3,), 5, (0, 1))], False),
+        ([Init((((7,), (0,)),)), NorCol((3,), 7, (0, 1))], False),
+        # the output was written since its Init, by the host or a gate
+        ([Init((((0,), (5,)),)), WriteExternal(((0, 5),), (1,)), NorRow((3,), 5, (0,))], False),
+        ([Init((((0,), (5,)),)), NorRow((3,), 5, (0,)), NorRow((4,), 5, (0,))], False),
+        ([Init((((7,), (0,)),)), NorCol((3,), 7, (0,)), NorCol((4,), 7, (0,))], False),
+    ])
+    def test_block_proof(self, ops, proved):
+        block = Block(ops)
+        block.cycles(0)
+        assert block.proved is proved
+
+    def test_proved_block_compiles_once_for_both_modes(self):
+        block = Block([Init((((0,), (5,)),)), NorRow((3,), 5, (0,))])
+        pb = ProgramBuilder()
+        pb.include(block)
+        prog = pb.build()
+        for strict in (True, False):
+            execute(prog, fresh(), strict=strict)
+        assert block.proved and list(block._chunks) == [False]
+
+
+class TestState:
+    def test_cells_round_trip(self):
+        grid = np.random.default_rng(4).integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
+        s = fresh()
+        s.cells = grid
+        assert (s.cells == grid).all()
+        assert [s.cols[c] >> r & 1 for r, c in ((0, 0), (127, 255), (64, 3))] == \
+               [grid[0, 0], grid[127, 255], grid[64, 3]]
+        again = fresh()
+        again.cells = s.cells
+        assert again.cols == s.cols
+
+    def test_snapshot_is_read_only(self):
+        s = fresh()
+        with pytest.raises(ValueError, match="read-only"):
+            s.cells[0, 5] = 1
+        assert s.cols == [0] * COLS
+
+    @pytest.mark.parametrize("grid", [np.zeros((ROWS, COLS - 1), np.uint8),
+                                      np.full((ROWS, COLS), 2, np.uint8)])
+    def test_setter_rejects_a_bad_grid(self, grid):
+        with pytest.raises(ValueError, match="cells of 0 or 1"):
+            fresh().cells = grid
+
+    def test_execute_mutates_cols_in_place(self):
+        s = fresh()
+        cols = s.cols
+        pb = ProgramBuilder()
+        pb.init(((0,), (5,)))
+        pb.nor_row((3,), 5, (0,))
+        execute(pb.build(), s)
+        pb = ProgramBuilder()
+        pb.write(((2, 7),), (1,))
+        pb.read(0, 5)
+        res = execute(pb.build(), s)
+        assert s.cols is cols
+        assert cols[5] == 1 and cols[7] == 1 << 2 and res.readout == [1]
+        assert s.get_bits([(0, 5), (2, 7)]) == [1, 1]
+
+    @pytest.mark.parametrize("value", [-1, 256, 300])
+    def test_write_value_rejects_what_does_not_fit(self, value):
+        s = fresh()
+        cells = [(0, c) for c in range(8)]
+        with pytest.raises(ValueError, match="does not fit"):
+            s.write_value(cells, value)
+        assert s.cols == [0] * COLS
+        s.write_value(cells, 255)
+        assert s.read_value(cells) == 255
+
+    @pytest.mark.parametrize("cell", [(ROWS, 0), (0, COLS), (-1, 0), (0, -1)])
+    def test_cell_outside_the_array(self, cell):
+        with pytest.raises(IndexError, match="outside"):
+            fresh().set_bits([cell], [1])
+        with pytest.raises(IndexError, match="outside"):
+            fresh().get_bits([cell])
+
+
+def ref_violations(spec, what, bound):
+    m = members(spec)
+    if not m:
+        return [f"empty {what} set"]
+    return [f"{what} out of bounds"] if min(m) < 0 or max(m) >= bound else []
+
+
+def ref_mask(spec):
+    return sum(1 << r for r in set(members(spec)))
+
+
+def specs(bound):
+    """Ranges with steps of +-1..3 (empty and out of bounds included) and tuples."""
+    line = st.integers(-3, bound + 2)
+    return st.one_of(
+        st.builds(range, line, line, st.sampled_from((1, 2, 3, -1, -2, -3))),
+        st.lists(line, max_size=6).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=specs(ROWS), cols=specs(COLS),
+       cells=st.lists(st.tuples(st.integers(-2, ROWS + 1), st.integers(-2, COLS + 1)),
+                      min_size=1, max_size=4))
+def test_lower_matches_set_model(rows, cols, cells):
+    # the constant-time bounds and range mask agree with a set-based model
+    want_rows, want_cols = ref_violations(rows, "row", ROWS), ref_violations(cols, "column", COLS)
+    # each case: op, its violations, and its lowered form when it has none
+    cases = [
+        (Init(((rows, cols),)), want_rows + want_cols, lambda: ((cols, ref_mask(rows)),)),
+        (NorRow((3, 4), 5, rows), want_rows, lambda: ((3, 4), 5, ref_mask(rows))),
+        (NorCol((3, 4), 5, cols), want_cols, lambda: (0b11000, 1 << 5, cols)),
+        (WriteExternal(tuple(cells), (1,) * len(cells)),
+         [v for r, c in cells for v in ref_violations(r, "row", ROWS) + ref_violations(c, "column", COLS)],
+         lambda: tuple((c, 1 << r, 1) for r, c in cells)),
+    ]
+    for op, want, lowered in cases:
+        assert _lower(op) == want, op
+        assert op._c == (None if want else lowered()), op

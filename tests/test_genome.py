@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pimfilter import oracle
@@ -80,13 +81,12 @@ class TestRoute:
 
 def looped_tile(genome, tile):
     """Reference: each stored base written cell by cell."""
-    cells = CrossbarState().cells
+    state = CrossbarState()
     for i in range(tile.length):
         a, b = encode_base(genome[tile.start + i])
         pair, row = divmod(i, FRAGMENT_ROWS)
-        cells[row, 2 * pair] = a
-        cells[row, 2 * pair + 1] = b
-    return cells
+        state.set_bits([(row, 2 * pair), (row, 2 * pair + 1)], [a, b])
+    return state.cells
 
 
 class TestLoadTile:
@@ -104,7 +104,9 @@ class TestLoadTile:
         genome = synth_genome(6400 + 3210, random.Random(4))
         tile = partition(len(genome))[-1]
         state = CrossbarState()
-        state.cells[:FRAGMENT_ROWS, :layout.genome_cols] = 1  # padding must be written
+        ones = np.zeros(state.cells.shape, np.uint8)
+        ones[:FRAGMENT_ROWS, :layout.genome_cols] = 1  # padding must be written
+        state.cells = ones
         load_tile(state, layout, genome, tile, 3)
         assert tile.length == 3210
         assert (state.cells[:FRAGMENT_ROWS] == looped_tile(genome, tile)[:FRAGMENT_ROWS]).all()

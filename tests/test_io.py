@@ -3,6 +3,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimfilter.cli import main
 from pimfilter.genome import FilterStats, Decision, schedule
@@ -48,6 +50,62 @@ class TestFasta:
     def test_headerless_sequence(self):
         fa = parse_fasta(io.StringIO("ACGT\n"))
         assert fa.seq == "ACGT"
+
+
+def fasta_model(text):
+    """Per-letter reference for parse_fasta: its sequence, or the FastaError
+    it raises, with the line and column of the first bad letter."""
+    parts = []
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line or line.startswith(">"):
+            continue
+        for col, ch in enumerate(line.upper(), start=1):
+            if ch not in "ACGT":
+                return FastaError(f"invalid base {ch!r}", lineno, col)
+        parts.append(line.upper())
+    return "".join(parts) if parts else FastaError("no sequence data")
+
+
+def outcome(parse, text):
+    try:
+        return parse(io.StringIO(text))
+    except (FastaError, CandidateError) as exc:
+        return exc
+
+
+def same_error(got, want):
+    return type(got) is type(want) and (str(got), vars(got)) == (str(want), vars(want))
+
+
+LINE = st.text(alphabet="ACGTacgtNnx\r", max_size=12)
+EOL = st.sampled_from(("\n", "\r\n", ""))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.tuples(st.sampled_from(("", ">h ")), LINE, EOL), max_size=8))
+def test_fasta_check_matches_per_letter_model(lines):
+    # lowercase, N and CRLF input: one check per line gives the same
+    # sequence, or the same error line and column
+    text = "".join(head + body + eol for head, body, eol in lines)
+    got, want = outcome(parse_fasta, text), fasta_model(text)
+    if isinstance(want, str):
+        assert got.seq == want
+    else:
+        assert same_error(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reads=st.lists(st.tuples(st.text(alphabet="ACGTacgtN", min_size=4, max_size=4), EOL),
+                      min_size=1, max_size=5))
+def test_candidate_check_matches_per_letter_model(reads):
+    text = "".join(f"r{i}\t{body}\t{i}{eol or chr(10)}" for i, (body, eol) in enumerate(reads))
+    bad = [i for i, (body, _) in enumerate(reads) if any(ch not in "ACGT" for ch in body.upper())]
+    got = outcome(lambda stream: parse_candidates(stream, read_length=4), text)
+    if bad:
+        assert same_error(got, CandidateError("read has a non-ACGT base", bad[0] + 1))
+    else:
+        assert [r.seq for r in got] == [body.upper() for body, _ in reads]
 
 
 class TestCandidates:

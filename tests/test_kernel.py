@@ -16,6 +16,7 @@ from pimfilter.kernel import (
     STEP_BUDGETS,
     TILE_STRIDE,
     TOTAL_BUDGET,
+    _body,
     build_program,
     encode_base,
     plan_layout,
@@ -234,6 +235,14 @@ class TestSharedBody:
         in_blocks = {i for start, block in second.blocks for i in range(start, start + len(block.ops))}
         assert visited == [i for i in range(len(second.ops)) if i not in in_blocks]
         assert len(visited) == unshared
+
+    @pytest.mark.parametrize("read_length", [100, 64, 1])
+    def test_every_body_block_is_proved(self, read_length):
+        # every gate output in the body is initialized inside its own
+        # block, so strict and permissive runs share the unchecked code
+        for label, block in _body(read_length):
+            block.cycles(0)
+            assert block.proved, label
 
     def test_edited_program_is_rejected(self):
         prog = build_program(plan_layout(100), 250, oracle.BaseCounts(100, 0, 0, 0))
