@@ -136,18 +136,18 @@ class Block:
     The ops are checked, lowered and cycle-counted once, when the first
     program holding them is lowered (Block.cycles). The same pass proves
     the block init-dominated when every gate output is set by an Init
-    inside the block, with no write since (_init_dominated); strict mode
-    then cannot fail inside it. A block is compiled once per effective
-    mode, on its first run in that mode, into straight-line functions of
-    at most _CHUNK_OPS ops each (see _compile): a proved block runs the
-    non-checking code in both modes, so both share one compiled form,
+    inside it, with no write since (_dataflow); strict mode then cannot
+    fail inside it. A block is compiled once per effective mode, on its
+    first run in that mode, into straight-line functions of at most
+    _CHUNK_OPS ops each (see _compile, at one lane): a proved block runs
+    the non-checking code in both modes, so both share one compiled form,
     while an unproved one keeps the checking code in strict mode. execute
     runs those functions in place of interpreting the ops; the
     interpreter stays the reference they are tested against.
     """
 
     def __init__(self, ops):
-        self.ops = tuple(ops)
+        self.ops = list(ops)
         self.proved = False  # set when the ops are lowered
         self._cycles = None  # prefix sums of compute and init cycles
         self._chunks = {}    # checking -> compiled functions
@@ -161,10 +161,13 @@ class Block:
         if self._cycles is None:
             for j, op in enumerate(self.ops):
                 _lowered(op, start + j)
-            self.proved = _init_dominated(self.ops)
+            self._prove()
             self._cycles = (tuple(accumulate((op.cycles for op in self.ops), initial=0)),
                             tuple(accumulate((op.__class__ is Init for op in self.ops), initial=0)))
         return self._cycles
+
+    def _prove(self):
+        self.proved = _dataflow(self.ops)[0]
 
     def run(self, g, readout, strict):
         """Run the lowered ops on the column grid g, appending read bits to
@@ -173,14 +176,111 @@ class Block:
         checking = bool(strict) and not self.proved
         chunks = self._chunks.get(checking)
         if chunks is None:
-            chunks = self._chunks[checking] = [
-                _compile(self.ops[i:i + _CHUNK_OPS], i, checking)
-                for i in range(0, len(self.ops), _CHUNK_OPS)]
+            chunks = self._chunks[checking] = _chunked(self.ops, checking)
         append = readout.append
         for chunk in chunks:
             failed = chunk(g, append)
             if failed is not None:
                 return failed
+        return None
+
+
+class LaneGroup(Block):
+    """Spans that run one template op for op, each on its own input
+    column and each followed by its own tail, run as lanes of one
+    compiled template and then the tails one by one.
+
+    `pairs` lists (template span, tail span) pairs of ops; the block's ops
+    are those spans in that order, so a program, its cycle counts and its
+    trace hold them as if they were separate blocks. run gives the same
+    cells and readout as running the ops in order. It loads lane x of the
+    template's input column from span x's input column, starts every other
+    template column at 0 and runs the template once over all the lanes
+    (_compile with one lane per pair). Before tail x runs on the grid, the
+    template-written cells it reads get lane x's values; at the end every
+    template-written cell gets the last lane's values, on its written
+    rows only.
+
+    That is exact because a proof, made once when the group is built
+    (_prove, from _dataflow's live-in and written rows), shows that the
+    group is init-dominated and that:
+
+    (a) every template span is the first with its input column renamed;
+    (b) the template reads no cell before writing it outside its input
+        column, writes no span's input column and reads no cell out;
+    (c) each tail reads, before writing, only template-written cells or
+        cells nothing in the group writes, and writes no cell a template
+        span reads or writes.
+
+    A group that fails the proof raises ValueError when it is built.
+    """
+
+    def __init__(self, pairs):
+        self._pairs = [(list(span), list(tail)) for span, tail in pairs]
+        self._compiled = None  # template chunks, then (loads, chunks) per tail
+        super().__init__(op for pair in self._pairs for part in pair for op in part)
+        self.cycles(0)
+
+    def _prove(self):
+        proved, _, group_written = _dataflow(self.ops)
+        if not proved:
+            raise ValueError("lane group is not init-dominated")
+        inputs = []
+        for span, _ in self._pairs:
+            live = _dataflow(span)[1]
+            cols = [k for k, rows in enumerate(live) if rows]
+            if len(cols) != 1:
+                raise ValueError(f"a template span reads columns {cols} before writing them, not one")
+            inputs.append((cols[0], live[cols[0]]))
+        template = self._pairs[0][0]
+        k0 = inputs[0][0]
+        forms = [_form(op, {}) for op in template]
+        for (k, _), (span, _) in zip(inputs, self._pairs):
+            if [_form(op, {k: k0}) for op in span] != forms:
+                raise ValueError(f"the span on column {k} is not the template on column {k0}")
+        t_written = _dataflow(template)[2]
+        if any(t_written[k] for k, _ in inputs) or any(op.__class__ is ReadCell for op in template):
+            raise ValueError("the template writes an input column or reads a cell out")
+        t_touched = list(t_written)
+        for k, rows in inputs:
+            t_touched[k] |= rows
+        self._tails = []
+        for x, (_, tail) in enumerate(self._pairs):
+            _, live, written = _dataflow(tail)
+            if any(live[k] & ~t_written[k] & group_written[k] or written[k] & t_touched[k]
+                   for k in range(COLS)):
+                raise ValueError(f"tail {x} reads a cell the group writes outside the "
+                                 "template, or writes one the template uses")
+            loads = tuple((k, ~rows, rows) for k, rows in enumerate(map(int.__and__, live, t_written))
+                          if rows)
+            self._tails.append((tail, loads))
+        self._inputs = tuple(k for k, _ in inputs)
+        # only the template writes its columns of the lane grid, so the
+        # last lane holds no bit outside the written rows
+        self._stores = tuple((k, ~rows) for k, rows in enumerate(t_written) if rows)
+        self.proved = True
+
+    def run(self, g, readout, strict):
+        """Run the group on the column grid g; a proved group cannot fail."""
+        if self._compiled is None:
+            self._compiled = (_chunked(self._pairs[0][0], False, len(self._inputs)),
+                              [(loads, _chunked(tail, False)) for tail, loads in self._tails])
+        template, tails = self._compiled
+        lanes = [0] * COLS
+        lanes[self._inputs[0]] = sum(g[k] << ROWS * x for x, k in enumerate(self._inputs))
+        append = readout.append
+        for chunk in template:
+            chunk(lanes, append)
+        shift = 0
+        for loads, chunks in tails:
+            for k, keep, rows in loads:
+                g[k] = g[k] & keep | lanes[k] >> shift & rows
+            for chunk in chunks:
+                chunk(g, append)
+            shift += ROWS
+        shift -= ROWS
+        for k, keep in self._stores:
+            g[k] = g[k] & keep | lanes[k] >> shift
         return None
 
 
@@ -479,82 +579,131 @@ def _lower_program(program):
     for start, block in blocks:
         stop = start + len(block.ops)
         # ops compare by identity (eq=False), so this is an identity check
-        if start < pos or ops[start:stop] != list(block.ops):
+        if start < pos or ops[start:stop] != block.ops:
             raise ValueError(f"ops {start}:{stop} do not hold the block included there")
         pos = stop
     steps = {}
     compute = init = 0
-    pos = k = 0
+    pos = 0
+    later = iter(blocks)
+    block_start, block = next(later, (len(ops), None))
     for label, start, end in program.annotations or ((None, 0, len(ops)),):
         step_compute, step_init = compute, init
         while pos < end:
-            block_start, block = blocks[k] if k < len(blocks) else (end, None)
             if pos < block_start:
                 stop = min(block_start, end)
                 for i in range(pos, stop):
                     op = _lowered(ops[i], i)
                     compute += op.cycles
                     init += op.__class__ is Init
-            else:  # inside block k; an annotation may end within it
+            else:  # inside the block; an annotation may end within it
                 pc, pi = block.cycles(block_start)
                 stop = min(block_start + len(block.ops), end)
                 compute += pc[stop - block_start] - pc[pos - block_start]
                 init += pi[stop - block_start] - pi[pos - block_start]
-                k += stop == block_start + len(block.ops)
+                if stop == block_start + len(block.ops):
+                    block_start, block = next(later, (len(ops), None))
             pos = stop
         if label is not None:
-            sc = steps.setdefault(label, StepCycles())
+            sc = steps.get(label)
+            if sc is None:
+                sc = steps[label] = StepCycles()
             sc.compute += compute - step_compute
             sc.init += init - step_init
     return compute, init, steps
 
 
-def _init_dominated(ops):
-    """True if every gate output of the lowered ops is a cell that an Init
-    among them set to 1 with no write since, so that a strict run cannot
-    fail inside them, whatever the grid held before.
+def _dataflow(ops):
+    """One pass over lowered ops, tracking row masks column by column.
 
-    Tracks, per column, the row mask of such cells: an Init adds its
-    mask, a gate needs its whole output mask in the set and then takes it
-    out, and a WriteExternal takes out its cells.
+    Returns (proved, live, written). `proved` is True if every gate
+    output is a cell that an Init among the ops set to 1 with no write
+    since (the init-ready rows), so that a strict run cannot fail inside
+    them, whatever the grid held before. live[k] holds the rows of column
+    k that an op reads before any op writes them (the live-in rows), and
+    written[k] the rows that some op writes. A gate reads its inputs and
+    its output (conditional switching), a ReadCell its cell; an Init, a
+    gate and a WriteExternal write their cells.
     """
-    ready = [0] * COLS
+    ready, live, written = [0] * COLS, [0] * COLS, [0] * COLS
+    proved = True
     for op in ops:
         cls = op.__class__
         lowered = op._c
         if cls is NorRow:
             ins, out, rows = lowered
-            if ready[out] & rows != rows:
-                return False
+            for k in (*ins, out):
+                live[k] |= rows & ~written[k]
+            proved = proved and ready[out] & rows == rows
             ready[out] &= ~rows
+            written[out] |= rows
         elif cls is NorCol:
             ins, out, cols = lowered
-            if not all(ready[k] & out for k in cols):
-                return False
+            proved = proved and all(ready[k] & out for k in cols)
             for k in cols:
+                live[k] |= (ins | out) & ~written[k]
                 ready[k] &= ~out
+                written[k] |= out
         elif cls is Init:
             for cols, rows in lowered:
                 for k in cols:
                     ready[k] |= rows
+                    written[k] |= rows
         elif cls is WriteExternal:
             for k, bit, b in lowered:
                 ready[k] &= ~bit
-    return True
+                written[k] |= bit
+        else:  # ReadCell
+            k, bit = lowered
+            live[k] |= bit & ~written[k]
+    return proved, live, written
 
 
-def _compile(ops, first, checking):
+def _form(op, rename):
+    """The lowered form of op, with its columns mapped through `rename`."""
+    cls = op.__class__
+    c = op._c
+
+    def col(k):
+        return rename.get(k, k)
+
+    if cls is NorRow:
+        return cls, tuple(map(col, c[0])), col(c[1]), c[2]
+    if cls is NorCol:
+        return cls, c[0], c[1], tuple(map(col, c[2]))
+    if cls is Init:
+        return cls, tuple((tuple(map(col, cols)), rows) for cols, rows in c)
+    if cls is WriteExternal:
+        return cls, tuple((col(k), bit, b) for k, bit, b in c)
+    return cls, col(c[0]), c[1]
+
+
+def _chunked(ops, checking, lanes=1):
+    """Compile ops as functions of at most _CHUNK_OPS ops each."""
+    return [_compile(ops[i:i + _CHUNK_OPS], i, checking, lanes)
+            for i in range(0, len(ops), _CHUNK_OPS)]
+
+
+def _compile(ops, first, checking, lanes=1):
     """Compile lowered ops, numbered from `first` in their block, into one
-    straight-line function chunk(g, append).
+    straight-line function chunk(g, append) over `lanes` lanes.
 
-    The code is built from the same lowered forms as _interpret. Each
-    column the ops touch is a local and each mask a constant. With
-    `checking` (strict mode), a gate tests its whole output mask first
-    and, finding a 0, leaves the loop around the code before it switches
-    any cell; the chunk then writes back the columns it wrote and
-    returns the gate's block index.
+    Lane l of column k is bits ROWS*l .. ROWS*l + ROWS-1 of g[k], so each
+    op acts on every lane at once: every mask is the lowered one repeated
+    in each lane, and a column NOR clears its output row by one shifted
+    term per input row, which moves each lane's input bit onto its output
+    bit. One lane is the grid execute runs on. The code is built from the
+    same lowered forms as _interpret; each column the ops touch is a local
+    and each mask a hex constant (a decimal one of many lanes would pass
+    the int-to-str digit limit). A ReadCell appends an int holding each
+    lane's bit at that lane's bit 0. With `checking` (strict mode), a gate
+    tests its whole output mask in every lane first and, finding a 0,
+    leaves the loop around the code before it switches any cell; the
+    chunk then writes back the columns it wrote and returns the gate's
+    block index.
     (A return inside try/finally would copy the write-back to every gate.)
     """
+    repeat = sum(1 << ROWS * lane for lane in range(lanes))
     lines, touched, written = [], {}, {}
 
     def col(k, write=False):
@@ -570,6 +719,7 @@ def _compile(ops, first, checking):
             ins, out, rows = lowered
             acc = " | ".join(col(k) for k in ins)
             v = col(out, True)
+            rows = hex(rows * repeat)
             if checking:
                 lines.append(f"if {v} & {rows} != {rows}: failed = {j}; break")
             lines.append(f"{v} &= ~(({acc}) & {rows})")
@@ -577,16 +727,23 @@ def _compile(ops, first, checking):
             ins, out, cols = lowered
             cols = [col(k, True) for k in dict.fromkeys(cols)]
             if checking:
-                lines.append(f"if not {' & '.join(cols)} & {out}: failed = {j}; break")
-            lines.extend(f"if {v} & {ins}: {v} &= {~out}" for v in cols)
+                outs = hex(out * repeat)
+                lines.append(f"if {' & '.join(cols)} & {outs} != {outs}: failed = {j}; break")
+            to = out.bit_length() - 1
+            shifts = [(hex((1 << r) * repeat), f"<< {to - r}" if to > r else f">> {r - to}")
+                      for r in range(ins.bit_length()) if ins >> r & 1]
+            lines.extend(f"{v} &= ~({' | '.join(f'({v} & {m}) {s}' for m, s in shifts)})"
+                         for v in cols)
         elif cls is Init:
-            lines.extend(f"{col(k, True)} |= {rows}" for cols, rows in lowered for k in cols)
+            lines.extend(f"{col(k, True)} |= {hex(rows * repeat)}"
+                         for cols, rows in lowered for k in cols)
         elif cls is WriteExternal:
-            lines.extend(f"{col(k, True)} |= {bit}" if b else f"{col(k, True)} &= {~bit}"
+            lines.extend(f"{col(k, True)} |= {hex(bit * repeat)}" if b
+                         else f"{col(k, True)} &= {hex(~(bit * repeat))}"
                          for k, bit, b in lowered)
         else:  # ReadCell
             k, bit = lowered
-            lines.append(f"append(1 if {col(k)} & {bit} else 0)")
+            lines.append(f"append({col(k)} >> {bit.bit_length() - 1} & {hex(repeat)})")
     src = "\n".join([
         "def chunk(g, append):",
         *(f"    c{k} = g[{k}]" for k in touched),

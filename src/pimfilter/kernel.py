@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .crossbar import COLS, Block, ProgramBuilder, execute
+from .crossbar import COLS, Block, LaneGroup, MicroProgram, ProgramBuilder, execute
 from .gates import (
     ColumnPool,
     _adder_gates,
@@ -165,9 +165,9 @@ def build_program(layout, offset, counts):
 
     Steps 1-3 and a short read's bitmap zeroing depend on the read counts
     and the window placement and are emitted here. Every other op comes
-    from the layout's shared body (_body), added as one Block per step
-    span, so those op objects, their lowered forms, their cycle counts
-    and their compiled code are reused by every location.
+    from the layout's shared body (_body), added with its blocks, so
+    those op objects, their lowered forms, their cycle counts and their
+    compiled code are reused by every location.
     """
     L = layout
     n = L.read_length
@@ -207,13 +207,21 @@ def build_program(layout, offset, counts):
             pb.nor_row((pa, L.nb_col), mc["G"], rng)
             pb.nor_row((pa, pxb), mc["C"], rng)
 
-    # Steps 4-13 from the shared body; a short read first zeroes the
-    # bitmap rows its window leaves untouched, at the start of each
-    # base's step-4 span.
+    # Steps 4-13 from the shared body. A full-length read's head ends
+    # where the body begins, so the body is placed once per head length.
+    body = _body(n)
+    if n == FRAGMENT_ROWS:
+        head = pb.build()
+        annotations, blocks = _placed(len(head.ops))
+        head.ops += body.ops
+        return MicroProgram(head.ops, head.annotations + annotations, blocks)
+    # A short read first zeroes the bitmap rows its window leaves
+    # untouched, at the start of each base's step-4 span; its body has
+    # one block per step span.
     zero_bases = iter(BASES)
-    for label, block in _body(n):
+    for (label, _, _), (_, block) in zip(body.annotations, body.blocks):
         start = len(pb.ops)
-        if label == "4" and n < FRAGMENT_ROWS:
+        if label == "4":
             _zero_match_rows(pb, L, next(zero_bases), ranges)
         pb.include(block)
         pb.annotate(label, start)
@@ -222,13 +230,20 @@ def build_program(layout, offset, counts):
 
 @functools.cache
 def _body(read_length):
-    """Steps 4-13 for one read length as (label, Block) pairs, one per
-    step span, built once per process.
+    """Steps 4-13 for one read length, built once per process, as a
+    MicroProgram whose blocks cover its ops.
 
     Takes the read length rather than the layout, since KernelLayout
-    holds dicts and cannot be hashed. A short read's zeroing takes
-    pool_cols[0], so its popcounts draw their working columns from the
-    rest of the pool.
+    holds dicts and cannot be hashed. At read length 100 the four step-4
+    popcounts and their step-5 staging spans form one LaneGroup: the
+    popcounts differ only in the bitmap column they count, so they run
+    as four lanes of one compiled pass, and each step-5 span then stages
+    its own lane's result. Steps 6-13 are one Block per step span. A
+    short read keeps one Block per span in steps 4 and 5 as well, eight
+    blocks, because build_program puts its per-location bitmap zeroing
+    between them (_zero_match_rows). That zeroing takes pool_cols[0], so
+    a short read's popcounts draw their working columns from the rest of
+    the pool.
     """
     L = plan_layout(read_length)
     lanes = tuple(L.lane_rows[b] for b in BASES)
@@ -311,7 +326,25 @@ def _body(read_length):
         pb.read(lane_a, L.res12_cols[8])
 
     body = pb.build()
-    return tuple((label, Block(body.ops[start:end])) for label, start, end in body.annotations)
+    spans = [body.ops[start:end] for _, start, end in body.annotations]
+    blocks, start = [], 0
+    if read_length == FRAGMENT_ROWS:
+        group = LaneGroup(zip(spans[0:8:2], spans[1:8:2]))
+        blocks.append((0, group))
+        start, spans = len(group.ops), spans[8:]
+    for span in spans:
+        blocks.append((start, Block(span)))
+        start += len(span)
+    return MicroProgram(body.ops, body.annotations, tuple(blocks))
+
+
+@functools.cache
+def _placed(head_len):
+    """The read-length-100 body's annotations and blocks, moved past a
+    head of head_len ops."""
+    body = _body(FRAGMENT_ROWS)
+    return (tuple((label, start + head_len, end + head_len) for label, start, end in body.annotations),
+            tuple((start + head_len, block) for start, block in body.blocks))
 
 
 def _complement_rows(spans):

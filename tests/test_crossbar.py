@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from pimfilter.crossbar import (
     Block,
     CrossbarState,
     Init,
+    LaneGroup,
     MicroOpError,
     MicroProgram,
     NorCol,
@@ -19,6 +22,8 @@ from pimfilter.crossbar import (
     ProgramBuilder,
     ReadCell,
     WriteExternal,
+    _compile,
+    _interpret,
     _lower,
     execute,
     taint_violations,
@@ -556,6 +561,145 @@ def test_block_fails_in_its_second_chunk():
             assert err is None and len(trace) == len(plain.ops)
             assert (res.readout, res.compute_cycles, res.init_cycles) == \
                    (want_res.readout, want_res.compute_cycles, want_res.init_cycles)
+
+
+def lowered(ops):
+    for op in ops:
+        assert _lower(op) == [], op
+    return ops
+
+
+def run_lanes(ops, grids, checking):
+    """Run ops compiled over len(grids) lanes on the packed grids: the
+    unpacked lane grids, the unpacked readout of each lane, and the
+    failed gate index."""
+    packed = [sum(g[k] << ROWS * lane for lane, g in enumerate(grids)) for k in range(COLS)]
+    readout = []
+    failed = _compile(ops, 0, checking, len(grids))(packed, readout.append)
+    full = (1 << ROWS) - 1
+    lanes = [[v >> ROWS * lane & full for v in packed] for lane in range(len(grids))]
+    bits = [[v >> ROWS * lane & 1 for v in readout] for lane in range(len(grids))]
+    assert readout == [sum(b << ROWS * lane for lane, b in enumerate(col)) for col in zip(*bits)]
+    return lanes, bits, failed
+
+
+@pytest.mark.parametrize("checking", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compiled_lanes_match_scalar_code(checking, data):
+    # each lane of a program compiled over 1, 3 or 4 lanes matches the
+    # one-lane compiled code and the interpreter on its own grid; a
+    # checking run stops at the first gate that fails in any lane
+    r0, c0 = data.draw(origins(ROWS)), data.draw(origins(COLS))
+    ops = lowered(data.draw(programs(checking, r0, c0)).ops)
+    rng = data.draw(st.randoms(use_true_random=False))
+    grids = [[rng.getrandbits(ROWS) for _ in range(COLS)]
+             for _ in range(data.draw(st.sampled_from((1, 3, 4))))]
+    fails = []
+    for g in grids:
+        want, want_bits = list(g), []
+        try:
+            _interpret(ops, 0, len(ops), want, want_bits, checking, None)
+            fails.append(None)
+        except MicroOpError as err:
+            fails.append(err.op_index)
+        got, got_bits = list(g), []
+        assert _compile(ops, 0, checking)(got, got_bits.append) == fails[-1]
+        assert (got, got_bits) == (want, want_bits)
+    failed = min((f for f in fails if f is not None), default=None)
+    lanes, bits, got_failed = run_lanes(ops, grids, checking)
+    assert got_failed == failed
+    for g, lane, lane_bits in zip(grids, lanes, bits):
+        want, want_bits = list(g), []
+        _interpret(ops, 0, len(ops) if failed is None else failed, want, want_bits, False, None)
+        assert (lane, lane_bits) == (want, want_bits)
+
+
+def test_compile_at_256_lanes():
+    # a mask repeated in 256 lanes has about 9900 decimal digits, past the
+    # default int-to-str limit of 4300; the compiled code spells it in hex
+    default = getattr(sys.int_info, "default_max_str_digits", 4300)
+    assert ROWS * 256 * 0.30103 > default
+    ops = lowered([Init(((range(0, ROWS), (3, 4)),)), NorRow((1, 2), 3, range(0, ROWS)),
+                   Init((((9,), (1, 5)),)), NorCol((0, 70, ROWS - 1), 9, (1, 5)),
+                   WriteExternal(((ROWS - 1, 2), (0, 4)), (0, 1)), ReadCell(9, 5)])
+    rng = random.Random(8)
+    grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(256)]
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is not None:
+        saved = limit()
+        sys.set_int_max_str_digits(default)
+    try:
+        lanes, bits, failed = run_lanes(ops, grids, True)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(saved)
+    assert failed is None
+    for g, lane, lane_bits in zip(grids, lanes, bits):
+        want, want_bits = list(g), []
+        _interpret(ops, 0, len(ops), want, want_bits, True, None)
+        assert (lane, lane_bits) == (want, want_bits)
+
+
+def copy_span(k):
+    """A template span on input column k: rows 0-3 of k, inverted into
+    column 10, then back into column 11."""
+    return [Init(((range(4), (10, 11)),)), NorRow((k,), 10, range(4)), NorRow((10,), 11, range(4))]
+
+
+def stage_tail(x):
+    """A tail staging the template's row-0 result into row 8 + x of column 11."""
+    return [Init((((8 + x,), (11,)),)), NorCol((0,), 8 + x, (11,)), ReadCell(8 + x, 11)]
+
+
+class TestLaneGroup:
+    def test_runs_like_its_spans_in_order(self):
+        pairs = [(copy_span(k), stage_tail(x)) for x, k in enumerate((5, 6, 7))]
+        group = LaneGroup(pairs)
+        assert group.proved and group.ops == [op for pair in pairs for span in pair for op in span]
+        separate = ProgramBuilder()
+        for span in (span for pair in pairs for span in pair):
+            separate.include(Block(span))
+        together = ProgramBuilder()
+        together.include(group)
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            grid = rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
+            want, want_res, _, want_trace = run_program(separate.build(), grid, True)
+            got, res, _, trace = run_program(together.build(), grid, True)
+            assert got == want and trace == want_trace
+            assert (res.readout, res.compute_cycles, res.init_cycles) == \
+                   (want_res.readout, want_res.compute_cycles, want_res.init_cycles)
+
+    @pytest.mark.parametrize("pairs,match", [
+        # a template that reads a second column before writing it
+        ([([Init(((range(4), (10, 11)),)), NorRow((k, 3), 10, range(4)),
+            NorRow((10,), 11, range(4))], stage_tail(x)) for x, k in enumerate((5, 6))],
+         "not one"),
+        # a tail that writes a cell the template reads, or one it writes
+        ([(copy_span(5), stage_tail(0)), (copy_span(6), [Init((((0,), (5,)),))])],
+         "writes one the template uses"),
+        ([(copy_span(5), stage_tail(0)), (copy_span(6), [Init((((2,), (10,)),))])],
+         "writes one the template uses"),
+        # a tail that reads a cell another tail writes
+        ([(copy_span(5), [Init((((30,), (40,)),))]), (copy_span(6), [ReadCell(30, 40)])],
+         "reads a cell the group writes"),
+        # a lane span that differs beyond its input column
+        ([(copy_span(5), stage_tail(0)),
+          ([Init(((range(4), (10, 12)),)), NorRow((6,), 10, range(4)),
+            NorRow((10,), 12, range(4))], stage_tail(1))],
+         "is not the template"),
+        # the template writes its input column after reading it
+        ([(copy_span(k) + [Init(((range(8, 12), (k,)),))], stage_tail(x))
+          for x, k in enumerate((5, 6))],
+         "writes an input column"),
+        # a gate output with no Init before it
+        ([(copy_span(5)[1:], stage_tail(0)), (copy_span(6)[1:], stage_tail(1))],
+         "not init-dominated"),
+    ])
+    def test_a_failed_proof_raises(self, pairs, match):
+        with pytest.raises(ValueError, match=match):
+            LaneGroup(pairs)
 
 
 class TestInitDominance:

@@ -6,7 +6,17 @@ import random
 import pytest
 
 from pimfilter import crossbar, oracle
-from pimfilter.crossbar import CrossbarState, NorRow, _axis, execute, taint_violations
+from pimfilter.crossbar import (
+    ROWS,
+    Block,
+    CrossbarState,
+    LaneGroup,
+    MicroProgram,
+    NorRow,
+    _axis,
+    execute,
+    taint_violations,
+)
 from pimfilter.genome import load_tile, partition
 from pimfilter.io import synth_genome
 from pimfilter.kernel import (
@@ -206,6 +216,9 @@ class TestSharedBody:
         shared = body_ops(first)
         assert len(shared) == len(body_ops(second)) > 1800
         assert all(a is b for a, b in zip(shared, body_ops(second)))
+        if read_length == FRAGMENT_ROWS:
+            # both heads span two fragments: one placement of the body
+            assert first.blocks is second.blocks
 
         execute(first, CrossbarState())
         lowered, compiled = [], []
@@ -240,9 +253,9 @@ class TestSharedBody:
     def test_every_body_block_is_proved(self, read_length):
         # every gate output in the body is initialized inside its own
         # block, so strict and permissive runs share the unchecked code
-        for label, block in _body(read_length):
-            block.cycles(0)
-            assert block.proved, label
+        for start, block in _body(read_length).blocks:
+            block.cycles(start)
+            assert block.proved, start
 
     def test_edited_program_is_rejected(self):
         prog = build_program(plan_layout(100), 250, oracle.BaseCounts(100, 0, 0, 0))
@@ -250,6 +263,45 @@ class TestSharedBody:
         prog.ops[start + 5] = copy.copy(prog.ops[start + 5])
         with pytest.raises(ValueError, match="do not hold the block"):
             execute(prog, CrossbarState())
+
+
+class TestLaneGroup:
+    def test_group_covers_the_step_4_and_5_spans(self):
+        body = _body(100)
+        (start, group), *rest = body.blocks
+        assert isinstance(group, LaneGroup) and start == 0
+        assert [label for label, _, _ in body.annotations[:8]] == ["4", "5"] * 4
+        assert body.annotations[7][2] == len(group.ops) == rest[0][0]
+        assert not any(isinstance(block, LaneGroup) for _, block in rest)
+        assert not any(isinstance(block, LaneGroup) for _, block in _body(64).blocks)
+
+    def test_matches_the_spans_run_as_separate_blocks(self):
+        # every row phase, from a random grid: the group and the eight
+        # spans it holds, each run as its own Block, must leave the same
+        # cells, readout, cycles, steps and trace
+        body = _body(100)
+        spans = [(start, Block(body.ops[start:end])) for _, start, end in body.annotations[:8]]
+        layout = plan_layout(100)
+        rng = random.Random(23)
+        for r0 in range(FRAGMENT_ROWS):
+            a = rng.randint(0, 100)
+            t = rng.randint(0, 100 - a)
+            g = rng.randint(0, 100 - a - t)
+            prog = build_program(layout, FRAGMENT_ROWS * rng.randrange(64) + r0,
+                                 oracle.BaseCounts(a, t, g, 100 - a - t - g))
+            (head, group), *rest = prog.blocks
+            assert group is body.blocks[0][1]
+            split = MicroProgram(prog.ops, prog.annotations,
+                                 tuple((head + start, block) for start, block in spans) + tuple(rest))
+            grid = [rng.getrandbits(ROWS) for _ in range(len(CrossbarState().cols))]
+            runs = []
+            for program in (prog, split):
+                state, trace = CrossbarState(), []
+                state.cols[:] = grid
+                res = execute(program, state, strict=bool(r0 % 2), trace=trace.append)
+                runs.append((state.cols, res.readout, res.compute_cycles, res.init_cycles,
+                             {k: (v.compute, v.init) for k, v in res.steps.items()}, trace))
+            assert runs[0] == runs[1], r0
 
 
 class TestDecisions:
