@@ -12,7 +12,6 @@ from .crossbar import (
     ReadCell,
     WriteExternal,
     execute,
-    taint_violations,
 )
 from .gates import (
     Build,

@@ -133,56 +133,36 @@ class MicroOpError(RuntimeError):
 class Block:
     """A run of ops that many programs share, added with ProgramBuilder.include.
 
-    The ops are checked, lowered and cycle-counted once, when the first
-    program holding them is lowered (Block.cycles). The same pass proves
-    the block init-dominated when every gate output is set by an Init
-    inside it, with no write since (_dataflow); strict mode then cannot
-    fail inside it. A block is compiled once per effective mode, on its
-    first run in that mode, into straight-line functions of at most
-    _CHUNK_OPS ops each (see _compile, at one lane): a proved block runs
-    the non-checking code in both modes, so both share one compiled form,
-    while an unproved one keeps the checking code in strict mode. execute
-    runs those functions in place of interpreting the ops; the
-    interpreter stays the reference they are tested against.
+    Building a block checks and lowers its ops (an op with a violation
+    raises MicroOpError, numbered within the block), keeps the prefix
+    sums of their compute and init cycles (`cycles`), and proves the ops
+    init-dominated: every gate output is set by an Init among them, with
+    no write since (_dataflow). Ops that are not raise ValueError. So a
+    strict run cannot fail inside a block, whatever the grid held before,
+    and strict and permissive runs share one unchecked form. The block is
+    compiled once, on its first run, into straight-line functions of at
+    most _CHUNK_OPS ops each (see _compile, at one lane). execute runs
+    those functions in place of interpreting the ops; the interpreter
+    stays the reference they are tested against.
     """
 
     def __init__(self, ops):
         self.ops = list(ops)
-        self.proved = False  # set when the ops are lowered
-        self._cycles = None  # prefix sums of compute and init cycles
-        self._chunks = {}    # checking -> compiled functions
+        for j, op in enumerate(self.ops):
+            _lowered(op, j)
+        self.cycles = (tuple(accumulate((op.cycles for op in self.ops), initial=0)),
+                       tuple(accumulate((op.__class__ is Init for op in self.ops), initial=0)))
+        if not _dataflow(self.ops)[0]:
+            raise ValueError("the block is not init-dominated")
+        self._compiled = None  # built on the first run
 
-    def cycles(self, start):
-        """Prefix sums (compute, init) over the ops, lowering them first.
-
-        Raises MicroOpError at the first op with a violation, numbered as
-        if the block began at op `start` of a program.
-        """
-        if self._cycles is None:
-            for j, op in enumerate(self.ops):
-                _lowered(op, start + j)
-            self._prove()
-            self._cycles = (tuple(accumulate((op.cycles for op in self.ops), initial=0)),
-                            tuple(accumulate((op.__class__ is Init for op in self.ops), initial=0)))
-        return self._cycles
-
-    def _prove(self):
-        self.proved = _dataflow(self.ops)[0]
-
-    def run(self, g, readout, strict):
-        """Run the lowered ops on the column grid g, appending read bits to
-        readout. Returns the index of the strict gate that found an
-        uninitialized output, with no cell of it switched, or None."""
-        checking = bool(strict) and not self.proved
-        chunks = self._chunks.get(checking)
-        if chunks is None:
-            chunks = self._chunks[checking] = _chunked(self.ops, checking)
+    def run(self, g, readout):
+        """Run the ops on the column grid g, appending read bits to readout."""
+        if self._compiled is None:
+            self._compiled = _chunked(self.ops)
         append = readout.append
-        for chunk in chunks:
-            failed = chunk(g, append)
-            if failed is not None:
-                return failed
-        return None
+        for chunk in self._compiled:
+            chunk(g, append)
 
 
 class LaneGroup(Block):
@@ -202,8 +182,8 @@ class LaneGroup(Block):
     rows only.
 
     That is exact because a proof, made once when the group is built
-    (_prove, from _dataflow's live-in and written rows), shows that the
-    group is init-dominated and that:
+    (from _dataflow's live-in and written rows), shows that the group is
+    init-dominated, as every Block is, and that:
 
     (a) every template span is the first with its input column renamed;
     (b) the template reads no cell before writing it outside its input
@@ -217,14 +197,8 @@ class LaneGroup(Block):
 
     def __init__(self, pairs):
         self._pairs = [(list(span), list(tail)) for span, tail in pairs]
-        self._compiled = None  # template chunks, then (loads, chunks) per tail
         super().__init__(op for pair in self._pairs for part in pair for op in part)
-        self.cycles(0)
-
-    def _prove(self):
-        proved, _, group_written = _dataflow(self.ops)
-        if not proved:
-            raise ValueError("lane group is not init-dominated")
+        group_written = _dataflow(self.ops)[2]
         inputs = []
         for span, _ in self._pairs:
             live = _dataflow(span)[1]
@@ -258,13 +232,12 @@ class LaneGroup(Block):
         # only the template writes its columns of the lane grid, so the
         # last lane holds no bit outside the written rows
         self._stores = tuple((k, ~rows) for k, rows in enumerate(t_written) if rows)
-        self.proved = True
 
-    def run(self, g, readout, strict):
-        """Run the group on the column grid g; a proved group cannot fail."""
-        if self._compiled is None:
-            self._compiled = (_chunked(self._pairs[0][0], False, len(self._inputs)),
-                              [(loads, _chunked(tail, False)) for tail, loads in self._tails])
+    def run(self, g, readout):
+        """Run the group on the column grid g, appending read bits to readout."""
+        if self._compiled is None:  # template chunks, then (loads, chunks) per tail
+            self._compiled = (_chunked(self._pairs[0][0], len(self._inputs)),
+                              [(loads, _chunked(tail)) for tail, loads in self._tails])
         template, tails = self._compiled
         lanes = [0] * COLS
         lanes[self._inputs[0]] = sum(g[k] << ROWS * x for x, k in enumerate(self._inputs))
@@ -281,7 +254,6 @@ class LaneGroup(Block):
         shift -= ROWS
         for k, keep in self._stores:
             g[k] = g[k] & keep | lanes[k] >> shift
-        return None
 
 
 @dataclass
@@ -360,8 +332,6 @@ class ProgramBuilder:
         self.ops.extend(block.ops)
 
     def build(self):
-        if self._spans and sum(e - s for _, s, e in self._spans) != len(self.ops):
-            raise RuntimeError("ops were emitted outside of step annotations")
         prog = MicroProgram(self.ops, tuple(self._spans), tuple(self._blocks))
         prog.check_annotations()
         return prog
@@ -570,7 +540,7 @@ def _lower_program(program):
     they follow from the op costs alone: each op takes `op.cycles`
     compute cycles, and an Init one init cycle. Only the ops outside
     blocks are visited; a block adds its cycles from the prefix sums it
-    keeps (Block.cycles), so a shared body costs one pass per process.
+    made when it was built (Block.cycles).
     """
     program.check_annotations()
     ops = program.ops
@@ -597,7 +567,7 @@ def _lower_program(program):
                     compute += op.cycles
                     init += op.__class__ is Init
             else:  # inside the block; an annotation may end within it
-                pc, pi = block.cycles(block_start)
+                pc, pi = block.cycles
                 stop = min(block_start + len(block.ops), end)
                 compute += pc[stop - block_start] - pc[pos - block_start]
                 init += pi[stop - block_start] - pi[pos - block_start]
@@ -616,7 +586,7 @@ def _lower_program(program):
 def _dataflow(ops):
     """One pass over lowered ops, tracking row masks column by column.
 
-    Returns (proved, live, written). `proved` is True if every gate
+    Returns (dominated, live, written). `dominated` is True if every gate
     output is a cell that an Init among the ops set to 1 with no write
     since (the init-ready rows), so that a strict run cannot fail inside
     them, whatever the grid held before. live[k] holds the rows of column
@@ -626,7 +596,7 @@ def _dataflow(ops):
     gate and a WriteExternal write their cells.
     """
     ready, live, written = [0] * COLS, [0] * COLS, [0] * COLS
-    proved = True
+    dominated = True
     for op in ops:
         cls = op.__class__
         lowered = op._c
@@ -634,12 +604,12 @@ def _dataflow(ops):
             ins, out, rows = lowered
             for k in (*ins, out):
                 live[k] |= rows & ~written[k]
-            proved = proved and ready[out] & rows == rows
+            dominated = dominated and ready[out] & rows == rows
             ready[out] &= ~rows
             written[out] |= rows
         elif cls is NorCol:
             ins, out, cols = lowered
-            proved = proved and all(ready[k] & out for k in cols)
+            dominated = dominated and all(ready[k] & out for k in cols)
             for k in cols:
                 live[k] |= (ins | out) & ~written[k]
                 ready[k] &= ~out
@@ -656,7 +626,7 @@ def _dataflow(ops):
         else:  # ReadCell
             k, bit = lowered
             live[k] |= bit & ~written[k]
-    return proved, live, written
+    return dominated, live, written
 
 
 def _form(op, rename):
@@ -678,13 +648,13 @@ def _form(op, rename):
     return cls, col(c[0]), c[1]
 
 
-def _chunked(ops, checking, lanes=1):
+def _chunked(ops, lanes=1):
     """Compile ops as functions of at most _CHUNK_OPS ops each."""
-    return [_compile(ops[i:i + _CHUNK_OPS], i, checking, lanes)
+    return [_compile(ops[i:i + _CHUNK_OPS], i, lanes)
             for i in range(0, len(ops), _CHUNK_OPS)]
 
 
-def _compile(ops, first, checking, lanes=1):
+def _compile(ops, first, lanes=1):
     """Compile lowered ops, numbered from `first` in their block, into one
     straight-line function chunk(g, append) over `lanes` lanes.
 
@@ -696,12 +666,10 @@ def _compile(ops, first, checking, lanes=1):
     same lowered forms as _interpret; each column the ops touch is a local
     and each mask a hex constant (a decimal one of many lanes would pass
     the int-to-str digit limit). A ReadCell appends an int holding each
-    lane's bit at that lane's bit 0. With `checking` (strict mode), a gate
-    tests its whole output mask in every lane first and, finding a 0,
-    leaves the loop around the code before it switches any cell; the
-    chunk then writes back the columns it wrote and returns the gate's
-    block index.
-    (A return inside try/finally would copy the write-back to every gate.)
+    lane's bit at that lane's bit 0. The function loads the columns the
+    ops touch, runs the ops with no test and stores the columns they
+    write: no gate checks its outputs, since every Block is
+    init-dominated.
     """
     repeat = sum(1 << ROWS * lane for lane in range(lanes))
     lines, touched, written = [], {}, {}
@@ -712,7 +680,7 @@ def _compile(ops, first, checking, lanes=1):
             written[k] = None
         return f"c{k}"
 
-    for j, op in enumerate(ops, first):
+    for op in ops:
         cls = op.__class__
         lowered = op._c
         if cls is NorRow:
@@ -720,15 +688,10 @@ def _compile(ops, first, checking, lanes=1):
             acc = " | ".join(col(k) for k in ins)
             v = col(out, True)
             rows = hex(rows * repeat)
-            if checking:
-                lines.append(f"if {v} & {rows} != {rows}: failed = {j}; break")
             lines.append(f"{v} &= ~(({acc}) & {rows})")
         elif cls is NorCol:
             ins, out, cols = lowered
             cols = [col(k, True) for k in dict.fromkeys(cols)]
-            if checking:
-                outs = hex(out * repeat)
-                lines.append(f"if {' & '.join(cols)} & {outs} != {outs}: failed = {j}; break")
             to = out.bit_length() - 1
             shifts = [(hex((1 << r) * repeat), f"<< {to - r}" if to > r else f">> {r - to}")
                       for r in range(ins.bit_length()) if ins >> r & 1]
@@ -747,12 +710,8 @@ def _compile(ops, first, checking, lanes=1):
     src = "\n".join([
         "def chunk(g, append):",
         *(f"    c{k} = g[{k}]" for k in touched),
-        "    failed = None",
-        "    while True:",
-        *(f"        {line}" for line in lines),
-        "        break",
+        *(f"    {line}" for line in lines),
         *(f"    g[{k}] = c{k}" for k in written),
-        "    return failed",
     ])
     namespace = {}
     exec(compile(src, f"<block ops {first}-{first + len(ops) - 1}>", "exec"), namespace)
@@ -761,7 +720,8 @@ def _compile(ops, first, checking, lanes=1):
 
 def _interpret(ops, lo, hi, g, readout, strict, emit):
     """Run ops[lo:hi], already lowered, on the column grid g: the
-    reference semantics that compiled blocks are tested against."""
+    reference semantics that compiled blocks are tested against, and the
+    one place where strict mode checks gate outputs."""
     for i in range(lo, hi):
         op = ops[i]
         cls = op.__class__
@@ -823,14 +783,14 @@ def execute(program, state, strict=True, trace=None):
     of COLS Python ints where bit r of column c is cell (r, c). The
     program's blocks run as their compiled code (Block.run) and every
     other op through the interpreter (_interpret); both give the same
-    cells, readout, errors and trace. A NorRow is one bitwise expression
-    over its whole row mask; a NorCol is one per column. Both modes
-    evaluate a NOR by conditional switching: output <- output AND
-    NOR(inputs). Strict mode adds the precondition that every output
-    cell of a gate holds 1, checked before the gate switches any cell,
-    and aborts at the first gate that finds a 0, leaving the cells the
-    ops before it wrote. A block proved init-dominated cannot fail that
-    check, so it runs without it.
+    cells, readout and trace. A NorRow is one bitwise expression over its
+    whole row mask; a NorCol is one per column. Both modes evaluate a NOR
+    by conditional switching: output <- output AND NOR(inputs). Strict
+    mode adds the precondition that every output cell of a gate holds 1,
+    checked before the gate switches any cell, and aborts at the first
+    gate that finds a 0, leaving the cells the ops before it wrote. Only
+    the interpreted ops are checked: a Block is init-dominated, which is
+    checked when it is built, so no gate inside one can fail.
 
     :param trace: optional callable receiving one line per op run,
         formatted `cycle_kind cycle_index op_descriptor`.
@@ -844,47 +804,9 @@ def execute(program, state, strict=True, trace=None):
     pos = 0
     for start, block in program.blocks:
         _interpret(ops, pos, start, g, readout, strict, emit)
-        failed = block.run(g, readout, strict)
+        block.run(g, readout)
         if emit is not None:
-            emit(block.ops[:failed])
-        if failed is not None:
-            raise MicroOpError(start + failed, block.ops[failed], ["output not initialized"])
+            emit(block.ops)
         pos = start + len(block.ops)
     _interpret(ops, pos, len(ops), g, readout, strict, emit)
     return ExecResult(readout, compute, init, steps)
-
-
-def taint_violations(program, defined_cells):
-    """Read-before-define check over a program.
-
-    `defined_cells` is the set of (row, col) cells holding meaningful data
-    before the program runs (operands, pre-stored constants). A cell
-    becomes readable once it is initialized, host-written, or produced by
-    a gate. Returns a list of violation strings (empty = clean).
-    """
-    known = set(defined_cells)
-    bad = []
-
-    def read(cellset, i, op):
-        for cell in cellset:
-            if cell not in known:
-                bad.append(f"op {i} ({op.describe()}) reads undefined cell {cell}")
-                return
-
-    for i, op in enumerate(program.ops):
-        if isinstance(op, Init):
-            for r, c in op.regions:
-                known.update((rr, cc) for rr in _axis(r) for cc in _axis(c))
-        elif isinstance(op, NorRow):
-            rows = _axis(op.rows)
-            read(((r, c) for r in rows for c in op.input_cols), i, op)
-            known.update((r, op.output_col) for r in rows)
-        elif isinstance(op, NorCol):
-            cols = _axis(op.cols)
-            read(((r, c) for c in cols for r in op.input_rows), i, op)
-            known.update((op.output_row, c) for c in cols)
-        elif isinstance(op, WriteExternal):
-            known.update(op.cells)
-        elif isinstance(op, ReadCell):
-            read(((op.row, op.col),), i, op)
-    return bad

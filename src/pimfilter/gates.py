@@ -26,8 +26,8 @@ NOT a, b, q). The extra +1 cycle produces the chain's zero seed by
 inverting a freshly initialized cell; a caller that already owns a zero
 cell can pass it in and skip the seed cycle.
 
-Builders never read a scratch cell they have not initialized, so the
-emitted programs pass the read-before-define taint check.
+Builders never read a scratch cell they have not initialized, so an
+emitted program reads no cell before writing it except its operands.
 """
 
 from __future__ import annotations

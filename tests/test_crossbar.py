@@ -23,11 +23,13 @@ from pimfilter.crossbar import (
     ReadCell,
     WriteExternal,
     _compile,
+    _dataflow,
     _interpret,
     _lower,
     execute,
-    taint_violations,
 )
+
+from dataflow import live_cells
 
 
 def fresh():
@@ -287,6 +289,19 @@ class TestProgram:
         prog = pb.build()
         assert prog.annotations == (("x", 0, 1), ("y", 1, 2))
 
+    def test_op_outside_every_step_is_rejected(self):
+        # an op before, between or after the steps leaves a gap or a tail
+        for outside in (0, 1, 2):
+            pb = ProgramBuilder()
+            for k in range(3):
+                if k == outside:
+                    pb.init(((0,), (9,)))
+                if k < 2:
+                    with pb.step("xy"[k]):
+                        pb.init(((0,), (k,)))
+            with pytest.raises(ValueError, match="annotations do not"):
+                pb.build()
+
     def test_per_step_cycle_report(self):
         pb = ProgramBuilder()
         with pb.step("a"):
@@ -315,14 +330,13 @@ class TestTaint:
         pb = ProgramBuilder()
         pb.init(((0,), (5,)))
         pb.nor_row((3, 4), 5, (0,))
-        assert taint_violations(pb.build(), {(0, 3), (0, 4)}) == []
+        assert live_cells(pb.build()) <= {(0, 3), (0, 4)}
 
     def test_read_before_define(self):
         pb = ProgramBuilder()
         pb.init(((0,), (5,)))
         pb.nor_row((3, 4), 5, (0,))
-        bad = taint_violations(pb.build(), {(0, 3)})
-        assert bad and "undefined" in bad[0]
+        assert live_cells(pb.build()) - {(0, 3)} == {(0, 4)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -475,10 +489,16 @@ def run_program(program, grid, strict):
 
 
 def with_block(program, cut):
-    """The same program with ops[cut:] added as one Block after the others."""
+    """The same program with ops[cut:] added as one Block after the others,
+    or None when the ops are not init-dominated and Block rejects them."""
+    ops = lowered(program.ops[cut:])
+    if not _dataflow(ops)[0]:
+        with pytest.raises(ValueError, match="not init-dominated"):
+            Block(ops)
+        return None
     pb = ProgramBuilder()
     pb.ops.extend(program.ops[:cut])
-    pb.include(Block(program.ops[cut:]))
+    pb.include(Block(ops))
     return dataclasses.replace(pb.build(), annotations=program.annotations)
 
 
@@ -487,7 +507,8 @@ def with_block(program, cut):
 @given(data=st.data())
 def test_execute_matches_cell_model(strict, data):
     # the interpreter, the whole program as one compiled Block, and a
-    # Block after interpreted ops must all agree with the cell model
+    # Block after interpreted ops must all agree with the cell model; a
+    # Block is built only from init-dominated ops
     r0, c0 = data.draw(origins(ROWS)), data.draw(origins(COLS))
     program = data.draw(programs(strict, r0, c0))
     cut = data.draw(st.integers(0, len(program.ops) - 1))
@@ -498,8 +519,9 @@ def test_execute_matches_cell_model(strict, data):
     cells, readout, compute, init, steps, model_trace, failed = model_run(program, grid, strict)
     interpreted = run_program(program, grid, strict)
     whole = with_block(program, 0)
-    for got, res, err, trace in (interpreted, run_program(whole, grid, strict),
-                                 run_program(with_block(program, cut), grid, strict)):
+    blocks = [run_program(p, grid, strict) for p in (whole, with_block(program, cut))
+              if p is not None]
+    for got, res, err, trace in (interpreted, *blocks):
         assert got == cells
         assert [" ".join(line.split(" ", 2)[:2]) for line in trace] == model_trace
         assert trace == interpreted[3]
@@ -514,9 +536,9 @@ def test_execute_matches_cell_model(strict, data):
             assert err.violations == ["output not initialized"]
             assert str(err) == str(interpreted[2])
 
-    # a block proved init-dominated cannot fail in strict mode, whatever
-    # the grid held: both modes run it alike and match the cell model
-    if whole.blocks[0][1].proved:
+    # a Block cannot fail in strict mode, whatever the grid held: both
+    # modes run it alike and match the cell model
+    if whole is not None:
         model = model_run(program, grid, False)
         assert model_run(program, grid, True) == model
         runs = [run_program(whole, grid, mode) for mode in (True, False)]
@@ -530,8 +552,9 @@ def test_execute_matches_cell_model(strict, data):
 
 
 def test_block_fails_in_its_second_chunk():
-    # 101 ops, more than one compiled chunk, after one interpreted op; the
-    # gate at block index 80 finds its output column at 0
+    # 101 ops, more than one compiled chunk; the gate at block index 80
+    # finds no Init of its output column, so the ops cannot form a Block,
+    # and after one other op the interpreter fails there in strict mode
     rng = np.random.default_rng(5)
     grid = rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
     grid[:, 120] = 0
@@ -540,27 +563,18 @@ def test_block_fails_in_its_second_chunk():
         lines = range(k, k + 20)
         ops += [Init(((lines, (150 + k,)),)), NorRow((k, k + 1), 150 + k, lines)]
     ops.insert(80, NorRow((3,), 120, range(0, 10)))
-    head = WriteExternal(((0, 0),), (1,))
-    pb = ProgramBuilder()
-    pb.ops.append(head)
-    pb.include(Block(ops))
-    block = pb.build()
-    plain = MicroProgram([head] + ops)
-    block.blocks[0][1].cycles(1)
-    assert not block.blocks[0][1].proved
+    with pytest.raises(ValueError, match="not init-dominated"):
+        Block(ops)
+    plain = MicroProgram([WriteExternal(((0, 0),), (1,))] + ops)
     for strict in (True, False):
-        want, want_res, want_err, want_trace = run_program(plain, grid, strict)
-        got, res, err, trace = run_program(block, grid, strict)
-        assert got == want
-        assert trace == want_trace
+        _, res, err, trace = run_program(plain, grid, strict)
         if strict:
-            assert want_err.op_index == err.op_index == 81
-            assert str(err) == str(want_err)
+            assert err.op_index == 81
+            assert err.violations == ["output not initialized"]
             assert len(trace) == 81
         else:
             assert err is None and len(trace) == len(plain.ops)
-            assert (res.readout, res.compute_cycles, res.init_cycles) == \
-                   (want_res.readout, want_res.compute_cycles, want_res.init_cycles)
+            assert res.compute_cycles == 2 + 51
 
 
 def lowered(ops):
@@ -569,50 +583,41 @@ def lowered(ops):
     return ops
 
 
-def run_lanes(ops, grids, checking):
+def run_lanes(ops, grids):
     """Run ops compiled over len(grids) lanes on the packed grids: the
-    unpacked lane grids, the unpacked readout of each lane, and the
-    failed gate index."""
+    unpacked lane grids and the unpacked readout of each lane."""
     packed = [sum(g[k] << ROWS * lane for lane, g in enumerate(grids)) for k in range(COLS)]
     readout = []
-    failed = _compile(ops, 0, checking, len(grids))(packed, readout.append)
+    _compile(ops, 0, len(grids))(packed, readout.append)
     full = (1 << ROWS) - 1
     lanes = [[v >> ROWS * lane & full for v in packed] for lane in range(len(grids))]
     bits = [[v >> ROWS * lane & 1 for v in readout] for lane in range(len(grids))]
     assert readout == [sum(b << ROWS * lane for lane, b in enumerate(col)) for col in zip(*bits)]
-    return lanes, bits, failed
+    return lanes, bits
 
 
-@pytest.mark.parametrize("checking", [True, False])
+@pytest.mark.parametrize("inits", [True, False])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_compiled_lanes_match_scalar_code(checking, data):
+def test_compiled_lanes_match_scalar_code(inits, data):
     # each lane of a program compiled over 1, 3 or 4 lanes matches the
-    # one-lane compiled code and the interpreter on its own grid; a
-    # checking run stops at the first gate that fails in any lane
+    # one-lane compiled code and the interpreter on its own grid; with
+    # `inits`, most drawn gates get an Init of their outputs first
     r0, c0 = data.draw(origins(ROWS)), data.draw(origins(COLS))
-    ops = lowered(data.draw(programs(checking, r0, c0)).ops)
+    ops = lowered(data.draw(programs(inits, r0, c0)).ops)
     rng = data.draw(st.randoms(use_true_random=False))
     grids = [[rng.getrandbits(ROWS) for _ in range(COLS)]
              for _ in range(data.draw(st.sampled_from((1, 3, 4))))]
-    fails = []
+    wants = []
     for g in grids:
         want, want_bits = list(g), []
-        try:
-            _interpret(ops, 0, len(ops), want, want_bits, checking, None)
-            fails.append(None)
-        except MicroOpError as err:
-            fails.append(err.op_index)
+        _interpret(ops, 0, len(ops), want, want_bits, False, None)
         got, got_bits = list(g), []
-        assert _compile(ops, 0, checking)(got, got_bits.append) == fails[-1]
+        _compile(ops, 0)(got, got_bits.append)
         assert (got, got_bits) == (want, want_bits)
-    failed = min((f for f in fails if f is not None), default=None)
-    lanes, bits, got_failed = run_lanes(ops, grids, checking)
-    assert got_failed == failed
-    for g, lane, lane_bits in zip(grids, lanes, bits):
-        want, want_bits = list(g), []
-        _interpret(ops, 0, len(ops) if failed is None else failed, want, want_bits, False, None)
-        assert (lane, lane_bits) == (want, want_bits)
+        wants.append((want, want_bits))
+    lanes, bits = run_lanes(ops, grids)
+    assert list(zip(lanes, bits)) == wants
 
 
 def test_compile_at_256_lanes():
@@ -630,11 +635,10 @@ def test_compile_at_256_lanes():
         saved = limit()
         sys.set_int_max_str_digits(default)
     try:
-        lanes, bits, failed = run_lanes(ops, grids, True)
+        lanes, bits = run_lanes(ops, grids)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(saved)
-    assert failed is None
     for g, lane, lane_bits in zip(grids, lanes, bits):
         want, want_bits = list(g), []
         _interpret(ops, 0, len(ops), want, want_bits, True, None)
@@ -656,7 +660,7 @@ class TestLaneGroup:
     def test_runs_like_its_spans_in_order(self):
         pairs = [(copy_span(k), stage_tail(x)) for x, k in enumerate((5, 6, 7))]
         group = LaneGroup(pairs)
-        assert group.proved and group.ops == [op for pair in pairs for span in pair for op in span]
+        assert group.ops == [op for pair in pairs for span in pair for op in span]
         separate = ProgramBuilder()
         for span in (span for pair in pairs for span in pair):
             separate.include(Block(span))
@@ -718,18 +722,23 @@ class TestInitDominance:
         ([Init((((7,), (0,)),)), NorCol((3,), 7, (0,)), NorCol((4,), 7, (0,))], False),
     ])
     def test_block_proof(self, ops, proved):
-        block = Block(ops)
-        block.cycles(0)
-        assert block.proved is proved
+        # a Block is built only from init-dominated ops
+        if proved:
+            assert Block(ops).ops == ops
+        else:
+            with pytest.raises(ValueError, match="not init-dominated"):
+                Block(ops)
+        assert _dataflow(ops)[0] is proved
 
     def test_proved_block_compiles_once_for_both_modes(self):
         block = Block([Init((((0,), (5,)),)), NorRow((3,), 5, (0,))])
         pb = ProgramBuilder()
         pb.include(block)
         prog = pb.build()
-        for strict in (True, False):
-            execute(prog, fresh(), strict=strict)
-        assert block.proved and list(block._chunks) == [False]
+        execute(prog, fresh(), strict=True)
+        compiled = block._compiled
+        execute(prog, fresh(), strict=False)
+        assert compiled is not None and block._compiled is compiled
 
 
 class TestState:

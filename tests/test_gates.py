@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pimfilter.crossbar import CrossbarState, execute, taint_violations
+from pimfilter.crossbar import CrossbarState, execute
 from pimfilter.gates import (
     ColumnPool,
     build_adder,
@@ -13,6 +13,8 @@ from pimfilter.gates import (
     build_popcount,
     build_subtractor,
 )
+
+from dataflow import live_cells
 
 
 def run(build, preload=()):
@@ -235,11 +237,11 @@ class TestTaintCleanliness:
             (build_not([(0, 0)], [(0, 1)]), [(0, 0)]),
             (build_copy([(0, 0)], [(0, 2)]), [(0, 0)]),
         ]:
-            assert taint_violations(b.program, set(operands)) == []
+            assert live_cells(b.program) <= set(operands)
 
     def test_popcount_taint_clean(self):
         b = build_popcount(0, 100)
-        assert taint_violations(b.program, {(r, 0) for r in range(100)}) == []
+        assert live_cells(b.program) <= {(r, 0) for r in range(100)}
 
 
 def test_column_pool_exhaustion():

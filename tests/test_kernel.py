@@ -14,8 +14,8 @@ from pimfilter.crossbar import (
     MicroProgram,
     NorRow,
     _axis,
+    _dataflow,
     execute,
-    taint_violations,
 )
 from pimfilter.genome import load_tile, partition
 from pimfilter.io import synth_genome
@@ -34,6 +34,8 @@ from pimfilter.kernel import (
     store_threshold,
     window_row_ranges,
 )
+
+from dataflow import live_cells
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +158,10 @@ class TestEveryRowPhase:
         ops = compute = init = 0
         for r0 in range(FRAGMENT_ROWS):
             prog = build_program(layout, r0, counts)
-            assert taint_violations(prog, defined) == [], r0
+            assert live_cells(prog) <= defined, r0
+            # the whole program, head and body, is init-dominated, so
+            # strict and permissive runs of it cannot differ
+            assert _dataflow(prog.ops)[0], r0
             # execute checks structure and annotations first and raises
             # MicroOpError or ValueError on a violation
             res = execute(prog, CrossbarState())
@@ -252,10 +257,12 @@ class TestSharedBody:
     @pytest.mark.parametrize("read_length", [100, 64, 1])
     def test_every_body_block_is_proved(self, read_length):
         # every gate output in the body is initialized inside its own
-        # block, so strict and permissive runs share the unchecked code
-        for start, block in _body(read_length).blocks:
-            block.cycles(start)
-            assert block.proved, start
+        # block (Block checks it when it is built), so strict and
+        # permissive runs share the unchecked code
+        body = _body(read_length)
+        assert [op for _, block in body.blocks for op in block.ops] == body.ops
+        for start, block in body.blocks:
+            assert _dataflow(block.ops)[0], start
 
     def test_edited_program_is_rejected(self):
         prog = build_program(plan_layout(100), 250, oracle.BaseCounts(100, 0, 0, 0))
@@ -420,7 +427,7 @@ class TestValidation:
         prog = build_program(layout, 123, oracle.BaseCounts(100, 0, 0, 0))
         defined = {(r, c) for r in range(100) for c in range(layout.genome_cols)}
         defined |= {(layout.lane_rows["A"], c) for c in layout.thr_cols}
-        assert taint_violations(prog, defined) == []
+        assert live_cells(prog) <= defined
 
     def test_short_reads_supported(self):
         short = plan_layout(read_length=60)
