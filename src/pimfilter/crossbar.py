@@ -131,7 +131,8 @@ class MicroOpError(RuntimeError):
 
 
 class Block:
-    """A run of ops that many programs share, added with ProgramBuilder.include.
+    """A run of ops that many programs share, placed in a MicroProgram's
+    `blocks`.
 
     Building a block checks and lowers its ops (an op with a violation
     raises MicroOpError, numbered within the block), keeps the prefix
@@ -289,7 +290,6 @@ class ProgramBuilder:
     def __init__(self):
         self.ops = []
         self._spans = []
-        self._blocks = []
         self._open_label = None
         self._open_start = 0
 
@@ -304,12 +304,6 @@ class ProgramBuilder:
         finally:
             self._spans.append((self._open_label, self._open_start, len(self.ops)))
             self._open_label = None
-
-    def annotate(self, label, start):
-        """Label ops[start:] as one step span: a step without a with-block."""
-        if self._open_label is not None:
-            raise RuntimeError("step annotations cannot nest")
-        self._spans.append((label, start, len(self.ops)))
 
     def init(self, *regions):
         self.ops.append(Init(tuple((r, c) for r, c in regions)))
@@ -326,13 +320,8 @@ class ProgramBuilder:
     def read(self, row, col):
         self.ops.append(ReadCell(int(row), int(col)))
 
-    def include(self, block):
-        """Append a shared block's ops, to run as the block's compiled code."""
-        self._blocks.append((len(self.ops), block))
-        self.ops.extend(block.ops)
-
     def build(self):
-        prog = MicroProgram(self.ops, tuple(self._spans), tuple(self._blocks))
+        prog = MicroProgram(self.ops, tuple(self._spans))
         prog.check_annotations()
         return prog
 
@@ -550,7 +539,7 @@ def _lower_program(program):
         stop = start + len(block.ops)
         # ops compare by identity (eq=False), so this is an identity check
         if start < pos or ops[start:stop] != block.ops:
-            raise ValueError(f"ops {start}:{stop} do not hold the block included there")
+            raise ValueError(f"ops {start}:{stop} do not hold the block placed there")
         pos = stop
     steps = {}
     compute = init = 0

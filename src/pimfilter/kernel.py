@@ -18,6 +18,11 @@ Row map                          Column map (rows 0..99)
 Lane columns (rows 100..103) are allocated from the space left of the
 result band; the popcount pool overlaps them only on rows 0..99.
 
+Steps 1-3 are built per location. Steps 4-13 are one body, built once
+per process and shared by every read length: the popcounts always count
+all 100 bitmap rows, so a short read first zeroes the bitmap rows its
+window leaves untouched, as one step-4 span ahead of the body.
+
 Per-step compute cycles at read length 100, against the step budgets:
 
   step   1  2  3     4  5    6   7  8-11  12 13   total
@@ -165,9 +170,9 @@ def build_program(layout, offset, counts):
 
     Steps 1-3 and a short read's bitmap zeroing depend on the read counts
     and the window placement and are emitted here. Every other op comes
-    from the layout's shared body (_body), added with its blocks, so
-    those op objects, their lowered forms, their cycle counts and their
-    compiled code are reused by every location.
+    from the shared body (_body), added with its blocks, so those op
+    objects, their lowered forms, their cycle counts and their compiled
+    code are reused by every location at every read length.
     """
     L = layout
     n = L.read_length
@@ -207,47 +212,33 @@ def build_program(layout, offset, counts):
             pb.nor_row((pa, L.nb_col), mc["G"], rng)
             pb.nor_row((pa, pxb), mc["C"], rng)
 
-    # Steps 4-13 from the shared body. A full-length read's head ends
-    # where the body begins, so the body is placed once per head length.
-    body = _body(n)
-    if n == FRAGMENT_ROWS:
-        head = pb.build()
-        annotations, blocks = _placed(len(head.ops))
-        head.ops += body.ops
-        return MicroProgram(head.ops, head.annotations + annotations, blocks)
-    # A short read first zeroes the bitmap rows its window leaves
-    # untouched, at the start of each base's step-4 span; its body has
-    # one block per step span.
-    zero_bases = iter(BASES)
-    for (label, _, _), (_, block) in zip(body.annotations, body.blocks):
-        start = len(pb.ops)
-        if label == "4":
-            _zero_match_rows(pb, L, next(zero_bases), ranges)
-        pb.include(block)
-        pb.annotate(label, start)
-    return pb.build()
+    # A short read zeroes the bitmap rows its window leaves untouched,
+    # so every read length counts the whole column in the shared body.
+    if n < FRAGMENT_ROWS:
+        with pb.step("4"):
+            for base in BASES:
+                _zero_match_rows(pb, L, base, ranges)
+
+    # Steps 4-13 from the shared body, placed once per head length.
+    head = pb.build()
+    annotations, blocks = _placed(len(head.ops))
+    head.ops += _body().ops
+    return MicroProgram(head.ops, head.annotations + annotations, blocks)
 
 
 @functools.cache
-def _body(read_length):
-    """Steps 4-13 for one read length, built once per process, as a
-    MicroProgram whose blocks cover its ops.
+def _body():
+    """Steps 4-13, built once per process, as a MicroProgram whose blocks
+    cover its ops.
 
-    Takes the read length rather than the layout, since KernelLayout
-    holds dicts and cannot be hashed. At read length 100 the four step-4
-    popcounts and their step-5 staging spans form one LaneGroup: the
-    popcounts differ only in the bitmap column they count, so they run
-    as four lanes of one compiled pass, and each step-5 span then stages
-    its own lane's result. Steps 6-13 are one Block per step span. A
-    short read keeps one Block per span in steps 4 and 5 as well, eight
-    blocks, because build_program puts its per-location bitmap zeroing
-    between them (_zero_match_rows). That zeroing takes pool_cols[0], so
-    a short read's popcounts draw their working columns from the rest of
-    the pool.
+    The four step-4 popcounts and their step-5 staging spans form one
+    LaneGroup: the popcounts differ only in the bitmap column they count,
+    so they run as four lanes of one compiled pass, and each step-5 span
+    then stages its own lane's result. Steps 6-13 are one Block per step
+    span.
     """
-    L = plan_layout(read_length)
+    L = plan_layout()
     lanes = tuple(L.lane_rows[b] for b in BASES)
-    pool_cols = L.pool_cols[1:] if read_length < FRAGMENT_ROWS else L.pool_cols
     pb = ProgramBuilder()
 
     # Steps 4 and 5, interleaved per base type: count one bitmap, then
@@ -255,7 +246,7 @@ def _body(read_length):
     # reused for the next count.
     for base in BASES:
         with pb.step("4"):
-            emit_popcount(pb, L.match_cols[base], FRAGMENT_ROWS, ColumnPool(pool_cols),
+            emit_popcount(pb, L.match_cols[base], FRAGMENT_ROWS, ColumnPool(L.pool_cols),
                           L.res_cols, ones_row=L.ones_row)
         with pb.step("5"):
             lane = L.lane_rows[base]
@@ -327,12 +318,9 @@ def _body(read_length):
 
     body = pb.build()
     spans = [body.ops[start:end] for _, start, end in body.annotations]
-    blocks, start = [], 0
-    if read_length == FRAGMENT_ROWS:
-        group = LaneGroup(zip(spans[0:8:2], spans[1:8:2]))
-        blocks.append((0, group))
-        start, spans = len(group.ops), spans[8:]
-    for span in spans:
+    group = LaneGroup(zip(spans[0:8:2], spans[1:8:2]))
+    blocks, start = [(0, group)], len(group.ops)
+    for span in spans[8:]:
         blocks.append((start, Block(span)))
         start += len(span)
     return MicroProgram(body.ops, body.annotations, tuple(blocks))
@@ -340,9 +328,8 @@ def _body(read_length):
 
 @functools.cache
 def _placed(head_len):
-    """The read-length-100 body's annotations and blocks, moved past a
-    head of head_len ops."""
-    body = _body(FRAGMENT_ROWS)
+    """The body's annotations and blocks, moved past a head of head_len ops."""
+    body = _body()
     return (tuple((label, start + head_len, end + head_len) for label, start, end in body.annotations),
             tuple((start + head_len, block) for start, block in body.blocks))
 

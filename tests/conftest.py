@@ -6,8 +6,3 @@ from pimfilter.kernel import plan_layout
 @pytest.fixture(scope="session")
 def layout():
     return plan_layout()
-
-
-def row_cells(row, start, n):
-    """n little-endian cells in one row starting at column `start`."""
-    return [(row, c) for c in range(start, start + n)]

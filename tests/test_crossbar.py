@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import sys
@@ -496,10 +495,8 @@ def with_block(program, cut):
         with pytest.raises(ValueError, match="not init-dominated"):
             Block(ops)
         return None
-    pb = ProgramBuilder()
-    pb.ops.extend(program.ops[:cut])
-    pb.include(Block(ops))
-    return dataclasses.replace(pb.build(), annotations=program.annotations)
+    block = Block(ops)
+    return MicroProgram(program.ops[:cut] + block.ops, program.annotations, ((cut, block),))
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -661,16 +658,16 @@ class TestLaneGroup:
         pairs = [(copy_span(k), stage_tail(x)) for x, k in enumerate((5, 6, 7))]
         group = LaneGroup(pairs)
         assert group.ops == [op for pair in pairs for span in pair for op in span]
-        separate = ProgramBuilder()
-        for span in (span for pair in pairs for span in pair):
-            separate.include(Block(span))
-        together = ProgramBuilder()
-        together.include(group)
+        spans = [span for pair in pairs for span in pair]
+        starts = itertools.accumulate(map(len, spans), initial=0)
+        separate = MicroProgram(group.ops, (), tuple((start, Block(span))
+                                                     for start, span in zip(starts, spans)))
+        together = MicroProgram(group.ops, (), ((0, group),))
         rng = np.random.default_rng(6)
         for _ in range(20):
             grid = rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
-            want, want_res, _, want_trace = run_program(separate.build(), grid, True)
-            got, res, _, trace = run_program(together.build(), grid, True)
+            want, want_res, _, want_trace = run_program(separate, grid, True)
+            got, res, _, trace = run_program(together, grid, True)
             assert got == want and trace == want_trace
             assert (res.readout, res.compute_cycles, res.init_cycles) == \
                    (want_res.readout, want_res.compute_cycles, want_res.init_cycles)
@@ -732,9 +729,7 @@ class TestInitDominance:
 
     def test_proved_block_compiles_once_for_both_modes(self):
         block = Block([Init((((0,), (5,)),)), NorRow((3,), 5, (0,))])
-        pb = ProgramBuilder()
-        pb.include(block)
-        prog = pb.build()
+        prog = MicroProgram(block.ops, (), ((0, block),))
         execute(prog, fresh(), strict=True)
         compiled = block._compiled
         execute(prog, fresh(), strict=False)

@@ -318,7 +318,7 @@ class TestCli:
         100: ("8be996560f950fe284b45f3878012de71706935762ac2e5b707fb6d6084a15da",
               "ab9c84ae0de4a3c95dfeb0adfe99523bf0da42b611deceef64776a9a062c085b"),
         64: ("6be03c25871977e28be87dcbb5db16ee8006d8246c5da5477a0a610731d8ebed",
-             "1055eb5b8483ea928c1b8ea8402577c8bc8f9cd6305410cdd8c7edb65a103f36"),
+             "6902d4818cddfaa6a204de62117b84679778e73cd99dadfaeba380dead6d1d44"),
     }
 
     @pytest.mark.parametrize("mode", [[], ["--permissive"]], ids=["strict", "permissive"])

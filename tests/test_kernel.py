@@ -13,7 +13,6 @@ from pimfilter.crossbar import (
     LaneGroup,
     MicroProgram,
     NorRow,
-    _axis,
     _dataflow,
     execute,
 )
@@ -178,8 +177,8 @@ class TestEveryRowPhase:
 
     @pytest.mark.parametrize("read_length,counts,digest", [
         (100, (10, 20, 30, 40), "0795463040e9ae4ccf0e81ade5320ac37b09c1a13ec4991ad3497445a2418916"),
-        (64, (1, 2, 3, 58), "173d9e78e80ffb88ca9f0af8c115ed251e56c34ec0425d0f554942b9a2ddcb62"),
-        (1, (0, 0, 1, 0), "4a2ec7bbc65544a2dcfae58206c8fb3a0179a96c2c7d834f7a6c51279e26fe56"),
+        (64, (1, 2, 3, 58), "d1f7634ebbacd82d19de8906af514f6ffd3826d943f1bd9f8dbf787462e21eb9"),
+        (1, (0, 0, 1, 0), "6d42a8a5bc47e3bc106488a390af2576766f816567bda3f30dcbb0807e599842"),
     ])
     def test_op_stream_pinned(self, read_length, counts, digest):
         # every row phase in the first, second and last fragment pair;
@@ -202,28 +201,13 @@ class TestSharedBody:
         first = build_program(layout, 250, counts)
         second = build_program(layout, 137, counts)
 
-        def body_ops(prog):
-            # ops past step 3, less a short read's bitmap zeroing, which
-            # is the only user of the pool's first column in step 4
-            spare = layout.pool_cols[0]
-            out = []
-            for label, start, end in prog.annotations:
-                for op in prog.ops[start:end]:
-                    if label in ("1", "2", "3"):
-                        continue
-                    if label == "4" and read_length < FRAGMENT_ROWS and (
-                            spare in getattr(op, "input_cols", ())
-                            or any(spare in _axis(c) for _, c in getattr(op, "regions", ()))):
-                        continue
-                    out.append(op)
-            return out
-
-        shared = body_ops(first)
-        assert len(shared) == len(body_ops(second)) > 1800
-        assert all(a is b for a, b in zip(shared, body_ops(second)))
-        if read_length == FRAGMENT_ROWS:
-            # both heads span two fragments: one placement of the body
-            assert first.blocks is second.blocks
+        # the ops from the first block on are the one body that programs
+        # of every read length share (ops compare by identity)
+        for prog in (first, second):
+            shared = prog.ops[prog.blocks[0][0]:]
+            assert len(shared) > 1800 and shared == _body().ops
+        # both heads span two fragments: one placement of the body
+        assert first.blocks is second.blocks
 
         execute(first, CrossbarState())
         lowered, compiled = [], []
@@ -256,10 +240,14 @@ class TestSharedBody:
 
     @pytest.mark.parametrize("read_length", [100, 64, 1])
     def test_every_body_block_is_proved(self, read_length):
-        # every gate output in the body is initialized inside its own
-        # block (Block checks it when it is built), so strict and
-        # permissive runs share the unchecked code
-        body = _body(read_length)
+        # every read length runs the body's blocks; every gate output in
+        # the body is initialized inside its own block (Block checks it
+        # when it is built), so strict and permissive runs share the
+        # unchecked code
+        body = _body()
+        prog = build_program(plan_layout(read_length), 250, oracle.BaseCounts(read_length, 0, 0, 0))
+        head = prog.blocks[0][0]
+        assert [(start - head, block) for start, block in prog.blocks] == list(body.blocks)
         assert [op for _, block in body.blocks for op in block.ops] == body.ops
         for start, block in body.blocks:
             assert _dataflow(block.ops)[0], start
@@ -274,19 +262,21 @@ class TestSharedBody:
 
 class TestLaneGroup:
     def test_group_covers_the_step_4_and_5_spans(self):
-        body = _body(100)
+        body = _body()
         (start, group), *rest = body.blocks
         assert isinstance(group, LaneGroup) and start == 0
         assert [label for label, _, _ in body.annotations[:8]] == ["4", "5"] * 4
         assert body.annotations[7][2] == len(group.ops) == rest[0][0]
         assert not any(isinstance(block, LaneGroup) for _, block in rest)
-        assert not any(isinstance(block, LaneGroup) for _, block in _body(64).blocks)
+        for read_length in (100, 64, 37, 1):
+            prog = build_program(plan_layout(read_length), 137, oracle.BaseCounts(read_length, 0, 0, 0))
+            assert prog.blocks[0][1] is group, read_length
 
     def test_matches_the_spans_run_as_separate_blocks(self):
         # every row phase, from a random grid: the group and the eight
         # spans it holds, each run as its own Block, must leave the same
         # cells, readout, cycles, steps and trace
-        body = _body(100)
+        body = _body()
         spans = [(start, Block(body.ops[start:end])) for _, start, end in body.annotations[:8]]
         layout = plan_layout(100)
         rng = random.Random(23)
@@ -441,3 +431,31 @@ class TestValidation:
             counts = oracle.histogram(read)
             res = run_kernel(state, short, counts, offset)
             assert res.discard == oracle.decide(counts, genome[offset:offset + 60], 2)
+
+    @pytest.mark.parametrize("read_length", [64, 37, 1])
+    def test_short_reads_every_row_phase(self, read_length):
+        # every row phase, so windows inside one fragment and (but for
+        # read length 1) windows spanning two, each run strict and
+        # permissive from a random grid with the tile loaded over it
+        layout = plan_layout(read_length)
+        rng = random.Random(read_length)
+        genome = synth_genome(6600, rng)
+        tile = partition(len(genome), read_length)[0]
+        decisions = set()
+        for r0 in range(FRAGMENT_ROWS):
+            offset = FRAGMENT_ROWS * rng.randrange(64) + r0
+            window = genome[offset:offset + read_length]
+            read = list(window)
+            for _ in range(rng.randint(0, 6)):
+                read[rng.randrange(read_length)] = rng.choice(BASES)
+            counts = oracle.histogram("".join(read))
+            eth = rng.randint(0, min(3, read_length))
+            want = oracle.decide(counts, window, eth)
+            decisions.add(want)
+            for strict in (True, False):
+                state = CrossbarState()
+                state.cols[:] = [rng.getrandbits(ROWS) for _ in state.cols]
+                load_tile(state, layout, genome, tile, eth)
+                res = run_kernel(state, layout, counts, offset, strict=strict)
+                assert res.discard == want, (r0, strict)
+        assert decisions == {0, 1}
