@@ -165,7 +165,7 @@ def emit_adder(pb, width, x_cols, y_cols, z_cols, pool, rows, carry_in_col=None,
 class _Value:
     row: int
     cols: tuple
-    band: int  # -1 when the bits live in the caller's input column
+    band: int  # -1 for the caller's input column and the final result
 
 
 def emit_popcount(pb, col, height, pool, res_cols, ones_row=None):
@@ -215,19 +215,8 @@ def emit_popcount(pb, col, height, pool, res_cols, ones_row=None):
     pb.init((tree_rows, (ones_col, zero_col)))
     pb.nor_row((ones_col,), zero_col, tree_rows)
 
-    bands = []  # {"cols": tuple, "live": int}
+    bands = []  # column tuples; a value in bands[i] has band == i
     values = [_Value(i, (col,), -1) for i in range(height)]
-
-    def retire(v):
-        if v.band >= 0:
-            bands[v.band]["live"] -= 1
-
-    def take_band():
-        for bi, band in enumerate(bands):
-            if band["live"] == 0:
-                return bi
-        bands.append({"cols": tuple(pool.take(band_width)), "live": 0})
-        return len(bands) - 1
 
     while len(values) > 1:
         values.sort(key=lambda v: (-len(v.cols), v.row))
@@ -242,10 +231,13 @@ def emit_popcount(pb, col, height, pool, res_cols, ones_row=None):
 
         if last:
             dest_cols = tuple(res_cols)
-            dest_band = None
-        else:
-            dest_band = take_band()
-            dest_cols = bands[dest_band]["cols"]
+            dest_band = -1
+        else:  # the first band that holds none of the current values
+            busy = {v.band for v in values}
+            dest_band = next((i for i in range(len(bands)) if i not in busy), len(bands))
+            if dest_band == len(bands):
+                bands.append(tuple(pool.take(band_width)))
+            dest_cols = bands[dest_band]
 
         # Batched initialization of everything this level writes.
         regions = []
@@ -292,12 +284,7 @@ def emit_popcount(pb, col, height, pool, res_cols, ones_row=None):
                 t_cols = scratch[:7 * w]
                 carry_cols = scratch[7 * w:8 * w - 1]
                 _adder_gates(pb, w, a_cols, tmp_cols[:w], z_cols, t_cols, carry_cols, a_rows, zero_col)
-            for a, b in members:
-                retire(a)
-                retire(b)
-                new_values.append(_Value(a.row, z_cols, -1 if last else dest_band))
-                if dest_band is not None:
-                    bands[dest_band]["live"] += 1
+            new_values.extend(_Value(a.row, z_cols, dest_band) for a, _ in members)
         values = new_values + ([leftover] if leftover is not None else [])
 
     final = values[0]

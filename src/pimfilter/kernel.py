@@ -18,10 +18,12 @@ Row map                          Column map (rows 0..99)
 Lane columns (rows 100..103) are allocated from the space left of the
 result band; the popcount pool overlaps them only on rows 0..99.
 
-Steps 1-3 are built per location. Steps 4-13 are one body, built once
-per process and shared by every read length: the popcounts always count
-all 100 bitmap rows, so a short read first zeroes the bitmap rows its
-window leaves untouched, as one step-4 span ahead of the body.
+Steps 1 and 2 are built per location. Step 3 depends only on the rows
+the window covers, and so does a short read's zeroing of the bitmap rows
+its window leaves untouched (one step-4 span after step 3): both are one
+proved Block per window shape. Steps 4-13 are one body, built once per
+process and shared by every read length; the zeroing lets its popcounts
+always count all 100 bitmap rows.
 
 Per-step compute cycles at read length 100, against the step budgets:
 
@@ -168,11 +170,13 @@ def counts_bits(count):
 def build_program(layout, offset, counts):
     """Emit the full annotated micro-program for one location check.
 
-    Steps 1-3 and a short read's bitmap zeroing depend on the read counts
-    and the window placement and are emitted here. Every other op comes
-    from the shared body (_body), added with its blocks, so those op
-    objects, their lowered forms, their cycle counts and their compiled
-    code are reused by every location at every read length.
+    Steps 1 and 2 depend on the read counts and the window's fragments
+    and are emitted here. Every other op depends at most on the rows the
+    window covers: step 3 and a short read's bitmap zeroing are one
+    proved Block per window shape, followed by the shared body of steps
+    4-13 (_placed). So those op objects, their lowered forms, their cycle
+    counts and their compiled code are reused by every location with the
+    same window shape.
     """
     L = layout
     n = L.read_length
@@ -195,35 +199,11 @@ def build_program(layout, offset, counts):
             pb.nor_row((2 * pair,), L.p_cols[0], rng)
             pb.nor_row((2 * pair + 1,), L.p_cols[1], rng)
 
-    # Step 3: the four base comparisons. NOT(pa) and NOT(pb) are computed
-    # once and reused, so A costs three gates and T, G, C one each.
-    with pb.step("3"):
-        pa, pxb = L.p_cols
-        mc = L.match_cols
-        targets = (L.na_col, L.nb_col) + tuple(mc[b] for b in BASES)
-        # a full-length window covers every row, whatever its phase
-        spans = [range(0, FRAGMENT_ROWS)] if n == FRAGMENT_ROWS else [rng for _, rng in ranges]
-        pb.init(*((rng, targets) for rng in spans))
-        for rng in spans:
-            pb.nor_row((pa,), L.na_col, rng)
-            pb.nor_row((pxb,), L.nb_col, rng)
-            pb.nor_row((L.na_col, L.nb_col), mc["A"], rng)
-            pb.nor_row((L.na_col, pxb), mc["T"], rng)
-            pb.nor_row((pa, L.nb_col), mc["G"], rng)
-            pb.nor_row((pa, pxb), mc["C"], rng)
-
-    # A short read zeroes the bitmap rows its window leaves untouched,
-    # so every read length counts the whole column in the shared body.
-    if n < FRAGMENT_ROWS:
-        with pb.step("4"):
-            for base in BASES:
-                _zero_match_rows(pb, L, base, ranges)
-
-    # Steps 4-13 from the shared body, placed once per head length.
     head = pb.build()
-    annotations, blocks = _placed(len(head.ops))
-    head.ops += _body().ops
-    return MicroProgram(head.ops, head.annotations + annotations, blocks)
+    # a full-length window covers every row, whatever its phase
+    spans = (range(0, FRAGMENT_ROWS),) if n == FRAGMENT_ROWS else tuple(rng for _, rng in ranges)
+    ops, annotations, blocks = _placed(len(head.ops), spans)
+    return MicroProgram(head.ops + ops + _body().ops, head.annotations + annotations, blocks)
 
 
 @functools.cache
@@ -234,8 +214,7 @@ def _body():
     The four step-4 popcounts and their step-5 staging spans form one
     LaneGroup: the popcounts differ only in the bitmap column they count,
     so they run as four lanes of one compiled pass, and each step-5 span
-    then stages its own lane's result. Steps 6-13 are one Block per step
-    span.
+    then stages its own lane's result. Steps 6-13 are one Block.
     """
     L = plan_layout()
     lanes = tuple(L.lane_rows[b] for b in BASES)
@@ -317,21 +296,58 @@ def _body():
         pb.read(lane_a, L.res12_cols[8])
 
     body = pb.build()
-    spans = [body.ops[start:end] for _, start, end in body.annotations]
-    group = LaneGroup(zip(spans[0:8:2], spans[1:8:2]))
-    blocks, start = [(0, group)], len(group.ops)
-    for span in spans[8:]:
-        blocks.append((start, Block(span)))
-        start += len(span)
-    return MicroProgram(body.ops, body.annotations, tuple(blocks))
+    spans = [body.ops[start:end] for _, start, end in body.annotations[:8]]
+    group = LaneGroup(zip(spans[0::2], spans[1::2]))
+    rest = Block(body.ops[len(group.ops):])
+    return MicroProgram(body.ops, body.annotations, ((0, group), (len(group.ops), rest)))
 
 
 @functools.cache
-def _placed(head_len):
-    """The body's annotations and blocks, moved past a head of head_len ops."""
+def _placed(head_len, spans):
+    """Step 3 over the window rows `spans`, then a short read's bitmap
+    zeroing, as one Block placed after a head of head_len ops, followed
+    by the body.
+
+    Returns the Block's ops, the annotations of it and of the body, and
+    the blocks of both, all moved past the head.
+    """
+    L = plan_layout()
+    pb = ProgramBuilder()
+
+    # Step 3: the four base comparisons. NOT(pa) and NOT(pb) are computed
+    # once and reused, so A costs three gates and T, G, C one each.
+    with pb.step("3"):
+        pa, pxb = L.p_cols
+        mc = L.match_cols
+        targets = (L.na_col, L.nb_col) + tuple(mc[b] for b in BASES)
+        pb.init(*((rng, targets) for rng in spans))
+        for rng in spans:
+            pb.nor_row((pa,), L.na_col, rng)
+            pb.nor_row((pxb,), L.nb_col, rng)
+            pb.nor_row((L.na_col, L.nb_col), mc["A"], rng)
+            pb.nor_row((L.na_col, pxb), mc["T"], rng)
+            pb.nor_row((pa, L.nb_col), mc["G"], rng)
+            pb.nor_row((pa, pxb), mc["C"], rng)
+
+    # A short read zeroes the bitmap rows its window leaves untouched,
+    # so every read length counts the whole column in the shared body.
+    rest = _complement_rows(spans)
+    if rest:
+        ones = L.pool_cols[0]
+        with pb.step("4"):
+            for base in BASES:
+                col = L.match_cols[base]
+                pb.init(*((rng, (ones, col)) for rng in rest))
+                for rng in rest:
+                    pb.nor_row((ones,), col, rng)
+
+    phase = pb.build()
     body = _body()
-    return (tuple((label, start + head_len, end + head_len) for label, start, end in body.annotations),
-            tuple((start + head_len, block) for start, block in body.blocks))
+    at = head_len + len(phase.ops)
+    annotations = tuple((label, start + head_len, end + head_len) for label, start, end in phase.annotations)
+    annotations += tuple((label, start + at, end + at) for label, start, end in body.annotations)
+    blocks = ((head_len, Block(phase.ops)),) + tuple((start + at, block) for start, block in body.blocks)
+    return phase.ops, annotations, blocks
 
 
 def _complement_rows(spans):
@@ -343,16 +359,6 @@ def _complement_rows(spans):
             rest.append(range(prev, r))
         prev = r + 1
     return rest
-
-
-def _zero_match_rows(pb, layout, base, ranges):
-    """Zero the bitmap rows a short read leaves untouched."""
-    rest = _complement_rows([rng for _, rng in ranges])
-    ones = layout.pool_cols[0]
-    col = layout.match_cols[base]
-    pb.init(*(((rng, (ones, col))) for rng in rest))
-    for rng in rest:
-        pb.nor_row((ones,), col, rng)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -224,6 +225,16 @@ class TestPopcount:
     def test_result_at_first_value_row(self):
         b = build_popcount(3, 100)
         assert all(r == 0 for r, _ in b.result_cells)
+
+    def test_op_streams_pinned(self):
+        # heights 1..120, taken before band reuse was simplified; the
+        # digest covers each op's text and the result cells
+        h = hashlib.sha256()
+        for height in range(1, 121):
+            b = build_popcount(0, height)
+            text = "\n".join(op.describe() for op in b.program.ops) + "\n" + repr(b.result_cells) + "\n"
+            h.update(text.encode())
+        assert h.hexdigest() == "f7829fc00e1fbc7b385c552f985cd2ffb7a50365239d535dab7cf0b779789df2"
 
 
 class TestTaintCleanliness:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pimfilter import crossbar, oracle
+from pimfilter import crossbar, kernel, oracle
 from pimfilter.crossbar import (
     ROWS,
     Block,
@@ -194,20 +194,23 @@ class TestEveryRowPhase:
 
 
 class TestSharedBody:
-    @pytest.mark.parametrize("read_length,unshared", [(100, 16), (64, 30)])
-    def test_body_is_shared_and_lowered_once(self, monkeypatch, read_length, unshared):
+    @pytest.mark.parametrize("read_length", [100, 64])
+    def test_body_is_shared_and_lowered_once(self, monkeypatch, read_length):
+        kernel._placed.cache_clear()  # no phase block compiled by earlier tests
         layout = plan_layout(read_length)
         counts = oracle.BaseCounts(read_length, 0, 0, 0)
         first = build_program(layout, 250, counts)
         second = build_program(layout, 137, counts)
 
-        # the ops from the first block on are the one body that programs
+        # the ops from the second block on are the one body that programs
         # of every read length share (ops compare by identity)
         for prog in (first, second):
-            shared = prog.ops[prog.blocks[0][0]:]
+            shared = prog.ops[prog.blocks[1][0]:]
             assert len(shared) > 1800 and shared == _body().ops
-        # both heads span two fragments: one placement of the body
-        assert first.blocks is second.blocks
+        # both heads span two fragments; a full-length window covers every
+        # row, so at read length 100 the two share one phase block too
+        if read_length == 100:
+            assert first.blocks is second.blocks
 
         execute(first, CrossbarState())
         lowered, compiled = [], []
@@ -217,11 +220,15 @@ class TestSharedBody:
         monkeypatch.setattr(crossbar, "_compile",
                             lambda *args: compiled.append(args) or real_compile(*args))
         execute(second, CrossbarState())
-        first_ids = {id(op) for op in first.ops}
-        fresh = [op for op in second.ops if id(op) not in first_ids]
-        assert [id(op) for op in lowered] == [id(op) for op in fresh]
-        assert len(lowered) == unshared
-        assert compiled == []
+        # only the head of steps 1 and 2 is lowered per location; a
+        # short read's new window shape compiles its phase block once
+        head = second.ops[:second.blocks[0][0]]
+        assert [id(op) for op in lowered] == [id(op) for op in head]
+        assert len(head) == 9
+        if read_length == 100:
+            assert compiled == []
+        else:
+            assert [ops for ops, *_ in compiled] == [second.blocks[0][1].ops]
 
         # _lower_program reads the ops outside blocks one by one; it checks
         # each block's ops as one slice and adds its cached cycle sums
@@ -236,7 +243,7 @@ class TestSharedBody:
         crossbar._lower_program(dataclasses.replace(second, ops=Recording(second.ops)))
         in_blocks = {i for start, block in second.blocks for i in range(start, start + len(block.ops))}
         assert visited == [i for i in range(len(second.ops)) if i not in in_blocks]
-        assert len(visited) == unshared
+        assert len(visited) == 9
 
     @pytest.mark.parametrize("read_length", [100, 64, 1])
     def test_every_body_block_is_proved(self, read_length):
@@ -246,15 +253,34 @@ class TestSharedBody:
         # unchecked code
         body = _body()
         prog = build_program(plan_layout(read_length), 250, oracle.BaseCounts(read_length, 0, 0, 0))
-        head = prog.blocks[0][0]
-        assert [(start - head, block) for start, block in prog.blocks] == list(body.blocks)
+        head = prog.blocks[1][0]
+        assert [(start - head, block) for start, block in prog.blocks[1:]] == list(body.blocks)
         assert [op for _, block in body.blocks for op in block.ops] == body.ops
         for start, block in body.blocks:
             assert _dataflow(block.ops)[0], start
 
+    @pytest.mark.parametrize("read_length,shapes", [(100, 2), (64, FRAGMENT_ROWS)])
+    def test_one_phase_block_per_window_shape(self, read_length, shapes):
+        # step 3 and a short read's zeroing depend only on the window's
+        # rows: one proved block per row phase (per head length at read
+        # length 100), the same object in every fragment pair
+        layout = plan_layout(read_length)
+        counts = oracle.BaseCounts(read_length, 0, 0, 0)
+        by_phase = {}
+        for offset in range(TILE_STRIDE + 1):
+            prog = build_program(layout, offset, counts)
+            start, block = prog.blocks[0]
+            assert prog.ops[start:start + len(block.ops)] == block.ops
+            by_phase.setdefault(offset % FRAGMENT_ROWS, set()).add(block)  # by identity
+        assert all(len(blocks) == 1 for blocks in by_phase.values())
+        distinct = set().union(*by_phase.values())
+        assert len(distinct) == shapes
+        for block in distinct:
+            assert _dataflow(block.ops)[0]
+
     def test_edited_program_is_rejected(self):
         prog = build_program(plan_layout(100), 250, oracle.BaseCounts(100, 0, 0, 0))
-        start, block = prog.blocks[3]
+        start, block = prog.blocks[2]
         prog.ops[start + 5] = copy.copy(prog.ops[start + 5])
         with pytest.raises(ValueError, match="do not hold the block"):
             execute(prog, CrossbarState())
@@ -270,7 +296,7 @@ class TestLaneGroup:
         assert not any(isinstance(block, LaneGroup) for _, block in rest)
         for read_length in (100, 64, 37, 1):
             prog = build_program(plan_layout(read_length), 137, oracle.BaseCounts(read_length, 0, 0, 0))
-            assert prog.blocks[0][1] is group, read_length
+            assert prog.blocks[1][1] is group, read_length
 
     def test_matches_the_spans_run_as_separate_blocks(self):
         # every row phase, from a random grid: the group and the eight
@@ -286,10 +312,11 @@ class TestLaneGroup:
             g = rng.randint(0, 100 - a - t)
             prog = build_program(layout, FRAGMENT_ROWS * rng.randrange(64) + r0,
                                  oracle.BaseCounts(a, t, g, 100 - a - t - g))
-            (head, group), *rest = prog.blocks
+            phase, (head, group), *rest = prog.blocks
             assert group is body.blocks[0][1]
             split = MicroProgram(prog.ops, prog.annotations,
-                                 tuple((head + start, block) for start, block in spans) + tuple(rest))
+                                 (phase,) + tuple((head + start, block) for start, block in spans)
+                                 + tuple(rest))
             grid = [rng.getrandbits(ROWS) for _ in range(len(CrossbarState().cols))]
             runs = []
             for program in (prog, split):
