@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import accumulate
-
-import numpy as np
+from itertools import chain
+from numbers import Integral
 
 ROWS, COLS = 128, 256
-_COL_BYTES = ROWS // 8  # one packed grid column
 # Ops per compiled function of a Block. Compiling the read-length-100 body
 # one step span per function raised peak RSS by 7.5 MB (CPython 3.11,
 # x86-64), against 2.1 MB with 64-op chunks, which ran no slower.
@@ -38,7 +36,7 @@ def _axis(spec):
     """
     if isinstance(spec, (range, tuple)):
         return spec
-    if isinstance(spec, (int, np.integer)):
+    if isinstance(spec, Integral):
         return (int(spec),)
     return tuple(int(v) for v in spec)
 
@@ -131,28 +129,26 @@ class MicroOpError(RuntimeError):
 
 
 class Block:
-    """A run of ops that many programs share, placed in a MicroProgram's
-    `blocks`.
+    """A run of ops that many programs share, with its own step labels.
 
-    Building a block checks and lowers its ops (an op with a violation
-    raises MicroOpError, numbered within the block), keeps the prefix
-    sums of their compute and init cycles (`cycles`), and proves the ops
-    init-dominated: every gate output is set by an Init among them, with
-    no write since (_dataflow). Ops that are not raise ValueError. So a
-    strict run cannot fail inside a block, whatever the grid held before,
-    and strict and permissive runs share one unchecked form. The block is
-    compiled once, on its first run, into straight-line functions of at
-    most _CHUNK_OPS ops each (see _compile, at one lane). execute runs
-    those functions in place of interpreting the ops; the interpreter
-    stays the reference they are tested against.
+    Building a block checks that its annotations, when present, partition
+    its ops, lowers the ops (an op with a violation raises MicroOpError,
+    numbered within the block), counts their cycles (`cycles`, from
+    _count) and proves the ops init-dominated: every gate output is set
+    by an Init among them, with no write since (_dataflow). Ops that are
+    not raise ValueError. So a strict run cannot fail inside
+    a block, whatever the grid held before, and strict and permissive
+    runs share one unchecked form. The block is compiled once, on its
+    first run, into straight-line functions of at most _CHUNK_OPS ops
+    each (see _compile, at one lane), which execute runs in place of
+    interpreting the ops; the interpreter stays their tested reference.
     """
 
-    def __init__(self, ops):
+    def __init__(self, ops, annotations=()):
         self.ops = list(ops)
-        for j, op in enumerate(self.ops):
-            _lowered(op, j)
-        self.cycles = (tuple(accumulate((op.cycles for op in self.ops), initial=0)),
-                       tuple(accumulate((op.__class__ is Init for op in self.ops), initial=0)))
+        self.annotations = tuple(annotations)
+        _check_annotations(self.annotations, len(self.ops))
+        self.cycles = _count(self.ops, self.annotations)
         if not _dataflow(self.ops)[0]:
             raise ValueError("the block is not init-dominated")
         self._compiled = None  # built on the first run
@@ -194,11 +190,12 @@ class LaneGroup(Block):
         span reads or writes.
 
     A group that fails the proof raises ValueError when it is built.
+    `annotations` label its ops, as a Block's do.
     """
 
-    def __init__(self, pairs):
+    def __init__(self, pairs, annotations=()):
         self._pairs = [(list(span), list(tail)) for span, tail in pairs]
-        super().__init__(op for pair in self._pairs for part in pair for op in part)
+        super().__init__((op for pair in self._pairs for part in pair for op in part), annotations)
         group_written = _dataflow(self.ops)[2]
         inputs = []
         for span, _ in self._pairs:
@@ -259,29 +256,48 @@ class LaneGroup(Block):
 
 @dataclass
 class MicroProgram:
-    """An ordered list of micro-ops, optionally annotated with step labels.
+    """A program: a head of ops that execute interprets, then `blocks`, a
+    tuple of Blocks that run in order after it.
 
-    Annotations are (label, start, end) half-open ranges over the op list.
-    When present they must partition the list; a label may appear in more
-    than one range. `blocks` holds (start, Block) pairs in op order: each
-    block's ops sit in `ops` from `start` on, where execute runs them as
-    the block's compiled code.
+    `head_annotations` are (label, start, end) step ranges over the head;
+    when present they must partition it. A label may appear in more than
+    one range, and in the head and in blocks alike. `ops` and
+    `annotations` read the whole program: the head, then each block's
+    ops, with each block's annotations moved past what comes before it.
     """
 
-    ops: list
-    annotations: tuple = ()
+    head: list
+    head_annotations: tuple = ()
     blocks: tuple = ()
 
+    @property
+    def ops(self):
+        return list(chain(self.head, *(block.ops for block in self.blocks)))
+
+    @property
+    def annotations(self):
+        annotations = list(self.head_annotations)
+        at = len(self.head)
+        for block in self.blocks:
+            annotations += [(label, start + at, end + at) for label, start, end in block.annotations]
+            at += len(block.ops)
+        return tuple(annotations)
+
     def check_annotations(self):
-        if not self.annotations:
-            return
-        pos = 0
-        for label, start, end in self.annotations:
-            if start != pos or end <= start:
-                raise ValueError(f"annotations do not partition the op list at {label!r}")
-            pos = end
-        if pos != len(self.ops):
-            raise ValueError("annotations do not cover the op list")
+        _check_annotations(self.head_annotations, len(self.head))
+
+
+def _check_annotations(annotations, n):
+    """Raise ValueError unless `annotations` are empty or partition n ops."""
+    if not annotations:
+        return
+    pos = 0
+    for label, start, end in annotations:
+        if start != pos or end <= start:
+            raise ValueError(f"annotations do not partition the op list at {label!r}")
+        pos = end
+    if pos != n:
+        raise ValueError("annotations do not cover the op list")
 
 
 class ProgramBuilder:
@@ -330,30 +346,11 @@ class CrossbarState:
     """Cell grid of one ROWS x COLS crossbar, held packed.
 
     `cols` is a list of COLS Python ints in which bit r of cols[c] is
-    cell (r, c); execute runs programs on it in place. `cells` reads a
-    read-only numpy snapshot of the grid, and assigning a ROWS x COLS
-    grid of 0s and 1s to it loads the whole array.
+    cell (r, c); execute runs programs on it in place.
     """
 
     def __init__(self):
         self.cols = [0] * COLS
-
-    @property
-    def cells(self):
-        packed = np.frombuffer(b"".join(v.to_bytes(_COL_BYTES, "little") for v in self.cols),
-                               np.uint8)
-        grid = np.unpackbits(packed, bitorder="little").reshape(COLS, ROWS).T
-        grid.flags.writeable = False
-        return grid
-
-    @cells.setter
-    def cells(self, grid):
-        grid = np.asarray(grid)
-        if grid.shape != (ROWS, COLS) or ((grid != 0) & (grid != 1)).any():
-            raise ValueError(f"a grid must be {ROWS}x{COLS} cells of 0 or 1")
-        packed = np.packbits(grid.T.astype(np.uint8), axis=1, bitorder="little").tobytes()
-        self.cols[:] = [int.from_bytes(packed[i:i + _COL_BYTES], "little")
-                        for i in range(0, len(packed), _COL_BYTES)]
 
     # Host-side accessors. These model pre-stored data (no cycle cost);
     # cycle-counted writes go through the WriteExternal micro-op.
@@ -505,70 +502,50 @@ def _lower(op):
     return bad
 
 
-def _lowered(op, i):
-    """Lower op (op i of its program) unless already lowered; raise
-    MicroOpError if it has a violation."""
-    try:
-        c = op._c
-    except AttributeError:  # not a micro-op; _lower says so
-        c = None
-    if c is None:
-        bad = _lower(op)
-        if bad:
-            raise MicroOpError(i, op, bad)
-    return op
+def _count(ops, annotations):
+    """Lower every op not yet lowered, raising MicroOpError (numbered
+    within `ops`) at the first with a violation, and count the cycles.
+
+    Returns (compute, init, steps), with a (compute, init) pair per label
+    of `annotations`. They follow from the op costs alone: each op takes
+    `op.cycles` compute cycles, and an Init one init cycle.
+    """
+    steps = {}
+    compute = init = 0
+    for label, start, end in annotations or ((None, 0, len(ops)),):
+        step_compute, step_init = compute, init
+        for i in range(start, end):
+            op = ops[i]
+            # an object that is not a micro-op has no _c; _lower says so
+            if getattr(op, "_c", None) is None and (bad := _lower(op)):
+                raise MicroOpError(i, op, bad)
+            compute += op.cycles
+            init += op.__class__ is Init
+        if label is not None:
+            c0, i0 = steps.get(label, (0, 0))
+            steps[label] = (c0 + compute - step_compute, i0 + init - step_init)
+    return compute, init, steps
 
 
 def _lower_program(program):
-    """Lower every op of `program` not yet lowered.
-
-    Raises MicroOpError at the first op with a violation, before any op
-    runs, and ValueError if the annotations do not partition the ops or
-    the ops at a block's start are no longer the block's own ops. Returns
-    the compute and init cycles of the whole program and per step label;
-    they follow from the op costs alone: each op takes `op.cycles`
-    compute cycles, and an Init one init cycle. Only the ops outside
-    blocks are visited; a block adds its cycles from the prefix sums it
-    made when it was built (Block.cycles).
+    """Check the head's annotations (ValueError) and lower the head
+    (_count), before any op runs, and return the compute and init cycles
+    of the whole program and per step label: the head's, plus those each
+    block counted when it was built (Block.cycles).
     """
     program.check_annotations()
-    ops = program.ops
-    blocks = program.blocks
-    pos = 0
-    for start, block in blocks:
-        stop = start + len(block.ops)
-        # ops compare by identity (eq=False), so this is an identity check
-        if start < pos or ops[start:stop] != block.ops:
-            raise ValueError(f"ops {start}:{stop} do not hold the block placed there")
-        pos = stop
-    steps = {}
     compute = init = 0
-    pos = 0
-    later = iter(blocks)
-    block_start, block = next(later, (len(ops), None))
-    for label, start, end in program.annotations or ((None, 0, len(ops)),):
-        step_compute, step_init = compute, init
-        while pos < end:
-            if pos < block_start:
-                stop = min(block_start, end)
-                for i in range(pos, stop):
-                    op = _lowered(ops[i], i)
-                    compute += op.cycles
-                    init += op.__class__ is Init
-            else:  # inside the block; an annotation may end within it
-                pc, pi = block.cycles
-                stop = min(block_start + len(block.ops), end)
-                compute += pc[stop - block_start] - pc[pos - block_start]
-                init += pi[stop - block_start] - pi[pos - block_start]
-                if stop == block_start + len(block.ops):
-                    block_start, block = next(later, (len(ops), None))
-            pos = stop
-        if label is not None:
+    steps = {}
+    for part_compute, part_init, part_steps in (_count(program.head, program.head_annotations),
+                                                *(block.cycles for block in program.blocks)):
+        compute += part_compute
+        init += part_init
+        for label, (c, i) in part_steps.items():
             sc = steps.get(label)
             if sc is None:
                 sc = steps[label] = StepCycles()
-            sc.compute += compute - step_compute
-            sc.init += init - step_init
+            sc.compute += c
+            sc.init += i
     return compute, init, steps
 
 
@@ -707,12 +684,11 @@ def _compile(ops, first, lanes=1):
     return namespace["chunk"]
 
 
-def _interpret(ops, lo, hi, g, readout, strict, emit):
-    """Run ops[lo:hi], already lowered, on the column grid g: the
-    reference semantics that compiled blocks are tested against, and the
-    one place where strict mode checks gate outputs."""
-    for i in range(lo, hi):
-        op = ops[i]
+def _interpret(ops, g, readout, strict, emit):
+    """Run ops, already lowered, on the column grid g: the reference
+    semantics that compiled blocks are tested against, and the one place
+    where strict mode checks gate outputs."""
+    for i, op in enumerate(ops):
         cls = op.__class__
         lowered = op._c
         if cls is NorRow:
@@ -766,20 +742,21 @@ def _tracer(trace):
 def execute(program, state, strict=True, trace=None):
     """Run a MicroProgram on a CrossbarState, mutating it in place.
 
-    Every op is checked and lowered before the first one runs, so an
+    Every head op is checked and lowered before the first one runs, so an
     addressing, aliasing or shape violation aborts with the state
-    untouched. The ops then run in place on state.cols, the packed grid
-    of COLS Python ints where bit r of column c is cell (r, c). The
-    program's blocks run as their compiled code (Block.run) and every
-    other op through the interpreter (_interpret); both give the same
-    cells, readout and trace. A NorRow is one bitwise expression over its
-    whole row mask; a NorCol is one per column. Both modes evaluate a NOR
-    by conditional switching: output <- output AND NOR(inputs). Strict
-    mode adds the precondition that every output cell of a gate holds 1,
-    checked before the gate switches any cell, and aborts at the first
-    gate that finds a 0, leaving the cells the ops before it wrote. Only
-    the interpreted ops are checked: a Block is init-dominated, which is
-    checked when it is built, so no gate inside one can fail.
+    untouched; a block's ops were checked and lowered when it was built.
+    The ops then run in place on state.cols, the packed grid of COLS
+    Python ints where bit r of column c is cell (r, c): the head through
+    the interpreter (_interpret), then each block as its compiled code
+    (Block.run). Both give the same cells, readout and trace. A NorRow is
+    one bitwise expression over its whole row mask; a NorCol is one per
+    column. Both modes evaluate a NOR by conditional switching: output <-
+    output AND NOR(inputs). Strict mode adds the precondition that every
+    output cell of a gate holds 1, checked before the gate switches any
+    cell, and aborts at the first gate that finds a 0, leaving the cells
+    the ops before it wrote. Only the head is checked: a Block is
+    init-dominated, which is checked when it is built, so no gate inside
+    one can fail.
 
     :param trace: optional callable receiving one line per op run,
         formatted `cycle_kind cycle_index op_descriptor`.
@@ -787,15 +764,11 @@ def execute(program, state, strict=True, trace=None):
     """
     compute, init, steps = _lower_program(program)
     g = state.cols
-    ops = program.ops
     readout = []
     emit = None if trace is None else _tracer(trace)
-    pos = 0
-    for start, block in program.blocks:
-        _interpret(ops, pos, start, g, readout, strict, emit)
+    _interpret(program.head, g, readout, strict, emit)
+    for block in program.blocks:
         block.run(g, readout)
         if emit is not None:
             emit(block.ops)
-        pos = start + len(block.ops)
-    _interpret(ops, pos, len(ops), g, readout, strict, emit)
     return ExecResult(readout, compute, init, steps)

@@ -18,12 +18,13 @@ Row map                          Column map (rows 0..99)
 Lane columns (rows 100..103) are allocated from the space left of the
 result band; the popcount pool overlaps them only on rows 0..99.
 
-Steps 1 and 2 are built per location. Step 3 depends only on the rows
-the window covers, and so does a short read's zeroing of the bitmap rows
-its window leaves untouched (one step-4 span after step 3): both are one
-proved Block per window shape. Steps 4-13 are one body, built once per
-process and shared by every read length; the zeroing lets its popcounts
-always count all 100 bitmap rows.
+Steps 1 and 2 are built per location, as the program's head. Step 3
+depends only on the rows the window covers, and so does a short read's
+zeroing of the bitmap rows its window leaves untouched (one step-4 span
+after step 3): both are one proved Block per window shape. Steps 4-13
+are one body of two Blocks, built once per process and shared by every
+read length; the zeroing lets its popcounts always count all 100 bitmap
+rows.
 
 Per-step compute cycles at read length 100, against the step budgets:
 
@@ -171,12 +172,12 @@ def build_program(layout, offset, counts):
     """Emit the full annotated micro-program for one location check.
 
     Steps 1 and 2 depend on the read counts and the window's fragments
-    and are emitted here. Every other op depends at most on the rows the
-    window covers: step 3 and a short read's bitmap zeroing are one
-    proved Block per window shape, followed by the shared body of steps
-    4-13 (_placed). So those op objects, their lowered forms, their cycle
-    counts and their compiled code are reused by every location with the
-    same window shape.
+    and are the program's head, emitted here. Every other op depends at
+    most on the rows the window covers: step 3 and a short read's bitmap
+    zeroing are one proved Block per window shape (_phase), followed by
+    the blocks of the shared body of steps 4-13 (_body). So those op
+    objects, their lowered forms, their cycle counts and their compiled
+    code are reused by every location with the same window shape.
     """
     L = layout
     n = L.read_length
@@ -202,14 +203,12 @@ def build_program(layout, offset, counts):
     head = pb.build()
     # a full-length window covers every row, whatever its phase
     spans = (range(0, FRAGMENT_ROWS),) if n == FRAGMENT_ROWS else tuple(rng for _, rng in ranges)
-    ops, annotations, blocks = _placed(len(head.ops), spans)
-    return MicroProgram(head.ops + ops + _body().ops, head.annotations + annotations, blocks)
+    return MicroProgram(head.head, head.head_annotations, (_phase(spans), *_body()))
 
 
 @functools.cache
 def _body():
-    """Steps 4-13, built once per process, as a MicroProgram whose blocks
-    cover its ops.
+    """Steps 4-13, built once per process, as two labelled blocks.
 
     The four step-4 popcounts and their step-5 staging spans form one
     LaneGroup: the popcounts differ only in the bitmap column they count,
@@ -232,6 +231,11 @@ def _body():
             pb.init(((L.stage_row,), L.res_cols), ((lane,), L.res_cols))
             pb.nor_col((0,), L.stage_row, L.res_cols)
             pb.nor_col((L.stage_row,), lane, L.res_cols)
+
+    steps = pb.build()
+    spans = [steps.head[start:end] for _, start, end in steps.head_annotations]
+    group = LaneGroup(zip(spans[0::2], spans[1::2]), steps.head_annotations)
+    pb = ProgramBuilder()
 
     # Step 6: per-lane window count minus read count (nine-gate cells,
     # borrow chain), then the negated difference via fold-in increment.
@@ -295,22 +299,14 @@ def _body():
     with pb.step("13"):
         pb.read(lane_a, L.res12_cols[8])
 
-    body = pb.build()
-    spans = [body.ops[start:end] for _, start, end in body.annotations[:8]]
-    group = LaneGroup(zip(spans[0::2], spans[1::2]))
-    rest = Block(body.ops[len(group.ops):])
-    return MicroProgram(body.ops, body.annotations, ((0, group), (len(group.ops), rest)))
+    rest = pb.build()
+    return group, Block(rest.head, rest.head_annotations)
 
 
 @functools.cache
-def _placed(head_len, spans):
+def _phase(spans):
     """Step 3 over the window rows `spans`, then a short read's bitmap
-    zeroing, as one Block placed after a head of head_len ops, followed
-    by the body.
-
-    Returns the Block's ops, the annotations of it and of the body, and
-    the blocks of both, all moved past the head.
-    """
+    zeroing, as one labelled Block."""
     L = plan_layout()
     pb = ProgramBuilder()
 
@@ -342,12 +338,7 @@ def _placed(head_len, spans):
                     pb.nor_row((ones,), col, rng)
 
     phase = pb.build()
-    body = _body()
-    at = head_len + len(phase.ops)
-    annotations = tuple((label, start + head_len, end + head_len) for label, start, end in phase.annotations)
-    annotations += tuple((label, start + at, end + at) for label, start, end in body.annotations)
-    blocks = ((head_len, Block(phase.ops)),) + tuple((start + at, block) for start, block in body.blocks)
-    return phase.ops, annotations, blocks
+    return Block(phase.head, phase.head_annotations)
 
 
 def _complement_rows(spans):

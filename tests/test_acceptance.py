@@ -30,6 +30,8 @@ from pimfilter.kernel import (
 )
 from pimfilter.genome import load_tile, partition
 
+from grid import snapshot
+
 
 def report(criterion, detail):
     print(f"PASS criterion {criterion}: {detail}")
@@ -54,7 +56,7 @@ def test_criterion_1_gate_and_arithmetic_correctness():
         pb.nor_row(tuple(range(k)), k, range(len(patterns)))
         execute(pb.build(), state)
         for r, bits in enumerate(patterns):
-            assert state.cells[r, k] == int(not any(bits))
+            assert snapshot(state)[r, k] == int(not any(bits))
 
     # COPY, exhaustive over bit values
     src = [(r, 0) for r in range(4)]

@@ -29,6 +29,7 @@ from pimfilter.crossbar import (
 )
 
 from dataflow import live_cells
+from grid import load_grid, snapshot
 
 
 def fresh():
@@ -76,7 +77,7 @@ class TestExecute:
         pb.init(((0,), (5,)))
         pb.nor_row((3, 4), 5, (0,))
         res = execute(pb.build(), s)
-        assert s.cells[0, 5] == 1  # NOR(0, 0) = 1
+        assert snapshot(s)[0, 5] == 1  # NOR(0, 0) = 1
         assert res.compute_cycles == 1
         assert res.init_cycles == 1
 
@@ -87,7 +88,7 @@ class TestExecute:
         pb.init(((0,), (5,)))
         pb.nor_row((3, 4), 5, (0,))
         execute(pb.build(), s)
-        assert s.cells[0, 5] == 0
+        assert snapshot(s)[0, 5] == 0
 
     def test_row_parallel_truth_table(self):
         s = fresh()
@@ -112,7 +113,7 @@ class TestExecute:
         pb.nor_row(tuple(range(k)), k, range(len(patterns)))
         execute(pb.build(), s)
         for r, bits in enumerate(patterns):
-            assert s.cells[r, k] == (0 if any(bits) else 1)
+            assert snapshot(s)[r, k] == (0 if any(bits) else 1)
 
     @pytest.mark.parametrize("n", [1, 2, 17, 100, 128])
     def test_row_parallelism_costs_one_cycle(self, n):
@@ -147,23 +148,23 @@ class TestExecute:
         if strict:
             grid[members, out] = 1
         row, col = fresh(), fresh()
-        row.cells = np.pad(grid, ((0, 0), (0, COLS - 128)))
-        col.cells = np.pad(grid.T, ((0, 0), (0, COLS - 128)))
+        load_grid(row, np.pad(grid, ((0, 0), (0, COLS - 128))))
+        load_grid(col, np.pad(grid.T, ((0, 0), (0, COLS - 128))))
         execute(MicroProgram([NorRow(ins, out, lines)]), row, strict=strict)
         execute(MicroProgram([NorCol(ins, out, lines)]), col, strict=strict)
         want = 1 - grid[np.ix_(members, ins)].any(axis=1)
         if not strict:
             want &= grid[members, out]
-        assert (row.cells[members, out] == want).all()
-        assert (col.cells[:, :128] == row.cells[:, :128].T).all()
-        assert not row.cells[:, 128:].any() and not col.cells[:, 128:].any()
+        assert (snapshot(row)[members, out] == want).all()
+        assert (snapshot(col)[:, :128] == snapshot(row)[:, :128].T).all()
+        assert not snapshot(row)[:, 128:].any() and not snapshot(col)[:, 128:].any()
 
     def test_frame_property(self):
         # cells not addressed by an op are unchanged
         s = fresh()
         rng = np.random.default_rng(0)
-        s.cells = rng.integers(0, 2, size=s.cells.shape, dtype=np.uint8)
-        before = s.cells.copy()
+        load_grid(s, rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8))
+        before = snapshot(s).copy()
         pb = ProgramBuilder()
         pb.init((range(10, 20), (5,)))
         pb.nor_row((3, 4), 5, range(10, 20))
@@ -172,12 +173,12 @@ class TestExecute:
         touched = np.zeros_like(before, dtype=bool)
         touched[10:20, 5] = True
         touched[40, 7:9] = True
-        assert (s.cells[~touched] == before[~touched]).all()
+        assert (snapshot(s)[~touched] == before[~touched]).all()
 
     def test_replay_is_deterministic(self):
         rng = np.random.default_rng(1)
         base = fresh()
-        base.cells = rng.integers(0, 2, size=base.cells.shape, dtype=np.uint8)
+        load_grid(base, rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8))
         pb = ProgramBuilder()
         pb.init((range(0, 50), (10, 11, 12)))
         pb.nor_row((0, 1), 10, range(0, 50))
@@ -186,10 +187,10 @@ class TestExecute:
         pb.read(60, 60)
         prog = pb.build()
         s1, s2 = fresh(), fresh()
-        s1.cells = base.cells
-        s2.cells = base.cells
+        load_grid(s1, snapshot(base))
+        load_grid(s2, snapshot(base))
         r1, r2 = execute(prog, s1), execute(prog, s2)
-        assert (s1.cells == s2.cells).all()
+        assert (snapshot(s1) == snapshot(s2)).all()
         assert (r1.readout, r1.compute_cycles, r1.init_cycles) == \
                (r2.readout, r2.compute_cycles, r2.init_cycles)
 
@@ -209,11 +210,11 @@ class TestExecute:
         grid = cells if gate is NorRow else cells.T
         grid[list(lines), 3] = 1        # every line's NOR gives 0
         grid[list(lines[:-1]), 5] = 1   # each output but the last holds 1
-        s.cells = cells
-        before = s.cells.copy()
+        load_grid(s, cells)
+        before = snapshot(s).copy()
         with pytest.raises(MicroOpError, match="not initialized"):
             run_op(gate((3, 4), 5, lines), s)
-        assert (s.cells == before).all()
+        assert (snapshot(s) == before).all()
 
     def test_permissive_masks_output(self):
         # output <- old AND NOR(inputs): a 0 output can never flip back to 1
@@ -222,13 +223,13 @@ class TestExecute:
         pb = ProgramBuilder()
         pb.nor_row((3,), 5, (0,))
         execute(pb.build(), s, strict=False)
-        assert s.cells[0, 5] == 0  # NOR says 1, stale 0 wins
+        assert snapshot(s)[0, 5] == 0  # NOR says 1, stale 0 wins
 
         s.set_bits([(1, 5)], [1])
         pb = ProgramBuilder()
         pb.nor_row((3,), 5, (1,))
         execute(pb.build(), s, strict=False)
-        assert s.cells[1, 5] == 1
+        assert snapshot(s)[1, 5] == 1
 
     def test_permissive_still_rejects_aliasing(self):
         pb = ProgramBuilder()
@@ -248,8 +249,8 @@ class TestExecute:
 
     def test_bad_last_op_aborts_before_any_op_runs(self):
         s = fresh()
-        s.cells = np.random.default_rng(2).integers(0, 2, size=s.cells.shape, dtype=np.uint8)
-        before = s.cells.copy()
+        load_grid(s, np.random.default_rng(2).integers(0, 2, size=(ROWS, COLS), dtype=np.uint8))
+        before = snapshot(s).copy()
         pb = ProgramBuilder()
         pb.init((range(0, 20), (5,)))
         pb.nor_row((3, 4), 5, range(0, 20))
@@ -259,7 +260,7 @@ class TestExecute:
         with pytest.raises(MicroOpError, match="row out of bounds") as err:
             execute(prog, s)
         assert err.value.op_index == len(prog.ops) - 1
-        assert (s.cells == before).all()
+        assert (snapshot(s) == before).all()
 
     @pytest.mark.parametrize("lines", [(0, 0), (0,) * 9 + tuple(range(1, 9))])
     def test_repeated_line_switches_once(self, lines):
@@ -268,7 +269,7 @@ class TestExecute:
         s = fresh()
         s.set_bits([(r, c) for r in range(9) for c in (3, 5)], [1] * 18)
         execute(MicroProgram([NorRow((3,), 5, lines)]), s, strict=True)
-        assert not s.cells[sorted(set(lines)), 5].any()
+        assert not snapshot(s)[sorted(set(lines)), 5].any()
 
 
 class TestProgram:
@@ -354,7 +355,7 @@ def test_nor_row_matches_boolean_model(bits, k):
     pb.nor_row(tuple(range(k)), k, range(rows))
     execute(pb.build(), s)
     for r, pattern in enumerate(table):
-        assert s.cells[r, k] == int(not any(pattern))
+        assert snapshot(s)[r, k] == int(not any(pattern))
 
 
 # Differential check: execute against a cell-by-cell model of the crossbar
@@ -478,25 +479,30 @@ def origins(size):
 def run_program(program, grid, strict):
     """execute on a copy of grid: (cells, ExecResult or None, MicroOpError or None, trace)."""
     state = fresh()
-    state.cells = grid
+    load_grid(state, grid)
     trace = []
     try:
         res, err = execute(program, state, strict=strict, trace=trace.append), None
     except MicroOpError as exc:
         res, err = None, exc
-    return state.cells.tolist(), res, err, trace
+    return snapshot(state).tolist(), res, err, trace
 
 
 def with_block(program, cut):
-    """The same program with ops[cut:] added as one Block after the others,
-    or None when the ops are not init-dominated and Block rejects them."""
+    """The same program with ops[cut:] as one Block after the head of the
+    others, each part with its share of the annotations (a label that
+    spans the cut is split in two), or None when the ops are not
+    init-dominated and Block rejects them."""
     ops = lowered(program.ops[cut:])
+    head = tuple((label, start, min(end, cut)) for label, start, end in program.annotations
+                 if start < cut)
+    tail = tuple((label, max(start, cut) - cut, end - cut) for label, start, end in program.annotations
+                 if end > cut)
     if not _dataflow(ops)[0]:
         with pytest.raises(ValueError, match="not init-dominated"):
-            Block(ops)
+            Block(ops, tail)
         return None
-    block = Block(ops)
-    return MicroProgram(program.ops[:cut] + block.ops, program.annotations, ((cut, block),))
+    return MicroProgram(program.ops[:cut], head, (Block(ops, tail),))
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -608,7 +614,7 @@ def test_compiled_lanes_match_scalar_code(inits, data):
     wants = []
     for g in grids:
         want, want_bits = list(g), []
-        _interpret(ops, 0, len(ops), want, want_bits, False, None)
+        _interpret(ops, want, want_bits, False, None)
         got, got_bits = list(g), []
         _compile(ops, 0)(got, got_bits.append)
         assert (got, got_bits) == (want, want_bits)
@@ -638,7 +644,7 @@ def test_compile_at_256_lanes():
             sys.set_int_max_str_digits(saved)
     for g, lane, lane_bits in zip(grids, lanes, bits):
         want, want_bits = list(g), []
-        _interpret(ops, 0, len(ops), want, want_bits, True, None)
+        _interpret(ops, want, want_bits, True, None)
         assert (lane, lane_bits) == (want, want_bits)
 
 
@@ -658,11 +664,8 @@ class TestLaneGroup:
         pairs = [(copy_span(k), stage_tail(x)) for x, k in enumerate((5, 6, 7))]
         group = LaneGroup(pairs)
         assert group.ops == [op for pair in pairs for span in pair for op in span]
-        spans = [span for pair in pairs for span in pair]
-        starts = itertools.accumulate(map(len, spans), initial=0)
-        separate = MicroProgram(group.ops, (), tuple((start, Block(span))
-                                                     for start, span in zip(starts, spans)))
-        together = MicroProgram(group.ops, (), ((0, group),))
+        separate = MicroProgram([], (), tuple(Block(span) for pair in pairs for span in pair))
+        together = MicroProgram([], (), (group,))
         rng = np.random.default_rng(6)
         for _ in range(20):
             grid = rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
@@ -727,9 +730,18 @@ class TestInitDominance:
                 Block(ops)
         assert _dataflow(ops)[0] is proved
 
+    def test_block_annotations_partition_its_ops(self):
+        # a Block counts its cycles per label, so its labels must cover
+        # each of its ops once
+        ops = [Init((((0,), (5,)),)), NorRow((3,), 5, (0,))]
+        for annotations in ((("a", 0, 1),), (("a", 1, 2),), (("a", 0, 1), ("b", 0, 2))):
+            with pytest.raises(ValueError, match="annotations do not"):
+                Block(ops, annotations)
+        assert Block(ops, (("a", 0, 1), ("b", 1, 2))).cycles == (1, 1, {"a": (0, 1), "b": (1, 0)})
+
     def test_proved_block_compiles_once_for_both_modes(self):
         block = Block([Init((((0,), (5,)),)), NorRow((3,), 5, (0,))])
-        prog = MicroProgram(block.ops, (), ((0, block),))
+        prog = MicroProgram([], (), (block,))
         execute(prog, fresh(), strict=True)
         compiled = block._compiled
         execute(prog, fresh(), strict=False)
@@ -740,25 +752,25 @@ class TestState:
     def test_cells_round_trip(self):
         grid = np.random.default_rng(4).integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
         s = fresh()
-        s.cells = grid
-        assert (s.cells == grid).all()
+        load_grid(s, grid)
+        assert (snapshot(s) == grid).all()
         assert [s.cols[c] >> r & 1 for r, c in ((0, 0), (127, 255), (64, 3))] == \
                [grid[0, 0], grid[127, 255], grid[64, 3]]
         again = fresh()
-        again.cells = s.cells
+        load_grid(again, snapshot(s))
         assert again.cols == s.cols
 
     def test_snapshot_is_read_only(self):
         s = fresh()
         with pytest.raises(ValueError, match="read-only"):
-            s.cells[0, 5] = 1
+            snapshot(s)[0, 5] = 1
         assert s.cols == [0] * COLS
 
     @pytest.mark.parametrize("grid", [np.zeros((ROWS, COLS - 1), np.uint8),
                                       np.full((ROWS, COLS), 2, np.uint8)])
     def test_setter_rejects_a_bad_grid(self, grid):
         with pytest.raises(ValueError, match="cells of 0 or 1"):
-            fresh().cells = grid
+            load_grid(fresh(), grid)
 
     def test_execute_mutates_cols_in_place(self):
         s = fresh()

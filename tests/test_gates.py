@@ -16,6 +16,7 @@ from pimfilter.gates import (
 )
 
 from dataflow import live_cells
+from grid import snapshot
 
 
 def run(build, preload=()):
@@ -72,7 +73,7 @@ class TestCopy:
     def test_single_bit(self):
         b = build_copy([(0, 0)], [(0, 3)])
         state, res = run(b, [([(0, 0)], 1)])
-        assert state.cells[0, 3] == 1
+        assert snapshot(state)[0, 3] == 1
         assert res.compute_cycles == 2
 
 
@@ -132,7 +133,7 @@ class TestSubtractor:
         assert state.read_value(z) == 0
         state, _ = run(b, [(x, 5), (y, 9)])
         assert state.read_value(z) == (5 - 9) % 512  # two's complement, msb set
-        assert state.cells[0, z[-1][1]] == 1
+        assert snapshot(state)[0, z[-1][1]] == 1
 
     def test_exhaustive_4bit(self):
         x, y, z = lane(4, "xyz")

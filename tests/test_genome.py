@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pimfilter import oracle
-from pimfilter.crossbar import CrossbarState
+from pimfilter.crossbar import COLS, ROWS, CrossbarState
 from pimfilter.genome import (
     load_tile,
     partition,
@@ -16,6 +16,8 @@ from pimfilter.genome import (
 )
 from pimfilter.io import CandidateRecord, synth_fixture, synth_genome
 from pimfilter.kernel import FRAGMENT_ROWS, TILE_SPAN, TILE_STRIDE, encode_base
+
+from grid import load_grid, snapshot
 
 
 class TestPartition:
@@ -86,7 +88,7 @@ def looped_tile(genome, tile):
         a, b = encode_base(genome[tile.start + i])
         pair, row = divmod(i, FRAGMENT_ROWS)
         state.set_bits([(row, 2 * pair), (row, 2 * pair + 1)], [a, b])
-    return state.cells
+    return snapshot(state)
 
 
 class TestLoadTile:
@@ -97,19 +99,19 @@ class TestLoadTile:
         state = CrossbarState()
         load_tile(state, layout, genome, tile, 3)
         assert tile.length == TILE_SPAN
-        assert (state.cells[:FRAGMENT_ROWS] == looped_tile(genome, tile)[:FRAGMENT_ROWS]).all()
+        assert (snapshot(state)[:FRAGMENT_ROWS] == looped_tile(genome, tile)[:FRAGMENT_ROWS]).all()
         assert state.read_value([(layout.lane_rows["A"], c) for c in layout.thr_cols]) == 6
 
     def test_short_final_tile_is_zero_padded(self, layout):
         genome = synth_genome(6400 + 3210, random.Random(4))
         tile = partition(len(genome))[-1]
         state = CrossbarState()
-        ones = np.zeros(state.cells.shape, np.uint8)
+        ones = np.zeros((ROWS, COLS), np.uint8)
         ones[:FRAGMENT_ROWS, :layout.genome_cols] = 1  # padding must be written
-        state.cells = ones
+        load_grid(state, ones)
         load_tile(state, layout, genome, tile, 3)
         assert tile.length == 3210
-        assert (state.cells[:FRAGMENT_ROWS] == looped_tile(genome, tile)[:FRAGMENT_ROWS]).all()
+        assert (snapshot(state)[:FRAGMENT_ROWS] == looped_tile(genome, tile)[:FRAGMENT_ROWS]).all()
 
     @pytest.mark.parametrize("bad", ["N", "a", "\u00e9"])
     def test_invalid_base_is_named(self, layout, bad):

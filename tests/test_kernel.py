@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import hashlib
 import random
@@ -35,6 +34,7 @@ from pimfilter.kernel import (
 )
 
 from dataflow import live_cells
+from grid import snapshot
 
 
 @pytest.fixture(scope="module")
@@ -196,21 +196,21 @@ class TestEveryRowPhase:
 class TestSharedBody:
     @pytest.mark.parametrize("read_length", [100, 64])
     def test_body_is_shared_and_lowered_once(self, monkeypatch, read_length):
-        kernel._placed.cache_clear()  # no phase block compiled by earlier tests
+        kernel._phase.cache_clear()  # no phase block compiled by earlier tests
         layout = plan_layout(read_length)
         counts = oracle.BaseCounts(read_length, 0, 0, 0)
         first = build_program(layout, 250, counts)
         second = build_program(layout, 137, counts)
 
-        # the ops from the second block on are the one body that programs
-        # of every read length share (ops compare by identity)
+        # the blocks from the second on are the one body that programs of
+        # every read length share (blocks compare by identity)
+        assert sum(len(block.ops) for block in _body()) > 1800
         for prog in (first, second):
-            shared = prog.ops[prog.blocks[1][0]:]
-            assert len(shared) > 1800 and shared == _body().ops
+            assert prog.blocks[1:] == _body()
         # both heads span two fragments; a full-length window covers every
         # row, so at read length 100 the two share one phase block too
         if read_length == 100:
-            assert first.blocks is second.blocks
+            assert first.blocks[0] is second.blocks[0]
 
         execute(first, CrossbarState())
         lowered, compiled = [], []
@@ -222,16 +222,15 @@ class TestSharedBody:
         execute(second, CrossbarState())
         # only the head of steps 1 and 2 is lowered per location; a
         # short read's new window shape compiles its phase block once
-        head = second.ops[:second.blocks[0][0]]
-        assert [id(op) for op in lowered] == [id(op) for op in head]
-        assert len(head) == 9
+        assert [id(op) for op in lowered] == [id(op) for op in second.head]
+        assert len(second.head) == 9
         if read_length == 100:
             assert compiled == []
         else:
-            assert [ops for ops, *_ in compiled] == [second.blocks[0][1].ops]
+            assert [ops for ops, *_ in compiled] == [second.blocks[0].ops]
 
-        # _lower_program reads the ops outside blocks one by one; it checks
-        # each block's ops as one slice and adds its cached cycle sums
+        # _lower_program reads the head's ops one by one; each block adds
+        # the cycles it counted when it was built
         visited = []
 
         class Recording(list):
@@ -240,10 +239,8 @@ class TestSharedBody:
                     visited.append(i)
                 return super().__getitem__(i)
 
-        crossbar._lower_program(dataclasses.replace(second, ops=Recording(second.ops)))
-        in_blocks = {i for start, block in second.blocks for i in range(start, start + len(block.ops))}
-        assert visited == [i for i in range(len(second.ops)) if i not in in_blocks]
-        assert len(visited) == 9
+        crossbar._lower_program(dataclasses.replace(second, head=Recording(second.head)))
+        assert visited == list(range(9))
 
     @pytest.mark.parametrize("read_length", [100, 64, 1])
     def test_every_body_block_is_proved(self, read_length):
@@ -251,26 +248,22 @@ class TestSharedBody:
         # the body is initialized inside its own block (Block checks it
         # when it is built), so strict and permissive runs share the
         # unchecked code
-        body = _body()
         prog = build_program(plan_layout(read_length), 250, oracle.BaseCounts(read_length, 0, 0, 0))
-        head = prog.blocks[1][0]
-        assert [(start - head, block) for start, block in prog.blocks[1:]] == list(body.blocks)
-        assert [op for _, block in body.blocks for op in block.ops] == body.ops
-        for start, block in body.blocks:
-            assert _dataflow(block.ops)[0], start
+        assert prog.blocks[1:] == _body()
+        for block in _body():
+            assert _dataflow(block.ops)[0]
 
-    @pytest.mark.parametrize("read_length,shapes", [(100, 2), (64, FRAGMENT_ROWS)])
+    @pytest.mark.parametrize("read_length,shapes", [(100, 1), (64, FRAGMENT_ROWS)])
     def test_one_phase_block_per_window_shape(self, read_length, shapes):
         # step 3 and a short read's zeroing depend only on the window's
-        # rows: one proved block per row phase (per head length at read
-        # length 100), the same object in every fragment pair
+        # rows: one proved block per row phase (one in all at read length
+        # 100, whose window covers every row), the same object in every
+        # fragment pair
         layout = plan_layout(read_length)
         counts = oracle.BaseCounts(read_length, 0, 0, 0)
         by_phase = {}
         for offset in range(TILE_STRIDE + 1):
-            prog = build_program(layout, offset, counts)
-            start, block = prog.blocks[0]
-            assert prog.ops[start:start + len(block.ops)] == block.ops
+            block = build_program(layout, offset, counts).blocks[0]
             by_phase.setdefault(offset % FRAGMENT_ROWS, set()).add(block)  # by identity
         assert all(len(blocks) == 1 for blocks in by_phase.values())
         distinct = set().union(*by_phase.values())
@@ -278,32 +271,23 @@ class TestSharedBody:
         for block in distinct:
             assert _dataflow(block.ops)[0]
 
-    def test_edited_program_is_rejected(self):
-        prog = build_program(plan_layout(100), 250, oracle.BaseCounts(100, 0, 0, 0))
-        start, block = prog.blocks[2]
-        prog.ops[start + 5] = copy.copy(prog.ops[start + 5])
-        with pytest.raises(ValueError, match="do not hold the block"):
-            execute(prog, CrossbarState())
-
 
 class TestLaneGroup:
     def test_group_covers_the_step_4_and_5_spans(self):
-        body = _body()
-        (start, group), *rest = body.blocks
-        assert isinstance(group, LaneGroup) and start == 0
-        assert [label for label, _, _ in body.annotations[:8]] == ["4", "5"] * 4
-        assert body.annotations[7][2] == len(group.ops) == rest[0][0]
-        assert not any(isinstance(block, LaneGroup) for _, block in rest)
+        group, rest = _body()
+        assert isinstance(group, LaneGroup) and not isinstance(rest, LaneGroup)
+        assert [label for label, _, _ in group.annotations] == ["4", "5"] * 4
         for read_length in (100, 64, 37, 1):
             prog = build_program(plan_layout(read_length), 137, oracle.BaseCounts(read_length, 0, 0, 0))
-            assert prog.blocks[1][1] is group, read_length
+            assert prog.blocks[1] is group, read_length
 
     def test_matches_the_spans_run_as_separate_blocks(self):
         # every row phase, from a random grid: the group and the eight
         # spans it holds, each run as its own Block, must leave the same
         # cells, readout, cycles, steps and trace
-        body = _body()
-        spans = [(start, Block(body.ops[start:end])) for _, start, end in body.annotations[:8]]
+        group, _ = _body()
+        spans = tuple(Block(group.ops[start:end], ((label, 0, end - start),))
+                      for label, start, end in group.annotations)
         layout = plan_layout(100)
         rng = random.Random(23)
         for r0 in range(FRAGMENT_ROWS):
@@ -312,11 +296,9 @@ class TestLaneGroup:
             g = rng.randint(0, 100 - a - t)
             prog = build_program(layout, FRAGMENT_ROWS * rng.randrange(64) + r0,
                                  oracle.BaseCounts(a, t, g, 100 - a - t - g))
-            phase, (head, group), *rest = prog.blocks
-            assert group is body.blocks[0][1]
-            split = MicroProgram(prog.ops, prog.annotations,
-                                 (phase,) + tuple((head + start, block) for start, block in spans)
-                                 + tuple(rest))
+            phase, together, rest = prog.blocks
+            assert together is group
+            split = MicroProgram(prog.head, prog.head_annotations, (phase, *spans, rest))
             grid = [rng.getrandbits(ROWS) for _ in range(len(CrossbarState().cols))]
             runs = []
             for program in (prog, split):
@@ -369,8 +351,9 @@ class TestDecisions:
         run_kernel(state, layout, counts, offset)
         window = genome[offset:offset + 100]
         r0 = offset % 100
+        cells = snapshot(state)
         for r in range(100):
-            pa, pb = state.cells[r, layout.p_cols[0]], state.cells[r, layout.p_cols[1]]
+            pa, pb = cells[r, layout.p_cols[0]], cells[r, layout.p_cols[1]]
             a, b = encode_base(window[(r - r0) % 100])
             assert (pa, pb) == (1 - a, 1 - b)
 
