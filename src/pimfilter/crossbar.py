@@ -11,6 +11,9 @@ cost accounting can exclude initialization.
 
 Every crossbar is a fixed ROWS x COLS array, and each op class states
 its own compute-cycle cost; every cycle count derives from those costs.
+Programs and the Blocks they share hold their ops as (label, ops) steps,
+so every op belongs to exactly one step and the per-step cycle report
+needs no check that the labels cover the ops.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from numbers import Integral
 
 ROWS, COLS = 128, 256
 # Ops per compiled function of a Block. Compiling the read-length-100 body
-# one step span per function raised peak RSS by 7.5 MB (CPython 3.11,
+# one step per function raised peak RSS by 7.5 MB (CPython 3.11,
 # x86-64), against 2.1 MB with 64-op chunks, which ran no slower.
 _CHUNK_OPS = 64
 _BITS = frozenset((0, 1))
@@ -129,26 +132,25 @@ class MicroOpError(RuntimeError):
 
 
 class Block:
-    """A run of ops that many programs share, with its own step labels.
+    """A run of ops that many programs share, held as (label, ops) steps.
 
-    Building a block checks that its annotations, when present, partition
-    its ops, lowers the ops (an op with a violation raises MicroOpError,
-    numbered within the block), counts their cycles (`cycles`, from
-    _count) and proves the ops init-dominated: every gate output is set
-    by an Init among them, with no write since (_dataflow). Ops that are
-    not raise ValueError. So a strict run cannot fail inside
+    Building a block lowers its ops (an op with a violation raises
+    MicroOpError, numbered across the block's steps), counts their cycles
+    (`cycles`, from _count) and proves the ops init-dominated: every gate
+    output is set by an Init among them, with no write since (_dataflow).
+    Ops that are not raise ValueError. So a strict run cannot fail inside
     a block, whatever the grid held before, and strict and permissive
-    runs share one unchecked form. The block is compiled once, on its
-    first run, into straight-line functions of at most _CHUNK_OPS ops
-    each (see _compile, at one lane), which execute runs in place of
-    interpreting the ops; the interpreter stays their tested reference.
+    runs share one unchecked form. `ops` lists the steps' ops in order.
+    The block is compiled once, on its first run, into straight-line
+    functions of at most _CHUNK_OPS ops each (see _compile, at one lane),
+    which execute runs in place of interpreting the ops; the interpreter
+    stays their tested reference.
     """
 
-    def __init__(self, ops, annotations=()):
-        self.ops = list(ops)
-        self.annotations = tuple(annotations)
-        _check_annotations(self.annotations, len(self.ops))
-        self.cycles = _count(self.ops, self.annotations)
+    def __init__(self, steps):
+        self.steps = tuple((label, list(ops)) for label, ops in steps)
+        self.ops = list(chain(*(ops for _, ops in self.steps)))
+        self.cycles = _count(self.steps)
         if not _dataflow(self.ops)[0]:
             raise ValueError("the block is not init-dominated")
         self._compiled = None  # built on the first run
@@ -167,8 +169,8 @@ class LaneGroup(Block):
     column and each followed by its own tail, run as lanes of one
     compiled template and then the tails one by one.
 
-    `pairs` lists (template span, tail span) pairs of ops; the block's ops
-    are those spans in that order, so a program, its cycle counts and its
+    `pairs` lists (template step, tail step) pairs; the block's steps are
+    those steps in that order, so a program, its cycle counts and its
     trace hold them as if they were separate blocks. run gives the same
     cells and readout as running the ops in order. It loads lane x of the
     template's input column from span x's input column, starts every other
@@ -190,12 +192,12 @@ class LaneGroup(Block):
         span reads or writes.
 
     A group that fails the proof raises ValueError when it is built.
-    `annotations` label its ops, as a Block's do.
     """
 
-    def __init__(self, pairs, annotations=()):
-        self._pairs = [(list(span), list(tail)) for span, tail in pairs]
-        super().__init__((op for pair in self._pairs for part in pair for op in part), annotations)
+    def __init__(self, pairs):
+        super().__init__(step for pair in pairs for step in pair)
+        parts = [ops for _, ops in self.steps]
+        self._pairs = list(zip(parts[0::2], parts[1::2]))
         group_written = _dataflow(self.ops)[2]
         inputs = []
         for span, _ in self._pairs:
@@ -256,90 +258,65 @@ class LaneGroup(Block):
 
 @dataclass
 class MicroProgram:
-    """A program: a head of ops that execute interprets, then `blocks`, a
-    tuple of Blocks that run in order after it.
+    """A program: a head of (label, ops) steps that execute interprets,
+    then `blocks`, a tuple of Blocks that run in order after it.
 
-    `head_annotations` are (label, start, end) step ranges over the head;
-    when present they must partition it. A label may appear in more than
-    one range, and in the head and in blocks alike. `ops` and
-    `annotations` read the whole program: the head, then each block's
-    ops, with each block's annotations moved past what comes before it.
+    A label of None marks ops outside every step. A label may name more
+    than one step, and steps in the head and in blocks alike. `ops` reads
+    the whole program: the head's ops, then each block's.
     """
 
-    head: list
-    head_annotations: tuple = ()
+    head: tuple
     blocks: tuple = ()
 
     @property
     def ops(self):
-        return list(chain(self.head, *(block.ops for block in self.blocks)))
-
-    @property
-    def annotations(self):
-        annotations = list(self.head_annotations)
-        at = len(self.head)
-        for block in self.blocks:
-            annotations += [(label, start + at, end + at) for label, start, end in block.annotations]
-            at += len(block.ops)
-        return tuple(annotations)
-
-    def check_annotations(self):
-        _check_annotations(self.head_annotations, len(self.head))
-
-
-def _check_annotations(annotations, n):
-    """Raise ValueError unless `annotations` are empty or partition n ops."""
-    if not annotations:
-        return
-    pos = 0
-    for label, start, end in annotations:
-        if start != pos or end <= start:
-            raise ValueError(f"annotations do not partition the op list at {label!r}")
-        pos = end
-    if pos != n:
-        raise ValueError("annotations do not cover the op list")
+        return list(chain(*(ops for _, ops in self.head), *(block.ops for block in self.blocks)))
 
 
 class ProgramBuilder:
-    """Accumulates micro-ops and step annotations for a MicroProgram."""
+    """Accumulates micro-ops as (label, ops) steps for a MicroProgram.
+
+    The last step takes the next op: inside `with step(label)` that is
+    the step, and outside every step a step labelled None. A step is open
+    while the last step has a label.
+    """
 
     def __init__(self):
-        self.ops = []
-        self._spans = []
-        self._open_label = None
-        self._open_start = 0
+        self.steps = [(None, [])]
 
     @contextmanager
     def step(self, label):
-        if self._open_label is not None:
-            raise RuntimeError("step annotations cannot nest")
-        self._open_label = label
-        self._open_start = len(self.ops)
+        if self.steps[-1][0] is not None:
+            raise RuntimeError("steps cannot nest")
+        self.steps.append((label, []))
         try:
             yield self
         finally:
-            self._spans.append((self._open_label, self._open_start, len(self.ops)))
-            self._open_label = None
+            self.steps.append((None, []))
 
     def init(self, *regions):
-        self.ops.append(Init(tuple((r, c) for r, c in regions)))
+        self.steps[-1][1].append(Init(tuple((r, c) for r, c in regions)))
 
     def nor_row(self, input_cols, output_col, rows):
-        self.ops.append(NorRow(tuple(input_cols), int(output_col), rows))
+        self.steps[-1][1].append(NorRow(tuple(input_cols), int(output_col), rows))
 
     def nor_col(self, input_rows, output_row, cols):
-        self.ops.append(NorCol(tuple(input_rows), int(output_row), cols))
+        self.steps[-1][1].append(NorCol(tuple(input_rows), int(output_row), cols))
 
     def write(self, cells, bits):
-        self.ops.append(WriteExternal(tuple(cells), tuple(map(int, bits))))
+        self.steps[-1][1].append(WriteExternal(tuple(cells), tuple(map(int, bits))))
 
     def read(self, row, col):
-        self.ops.append(ReadCell(int(row), int(col)))
+        self.steps[-1][1].append(ReadCell(int(row), int(col)))
 
     def build(self):
-        prog = MicroProgram(self.ops, tuple(self._spans))
-        prog.check_annotations()
-        return prog
+        """A MicroProgram of the non-empty steps; ValueError if some ops
+        are inside a step and others outside every step."""
+        steps = tuple(step for step in self.steps if step[1])
+        if len({label is None for label, _ in steps}) > 1:
+            raise ValueError("some ops are outside every step")
+        return MicroProgram(steps)
 
 
 class CrossbarState:
@@ -455,7 +432,8 @@ def _lower(op):
     - ReadCell: (col, row_bit).
 
     The cost does not grow with the row count of a unit-step range: its
-    bounds come from its ends and its mask from one shift.
+    bounds come from its ends and its mask from one shift. An object that
+    is not one of the op classes raises TypeError.
     """
     bad = []
     if isinstance(op, Init):
@@ -498,45 +476,43 @@ def _lower(op):
         if not bad:
             op._c = (op.col, 1 << op.row)
     else:
-        bad.append(f"unknown op {type(op).__name__}")
+        raise TypeError(f"{type(op).__name__} is not a micro-op")
     return bad
 
 
-def _count(ops, annotations):
+def _count(steps):
     """Lower every op not yet lowered, raising MicroOpError (numbered
-    within `ops`) at the first with a violation, and count the cycles.
+    across the steps) at the first with a violation, and count the cycles.
 
-    Returns (compute, init, steps), with a (compute, init) pair per label
-    of `annotations`. They follow from the op costs alone: each op takes
-    `op.cycles` compute cycles, and an Init one init cycle.
+    Returns (compute, init, per_label), with a (compute, init) pair per
+    step label other than None. They follow from the op costs alone: each
+    op takes `op.cycles` compute cycles, and an Init one init cycle.
     """
-    steps = {}
-    compute = init = 0
-    for label, start, end in annotations or ((None, 0, len(ops)),):
+    per_label = {}
+    compute = init = index = 0
+    for label, ops in steps:
         step_compute, step_init = compute, init
-        for i in range(start, end):
-            op = ops[i]
-            # an object that is not a micro-op has no _c; _lower says so
+        for i, op in enumerate(ops, index):
+            # an object that is not a micro-op has no _c; _lower raises TypeError
             if getattr(op, "_c", None) is None and (bad := _lower(op)):
                 raise MicroOpError(i, op, bad)
             compute += op.cycles
             init += op.__class__ is Init
+        index += len(ops)
         if label is not None:
-            c0, i0 = steps.get(label, (0, 0))
-            steps[label] = (c0 + compute - step_compute, i0 + init - step_init)
-    return compute, init, steps
+            c0, i0 = per_label.get(label, (0, 0))
+            per_label[label] = (c0 + compute - step_compute, i0 + init - step_init)
+    return compute, init, per_label
 
 
 def _lower_program(program):
-    """Check the head's annotations (ValueError) and lower the head
-    (_count), before any op runs, and return the compute and init cycles
-    of the whole program and per step label: the head's, plus those each
-    block counted when it was built (Block.cycles).
+    """Lower the head (_count), before any op runs, and return the compute
+    and init cycles of the whole program and per step label: the head's,
+    plus those each block counted when it was built (Block.cycles).
     """
-    program.check_annotations()
     compute = init = 0
     steps = {}
-    for part_compute, part_init, part_steps in (_count(program.head, program.head_annotations),
+    for part_compute, part_init, part_steps in (_count(program.head),
                                                 *(block.cycles for block in program.blocks)):
         compute += part_compute
         init += part_init
@@ -742,9 +718,10 @@ def _tracer(trace):
 def execute(program, state, strict=True, trace=None):
     """Run a MicroProgram on a CrossbarState, mutating it in place.
 
-    Every head op is checked and lowered before the first one runs, so an
-    addressing, aliasing or shape violation aborts with the state
-    untouched; a block's ops were checked and lowered when it was built.
+    Every op of the head's steps is checked and lowered before the first
+    one runs, so an addressing, aliasing or shape violation aborts with
+    the state untouched; a block's ops were checked and lowered when it
+    was built.
     The ops then run in place on state.cols, the packed grid of COLS
     Python ints where bit r of column c is cell (r, c): the head through
     the interpreter (_interpret), then each block as its compiled code
@@ -766,7 +743,7 @@ def execute(program, state, strict=True, trace=None):
     g = state.cols
     readout = []
     emit = None if trace is None else _tracer(trace)
-    _interpret(program.head, g, readout, strict, emit)
+    _interpret([op for _, ops in program.head for op in ops], g, readout, strict, emit)
     for block in program.blocks:
         block.run(g, readout)
         if emit is not None:

@@ -369,7 +369,7 @@ def build_copy(src_cells, dst_cells):
         mid_cells = [(r, free_cols[i]) for i, (r, _) in enumerate(src)]
     first = build_not(src, mid_cells)
     second = build_not(mid_cells, dst)
-    return Build(MicroProgram(first.program.ops + second.program.ops), dst)
+    return Build(MicroProgram(first.program.head + second.program.head), dst)
 
 
 def build_half_adder(a_cell, b_cell, s_cell, c_cell):

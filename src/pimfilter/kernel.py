@@ -20,8 +20,8 @@ result band; the popcount pool overlaps them only on rows 0..99.
 
 Steps 1 and 2 are built per location, as the program's head. Step 3
 depends only on the rows the window covers, and so does a short read's
-zeroing of the bitmap rows its window leaves untouched (one step-4 span
-after step 3): both are one proved Block per window shape. Steps 4-13
+zeroing of the bitmap rows its window leaves untouched (a step labelled
+4 after step 3): both are one proved Block per window shape. Steps 4-13
 are one body of two Blocks, built once per process and shared by every
 read length; the zeroing lets its popcounts always count all 100 bitmap
 rows.
@@ -169,7 +169,7 @@ def counts_bits(count):
 
 
 def build_program(layout, offset, counts):
-    """Emit the full annotated micro-program for one location check.
+    """Emit the full labelled micro-program for one location check.
 
     Steps 1 and 2 depend on the read counts and the window's fragments
     and are the program's head, emitted here. Every other op depends at
@@ -200,20 +200,20 @@ def build_program(layout, offset, counts):
             pb.nor_row((2 * pair,), L.p_cols[0], rng)
             pb.nor_row((2 * pair + 1,), L.p_cols[1], rng)
 
-    head = pb.build()
     # a full-length window covers every row, whatever its phase
     spans = (range(0, FRAGMENT_ROWS),) if n == FRAGMENT_ROWS else tuple(rng for _, rng in ranges)
-    return MicroProgram(head.head, head.head_annotations, (_phase(spans), *_body()))
+    return MicroProgram(pb.build().head, (_phase(spans), *_body()))
 
 
 @functools.cache
 def _body():
-    """Steps 4-13, built once per process, as two labelled blocks.
+    """Steps 4-13, built once per process, as two blocks of labelled steps.
 
-    The four step-4 popcounts and their step-5 staging spans form one
-    LaneGroup: the popcounts differ only in the bitmap column they count,
-    so they run as four lanes of one compiled pass, and each step-5 span
-    then stages its own lane's result. Steps 6-13 are one Block.
+    The four step-4 popcounts and their step-5 staging steps form one
+    LaneGroup, taken pairwise from the builder's steps: the popcounts
+    differ only in the bitmap column they count, so they run as four
+    lanes of one compiled pass, and each step-5 step then stages its own
+    lane's result. Steps 6-13 are one Block.
     """
     L = plan_layout()
     lanes = tuple(L.lane_rows[b] for b in BASES)
@@ -232,9 +232,8 @@ def _body():
             pb.nor_col((0,), L.stage_row, L.res_cols)
             pb.nor_col((L.stage_row,), lane, L.res_cols)
 
-    steps = pb.build()
-    spans = [steps.head[start:end] for _, start, end in steps.head_annotations]
-    group = LaneGroup(zip(spans[0::2], spans[1::2]), steps.head_annotations)
+    steps = pb.build().head
+    group = LaneGroup(zip(steps[0::2], steps[1::2]))
     pb = ProgramBuilder()
 
     # Step 6: per-lane window count minus read count (nine-gate cells,
@@ -299,14 +298,13 @@ def _body():
     with pb.step("13"):
         pb.read(lane_a, L.res12_cols[8])
 
-    rest = pb.build()
-    return group, Block(rest.head, rest.head_annotations)
+    return group, Block(pb.build().head)
 
 
 @functools.cache
 def _phase(spans):
     """Step 3 over the window rows `spans`, then a short read's bitmap
-    zeroing, as one labelled Block."""
+    zeroing as a step-4 step, as one Block."""
     L = plan_layout()
     pb = ProgramBuilder()
 
@@ -337,8 +335,7 @@ def _phase(spans):
                 for rng in rest:
                     pb.nor_row((ones,), col, rng)
 
-    phase = pb.build()
-    return Block(phase.head, phase.head_annotations)
+    return Block(pb.build().head)
 
 
 def _complement_rows(spans):

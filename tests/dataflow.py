@@ -1,4 +1,6 @@
-"""Live-in cells of a program, from crossbar's one dataflow pass."""
+"""Live-in cells and step ranges of a program, for tests."""
+
+from itertools import chain
 
 from pimfilter.crossbar import ROWS, _dataflow, _lower_program
 
@@ -9,3 +11,13 @@ def live_cells(program):
     _lower_program(program)
     live = _dataflow(program.ops)[1]
     return {(r, k) for k, rows in enumerate(live) for r in range(ROWS) if rows >> r & 1}
+
+
+def annotations(program):
+    """(label, start, end) ranges of program.ops, one per step: the head's
+    steps, then each block's."""
+    ranges, at = [], 0
+    for label, ops in chain(program.head, *(block.steps for block in program.blocks)):
+        ranges.append((label, at, at + len(ops)))
+        at += len(ops)
+    return tuple(ranges)

@@ -28,7 +28,7 @@ from pimfilter.crossbar import (
     execute,
 )
 
-from dataflow import live_cells
+from dataflow import annotations, live_cells
 from grid import load_grid, snapshot
 
 
@@ -36,9 +36,14 @@ def fresh():
     return CrossbarState()
 
 
+def unlabelled(ops):
+    """Steps holding `ops` outside every step label."""
+    return ((None, list(ops)),)
+
+
 def run_op(op, state=None, strict=True):
     """Execute a one-op program; the crossbar contract raises MicroOpError."""
-    return execute(MicroProgram([op]), state or fresh(), strict=strict)
+    return execute(MicroProgram(unlabelled([op])), state or fresh(), strict=strict)
 
 
 class TestValidate:
@@ -68,6 +73,18 @@ class TestValidate:
     def test_write_external_shape(self):
         with pytest.raises(MicroOpError, match="bit count"):
             run_op(WriteExternal(((0, 0),), (1, 0)))
+
+    def test_a_non_op_is_named_before_any_op_runs(self):
+        # an object that is not a micro-op raises TypeError naming its
+        # class, from execute before the first op runs and from Block
+        s = fresh()
+        before = list(s.cols)
+        ops = [Init((((0,), (5,)),)), NorRow((3,), 5, (0,)), object()]
+        with pytest.raises(TypeError, match="^object is not a micro-op$"):
+            execute(MicroProgram(unlabelled(ops)), s)
+        with pytest.raises(TypeError, match="^object is not a micro-op$"):
+            Block(unlabelled(ops))
+        assert s.cols == before
 
 
 class TestExecute:
@@ -150,8 +167,8 @@ class TestExecute:
         row, col = fresh(), fresh()
         load_grid(row, np.pad(grid, ((0, 0), (0, COLS - 128))))
         load_grid(col, np.pad(grid.T, ((0, 0), (0, COLS - 128))))
-        execute(MicroProgram([NorRow(ins, out, lines)]), row, strict=strict)
-        execute(MicroProgram([NorCol(ins, out, lines)]), col, strict=strict)
+        run_op(NorRow(ins, out, lines), row, strict=strict)
+        run_op(NorCol(ins, out, lines), col, strict=strict)
         want = 1 - grid[np.ix_(members, ins)].any(axis=1)
         if not strict:
             want &= grid[members, out]
@@ -252,11 +269,14 @@ class TestExecute:
         load_grid(s, np.random.default_rng(2).integers(0, 2, size=(ROWS, COLS), dtype=np.uint8))
         before = snapshot(s).copy()
         pb = ProgramBuilder()
-        pb.init((range(0, 20), (5,)))
-        pb.nor_row((3, 4), 5, range(0, 20))
-        pb.write(((60, 60),), (1,))
-        pb.read(200, 0)
+        with pb.step("a"):
+            pb.init((range(0, 20), (5,)))
+            pb.nor_row((3, 4), 5, range(0, 20))
+        with pb.step("b"):
+            pb.write(((60, 60),), (1,))
+            pb.read(200, 0)
         prog = pb.build()
+        # the bad op is numbered across the steps
         with pytest.raises(MicroOpError, match="row out of bounds") as err:
             execute(prog, s)
         assert err.value.op_index == len(prog.ops) - 1
@@ -268,26 +288,28 @@ class TestExecute:
         # own output as an uninitialized cell
         s = fresh()
         s.set_bits([(r, c) for r in range(9) for c in (3, 5)], [1] * 18)
-        execute(MicroProgram([NorRow((3,), 5, lines)]), s, strict=True)
+        run_op(NorRow((3,), 5, lines), s, strict=True)
         assert not snapshot(s)[sorted(set(lines)), 5].any()
 
 
 class TestProgram:
-    def test_annotations_partition_enforced(self):
-        ops = [Init((((0,), (1,)),)), NorRow((0,), 1, (0,))]
-        with pytest.raises(ValueError):
-            MicroProgram(ops, (("a", 0, 1),)).check_annotations()
-        good = MicroProgram(ops, (("a", 0, 1), ("b", 1, 2)))
-        good.check_annotations()
-
     def test_builder_step_spans(self):
+        # each step holds the ops emitted inside it; an empty step is
+        # dropped, and steps cannot nest
         pb = ProgramBuilder()
         with pb.step("x"):
             pb.init(((0,), (1,)))
         with pb.step("y"):
             pb.nor_row((0,), 1, (0,))
+            with pytest.raises(RuntimeError, match="cannot nest"):
+                with pb.step("z"):
+                    pass
+        with pb.step("x"):
+            pass
         prog = pb.build()
-        assert prog.annotations == (("x", 0, 1), ("y", 1, 2))
+        assert [(label, [op.describe() for op in ops]) for label, ops in prog.head] == \
+               [("x", ["init [0]x[1]"]), ("y", ["nor_row in=[0] out=1 rows=[0]"])]
+        assert prog.blocks == ()
 
     def test_op_outside_every_step_is_rejected(self):
         # an op before, between or after the steps leaves a gap or a tail
@@ -299,7 +321,7 @@ class TestProgram:
                 if k < 2:
                     with pb.step("xy"[k]):
                         pb.init(((0,), (k,)))
-            with pytest.raises(ValueError, match="annotations do not"):
+            with pytest.raises(ValueError, match="outside every step"):
                 pb.build()
 
     def test_per_step_cycle_report(self):
@@ -409,7 +431,9 @@ def model_run(program, grid, strict):
         trace.append(f"init {init}" if isinstance(op, Init) else f"compute {compute}")
         costs.append(cost)
     steps = {}
-    for label, start, end in program.annotations:
+    for label, start, end in annotations(program):
+        if label is None:
+            continue
         step = steps.setdefault(label, [0, 0])
         step[0] += sum(c for c, _ in costs[start:end])
         step[1] += sum(i for _, i in costs[start:end])
@@ -469,7 +493,8 @@ def programs(draw, strict, r0, c0):
     bounds = [0] + cuts + [len(ops)]
     labels = draw(st.lists(st.sampled_from("abc"), min_size=len(bounds) - 1,
                            max_size=len(bounds) - 1))
-    return MicroProgram(ops, tuple(zip(labels, bounds, bounds[1:])))
+    return MicroProgram(tuple((label, ops[start:end])
+                              for label, start, end in zip(labels, bounds, bounds[1:])))
 
 
 def origins(size):
@@ -490,19 +515,21 @@ def run_program(program, grid, strict):
 
 def with_block(program, cut):
     """The same program with ops[cut:] as one Block after the head of the
-    others, each part with its share of the annotations (a label that
-    spans the cut is split in two), or None when the ops are not
-    init-dominated and Block rejects them."""
-    ops = lowered(program.ops[cut:])
-    head = tuple((label, start, min(end, cut)) for label, start, end in program.annotations
-                 if start < cut)
-    tail = tuple((label, max(start, cut) - cut, end - cut) for label, start, end in program.annotations
-                 if end > cut)
-    if not _dataflow(ops)[0]:
+    others, each part with its share of the steps (a step that straddles
+    the cut becomes two), or None when the ops are not init-dominated and
+    Block rejects them."""
+    head, tail, at = [], [], 0
+    for label, ops in program.head:
+        if at < cut:
+            head.append((label, ops[:cut - at]))
+        if at + len(ops) > cut:
+            tail.append((label, ops[max(cut - at, 0):]))
+        at += len(ops)
+    if not _dataflow(lowered(program.ops[cut:]))[0]:
         with pytest.raises(ValueError, match="not init-dominated"):
-            Block(ops, tail)
+            Block(tail)
         return None
-    return MicroProgram(program.ops[:cut], head, (Block(ops, tail),))
+    return MicroProgram(tuple(head), (Block(tail),))
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -567,8 +594,8 @@ def test_block_fails_in_its_second_chunk():
         ops += [Init(((lines, (150 + k,)),)), NorRow((k, k + 1), 150 + k, lines)]
     ops.insert(80, NorRow((3,), 120, range(0, 10)))
     with pytest.raises(ValueError, match="not init-dominated"):
-        Block(ops)
-    plain = MicroProgram([WriteExternal(((0, 0),), (1,))] + ops)
+        Block(unlabelled(ops))
+    plain = MicroProgram(unlabelled([WriteExternal(((0, 0),), (1,))] + ops))
     for strict in (True, False):
         _, res, err, trace = run_program(plain, grid, strict)
         if strict:
@@ -661,19 +688,20 @@ def stage_tail(x):
 
 class TestLaneGroup:
     def test_runs_like_its_spans_in_order(self):
-        pairs = [(copy_span(k), stage_tail(x)) for x, k in enumerate((5, 6, 7))]
+        pairs = [(("t", copy_span(k)), ("s", stage_tail(x))) for x, k in enumerate((5, 6, 7))]
         group = LaneGroup(pairs)
-        assert group.ops == [op for pair in pairs for span in pair for op in span]
-        separate = MicroProgram([], (), tuple(Block(span) for pair in pairs for span in pair))
-        together = MicroProgram([], (), (group,))
+        assert group.steps == tuple(step for pair in pairs for step in pair)
+        assert group.ops == [op for pair in pairs for _, span in pair for op in span]
+        separate = MicroProgram((), tuple(Block([step]) for pair in pairs for step in pair))
+        together = MicroProgram((), (group,))
         rng = np.random.default_rng(6)
         for _ in range(20):
             grid = rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
             want, want_res, _, want_trace = run_program(separate, grid, True)
             got, res, _, trace = run_program(together, grid, True)
             assert got == want and trace == want_trace
-            assert (res.readout, res.compute_cycles, res.init_cycles) == \
-                   (want_res.readout, want_res.compute_cycles, want_res.init_cycles)
+            assert (res.readout, res.compute_cycles, res.init_cycles, res.steps) == \
+                   (want_res.readout, want_res.compute_cycles, want_res.init_cycles, want_res.steps)
 
     @pytest.mark.parametrize("pairs,match", [
         # a template that reads a second column before writing it
@@ -703,7 +731,7 @@ class TestLaneGroup:
     ])
     def test_a_failed_proof_raises(self, pairs, match):
         with pytest.raises(ValueError, match=match):
-            LaneGroup(pairs)
+            LaneGroup(((None, span), (None, tail)) for span, tail in pairs)
 
 
 class TestInitDominance:
@@ -724,24 +752,15 @@ class TestInitDominance:
     def test_block_proof(self, ops, proved):
         # a Block is built only from init-dominated ops
         if proved:
-            assert Block(ops).ops == ops
+            assert Block(unlabelled(ops)).ops == ops
         else:
             with pytest.raises(ValueError, match="not init-dominated"):
-                Block(ops)
+                Block(unlabelled(ops))
         assert _dataflow(ops)[0] is proved
 
-    def test_block_annotations_partition_its_ops(self):
-        # a Block counts its cycles per label, so its labels must cover
-        # each of its ops once
-        ops = [Init((((0,), (5,)),)), NorRow((3,), 5, (0,))]
-        for annotations in ((("a", 0, 1),), (("a", 1, 2),), (("a", 0, 1), ("b", 0, 2))):
-            with pytest.raises(ValueError, match="annotations do not"):
-                Block(ops, annotations)
-        assert Block(ops, (("a", 0, 1), ("b", 1, 2))).cycles == (1, 1, {"a": (0, 1), "b": (1, 0)})
-
     def test_proved_block_compiles_once_for_both_modes(self):
-        block = Block([Init((((0,), (5,)),)), NorRow((3,), 5, (0,))])
-        prog = MicroProgram([], (), (block,))
+        block = Block(unlabelled([Init((((0,), (5,)),)), NorRow((3,), 5, (0,))]))
+        prog = MicroProgram((), (block,))
         execute(prog, fresh(), strict=True)
         compiled = block._compiled
         execute(prog, fresh(), strict=False)

@@ -2,16 +2,19 @@ import dataclasses
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from pimfilter import crossbar, kernel, oracle
 from pimfilter.crossbar import (
+    COLS,
     ROWS,
     Block,
     CrossbarState,
     LaneGroup,
     MicroProgram,
     NorRow,
+    _chunked,
     _dataflow,
     execute,
 )
@@ -33,7 +36,7 @@ from pimfilter.kernel import (
     window_row_ranges,
 )
 
-from dataflow import live_cells
+from dataflow import annotations, live_cells
 from grid import snapshot
 
 
@@ -125,9 +128,8 @@ class TestBudgets:
     def test_comparison_step_structure(self, layout):
         # two shared inversions feed the A comparison; T, G, C cost one each
         prog = build_program(layout, 0, oracle.BaseCounts(100, 0, 0, 0))
-        spans = {label: (s, e) for label, s, e in prog.annotations if label == "3"}
-        s, e = spans["3"]
-        gates = [op for op in prog.ops[s:e] if isinstance(op, NorRow)]
+        (step,) = [ops for block in prog.blocks for label, ops in block.steps if label == "3"]
+        gates = [op for op in step if isinstance(op, NorRow)]
         assert len(gates) == 6
         na, nb = gates[0], gates[1]
         assert len(na.input_cols) == 1 and len(nb.input_cols) == 1
@@ -161,8 +163,8 @@ class TestEveryRowPhase:
             # the whole program, head and body, is init-dominated, so
             # strict and permissive runs of it cannot differ
             assert _dataflow(prog.ops)[0], r0
-            # execute checks structure and annotations first and raises
-            # MicroOpError or ValueError on a violation
+            # execute lowers the head first and raises MicroOpError on
+            # a violation
             res = execute(prog, CrossbarState())
             assert res.compute_cycles <= COMPUTE_BUDGET, r0
             assert res.compute_cycles + res.init_cycles <= TOTAL_BUDGET, r0
@@ -182,13 +184,14 @@ class TestEveryRowPhase:
     ])
     def test_op_stream_pinned(self, read_length, counts, digest):
         # every row phase in the first, second and last fragment pair;
-        # the digest covers each op's text and the step annotations
+        # the digest covers each op's text and the (label, start, end)
+        # range of each step
         layout = plan_layout(read_length)
         h = hashlib.sha256()
         for pair in (0, 1, 64):
             for offset in range(FRAGMENT_ROWS * pair, min(FRAGMENT_ROWS * (pair + 1), TILE_STRIDE + 1)):
                 prog = build_program(layout, offset, oracle.BaseCounts(*counts))
-                text = repr(prog.annotations) + "\n" + "\n".join(op.describe() for op in prog.ops) + "\n"
+                text = repr(annotations(prog)) + "\n" + "\n".join(op.describe() for op in prog.ops) + "\n"
                 h.update(text.encode())
         assert h.hexdigest() == digest
 
@@ -222,25 +225,28 @@ class TestSharedBody:
         execute(second, CrossbarState())
         # only the head of steps 1 and 2 is lowered per location; a
         # short read's new window shape compiles its phase block once
-        assert [id(op) for op in lowered] == [id(op) for op in second.head]
-        assert len(second.head) == 9
+        head = [op for _, ops in second.head for op in ops]
+        assert [label for label, _ in second.head] == ["1", "2"]
+        assert [id(op) for op in lowered] == [id(op) for op in head]
+        assert len(head) == 9
         if read_length == 100:
             assert compiled == []
         else:
             assert [ops for ops, *_ in compiled] == [second.blocks[0].ops]
 
-        # _lower_program reads the head's ops one by one; each block adds
-        # the cycles it counted when it was built
+        # _lower_program reads the head's ops step by step; each block
+        # adds the cycles it counted when it was built
         visited = []
 
         class Recording(list):
-            def __getitem__(self, i):
-                if isinstance(i, int):
-                    visited.append(i)
-                return super().__getitem__(i)
+            def __iter__(self):
+                for op in super().__iter__():
+                    visited.append(op)
+                    yield op
 
-        crossbar._lower_program(dataclasses.replace(second, head=Recording(second.head)))
-        assert visited == list(range(9))
+        recorded = tuple((label, Recording(ops)) for label, ops in second.head)
+        crossbar._lower_program(dataclasses.replace(second, head=recorded))
+        assert [id(op) for op in visited] == [id(op) for op in head]
 
     @pytest.mark.parametrize("read_length", [100, 64, 1])
     def test_every_body_block_is_proved(self, read_length):
@@ -276,7 +282,7 @@ class TestLaneGroup:
     def test_group_covers_the_step_4_and_5_spans(self):
         group, rest = _body()
         assert isinstance(group, LaneGroup) and not isinstance(rest, LaneGroup)
-        assert [label for label, _, _ in group.annotations] == ["4", "5"] * 4
+        assert [label for label, _ in group.steps] == ["4", "5"] * 4
         for read_length in (100, 64, 37, 1):
             prog = build_program(plan_layout(read_length), 137, oracle.BaseCounts(read_length, 0, 0, 0))
             assert prog.blocks[1] is group, read_length
@@ -286,8 +292,7 @@ class TestLaneGroup:
         # spans it holds, each run as its own Block, must leave the same
         # cells, readout, cycles, steps and trace
         group, _ = _body()
-        spans = tuple(Block(group.ops[start:end], ((label, 0, end - start),))
-                      for label, start, end in group.annotations)
+        spans = tuple(Block([step]) for step in group.steps)
         layout = plan_layout(100)
         rng = random.Random(23)
         for r0 in range(FRAGMENT_ROWS):
@@ -298,7 +303,7 @@ class TestLaneGroup:
                                  oracle.BaseCounts(a, t, g, 100 - a - t - g))
             phase, together, rest = prog.blocks
             assert together is group
-            split = MicroProgram(prog.head, prog.head_annotations, (phase, *spans, rest))
+            split = MicroProgram(prog.head, (phase, *spans, rest))
             grid = [rng.getrandbits(ROWS) for _ in range(len(CrossbarState().cols))]
             runs = []
             for program in (prog, split):
@@ -308,6 +313,44 @@ class TestLaneGroup:
                 runs.append((state.cols, res.readout, res.compute_cycles, res.init_cycles,
                              {k: (v.compute, v.init) for k, v in res.steps.items()}, trace))
             assert runs[0] == runs[1], r0
+
+
+class TestWholeInputDomain:
+    def test_steps_6_and_7_on_every_count_pair(self):
+        # steps 6-7 read only the window counts (res_cols) and the read
+        # counts (rb_cols) on the four lane rows, so one compiled pass
+        # over 4096 lanes, one (window, read) pair per lane row, runs all
+        # 16,384 pairs of 7-bit counts; each must leave |window - read|
+        # in z_cols
+        L = plan_layout()
+        ops = [op for label, step in _body()[1].steps if label in ("6", "7") for op in step]
+        rows = [L.lane_rows[b] for b in BASES]
+        live = _dataflow(ops)[1]
+        inputs = L.res_cols + L.rb_cols
+        assert {k: v for k, v in enumerate(live) if v} == {k: sum(1 << r for r in rows) for k in inputs}
+
+        lanes = 4096
+        pair = np.arange(128 * 128).reshape(lanes, len(rows))
+        window, read = pair >> 7, pair & 127
+
+        def packed(values, bit):
+            cells = np.zeros((lanes, ROWS), np.uint8)
+            cells[:, rows] = values >> bit & 1
+            return int.from_bytes(np.packbits(cells, bitorder="little").tobytes(), "little")
+
+        def unpacked(v):
+            cells = np.unpackbits(np.frombuffer(v.to_bytes(lanes * ROWS // 8, "little"), np.uint8),
+                                  bitorder="little")
+            return cells.reshape(lanes, ROWS)[:, rows].astype(int)
+
+        g = [0] * COLS
+        for cols, values in ((L.res_cols, window), (L.rb_cols, read)):
+            for bit, k in enumerate(cols):
+                g[k] = packed(values, bit)
+        for chunk in _chunked(ops, lanes):
+            chunk(g, None)  # steps 6-7 read no cell out
+        z = sum(unpacked(g[k]) << bit for bit, k in enumerate(L.z_cols))
+        assert (z == abs(window - read)).all()
 
 
 class TestDecisions:
