@@ -167,7 +167,7 @@ class Block:
 class LaneGroup(Block):
     """Spans that run one template op for op, each on its own input
     column and each followed by its own tail, run as lanes of one
-    compiled template and then the tails one by one.
+    compiled template and then one compiled function for all the tails.
 
     `pairs` lists (template step, tail step) pairs; the block's steps are
     those steps in that order, so a program, its cycle counts and its
@@ -178,7 +178,9 @@ class LaneGroup(Block):
     (_compile with one lane per pair). Before tail x runs on the grid, the
     template-written cells it reads get lane x's values; at the end every
     template-written cell gets the last lane's values, on its written
-    rows only.
+    rows only. The tails, those lane loads and that store are one
+    straight-line function on column locals (_finish), compiled with the
+    template on the first run.
 
     That is exact because a proof, made once when the group is built
     (from _dataflow's live-in and written rows), shows that the group is
@@ -235,25 +237,31 @@ class LaneGroup(Block):
 
     def run(self, g, readout):
         """Run the group on the column grid g, appending read bits to readout."""
-        if self._compiled is None:  # template chunks, then (loads, chunks) per tail
-            self._compiled = (_chunked(self._pairs[0][0], len(self._inputs)),
-                              [(loads, _chunked(tail)) for tail, loads in self._tails])
-        template, tails = self._compiled
+        if self._compiled is None:
+            self._compiled = (_chunked(self._pairs[0][0], len(self._inputs)), self._finish())
+        template, finish = self._compiled
         lanes = [0] * COLS
         lanes[self._inputs[0]] = sum(g[k] << ROWS * x for x, k in enumerate(self._inputs))
         append = readout.append
         for chunk in template:
             chunk(lanes, append)
-        shift = 0
-        for loads, chunks in tails:
+        finish(g, lanes, append)
+
+    def _finish(self):
+        """Everything after the template as one function finish(g, lanes,
+        append): per tail its lane loads, then its ops, then the store of
+        the last lane."""
+        src = _Source()
+        for x, (tail, loads) in enumerate(self._tails):
             for k, keep, rows in loads:
-                g[k] = g[k] & keep | lanes[k] >> shift & rows
-            for chunk in chunks:
-                chunk(g, append)
-            shift += ROWS
-        shift -= ROWS
+                v = src.col(k, True)
+                src.lines.append(f"{v} = {v} & {hex(keep)} | lanes[{k}] >> {ROWS * x} & {hex(rows)}")
+            src.ops(tail)
+        last = ROWS * (len(self._tails) - 1)
         for k, keep in self._stores:
-            g[k] = g[k] & keep | lanes[k] >> shift
+            v = src.col(k, True)
+            src.lines.append(f"{v} = {v} & {hex(keep)} | lanes[{k}] >> {last}")
+        return src.function("g, lanes, append", "<lane group finish>")
 
 
 @dataclass
@@ -598,66 +606,83 @@ def _chunked(ops, lanes=1):
 
 def _compile(ops, first, lanes=1):
     """Compile lowered ops, numbered from `first` in their block, into one
-    straight-line function chunk(g, append) over `lanes` lanes.
+    straight-line function chunk(g, append) over `lanes` lanes (_Source).
+    """
+    src = _Source()
+    src.ops(ops, lanes)
+    return src.function("g, append", f"<block ops {first}-{first + len(ops) - 1}>")
+
+
+class _Source:
+    """Straight-line Python code on column locals, built line by line.
 
     Lane l of column k is bits ROWS*l .. ROWS*l + ROWS-1 of g[k], so each
     op acts on every lane at once: every mask is the lowered one repeated
     in each lane, and a column NOR clears its output row by one shifted
     term per input row, which moves each lane's input bit onto its output
     bit. One lane is the grid execute runs on. The code is built from the
-    same lowered forms as _interpret; each column the ops touch is a local
-    and each mask a hex constant (a decimal one of many lanes would pass
-    the int-to-str digit limit). A ReadCell appends an int holding each
-    lane's bit at that lane's bit 0. The function loads the columns the
-    ops touch, runs the ops with no test and stores the columns they
-    write: no gate checks its outputs, since every Block is
+    same lowered forms as _interpret; each column the lines touch is a
+    local and each mask a hex constant (a decimal one of many lanes would
+    pass the int-to-str digit limit). A ReadCell appends an int holding
+    each lane's bit at that lane's bit 0. The function loads the columns
+    the lines touch, runs the lines with no test and stores the columns
+    they write: no gate checks its outputs, since every Block is
     init-dominated.
     """
-    repeat = sum(1 << ROWS * lane for lane in range(lanes))
-    lines, touched, written = [], {}, {}
 
-    def col(k, write=False):
-        touched[k] = None
+    def __init__(self):
+        self.lines, self.touched, self.written = [], {}, {}
+
+    def col(self, k, write=False):
+        """The local holding column k, loaded on entry (stored on exit if written)."""
+        self.touched[k] = None
         if write:
-            written[k] = None
+            self.written[k] = None
         return f"c{k}"
 
-    for op in ops:
-        cls = op.__class__
-        lowered = op._c
-        if cls is NorRow:
-            ins, out, rows = lowered
-            acc = " | ".join(col(k) for k in ins)
-            v = col(out, True)
-            rows = hex(rows * repeat)
-            lines.append(f"{v} &= ~(({acc}) & {rows})")
-        elif cls is NorCol:
-            ins, out, cols = lowered
-            cols = [col(k, True) for k in dict.fromkeys(cols)]
-            to = out.bit_length() - 1
-            shifts = [(hex((1 << r) * repeat), f"<< {to - r}" if to > r else f">> {r - to}")
-                      for r in range(ins.bit_length()) if ins >> r & 1]
-            lines.extend(f"{v} &= ~({' | '.join(f'({v} & {m}) {s}' for m, s in shifts)})"
-                         for v in cols)
-        elif cls is Init:
-            lines.extend(f"{col(k, True)} |= {hex(rows * repeat)}"
-                         for cols, rows in lowered for k in cols)
-        elif cls is WriteExternal:
-            lines.extend(f"{col(k, True)} |= {hex(bit * repeat)}" if b
-                         else f"{col(k, True)} &= {hex(~(bit * repeat))}"
-                         for k, bit, b in lowered)
-        else:  # ReadCell
-            k, bit = lowered
-            lines.append(f"append({col(k)} >> {bit.bit_length() - 1} & {hex(repeat)})")
-    src = "\n".join([
-        "def chunk(g, append):",
-        *(f"    c{k} = g[{k}]" for k in touched),
-        *(f"    {line}" for line in lines),
-        *(f"    g[{k}] = c{k}" for k in written),
-    ])
-    namespace = {}
-    exec(compile(src, f"<block ops {first}-{first + len(ops) - 1}>", "exec"), namespace)
-    return namespace["chunk"]
+    def ops(self, ops, lanes=1):
+        """Append the lines of lowered ops, run over `lanes` lanes."""
+        repeat = sum(1 << ROWS * lane for lane in range(lanes))
+        col, lines = self.col, self.lines
+        for op in ops:
+            cls = op.__class__
+            lowered = op._c
+            if cls is NorRow:
+                ins, out, rows = lowered
+                acc = " | ".join(col(k) for k in ins)
+                v = col(out, True)
+                rows = hex(rows * repeat)
+                lines.append(f"{v} &= ~(({acc}) & {rows})")
+            elif cls is NorCol:
+                ins, out, cols = lowered
+                cols = [col(k, True) for k in dict.fromkeys(cols)]
+                to = out.bit_length() - 1
+                shifts = [(hex((1 << r) * repeat), f"<< {to - r}" if to > r else f">> {r - to}")
+                          for r in range(ins.bit_length()) if ins >> r & 1]
+                lines.extend(f"{v} &= ~({' | '.join(f'({v} & {m}) {s}' for m, s in shifts)})"
+                             for v in cols)
+            elif cls is Init:
+                lines.extend(f"{col(k, True)} |= {hex(rows * repeat)}"
+                             for cols, rows in lowered for k in cols)
+            elif cls is WriteExternal:
+                lines.extend(f"{col(k, True)} |= {hex(bit * repeat)}" if b
+                             else f"{col(k, True)} &= {hex(~(bit * repeat))}"
+                             for k, bit, b in lowered)
+            else:  # ReadCell
+                k, bit = lowered
+                lines.append(f"append({col(k)} >> {bit.bit_length() - 1} & {hex(repeat)})")
+
+    def function(self, params, name):
+        """Compile the lines as `def f(params)`, a function of grid g."""
+        src = "\n".join([
+            f"def f({params}):",
+            *(f"    c{k} = g[{k}]" for k in self.touched),
+            *(f"    {line}" for line in self.lines),
+            *(f"    g[{k}] = c{k}" for k in self.written),
+        ])
+        namespace = {}
+        exec(compile(src, name, "exec"), namespace)
+        return namespace["f"]
 
 
 def _interpret(ops, g, readout, strict, emit):

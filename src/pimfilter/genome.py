@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import oracle
 from .crossbar import CrossbarState
 from .kernel import (
@@ -26,13 +24,14 @@ from .kernel import (
     plan_layout,
     run_kernel,
     store_threshold,
+    window_row_ranges,
 )
 
 BYTES_PER_LOCATION = 13  # 60 bits in, 33 bits out, rounded up per direction
 
-# Two-bit code of each byte value, first bit high; 4 marks a non-base.
-_CODES = np.full(256, 4, np.uint8)
-_CODES[[ord(b) for b in BASE_CODES]] = [2 * a + b for a, b in BASE_CODES.values()]
+_BASES = "".join(BASE_CODES).encode()
+# translate each base to its first, then its second code bit, as a digit
+_BITS = tuple(str.maketrans({b: str(code[i]) for b, code in BASE_CODES.items()}) for i in (0, 1))
 _ABOVE_SLICE = -1 << FRAGMENT_ROWS  # rows past the genome slice, kept by load_tile
 
 
@@ -53,11 +52,12 @@ def tile_count(genome_length, read_length=100):
 
 def partition(genome_length, read_length=100):
     """Tiles with stride 6400 and span 6500 covering every window."""
-    n = tile_count(genome_length, read_length)
-    return [
-        Tile(i, i * TILE_STRIDE, min(TILE_SPAN, genome_length - i * TILE_STRIDE))
-        for i in range(n)
-    ]
+    return [_tile(i, genome_length) for i in range(tile_count(genome_length, read_length))]
+
+
+def _tile(index, genome_length):
+    start = index * TILE_STRIDE
+    return Tile(index, start, min(TILE_SPAN, genome_length - start))
 
 
 def route(position, genome_length, read_length=100):
@@ -75,28 +75,27 @@ def route(position, genome_length, read_length=100):
     return tile, offset
 
 
-def load_tile(state, layout, genome, tile, eth):
-    """Pre-store one tile's bases and the threshold constant in an array.
+def load_tile(state, layout, genome, tile, eth, pairs):
+    """Pre-store the fragment pairs `pairs` of one tile and the threshold
+    constant in an array.
 
     Base i of the tile is the bit pair in row i % 100, columns
     2 * (i // 100) and the next one; a short final tile is zero padded.
-    The genome columns are packed straight into state.cols, and their
-    rows past the slice keep what they held.
+    A location reads only its window's fragments (window_row_ranges), so
+    a caller lists the ones its windows read and the other columns keep
+    what they held. Each listed column is read straight from the genome
+    string, and its rows past the slice keep what they held too. Every
+    base of the tile is still checked, listed or not: a non-base raises
+    ValueError.
     """
     seq = genome[tile.start:tile.start + tile.length]
-    codes = _CODES[np.frombuffer(seq.encode(), np.uint8)]
-    if (codes > 3).any():
+    if seq.encode().translate(None, _BASES):
         encode_base(next(b for b in seq if b not in BASE_CODES))
-    pairs = np.zeros((TILE_SPAN, 2), np.uint8)
-    pairs[:tile.length] = codes[:, None] >> np.array((1, 0), np.uint8) & 1
-    # one line of 100 row bits per genome column, packed 13 bytes a column
-    lines = pairs.reshape(-1, FRAGMENT_ROWS, 2).transpose(0, 2, 1).reshape(layout.genome_cols, -1)
-    packed = np.packbits(lines, axis=1, bitorder="little").tobytes()
-    width = len(packed) // layout.genome_cols
     cols = state.cols
-    for c in range(layout.genome_cols):
-        fresh = int.from_bytes(packed[c * width:(c + 1) * width], "little")
-        cols[c] = cols[c] & _ABOVE_SLICE | fresh
+    for pair in pairs:
+        rows = seq[pair * FRAGMENT_ROWS:(pair + 1) * FRAGMENT_ROWS][::-1]  # int(, 2) reads row 0 last
+        for c, bits in enumerate(_BITS, 2 * pair):
+            cols[c] = cols[c] & _ABOVE_SLICE | int("0" + rows.translate(bits), 2)
     store_threshold(state, layout, eth)
 
 
@@ -187,8 +186,7 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     """
     layout = plan_layout(read_length)
     glen = len(genome)
-    tiles = partition(glen, read_length)
-    queues = [[] for _ in tiles]
+    queues = [[] for _ in range(tile_count(glen, read_length))]
     for cand in candidates:
         t, off = route(cand.position, glen, read_length)
         queues[t].append((cand, off, oracle.histogram(cand.seq)))
@@ -199,14 +197,16 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     if verify_oracle:
         stats.oracle_mismatches = 0
     decisions = []
-    for tile in tiles:
-        queue = queues[tile.index]
+    for t, queue in enumerate(queues):
         if not queue:
             continue
+        done = processed[t]
+        pairs = {pair for _, off, _ in queue[:done]
+                 for pair, _ in window_row_ranges(off, read_length)}
         state = CrossbarState()
-        load_tile(state, layout, genome, tile, eth)
+        load_tile(state, layout, genome, _tile(t, glen), eth, pairs)
         for j, (cand, off, counts) in enumerate(queue):
-            if j < processed[tile.index]:
+            if j < done:
                 res = run_kernel(state, layout, counts, off, strict=strict, trace=trace)
                 verdict = "discard" if res.discard else "keep"
                 stats.processed += 1

@@ -18,7 +18,11 @@ Row map                          Column map (rows 0..99)
 Lane columns (rows 100..103) are allocated from the space left of the
 result band; the popcount pool overlaps them only on rows 0..99.
 
-Steps 1 and 2 are built per location, as the program's head. Step 3
+Steps 1 and 2 are the program's head, per location: step 1's four
+count writes are shared by every location with the same count in the
+same lane, so only step 2's copy of the window is built anew. A program
+reads only its window's fragment columns and the threshold, so a tile
+stores only the fragments its windows read (genome.load_tile). Step 3
 depends only on the rows the window covers, and so does a short read's
 zeroing of the bitmap rows its window leaves untouched (a step labelled
 4 after step 3): both are one proved Block per window shape. Steps 4-13
@@ -37,8 +41,19 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
-from .crossbar import COLS, Block, LaneGroup, MicroProgram, ProgramBuilder, execute
+from .crossbar import (
+    COLS,
+    Block,
+    Init,
+    LaneGroup,
+    MicroProgram,
+    NorRow,
+    ProgramBuilder,
+    WriteExternal,
+    execute,
+)
 from .gates import (
     ColumnPool,
     _adder_gates,
@@ -82,10 +97,10 @@ class KernelLayout:
     p_cols: tuple               # inverted window bit pair
     na_col: int
     nb_col: int
-    match_cols: dict            # base -> bitmap column
+    match_cols: MappingProxyType  # base -> bitmap column
     res_cols: tuple             # shared popcount result band (8 cells)
     pool_cols: tuple            # popcount working columns (rows 0..99)
-    lane_rows: dict             # base -> arithmetic lane row
+    lane_rows: MappingProxyType   # base -> arithmetic lane row
     stage_row: int
     ones_row: int
     rb_cols: tuple              # read counts, 8 bits
@@ -104,12 +119,19 @@ class KernelLayout:
 
 
 def plan_layout(read_length=100):
+    """The layout of one read length, built once per process: every
+    caller shares it, so it is read-only."""
+    return _plan_layout(read_length)
+
+
+@functools.cache
+def _plan_layout(read_length):
     if not 1 <= read_length <= FRAGMENT_ROWS:
         raise ValueError(f"read length must be 1..{FRAGMENT_ROWS}")
     genome_cols = 2 * FRAGMENTS_PER_TILE
     p_cols = (genome_cols, genome_cols + 1)
     na_col, nb_col = genome_cols + 6, genome_cols + 7
-    match_cols = {b: genome_cols + 2 + i for i, b in enumerate(BASES)}
+    match_cols = MappingProxyType({b: genome_cols + 2 + i for i, b in enumerate(BASES)})
     res_cols = tuple(range(genome_cols + 8, genome_cols + 16))
     pool_cols = tuple(range(genome_cols + 16, COLS))
 
@@ -118,7 +140,7 @@ def plan_layout(read_length=100):
         read_length=read_length,
         genome_cols=genome_cols, p_cols=p_cols, na_col=na_col, nb_col=nb_col,
         match_cols=match_cols, res_cols=res_cols, pool_cols=pool_cols,
-        lane_rows={b: FRAGMENT_ROWS + i for i, b in enumerate(BASES)},
+        lane_rows=MappingProxyType({b: FRAGMENT_ROWS + i for i, b in enumerate(BASES)}),
         stage_row=FRAGMENT_ROWS + 4, ones_row=FRAGMENT_ROWS + 5,
         rb_cols=tuple(lanes.take(8)),
         y1_cols=tuple(lanes.take(9)),
@@ -162,47 +184,50 @@ def store_threshold(state, layout, eth):
     state.write_value(cells, 2 * eth)
 
 
-def counts_bits(count):
-    if not 0 <= count <= 127:
-        raise ValueError("base count must fit in 7 bits")
-    return [(count >> i) & 1 for i in range(8)]
-
-
 def build_program(layout, offset, counts):
     """Emit the full labelled micro-program for one location check.
 
     Steps 1 and 2 depend on the read counts and the window's fragments
-    and are the program's head, emitted here. Every other op depends at
-    most on the rows the window covers: step 3 and a short read's bitmap
-    zeroing are one proved Block per window shape (_phase), followed by
-    the blocks of the shared body of steps 4-13 (_body). So those op
-    objects, their lowered forms, their cycle counts and their compiled
-    code are reused by every location with the same window shape.
+    and are the program's head, written here without a builder. Step 1
+    is four host writes, one per read count, each shared by every
+    location with that count in that lane (_count_write), so only step
+    2's Init and NOTs are new ops. Every other op depends at most on the
+    rows the window covers: step 3 and a short read's bitmap zeroing are
+    one proved Block per window shape (_phase), followed by the blocks of
+    the shared body of steps 4-13 (_body). So those op objects, their
+    lowered forms, their cycle counts and their compiled code are reused
+    by every location with the same window shape. The program reads only
+    the window's fragment columns and the threshold, so a tile needs only
+    those fragments stored (genome.load_tile).
     """
     L = layout
     n = L.read_length
     ranges = window_row_ranges(offset, n)
     if ranges[-1][0] >= FRAGMENTS_PER_TILE:
         raise ValueError("window spills past the stored slice")
-    pb = ProgramBuilder()
-
     # Step 1: host write of the four read counts, two cycles per value.
-    with pb.step("1"):
-        for base, count in zip(BASES, counts):
-            cells = tuple((L.lane_rows[base], c) for c in L.rb_cols)
-            pb.write(cells, counts_bits(count))
-
     # Step 2: inverted copy of the window into the P column pair. The
     # window may span two fragments, one NOT per bit column per fragment.
-    with pb.step("2"):
-        pb.init(*(((rng, L.p_cols)) for _, rng in ranges))
-        for pair, rng in ranges:
-            pb.nor_row((2 * pair,), L.p_cols[0], rng)
-            pb.nor_row((2 * pair + 1,), L.p_cols[1], rng)
-
+    head = (
+        ("1", [_count_write(base, count) for base, count in zip(BASES, counts)]),
+        ("2", [Init(tuple((rng, L.p_cols) for _, rng in ranges)),
+               *(NorRow((2 * pair + i,), L.p_cols[i], rng) for pair, rng in ranges for i in (0, 1))]),
+    )
     # a full-length window covers every row, whatever its phase
     spans = (range(0, FRAGMENT_ROWS),) if n == FRAGMENT_ROWS else tuple(rng for _, rng in ranges)
-    return MicroProgram(pb.build().head, (_phase(spans), *_body()))
+    return MicroProgram(head, (_phase(spans), *_body()))
+
+
+@functools.cache
+def _count_write(base, count):
+    """Step 1's host write of one read count into the lane of `base`,
+    built and lowered once per (base, count): at most 4 x 128 ops, since
+    a count outside 0..127 raises ValueError."""
+    if not 0 <= count <= 127:
+        raise ValueError("base count must fit in 7 bits")
+    L = plan_layout()
+    return WriteExternal(tuple((L.lane_rows[base], c) for c in L.rb_cols),
+                         tuple(count >> i & 1 for i in range(8)))
 
 
 @functools.cache

@@ -2,7 +2,7 @@
 
 from itertools import chain
 
-from pimfilter.crossbar import ROWS, _dataflow, _lower_program
+from pimfilter.crossbar import _dataflow, _lower_program
 
 
 def live_cells(program):
@@ -10,7 +10,7 @@ def live_cells(program):
     writes them: a gate's inputs and output, and a ReadCell's cell."""
     _lower_program(program)
     live = _dataflow(program.ops)[1]
-    return {(r, k) for k, rows in enumerate(live) for r in range(ROWS) if rows >> r & 1}
+    return {(r, k) for k, rows in enumerate(live) for r in range(rows.bit_length()) if rows >> r & 1}
 
 
 def annotations(program):

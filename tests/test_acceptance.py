@@ -23,6 +23,7 @@ from pimfilter.genome import run_filter
 from pimfilter.io import CandidateRecord, mutate_read, synth_fixture, synth_genome
 from pimfilter.kernel import (
     COMPUTE_BUDGET,
+    FRAGMENTS_PER_TILE,
     STEP_BUDGETS,
     TOTAL_BUDGET,
     plan_layout,
@@ -31,6 +32,8 @@ from pimfilter.kernel import (
 from pimfilter.genome import load_tile, partition
 
 from grid import snapshot
+
+EVERY_PAIR = range(FRAGMENTS_PER_TILE)
 
 
 def report(criterion, detail):
@@ -242,7 +245,7 @@ def test_criterion_5_kernel_cycle_budget():
     rng = random.Random(61)
     genome = synth_genome(6600, rng)
     state = CrossbarState()
-    load_tile(state, layout, genome, partition(len(genome))[0], eth=5)
+    load_tile(state, layout, genome, partition(len(genome))[0], eth=5, pairs=EVERY_PAIR)
     worst = {label: 0 for label in STEP_BUDGETS}
     worst_compute = worst_total = 0
     for offset in (0, 1, 37, 99, 100, 123, 3200, 6399, 6400):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from pimfilter import genome as genome_mod
 from pimfilter import oracle
 from pimfilter.crossbar import COLS, ROWS, CrossbarState
 from pimfilter.genome import (
@@ -14,10 +15,12 @@ from pimfilter.genome import (
     schedule,
     tile_count,
 )
-from pimfilter.io import CandidateRecord, synth_fixture, synth_genome
-from pimfilter.kernel import FRAGMENT_ROWS, TILE_SPAN, TILE_STRIDE, encode_base
+from pimfilter.io import CandidateRecord, mutate_read, synth_fixture, synth_genome
+from pimfilter.kernel import FRAGMENT_ROWS, FRAGMENTS_PER_TILE, TILE_SPAN, TILE_STRIDE, encode_base
 
 from grid import load_grid, snapshot
+
+EVERY_PAIR = range(FRAGMENTS_PER_TILE)
 
 
 class TestPartition:
@@ -97,7 +100,7 @@ class TestLoadTile:
         genome = synth_genome(7000, rng)
         tile = partition(len(genome))[0]
         state = CrossbarState()
-        load_tile(state, layout, genome, tile, 3)
+        load_tile(state, layout, genome, tile, 3, EVERY_PAIR)
         assert tile.length == TILE_SPAN
         assert (snapshot(state)[:FRAGMENT_ROWS] == looped_tile(genome, tile)[:FRAGMENT_ROWS]).all()
         assert state.read_value([(layout.lane_rows["A"], c) for c in layout.thr_cols]) == 6
@@ -109,7 +112,7 @@ class TestLoadTile:
         ones = np.zeros((ROWS, COLS), np.uint8)
         ones[:FRAGMENT_ROWS, :layout.genome_cols] = 1  # padding must be written
         load_grid(state, ones)
-        load_tile(state, layout, genome, tile, 3)
+        load_tile(state, layout, genome, tile, 3, EVERY_PAIR)
         assert tile.length == 3210
         assert (snapshot(state)[:FRAGMENT_ROWS] == looped_tile(genome, tile)[:FRAGMENT_ROWS]).all()
 
@@ -118,7 +121,46 @@ class TestLoadTile:
         genome = synth_genome(7000, random.Random(5))
         genome = genome[:4321] + bad + genome[4322:]
         with pytest.raises(ValueError, match=f"invalid base {bad!r}"):
-            load_tile(CrossbarState(), layout, genome, partition(len(genome))[0], 3)
+            load_tile(CrossbarState(), layout, genome, partition(len(genome))[0], 3, EVERY_PAIR)
+
+
+    def test_unlisted_fragments_stay_untouched(self, layout):
+        genome = synth_genome(7000, random.Random(12))
+        tile = partition(len(genome))[0]
+        state = CrossbarState()
+        load_grid(state, np.random.default_rng(12).integers(0, 2, size=(ROWS, COLS), dtype=np.uint8))
+        before = snapshot(state)
+        load_tile(state, layout, genome, tile, 3, [3, 17])
+        after, want = snapshot(state), looped_tile(genome, tile)
+        listed = [6, 7, 34, 35]
+        assert (after[:FRAGMENT_ROWS, listed] == want[:FRAGMENT_ROWS, listed]).all()
+        changed = after != before
+        changed[:FRAGMENT_ROWS, listed] = False
+        changed[layout.lane_rows["A"], list(layout.thr_cols)] = False
+        assert not changed.any()
+
+    def test_listed_fragments_of_a_short_final_tile_are_zero_padded(self, layout):
+        # fragment 31 is full, 32 holds 10 bases and 40 none
+        genome = synth_genome(6400 + 3210, random.Random(13))
+        tile = partition(len(genome))[-1]
+        state = CrossbarState()
+        load_grid(state, np.ones((ROWS, COLS), np.uint8))
+        load_tile(state, layout, genome, tile, 3, [31, 32, 40])
+        cells, want = snapshot(state), looped_tile(genome, tile)
+        listed = [62, 63, 64, 65, 80, 81]
+        assert (cells[:FRAGMENT_ROWS, listed] == want[:FRAGMENT_ROWS, listed]).all()
+        assert not cells[10:FRAGMENT_ROWS, 64:66].any() and not cells[:FRAGMENT_ROWS, 80:82].any()
+        unlisted = [c for c in range(layout.genome_cols) if c not in listed]
+        assert cells[:FRAGMENT_ROWS, unlisted].all()
+
+    def test_invalid_base_in_a_fragment_no_window_reads(self, layout):
+        # the bad base sits in fragment 50; the only window reads fragment 0
+        genome = synth_genome(7000, random.Random(14))
+        genome = genome[:5012] + "N" + genome[5013:]
+        with pytest.raises(ValueError, match="invalid base 'N'"):
+            load_tile(CrossbarState(), layout, genome, partition(len(genome))[0], 3, [0])
+        with pytest.raises(ValueError, match="invalid base 'N'"):
+            run_filter(genome, [CandidateRecord("r", genome[:100], 0)], eth=3)
 
 
 class TestSchedule:
@@ -230,6 +272,43 @@ class TestRunFilter:
         assert run.stats.compute_cycles > 0
         assert run.stats.compute_cycles <= 2050 * run.stats.processed
         assert run.stats.init_cycles > 0
+
+    @pytest.mark.parametrize("read_length,genome_len", [
+        (100, 2 * TILE_STRIDE + 3210),
+        (64, 2 * TILE_STRIDE + 64),
+        (37, 2 * TILE_STRIDE + 37),
+        (1, 2 * TILE_STRIDE + 1),
+    ])
+    def test_fragment_only_loads_match_whole_tile_loads(self, monkeypatch, read_length, genome_len):
+        # windows at offset 0, at 6300-6400 and at row phases that spill
+        # into the next fragment, in every tile; the final tile is short
+        # and, at every read length but 100, holds the window at offset
+        # 6400. Decisions, stats and trace must equal those of a run that
+        # stores every fragment of each tile
+        rng = random.Random(read_length)
+        genome = synth_genome(genome_len, rng)
+        spill = range(FRAGMENT_ROWS - read_length + 1, FRAGMENT_ROWS)
+        positions = set()
+        for tile in partition(genome_len, read_length):
+            offsets = [0, *range(6300, TILE_STRIDE + 1, 10),
+                       *(FRAGMENT_ROWS * rng.randrange(64) + r0 for r0 in rng.sample(spill, min(8, len(spill))))]
+            positions |= {tile.start + off for off in offsets if tile.start + off + read_length <= genome_len}
+        cands = [CandidateRecord(f"r{p}", mutate_read(genome[p:p + read_length], 4, rng), p)
+                 for p in sorted(positions)]
+
+        def run():
+            trace = []
+            res = run_filter(genome, cands, eth=read_length // 40, read_length=read_length,
+                             verify_oracle=True, trace=trace.append)
+            return res.decisions, res.stats, trace
+
+        fragments = run()
+        real = genome_mod.load_tile
+        monkeypatch.setattr(genome_mod, "load_tile",
+                            lambda *args: real(*args[:5], range(FRAGMENTS_PER_TILE)))
+        assert fragments == run()
+        assert fragments[1].oracle_mismatches == 0
+        assert {d.verdict for d in fragments[0]} == {"keep", "discard"}
 
     def test_unroutable_candidate_rejected(self):
         genome = "A" * 200

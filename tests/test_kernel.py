@@ -24,6 +24,7 @@ from pimfilter.kernel import (
     BASES,
     COMPUTE_BUDGET,
     FRAGMENT_ROWS,
+    FRAGMENTS_PER_TILE,
     STEP_BUDGETS,
     TILE_STRIDE,
     TOTAL_BUDGET,
@@ -39,13 +40,15 @@ from pimfilter.kernel import (
 from dataflow import annotations, live_cells
 from grid import snapshot
 
+EVERY_PAIR = range(FRAGMENTS_PER_TILE)
+
 
 @pytest.fixture(scope="module")
 def tile_state(layout):
     rng = random.Random(11)
     genome = synth_genome(6600, rng)
     state = CrossbarState()
-    load_tile(state, layout, genome, partition(len(genome))[0], eth=5)
+    load_tile(state, layout, genome, partition(len(genome))[0], eth=5, pairs=EVERY_PAIR)
     return genome, state
 
 
@@ -98,6 +101,20 @@ class TestMatchExpressions:
         a, b = encode_base("T")
         assert match_value("T", 1 - a, 1 - b) == 1
         assert match_value("G", 1 - a, 1 - b) == 0
+
+
+class TestLayout:
+    def test_shared_layout_is_read_only(self):
+        # plan_layout is built once per read length and shared
+        layout = plan_layout(64)
+        assert plan_layout(read_length=64) is layout and plan_layout() is plan_layout(100)
+        with pytest.raises(TypeError):
+            layout.match_cols["A"] = 0
+        with pytest.raises(TypeError):
+            layout.lane_rows["A"] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layout.read_length = 100
+        assert plan_layout(64).match_cols["A"] == layout.genome_cols + 2
 
 
 class TestWindowRows:
@@ -196,6 +213,22 @@ class TestEveryRowPhase:
         assert h.hexdigest() == digest
 
 
+class TestFragmentOnlyLoads:
+    @pytest.mark.parametrize("read_length", [100, 64, 37, 1])
+    def test_programs_read_only_their_window_fragments(self, read_length):
+        # every row phase in the first two and the last two fragment
+        # pairs, offset 6400 included: a program reads rows 0..99 of the
+        # columns of the fragments its window spans, and the threshold,
+        # so a tile need store only the fragments its windows read
+        layout = plan_layout(read_length)
+        counts = oracle.BaseCounts(read_length, 0, 0, 0)
+        threshold = {(layout.lane_rows["A"], c) for c in layout.thr_cols}
+        for offset in (*range(2 * FRAGMENT_ROWS), *range(TILE_STRIDE - FRAGMENT_ROWS, TILE_STRIDE + 1)):
+            cols = [2 * pair + i for pair, _ in window_row_ranges(offset, read_length) for i in (0, 1)]
+            read = {(r, c) for r in range(FRAGMENT_ROWS) for c in cols} | threshold
+            assert live_cells(build_program(layout, offset, counts)) <= read, offset
+
+
 class TestSharedBody:
     @pytest.mark.parametrize("read_length", [100, 64])
     def test_body_is_shared_and_lowered_once(self, monkeypatch, read_length):
@@ -204,6 +237,7 @@ class TestSharedBody:
         counts = oracle.BaseCounts(read_length, 0, 0, 0)
         first = build_program(layout, 250, counts)
         second = build_program(layout, 137, counts)
+        aligned = build_program(layout, 300, counts)
 
         # the blocks from the second on are the one body that programs of
         # every read length share (blocks compare by identity)
@@ -215,6 +249,16 @@ class TestSharedBody:
         if read_length == 100:
             assert first.blocks[0] is second.blocks[0]
 
+        # step 1's writes are shared per (base, count): an equal count is
+        # the same op object, in any program
+        other = oracle.BaseCounts(0, read_length, 0, 0)
+        third = build_program(layout, 250, other)
+        for write, mine, count, its in zip(first.head[0][1], third.head[0][1], counts, other):
+            assert (write is mine) == (count == its)
+        for bad in (-1, 128):
+            with pytest.raises(ValueError, match="7 bits"):
+                build_program(layout, 0, oracle.BaseCounts(bad, 0, 0, read_length - bad))
+
         execute(first, CrossbarState())
         lowered, compiled = [], []
         real_lower, real_compile = crossbar._lower, crossbar._compile
@@ -223,16 +267,21 @@ class TestSharedBody:
         monkeypatch.setattr(crossbar, "_compile",
                             lambda *args: compiled.append(args) or real_compile(*args))
         execute(second, CrossbarState())
-        # only the head of steps 1 and 2 is lowered per location; a
-        # short read's new window shape compiles its phase block once
-        head = [op for _, ops in second.head for op in ops]
+        # only step 2 is lowered per location: 5 ops for a window that
+        # spans two fragments, 3 for one inside a fragment; a short
+        # read's new window shape compiles its phase block once
         assert [label for label, _ in second.head] == ["1", "2"]
-        assert [id(op) for op in lowered] == [id(op) for op in head]
-        assert len(head) == 9
+        assert [id(op) for op in lowered] == [id(op) for op in second.head[1][1]]
+        assert len(lowered) == 5
         if read_length == 100:
             assert compiled == []
         else:
             assert [ops for ops, *_ in compiled] == [second.blocks[0].ops]
+        lowered.clear()
+        execute(aligned, CrossbarState())
+        assert [id(op) for op in lowered] == [id(op) for op in aligned.head[1][1]]
+        assert len(lowered) == 3
+        assert kernel._count_write.cache_info().currsize <= 4 * 128
 
         # _lower_program reads the head's ops step by step; each block
         # adds the cycles it counted when it was built
@@ -244,6 +293,7 @@ class TestSharedBody:
                     visited.append(op)
                     yield op
 
+        head = [op for _, ops in second.head for op in ops]
         recorded = tuple((label, Recording(ops)) for label, ops in second.head)
         crossbar._lower_program(dataclasses.replace(second, head=recorded))
         assert [id(op) for op in visited] == [id(op) for op in head]
@@ -315,7 +365,46 @@ class TestLaneGroup:
             assert runs[0] == runs[1], r0
 
 
+def packed(values, rows, bit):
+    """A column over len(values) lanes: bit `bit` of values[x, i] in row
+    rows[i] of lane x."""
+    cells = np.zeros((len(values), ROWS), np.uint8)
+    cells[:, rows] = values >> bit & 1
+    return int.from_bytes(np.packbits(cells, bitorder="little").tobytes(), "little")
+
+
+def unpacked(v, lanes, rows):
+    """The cells of rows `rows` of a column over `lanes` lanes, one lane a row."""
+    cells = np.unpackbits(np.frombuffer(v.to_bytes(lanes * ROWS // 8, "little"), np.uint8),
+                          bitorder="little")
+    return cells.reshape(lanes, ROWS)[:, rows].astype(int)
+
+
+def live_ins(ops):
+    return {k: rows for k, rows in enumerate(_dataflow(ops)[1]) if rows}
+
+
 class TestWholeInputDomain:
+    def test_step_3_on_every_code_in_every_row(self):
+        # step 3 reads only the inverted window bits (p_cols) on the rows
+        # it covers, so four lanes that hold code (lane + row) % 4 put
+        # every code on every row; each base's bitmap must be 1 exactly
+        # where that base is stored
+        L = plan_layout()
+        rows = list(range(FRAGMENT_ROWS))
+        ops = [op for label, step in kernel._phase((range(FRAGMENT_ROWS),)).steps if label == "3"
+               for op in step]
+        assert live_ins(ops) == {k: (1 << FRAGMENT_ROWS) - 1 for k in L.p_cols}
+
+        codes = (np.arange(4)[:, None] + np.arange(FRAGMENT_ROWS)) % 4
+        g = [0] * COLS
+        for k, shift in zip(L.p_cols, (1, 0)):  # the window is kept inverted
+            g[k] = packed(1 - (codes >> shift & 1), rows, 0)
+        for chunk in _chunked(ops, 4):
+            chunk(g, None)  # step 3 reads no cell out
+        for base, (a, b) in kernel.BASE_CODES.items():
+            assert (unpacked(g[L.match_cols[base]], 4, rows) == (codes == 2 * a + b)).all(), base
+
     def test_steps_6_and_7_on_every_count_pair(self):
         # steps 6-7 read only the window counts (res_cols) and the read
         # counts (rb_cols) on the four lane rows, so one compiled pass
@@ -325,32 +414,44 @@ class TestWholeInputDomain:
         L = plan_layout()
         ops = [op for label, step in _body()[1].steps if label in ("6", "7") for op in step]
         rows = [L.lane_rows[b] for b in BASES]
-        live = _dataflow(ops)[1]
-        inputs = L.res_cols + L.rb_cols
-        assert {k: v for k, v in enumerate(live) if v} == {k: sum(1 << r for r in rows) for k in inputs}
+        assert live_ins(ops) == {k: sum(1 << r for r in rows) for k in L.res_cols + L.rb_cols}
 
         lanes = 4096
         pair = np.arange(128 * 128).reshape(lanes, len(rows))
         window, read = pair >> 7, pair & 127
-
-        def packed(values, bit):
-            cells = np.zeros((lanes, ROWS), np.uint8)
-            cells[:, rows] = values >> bit & 1
-            return int.from_bytes(np.packbits(cells, bitorder="little").tobytes(), "little")
-
-        def unpacked(v):
-            cells = np.unpackbits(np.frombuffer(v.to_bytes(lanes * ROWS // 8, "little"), np.uint8),
-                                  bitorder="little")
-            return cells.reshape(lanes, ROWS)[:, rows].astype(int)
-
         g = [0] * COLS
         for cols, values in ((L.res_cols, window), (L.rb_cols, read)):
             for bit, k in enumerate(cols):
-                g[k] = packed(values, bit)
+                g[k] = packed(values, rows, bit)
         for chunk in _chunked(ops, lanes):
             chunk(g, None)  # steps 6-7 read no cell out
-        z = sum(unpacked(g[k]) << bit for bit, k in enumerate(L.z_cols))
+        z = sum(unpacked(g[k], lanes, rows) << bit for bit, k in enumerate(L.z_cols))
         assert (z == abs(window - read)).all()
+
+    def test_steps_12_and_13_on_every_threshold_and_total(self):
+        # steps 12-13 read the threshold, the low eight bits of the total
+        # and the zero cell seeded in step 6, on lane A's row only, so 16
+        # runs of one compiled pass over 4096 lanes cover all 65,536
+        # pairs of 8-bit values; the bit read out must be 1 exactly when
+        # the total exceeds the threshold
+        L = plan_layout()
+        ops = [op for label, step in _body()[1].steps if label in ("12", "13") for op in step]
+        row = L.lane_rows["A"]
+        assert live_ins(ops) == {k: 1 << row for k in L.thr_cols + L.total_cols[:8] + (L.q0_col,)}
+
+        lanes = 4096
+        chunks = _chunked(ops, lanes)
+        for pair in np.arange(1 << 16).reshape(-1, lanes, 1):
+            threshold, total = pair >> 8, pair & 255
+            g = [0] * COLS  # the zero cell holds 0
+            for cols, values in ((L.thr_cols, threshold), (L.total_cols[:8], total)):
+                for bit, k in enumerate(cols):
+                    g[k] = packed(values, [row], bit)
+            readout = []
+            for chunk in chunks:
+                chunk(g, readout.append)
+            (bits,) = readout
+            assert (unpacked(bits, lanes, [0]) == (total > threshold)).all()
 
 
 class TestDecisions:
@@ -364,14 +465,14 @@ class TestDecisions:
     def test_all_a_read_against_all_a_window(self, layout):
         genome = "A" * 6500
         state = CrossbarState()
-        load_tile(state, layout, genome, partition(len(genome))[0], eth=0)
+        load_tile(state, layout, genome, partition(len(genome))[0], eth=0, pairs=EVERY_PAIR)
         counts = oracle.BaseCounts(100, 0, 0, 0)
         assert run_kernel(state, layout, counts, 0).discard == 0
 
     def test_fully_disjoint_alphabets_discard(self, layout):
         genome = "G" * 50 + "C" * 6450
         state = CrossbarState()
-        load_tile(state, layout, genome, partition(len(genome))[0], eth=10)
+        load_tile(state, layout, genome, partition(len(genome))[0], eth=10, pairs=EVERY_PAIR)
         counts = oracle.BaseCounts(50, 50, 0, 0)  # error 200 > 20
         assert run_kernel(state, layout, counts, 0).discard == 1
 
@@ -380,7 +481,7 @@ class TestDecisions:
         k = 7
         genome = "T" * k + "A" * 6500
         state = CrossbarState()
-        load_tile(state, layout, genome, partition(len(genome))[0], eth=k)
+        load_tile(state, layout, genome, partition(len(genome))[0], eth=k, pairs=EVERY_PAIR)
         counts = oracle.BaseCounts(100, 0, 0, 0)
         assert run_kernel(state, layout, counts, 0).discard == 0
         store_threshold(state, layout, k - 1)
@@ -423,7 +524,7 @@ class TestDecisions:
         for w in ("".join(window), "".join(shuffled)):
             genome = w + "A" * 6450
             state = CrossbarState()
-            load_tile(state, layout, genome, partition(len(genome))[0], eth=3)
+            load_tile(state, layout, genome, partition(len(genome))[0], eth=3, pairs=EVERY_PAIR)
             results.append(run_kernel(state, layout, counts, 0).discard)
         assert results[0] == results[1]
 
@@ -476,7 +577,7 @@ class TestValidation:
         short = plan_layout(read_length=60)
         genome = "ACGT" * 1700
         state = CrossbarState()
-        load_tile(state, short, genome, partition(len(genome), 60)[0], eth=2)
+        load_tile(state, short, genome, partition(len(genome), 60)[0], eth=2, pairs=EVERY_PAIR)
         rng = random.Random(9)
         for _ in range(8):
             offset = rng.randint(0, 6400)
@@ -508,7 +609,7 @@ class TestValidation:
             for strict in (True, False):
                 state = CrossbarState()
                 state.cols[:] = [rng.getrandbits(ROWS) for _ in state.cols]
-                load_tile(state, layout, genome, tile, eth)
+                load_tile(state, layout, genome, tile, eth, EVERY_PAIR)
                 res = run_kernel(state, layout, counts, offset, strict=strict)
                 assert res.discard == want, (r0, strict)
         assert decisions == {0, 1}
