@@ -18,9 +18,10 @@ needs no check that the labels cover the ops.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
 from numbers import Integral
 
 ROWS, COLS = 128, 256
@@ -28,6 +29,9 @@ ROWS, COLS = 128, 256
 # one step per function raised peak RSS by 7.5 MB (CPython 3.11,
 # x86-64), against 2.1 MB with 64-op chunks, which ran no slower.
 _CHUNK_OPS = 64
+# Widest row band a 1-lane block runs on as small ints (_block_code): 8
+# rows keep every value at most 255, which CPython caches.
+_BAND_ROWS = 8
 _BITS = frozenset((0, 1))
 
 
@@ -142,9 +146,10 @@ class Block:
     a block, whatever the grid held before, and strict and permissive
     runs share one unchecked form. `ops` lists the steps' ops in order.
     The block is compiled once, on its first run, into straight-line
-    functions of at most _CHUNK_OPS ops each (see _compile, at one lane),
-    which execute runs in place of interpreting the ops; the interpreter
-    stays their tested reference.
+    functions of at most _CHUNK_OPS ops each (_block_code: at one lane, or
+    on a row band of small ints when its rows fit one), which execute
+    runs in place of interpreting the ops; the interpreter stays their
+    tested reference.
     """
 
     def __init__(self, steps):
@@ -158,10 +163,14 @@ class Block:
     def run(self, g, readout):
         """Run the ops on the column grid g, appending read bits to readout."""
         if self._compiled is None:
-            self._compiled = _chunked(self.ops)
+            self._compiled = _block_code(self.ops)
+        enter, chunks, leave = self._compiled
         append = readout.append
-        for chunk in self._compiled:
-            chunk(g, append)
+        b = g if enter is None else enter(g)
+        for chunk in chunks:
+            chunk(b, append)
+        if leave is not None:
+            leave(g, b)
 
 
 class LaneGroup(Block):
@@ -175,10 +184,11 @@ class LaneGroup(Block):
     cells and readout as running the ops in order. It loads lane x of the
     template's input column from span x's input column, starts every other
     template column at 0 and runs the template once over all the lanes
-    (_compile with one lane per pair). Before tail x runs on the grid, the
-    template-written cells it reads get lane x's values; at the end every
-    template-written cell gets the last lane's values, on its written
-    rows only. The tails, those lane loads and that store are one
+    (_compile with one lane per pair, and every column but the input known
+    to hold 0 on entry, which _Source folds). Before tail x runs on the
+    grid, the template-written cells it reads get lane x's values; at the
+    end every template-written cell gets the last lane's values, on its
+    written rows only. The tails, those lane loads and that store are one
     straight-line function on column locals (_finish), compiled with the
     template on the first run.
 
@@ -238,7 +248,10 @@ class LaneGroup(Block):
     def run(self, g, readout):
         """Run the group on the column grid g, appending read bits to readout."""
         if self._compiled is None:
-            self._compiled = (_chunked(self._pairs[0][0], len(self._inputs)), self._finish())
+            # every template column but the input starts at 0 on the lane grid
+            known = dict.fromkeys(range(COLS), 0)
+            del known[self._inputs[0]]
+            self._compiled = (_chunked(self._pairs[0][0], len(self._inputs), known), self._finish())
         template, finish = self._compiled
         lanes = [0] * COLS
         lanes[self._inputs[0]] = sum(g[k] << ROWS * x for x, k in enumerate(self._inputs))
@@ -515,22 +528,37 @@ def _count(steps):
 
 def _lower_program(program):
     """Lower the head (_count), before any op runs, and return the compute
-    and init cycles of the whole program and per step label: the head's,
-    plus those each block counted when it was built (Block.cycles).
-    """
-    compute = init = 0
-    steps = {}
-    for part_compute, part_init, part_steps in (_count(program.head),
-                                                *(block.cycles for block in program.blocks)):
-        compute += part_compute
-        init += part_init
-        for label, (c, i) in part_steps.items():
-            sc = steps.get(label)
-            if sc is None:
-                sc = steps[label] = StepCycles()
+    and init cycles of the whole program and per step label, as a fresh
+    dict of StepCycles with the head's labels first: the head's, plus
+    those of its blocks (_block_cycles)."""
+    compute, init, head_steps = _count(program.head)
+    block_compute, block_init, block_steps = _block_cycles(program.blocks)
+    steps = {label: StepCycles(c, i) for label, (c, i) in head_steps.items()}
+    for label, (c, i) in block_steps:
+        sc = steps.get(label)
+        if sc is None:
+            steps[label] = StepCycles(c, i)
+        else:
             sc.compute += c
             sc.init += i
-    return compute, init, steps
+    return compute + block_compute, init + block_init, steps
+
+
+@functools.lru_cache(maxsize=1024)
+def _block_cycles(blocks):
+    """The cycles each of `blocks` counted when it was built (Block.cycles),
+    summed once per tuple of blocks: (compute, init, per_label), with
+    per_label a tuple of (label, (compute, init)) pairs, since every
+    caller shares it."""
+    compute = init = 0
+    per_label = {}
+    for block_compute, block_init, block_steps in (block.cycles for block in blocks):
+        compute += block_compute
+        init += block_init
+        for label, (c, i) in block_steps.items():
+            c0, i0 = per_label.get(label, (0, 0))
+            per_label[label] = (c0 + c, i0 + i)
+    return compute, init, tuple(per_label.items())
 
 
 def _dataflow(ops):
@@ -598,18 +626,69 @@ def _form(op, rename):
     return cls, col(c[0]), c[1]
 
 
-def _chunked(ops, lanes=1):
-    """Compile ops as functions of at most _CHUNK_OPS ops each."""
-    return [_compile(ops[i:i + _CHUNK_OPS], i, lanes)
+def _band(ops):
+    """(lo, width) of the row band that lowered ops touch, or None when it
+    is wider than _BAND_ROWS rows."""
+    rows = 0
+    for op in ops:
+        cls = op.__class__
+        c = op._c
+        if cls is NorRow:
+            rows |= c[2]
+        elif cls is NorCol:
+            rows |= c[0] | c[1]
+        elif cls is ReadCell:
+            rows |= c[1]
+        else:  # the rows of each Init region, or of each WriteExternal cell
+            for part in c:
+                rows |= part[1]
+    lo = (rows & -rows).bit_length() - 1
+    width = rows.bit_length() - lo
+    return (lo, width) if rows and width <= _BAND_ROWS else None
+
+
+def _block_code(ops):
+    """The compiled form of a 1-lane Block: (enter, chunks, leave).
+
+    A block whose rows fit a band of at most _BAND_ROWS rows runs its
+    chunks on a band grid b, where b[k] holds rows lo.. of column k as a
+    small int: enter(g) returns b, loaded with the columns the ops read
+    before writing them, and leave(g, b) stores every written column back
+    on its written rows. Every other column starts known to be 0 there,
+    since no op reads it before writing it. A wider block runs its chunks
+    on g itself, and enter and leave are None.
+    """
+    band = _band(ops)
+    if band is None:
+        return None, _chunked(ops), None
+    lo, width = band
+    _, live, written = _dataflow(ops)
+    full = hex((1 << width) - 1)
+    loads = [f"b[{k}] = g[{k}] >> {lo} & {full}" for k in range(COLS) if live[k]]
+    stores = [f"g[{k}] = g[{k}] & {hex(~rows)} | b[{k}] << {lo}" for k, rows in enumerate(written) if rows]
+    src = "\n".join(["def enter(g):", f"    b = [0] * {COLS}", *(f"    {line}" for line in loads),
+                     "    return b", "def leave(g, b):", *(f"    {line}" for line in stores or ["pass"])])
+    namespace = {}
+    exec(compile(src, f"<band {lo}-{lo + width - 1}>", "exec"), namespace)
+    known = {k: 0 for k in range(COLS) if not live[k]}
+    return namespace["enter"], _chunked(ops, 1, known, band), namespace["leave"]
+
+
+def _chunked(ops, lanes=1, known=None, band=None):
+    """Compile ops as functions of at most _CHUNK_OPS ops each, carrying
+    the known column values (see _Source) from each chunk to the next."""
+    return [_compile(ops[i:i + _CHUNK_OPS], i, lanes, known, band)
             for i in range(0, len(ops), _CHUNK_OPS)]
 
 
-def _compile(ops, first, lanes=1):
+def _compile(ops, first, lanes=1, known=None, band=None):
     """Compile lowered ops, numbered from `first` in their block, into one
-    straight-line function chunk(g, append) over `lanes` lanes (_Source).
+    straight-line function chunk(g, append) (_Source). `known` maps a
+    column to the value it holds on entry, and is updated to the values
+    the chunk leaves; `band` is a (lo, width) row band to run on.
     """
-    src = _Source()
-    src.ops(ops, lanes)
+    src = _Source(lanes, known, band)
+    src.ops(ops)
     return src.function("g, append", f"<block ops {first}-{first + len(ops) - 1}>")
 
 
@@ -620,75 +699,195 @@ class _Source:
     op acts on every lane at once: every mask is the lowered one repeated
     in each lane, and a column NOR clears its output row by one shifted
     term per input row, which moves each lane's input bit onto its output
-    bit. One lane is the grid execute runs on. The code is built from the
-    same lowered forms as _interpret; each column the lines touch is a
-    local and each mask a hex constant (a decimal one of many lanes would
-    pass the int-to-str digit limit). A ReadCell appends an int holding
-    each lane's bit at that lane's bit 0. The function loads the columns
-    the lines touch, runs the lines with no test and stores the columns
-    they write: no gate checks its outputs, since every Block is
-    init-dominated.
+    bit. One lane is the grid execute runs on. With a `band` (lo, width)
+    there is one lane of `width` rows: g[k] holds rows lo.. of column k
+    and every mask is shifted down by lo. The code is built from the same
+    lowered forms as _interpret; each column the lines touch is a local
+    and each mask a hex constant (a decimal one of many lanes would pass
+    the int-to-str digit limit). A ReadCell appends an int holding each
+    lane's bit at that lane's bit 0. The function loads the columns the
+    lines read before assigning them, runs the lines with no test and
+    stores the columns they write: no gate checks its outputs, since
+    every Block is init-dominated.
+
+    Three passes make fewer, cheaper lines, each exact:
+
+    - A run of NorCol ops becomes one `&=` line per column for each group
+      of ops in which no op reads a row an earlier one wrote (a hazard
+      starts a new group), with one term per distinct shift. A NorCol
+      only clears bits, so the group's clears commute; every term reads
+      the column as it was before the group, which is what each op reads
+      when the ops run in order, since no op reads a row the group
+      changed before it. Each line touches only its own column, so the
+      lines may be emitted column by column.
+    - A column in `known` holds that value, and has no local: an op that
+      writes it only updates the value, and a gate that reads it folds
+      the value in as a constant. The first gate whose result depends on
+      a local assigns the column outright, `c = (acc) & m ^ m | rest`,
+      where m is its output rows that hold 1 and rest the value off its
+      rows, which is what the gate leaves there. A column still known at
+      the end of the chunk is stored as its value, and stays known for
+      the next chunk.
+    - On a band every value is a small int of at most _BAND_ROWS bits,
+      one CPython does not allocate, so a NOT is an XOR with the band's
+      all-ones mask and no value goes negative.
     """
 
-    def __init__(self):
-        self.lines, self.touched, self.written = [], {}, {}
+    def __init__(self, lanes=1, known=None, band=None):
+        self.lines, self.loads, self.local, self.written = [], [], set(), {}
+        self.known = {} if known is None else known
+        self.lo, width = (0, None) if band is None else band
+        self.repeat = sum(1 << ROWS * lane for lane in range(lanes))
+        self.full = None if band is None else (1 << width) - 1
+
+    def mask(self, rows):
+        """A lowered row mask in every lane, or on the band."""
+        return (rows >> self.lo) * self.repeat
 
     def col(self, k, write=False):
-        """The local holding column k, loaded on entry (stored on exit if written)."""
-        self.touched[k] = None
+        """The local holding column k, loaded on entry unless assigned
+        first (stored on exit if written)."""
+        if k not in self.local:
+            self.local.add(k)
+            self.loads.append(k)
         if write:
             self.written[k] = None
         return f"c{k}"
 
-    def ops(self, ops, lanes=1):
-        """Append the lines of lowered ops, run over `lanes` lanes."""
-        repeat = sum(1 << ROWS * lane for lane in range(lanes))
-        col, lines = self.col, self.lines
+    def clear(self, v, expr):
+        """The line that clears the bits of column local v where expr is 1."""
+        if self.full is None:
+            return f"{v} &= ~({expr})"
+        return f"{v} &= ({expr}) ^ {hex(self.full)}"
+
+    def within(self, expr, m):
+        """expr masked to m; on a band, whose values hold no bit outside
+        it, the whole band needs no mask."""
+        return f"({expr})" if m == self.full else f"({expr}) & {hex(m)}"
+
+    def ops(self, ops):
+        """Append the lines of lowered ops."""
+        for is_col, run in groupby(ops, lambda op: op.__class__ is NorCol):
+            if is_col:
+                self.nor_cols(list(run))
+            else:
+                for op in run:
+                    self.op(op)
+
+    def op(self, op):
+        """Append the lines of one lowered op other than a NorCol."""
+        cls = op.__class__
+        lowered = op._c
+        known, lines = self.known, self.lines
+        if cls is NorRow:
+            ins, out, rows = lowered
+            rows = self.mask(rows)
+            const = 0
+            for k in ins:
+                const |= known.get(k, 0)
+            names = [k for k in ins if k not in known]
+            if out in known:
+                value = known[out]
+                self.written[out] = None
+                m = value & rows & ~const
+                if not names or not m:
+                    known[out] = value & ~(const & rows)
+                    return
+                rest = value & ~rows
+                acc = " | ".join(map(self.col, names))
+                del known[out]
+                self.local.add(out)
+                lines.append(f"c{out} = {self.within(acc, m)} ^ {hex(m)}" + (f" | {hex(rest)}" if rest else ""))
+            elif names:
+                acc = " | ".join([*map(self.col, names), *([hex(const)] if const else [])])
+                lines.append(self.clear(self.col(out, True), self.within(acc, rows)))
+            elif const & rows:
+                lines.append(self.clear(self.col(out, True), hex(const & rows)))
+        elif cls is Init:
+            for cols, rows in lowered:
+                rows = self.mask(rows)
+                for k in cols:
+                    if k in known:
+                        known[k] |= rows
+                        self.written[k] = None
+                    else:
+                        lines.append(f"{self.col(k, True)} |= {hex(rows)}")
+        elif cls is WriteExternal:
+            for k, bit, b in lowered:
+                bit = self.mask(bit)
+                if k in known:
+                    known[k] = known[k] | bit if b else known[k] & ~bit
+                    self.written[k] = None
+                elif b:
+                    lines.append(f"{self.col(k, True)} |= {hex(bit)}")
+                else:
+                    lines.append(self.clear(self.col(k, True), hex(bit)))
+        else:  # ReadCell
+            k, bit = lowered
+            shift = bit.bit_length() - 1 - self.lo
+            if k in known:
+                lines.append(f"append({hex(known[k] >> shift & self.repeat)})")
+            else:
+                lines.append(f"append({self.col(k)} >> {shift} & {hex(self.repeat)})")
+
+    def nor_cols(self, ops):
+        """Lines for a run of NorCol ops, column by column."""
+        per_col = {}
         for op in ops:
-            cls = op.__class__
-            lowered = op._c
-            if cls is NorRow:
-                ins, out, rows = lowered
-                acc = " | ".join(col(k) for k in ins)
-                v = col(out, True)
-                rows = hex(rows * repeat)
-                lines.append(f"{v} &= ~(({acc}) & {rows})")
-            elif cls is NorCol:
-                ins, out, cols = lowered
-                cols = [col(k, True) for k in dict.fromkeys(cols)]
-                to = out.bit_length() - 1
-                shifts = [(hex((1 << r) * repeat), f"<< {to - r}" if to > r else f">> {r - to}")
-                          for r in range(ins.bit_length()) if ins >> r & 1]
-                lines.extend(f"{v} &= ~({' | '.join(f'({v} & {m}) {s}' for m, s in shifts)})"
-                             for v in cols)
-            elif cls is Init:
-                lines.extend(f"{col(k, True)} |= {hex(rows * repeat)}"
-                             for cols, rows in lowered for k in cols)
-            elif cls is WriteExternal:
-                lines.extend(f"{col(k, True)} |= {hex(bit * repeat)}" if b
-                             else f"{col(k, True)} &= {hex(~(bit * repeat))}"
-                             for k, bit, b in lowered)
-            else:  # ReadCell
-                k, bit = lowered
-                lines.append(f"append({col(k)} >> {bit.bit_length() - 1} & {hex(repeat)})")
+            for k in dict.fromkeys(op._c[2]):
+                per_col.setdefault(k, []).append(op._c)
+        for k, gates in per_col.items():
+            if k in self.known:
+                value = self.known[k]
+                for ins, out, _ in gates:
+                    moved = 0
+                    for s, m in self.shifts(ins, out):
+                        moved |= (value & m) << s if s > 0 else (value & m) >> -s
+                    value &= ~moved
+                self.known[k] = value
+                self.written[k] = None
+                continue
+            v = self.col(k, True)
+            terms, wrote = {}, 0
+            for ins, out, _ in gates:
+                if ins & wrote:  # a hazard: the op reads a row the group wrote
+                    self.lines.append(self.clear(v, _terms(v, terms)))
+                    terms, wrote = {}, 0
+                for s, m in self.shifts(ins, out):
+                    terms[s] = terms.get(s, 0) | m
+                wrote |= out
+            self.lines.append(self.clear(v, _terms(v, terms)))
+
+    def shifts(self, ins, out):
+        """(shift, mask) per input row of a NorCol: the mask selects the
+        row, and the shift moves it onto the output row."""
+        to = out.bit_length() - 1
+        return [(to - r, self.mask(1 << r)) for r in range(ins.bit_length()) if ins >> r & 1]
 
     def function(self, params, name):
         """Compile the lines as `def f(params)`, a function of grid g."""
-        src = "\n".join([
-            f"def f({params}):",
-            *(f"    c{k} = g[{k}]" for k in self.touched),
-            *(f"    {line}" for line in self.lines),
-            *(f"    g[{k}] = c{k}" for k in self.written),
-        ])
+        known = self.known
+        body = [*(f"c{k} = g[{k}]" for k in self.loads), *self.lines,
+                *(f"g[{k}] = {hex(known[k]) if k in known else f'c{k}'}" for k in self.written)]
+        src = "\n".join([f"def f({params}):", *(f"    {line}" for line in body or ["pass"])])
         namespace = {}
         exec(compile(src, name, "exec"), namespace)
         return namespace["f"]
 
 
+def _terms(v, terms):
+    """The OR of the shifted terms {shift: mask} of column local v."""
+    return " | ".join(f"({v} & {hex(m)}) " + (f"<< {s}" if s > 0 else f">> {-s}")
+                      for s, m in terms.items())
+
+
 def _interpret(ops, g, readout, strict, emit):
-    """Run ops, already lowered, on the column grid g: the reference
-    semantics that compiled blocks are tested against, and the one place
-    where strict mode checks gate outputs."""
+    """Run ops, already lowered, on the column grid g, one op at a time.
+
+    This is the one reference semantics in the package: every pass of the
+    compiler (_Source) is tested against it, cell for cell and bit for
+    bit. It is also the one place where strict mode checks gate outputs,
+    and it runs every program's head."""
     for i, op in enumerate(ops):
         cls = op.__class__
         lowered = op._c

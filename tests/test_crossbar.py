@@ -21,6 +21,7 @@ from pimfilter.crossbar import (
     ProgramBuilder,
     ReadCell,
     WriteExternal,
+    _band,
     _compile,
     _dataflow,
     _interpret,
@@ -613,12 +614,13 @@ def lowered(ops):
     return ops
 
 
-def run_lanes(ops, grids):
-    """Run ops compiled over len(grids) lanes on the packed grids: the
-    unpacked lane grids and the unpacked readout of each lane."""
+def run_lanes(ops, grids, known=()):
+    """Run ops compiled over len(grids) lanes on the packed grids, with
+    the columns `known` compiled as known values: the unpacked lane grids
+    and the unpacked readout of each lane."""
     packed = [sum(g[k] << ROWS * lane for lane, g in enumerate(grids)) for k in range(COLS)]
     readout = []
-    _compile(ops, 0, len(grids))(packed, readout.append)
+    _compile(ops, 0, len(grids), {k: packed[k] for k in known})(packed, readout.append)
     full = (1 << ROWS) - 1
     lanes = [[v >> ROWS * lane & full for v in packed] for lane in range(len(grids))]
     bits = [[v >> ROWS * lane & 1 for v in readout] for lane in range(len(grids))]
@@ -632,12 +634,15 @@ def run_lanes(ops, grids):
 def test_compiled_lanes_match_scalar_code(inits, data):
     # each lane of a program compiled over 1, 3 or 4 lanes matches the
     # one-lane compiled code and the interpreter on its own grid; with
-    # `inits`, most drawn gates get an Init of their outputs first
+    # `inits`, most drawn gates get an Init of their outputs first. The
+    # lanes compile with some columns as known values, which the code
+    # folds in as constants
     r0, c0 = data.draw(origins(ROWS)), data.draw(origins(COLS))
     ops = lowered(data.draw(programs(inits, r0, c0)).ops)
     rng = data.draw(st.randoms(use_true_random=False))
     grids = [[rng.getrandbits(ROWS) for _ in range(COLS)]
              for _ in range(data.draw(st.sampled_from((1, 3, 4))))]
+    known = data.draw(st.sets(st.integers(c0, c0 + GRID - 1), max_size=8))
     wants = []
     for g in grids:
         want, want_bits = list(g), []
@@ -646,7 +651,7 @@ def test_compiled_lanes_match_scalar_code(inits, data):
         _compile(ops, 0)(got, got_bits.append)
         assert (got, got_bits) == (want, want_bits)
         wants.append((want, want_bits))
-    lanes, bits = run_lanes(ops, grids)
+    lanes, bits = run_lanes(ops, grids, known)
     assert list(zip(lanes, bits)) == wants
 
 
@@ -681,27 +686,50 @@ def copy_span(k):
     return [Init(((range(4), (10, 11)),)), NorRow((k,), 10, range(4)), NorRow((10,), 11, range(4))]
 
 
-def stage_tail(x):
-    """A tail staging the template's row-0 result into row 8 + x of column 11."""
-    return [Init((((8 + x,), (11,)),)), NorCol((0,), 8 + x, (11,)), ReadCell(8 + x, 11)]
+def stage_tail(x, col=11):
+    """A tail staging the template's row-0 result into row 8 + x of `col`."""
+    return [Init((((8 + x,), (col,)),)), NorCol((0,), 8 + x, (col,)), ReadCell(8 + x, col)]
+
+
+def late_span(k):
+    """copy_span(k), then 70 ops that chain through columns 20-27 from
+    constants, then a gate that reads column k again: more than one
+    compiled chunk, with the input column read in the last."""
+    ops = copy_span(k) + [Init(((range(4), (20, 30, 31)),)), NorRow((30,), 31, range(4))]
+    for i in range(35):
+        ops += [Init(((range(4), (20 + (i + 1) % 8,)),)), NorRow((20 + i % 8, 11), 20 + (i + 1) % 8, range(4))]
+    return ops + [Init(((range(4), (12,)),)), NorRow((k, 31, 23), 12, range(4))]
+
+
+def runs_like_its_spans_in_order(span, tail):
+    """A LaneGroup of three (span, tail) pairs, on input columns 5-7, must
+    run like its spans as separate blocks."""
+    pairs = [(("t", span(k)), ("s", tail(x))) for x, k in enumerate((5, 6, 7))]
+    group = LaneGroup(pairs)
+    assert group.steps == tuple(step for pair in pairs for step in pair)
+    assert group.ops == [op for pair in pairs for _, ops in pair for op in ops]
+    separate = MicroProgram((), tuple(Block([step]) for pair in pairs for step in pair))
+    together = MicroProgram((), (group,))
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        grid = rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
+        want, want_res, _, want_trace = run_program(separate, grid, True)
+        got, res, _, trace = run_program(together, grid, True)
+        assert got == want and trace == want_trace
+        assert (res.readout, res.compute_cycles, res.init_cycles, res.steps) == \
+               (want_res.readout, want_res.compute_cycles, want_res.init_cycles, want_res.steps)
 
 
 class TestLaneGroup:
     def test_runs_like_its_spans_in_order(self):
-        pairs = [(("t", copy_span(k)), ("s", stage_tail(x))) for x, k in enumerate((5, 6, 7))]
-        group = LaneGroup(pairs)
-        assert group.steps == tuple(step for pair in pairs for step in pair)
-        assert group.ops == [op for pair in pairs for _, span in pair for op in span]
-        separate = MicroProgram((), tuple(Block([step]) for pair in pairs for step in pair))
-        together = MicroProgram((), (group,))
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            grid = rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
-            want, want_res, _, want_trace = run_program(separate, grid, True)
-            got, res, _, trace = run_program(together, grid, True)
-            assert got == want and trace == want_trace
-            assert (res.readout, res.compute_cycles, res.init_cycles, res.steps) == \
-                   (want_res.readout, want_res.compute_cycles, want_res.init_cycles, want_res.steps)
+        runs_like_its_spans_in_order(copy_span, stage_tail)
+
+    def test_a_template_that_reads_its_input_column_late(self):
+        # the template folds columns it starts at 0 on the lane grid into
+        # constants across its chunks, and loads its input column again in
+        # the last one
+        assert len(late_span(5)) > 64
+        runs_like_its_spans_in_order(late_span, lambda x: stage_tail(x, 12))
 
     @pytest.mark.parametrize("pairs,match", [
         # a template that reads a second column before writing it
@@ -862,3 +890,115 @@ def test_lower_matches_set_model(rows, cols, cells):
     for op, want, lowered in cases:
         assert _lower(op) == want, op
         assert op._c == (None if want else lowered()), op
+
+
+# Differential checks of the compiler's passes against the interpreter,
+# cell for cell and bit for bit.
+
+@st.composite
+def nor_col_runs(draw):
+    """A run of NorCol ops on columns 0-5, over the rows of a 4- or 16-row
+    range: in the short range a later op often reads a row that an earlier
+    one wrote."""
+    r0 = draw(origins(ROWS))
+    rows = st.integers(r0, r0 + draw(st.sampled_from((3, 15))))
+    ops = []
+    for _ in range(draw(st.integers(1, 16))):
+        ins = tuple(draw(st.lists(rows, min_size=1, max_size=2, unique=True)))
+        out = draw(rows.filter(lambda v: v not in ins))
+        ops.append(NorCol(ins, out, tuple(draw(st.lists(st.integers(0, 5), min_size=1, max_size=4)))))
+    return lowered(ops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=nor_col_runs(), data=st.data())
+def test_fused_nor_col_runs_match_the_interpreter(ops, data):
+    # the run compiles to one line per column per group of ops with no
+    # hazard; each lane must match the interpreter on its own grid
+    rng = data.draw(st.randoms(use_true_random=False))
+    grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(data.draw(st.sampled_from((1, 3))))]
+    wants = []
+    for g in grids:
+        want = list(g)
+        _interpret(ops, want, [], False, None)
+        wants.append(want)
+    lanes, _ = run_lanes(ops, grids)
+    assert lanes == wants
+
+
+def test_a_hazard_starts_a_new_line():
+    # the second op reads row 1, which the first clears: fused into one
+    # line, it would read row 1 as it was before the first op
+    ops = lowered([NorCol((0,), 1, (5,)), NorCol((1,), 2, (5,)), NorCol((3,), 4, (5,))])
+    g = [0] * COLS
+    g[5] = 0b11111
+    _compile(ops, 0)(g, None)
+    assert g[5] == 0b01101
+
+
+@st.composite
+def band_ops(draw, lo, width):
+    """Init-dominated ops on columns c0..c0+7 whose rows span exactly
+    lo..lo+width-1: a WriteExternal on both end rows, then gates whose
+    outputs are initialized just before them, Inits, WriteExternals and
+    ReadCells."""
+    c0 = draw(origins(COLS))
+    rows, cols = st.integers(lo, lo + width - 1), st.integers(c0, c0 + 7)
+    ops = [WriteExternal(((lo, draw(cols)), (lo + width - 1, draw(cols))),
+                         (draw(st.integers(0, 1)), draw(st.integers(0, 1))))]
+    for kind in draw(st.lists(st.sampled_from("rcIWR"), min_size=1, max_size=14)):
+        if kind == "r":
+            ins = tuple(draw(st.lists(cols, min_size=1, max_size=3, unique=True)))
+            out = draw(cols.filter(lambda v: v not in ins))
+            lines = tuple(draw(st.lists(rows, min_size=1, max_size=width)))
+            ops += [Init(((lines, (out,)),)), NorRow(ins, out, lines)]
+        elif kind == "c" and width > 1:
+            ins = tuple(draw(st.lists(rows, min_size=1, max_size=min(3, width - 1), unique=True)))
+            out = draw(rows.filter(lambda v: v not in ins))
+            lines = tuple(draw(st.lists(cols, min_size=1, max_size=4)))
+            ops += [Init((((out,), lines),)), NorCol(ins, out, lines)]
+        elif kind == "I":
+            ops.append(Init(((tuple(draw(st.lists(rows, min_size=1, max_size=width))),
+                              tuple(draw(st.lists(cols, min_size=1, max_size=3)))),)))
+        elif kind == "W":
+            cells = draw(st.lists(st.tuples(rows, cols), min_size=1, max_size=4))
+            ops.append(WriteExternal(tuple(cells), tuple(draw(st.integers(0, 1)) for _ in cells)))
+        else:
+            ops.append(ReadCell(draw(rows), draw(cols)))
+    return ops
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_banded_blocks_match_the_interpreter(data):
+    # a block whose rows fit 8 rows runs on small ints: at both edges of
+    # the array and in between, it must leave the interpreter's cells and
+    # readout, whatever the grid held
+    lo = data.draw(st.sampled_from((0, ROWS - 8)) | st.integers(0, ROWS - 8))
+    width = data.draw(st.sampled_from((8,)) | st.integers(1, 8))
+    ops = data.draw(band_ops(lo, width))
+    block = Block(unlabelled(ops))
+    assert _band(ops) == (lo, width)
+    rng = data.draw(st.randoms(use_true_random=False))
+    g = [rng.getrandbits(ROWS) for _ in range(COLS)]
+    want, want_bits = list(g), []
+    _interpret(ops, want, want_bits, True, None)
+    got, got_bits = list(g), []
+    block.run(got, got_bits)
+    assert block._compiled[0] is not None  # ran on the band
+    assert (got, got_bits) == (want, want_bits)
+
+
+@pytest.mark.parametrize("lo", [0, ROWS - 9])
+def test_a_nine_row_block_runs_on_whole_columns(lo):
+    ops = [Init(((range(lo, lo + 9), (3, 4)),)), NorRow((1, 2), 3, range(lo, lo + 9)),
+           NorCol((lo,), lo + 8, (4,)), ReadCell(lo + 8, 4)]
+    block = Block(unlabelled(ops))
+    rng = random.Random(lo)
+    g = [rng.getrandbits(ROWS) for _ in range(COLS)]
+    want, want_bits = list(g), []
+    _interpret(ops, want, want_bits, True, None)
+    got, got_bits = list(g), []
+    block.run(got, got_bits)
+    assert block._compiled[0] is None
+    assert (got, got_bits) == (want, want_bits)

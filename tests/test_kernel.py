@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -11,9 +12,12 @@ from pimfilter.crossbar import (
     ROWS,
     Block,
     CrossbarState,
+    Init,
     LaneGroup,
     MicroProgram,
+    NorCol,
     NorRow,
+    _band,
     _chunked,
     _dataflow,
     execute,
@@ -37,7 +41,7 @@ from pimfilter.kernel import (
     window_row_ranges,
 )
 
-from dataflow import annotations, live_cells
+from dataflow import annotations, live_cells, live_rows
 from grid import snapshot
 
 EVERY_PAIR = range(FRAGMENTS_PER_TILE)
@@ -228,6 +232,17 @@ class TestFragmentOnlyLoads:
             read = {(r, c) for r in range(FRAGMENT_ROWS) for c in cols} | threshold
             assert live_cells(build_program(layout, offset, counts)) <= read, offset
 
+    def test_composed_live_ins_match_one_walk_over_the_program(self):
+        # live_rows composes the head's live-in rows with each block's,
+        # less the rows written before it; on a sample of programs that
+        # must equal one _dataflow walk over every op
+        rng = random.Random(29)
+        for read_length in (100, 64, 37, 1):
+            layout = plan_layout(read_length)
+            for offset in rng.sample(range(TILE_STRIDE + 1), 5):
+                prog = build_program(layout, offset, oracle.BaseCounts(read_length, 0, 0, 0))
+                assert live_rows(prog) == _dataflow(prog.ops)[1], (read_length, offset)
+
 
 class TestSharedBody:
     @pytest.mark.parametrize("read_length", [100, 64])
@@ -337,6 +352,24 @@ class TestLaneGroup:
             prog = build_program(plan_layout(read_length), 137, oracle.BaseCounts(read_length, 0, 0, 0))
             assert prog.blocks[1] is group, read_length
 
+    def test_popcount_moves_fuse_to_one_line_per_column_per_level(self):
+        # each popcount level moves its pairs with one run of NorCol ops,
+        # none of which reads a row another one writes, so the compiler
+        # emits one line per column the level moves on: 28 lines for the
+        # template's 100 moves
+        template = _body()[0].steps[0][1]
+        levels = [list(ops) for is_col, ops in itertools.groupby(template, lambda op: op.__class__ is NorCol)
+                  if is_col]
+        assert len(levels) == (FRAGMENT_ROWS - 1).bit_length()
+        assert sum(map(len, levels)) == FRAGMENT_ROWS
+        lines = 0
+        for ops in levels:
+            src = crossbar._Source(len(BASES))
+            src.ops(ops)
+            assert len(src.lines) == len({k for op in ops for k in op.cols})
+            lines += len(src.lines)
+        assert lines == 28
+
     def test_matches_the_spans_run_as_separate_blocks(self):
         # every row phase, from a random grid: the group and the eight
         # spans it holds, each run as its own Block, must leave the same
@@ -363,6 +396,16 @@ class TestLaneGroup:
                 runs.append((state.cols, res.readout, res.compute_cycles, res.init_cycles,
                              {k: (v.compute, v.init) for k, v in res.steps.items()}, trace))
             assert runs[0] == runs[1], r0
+
+
+def test_steps_6_to_13_run_on_their_4_row_band():
+    # steps 6-13 touch only the four lane rows, so the block runs on small
+    # ints; the decisions and the lane-group tests check its cells
+    rest = _body()[1]
+    assert _band(rest.ops) == (FRAGMENT_ROWS, len(BASES))
+    rest.run(CrossbarState().cols, [])
+    enter, _, leave = rest._compiled
+    assert enter is not None and leave is not None
 
 
 def packed(values, rows, bit):
@@ -427,6 +470,68 @@ class TestWholeInputDomain:
             chunk(g, None)  # steps 6-7 read no cell out
         z = sum(unpacked(g[k], lanes, rows) << bit for bit, k in enumerate(L.z_cols))
         assert (z == abs(window - read)).all()
+
+    def test_steps_8_to_11_on_every_input_of_each_adder_round(self):
+        # steps 8-11 split at each adder round's Init. Round 1 reads two
+        # 7-bit absolute differences (z_cols) per lane pair, 14 bits, and
+        # round 2 two 8-bit first sums (s1_cols) on lanes A and G, 16 bits;
+        # besides those each reads only the zero cell seeded in step 6. So
+        # the stages compose: round 1 reads what steps 6-7 write, round 2
+        # what round 1 writes, and step 12 what round 2 writes. Two runs of
+        # 4096 lanes, each lane holding two pairs, cover round 1's 16,384
+        # inputs, and 16 runs cover round 2's 65,536
+        L = plan_layout()
+        body = _body()[1]
+        rows = [L.lane_rows[b] for b in BASES]
+        lane_a, _, lane_g, _ = rows
+        every_lane = sum(1 << r for r in rows)
+
+        def step(*labels):
+            return [op for label, ops in body.steps if label in labels for op in ops]
+
+        stage = step("8-11")
+        cuts = [i for i, op in enumerate(stage) if op.__class__ is Init]
+        assert cuts[0] == 0 and len(cuts) == 2
+        round1, round2 = stage[:cuts[1]], stage[cuts[1]:]
+        zero = {L.q0_col: every_lane}
+        assert live_ins(round1) == {**{k: every_lane for k in L.z_cols},
+                                    L.q0_col: 1 << lane_a | 1 << lane_g}
+        assert live_ins(round2) == {**{k: 1 << lane_a | 1 << lane_g for k in L.s1_cols},
+                                    L.q0_col: 1 << lane_a}
+        assert _dataflow(step("6"))[2][L.q0_col] == every_lane
+        threshold = {k: 1 << lane_a for k in L.thr_cols}  # stored with the tile
+        for ops, before, constants in ((round1, step("6", "7"), {}), (round2, round1, zero),
+                                       (step("12"), round2, {**zero, **threshold})):
+            written = _dataflow(before)[2]
+            for k, live in live_ins(ops).items():
+                assert live & ~written[k] & ~constants.get(k, 0) == 0, k
+
+        lanes = 4096
+        chunks = _chunked(round1, lanes)
+        for run in range(2):
+            # (A, T) holds v and (G, C) 16383 - v: each 7-bit half of the
+            # one differs from the same half of the other, and the two
+            # runs give each of the 16,384 inputs to one of the pairs
+            v = lanes * run + np.arange(lanes)
+            z = np.stack([v >> 7, v & 127, (16383 - v) >> 7, (16383 - v) & 127], axis=1)
+            g = [0] * COLS  # the zero cell holds 0
+            for bit, k in enumerate(L.z_cols):
+                g[k] = packed(z, rows, bit)
+            for chunk in chunks:
+                chunk(g, None)  # steps 8-11 read no cell out
+            s1 = sum(unpacked(g[k], lanes, [lane_a, lane_g]) << bit for bit, k in enumerate(L.s1_cols))
+            assert (s1 == z[:, [0, 2]] + z[:, [1, 3]]).all()
+
+        chunks = _chunked(round2, lanes)
+        for pair in np.arange(1 << 16).reshape(-1, lanes):
+            s1 = np.stack([pair >> 8, pair & 255], axis=1)
+            g = [0] * COLS
+            for bit, k in enumerate(L.s1_cols):
+                g[k] = packed(s1, [lane_a, lane_g], bit)
+            for chunk in chunks:
+                chunk(g, None)
+            total = sum(unpacked(g[k], lanes, [lane_a]) << bit for bit, k in enumerate(L.total_cols))
+            assert (total[:, 0] == s1[:, 0] + s1[:, 1]).all()
 
     def test_steps_12_and_13_on_every_threshold_and_total(self):
         # steps 12-13 read the threshold, the low eight bits of the total
