@@ -25,12 +25,9 @@ from itertools import chain, groupby
 from numbers import Integral
 
 ROWS, COLS = 128, 256
-# Ops per compiled function of a Block. Compiling the read-length-100 body
-# one step per function raised peak RSS by 7.5 MB (CPython 3.11,
-# x86-64), against 2.1 MB with 64-op chunks, which ran no slower.
-_CHUNK_OPS = 64
-# Widest row band a 1-lane block runs on as small ints (_block_code): 8
-# rows keep every value at most 255, which CPython caches.
+_ROW_MASK = (1 << ROWS) - 1
+# Widest row band a 1-lane block runs on as small ints (_band): 8 rows
+# keep every value at most 255, which CPython caches.
 _BAND_ROWS = 8
 _BITS = frozenset((0, 1))
 
@@ -145,11 +142,10 @@ class Block:
     Ops that are not raise ValueError. So a strict run cannot fail inside
     a block, whatever the grid held before, and strict and permissive
     runs share one unchecked form. `ops` lists the steps' ops in order.
-    The block is compiled once, on its first run, into straight-line
-    functions of at most _CHUNK_OPS ops each (_block_code: at one lane, or
-    on a row band of small ints when its rows fit one), which execute
-    runs in place of interpreting the ops; the interpreter stays their
-    tested reference.
+    The block is compiled once, on its first run, into one straight-line
+    function f(g, append) (_source: on its row band, small ints when the
+    rows fit one), which execute runs in place of interpreting the ops;
+    the interpreter stays its tested reference.
     """
 
     def __init__(self, steps):
@@ -163,34 +159,42 @@ class Block:
     def run(self, g, readout):
         """Run the ops on the column grid g, appending read bits to readout."""
         if self._compiled is None:
-            self._compiled = _block_code(self.ops)
-        enter, chunks, leave = self._compiled
-        append = readout.append
-        b = g if enter is None else enter(g)
-        for chunk in chunks:
-            chunk(b, append)
-        if leave is not None:
-            leave(g, b)
+            # one function however long the block: with the body compiled,
+            # perfbench dense-r100 peaks at 38.0 MB RSS (CPython 3.11.7,
+            # x86-64), 1.2 MB above compiling it as 64-op functions
+            namespace = {}
+            exec(compile(self._source(), f"<{type(self).__name__}>", "exec"), namespace)
+            self._compiled = namespace["f"]
+        self._compiled(g, readout.append)
+
+    def _source(self):
+        """The code of the block (_Source.source): its ops on the row band
+        they touch (_band), where each column that no op reads before
+        writing it starts known to hold 0."""
+        _, live, written = _dataflow(self.ops)
+        src = _Source(known={k: 0 for k in range(COLS) if not live[k]}, band=_band(self.ops))
+        src.ops(self.ops)
+        return src.source(written)
 
 
 class LaneGroup(Block):
     """Spans that run one template op for op, each on its own input
-    column and each followed by its own tail, run as lanes of one
-    compiled template and then one compiled function for all the tails.
+    column and each followed by its own tail, run as lanes of the
+    template and then the tails, all in one compiled function.
 
     `pairs` lists (template step, tail step) pairs; the block's steps are
     those steps in that order, so a program, its cycle counts and its
     trace hold them as if they were separate blocks. run gives the same
-    cells and readout as running the ops in order. It loads lane x of the
-    template's input column from span x's input column, starts every other
-    template column at 0 and runs the template once over all the lanes
-    (_compile with one lane per pair, and every column but the input known
-    to hold 0 on entry, which _Source folds). Before tail x runs on the
-    grid, the template-written cells it reads get lane x's values; at the
-    end every template-written cell gets the last lane's values, on its
-    written rows only. The tails, those lane loads and that store are one
-    straight-line function on column locals (_finish), compiled with the
-    template on the first run.
+    cells and readout as running the ops in order. Its function packs
+    lane x of the template's input column from span x's input column,
+    starts every other template column at 0 and runs the template once
+    over all the lanes, on lane locals (a _Source with one lane per pair,
+    and every column but the input known to hold 0 on entry, which it
+    folds). Before tail x runs on the grid, the template-written cells it
+    reads get lane x's values; at the end every template-written cell
+    gets the last lane's values, on its written rows only. Those lane
+    loads and that store read the lane locals, or the template's known
+    constants, directly (_source).
 
     That is exact because a proof, made once when the group is built
     (from _dataflow's live-in and written rows), shows that the group is
@@ -237,44 +241,37 @@ class LaneGroup(Block):
                    for k in range(COLS)):
                 raise ValueError(f"tail {x} reads a cell the group writes outside the "
                                  "template, or writes one the template uses")
-            loads = tuple((k, ~rows, rows) for k, rows in enumerate(map(int.__and__, live, t_written))
-                          if rows)
+            loads = tuple((k, rows) for k, rows in enumerate(map(int.__and__, live, t_written)) if rows)
             self._tails.append((tail, loads))
         self._inputs = tuple(k for k, _ in inputs)
-        # only the template writes its columns of the lane grid, so the
-        # last lane holds no bit outside the written rows
-        self._stores = tuple((k, ~rows) for k, rows in enumerate(t_written) if rows)
+        self._stores = tuple((k, rows) for k, rows in enumerate(t_written) if rows)
 
-    def run(self, g, readout):
-        """Run the group on the column grid g, appending read bits to readout."""
-        if self._compiled is None:
-            # every template column but the input starts at 0 on the lane grid
-            known = dict.fromkeys(range(COLS), 0)
-            del known[self._inputs[0]]
-            self._compiled = (_chunked(self._pairs[0][0], len(self._inputs), known), self._finish())
-        template, finish = self._compiled
-        lanes = [0] * COLS
-        lanes[self._inputs[0]] = sum(g[k] << ROWS * x for x, k in enumerate(self._inputs))
-        append = readout.append
-        for chunk in template:
-            chunk(lanes, append)
-        finish(g, lanes, append)
-
-    def _finish(self):
-        """Everything after the template as one function finish(g, lanes,
-        append): per tail its lane loads, then its ops, then the store of
-        the last lane."""
+    def _source(self):
+        """The code of the group: the input lanes packed into one lane
+        local, the template on lane locals, then per tail its lane loads
+        and its ops on whole columns, then the store of the last lane."""
+        k0 = self._inputs[0]
+        lanes = _Source(len(self._inputs), {k: 0 for k in range(COLS) if k != k0}, var="l")
+        lanes.ops(self._pairs[0][0])
         src = _Source()
+        src.lines += [f"l{k0} = " + " | ".join(f"g[{k}] << {ROWS * x}" if x else f"g[{k}]"
+                                                for x, k in enumerate(self._inputs)),
+                      *lanes.lines]
+        # src knows no column these lane loads and stores set: only an Init
+        # of all of a column's rows makes it known, and the proof lets a
+        # tail write every cell of a column only if the template leaves it
+        # alone
         for x, (tail, loads) in enumerate(self._tails):
-            for k, keep, rows in loads:
-                v = src.col(k, True)
-                src.lines.append(f"{v} = {v} & {hex(keep)} | lanes[{k}] >> {ROWS * x} & {hex(rows)}")
+            for k, rows in loads:
+                src.lines.append(_put(src.col(k, True), _ROW_MASK & ~rows, lanes.lane(k, x, rows)))
             src.ops(tail)
-        last = ROWS * (len(self._tails) - 1)
-        for k, keep in self._stores:
-            v = src.col(k, True)
-            src.lines.append(f"{v} = {v} & {hex(keep)} | lanes[{k}] >> {last}")
-        return src.function("g, lanes, append", "<lane group finish>")
+        # only the template writes its columns of the lane grid, so the
+        # last lane holds no bit outside the written rows; a column no
+        # tail touches takes it straight into the grid
+        for k, rows in self._stores:
+            v = src.col(k, True) if k in src.local else f"g[{k}]"
+            src.lines.append(_put(v, _ROW_MASK & ~rows, lanes.lane(k, len(self._tails) - 1)))
+        return src.source()
 
 
 @dataclass
@@ -344,7 +341,9 @@ class CrossbarState:
     """Cell grid of one ROWS x COLS crossbar, held packed.
 
     `cols` is a list of COLS Python ints in which bit r of cols[c] is
-    cell (r, c); execute runs programs on it in place.
+    cell (r, c); execute runs programs on it in place. Every column stays
+    in [0, 2**ROWS): no op sets a bit off the array, and the compiled
+    code (_Source) counts on it to clear bits with no negative value.
     """
 
     def __init__(self):
@@ -627,8 +626,8 @@ def _form(op, rename):
 
 
 def _band(ops):
-    """(lo, width) of the row band that lowered ops touch, or None when it
-    is wider than _BAND_ROWS rows."""
+    """(lo, width) of the row band that lowered ops touch, or (0, ROWS),
+    every row, when it is wider than _BAND_ROWS rows."""
     rows = 0
     for op in ops:
         cls = op.__class__
@@ -644,73 +643,32 @@ def _band(ops):
                 rows |= part[1]
     lo = (rows & -rows).bit_length() - 1
     width = rows.bit_length() - lo
-    return (lo, width) if rows and width <= _BAND_ROWS else None
-
-
-def _block_code(ops):
-    """The compiled form of a 1-lane Block: (enter, chunks, leave).
-
-    A block whose rows fit a band of at most _BAND_ROWS rows runs its
-    chunks on a band grid b, where b[k] holds rows lo.. of column k as a
-    small int: enter(g) returns b, loaded with the columns the ops read
-    before writing them, and leave(g, b) stores every written column back
-    on its written rows. Every other column starts known to be 0 there,
-    since no op reads it before writing it. A wider block runs its chunks
-    on g itself, and enter and leave are None.
-    """
-    band = _band(ops)
-    if band is None:
-        return None, _chunked(ops), None
-    lo, width = band
-    _, live, written = _dataflow(ops)
-    full = hex((1 << width) - 1)
-    loads = [f"b[{k}] = g[{k}] >> {lo} & {full}" for k in range(COLS) if live[k]]
-    stores = [f"g[{k}] = g[{k}] & {hex(~rows)} | b[{k}] << {lo}" for k, rows in enumerate(written) if rows]
-    src = "\n".join(["def enter(g):", f"    b = [0] * {COLS}", *(f"    {line}" for line in loads),
-                     "    return b", "def leave(g, b):", *(f"    {line}" for line in stores or ["pass"])])
-    namespace = {}
-    exec(compile(src, f"<band {lo}-{lo + width - 1}>", "exec"), namespace)
-    known = {k: 0 for k in range(COLS) if not live[k]}
-    return namespace["enter"], _chunked(ops, 1, known, band), namespace["leave"]
-
-
-def _chunked(ops, lanes=1, known=None, band=None):
-    """Compile ops as functions of at most _CHUNK_OPS ops each, carrying
-    the known column values (see _Source) from each chunk to the next."""
-    return [_compile(ops[i:i + _CHUNK_OPS], i, lanes, known, band)
-            for i in range(0, len(ops), _CHUNK_OPS)]
-
-
-def _compile(ops, first, lanes=1, known=None, band=None):
-    """Compile lowered ops, numbered from `first` in their block, into one
-    straight-line function chunk(g, append) (_Source). `known` maps a
-    column to the value it holds on entry, and is updated to the values
-    the chunk leaves; `band` is a (lo, width) row band to run on.
-    """
-    src = _Source(lanes, known, band)
-    src.ops(ops)
-    return src.function("g, append", f"<block ops {first}-{first + len(ops) - 1}>")
+    return (lo, width) if rows and width <= _BAND_ROWS else (0, ROWS)
 
 
 class _Source:
     """Straight-line Python code on column locals, built line by line.
 
-    Lane l of column k is bits ROWS*l .. ROWS*l + ROWS-1 of g[k], so each
-    op acts on every lane at once: every mask is the lowered one repeated
-    in each lane, and a column NOR clears its output row by one shifted
-    term per input row, which moves each lane's input bit onto its output
-    bit. One lane is the grid execute runs on. With a `band` (lo, width)
-    there is one lane of `width` rows: g[k] holds rows lo.. of column k
-    and every mask is shifted down by lo. The code is built from the same
-    lowered forms as _interpret; each column the lines touch is a local
-    and each mask a hex constant (a decimal one of many lanes would pass
-    the int-to-str digit limit). A ReadCell appends an int holding each
-    lane's bit at that lane's bit 0. The function loads the columns the
-    lines read before assigning them, runs the lines with no test and
-    stores the columns they write: no gate checks its outputs, since
-    every Block is init-dominated.
+    Lane l of column k is bits ROWS*l .. ROWS*l + ROWS-1 of its value, so
+    each op acts on every lane at once: every mask is the lowered one
+    repeated in each lane, and a column NOR clears its output row by one
+    shifted term per input row, which moves each lane's input bit onto
+    its output bit. One lane is the grid execute runs on. With a `band`
+    (lo, width) there is one lane of `width` rows: a value holds rows lo..
+    of its column and every mask is shifted down by lo. The code is built
+    from the same lowered forms as _interpret; each column the lines touch
+    is a local named `var` and its column, and each mask a hex constant (a
+    decimal one of many lanes would pass the int-to-str digit limit). A
+    ReadCell appends an int holding each lane's bit at that lane's bit 0.
+    The code loads the columns the lines read before assigning them, runs
+    the lines with no test and stores the columns they write (source): no
+    gate checks its outputs, since every Block is init-dominated.
 
-    Three passes make fewer, cheaper lines, each exact:
+    No value goes negative: a value holds no bit outside `full`, the
+    all-ones value of its lanes or band, since a grid column only ever
+    holds bits 0..ROWS-1; so a clear is an AND with the cleared bits
+    XORed with `full`, and the whole of `full` needs no mask. Three passes
+    make fewer, cheaper lines, each exact:
 
     - A run of NorCol ops becomes one `&=` line per column for each group
       of ops in which no op reads a row an earlier one wrote (a hazard
@@ -722,23 +680,23 @@ class _Source:
       lines may be emitted column by column.
     - A column in `known` holds that value, and has no local: an op that
       writes it only updates the value, and a gate that reads it folds
-      the value in as a constant. The first gate whose result depends on
-      a local assigns the column outright, `c = (acc) & m ^ m | rest`,
-      where m is its output rows that hold 1 and rest the value off its
-      rows, which is what the gate leaves there. A column still known at
-      the end of the chunk is stored as its value, and stays known for
-      the next chunk.
-    - On a band every value is a small int of at most _BAND_ROWS bits,
-      one CPython does not allocate, so a NOT is an XOR with the band's
-      all-ones mask and no value goes negative.
+      the value in as a constant. An Init that sets all of `full` makes
+      its column known. The first gate whose result depends on a local
+      assigns the column outright, `c = (acc) & m ^ m | rest`, where m is
+      its output rows that hold 1 and rest the value off its rows, which
+      is what the gate leaves there. A column still known at the end is
+      stored as its value.
+    - On a narrow band every value is a small int of at most _BAND_ROWS
+      bits, one CPython does not allocate.
     """
 
-    def __init__(self, lanes=1, known=None, band=None):
+    def __init__(self, lanes=1, known=None, band=(0, ROWS), var="c"):
         self.lines, self.loads, self.local, self.written = [], [], set(), {}
         self.known = {} if known is None else known
-        self.lo, width = (0, None) if band is None else band
+        self.lo, self.width = band
+        self.var = var
         self.repeat = sum(1 << ROWS * lane for lane in range(lanes))
-        self.full = None if band is None else (1 << width) - 1
+        self.full = ((1 << self.width) - 1) * self.repeat
 
     def mask(self, rows):
         """A lowered row mask in every lane, or on the band."""
@@ -752,18 +710,24 @@ class _Source:
             self.loads.append(k)
         if write:
             self.written[k] = None
-        return f"c{k}"
+        return f"{self.var}{k}"
 
     def clear(self, v, expr):
         """The line that clears the bits of column local v where expr is 1."""
-        if self.full is None:
-            return f"{v} &= ~({expr})"
         return f"{v} &= ({expr}) ^ {hex(self.full)}"
 
     def within(self, expr, m):
-        """expr masked to m; on a band, whose values hold no bit outside
-        it, the whole band needs no mask."""
+        """expr masked to m; all of `full` needs no mask."""
         return f"({expr})" if m == self.full else f"({expr}) & {hex(m)}"
+
+    def lane(self, k, x, rows=None):
+        """Lane x of column k on `rows`, as an int if the column is known,
+        else as an expression; None takes every row of the top lane."""
+        if k in self.known:
+            value = self.known[k] >> ROWS * x
+            return value if rows is None else value & rows
+        expr = f"{self.var}{k} >> {ROWS * x}" if x else f"{self.var}{k}"
+        return expr if rows is None else f"{expr} & {hex(rows)}"
 
     def ops(self, ops):
         """Append the lines of lowered ops."""
@@ -778,7 +742,7 @@ class _Source:
         """Append the lines of one lowered op other than a NorCol."""
         cls = op.__class__
         lowered = op._c
-        known, lines = self.known, self.lines
+        known, lines, full = self.known, self.lines, self.full
         if cls is NorRow:
             ins, out, rows = lowered
             rows = self.mask(rows)
@@ -797,21 +761,23 @@ class _Source:
                 acc = " | ".join(map(self.col, names))
                 del known[out]
                 self.local.add(out)
-                lines.append(f"c{out} = {self.within(acc, m)} ^ {hex(m)}" + (f" | {hex(rest)}" if rest else ""))
+                lines.append(f"{self.var}{out} = {self.within(acc, m)} ^ {hex(m)}" + (f" | {hex(rest)}" if rest else ""))
             elif names:
                 acc = " | ".join([*map(self.col, names), *([hex(const)] if const else [])])
                 lines.append(self.clear(self.col(out, True), self.within(acc, rows)))
             elif const & rows:
-                lines.append(self.clear(self.col(out, True), hex(const & rows)))
+                lines.append(f"{self.col(out, True)} &= {hex(full & ~(const & rows))}")
         elif cls is Init:
+            per_col = {}  # one line per column, whatever its regions
             for cols, rows in lowered:
-                rows = self.mask(rows)
                 for k in cols:
-                    if k in known:
-                        known[k] |= rows
-                        self.written[k] = None
-                    else:
-                        lines.append(f"{self.col(k, True)} |= {hex(rows)}")
+                    per_col[k] = per_col.get(k, 0) | self.mask(rows)
+            for k, rows in per_col.items():
+                if k in known or rows == full:
+                    known[k] = known.get(k, 0) | rows
+                    self.written[k] = None
+                else:
+                    lines.append(f"{self.col(k, True)} |= {hex(rows)}")
         elif cls is WriteExternal:
             for k, bit, b in lowered:
                 bit = self.mask(bit)
@@ -821,7 +787,7 @@ class _Source:
                 elif b:
                     lines.append(f"{self.col(k, True)} |= {hex(bit)}")
                 else:
-                    lines.append(self.clear(self.col(k, True), hex(bit)))
+                    lines.append(f"{self.col(k, True)} &= {hex(full & ~bit)}")
         else:  # ReadCell
             k, bit = lowered
             shift = bit.bit_length() - 1 - self.lo
@@ -864,15 +830,31 @@ class _Source:
         to = out.bit_length() - 1
         return [(to - r, self.mask(1 << r)) for r in range(ins.bit_length()) if ins >> r & 1]
 
-    def function(self, params, name):
-        """Compile the lines as `def f(params)`, a function of grid g."""
-        known = self.known
-        body = [*(f"c{k} = g[{k}]" for k in self.loads), *self.lines,
-                *(f"g[{k}] = {hex(known[k]) if k in known else f'c{k}'}" for k in self.written)]
-        src = "\n".join([f"def f({params}):", *(f"    {line}" for line in body or ["pass"])])
-        namespace = {}
-        exec(compile(src, name, "exec"), namespace)
-        return namespace["f"]
+    def source(self, written=None):
+        """The lines as `def f(g, append)` on the grid g: one load per
+        column the lines read before assigning it, `c = g[k] >> lo & W`,
+        the lines, then one store per written column, `g[k] = g[k] & KEEP
+        | c << lo`. KEEP holds the rows off the band for a loaded column,
+        and off the rows in `written` (the grid rows each column's ops
+        write, if given) for any other; a whole column needs no shift, nor
+        a mask when nothing is kept."""
+        lo, var, known = self.lo, self.var, self.known
+        down = (f" >> {lo}" if lo else "") + (f" & {hex(self.full)}" if lo + self.width < ROWS else "")
+        body = [*(f"{var}{k} = g[{k}]{down}" for k in self.loads), *self.lines]
+        for k in self.written:
+            value = known[k] << lo if k in known else f"{var}{k} << {lo}" if lo else f"{var}{k}"
+            exact = self.full << lo if k in self.loads or written is None else written[k]
+            body.append(_put(f"g[{k}]", _ROW_MASK & ~exact, value))
+        return "\n".join(["def f(g, append):", *(f"    {line}" for line in body or ["pass"])])
+
+
+def _put(v, keep, value):
+    """The line that keeps the bits `keep` of v and ORs in value, an int
+    or an expression."""
+    value = hex(value) if value.__class__ is int else value
+    if not keep:
+        return f"{v} = {value}"
+    return f"{v} &= {hex(keep)}" if value == "0x0" else f"{v} = {v} & {hex(keep)} | {value}"
 
 
 def _terms(v, terms):

@@ -110,16 +110,18 @@ class ScheduleReport:
     active_limit: int
 
 
-def schedule(queue_lengths, iter_factor=5, active_limit=None):
+def schedule(queue_lengths, iter_factor=5, active_limit=None, tiles=None):
     """Per-tile processed counts under the iteration cap, plus the report.
 
-    The cap is iter_factor times the mean queue length over all tiles
-    (empty ones included); None or 0 disables it. Each wave activates at most
-    `active_limit` tiles in ascending index order, one location each;
-    whatever a tile still holds past its cap is overflow, passed through
-    unfiltered.
+    The cap is iter_factor times the mean queue length over all `tiles`
+    tiles (empty ones included; None counts one per queue length); None
+    or 0 disables it. Each wave activates at most `active_limit` tiles in
+    ascending index order, one location each; whatever a tile still holds
+    past its cap is overflow, passed through unfiltered. An empty queue
+    takes no part in a wave, so a caller may list only the non-empty
+    queues, in ascending tile order, and pass the tile count as `tiles`.
     """
-    n = len(queue_lengths)
+    n = len(queue_lengths) if tiles is None else tiles
     total = sum(queue_lengths)
     if iter_factor is not None and not 0 <= iter_factor < math.inf:
         raise ValueError("iter_factor must be a finite number >= 0")
@@ -135,7 +137,7 @@ def schedule(queue_lengths, iter_factor=5, active_limit=None):
         raise ValueError("active limit must be >= 1")
     waves = 0
     remaining = list(processed)
-    pending = [i for i in range(n) if remaining[i]]
+    pending = [i for i, q in enumerate(remaining) if q]
     while pending:
         for i in pending[:limit]:
             remaining[i] -= 1
@@ -186,21 +188,20 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     """
     layout = plan_layout(read_length)
     glen = len(genome)
-    queues = [[] for _ in range(tile_count(glen, read_length))]
+    queues = {}  # only the tiles that get a candidate
     for cand in candidates:
         t, off = route(cand.position, glen, read_length)
-        queues[t].append((cand, off, oracle.histogram(cand.seq)))
-
-    processed, report = schedule([len(q) for q in queues], iter_factor, active_limit)
+        queues.setdefault(t, []).append((cand, off, oracle.histogram(cand.seq)))
+    busy = sorted(queues)
+    processed, report = schedule([len(queues[t]) for t in busy], iter_factor, active_limit,
+                                 tiles=tile_count(glen, read_length))
 
     stats = FilterStats(queued=len(candidates))
     if verify_oracle:
         stats.oracle_mismatches = 0
     decisions = []
-    for t, queue in enumerate(queues):
-        if not queue:
-            continue
-        done = processed[t]
+    for t, done in zip(busy, processed):
+        queue = queues[t]
         pairs = {pair for _, off, _ in queue[:done]
                  for pair, _ in window_row_ranges(off, read_length)}
         state = CrossbarState()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 
 import numpy as np
@@ -22,13 +23,13 @@ from pimfilter.crossbar import (
     ReadCell,
     WriteExternal,
     _band,
-    _compile,
     _dataflow,
     _interpret,
     _lower,
     execute,
 )
 
+from compiled import band_io, compiled, grid_io
 from dataflow import annotations, live_cells
 from grid import load_grid, snapshot
 
@@ -582,8 +583,29 @@ def test_execute_matches_cell_model(strict, data):
         assert runs[0][3] == runs[1][3]
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_column_stays_in_range(data):
+    # interpreted, as one compiled Block, or compiled over three lanes, a
+    # drawn program leaves every column in [0, 2**ROWS), or every lane of
+    # it in [0, 2**(3 * ROWS)), from grids whose every cell is random
+    r0, c0 = data.draw(origins(ROWS)), data.draw(origins(COLS))
+    program = data.draw(programs(True, r0, c0))
+    rng = data.draw(st.randoms(use_true_random=False))
+    grid = [rng.getrandbits(ROWS) for _ in range(COLS)]
+    for prog in (program, with_block(program, 0), with_block(program, len(program.ops) // 2)):
+        if prog is not None:
+            state = fresh()
+            state.cols[:] = grid
+            execute(prog, state, strict=False)
+            assert all(0 <= v < 1 << ROWS for v in state.cols)
+    lanes = [rng.getrandbits(3 * ROWS) for _ in range(COLS)]
+    compiled(program.ops, 3)(lanes, [].append)
+    assert all(0 <= v < 1 << 3 * ROWS for v in lanes)
+
+
 def test_block_fails_in_its_second_chunk():
-    # 101 ops, more than one compiled chunk; the gate at block index 80
+    # 101 ops, whose gate at block index 80, past the first 64 ops,
     # finds no Init of its output column, so the ops cannot form a Block,
     # and after one other op the interpreter fails there in strict mode
     rng = np.random.default_rng(5)
@@ -620,7 +642,7 @@ def run_lanes(ops, grids, known=()):
     and the unpacked readout of each lane."""
     packed = [sum(g[k] << ROWS * lane for lane, g in enumerate(grids)) for k in range(COLS)]
     readout = []
-    _compile(ops, 0, len(grids), {k: packed[k] for k in known})(packed, readout.append)
+    compiled(ops, len(grids), {k: packed[k] for k in known})(packed, readout.append)
     full = (1 << ROWS) - 1
     lanes = [[v >> ROWS * lane & full for v in packed] for lane in range(len(grids))]
     bits = [[v >> ROWS * lane & 1 for v in readout] for lane in range(len(grids))]
@@ -648,7 +670,7 @@ def test_compiled_lanes_match_scalar_code(inits, data):
         want, want_bits = list(g), []
         _interpret(ops, want, want_bits, False, None)
         got, got_bits = list(g), []
-        _compile(ops, 0)(got, got_bits.append)
+        compiled(ops)(got, got_bits.append)
         assert (got, got_bits) == (want, want_bits)
         wants.append((want, want_bits))
     lanes, bits = run_lanes(ops, grids, known)
@@ -693,8 +715,8 @@ def stage_tail(x, col=11):
 
 def late_span(k):
     """copy_span(k), then 70 ops that chain through columns 20-27 from
-    constants, then a gate that reads column k again: more than one
-    compiled chunk, with the input column read in the last."""
+    constants, then a gate that reads column k again: a long template
+    that reads its input column again at its end."""
     ops = copy_span(k) + [Init(((range(4), (20, 30, 31)),)), NorRow((30,), 31, range(4))]
     for i in range(35):
         ops += [Init(((range(4), (20 + (i + 1) % 8,)),)), NorRow((20 + i % 8, 11), 20 + (i + 1) % 8, range(4))]
@@ -726,8 +748,8 @@ class TestLaneGroup:
 
     def test_a_template_that_reads_its_input_column_late(self):
         # the template folds columns it starts at 0 on the lane grid into
-        # constants across its chunks, and loads its input column again in
-        # the last one
+        # constants over 70 ops, and reads its packed input column again
+        # at its end
         assert len(late_span(5)) > 64
         runs_like_its_spans_in_order(late_span, lambda x: stage_tail(x, 12))
 
@@ -932,7 +954,7 @@ def test_a_hazard_starts_a_new_line():
     ops = lowered([NorCol((0,), 1, (5,)), NorCol((1,), 2, (5,)), NorCol((3,), 4, (5,))])
     g = [0] * COLS
     g[5] = 0b11111
-    _compile(ops, 0)(g, None)
+    compiled(ops)(g, None)
     assert g[5] == 0b01101
 
 
@@ -985,8 +1007,11 @@ def test_banded_blocks_match_the_interpreter(data):
     _interpret(ops, want, want_bits, True, None)
     got, got_bits = list(g), []
     block.run(got, got_bits)
-    assert block._compiled[0] is not None  # ran on the band
     assert (got, got_bits) == (want, want_bits)
+    # one function on the band: each live-in column loaded once, shifted
+    # down to the band and masked to it, and each written column stored
+    # once, shifted back up, keeping the rows off its written ones
+    band_io(block, lo, width)
 
 
 @pytest.mark.parametrize("lo", [0, ROWS - 9])
@@ -994,11 +1019,40 @@ def test_a_nine_row_block_runs_on_whole_columns(lo):
     ops = [Init(((range(lo, lo + 9), (3, 4)),)), NorRow((1, 2), 3, range(lo, lo + 9)),
            NorCol((lo,), lo + 8, (4,)), ReadCell(lo + 8, 4)]
     block = Block(unlabelled(ops))
+    assert _band(ops) == (0, ROWS)
     rng = random.Random(lo)
     g = [rng.getrandbits(ROWS) for _ in range(COLS)]
     want, want_bits = list(g), []
     _interpret(ops, want, want_bits, True, None)
     got, got_bits = list(g), []
     block.run(got, got_bits)
-    assert block._compiled[0] is None
+    assert (got, got_bits) == (want, want_bits)
+    # the live-in columns load whole, and the gate outputs, which start
+    # known to hold 0, store their nine written rows over the kept ones;
+    # column 4 stays known, since its NOR reads a row its Init set
+    loads, stores = grid_io(block)
+    assert loads == {1: "g[1]", 2: "g[2]"}
+    keep = hex(((1 << ROWS) - 1) ^ ((1 << 9) - 1) << lo)
+    assert stores == {3: f"g[3] = g[3] & {keep} | c3", 4: f"g[4] = g[4] & {keep} | {hex(0xff << lo)}"}
+
+
+@pytest.mark.parametrize("lo,width", [(0, 4), (ROWS - 4, 4), (40, 1), (0, ROWS)])
+def test_a_full_band_init_makes_its_column_known(lo, width):
+    # column 5 is live-in, then an Init sets every row of the band in it:
+    # the gate after it assigns the column outright, with no `|=` line,
+    # and the block still matches the interpreter
+    band = range(lo, lo + width)
+    ops = [Init(((band, (6,)),)), NorRow((5,), 6, band), Init(((band, (5,)),)),
+           NorRow((6, 7), 5, band), ReadCell(lo, 5)]
+    block = Block(unlabelled(ops))
+    assert _band(ops) == (lo, width) if width <= 8 else (0, ROWS)
+    src = block._source()
+    assert "|=" not in src and "c5 &=" not in src
+    assert re.search(r"^    c5 = \(c6 \| c7\) \^ 0x", src, re.M)
+    rng = random.Random(width)
+    g = [rng.getrandbits(ROWS) for _ in range(COLS)]
+    want, want_bits = list(g), []
+    _interpret(ops, want, want_bits, True, None)
+    got, got_bits = list(g), []
+    block.run(got, got_bits)
     assert (got, got_bits) == (want, want_bits)

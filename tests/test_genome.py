@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimfilter import genome as genome_mod
 from pimfilter import oracle
@@ -203,6 +205,20 @@ class TestSchedule:
         for factor in (-1, math.inf):
             with pytest.raises(ValueError, match="iter_factor"):
                 schedule([0, 0], iter_factor=factor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(0, 12) | st.just(0), min_size=1, max_size=40),
+       factor=st.sampled_from((None, 0, 0.5, 1, 2, 5)), limit=st.none() | st.integers(1, 6))
+def test_nonempty_queues_schedule_like_every_tile(lengths, factor, limit):
+    # run_filter lists only the queues that got a candidate, with the tile
+    # count (a genome has at least one tile): the same processed counts,
+    # per non-empty queue, and report as the list of every tile's queue,
+    # empty ones included
+    processed, report = schedule(lengths, factor, limit)
+    nonempty = [q for q in lengths if q]
+    assert schedule(nonempty, factor, limit, tiles=len(lengths)) == \
+        ([done for done, q in zip(processed, lengths) if q], report)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from pimfilter.crossbar import (
     NorCol,
     NorRow,
     _band,
-    _chunked,
     _dataflow,
     execute,
 )
@@ -41,6 +41,7 @@ from pimfilter.kernel import (
     window_row_ranges,
 )
 
+from compiled import band_io, compiled
 from dataflow import annotations, live_cells, live_rows
 from grid import snapshot
 
@@ -216,6 +217,21 @@ class TestEveryRowPhase:
                 h.update(text.encode())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("read_length", [100, 64, 1])
+    def test_every_column_stays_in_range(self, read_length):
+        # from a grid whose every cell is random, the top rows included,
+        # run_kernel at each row phase leaves every column in
+        # [0, 2**ROWS): the compiled code clears bits with no negative
+        # value and sets none off the array
+        layout = plan_layout(read_length)
+        rng = random.Random(read_length)
+        state = CrossbarState()
+        for r0 in range(FRAGMENT_ROWS):
+            state.cols[:] = [rng.getrandbits(ROWS) for _ in range(COLS)]
+            offset = FRAGMENT_ROWS * rng.randrange(FRAGMENTS_PER_TILE - 1) + r0
+            run_kernel(state, layout, oracle.BaseCounts(read_length, 0, 0, 0), offset)
+            assert all(0 <= v < 1 << ROWS for v in state.cols), r0
+
 
 class TestFragmentOnlyLoads:
     @pytest.mark.parametrize("read_length", [100, 64, 37, 1])
@@ -275,23 +291,27 @@ class TestSharedBody:
                 build_program(layout, 0, oracle.BaseCounts(bad, 0, 0, read_length - bad))
 
         execute(first, CrossbarState())
-        lowered, compiled = [], []
-        real_lower, real_compile = crossbar._lower, crossbar._compile
+        # each block of the program ran as one compiled function
+        assert all(callable(block._compiled) for block in first.blocks)
+        lowered, sourced = [], []
+        real_lower, real_source = crossbar._lower, Block._source
         monkeypatch.setattr(crossbar, "_lower",
                             lambda op: lowered.append(op) or real_lower(op))
-        monkeypatch.setattr(crossbar, "_compile",
-                            lambda *args: compiled.append(args) or real_compile(*args))
+        monkeypatch.setattr(Block, "_source",
+                            lambda block: sourced.append(block) or real_source(block))
         execute(second, CrossbarState())
         # only step 2 is lowered per location: 5 ops for a window that
         # spans two fragments, 3 for one inside a fragment; a short
-        # read's new window shape compiles its phase block once
+        # read's new window shape compiles its phase block once, into
+        # one function, and the body compiles no more
         assert [label for label, _ in second.head] == ["1", "2"]
         assert [id(op) for op in lowered] == [id(op) for op in second.head[1][1]]
         assert len(lowered) == 5
         if read_length == 100:
-            assert compiled == []
+            assert sourced == []
         else:
-            assert [ops for ops, *_ in compiled] == [second.blocks[0].ops]
+            assert sourced == [second.blocks[0]]
+        assert all(callable(block._compiled) for block in second.blocks)
         lowered.clear()
         execute(aligned, CrossbarState())
         assert [id(op) for op in lowered] == [id(op) for op in aligned.head[1][1]]
@@ -370,6 +390,20 @@ class TestLaneGroup:
             lines += len(src.lines)
         assert lines == 28
 
+    def test_each_block_is_one_function_of_pinned_length(self):
+        # the read-length-100 phase block and the body's two blocks each
+        # compile to one function, with no `~` (so no negative value); a
+        # pass that stops fusing, folding or banding shows here as more
+        # lines. The group's function is the input pack, 497 template
+        # lines on lane locals and 232 of tails, lane loads and stores
+        group, rest = _body()
+        phase = build_program(plan_layout(100), 137, oracle.BaseCounts(100, 0, 0, 0)).blocks[0]
+        sources = [block._source() for block in (phase, group, rest)]
+        assert not any("~" in src for src in sources)
+        assert [len(src.splitlines()) - 1 for src in sources] == [14, 730, 704]
+        template = [line for line in sources[1].splitlines() if re.match(r"    l\d+ ", line)]
+        assert len(template) == 1 + 497
+
     def test_matches_the_spans_run_as_separate_blocks(self):
         # every row phase, from a random grid: the group and the eight
         # spans it holds, each run as its own Block, must leave the same
@@ -399,13 +433,16 @@ class TestLaneGroup:
 
 
 def test_steps_6_to_13_run_on_their_4_row_band():
-    # steps 6-13 touch only the four lane rows, so the block runs on small
-    # ints; the decisions and the lane-group tests check its cells
+    # steps 6-13 touch only the four lane rows, so the block is one
+    # function on small ints: each live-in column loaded once as its four
+    # lane rows, each written column stored once over them; the decisions
+    # and the whole-input-domain tests check its cells
     rest = _body()[1]
     assert _band(rest.ops) == (FRAGMENT_ROWS, len(BASES))
+    loads, _ = band_io(rest, FRAGMENT_ROWS, len(BASES))
+    assert loads
     rest.run(CrossbarState().cols, [])
-    enter, _, leave = rest._compiled
-    assert enter is not None and leave is not None
+    assert callable(rest._compiled)
 
 
 def packed(values, rows, bit):
@@ -443,8 +480,7 @@ class TestWholeInputDomain:
         g = [0] * COLS
         for k, shift in zip(L.p_cols, (1, 0)):  # the window is kept inverted
             g[k] = packed(1 - (codes >> shift & 1), rows, 0)
-        for chunk in _chunked(ops, 4):
-            chunk(g, None)  # step 3 reads no cell out
+        compiled(ops, 4)(g, None)  # step 3 reads no cell out
         for base, (a, b) in kernel.BASE_CODES.items():
             assert (unpacked(g[L.match_cols[base]], 4, rows) == (codes == 2 * a + b)).all(), base
 
@@ -466,8 +502,7 @@ class TestWholeInputDomain:
         for cols, values in ((L.res_cols, window), (L.rb_cols, read)):
             for bit, k in enumerate(cols):
                 g[k] = packed(values, rows, bit)
-        for chunk in _chunked(ops, lanes):
-            chunk(g, None)  # steps 6-7 read no cell out
+        compiled(ops, lanes)(g, None)  # steps 6-7 read no cell out
         z = sum(unpacked(g[k], lanes, rows) << bit for bit, k in enumerate(L.z_cols))
         assert (z == abs(window - read)).all()
 
@@ -507,7 +542,7 @@ class TestWholeInputDomain:
                 assert live & ~written[k] & ~constants.get(k, 0) == 0, k
 
         lanes = 4096
-        chunks = _chunked(round1, lanes)
+        f = compiled(round1, lanes)
         for run in range(2):
             # (A, T) holds v and (G, C) 16383 - v: each 7-bit half of the
             # one differs from the same half of the other, and the two
@@ -517,19 +552,17 @@ class TestWholeInputDomain:
             g = [0] * COLS  # the zero cell holds 0
             for bit, k in enumerate(L.z_cols):
                 g[k] = packed(z, rows, bit)
-            for chunk in chunks:
-                chunk(g, None)  # steps 8-11 read no cell out
+            f(g, None)  # steps 8-11 read no cell out
             s1 = sum(unpacked(g[k], lanes, [lane_a, lane_g]) << bit for bit, k in enumerate(L.s1_cols))
             assert (s1 == z[:, [0, 2]] + z[:, [1, 3]]).all()
 
-        chunks = _chunked(round2, lanes)
+        f = compiled(round2, lanes)
         for pair in np.arange(1 << 16).reshape(-1, lanes):
             s1 = np.stack([pair >> 8, pair & 255], axis=1)
             g = [0] * COLS
             for bit, k in enumerate(L.s1_cols):
                 g[k] = packed(s1, [lane_a, lane_g], bit)
-            for chunk in chunks:
-                chunk(g, None)
+            f(g, None)
             total = sum(unpacked(g[k], lanes, [lane_a]) << bit for bit, k in enumerate(L.total_cols))
             assert (total[:, 0] == s1[:, 0] + s1[:, 1]).all()
 
@@ -545,7 +578,7 @@ class TestWholeInputDomain:
         assert live_ins(ops) == {k: 1 << row for k in L.thr_cols + L.total_cols[:8] + (L.q0_col,)}
 
         lanes = 4096
-        chunks = _chunked(ops, lanes)
+        f = compiled(ops, lanes)
         for pair in np.arange(1 << 16).reshape(-1, lanes, 1):
             threshold, total = pair >> 8, pair & 255
             g = [0] * COLS  # the zero cell holds 0
@@ -553,8 +586,7 @@ class TestWholeInputDomain:
                 for bit, k in enumerate(cols):
                     g[k] = packed(values, [row], bit)
             readout = []
-            for chunk in chunks:
-                chunk(g, readout.append)
+            f(g, readout.append)
             (bits,) = readout
             assert (unpacked(bits, lanes, [0]) == (total > threshold)).all()
 
