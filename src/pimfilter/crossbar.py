@@ -18,11 +18,11 @@ needs no check that the labels cover the ops.
 
 from __future__ import annotations
 
-import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from numbers import Integral
+from types import MappingProxyType
 
 ROWS, COLS = 128, 256
 _ROW_MASK = (1 << ROWS) - 1
@@ -135,10 +135,10 @@ class MicroOpError(RuntimeError):
 class Block:
     """A run of ops that many programs share, held as (label, ops) steps.
 
-    Building a block lowers its ops (an op with a violation raises
-    MicroOpError, numbered across the block's steps), counts their cycles
-    (`cycles`, from _count) and proves the ops init-dominated: every gate
-    output is set by an Init among them, with no write since (_dataflow).
+    Building a block lowers its ops (_count: an op with a violation
+    raises MicroOpError, numbered across the block's steps) and proves
+    the ops init-dominated: every gate output is set by an Init among
+    them, with no write since (_dataflow).
     Ops that are not raise ValueError. So a strict run cannot fail inside
     a block, whatever the grid held before, and strict and permissive
     runs share one unchecked form. `ops` lists the steps' ops in order.
@@ -151,7 +151,7 @@ class Block:
     def __init__(self, steps):
         self.steps = tuple((label, list(ops)) for label, ops in steps)
         self.ops = list(chain(*(ops for _, ops in self.steps)))
-        self.cycles = _count(self.steps)
+        _count(self.steps)
         if not _dataflow(self.ops)[0]:
             raise ValueError("the block is not init-dominated")
         self._compiled = None  # built on the first run
@@ -276,12 +276,16 @@ class LaneGroup(Block):
 
 @dataclass
 class MicroProgram:
-    """A program: a head of (label, ops) steps that execute interprets,
-    then `blocks`, a tuple of Blocks that run in order after it.
+    """A program: a head of (label, ops) steps, then `blocks`, a tuple of
+    Blocks that run in order after it.
 
     A label of None marks ops outside every step. A label may name more
     than one step, and steps in the head and in blocks alike. `ops` reads
-    the whole program: the head's ops, then each block's.
+    the whole program: the head's ops, then each block's. execute asks a
+    program for its cycles (`cycles`), then runs it (`run`). A kernel
+    location (kernel.run_kernel) is a program of the same form whose head
+    runs as code compiled once per shape, and whose head and ops are
+    built only when something reads them.
     """
 
     head: tuple
@@ -290,6 +294,23 @@ class MicroProgram:
     @property
     def ops(self):
         return list(chain(*(ops for _, ops in self.head), *(block.ops for block in self.blocks)))
+
+    def cycles(self):
+        """Lower the head's ops (_count), so that a violation raises before
+        any op runs, and count the cycles of every step: (compute, init,
+        steps), where steps maps each step label, the head's first, to
+        its StepCycles and is read-only."""
+        compute, init, per_label = _count(chain(self.head, *(block.steps for block in self.blocks)))
+        return compute, init, MappingProxyType({label: StepCycles(c, i) for label, (c, i) in per_label.items()})
+
+    def run(self, g, readout, strict, emit):
+        """Run the head through the interpreter (_interpret), then each
+        block as its compiled code (Block.run), on the column grid g."""
+        _interpret([op for _, ops in self.head for op in ops], g, readout, strict, emit)
+        for block in self.blocks:
+            block.run(g, readout)
+            if emit is not None:
+                emit(block.ops)
 
 
 class ProgramBuilder:
@@ -385,7 +406,7 @@ def _cell(cell):
     return r, c
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepCycles:
     compute: int = 0
     init: int = 0
@@ -398,7 +419,7 @@ class ExecResult:
     readout: list
     compute_cycles: int
     init_cycles: int
-    steps: dict
+    steps: MappingProxyType  # step label -> StepCycles, shared, read-only
 
 
 def _members(spec, what, bound, bad):
@@ -523,41 +544,6 @@ def _count(steps):
             c0, i0 = per_label.get(label, (0, 0))
             per_label[label] = (c0 + compute - step_compute, i0 + init - step_init)
     return compute, init, per_label
-
-
-def _lower_program(program):
-    """Lower the head (_count), before any op runs, and return the compute
-    and init cycles of the whole program and per step label, as a fresh
-    dict of StepCycles with the head's labels first: the head's, plus
-    those of its blocks (_block_cycles)."""
-    compute, init, head_steps = _count(program.head)
-    block_compute, block_init, block_steps = _block_cycles(program.blocks)
-    steps = {label: StepCycles(c, i) for label, (c, i) in head_steps.items()}
-    for label, (c, i) in block_steps:
-        sc = steps.get(label)
-        if sc is None:
-            steps[label] = StepCycles(c, i)
-        else:
-            sc.compute += c
-            sc.init += i
-    return compute + block_compute, init + block_init, steps
-
-
-@functools.lru_cache(maxsize=1024)
-def _block_cycles(blocks):
-    """The cycles each of `blocks` counted when it was built (Block.cycles),
-    summed once per tuple of blocks: (compute, init, per_label), with
-    per_label a tuple of (label, (compute, init)) pairs, since every
-    caller shares it."""
-    compute = init = 0
-    per_label = {}
-    for block_compute, block_init, block_steps in (block.cycles for block in blocks):
-        compute += block_compute
-        init += block_init
-        for label, (c, i) in block_steps.items():
-            c0, i0 = per_label.get(label, (0, 0))
-            per_label[label] = (c0 + c, i0 + i)
-    return compute, init, tuple(per_label.items())
 
 
 def _dataflow(ops):
@@ -867,9 +853,10 @@ def _interpret(ops, g, readout, strict, emit):
     """Run ops, already lowered, on the column grid g, one op at a time.
 
     This is the one reference semantics in the package: every pass of the
-    compiler (_Source) is tested against it, cell for cell and bit for
-    bit. It is also the one place where strict mode checks gate outputs,
-    and it runs every program's head."""
+    compiler (_Source) and every kernel location's compiled head are
+    tested against it, cell for cell and bit for bit. It is also the one
+    place where strict mode checks gate outputs. It runs the head of a
+    MicroProgram; a kernel location runs no op through it."""
     for i, op in enumerate(ops):
         cls = op.__class__
         lowered = op._c
@@ -922,36 +909,31 @@ def _tracer(trace):
 
 
 def execute(program, state, strict=True, trace=None):
-    """Run a MicroProgram on a CrossbarState, mutating it in place.
+    """Run a program on a CrossbarState, mutating it in place.
 
-    Every op of the head's steps is checked and lowered before the first
-    one runs, so an addressing, aliasing or shape violation aborts with
-    the state untouched; a block's ops were checked and lowered when it
-    was built.
-    The ops then run in place on state.cols, the packed grid of COLS
-    Python ints where bit r of column c is cell (r, c): the head through
-    the interpreter (_interpret), then each block as its compiled code
-    (Block.run). Both give the same cells, readout and trace. A NorRow is
-    one bitwise expression over its whole row mask; a NorCol is one per
-    column. Both modes evaluate a NOR by conditional switching: output <-
-    output AND NOR(inputs). Strict mode adds the precondition that every
-    output cell of a gate holds 1, checked before the gate switches any
-    cell, and aborts at the first gate that finds a 0, leaving the cells
-    the ops before it wrote. Only the head is checked: a Block is
-    init-dominated, which is checked when it is built, so no gate inside
-    one can fail.
+    The program first counts its cycles (program.cycles), which for a
+    MicroProgram lowers and checks every op of its head, so an
+    addressing, aliasing or shape violation aborts with the state
+    untouched; a block's ops were checked and lowered when it was built.
+    It then runs in place on state.cols, the packed grid of COLS Python
+    ints where bit r of column c is cell (r, c) (program.run): a
+    MicroProgram's head through the interpreter (_interpret), then each
+    block as its compiled code (Block.run); a kernel location as the
+    compiled code of its shape. All give the same cells, readout and
+    trace. A NorRow is one bitwise expression over its whole row mask; a
+    NorCol is one per column. Both modes evaluate a NOR by conditional
+    switching: output <- output AND NOR(inputs). Strict mode adds the
+    precondition that every output cell of a gate holds 1, checked before
+    the gate switches any cell, and aborts at the first gate that finds a
+    0, leaving the cells the ops before it wrote. Only an interpreted head
+    is checked: a Block, and a kernel location's head, are proved
+    init-dominated before they first run, so no gate in them can fail.
 
     :param trace: optional callable receiving one line per op run,
         formatted `cycle_kind cycle_index op_descriptor`.
     :return: ExecResult with read-out bits and the cycle report.
     """
-    compute, init, steps = _lower_program(program)
-    g = state.cols
+    compute, init, steps = program.cycles()
     readout = []
-    emit = None if trace is None else _tracer(trace)
-    _interpret([op for _, ops in program.head for op in ops], g, readout, strict, emit)
-    for block in program.blocks:
-        block.run(g, readout)
-        if emit is not None:
-            emit(block.ops)
+    program.run(state.cols, readout, strict, None if trace is None else _tracer(trace))
     return ExecResult(readout, compute, init, steps)

@@ -184,14 +184,18 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     Decisions come back in (tile index, queue order); every non-overflow
     location is decided by the in-crossbar kernel, overflow locations are
     marked passthrough. With `verify_oracle` each kernel decision is also
-    checked against the golden model and mismatches are counted.
+    checked against the golden model and mismatches are counted. A read
+    holding a non-base raises ValueError, passthrough or not; only the
+    reads the kernel decides get a histogram.
     """
     layout = plan_layout(read_length)
     glen = len(genome)
     queues = {}  # only the tiles that get a candidate
     for cand in candidates:
         t, off = route(cand.position, glen, read_length)
-        queues.setdefault(t, []).append((cand, off, oracle.histogram(cand.seq)))
+        if cand.seq.encode().translate(None, _BASES):
+            oracle.histogram(cand.seq)  # raises, naming the first non-base
+        queues.setdefault(t, []).append((cand, off))
     busy = sorted(queues)
     processed, report = schedule([len(queues[t]) for t in busy], iter_factor, active_limit,
                                  tiles=tile_count(glen, read_length))
@@ -202,12 +206,13 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     decisions = []
     for t, done in zip(busy, processed):
         queue = queues[t]
-        pairs = {pair for _, off, _ in queue[:done]
+        pairs = {pair for _, off in queue[:done]
                  for pair, _ in window_row_ranges(off, read_length)}
         state = CrossbarState()
         load_tile(state, layout, genome, _tile(t, glen), eth, pairs)
-        for j, (cand, off, counts) in enumerate(queue):
+        for j, (cand, off) in enumerate(queue):
             if j < done:
+                counts = oracle.histogram(cand.seq)
                 res = run_kernel(state, layout, counts, off, strict=strict, trace=trace)
                 verdict = "discard" if res.discard else "keep"
                 stats.processed += 1

@@ -18,17 +18,23 @@ Row map                          Column map (rows 0..99)
 Lane columns (rows 100..103) are allocated from the space left of the
 result band; the popcount pool overlaps them only on rows 0..99.
 
-Steps 1 and 2 are the program's head, per location: step 1's four
-count writes are shared by every location with the same count in the
-same lane, so only step 2's copy of the window is built anew. A program
-reads only its window's fragment columns and the threshold, so a tile
-stores only the fragments its windows read (genome.load_tile). Step 3
-depends only on the rows the window covers, and so does a short read's
-zeroing of the bitmap rows its window leaves untouched (a step labelled
-4 after step 3): both are one proved Block per window shape. Steps 4-13
-are one body of two Blocks, built once per process and shared by every
-read length; the zeroing lets its popcounts always count all 100 bitmap
-rows.
+Steps 1 and 2 are the program's head, per location: step 1 writes the
+read's four counts, and step 2 copies the window out of its fragment
+pair. A program reads only its window's fragment columns and the
+threshold, so a tile stores only the fragments its windows read
+(genome.load_tile). Step 3 depends only on the rows the window covers,
+and so does a short read's zeroing of the bitmap rows its window leaves
+untouched (a step labelled 4 after step 3): both are one proved Block
+per window shape. Steps 4-13 are one body of two Blocks, built once per
+process and shared by every read length; the zeroing lets its popcounts
+always count all 100 bitmap rows.
+
+A location runs as the compiled code of its shape, one per read length
+and row phase (_Shape), built from the shape's own ops on its first use:
+its head is one function of the counts and the fragment pair, proved
+once to stand for the head of every pair. No op is built, lowered or
+interpreted per location, and every location of a shape shares one
+cycle report; its ops (build_program) are built only for a trace.
 
 Per-step compute cycles at read length 100, against the step budgets:
 
@@ -44,7 +50,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .crossbar import (
+    _ROW_MASK,
     COLS,
+    ROWS,
     Block,
     Init,
     LaneGroup,
@@ -52,6 +60,10 @@ from .crossbar import (
     NorRow,
     ProgramBuilder,
     WriteExternal,
+    _count,
+    _dataflow,
+    _form,
+    _put,
     execute,
 )
 from .gates import (
@@ -166,14 +178,20 @@ def window_row_ranges(offset, read_length):
     horizontally because each fragment column holds exactly 100 bases, so
     the window lands as a row permutation of itself.
     """
-    if not 0 <= offset <= TILE_STRIDE:
-        raise ValueError("offset out of range")
-    pair, r0 = divmod(offset, FRAGMENT_ROWS)
+    pair, r0 = _split(offset)
     ranges = [(pair, range(r0, min(FRAGMENT_ROWS, r0 + read_length)))]
     spill = r0 + read_length - FRAGMENT_ROWS
     if spill > 0:
         ranges.append((pair + 1, range(0, spill)))
     return ranges
+
+
+def _split(offset):
+    """(fragment pair, row phase) of a window offset; ValueError if the
+    offset is outside 0..TILE_STRIDE."""
+    if not 0 <= offset <= TILE_STRIDE:
+        raise ValueError("offset out of range")
+    return divmod(offset, FRAGMENT_ROWS)
 
 
 def store_threshold(state, layout, eth):
@@ -190,21 +208,19 @@ def build_program(layout, offset, counts):
     Steps 1 and 2 depend on the read counts and the window's fragments
     and are the program's head, written here without a builder. Step 1
     is four host writes, one per read count, each shared by every
-    location with that count in that lane (_count_write), so only step
-    2's Init and NOTs are new ops. Every other op depends at most on the
-    rows the window covers: step 3 and a short read's bitmap zeroing are
-    one proved Block per window shape (_phase), followed by the blocks of
-    the shared body of steps 4-13 (_body). So those op objects, their
-    lowered forms, their cycle counts and their compiled code are reused
-    by every location with the same window shape. The program reads only
-    the window's fragment columns and the threshold, so a tile needs only
-    those fragments stored (genome.load_tile).
+    location with that count in that lane (_count_write); step 2 is an
+    Init and NOTs. Every other op depends at most on the rows the window
+    covers: step 3 and a short read's bitmap zeroing are one proved Block
+    per window shape (_phase), followed by the blocks of the shared body
+    of steps 4-13 (_body). run_kernel runs none of these ops: it runs a
+    location as the code compiled from its shape's program (_Shape), and
+    builds the program only when a trace or a test reads its ops. The
+    program reads only the window's fragment columns and the threshold,
+    so a tile needs only those fragments stored (genome.load_tile).
     """
     L = layout
     n = L.read_length
     ranges = window_row_ranges(offset, n)
-    if ranges[-1][0] >= FRAGMENTS_PER_TILE:
-        raise ValueError("window spills past the stored slice")
     # Step 1: host write of the four read counts, two cycles per value.
     # Step 2: inverted copy of the window into the P column pair. The
     # window may span two fragments, one NOT per bit column per fragment.
@@ -218,13 +234,17 @@ def build_program(layout, offset, counts):
     return MicroProgram(head, (_phase(spans), *_body()))
 
 
+def _check_counts(counts):
+    if min(counts) < 0 or max(counts) > 127:
+        raise ValueError("base count must fit in 7 bits")
+
+
 @functools.cache
 def _count_write(base, count):
     """Step 1's host write of one read count into the lane of `base`,
     built and lowered once per (base, count): at most 4 x 128 ops, since
     a count outside 0..127 raises ValueError."""
-    if not 0 <= count <= 127:
-        raise ValueError("base count must fit in 7 bits")
+    _check_counts((count,))
     L = plan_layout()
     return WriteExternal(tuple((L.lane_rows[base], c) for c in L.rb_cols),
                          tuple(count >> i & 1 for i in range(8)))
@@ -374,14 +394,157 @@ def _complement_rows(spans):
     return rest
 
 
+@functools.cache
+def _count_values():
+    """Step 1's write of every count as one int: (slots, values).
+
+    slots lists (column, rows) of the cells the writes of the four bases
+    touch, and values[x][n] is the write of count n into the lane of
+    base x (_count_write, built and lowered here for every count), with
+    bit ROWS * j + r set for each cell (r, slots[j][0]) it sets to 1. So
+    the OR of one value per base holds all of step 1 for any four
+    counts, and each column takes its slot in one masked write. That is
+    exact because every count's write of a base sets the same cells, and
+    no two bases write one cell; a write that breaks either raises
+    ValueError.
+    """
+    writes = [[_count_write(base, n) for n in range(128)] for base in BASES]
+    _count((base, ops) for base, ops in zip(BASES, writes))
+    cells = [{(k, bit) for k, bit, _ in ops[0]._c} for ops in writes]
+    if any({(k, bit) for k, bit, _ in op._c} != own for own, ops in zip(cells, writes) for op in ops) \
+            or len(set().union(*cells)) != sum(map(len, cells)):
+        raise ValueError("the count writes do not each set the same cells, one base a cell")
+    slots = {}
+    for k, bit in sorted(set().union(*cells)):
+        slots[k] = slots.get(k, 0) | bit
+    at = {k: ROWS * j for j, k in enumerate(slots)}
+    values = tuple(tuple(sum(bit << at[k] for k, bit, b in op._c if b) for op in ops) for ops in writes)
+    return tuple(slots.items()), values
+
+
+class _Shape:
+    """What every location of one read length and row phase runs: its
+    blocks, its cycles and read-only step report (`cycles`, counted once
+    from the ops, MicroProgram.cycles) and its head compiled into one
+    function f(g, w, s) of the grid, the counts' step-1 value w
+    (_count_values) and the source offset s = 2 * pair.
+
+    It is built from the program at pair 0 (build_program), and a proof,
+    made once when it is built, shows that the code is exact at every
+    offset of the phase in 0..TILE_STRIDE:
+
+    (a) the head is init-dominated, so no strict check can fail in it;
+    (b) the program at each offset has the same step-1 ops and the same
+        blocks as at pair 0, and its step 2 is pair 0's with the columns
+        it reads (its sources) renamed k + s -> k;
+    (c) every source column stays below genome_cols;
+    (d) step 2 is one Init, then NorRows whose inputs are sources, so
+        each column it writes takes, on the rows the Init sets, the NOR
+        of its gates' inputs on their rows, and keeps its other rows;
+    (e) step 1 is the count writes of _count_values.
+
+    A shape that fails the proof raises ValueError when it is built.
+    """
+
+    def __init__(self, layout, phase):
+        counts = (layout.read_length, 0, 0, 0)
+        program = build_program(layout, phase, counts)
+        self.blocks = program.blocks
+        self.cycles = program.cycles()  # lowers the head
+        (_, writes), (_, copy) = program.head
+        if not _dataflow(writes + copy)[0]:
+            raise ValueError("the head is not init-dominated")
+        sources = [k for k, rows in enumerate(_dataflow(copy)[1]) if rows]
+        forms = [_form(op, {}) for op in copy]
+        for offset in range(phase, TILE_STRIDE + 1, FRAGMENT_ROWS):
+            s = 2 * (offset // FRAGMENT_ROWS)
+            if max(sources) + s >= layout.genome_cols:
+                raise ValueError(f"the window at offset {offset} reads past the stored slice")
+            other = build_program(layout, offset, counts)
+            (_, w), (_, c) = other.head
+            _count(other.head)
+            rename = {k + s: k for k in sources}
+            if other.blocks != self.blocks or w != writes or [_form(op, rename) for op in c] != forms:
+                raise ValueError(f"the head at offset {offset} is not the head at offset "
+                                 f"{phase} with its source columns renamed")
+        slots, self.values = _count_values()
+        if writes != [_count_write(base, n) for base, n in zip(BASES, counts)]:
+            raise ValueError("step 1 is not the count writes")
+        lines = [_put(f"g[{k}]", _ROW_MASK & ~rows, f"w >> {ROWS * j} & {hex(rows)}")
+                 for j, (k, rows) in enumerate(slots)]
+        lines += _copy_lines(copy, sources)
+        namespace = {}
+        exec(compile("\n".join(["def f(g, w, s):", *(f"    {line}" for line in lines)]), "<head>", "exec"),
+             namespace)
+        self.head = namespace["f"]
+
+
+def _copy_lines(copy, sources):
+    """Step 2's code: one line per column it writes, reading each source
+    column k at g[s + k] (proof (d) of _Shape)."""
+    first, *gates = copy
+    written = {}
+    if first.__class__ is Init:
+        for cols, rows in first._c:
+            for k in cols:
+                written[k] = written.get(k, 0) | rows
+    if not written or any(op.__class__ is not NorRow for op in gates) \
+            or any(k not in sources or k in written for op in gates for k in op.input_cols):
+        raise ValueError("step 2 is not one Init and then NORs of the columns it reads first")
+    terms = {k: [] for k in written}
+    for ins, out, rows in (op._c for op in gates):
+        terms[out].append(f"({' | '.join(f'g[s + {k}]' for k in ins)}) & {hex(rows)}")
+    return [_put(f"g[{k}]", _ROW_MASK & ~rows, f"({' | '.join(terms[k])}) ^ {hex(rows)}" if terms[k] else rows)
+            for k, rows in written.items()]
+
+
+@functools.cache
+def _shape(read_length, phase):
+    return _Shape(plan_layout(read_length), phase)
+
+
+class _Location:
+    """The program of one location check, as execute runs it: the cycles
+    and compiled code of its shape. Its head and ops are those of
+    build_program, built only when something reads them (a trace, or a
+    test); `blocks` are its shape's."""
+
+    def __init__(self, shape, layout, offset, counts):
+        self.shape, self.layout, self.offset, self.counts = shape, layout, offset, counts
+
+    @functools.cached_property
+    def _program(self):
+        return build_program(self.layout, self.offset, self.counts)
+
+    head = property(lambda self: self._program.head)
+    ops = property(lambda self: self._program.ops)
+    blocks = property(lambda self: self.shape.blocks)
+
+    def cycles(self):
+        return self.shape.cycles
+
+    def run(self, g, readout, strict, emit):
+        # the shape's head and blocks are proved init-dominated, so no
+        # strict check can fail in them
+        shape = self.shape
+        a, t, gg, c = self.counts
+        va, vt, vg, vc = shape.values
+        shape.head(g, va[a] | vt[t] | vg[gg] | vc[c], 2 * (self.offset // FRAGMENT_ROWS))
+        for block in shape.blocks:
+            block.run(g, readout)
+        if emit is not None:
+            emit(self.ops)
+
+
 @dataclass
 class KernelResult:
-    """Decision and cycle accounting for one location check."""
+    """Decision and cycle accounting for one location check; `steps` is
+    the read-only step report its shape shares."""
 
     discard: int
     compute_cycles: int
     init_cycles: int
-    steps: dict
+    steps: MappingProxyType
 
 
 def run_kernel(state, layout, counts, offset, strict=True, trace=None):
@@ -389,11 +552,16 @@ def run_kernel(state, layout, counts, offset, strict=True, trace=None):
 
     The genome slice and the threshold constant must already be stored
     (see genome.load_tile and store_threshold). `counts` is the read's
-    oracle.BaseCounts.
+    oracle.BaseCounts, `layout` plan_layout(read length). The inputs are
+    checked, then the location runs through one execute call as the code
+    of its shape (_Shape): its counts in one masked write per count
+    column, its window copied by one masked store per P column, then the
+    shape's blocks. A trace gets the ops of build_program.
     """
     if counts.total != layout.read_length:
         raise ValueError("read histogram does not sum to the read length")
-    program = build_program(layout, offset, counts)
+    _, phase = _split(offset)
+    _check_counts(counts)
+    program = _Location(_shape(layout.read_length, phase), layout, offset, counts)
     result = execute(program, state, strict=strict, trace=trace)
-    return KernelResult(result.readout[0], result.compute_cycles,
-                        result.init_cycles, result.steps)
+    return KernelResult(result.readout[0], result.compute_cycles, result.init_cycles, result.steps)

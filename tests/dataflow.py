@@ -3,7 +3,7 @@
 import functools
 from itertools import chain
 
-from pimfilter.crossbar import COLS, _dataflow, _lower_program
+from pimfilter.crossbar import COLS, _count, _dataflow
 
 
 @functools.cache
@@ -16,7 +16,7 @@ def live_rows(program):
     """Lower `program` and list, per column, the rows it reads before it
     writes them: the head's live-in rows, then each block's, less the rows
     written before the block."""
-    _lower_program(program)
+    _count(program.head)
     _, live, written = _dataflow([op for _, ops in program.head for op in ops])
     for block in program.blocks:
         block_live, block_written = block_flow(block)

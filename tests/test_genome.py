@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -266,6 +267,36 @@ class TestRunFilter:
         assert passthrough and len(passthrough) == run.stats.passthrough
         assert run.report.overflow == len(passthrough)
         assert not any(d.verdict == "discard" for d in passthrough)
+
+    def test_only_decided_reads_get_a_histogram(self, monkeypatch):
+        # a capped run: the hot tile takes 12 of its 30 reads, and 18 of
+        # the 36 pass through. Decisions and stats are pinned; only the 18
+        # reads the kernel decides get a histogram, yet a non-base in a
+        # passthrough read still raises, naming it
+        rng = random.Random(31)
+        genome = synth_genome(3 * TILE_STRIDE + 100, rng)
+        cands = [CandidateRecord(f"h{i}", synth_genome(100, rng), 50 + 7 * i) for i in range(30)]
+        cands += [CandidateRecord(f"c{i}", synth_genome(100, rng), rng.randrange(TILE_STRIDE, len(genome) - 100))
+                  for i in range(6)]
+        run = run_filter(genome, cands, eth=5, iter_factor=1, verify_oracle=True)
+        assert (run.stats.processed, run.stats.passthrough) == (18, 18)
+        digest = hashlib.sha256(repr((run.decisions, run.stats)).encode()).hexdigest()
+        assert digest == "00da5a131124b0644d02ae07e526cfcbf8026f286f2baefa3807243499beed1a"
+
+        reads = []
+        real = oracle.histogram
+        monkeypatch.setattr(oracle, "histogram", lambda seq: reads.append(seq) or real(seq))
+        assert run_filter(genome, cands, eth=5, iter_factor=1).decisions == run.decisions
+        decided = {d.read_id for d in run.decisions if d.verdict != "passthrough"}
+        assert sorted(reads) == sorted(c.seq for c in cands if c.read_id in decided)
+
+        passthrough = next(i for i, c in enumerate(cands) if c.read_id == "h29")
+        assert run.decisions[passthrough].verdict == "passthrough"
+        bad = list(cands)
+        seq = cands[passthrough].seq
+        bad[passthrough] = CandidateRecord("h29", seq[:40] + "N" + seq[41:], cands[passthrough].position)
+        with pytest.raises(ValueError, match="^invalid base 'N' at position 40$"):
+            run_filter(genome, bad, eth=5, iter_factor=1)
 
     def test_zero_factor_runs_uncapped(self):
         rng = random.Random(9)

@@ -318,8 +318,7 @@ class TestSharedBody:
         assert len(lowered) == 3
         assert kernel._count_write.cache_info().currsize <= 4 * 128
 
-        # _lower_program reads the head's ops step by step; each block
-        # adds the cycles it counted when it was built
+        # counting a program's cycles reads the head's ops step by step
         visited = []
 
         class Recording(list):
@@ -330,7 +329,7 @@ class TestSharedBody:
 
         head = [op for _, ops in second.head for op in ops]
         recorded = tuple((label, Recording(ops)) for label, ops in second.head)
-        crossbar._lower_program(dataclasses.replace(second, head=recorded))
+        dataclasses.replace(second, head=recorded).cycles()
         assert [id(op) for op in visited] == [id(op) for op in head]
 
     @pytest.mark.parametrize("read_length", [100, 64, 1])
@@ -361,6 +360,115 @@ class TestSharedBody:
         assert len(distinct) == shapes
         for block in distinct:
             assert _dataflow(block.ops)[0]
+
+
+def interpreted(state, layout, counts, offset, strict=True, trace=None):
+    """A location run as its MicroProgram: the head through the
+    interpreter, then the blocks (the reference for run_kernel)."""
+    if counts.total != layout.read_length:
+        raise ValueError("read histogram does not sum to the read length")
+    return execute(build_program(layout, offset, counts), state, strict=strict, trace=trace)
+
+
+class TestCompiledLocations:
+    @pytest.mark.parametrize("read_length", [100, 64, 37, 1])
+    def test_matches_the_interpreted_head_and_blocks(self, read_length):
+        # every row phase of pairs 0, 1, 63 and 64 (offset <= 6400), from a
+        # grid whose every cell is random: the compiled head and blocks
+        # must leave the same cells, readout, cycles and step report as
+        # the program run through the interpreter; a sample also the
+        # same trace
+        layout = plan_layout(read_length)
+        rng = random.Random(41 + read_length)
+        offsets = [FRAGMENT_ROWS * pair + r0 for pair in (0, 1, 63, 64) for r0 in range(FRAGMENT_ROWS)
+                   if FRAGMENT_ROWS * pair + r0 <= TILE_STRIDE]
+        assert len(offsets) == 301
+        for offset in offsets:
+            a = rng.randint(0, read_length)
+            t = rng.randint(0, read_length - a)
+            g = rng.randint(0, read_length - a - t)
+            counts = oracle.BaseCounts(a, t, g, read_length - a - t - g)
+            grid = [rng.getrandbits(ROWS) for _ in range(COLS)]
+            strict = bool(offset % 2)
+            traced = offset % 37 == 0
+            runs = []
+            for run in (run_kernel, interpreted):
+                state, trace = CrossbarState(), []
+                state.cols[:] = grid
+                res = run(state, layout, counts, offset, strict=strict,
+                          trace=trace.append if traced else None)
+                discard = res.discard if run is run_kernel else res.readout[0]
+                runs.append((state.cols, discard, res.compute_cycles, res.init_cycles,
+                             list(res.steps.items()), trace))
+            assert runs[0] == runs[1], offset
+
+    @pytest.mark.parametrize("read_length", [100, 1])
+    def test_bad_inputs_raise_as_the_interpreted_path_does(self, read_length):
+        layout = plan_layout(read_length)
+        good = oracle.BaseCounts(read_length, 0, 0, 0)
+        cases = [(oracle.BaseCounts(-1, 0, 0, read_length + 1), 0),
+                 (oracle.BaseCounts(128, 0, 0, read_length - 128), 0),
+                 (oracle.BaseCounts(read_length, 1, 0, 0), 0),
+                 (good, -1), (good, TILE_STRIDE + 1)]
+        for counts, offset in cases:
+            messages = []
+            for run in (run_kernel, interpreted):
+                state = CrossbarState()
+                with pytest.raises(ValueError) as err:
+                    run(state, layout, counts, offset)
+                assert state.cols == CrossbarState().cols
+                messages.append(str(err.value))
+            assert messages[0] == messages[1], (counts, offset)
+        assert messages[0] == "offset out of range"
+
+    @pytest.mark.parametrize("read_length", [100, 64])
+    def test_a_seen_shape_builds_lowers_and_interprets_nothing(self, monkeypatch, read_length):
+        layout = plan_layout(read_length)
+        state = CrossbarState()
+        counts = oracle.BaseCounts(read_length - 3, 1, 1, 1)
+        run_kernel(state, layout, counts, 237)
+        built, calls = [], []
+        for cls in (Init, NorRow, NorCol, crossbar.WriteExternal, crossbar.ReadCell):
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init, **k: built.append(self) or init(self, *a, **k))
+        for name in ("_lower", "_interpret"):
+            real = getattr(crossbar, name)
+            monkeypatch.setattr(crossbar, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        # the same shape at another pair, with other counts
+        res = run_kernel(state, layout, oracle.BaseCounts(1, 2, 3, read_length - 6), 37 + 5200)
+        assert built == [] and calls == []
+        shape = kernel._shape(read_length, 37)
+        assert res.steps is shape.cycles[2]
+        assert (res.compute_cycles, res.init_cycles) == shape.cycles[:2]
+        with pytest.raises(TypeError):
+            res.steps["1"] = crossbar.StepCycles()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.steps["1"].compute = 0
+        # a trace reads the ops, which are then built
+        run_kernel(state, layout, counts, 237, trace=lambda line: None)
+        assert built
+
+    def test_a_head_that_fails_the_proof_raises(self, monkeypatch):
+        layout = plan_layout(64)
+        real = kernel.build_program
+
+        def shifted(layout, offset, counts):
+            # the window one pair to the left, except at pair 0
+            return real(layout, offset - FRAGMENT_ROWS if offset >= 2 * FRAGMENT_ROWS else offset, counts)
+
+        def bare(layout, offset, counts):
+            # step 2 without its Init
+            prog = real(layout, offset, counts)
+            (one, writes), (two, copy) = prog.head
+            return dataclasses.replace(prog, head=((one, writes), (two, copy[1:])))
+
+        for fake, match in ((shifted, "offset 250 is not the head at offset 50"),
+                            (bare, "not init-dominated")):
+            monkeypatch.setattr(kernel, "build_program", fake)
+            with pytest.raises(ValueError, match=match):
+                kernel._Shape(layout, 50)
+        monkeypatch.setattr(kernel, "build_program", real)
+        assert callable(kernel._Shape(layout, 50).head)
 
 
 class TestLaneGroup:
