@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby
 from numbers import Integral
 from types import MappingProxyType
+from typing import NamedTuple
 
 ROWS, COLS = 128, 256
 _ROW_MASK = (1 << ROWS) - 1
@@ -146,26 +147,48 @@ class Block:
     function f(g, append) (_source: on its row band, small ints when the
     rows fit one), which execute runs in place of interpreting the ops;
     the interpreter stays its tested reference.
+
+    `keep`, a set of columns, lets the block hold its other stores back
+    (hold): f then stores only the columns in `keep` and returns the
+    values of the others, and a second function w(g, values) makes their
+    stores, as the same lines. run makes both, so it gives the same cells
+    with or without `keep`; held_cells proves when held stores may wait.
     """
 
-    def __init__(self, steps):
+    def __init__(self, steps, keep=None):
         self.steps = tuple((label, list(ops)) for label, ops in steps)
         self.ops = list(chain(*(ops for _, ops in self.steps)))
         _count(self.steps)
         if not _dataflow(self.ops)[0]:
             raise ValueError("the block is not init-dominated")
+        self.keep = keep
         self._compiled = None  # built on the first run
 
-    def run(self, g, readout):
-        """Run the ops on the column grid g, appending read bits to readout."""
+    def _compile(self):
+        """f, compiled on the first call; w is then `_write_back` (None
+        without `keep`), and `reads` and `held` are those of _source."""
         if self._compiled is None:
             # one function however long the block: with the body compiled,
             # perfbench dense-r100 peaks at 38.0 MB RSS (CPython 3.11.7,
             # x86-64), 1.2 MB above compiling it as 64-op functions
+            code = self._source()
             namespace = {}
-            exec(compile(self._source(), f"<{type(self).__name__}>", "exec"), namespace)
+            exec(compile(code.text, f"<{type(self).__name__}>", "exec"), namespace)
+            self._write_back, self.reads, self.held = namespace.get("w"), code.reads, code.held
             self._compiled = namespace["f"]
-        self._compiled(g, readout.append)
+        return self._compiled
+
+    def run(self, g, readout):
+        """Run the ops on the column grid g, appending read bits to readout."""
+        values = self._compile()(g, readout.append)
+        if self._write_back is not None:
+            self._write_back(g, values)
+
+    def hold(self, g, readout):
+        """Run the ops on g as run does, but make only the stores of
+        `keep` (given): (w, values), where w(g, values) makes the others."""
+        values = self._compile()(g, readout.append)
+        return self._write_back, values
 
     def _source(self):
         """The code of the block (_Source.source): its ops on the row band
@@ -174,7 +197,16 @@ class Block:
         _, live, written = _dataflow(self.ops)
         src = _Source(known={k: 0 for k in range(COLS) if not live[k]}, band=_band(self.ops))
         src.ops(self.ops)
-        return src.source(written)
+        return _Code(src.source(written, keep=self.keep), frozenset(src.loads), src.held)
+
+
+class _Code(NamedTuple):
+    """A block's code, the columns it reads from the grid and the rows
+    {column: rows} its write-back stores."""
+
+    text: str
+    reads: frozenset
+    held: dict
 
 
 class LaneGroup(Block):
@@ -210,8 +242,8 @@ class LaneGroup(Block):
     A group that fails the proof raises ValueError when it is built.
     """
 
-    def __init__(self, pairs):
-        super().__init__(step for pair in pairs for step in pair)
+    def __init__(self, pairs, keep=None):
+        super().__init__((step for pair in pairs for step in pair), keep)
         parts = [ops for _, ops in self.steps]
         self._pairs = list(zip(parts[0::2], parts[1::2]))
         group_written = _dataflow(self.ops)[2]
@@ -268,10 +300,47 @@ class LaneGroup(Block):
         # only the template writes its columns of the lane grid, so the
         # last lane holds no bit outside the written rows; a column no
         # tail touches takes it straight into the grid
+        stores = []
         for k, rows in self._stores:
-            v = src.col(k, True) if k in src.local else f"g[{k}]"
-            src.lines.append(_put(v, _ROW_MASK & ~rows, lanes.lane(k, len(self._tails) - 1)))
-        return src.source()
+            value = lanes.lane(k, len(self._tails) - 1)
+            if k in src.local:
+                src.lines.append(_put(src.col(k, True), _ROW_MASK & ~rows, value))
+            else:
+                stores.append((k, rows, value))
+        text = src.source(stores=stores, keep=self.keep)
+        return _Code(text, frozenset(src.loads).union(self._inputs), src.held)
+
+
+def held_cells(blocks):
+    """The cells whose stores `blocks`, run in order by Block.hold, hold
+    back, as COLS row masks. A proof shows that the stores may wait until
+    the blocks run again, which replaces the held values:
+
+    (a) no block reads from the grid, or stores, a column that an earlier
+        one holds, so each reads what the blocks before it stored, and
+        making the held stores in run order gives each cell its last value;
+    (b) no held cell is live-in to the blocks (one _dataflow pass over all
+        their ops), so no run of them reads one;
+    (c) the blocks write every held cell, so every run of them gives each
+        one a new value, and held values that a run replaces lose nothing.
+
+    A caller that runs other code on the grid between runs of the blocks
+    shows that it reads no held cell (kernel._Shape). Blocks that fail
+    the proof raise ValueError.
+    """
+    held = [0] * COLS
+    for block in blocks:
+        block._compile()
+        written = _dataflow(block.ops)[2]
+        stored = (k for k in (range(COLS) if block.keep is None else block.keep) if written[k])
+        if any(held[k] for k in chain(block.reads, stored)):
+            raise ValueError("a block reads or stores a column that an earlier block holds")
+        for k, rows in block.held.items():
+            held[k] |= rows
+    _, live, written = _dataflow([op for block in blocks for op in block.ops])
+    if any(h & (r | ~w) for h, r, w in zip(held, live, written)):
+        raise ValueError("a held cell is live-in to the blocks, or one they do not write")
+    return held
 
 
 @dataclass
@@ -303,9 +372,10 @@ class MicroProgram:
         compute, init, per_label = _count(chain(self.head, *(block.steps for block in self.blocks)))
         return compute, init, MappingProxyType({label: StepCycles(c, i) for label, (c, i) in per_label.items()})
 
-    def run(self, g, readout, strict, emit):
+    def run(self, state, readout, strict, emit):
         """Run the head through the interpreter (_interpret), then each
-        block as its compiled code (Block.run), on the column grid g."""
+        block as its compiled code (Block.run), on the grid of state."""
+        g = state.cols
         _interpret([op for _, ops in self.head for op in ops], g, readout, strict, emit)
         for block in self.blocks:
             block.run(g, readout)
@@ -362,13 +432,29 @@ class CrossbarState:
     """Cell grid of one ROWS x COLS crossbar, held packed.
 
     `cols` is a list of COLS Python ints in which bit r of cols[c] is
-    cell (r, c); execute runs programs on it in place. Every column stays
-    in [0, 2**ROWS): no op sets a bit off the array, and the compiled
-    code (_Source) counts on it to clear bits with no negative value.
+    cell (r, c); execute runs programs on it, and the grid is exact
+    whenever it is read. Every column stays in [0, 2**ROWS): no op sets a
+    bit off the array, and the compiled code (_Source) counts on it to
+    clear bits with no negative value.
+
+    A kernel location (kernel._Location) runs on the list itself,
+    `_grid`, and leaves the stores its body holds back (Block.hold) in
+    `_held`, as (w, values) pairs in run order; the next location
+    replaces them, which held_cells and the shape proof show exact.
+    Reading `cols` first makes those stores, in the same list object.
     """
 
     def __init__(self):
-        self.cols = [0] * COLS
+        self._grid = [0] * COLS
+        self._held = ()
+
+    @property
+    def cols(self):
+        if self._held:
+            for write_back, values in self._held:
+                write_back(self._grid, values)
+            self._held = ()
+        return self._grid
 
     # Host-side accessors. These model pre-stored data (no cycle cost);
     # cycle-counted writes go through the WriteExternal micro-op.
@@ -816,22 +902,45 @@ class _Source:
         to = out.bit_length() - 1
         return [(to - r, self.mask(1 << r)) for r in range(ins.bit_length()) if ins >> r & 1]
 
-    def source(self, written=None):
+    def source(self, written=None, stores=(), keep=None):
         """The lines as `def f(g, append)` on the grid g: one load per
         column the lines read before assigning it, `c = g[k] >> lo & W`,
         the lines, then one store per written column, `g[k] = g[k] & KEEP
-        | c << lo`. KEEP holds the rows off the band for a loaded column,
-        and off the rows in `written` (the grid rows each column's ops
-        write, if given) for any other; a whole column needs no shift, nor
-        a mask when nothing is kept."""
+        | c << lo`, then `stores`. KEEP holds the rows off the band for a
+        loaded column, and off the rows in `written` (the grid rows each
+        column's ops write, if given) for any other; a whole column needs
+        no shift, nor a mask when nothing is kept. `stores` lists more
+        (column, rows, value) stores of value, an int or an expression
+        that begins with the local it reads, over those rows.
+
+        With `keep`, a set of columns, f makes only the stores of those
+        columns and returns the locals the others read, and `def w(g, v)`
+        makes the others, as the same lines, from those locals; `held`
+        maps each column w stores to the rows it sets."""
         lo, var, known = self.lo, self.var, self.known
         down = (f" >> {lo}" if lo else "") + (f" & {hex(self.full)}" if lo + self.width < ROWS else "")
         body = [*(f"{var}{k} = g[{k}]{down}" for k in self.loads), *self.lines]
+        puts = []
         for k in self.written:
             value = known[k] << lo if k in known else f"{var}{k} << {lo}" if lo else f"{var}{k}"
-            exact = self.full << lo if k in self.loads or written is None else written[k]
-            body.append(_put(f"g[{k}]", _ROW_MASK & ~exact, value))
-        return "\n".join(["def f(g, append):", *(f"    {line}" for line in body or ["pass"])])
+            puts.append((k, self.full << lo if k in self.loads or written is None else written[k], value))
+        puts += stores
+        held = [(k, rows, value) for k, rows, value in puts if keep is not None and k not in keep]
+        body += [_put(f"g[{k}]", _ROW_MASK & ~rows, value) for k, rows, value in puts if keep is None or k in keep]
+        self.held = {k: rows for k, rows, _ in held}
+        if keep is None:
+            return _function("f(g, append)", body)
+        names = "".join(dict.fromkeys(f"{value.split(' ', 1)[0]}, " for _, _, value in held
+                                      if value.__class__ is str))
+        return "\n".join([_function("f(g, append)", [*body, f"return ({names})"]),
+                          _function("w(g, v)", [*([f"({names}) = v"] if names else []),
+                                                *(_put(f"g[{k}]", _ROW_MASK & ~rows, value)
+                                                  for k, rows, value in held)])])
+
+
+def _function(signature, body):
+    """The text of `def signature:` with the lines `body`."""
+    return "\n".join([f"def {signature}:", *(f"    {line}" for line in body or ["pass"])])
 
 
 def _put(v, keep, value):
@@ -909,19 +1018,20 @@ def _tracer(trace):
 
 
 def execute(program, state, strict=True, trace=None):
-    """Run a program on a CrossbarState, mutating it in place.
+    """Run a program on a CrossbarState; its grid is exact whenever it
+    is read (CrossbarState.cols).
 
     The program first counts its cycles (program.cycles), which for a
     MicroProgram lowers and checks every op of its head, so an
     addressing, aliasing or shape violation aborts with the state
     untouched; a block's ops were checked and lowered when it was built.
-    It then runs in place on state.cols, the packed grid of COLS Python
-    ints where bit r of column c is cell (r, c) (program.run): a
-    MicroProgram's head through the interpreter (_interpret), then each
-    block as its compiled code (Block.run); a kernel location as the
-    compiled code of its shape. All give the same cells, readout and
-    trace. A NorRow is one bitwise expression over its whole row mask; a
-    NorCol is one per column. Both modes evaluate a NOR by conditional
+    It then runs on the state (program.run), in its packed grid of COLS
+    Python ints where bit r of column c is cell (r, c): a MicroProgram's
+    head through the interpreter (_interpret), then each block as its
+    compiled code (Block.run); a kernel location as the compiled code of
+    its shape, whose body leaves its held stores on the state. All give
+    the same cells, readout and trace. A NorRow is one bitwise expression
+    over its whole row mask; a NorCol is one per column. Both modes evaluate a NOR by conditional
     switching: output <- output AND NOR(inputs). Strict mode adds the
     precondition that every output cell of a gate holds 1, checked before
     the gate switches any cell, and aborts at the first gate that finds a
@@ -935,5 +1045,5 @@ def execute(program, state, strict=True, trace=None):
     """
     compute, init, steps = program.cycles()
     readout = []
-    program.run(state.cols, readout, strict, None if trace is None else _tracer(trace))
+    program.run(state, readout, strict, None if trace is None else _tracer(trace))
     return ExecResult(readout, compute, init, steps)

@@ -34,7 +34,12 @@ and row phase (_Shape), built from the shape's own ops on its first use:
 its head is one function of the counts and the fragment pair, proved
 once to stand for the head of every pair. No op is built, lowered or
 interpreted per location, and every location of a shape shares one
-cycle report; its ops (build_program) are built only for a trace.
+cycle report; its ops (build_program) are built only for a trace. The
+body stores only the result band that steps 6-13 read; every other
+store it holds back (_held) until the grid is read, and the next
+location replaces them, as in the array, where the scratch of one
+location stays unread until the next overwrites it. The grid is exact
+whenever it is read (CrossbarState.cols).
 
 Per-step compute cycles at read length 100, against the step budgets:
 
@@ -65,6 +70,7 @@ from .crossbar import (
     _form,
     _put,
     execute,
+    held_cells,
 )
 from .gates import (
     ColumnPool,
@@ -195,11 +201,20 @@ def _split(offset):
 
 
 def store_threshold(state, layout, eth):
-    """Host write of the pre-computed constant 2*eth (done at tile load)."""
+    """Host write of the pre-computed constant 2*eth (done at tile load),
+    as one masked write per threshold column."""
     if not 0 <= eth <= layout.read_length:
         raise ValueError("edit threshold out of range")
-    cells = [(layout.lane_rows["A"], c) for c in layout.thr_cols]
-    state.write_value(cells, 2 * eth)
+    cols = state.cols
+    for k, keep, bit in _threshold_writes(layout.lane_rows["A"], layout.thr_cols, 2 * eth):
+        cols[k] = cols[k] & keep | bit
+
+
+@functools.cache
+def _threshold_writes(row, cols, value):
+    """(column, keep, bit) per cell of `value` stored little-endian on
+    row `row` of `cols`: the write of CrossbarState.write_value."""
+    return tuple((k, _ROW_MASK & ~(1 << row), (value >> i & 1) << row) for i, k in enumerate(cols))
 
 
 def build_program(layout, offset, counts):
@@ -258,7 +273,9 @@ def _body():
     LaneGroup, taken pairwise from the builder's steps: the popcounts
     differ only in the bitmap column they count, so they run as four
     lanes of one compiled pass, and each step-5 step then stages its own
-    lane's result. Steps 6-13 are one Block.
+    lane's result. Steps 6-13 are one Block. A location runs both as
+    Block.hold, which makes only the group's stores of the result band
+    and holds back every other store (_held).
     """
     L = plan_layout()
     lanes = tuple(L.lane_rows[b] for b in BASES)
@@ -277,8 +294,10 @@ def _body():
             pb.nor_col((0,), L.stage_row, L.res_cols)
             pb.nor_col((L.stage_row,), lane, L.res_cols)
 
+    # steps 6-13 read the result band the staging steps wrote, so the
+    # group stores it; every other column the body writes waits (_held)
     steps = pb.build().head
-    group = LaneGroup(zip(steps[0::2], steps[1::2]))
+    group = LaneGroup(zip(steps[0::2], steps[1::2]), keep=frozenset(L.res_cols))
     pb = ProgramBuilder()
 
     # Step 6: per-lane window count minus read count (nine-gate cells,
@@ -343,7 +362,15 @@ def _body():
     with pb.step("13"):
         pb.read(lane_a, L.res12_cols[8])
 
-    return group, Block(pb.build().head)
+    return group, Block(pb.build().head, keep=frozenset())
+
+
+@functools.cache
+def _held():
+    """The cells whose stores the body holds back (crossbar.held_cells),
+    proved once per process; each shape proves that its head and phase
+    block read none of them (_Shape)."""
+    return held_cells(_body())
 
 
 @functools.cache
@@ -400,26 +427,36 @@ def _count_values():
 
     slots lists (column, rows) of the cells the writes of the four bases
     touch, and values[x][n] is the write of count n into the lane of
-    base x (_count_write, built and lowered here for every count), with
-    bit ROWS * j + r set for each cell (r, slots[j][0]) it sets to 1. So
-    the OR of one value per base holds all of step 1 for any four
-    counts, and each column takes its slot in one masked write. That is
-    exact because every count's write of a base sets the same cells, and
-    no two bases write one cell; a write that breaks either raises
-    ValueError.
+    base x (_count_write's, built and lowered here one at a time outside
+    its cache, and dropped), with bit ROWS * j + r set for each cell
+    (r, slots[j][0]) it sets to 1. So the OR of one value per base holds
+    all of step 1 for any four counts, and each column takes its slot in
+    one masked write. That is exact because every count's write of a
+    base sets the same cells, and no two bases write one cell; a write
+    that breaks either raises ValueError.
     """
-    writes = [[_count_write(base, n) for n in range(128)] for base in BASES]
-    _count((base, ops) for base, ops in zip(BASES, writes))
-    cells = [{(k, bit) for k, bit, _ in ops[0]._c} for ops in writes]
-    if any({(k, bit) for k, bit, _ in op._c} != own for own, ops in zip(cells, writes) for op in ops) \
-            or len(set().union(*cells)) != sum(map(len, cells)):
-        raise ValueError("the count writes do not each set the same cells, one base a cell")
+    def lowered(base, n):
+        op = _count_write.__wrapped__(base, n)
+        _count(((base, [op]),))
+        return op._c
+
+    cells = [{(k, bit) for k, bit, _ in lowered(base, 0)} for base in BASES]
+    if len(set().union(*cells)) != sum(map(len, cells)):
+        raise ValueError("two bases' count writes set one cell")
     slots = {}
     for k, bit in sorted(set().union(*cells)):
         slots[k] = slots.get(k, 0) | bit
     at = {k: ROWS * j for j, k in enumerate(slots)}
-    values = tuple(tuple(sum(bit << at[k] for k, bit, b in op._c if b) for op in ops) for ops in writes)
-    return tuple(slots.items()), values
+    values = []
+    for base, own in zip(BASES, cells):
+        row = []
+        for n in range(128):
+            write = lowered(base, n)
+            if {(k, bit) for k, bit, _ in write} != own:
+                raise ValueError(f"the count writes of {base} do not each set the same cells")
+            row.append(sum(bit << at[k] for k, bit, b in write if b))
+        values.append(tuple(row))
+    return tuple(slots.items()), tuple(values)
 
 
 class _Shape:
@@ -441,7 +478,10 @@ class _Shape:
     (d) step 2 is one Init, then NorRows whose inputs are sources, so
         each column it writes takes, on the rows the Init sets, the NOR
         of its gates' inputs on their rows, and keeps its other rows;
-    (e) step 1 is the count writes of _count_values.
+    (e) step 1 is the count writes of _count_values;
+    (f) its blocks are a phase block, then the body, and neither the
+        phase block nor the head at any offset reads a cell whose store
+        the body holds back (_held), so all three run on the grid itself.
 
     A shape that fails the proof raises ValueError when it is built.
     """
@@ -450,16 +490,25 @@ class _Shape:
         counts = (layout.read_length, 0, 0, 0)
         program = build_program(layout, phase, counts)
         self.blocks = program.blocks
+        self.phase, *self.body = self.blocks
         self.cycles = program.cycles()  # lowers the head
         (_, writes), (_, copy) = program.head
         if not _dataflow(writes + copy)[0]:
             raise ValueError("the head is not init-dominated")
-        sources = [k for k, rows in enumerate(_dataflow(copy)[1]) if rows]
+        held = _held()
+        if tuple(self.body) != _body():
+            raise ValueError("the blocks after the phase block are not the body")
+        if any(map(int.__and__, _dataflow(self.phase.ops)[1], held)):
+            raise ValueError("the phase block reads a cell the body holds back")
+        live = _dataflow(copy)[1]
+        sources = [k for k, rows in enumerate(live) if rows]
         forms = [_form(op, {}) for op in copy]
         for offset in range(phase, TILE_STRIDE + 1, FRAGMENT_ROWS):
             s = 2 * (offset // FRAGMENT_ROWS)
             if max(sources) + s >= layout.genome_cols:
                 raise ValueError(f"the window at offset {offset} reads past the stored slice")
+            if any(live[k] & held[k + s] for k in sources):
+                raise ValueError(f"the head at offset {offset} reads a cell the body holds back")
             other = build_program(layout, offset, counts)
             (_, w), (_, c) = other.head
             _count(other.head)
@@ -523,15 +572,19 @@ class _Location:
     def cycles(self):
         return self.shape.cycles
 
-    def run(self, g, readout, strict, emit):
+    def run(self, state, readout, strict, emit):
         # the shape's head and blocks are proved init-dominated, so no
-        # strict check can fail in them
+        # strict check can fail in them, and to read no cell whose store
+        # the body holds back, so they run on the grid itself and leave
+        # the body's held stores, in place of the last location's, on the
+        # state (_Shape, _held)
         shape = self.shape
+        g = state._grid
         a, t, gg, c = self.counts
         va, vt, vg, vc = shape.values
         shape.head(g, va[a] | vt[t] | vg[gg] | vc[c], 2 * (self.offset // FRAGMENT_ROWS))
-        for block in shape.blocks:
-            block.run(g, readout)
+        shape.phase.run(g, readout)
+        state._held = tuple([block.hold(g, readout) for block in shape.body])
         if emit is not None:
             emit(self.ops)
 
@@ -556,7 +609,9 @@ def run_kernel(state, layout, counts, offset, strict=True, trace=None):
     checked, then the location runs through one execute call as the code
     of its shape (_Shape): its counts in one masked write per count
     column, its window copied by one masked store per P column, then the
-    shape's blocks. A trace gets the ops of build_program.
+    shape's blocks, whose body leaves the stores it holds back on the
+    state; the grid is exact whenever it is read. A trace gets the ops
+    of build_program.
     """
     if counts.total != layout.read_length:
         raise ValueError("read histogram does not sum to the read length")

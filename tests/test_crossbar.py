@@ -1014,6 +1014,35 @@ def test_banded_blocks_match_the_interpreter(data):
     band_io(block, lo, width)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_held_stores_match_the_interpreter(data):
+    # a block that keeps only some of its stores: hold leaves the
+    # interpreter's cells in every column it keeps and every cell it
+    # does not hold, and its write-back, or run, gives all of them
+    lo = data.draw(st.sampled_from((0, ROWS - 8, ROWS - 1)) | st.integers(0, ROWS - 1))
+    width = data.draw(st.integers(1, min(8, ROWS - lo)) | st.just(ROWS - lo))
+    ops = data.draw(band_ops(lo, width))
+    written = _dataflow(lowered(ops))[2]
+    keep = frozenset(data.draw(st.sets(st.sampled_from([k for k in range(COLS) if written[k]]))))
+    block = Block(unlabelled(ops), keep=keep)
+    rng = data.draw(st.randoms(use_true_random=False))
+    g = [rng.getrandbits(ROWS) for _ in range(COLS)]
+    want, want_bits = list(g), []
+    _interpret(ops, want, want_bits, True, None)
+    got, got_bits = list(g), []
+    write_back, values = block.hold(got, got_bits)
+    assert got_bits == want_bits
+    assert set(block.held) == {k for k in range(COLS) if written[k]} - keep
+    for k in range(COLS):
+        assert (got[k] ^ want[k]) & ~block.held.get(k, 0) == 0, k
+    write_back(got, values)
+    assert got == want
+    ran, ran_bits = list(g), []
+    block.run(ran, ran_bits)
+    assert (ran, ran_bits) == (want, want_bits)
+
+
 @pytest.mark.parametrize("lo", [0, ROWS - 9])
 def test_a_nine_row_block_runs_on_whole_columns(lo):
     ops = [Init(((range(lo, lo + 9), (3, 4)),)), NorRow((1, 2), 3, range(lo, lo + 9)),
@@ -1046,7 +1075,7 @@ def test_a_full_band_init_makes_its_column_known(lo, width):
            NorRow((6, 7), 5, band), ReadCell(lo, 5)]
     block = Block(unlabelled(ops))
     assert _band(ops) == (lo, width) if width <= 8 else (0, ROWS)
-    src = block._source()
+    src = block._source().text
     assert "|=" not in src and "c5 &=" not in src
     assert re.search(r"^    c5 = \(c6 \| c7\) \^ 0x", src, re.M)
     rng = random.Random(width)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from pimfilter.crossbar import (
     MicroProgram,
     NorCol,
     NorRow,
+    ProgramBuilder,
     _band,
     _dataflow,
     execute,
+    held_cells,
 )
 from pimfilter.genome import load_tile, partition
 from pimfilter.io import synth_genome
@@ -332,6 +335,26 @@ class TestSharedBody:
         dataclasses.replace(second, head=recorded).cycles()
         assert [id(op) for op in visited] == [id(op) for op in head]
 
+    def test_count_values_keep_only_ints(self):
+        # step 1's table keeps its slot masks and value ints, not the 512
+        # lowered count writes (0.98 MB by tracemalloc); building every
+        # shape of one read length caches only the count writes its proof
+        # builds, those of the counts (64, 0, 0, 0)
+        for cached in (kernel._count_write, kernel._count_values, kernel._shape):
+            cached.cache_clear()
+        plan_layout()
+        tracemalloc.start()
+        try:
+            kernel._count_values()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 300_000
+        assert kernel._count_write.cache_info().currsize == 0
+        for phase in range(FRAGMENT_ROWS):
+            kernel._shape(64, phase)
+        assert kernel._count_write.cache_info().currsize <= len(BASES)
+
     @pytest.mark.parametrize("read_length", [100, 64, 1])
     def test_every_body_block_is_proved(self, read_length):
         # every read length runs the body's blocks; every gate output in
@@ -471,6 +494,128 @@ class TestCompiledLocations:
         assert callable(kernel._Shape(layout, 50).head)
 
 
+def random_counts(rng, read_length):
+    a = rng.randint(0, read_length)
+    t = rng.randint(0, read_length - a)
+    g = rng.randint(0, read_length - a - t)
+    return oracle.BaseCounts(a, t, g, read_length - a - t - g)
+
+
+class TestHeldStores:
+    def test_a_sequence_on_one_state_matches_the_interpreted_path(self):
+        # 300 locations at mixed read lengths, row phases and counts on one
+        # state, each replacing the last one's held stores; between them,
+        # at random, the grid is read, fragment pairs and thresholds are
+        # loaded, cells are set and a small program runs. The same
+        # sequence through build_program and execute, which stores
+        # everything, must give every decision and readout and, whenever
+        # the grid is read, the same grid
+        rng = random.Random(2027)
+        genome = synth_genome(6600, rng)
+        tile = partition(len(genome))[0]
+        grid = [rng.getrandbits(ROWS) for _ in range(COLS)]
+        held, stored = CrossbarState(), CrossbarState()
+        for state in (held, stored):
+            state.cols[:] = grid
+            load_tile(state, plan_layout(100), genome, tile, 3, EVERY_PAIR)
+        replaced = reads = 0
+        for i in range(300):
+            read_length = rng.choice((100, 64, 37, 1))
+            layout = plan_layout(read_length)
+            offset = rng.randint(0, TILE_STRIDE)
+            counts = random_counts(rng, read_length)
+            replaced += bool(held._held)
+            discard = run_kernel(held, layout, counts, offset).discard
+            assert held._held
+            assert discard == interpreted(stored, layout, counts, offset).readout[0], i
+            event = rng.randrange(16)
+            if event == 0:
+                assert held.cols == stored.cols, i
+                reads += 1
+            elif event == 1:
+                pairs, eth = rng.sample(EVERY_PAIR, 3), rng.randint(0, read_length)
+                for state in (held, stored):
+                    load_tile(state, layout, genome, tile, eth, pairs)
+            elif event == 2:
+                eth = rng.randint(0, read_length)
+                for state in (held, stored):
+                    store_threshold(state, layout, eth)
+            elif event == 3:
+                cells = [(rng.randrange(ROWS), rng.randrange(COLS)) for _ in range(6)]
+                bits = [rng.randint(0, 1) for _ in cells]
+                for state in (held, stored):
+                    state.set_bits(cells, bits)
+            elif event == 4:
+                pb = ProgramBuilder()
+                row, col, other = rng.randrange(ROWS), rng.randrange(COLS), rng.randrange(COLS)
+                pb.init(((row,), (col,)))
+                if other != col:
+                    pb.nor_row((other,), col, (row,))
+                pb.read(row, col)
+                pb.read(rng.randrange(ROWS), rng.randrange(COLS))
+                program = pb.build()
+                assert execute(program, held).readout == execute(program, stored).readout, i
+        assert held.cols == stored.cols
+        assert reads > 10 and replaced > 150
+
+    def test_a_write_back_keeps_the_list_object(self):
+        state, stored = CrossbarState(), CrossbarState()
+        cols = state.cols
+        layout = plan_layout(64)
+        counts = oracle.BaseCounts(10, 20, 30, 4)
+        run_kernel(state, layout, counts, 1234)
+        interpreted(stored, layout, counts, 1234)
+        assert state._held and cols != stored.cols
+        assert state.cols is cols and not state._held
+        assert cols == stored.cols
+
+    def test_the_body_holds_cells_no_location_reads(self):
+        # the body holds back every store but the group's result band,
+        # and no shape of any read length reads a held cell (a shape that
+        # did would raise when it is built)
+        group, rest = _body()
+        held = kernel._held()
+        assert held == held_cells(_body())
+        assert set(group.keep) == set(plan_layout().res_cols) and not rest.keep
+        assert sum(bin(rows).count("1") for rows in held) > 1500
+        assert not any(held[k] for k in group.keep)
+        for read_length in (100, 64, 37, 1):
+            for phase in range(FRAGMENT_ROWS):
+                kernel._shape(read_length, phase)
+
+    def test_a_head_or_phase_block_that_reads_a_held_cell_raises(self, monkeypatch):
+        layout = plan_layout(100)
+        real = kernel._held()
+        cases = [({0: 1 << 50}, "head at offset 50 reads a cell"),  # pair 0's first row
+                 ({2 * 10 + 1: 1 << 99}, "head at offset 1050 reads a cell"),  # pair 10's last row
+                 ({layout.p_cols[0]: 1 << 7}, "phase block reads a cell")]
+        for extra, match in cases:
+            held = list(real)
+            for k, rows in extra.items():
+                held[k] |= rows
+            monkeypatch.setattr(kernel, "_held", lambda held=held: held)
+            with pytest.raises(ValueError, match=match):
+                kernel._Shape(layout, 50)
+        monkeypatch.setattr(kernel, "_held", lambda: real)
+        assert callable(kernel._Shape(layout, 50).head)
+
+    def test_a_body_whose_later_block_reads_a_held_column_raises(self):
+        # a group that holds its result band back would leave steps 6-13
+        # reading stale cells
+        group, rest = _body()
+        steps = group.steps
+        holds_all = LaneGroup(zip(steps[0::2], steps[1::2]), keep=frozenset())
+        with pytest.raises(ValueError, match="reads or stores a column that an earlier block holds"):
+            held_cells((holds_all, rest))
+        # a block that holds a column it reads before writing it
+        rows = range(100, 104)
+        loads = Block([(None, [Init(((rows, (6,)),)), NorRow((5,), 6, rows),
+                               Init(((range(100, 102), (5,)),)), NorRow((7,), 5, range(100, 102))])],
+                      keep=frozenset())
+        with pytest.raises(ValueError, match="live-in"):
+            held_cells((loads,))
+
+
 class TestLaneGroup:
     def test_group_covers_the_step_4_and_5_spans(self):
         group, rest = _body()
@@ -500,15 +645,24 @@ class TestLaneGroup:
 
     def test_each_block_is_one_function_of_pinned_length(self):
         # the read-length-100 phase block and the body's two blocks each
-        # compile to one function, with no `~` (so no negative value); a
+        # compile to one run function, with no `~` (so no negative value); a
         # pass that stops fusing, folding or banding shows here as more
         # lines. The group's function is the input pack, 497 template
-        # lines on lane locals and 232 of tails, lane loads and stores
+        # lines on lane locals and 232 of tails, lane loads and stores.
+        # The stores a body block holds back move, line for line, to its
+        # write-back function w, which first unpacks the locals f returns:
+        # one `return`, `def w` and unpack line more per body block
         group, rest = _body()
         phase = build_program(plan_layout(100), 137, oracle.BaseCounts(100, 0, 0, 0)).blocks[0]
-        sources = [block._source() for block in (phase, group, rest)]
+        codes = [block._source() for block in (phase, group, rest)]
+        sources = [code.text for code in codes]
         assert not any("~" in src for src in sources)
-        assert [len(src.splitlines()) - 1 for src in sources] == [14, 730, 704]
+        assert [len(src.splitlines()) - 1 for src in sources] == [14, 730 + 3, 704 + 3]
+        assert "def w" not in sources[0] and not codes[0].held
+        for code in codes[1:]:
+            run, write_back = code.text.split("\ndef w(g, v):\n")
+            assert run.splitlines()[-1].startswith("    return (")
+            assert len(write_back.splitlines()) == 1 + len(code.held)
         template = [line for line in sources[1].splitlines() if re.match(r"    l\d+ ", line)]
         assert len(template) == 1 + 497
 
@@ -811,6 +965,21 @@ class TestValidation:
             store_threshold(state, layout, -1)
         with pytest.raises(ValueError):
             store_threshold(state, layout, 101)
+
+    @pytest.mark.parametrize("read_length", [100, 64, 1])
+    def test_threshold_is_the_value_write(self, read_length):
+        layout = plan_layout(read_length)
+        cells = [(layout.lane_rows["A"], c) for c in layout.thr_cols]
+        rng = random.Random(read_length)
+        grid = [rng.getrandbits(ROWS) for _ in range(COLS)]
+        for eth in range(read_length + 1):
+            stored, written = CrossbarState(), CrossbarState()
+            stored.cols[:] = written.cols[:] = grid
+            store_threshold(stored, layout, eth)
+            written.write_value(cells, 2 * eth)
+            assert stored.cols == written.cols, eth
+        with pytest.raises(ValueError, match="edit threshold out of range"):
+            store_threshold(stored, layout, read_length + 1)
 
     def test_program_taint_clean(self, layout):
         prog = build_program(layout, 123, oracle.BaseCounts(100, 0, 0, 0))
