@@ -18,12 +18,12 @@ needs no check that the labels cover the ops.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from numbers import Integral
 from types import MappingProxyType
-from typing import NamedTuple
 
 ROWS, COLS = 128, 256
 _ROW_MASK = (1 << ROWS) - 1
@@ -136,59 +136,38 @@ class MicroOpError(RuntimeError):
 class Block:
     """A run of ops that many programs share, held as (label, ops) steps.
 
-    Building a block lowers its ops (_count: an op with a violation
-    raises MicroOpError, numbered across the block's steps) and proves
-    the ops init-dominated: every gate output is set by an Init among
-    them, with no write since (_dataflow).
+    Building a block lowers its ops and counts their cycles (_count: an op
+    with a violation raises MicroOpError, numbered across the block's
+    steps) and proves the ops init-dominated: every gate output is set by
+    an Init among them, with no write since (_dataflow).
     Ops that are not raise ValueError. So a strict run cannot fail inside
     a block, whatever the grid held before, and strict and permissive
     runs share one unchecked form. `ops` lists the steps' ops in order.
     The block is compiled once, on its first run, into one straight-line
     function f(g, append) (_source: on its row band, small ints when the
     rows fit one), which execute runs in place of interpreting the ops;
-    the interpreter stays its tested reference.
-
-    `keep`, a set of columns, lets the block hold its other stores back
-    (hold): f then stores only the columns in `keep` and returns the
-    values of the others, and a second function w(g, values) makes their
-    stores, as the same lines. run makes both, so it gives the same cells
-    with or without `keep`; held_cells proves when held stores may wait.
+    the interpreter stays its tested reference. Lanes runs blocks over
+    many grids at once, from code compiled once per block (_Unit).
     """
 
-    def __init__(self, steps, keep=None):
+    def __init__(self, steps):
         self.steps = tuple((label, list(ops)) for label, ops in steps)
         self.ops = list(chain(*(ops for _, ops in self.steps)))
-        _count(self.steps)
+        self.counted = _count(self.steps)
         if not _dataflow(self.ops)[0]:
             raise ValueError("the block is not init-dominated")
-        self.keep = keep
         self._compiled = None  # built on the first run
 
-    def _compile(self):
-        """f, compiled on the first call; w is then `_write_back` (None
-        without `keep`), and `reads` and `held` are those of _source."""
+    def run(self, g, readout):
+        """Run the ops on the column grid g, appending read bits to readout."""
         if self._compiled is None:
             # one function however long the block: with the body compiled,
             # perfbench dense-r100 peaks at 38.0 MB RSS (CPython 3.11.7,
             # x86-64), 1.2 MB above compiling it as 64-op functions
-            code = self._source()
             namespace = {}
-            exec(compile(code.text, f"<{type(self).__name__}>", "exec"), namespace)
-            self._write_back, self.reads, self.held = namespace.get("w"), code.reads, code.held
+            exec(compile(self._source(), f"<{type(self).__name__}>", "exec"), namespace)
             self._compiled = namespace["f"]
-        return self._compiled
-
-    def run(self, g, readout):
-        """Run the ops on the column grid g, appending read bits to readout."""
-        values = self._compile()(g, readout.append)
-        if self._write_back is not None:
-            self._write_back(g, values)
-
-    def hold(self, g, readout):
-        """Run the ops on g as run does, but make only the stores of
-        `keep` (given): (w, values), where w(g, values) makes the others."""
-        values = self._compile()(g, readout.append)
-        return self._write_back, values
+        self._compiled(g, readout.append)
 
     def _source(self):
         """The code of the block (_Source.source): its ops on the row band
@@ -197,16 +176,7 @@ class Block:
         _, live, written = _dataflow(self.ops)
         src = _Source(known={k: 0 for k in range(COLS) if not live[k]}, band=_band(self.ops))
         src.ops(self.ops)
-        return _Code(src.source(written, keep=self.keep), frozenset(src.loads), src.held)
-
-
-class _Code(NamedTuple):
-    """A block's code, the columns it reads from the grid and the rows
-    {column: rows} its write-back stores."""
-
-    text: str
-    reads: frozenset
-    held: dict
+        return src.source(written)
 
 
 class LaneGroup(Block):
@@ -242,8 +212,8 @@ class LaneGroup(Block):
     A group that fails the proof raises ValueError when it is built.
     """
 
-    def __init__(self, pairs, keep=None):
-        super().__init__((step for pair in pairs for step in pair), keep)
+    def __init__(self, pairs):
+        super().__init__(step for pair in pairs for step in pair)
         parts = [ops for _, ops in self.steps]
         self._pairs = list(zip(parts[0::2], parts[1::2]))
         group_written = _dataflow(self.ops)[2]
@@ -307,40 +277,227 @@ class LaneGroup(Block):
                 src.lines.append(_put(src.col(k, True), _ROW_MASK & ~rows, value))
             else:
                 stores.append((k, rows, value))
-        text = src.source(stores=stores, keep=self.keep)
-        return _Code(text, frozenset(src.loads).union(self._inputs), src.held)
+        return src.source(stores=stores)
 
 
-def held_cells(blocks):
-    """The cells whose stores `blocks`, run in order by Block.hold, hold
-    back, as COLS row masks. A proof shows that the stores may wait until
-    the blocks run again, which replaces the held values:
+class _Unit:
+    """Ops compiled once as lane code (_Source.function): run(append, K,
+    *params) runs them over any number n of lanes of the format `fmt` =
+    (stride, lo, width), where lane j of a value holds rows lo..lo+width-1
+    of its column from bit stride * j: a byte per lane on a band of at
+    most _BAND_ROWS rows (_band), else a whole column. `loads` lists the
+    (column, live-in rows) of its parameters, `stores` the (column,
+    written rows) of the values run returns, and constants(n) the value
+    of each name in K: its one-lane value repeated in n lanes. A column
+    in neither `known` (default: every column it does not read before
+    writing, as 0) nor `loads` is never read."""
 
-    (a) no block reads from the grid, or stores, a column that an earlier
-        one holds, so each reads what the blocks before it stored, and
-        making the held stores in run order gives each cell its last value;
-    (b) no held cell is live-in to the blocks (one _dataflow pass over all
-        their ops), so no run of them reads one;
-    (c) the blocks write every held cell, so every run of them gives each
-        one a new value, and held values that a run replaces lose nothing.
+    def __init__(self, ops, known=None, var="c"):
+        _, live, written = _dataflow(ops)
+        lo, width = _band(ops)
+        self.fmt = (_BAND_ROWS if width <= _BAND_ROWS else ROWS, lo, width)
+        known = {k: 0 for k in range(COLS) if not live[k]} if known is None else known
+        src = _Source(known=known, band=(lo, width), var=var, consts={})
+        src.ops(ops)
+        self.stores = tuple((k, rows) for k, rows in enumerate(written) if rows)
+        self.text = src.function([k for k, _ in self.stores])
+        self.loads = tuple((k, live[k]) for k in src.loads)
+        self.consts = tuple(src.consts)
+        self.reads = any(op.__class__ is ReadCell for op in ops)
+        namespace = {}
+        exec(compile(self.text, "<lanes>", "exec"), namespace)
+        self.run = namespace["f"]
 
-    A caller that runs other code on the grid between runs of the blocks
-    shows that it reads no held cell (kernel._Shape). Blocks that fail
-    the proof raise ValueError.
+    def constants(self, n):
+        repeat = _repeat(self.fmt[0], n)
+        return tuple(v * repeat for v in self.consts)
+
+
+def _repeat(stride, n):
+    """1 at bit stride * j of each of n lanes."""
+    return int.from_bytes((b"\1" + bytes(stride // 8 - 1)) * n, "little")
+
+
+def _pack(values, stride):
+    """Per-lane values, each below 2**stride, as one int: lane j from
+    bit stride * j."""
+    if stride == _BAND_ROWS:
+        return int.from_bytes(bytes(values), "little")
+    return int.from_bytes(b"".join([v.to_bytes(stride // 8, "little") for v in values]), "little")
+
+
+class Lanes:
+    """Blocks run once over the grids of many arrays, one lane each, as
+    many arrays run one program in lockstep.
+
+    capture(g) reads from one grid the cells the blocks read before
+    writing them (`live`, from one _dataflow pass over their ops; `written`
+    holds the rows they write): per live column one int, its live rows,
+    shifted down to their band when they fit _BAND_ROWS rows. run(captures,
+    readouts) runs the blocks once over B = len(captures) lanes, lane j
+    standing for the blocks run on the grid that captures[j] came from: it
+    appends lane j's read bits to readouts[j] and returns a LaneRun, whose
+    write_back(g, j) makes lane j's stores on g. Lane j then leaves the
+    cells and readout that running the blocks on that grid leaves.
+
+    Each block runs as lane code compiled once (_Unit), whatever B is: a
+    Block on its own format; a LaneGroup as its template over
+    len(pairs) * B lanes, span x of lane j in lane x * B + j, then each
+    tail over B lanes. Each parameter of a unit is gathered, row by row
+    of the rows the unit reads before writing them, from the last unit
+    run before it that wrote the row, or else from the captures, and
+    converted to the unit's format. A tail takes the template-written
+    rows from its own span's lanes: the proof of the LaneGroup shows that
+    a tail reads no cell another tail writes and writes none a span uses.
+    So every unit reads what it reads in a run of the blocks. write_back
+    stores each unit's written rows in run order (the template as its
+    last span), so each cell takes its last writer's value.
+
+    One more function, `_run`, compiled once like the units, gathers,
+    runs the units and splits the read bits; the lane counts and masks
+    that depend on B are bound per B (_bind).
     """
-    held = [0] * COLS
-    for block in blocks:
-        block._compile()
-        written = _dataflow(block.ops)[2]
-        stored = (k for k in (range(COLS) if block.keep is None else block.keep) if written[k])
-        if any(held[k] for k in chain(block.reads, stored)):
-            raise ValueError("a block reads or stores a column that an earlier block holds")
-        for k, rows in block.held.items():
-            held[k] |= rows
-    _, live, written = _dataflow([op for block in blocks for op in block.ops])
-    if any(h & (r | ~w) for h, r, w in zip(held, live, written)):
-        raise ValueError("a held cell is live-in to the blocks, or one they do not write")
-    return held
+
+    def __init__(self, blocks):
+        _, self.live, self.written = _dataflow([op for block in blocks for op in block.ops])
+        self._units, self._masks, self._lines = [], {}, []
+        capture, layers = [], {}
+        for i, (k, rows) in enumerate((k, rows) for k, rows in enumerate(self.live) if rows):
+            lo = (rows & -rows).bit_length() - 1
+            if rows.bit_length() - lo <= _BAND_ROWS:
+                fmt, expr = (_BAND_ROWS, lo, _BAND_ROWS), f"g[{k}] >> {lo} & {hex(rows >> lo)}"
+            else:
+                fmt, expr = (ROWS, 0, ROWS), f"g[{k}] & {hex(rows)}"
+            capture.append(expr)
+            layers[k] = [((None, i, fmt, 0), rows)]
+        for block in blocks:
+            if isinstance(block, LaneGroup):
+                self._group(block, layers)
+            else:
+                unit = _Unit(block.ops)
+                self._written(self._call(unit, 1, [[self._gather(layers.get(k, []), rows, unit.fmt)]
+                                                   for k, rows in unit.loads]), 0, layers)
+        self._stores = []  # per column, the unit rows write_back stores, in run order
+        for k, stack in layers.items():
+            written = [layer for layer in stack if layer[0][0] is not None]
+            if written:
+                self._stores.append((k, written))
+        names = [f"K{u}" for u in range(len(self._units))] + list(self._masks.values())
+        body = [*([f"({''.join(f'c{i}, ' for i in range(len(capture)))}) = zip(*caps)"] if capture else []),
+                *([f"({''.join(n + ', ' for n in names)}) = P"] if names else []),
+                "r = []", *self._lines,
+                f"return ({''.join(f'u{u}, ' for u in range(len(self._units)))})"]
+        namespace = {f"f{u}": unit.run for u, (unit, _) in enumerate(self._units)}
+        namespace.update(pack=_pack, from_bytes=int.from_bytes)
+        text = "\n".join([_function("capture(g)", [f"return ({''.join(e + ', ' for e in capture)})"]),
+                          _function("run(caps, P, B, readouts)", body)])
+        exec(compile(text, "<lanes>", "exec"), namespace)
+        self.capture, self._run = namespace["capture"], namespace["run"]
+
+    def _group(self, group, layers):
+        """The units of a LaneGroup: its template over its spans' lanes,
+        then its tails, each reading the template-written rows from its
+        span's lanes."""
+        n, k0 = len(group._pairs), group._inputs[0]
+        template = _Unit(group._pairs[0][0], known={k: 0 for k in range(COLS) if k != k0}, var="l")
+        ((_, live),) = template.loads
+        t = self._call(template, n, [[self._gather(layers.get(k, []), live, template.fmt)
+                                      for k in group._inputs]])
+        spans = {k: (i, rows) for i, (k, rows) in enumerate(template.stores)}
+        self._written(t, n - 1, layers)
+        for x, (tail, _) in enumerate(group._tails):
+            unit = _Unit(tail)
+            params = []
+            for k, rows in unit.loads:
+                stack = layers.get(k, [])
+                if k in spans:
+                    i, written = spans[k]
+                    stack = [*stack, ((t, i, template.fmt, x), written)]
+                params.append([self._gather(stack, rows, unit.fmt)])
+            self._written(self._call(unit, 1, params), 0, layers)
+
+    def _written(self, u, offset, layers):
+        """Put the rows unit u writes on top of their columns' layers, as
+        its lanes from `offset` * B."""
+        unit = self._units[u][0]
+        for i, (k, rows) in enumerate(unit.stores):
+            layers.setdefault(k, []).append(((u, i, unit.fmt, offset), rows))
+
+    def _call(self, unit, n, params):
+        """Add the lines of _run that run `unit` over n * B lanes, each
+        parameter the OR of its gathers, gather x moved to lanes x * B..;
+        the unit's index."""
+        u = len(self._units)
+        self._units.append((unit, n))
+        args = "".join(", " + " | ".join(f"({expr}) << {unit.fmt[0] * x} * B" if x else expr
+                                         for x, expr in enumerate(gathers)) for gathers in params)
+        self._lines.append(f"u{u} = f{u}(r.append, K{u}{args})")
+        if unit.reads:
+            step = unit.fmt[0] // 8
+            self._lines += ["for v in r:",
+                            f"    for readout, bit in zip(readouts, v.to_bytes({step} * B, 'little')[::{step}]):",
+                            "        readout.append(bit)",
+                            "r.clear()"]
+        return u
+
+    def _gather(self, stack, need, fmt):
+        """The expression of a column's rows `need` in format fmt over B
+        lanes, each row from the top layer of `stack` that holds it; 0
+        where none does. Rows from whole columns onto a band are ORed on
+        the whole columns, then moved to a byte per lane at once."""
+        stride, lo, _ = fmt
+        exprs, moved = [], []
+        for (u, i, (s, l, w), o), rows in reversed(stack):
+            take = rows & need
+            if not take:
+                continue
+            need &= ~take
+            if u is None:  # a capture: one int per lane
+                if (s, l) == (stride, lo):
+                    exprs.append(f"pack(c{i}, {stride})" +
+                                 (f" & {self._mask(stride, take >> lo)}" if take != rows else ""))
+                else:
+                    exprs.append(f"pack([(v << {l} & {hex(take)}) >> {lo} for v in c{i}], {stride})")
+            elif (s, l) == (stride, lo) or (s, stride) == (ROWS, _BAND_ROWS):
+                value = f"u{u}[{i}]" + (f" >> {s * o} * B" if o else "") + f" & {self._mask(s, take >> l)}"
+                (exprs if s == stride else moved).append(value)
+            else:
+                exprs.append(f"pack([((u{u}[{i}] >> {s} * ({o} * B + j) & {hex((1 << w) - 1)}) << {l}"
+                             f" & {hex(take)}) >> {lo} for j in range(B)], {stride})")
+        if moved:
+            exprs.append(f"from_bytes((({' | '.join(moved)}) >> {lo}).to_bytes(16 * B, 'little')[::16], 'little')")
+        return " | ".join(f"({expr})" for expr in exprs) or "0"
+
+    def _mask(self, stride, rows):
+        """The name of `rows` repeated in each lane of the stride."""
+        return self._masks.setdefault((stride, rows), f"m{len(self._masks)}")
+
+    @functools.lru_cache(maxsize=2)
+    def _bind(self, B):
+        """The names _run binds at B lanes: each unit's constants, then the
+        masks."""
+        return (*(unit.constants(n * B) for unit, n in self._units),
+                *(rows * _repeat(stride, B) for stride, rows in self._masks))
+
+    def run(self, captures, readouts):
+        B = len(captures)
+        return LaneRun(self, self._run(captures, self._bind(B), B, readouts), B)
+
+
+class LaneRun:
+    """The values that one run of Lanes leaves, per unit, over B lanes."""
+
+    def __init__(self, lanes, outs, B):
+        self.lanes, self.outs, self.B = lanes, outs, B
+
+    def write_back(self, g, j):
+        """Make the stores of lane j on the grid g, in place."""
+        outs, B = self.outs, self.B
+        for k, stack in self.lanes._stores:
+            v = g[k]
+            for (u, i, (s, lo, w), o), rows in stack:
+                v = v & (_ROW_MASK ^ rows) | (outs[u][i] >> s * (o * B + j) & (1 << w) - 1) << lo & rows
+            g[k] = v
 
 
 @dataclass
@@ -353,8 +510,9 @@ class MicroProgram:
     the whole program: the head's ops, then each block's. execute asks a
     program for its cycles (`cycles`), then runs it (`run`). A kernel
     location (kernel.run_kernel) is a program of the same form whose head
-    runs as code compiled once per shape, and whose head and ops are
-    built only when something reads them.
+    runs as code compiled once per shape, whose body runs as lanes of a
+    batch, and whose head and ops are built only when something reads
+    them.
     """
 
     head: tuple
@@ -366,10 +524,17 @@ class MicroProgram:
 
     def cycles(self):
         """Lower the head's ops (_count), so that a violation raises before
-        any op runs, and count the cycles of every step: (compute, init,
-        steps), where steps maps each step label, the head's first, to
-        its StepCycles and is read-only."""
-        compute, init, per_label = _count(chain(self.head, *(block.steps for block in self.blocks)))
+        any op runs, and count the cycles of every step, adding the
+        blocks' counts (Block.counted): (compute, init, steps), where
+        steps maps each step label, the head's first, to its StepCycles
+        and is read-only."""
+        compute, init, per_label = _count(self.head)
+        for block in self.blocks:
+            block_compute, block_init, block_labels = block.counted
+            compute, init = compute + block_compute, init + block_init
+            for label, (c, i) in block_labels.items():
+                c0, i0 = per_label.get(label, (0, 0))
+                per_label[label] = (c0 + c, i0 + i)
         return compute, init, MappingProxyType({label: StepCycles(c, i) for label, (c, i) in per_label.items()})
 
     def run(self, state, readout, strict, emit):
@@ -437,23 +602,28 @@ class CrossbarState:
     bit off the array, and the compiled code (_Source) counts on it to
     clear bits with no negative value.
 
-    A kernel location (kernel._Location) runs on the list itself,
-    `_grid`, and leaves the stores its body holds back (Block.hold) in
-    `_held`, as (w, values) pairs in run order; the next location
-    replaces them, which held_cells and the shape proof show exact.
-    Reading `cols` first makes those stores, in the same list object.
+    A kernel location (kernel._Location) runs its head on the list
+    itself, `_grid`, and leaves its body to a batch of locations
+    (kernel.Batch), `_pending`, which runs the body of every location in
+    it as lanes of one pass (Lanes). The batch leaves the stores of this
+    state's last location in it on the state, `_held`, as (LaneRun, lane);
+    the next location's replace them, which the body's proof shows exact
+    (kernel._lanes, kernel._Shape). Reading `cols` first runs the pending
+    batch, then makes the held stores, in the same list object.
     """
 
     def __init__(self):
         self._grid = [0] * COLS
-        self._held = ()
+        self._pending = self._held = None
 
     @property
     def cols(self):
-        if self._held:
-            for write_back, values in self._held:
-                write_back(self._grid, values)
-            self._held = ()
+        if self._pending is not None:
+            self._pending.run()
+        if self._held is not None:
+            run, lane = self._held
+            self._held = None
+            run.write_back(self._grid, lane)
         return self._grid
 
     # Host-side accessors. These model pre-stored data (no cycle cost);
@@ -760,15 +930,27 @@ class _Source:
       stored as its value.
     - On a narrow band every value is a small int of at most _BAND_ROWS
       bits, one CPython does not allocate.
+
+    With `consts`, a dict, the code is lane code (function): it is built
+    for one lane, and each constant is a name that consts maps its
+    one-lane value to, so one text runs over any number of lanes of any
+    stride once the names are bound to the values repeated in each lane
+    (_Unit). Every op acts on each lane alone, so the lines stay exact.
     """
 
-    def __init__(self, lanes=1, known=None, band=(0, ROWS), var="c"):
+    def __init__(self, lanes=1, known=None, band=(0, ROWS), var="c", consts=None):
         self.lines, self.loads, self.local, self.written = [], [], set(), {}
         self.known = {} if known is None else known
         self.lo, self.width = band
         self.var = var
         self.repeat = sum(1 << ROWS * lane for lane in range(lanes))
         self.full = ((1 << self.width) - 1) * self.repeat
+        self.consts = consts
+        self.num = hex if consts is None else self.name
+
+    def name(self, value):
+        """The name of a one-lane constant in lane code."""
+        return self.consts.setdefault(value, f"k{len(self.consts)}")
 
     def mask(self, rows):
         """A lowered row mask in every lane, or on the band."""
@@ -786,11 +968,11 @@ class _Source:
 
     def clear(self, v, expr):
         """The line that clears the bits of column local v where expr is 1."""
-        return f"{v} &= ({expr}) ^ {hex(self.full)}"
+        return f"{v} &= ({expr}) ^ {self.num(self.full)}"
 
     def within(self, expr, m):
         """expr masked to m; all of `full` needs no mask."""
-        return f"({expr})" if m == self.full else f"({expr}) & {hex(m)}"
+        return f"({expr})" if m == self.full else f"({expr}) & {self.num(m)}"
 
     def lane(self, k, x, rows=None):
         """Lane x of column k on `rows`, as an int if the column is known,
@@ -814,7 +996,7 @@ class _Source:
         """Append the lines of one lowered op other than a NorCol."""
         cls = op.__class__
         lowered = op._c
-        known, lines, full = self.known, self.lines, self.full
+        known, lines, full, num = self.known, self.lines, self.full, self.num
         if cls is NorRow:
             ins, out, rows = lowered
             rows = self.mask(rows)
@@ -833,12 +1015,12 @@ class _Source:
                 acc = " | ".join(map(self.col, names))
                 del known[out]
                 self.local.add(out)
-                lines.append(f"{self.var}{out} = {self.within(acc, m)} ^ {hex(m)}" + (f" | {hex(rest)}" if rest else ""))
+                lines.append(f"{self.var}{out} = {self.within(acc, m)} ^ {num(m)}" + (f" | {num(rest)}" if rest else ""))
             elif names:
-                acc = " | ".join([*map(self.col, names), *([hex(const)] if const else [])])
+                acc = " | ".join([*map(self.col, names), *([num(const)] if const else [])])
                 lines.append(self.clear(self.col(out, True), self.within(acc, rows)))
             elif const & rows:
-                lines.append(f"{self.col(out, True)} &= {hex(full & ~(const & rows))}")
+                lines.append(f"{self.col(out, True)} &= {num(full & ~(const & rows))}")
         elif cls is Init:
             per_col = {}  # one line per column, whatever its regions
             for cols, rows in lowered:
@@ -849,7 +1031,7 @@ class _Source:
                     known[k] = known.get(k, 0) | rows
                     self.written[k] = None
                 else:
-                    lines.append(f"{self.col(k, True)} |= {hex(rows)}")
+                    lines.append(f"{self.col(k, True)} |= {num(rows)}")
         elif cls is WriteExternal:
             for k, bit, b in lowered:
                 bit = self.mask(bit)
@@ -857,16 +1039,16 @@ class _Source:
                     known[k] = known[k] | bit if b else known[k] & ~bit
                     self.written[k] = None
                 elif b:
-                    lines.append(f"{self.col(k, True)} |= {hex(bit)}")
+                    lines.append(f"{self.col(k, True)} |= {num(bit)}")
                 else:
-                    lines.append(f"{self.col(k, True)} &= {hex(full & ~bit)}")
+                    lines.append(f"{self.col(k, True)} &= {num(full & ~bit)}")
         else:  # ReadCell
             k, bit = lowered
             shift = bit.bit_length() - 1 - self.lo
             if k in known:
-                lines.append(f"append({hex(known[k] >> shift & self.repeat)})")
+                lines.append(f"append({num(known[k] >> shift & self.repeat)})")
             else:
-                lines.append(f"append({self.col(k)} >> {shift} & {hex(self.repeat)})")
+                lines.append(f"append({self.col(k)} >> {shift} & {num(self.repeat)})")
 
     def nor_cols(self, ops):
         """Lines for a run of NorCol ops, column by column."""
@@ -889,12 +1071,17 @@ class _Source:
             terms, wrote = {}, 0
             for ins, out, _ in gates:
                 if ins & wrote:  # a hazard: the op reads a row the group wrote
-                    self.lines.append(self.clear(v, _terms(v, terms)))
+                    self.lines.append(self.clear(v, self.terms(v, terms)))
                     terms, wrote = {}, 0
                 for s, m in self.shifts(ins, out):
                     terms[s] = terms.get(s, 0) | m
                 wrote |= out
-            self.lines.append(self.clear(v, _terms(v, terms)))
+            self.lines.append(self.clear(v, self.terms(v, terms)))
+
+    def terms(self, v, terms):
+        """The OR of the shifted terms {shift: mask} of column local v."""
+        return " | ".join(f"({v} & {self.num(m)}) " + (f"<< {s}" if s > 0 else f">> {-s}")
+                          for s, m in terms.items())
 
     def shifts(self, ins, out):
         """(shift, mask) per input row of a NorCol: the mask selects the
@@ -902,7 +1089,7 @@ class _Source:
         to = out.bit_length() - 1
         return [(to - r, self.mask(1 << r)) for r in range(ins.bit_length()) if ins >> r & 1]
 
-    def source(self, written=None, stores=(), keep=None):
+    def source(self, written=None, stores=()):
         """The lines as `def f(g, append)` on the grid g: one load per
         column the lines read before assigning it, `c = g[k] >> lo & W`,
         the lines, then one store per written column, `g[k] = g[k] & KEEP
@@ -910,32 +1097,27 @@ class _Source:
         loaded column, and off the rows in `written` (the grid rows each
         column's ops write, if given) for any other; a whole column needs
         no shift, nor a mask when nothing is kept. `stores` lists more
-        (column, rows, value) stores of value, an int or an expression
-        that begins with the local it reads, over those rows.
-
-        With `keep`, a set of columns, f makes only the stores of those
-        columns and returns the locals the others read, and `def w(g, v)`
-        makes the others, as the same lines, from those locals; `held`
-        maps each column w stores to the rows it sets."""
+        (column, rows, value) stores of value, an int or an expression,
+        over those rows."""
         lo, var, known = self.lo, self.var, self.known
         down = (f" >> {lo}" if lo else "") + (f" & {hex(self.full)}" if lo + self.width < ROWS else "")
         body = [*(f"{var}{k} = g[{k}]{down}" for k in self.loads), *self.lines]
-        puts = []
         for k in self.written:
             value = known[k] << lo if k in known else f"{var}{k} << {lo}" if lo else f"{var}{k}"
-            puts.append((k, self.full << lo if k in self.loads or written is None else written[k], value))
-        puts += stores
-        held = [(k, rows, value) for k, rows, value in puts if keep is not None and k not in keep]
-        body += [_put(f"g[{k}]", _ROW_MASK & ~rows, value) for k, rows, value in puts if keep is None or k in keep]
-        self.held = {k: rows for k, rows, _ in held}
-        if keep is None:
-            return _function("f(g, append)", body)
-        names = "".join(dict.fromkeys(f"{value.split(' ', 1)[0]}, " for _, _, value in held
-                                      if value.__class__ is str))
-        return "\n".join([_function("f(g, append)", [*body, f"return ({names})"]),
-                          _function("w(g, v)", [*([f"({names}) = v"] if names else []),
-                                                *(_put(f"g[{k}]", _ROW_MASK & ~rows, value)
-                                                  for k, rows, value in held)])])
+            rows = self.full << lo if k in self.loads or written is None else written[k]
+            body.append(_put(f"g[{k}]", _ROW_MASK & ~rows, value))
+        body += [_put(f"g[{k}]", _ROW_MASK & ~rows, value) for k, rows, value in stores]
+        return _function("f(g, append)", body)
+
+    def function(self, stores):
+        """The lines as lane code, `def f(append, K, <loads>)`: K binds
+        the constants' names in order, each column the lines read before
+        assigning it is a parameter, and f returns the value of each
+        column in `stores`, a local or a constant."""
+        values = [self.num(self.known[k]) if k in self.known else f"{self.var}{k}" for k in stores]
+        params = "".join(f", {self.var}{k}" for k in self.loads)
+        unpack = [f"({', '.join(self.consts.values())},) = K"] if self.consts else []
+        return _function(f"f(append, K{params})", [*unpack, *self.lines, f"return ({''.join(v + ', ' for v in values)})"])
 
 
 def _function(signature, body):
@@ -950,12 +1132,6 @@ def _put(v, keep, value):
     if not keep:
         return f"{v} = {value}"
     return f"{v} &= {hex(keep)}" if value == "0x0" else f"{v} = {v} & {hex(keep)} | {value}"
-
-
-def _terms(v, terms):
-    """The OR of the shifted terms {shift: mask} of column local v."""
-    return " | ".join(f"({v} & {hex(m)}) " + (f"<< {s}" if s > 0 else f">> {-s}")
-                      for s, m in terms.items())
 
 
 def _interpret(ops, g, readout, strict, emit):
@@ -1029,9 +1205,12 @@ def execute(program, state, strict=True, trace=None):
     Python ints where bit r of column c is cell (r, c): a MicroProgram's
     head through the interpreter (_interpret), then each block as its
     compiled code (Block.run); a kernel location as the compiled code of
-    its shape, whose body leaves its held stores on the state. All give
-    the same cells, readout and trace. A NorRow is one bitwise expression
-    over its whole row mask; a NorCol is one per column. Both modes evaluate a NOR by conditional
+    its shape's head and phase block, its body joining a batch of
+    locations (kernel.Batch) whose bodies run later as lanes of one pass
+    (Lanes). Its readout is filled, and its body's stores are made, when
+    the batch runs; every path gives the same cells, readout and trace.
+    A NorRow is one bitwise expression over its whole row mask; a NorCol
+    is one per column. Both modes evaluate a NOR by conditional
     switching: output <- output AND NOR(inputs). Strict mode adds the
     precondition that every output cell of a gate holds 1, checked before
     the gate switches any cell, and aborts at the first gate that finds a

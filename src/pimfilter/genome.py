@@ -17,6 +17,7 @@ from . import oracle
 from .crossbar import CrossbarState
 from .kernel import (
     BASE_CODES,
+    Batch,
     FRAGMENT_ROWS,
     TILE_SPAN,
     TILE_STRIDE,
@@ -183,12 +184,17 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
 
     Decisions come back in (tile index, queue order); every non-overflow
     location is decided by the in-crossbar kernel, overflow locations are
-    marked passthrough. With `verify_oracle` each kernel decision is also
-    checked against the golden model and mismatches are counted. A read
-    holding a non-base raises ValueError, passthrough or not; only the
-    reads the kernel decides get a histogram.
+    marked passthrough. The kernel's locations run in batches (Batch) of
+    up to 64, across tiles, whose bodies run as lanes of one pass; a
+    batch runs when it is full and at the end. With `verify_oracle` each
+    kernel decision is also checked against the golden model and
+    mismatches are counted. An edit threshold outside 0..read_length,
+    or a read holding a non-base, passthrough or not, raises ValueError;
+    only the reads the kernel decides get a histogram.
     """
     layout = plan_layout(read_length)
+    if not 0 <= eth <= read_length:
+        raise ValueError("edit threshold out of range")
     glen = len(genome)
     queues = {}  # only the tiles that get a candidate
     for cand in candidates:
@@ -203,7 +209,23 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     stats = FilterStats(queued=len(candidates))
     if verify_oracle:
         stats.oracle_mismatches = 0
-    decisions = []
+    decisions, pending = [], []  # pending: the kernel runs of the batch
+
+    def decide():
+        # each result's discard runs its batch, the first one reading it
+        for decision, cand, counts, res in pending:
+            discard = res.discard
+            decision.verdict = "discard" if discard else "keep"
+            stats.processed += 1
+            stats.discarded += discard
+            stats.kept += 1 - discard
+            if verify_oracle:
+                window = genome[cand.position:cand.position + read_length]
+                if oracle.decide(counts, window, eth) != discard:
+                    stats.oracle_mismatches += 1
+        pending.clear()
+
+    batch = Batch()
     for t, done in zip(busy, processed):
         queue = queues[t]
         pairs = {pair for _, off in queue[:done]
@@ -211,23 +233,18 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
         state = CrossbarState()
         load_tile(state, layout, genome, _tile(t, glen), eth, pairs)
         for j, (cand, off) in enumerate(queue):
-            if j < done:
-                counts = oracle.histogram(cand.seq)
-                res = run_kernel(state, layout, counts, off, strict=strict, trace=trace)
-                verdict = "discard" if res.discard else "keep"
-                stats.processed += 1
-                stats.discarded += res.discard
-                stats.kept += 1 - res.discard
-                stats.compute_cycles += res.compute_cycles
-                stats.init_cycles += res.init_cycles
-                if verify_oracle:
-                    window = genome[cand.position:cand.position + read_length]
-                    if oracle.decide(counts, window, eth) != res.discard:
-                        stats.oracle_mismatches += 1
-            else:
-                verdict = "passthrough"
+            decisions.append(Decision(cand.read_id, cand.position, "passthrough"))
+            if j >= done:
                 stats.passthrough += 1
-            decisions.append(Decision(cand.read_id, cand.position, verdict))
+                continue
+            counts = oracle.histogram(cand.seq)
+            res = run_kernel(state, layout, counts, off, strict=strict, trace=trace, batch=batch)
+            stats.compute_cycles += res.compute_cycles
+            stats.init_cycles += res.init_cycles
+            pending.append((decisions[-1], cand, counts, res))
+            if batch.full:
+                decide()
+    decide()
 
     stats.waves = report.waves
     stats.bytes_transferred = BYTES_PER_LOCATION * stats.processed

@@ -34,12 +34,19 @@ and row phase (_Shape), built from the shape's own ops on its first use:
 its head is one function of the counts and the fragment pair, proved
 once to stand for the head of every pair. No op is built, lowered or
 interpreted per location, and every location of a shape shares one
-cycle report; its ops (build_program) are built only for a trace. The
-body stores only the result band that steps 6-13 read; every other
-store it holds back (_held) until the grid is read, and the next
-location replaces them, as in the array, where the scratch of one
-location stays unread until the next overwrites it. The grid is exact
-whenever it is read (CrossbarState.cols).
+cycle report; its ops (build_program) are built only for a trace.
+
+The body runs as the arrays of the paper run it: many locations in
+lockstep. A location's run captures the cells its body reads and joins
+a batch (Batch) of up to _BATCH locations, over any tiles; the batch
+runs the body once for all of them, each location a lane of the body's
+code, compiled once for any batch size (crossbar.Lanes). The body's
+stores wait on each state until its grid is read, and the next
+location's replace them, as in the array, where the scratch of one
+location stays unread until the next overwrites it. A proof made once
+(_lanes, and _Shape proof (f)) shows this exact: the decisions, cycles
+and cells are those of running the locations one by one, and the grid
+is exact whenever it is read (CrossbarState.cols).
 
 Per-step compute cycles at read length 100, against the step budgets:
 
@@ -61,16 +68,15 @@ from .crossbar import (
     Block,
     Init,
     LaneGroup,
+    Lanes,
     MicroProgram,
     NorRow,
     ProgramBuilder,
     WriteExternal,
     _count,
     _dataflow,
-    _form,
     _put,
     execute,
-    held_cells,
 )
 from .gates import (
     ColumnPool,
@@ -273,9 +279,8 @@ def _body():
     LaneGroup, taken pairwise from the builder's steps: the popcounts
     differ only in the bitmap column they count, so they run as four
     lanes of one compiled pass, and each step-5 step then stages its own
-    lane's result. Steps 6-13 are one Block. A location runs both as
-    Block.hold, which makes only the group's stores of the result band
-    and holds back every other store (_held).
+    lane's result. Steps 6-13 are one Block. Locations run both as lanes
+    of one pass (_lanes).
     """
     L = plan_layout()
     lanes = tuple(L.lane_rows[b] for b in BASES)
@@ -294,10 +299,8 @@ def _body():
             pb.nor_col((0,), L.stage_row, L.res_cols)
             pb.nor_col((L.stage_row,), lane, L.res_cols)
 
-    # steps 6-13 read the result band the staging steps wrote, so the
-    # group stores it; every other column the body writes waits (_held)
     steps = pb.build().head
-    group = LaneGroup(zip(steps[0::2], steps[1::2]), keep=frozenset(L.res_cols))
+    group = LaneGroup(zip(steps[0::2], steps[1::2]))
     pb = ProgramBuilder()
 
     # Step 6: per-lane window count minus read count (nine-gate cells,
@@ -362,15 +365,39 @@ def _body():
     with pb.step("13"):
         pb.read(lane_a, L.res12_cols[8])
 
-    return group, Block(pb.build().head, keep=frozenset())
+    return group, Block(pb.build().head)
 
 
 @functools.cache
+def _lanes():
+    """The body as lanes of locations (crossbar.Lanes), proved once per
+    process to run exact when it waits for a batch:
+
+    - a batch captures a location's body reads (Lanes.capture: the
+      body's live-in cells, exactly) right after its head and phase
+      block ran, and runs the body later from those values;
+    - the body writes no cell it reads before writing it, so a capture
+      reads no cell whose store a body run before it still holds back
+      (CrossbarState._held) or has not yet made (_pending);
+    - each shape proves that its head and phase block read no cell the
+      body writes before writing it (_held; _Shape proof (f)), so the
+      body's stores may wait past later heads: a cell both write ends
+      with the value of the last location's body either way.
+
+    So running every head first and the bodies later, from the captured
+    values, leaves the same cells and readouts as running the locations
+    one by one. A body that fails the proof raises ValueError.
+    """
+    lanes = Lanes(_body())
+    if any(map(int.__and__, lanes.live, lanes.written)):
+        raise ValueError("the body writes a cell it reads before writing it")
+    return lanes
+
+
 def _held():
-    """The cells whose stores the body holds back (crossbar.held_cells),
-    proved once per process; each shape proves that its head and phase
-    block read none of them (_Shape)."""
-    return held_cells(_body())
+    """The cells the body writes, whose stores a batch holds back until
+    the grid is read."""
+    return _lanes().written
 
 
 @functools.cache
@@ -472,16 +499,22 @@ class _Shape:
 
     (a) the head is init-dominated, so no strict check can fail in it;
     (b) the program at each offset has the same step-1 ops and the same
-        blocks as at pair 0, and its step 2 is pair 0's with the columns
-        it reads (its sources) renamed k + s -> k;
+        blocks as at pair 0, and its step 2 is built as pair 0's with the
+        columns it reads (its sources) renamed k -> k + s (_spec: ops
+        built alike lower alike, and pair 0's are lowered and checked, so
+        no op at another offset needs lowering);
     (c) every source column stays below genome_cols;
     (d) step 2 is one Init, then NorRows whose inputs are sources, so
         each column it writes takes, on the rows the Init sets, the NOR
         of its gates' inputs on their rows, and keeps its other rows;
     (e) step 1 is the count writes of _count_values;
     (f) its blocks are a phase block, then the body, and neither the
-        phase block nor the head at any offset reads a cell whose store
-        the body holds back (_held), so all three run on the grid itself.
+        phase block nor the head at any offset reads a cell the body
+        writes (_held) before writing it. So the body may run later, as
+        lanes of a batch (_lanes), and its stores wait until the grid is
+        read: every location's body writes all of those cells after its
+        head and phase block, so a cell they write too ends with the
+        body's value in either order.
 
     A shape that fails the proof raises ValueError when it is built.
     """
@@ -502,7 +535,7 @@ class _Shape:
             raise ValueError("the phase block reads a cell the body holds back")
         live = _dataflow(copy)[1]
         sources = [k for k, rows in enumerate(live) if rows]
-        forms = [_form(op, {}) for op in copy]
+        specs = [_spec(op, {}) for op in copy]
         for offset in range(phase, TILE_STRIDE + 1, FRAGMENT_ROWS):
             s = 2 * (offset // FRAGMENT_ROWS)
             if max(sources) + s >= layout.genome_cols:
@@ -511,9 +544,8 @@ class _Shape:
                 raise ValueError(f"the head at offset {offset} reads a cell the body holds back")
             other = build_program(layout, offset, counts)
             (_, w), (_, c) = other.head
-            _count(other.head)
             rename = {k + s: k for k in sources}
-            if other.blocks != self.blocks or w != writes or [_form(op, rename) for op in c] != forms:
+            if other.blocks != self.blocks or w != writes or [_spec(op, rename) for op in c] != specs:
                 raise ValueError(f"the head at offset {offset} is not the head at offset "
                                  f"{phase} with its source columns renamed")
         slots, self.values = _count_values()
@@ -526,6 +558,19 @@ class _Shape:
         exec(compile("\n".join(["def f(g, w, s):", *(f"    {line}" for line in lines)]), "<head>", "exec"),
              namespace)
         self.head = namespace["f"]
+
+
+def _spec(op, rename):
+    """An Init or NorRow as it was built, its columns mapped through
+    `rename`: two ops with the same spec lower to the same form. Any
+    other op is its own spec."""
+    cls = op.__class__
+    col = rename.get
+    if cls is Init:
+        return cls, tuple([(rows, tuple(map(col, cols, cols))) for rows, cols in op.regions])
+    if cls is NorRow:
+        return cls, tuple(map(col, op.input_cols, op.input_cols)), col(op.output_col, op.output_col), op.rows
+    return op
 
 
 def _copy_lines(copy, sources):
@@ -554,12 +599,13 @@ def _shape(read_length, phase):
 
 class _Location:
     """The program of one location check, as execute runs it: the cycles
-    and compiled code of its shape. Its head and ops are those of
-    build_program, built only when something reads them (a trace, or a
-    test); `blocks` are its shape's."""
+    and compiled code of its shape, its body left to `batch`. Its head
+    and ops are those of build_program, built only when something reads
+    them (a trace, or a test); `blocks` are its shape's."""
 
-    def __init__(self, shape, layout, offset, counts):
+    def __init__(self, shape, layout, offset, counts, batch):
         self.shape, self.layout, self.offset, self.counts = shape, layout, offset, counts
+        self.batch = batch
 
     @functools.cached_property
     def _program(self):
@@ -574,33 +620,77 @@ class _Location:
 
     def run(self, state, readout, strict, emit):
         # the shape's head and blocks are proved init-dominated, so no
-        # strict check can fail in them, and to read no cell whose store
-        # the body holds back, so they run on the grid itself and leave
-        # the body's held stores, in place of the last location's, on the
-        # state (_Shape, _held)
+        # strict check can fail in them, and its head and phase block to
+        # read no cell the body writes, so they run on the grid itself,
+        # past the body stores of earlier locations that wait, and the
+        # body joins the batch (_Shape, _lanes)
         shape = self.shape
         g = state._grid
         a, t, gg, c = self.counts
         va, vt, vg, vc = shape.values
         shape.head(g, va[a] | vt[t] | vg[gg] | vc[c], 2 * (self.offset // FRAGMENT_ROWS))
         shape.phase.run(g, readout)
-        state._held = tuple([block.hold(g, readout) for block in shape.body])
+        self.batch.add(state, readout)
         if emit is not None:
             emit(self.ops)
 
 
-@dataclass
+_BATCH = 64  # most locations whose bodies run as lanes of one pass
+
+
+class Batch:
+    """Locations whose bodies run as lanes of one pass of the body's
+    compiled code (_lanes), at most _BATCH of them, over any tiles.
+
+    add captures a location's body reads from its state's grid, after
+    its head ran, and leaves the batch pending on the state. run, which
+    reading a pending state's `cols` or a pending KernelResult's
+    `discard` calls, runs the bodies once, appends each location's
+    read bits to its readout, and leaves on each state that the batch
+    is still pending on the stores of its last location in the batch,
+    held until its grid is read (CrossbarState). The batch is then empty,
+    and takes new locations for another pass."""
+
+    def __init__(self):
+        self.states, self.captures, self.readouts = [], [], []
+
+    @property
+    def full(self):
+        return len(self.captures) >= _BATCH
+
+    def add(self, state, readout):
+        self.states.append(state)
+        self.captures.append(_lanes().capture(state._grid))
+        self.readouts.append(readout)
+        state._pending = self
+
+    def run(self):
+        if not self.captures:
+            return
+        lanes = _lanes().run(self.captures, self.readouts)
+        for state, lane in {state: lane for lane, state in enumerate(self.states)}.items():
+            if state._pending is self:
+                state._pending, state._held = None, (lanes, lane)
+        self.states, self.captures, self.readouts = [], [], []
+
+
 class KernelResult:
     """Decision and cycle accounting for one location check; `steps` is
-    the read-only step report its shape shares."""
+    the read-only step report its shape shares. `discard` runs the
+    location's batch first if it is still pending."""
 
-    discard: int
-    compute_cycles: int
-    init_cycles: int
-    steps: MappingProxyType
+    def __init__(self, readout, batch, compute_cycles, init_cycles, steps):
+        self._readout, self._batch = readout, batch
+        self.compute_cycles, self.init_cycles, self.steps = compute_cycles, init_cycles, steps
+
+    @property
+    def discard(self):
+        if not self._readout:
+            self._batch.run()
+        return self._readout[0]
 
 
-def run_kernel(state, layout, counts, offset, strict=True, trace=None):
+def run_kernel(state, layout, counts, offset, strict=True, trace=None, batch=None):
     """Run one location check on a pre-loaded crossbar.
 
     The genome slice and the threshold constant must already be stored
@@ -608,15 +698,22 @@ def run_kernel(state, layout, counts, offset, strict=True, trace=None):
     oracle.BaseCounts, `layout` plan_layout(read length). The inputs are
     checked, then the location runs through one execute call as the code
     of its shape (_Shape): its counts in one masked write per count
-    column, its window copied by one masked store per P column, then the
-    shape's blocks, whose body leaves the stores it holds back on the
-    state; the grid is exact whenever it is read. A trace gets the ops
-    of build_program.
+    column, its window copied by one masked store per P column, then its
+    phase block; its body joins `batch` (Batch), whose pass runs the
+    bodies of all its locations as lanes. With no batch, the location is
+    a batch of one, run before this returns. The cycle report is exact
+    at once, the decision once the batch ran, and the grid whenever it
+    is read. A trace gets the ops of build_program.
     """
     if counts.total != layout.read_length:
         raise ValueError("read histogram does not sum to the read length")
     _, phase = _split(offset)
     _check_counts(counts)
-    program = _Location(_shape(layout.read_length, phase), layout, offset, counts)
+    alone = batch is None
+    if alone:
+        batch = Batch()
+    program = _Location(_shape(layout.read_length, phase), layout, offset, counts, batch)
     result = execute(program, state, strict=strict, trace=trace)
-    return KernelResult(result.readout[0], result.compute_cycles, result.init_cycles, result.steps)
+    if alone:
+        batch.run()
+    return KernelResult(result.readout, batch, result.compute_cycles, result.init_cycles, result.steps)

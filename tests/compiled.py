@@ -21,7 +21,7 @@ def grid_io(block):
     expression read from g[column]} and its stores {column: line}: at most
     one of each per column, loads only of live-in columns and stores for
     exactly the written columns."""
-    src = block._source().text
+    src = block._source()
     assert "~" not in src
     lines = [line.strip() for line in src.splitlines()[1:]]
     loads = [re.fullmatch(r"c(\d+) = (g\[\1\].*)", line).groups()

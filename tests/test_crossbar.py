@@ -15,6 +15,7 @@ from pimfilter.crossbar import (
     CrossbarState,
     Init,
     LaneGroup,
+    Lanes,
     MicroOpError,
     MicroProgram,
     NorCol,
@@ -702,6 +703,13 @@ def test_compile_at_256_lanes():
         assert (lane, lane_bits) == (want, want_bits)
 
 
+def snapshot_cols(grid):
+    """The packed columns of a ROWS x COLS grid of cells."""
+    state = fresh()
+    load_grid(state, grid)
+    return list(state.cols)
+
+
 def copy_span(k):
     """A template span on input column k: rows 0-3 of k, inverted into
     column 10, then back into column 11."""
@@ -740,6 +748,17 @@ def runs_like_its_spans_in_order(span, tail):
         assert got == want and trace == want_trace
         assert (res.readout, res.compute_cycles, res.init_cycles, res.steps) == \
                (want_res.readout, want_res.compute_cycles, want_res.init_cycles, want_res.steps)
+    # as lanes of many grids: span x of lane j in lane x * B + j, then
+    # the tails, each on its own span's lanes
+    lanes = Lanes([group])
+    for lane_count in (1, 3):
+        grids = [snapshot_cols(rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)) for _ in range(lane_count)]
+        wants = []
+        for g in grids:
+            want, want_bits = list(g), []
+            _interpret(group.ops, want, want_bits, True, None)
+            wants.append((want, want_bits))
+        assert run_as_lanes(lanes, grids) == wants
 
 
 class TestLaneGroup:
@@ -959,12 +978,12 @@ def test_a_hazard_starts_a_new_line():
 
 
 @st.composite
-def band_ops(draw, lo, width):
-    """Init-dominated ops on columns c0..c0+7 whose rows span exactly
-    lo..lo+width-1: a WriteExternal on both end rows, then gates whose
-    outputs are initialized just before them, Inits, WriteExternals and
-    ReadCells."""
-    c0 = draw(origins(COLS))
+def band_ops(draw, lo, width, c0=None):
+    """Init-dominated ops on columns c0..c0+7 (c0 drawn if None) whose
+    rows span exactly lo..lo+width-1: a WriteExternal on both end rows,
+    then gates whose outputs are initialized just before them, Inits,
+    WriteExternals and ReadCells."""
+    c0 = draw(origins(COLS)) if c0 is None else c0
     rows, cols = st.integers(lo, lo + width - 1), st.integers(c0, c0 + 7)
     ops = [WriteExternal(((lo, draw(cols)), (lo + width - 1, draw(cols))),
                          (draw(st.integers(0, 1)), draw(st.integers(0, 1))))]
@@ -1014,33 +1033,81 @@ def test_banded_blocks_match_the_interpreter(data):
     band_io(block, lo, width)
 
 
-@settings(max_examples=100, deadline=None)
+def run_as_lanes(lanes, grids):
+    """Run Lanes over len(grids) lanes, lane j captured from grids[j]:
+    per lane, the grid after its write-back and its read bits."""
+    readouts = [[] for _ in grids]
+    run = lanes.run([lanes.capture(g) for g in grids], readouts)
+    outs = []
+    for j, (g, bits) in enumerate(zip(grids, readouts)):
+        got = list(g)
+        run.write_back(got, j)
+        outs.append((got, bits))
+    return outs
+
+
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_held_stores_match_the_interpreter(data):
-    # a block that keeps only some of its stores: hold leaves the
-    # interpreter's cells in every column it keeps and every cell it
-    # does not hold, and its write-back, or run, gives all of them
+    # one or two random init-dominated blocks on the same 8 columns and
+    # near rows, each on a band or on whole columns, so that the second
+    # often reads what the first wrote, in another format; compiled once
+    # and run as lanes at B = 1, 3 and 64: each lane's read bits, and its
+    # held stores made on its own grid, must be what the interpreter
+    # leaves on that grid
+    c0 = data.draw(origins(COLS))
     lo = data.draw(st.sampled_from((0, ROWS - 8, ROWS - 1)) | st.integers(0, ROWS - 1))
-    width = data.draw(st.integers(1, min(8, ROWS - lo)) | st.just(ROWS - lo))
-    ops = data.draw(band_ops(lo, width))
-    written = _dataflow(lowered(ops))[2]
-    keep = frozenset(data.draw(st.sets(st.sampled_from([k for k in range(COLS) if written[k]]))))
-    block = Block(unlabelled(ops), keep=keep)
-    rng = data.draw(st.randoms(use_true_random=False))
-    g = [rng.getrandbits(ROWS) for _ in range(COLS)]
-    want, want_bits = list(g), []
-    _interpret(ops, want, want_bits, True, None)
-    got, got_bits = list(g), []
-    write_back, values = block.hold(got, got_bits)
-    assert got_bits == want_bits
-    assert set(block.held) == {k for k in range(COLS) if written[k]} - keep
-    for k in range(COLS):
-        assert (got[k] ^ want[k]) & ~block.held.get(k, 0) == 0, k
-    write_back(got, values)
-    assert got == want
-    ran, ran_bits = list(g), []
-    block.run(ran, ran_bits)
-    assert (ran, ran_bits) == (want, want_bits)
+    blocks = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        width = data.draw(st.integers(1, min(8, ROWS - lo)) | st.just(ROWS - lo))
+        blocks.append(Block(unlabelled(data.draw(band_ops(lo, width, c0)))))
+        lo = data.draw(st.integers(max(0, lo - 4), min(lo + 4, ROWS - 1)))
+    lanes = Lanes(blocks)
+    ops = [op for block in blocks for op in block.ops]
+    _, live, written = _dataflow(ops)
+    assert (lanes.live, lanes.written) == (live, written)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    for lane_count in (1, 3, 64):
+        grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
+        wants = []
+        for g in grids:
+            want, want_bits = list(g), []
+            _interpret(ops, want, want_bits, True, None)
+            wants.append((want, want_bits))
+        assert run_as_lanes(lanes, grids) == wants, lane_count
+
+
+def test_lanes_move_values_between_formats():
+    # each block reads what an earlier one wrote in another format: a
+    # whole column onto a band, a band onto a whole column (with rows from
+    # the grid around it) and one band onto another; every lane from its
+    # own random grid
+    a = [Init(((range(10), (2,)),)), NorRow((1,), 2, range(10))]
+    b = [Init(((range(4, 8), (3,)),)), NorRow((2,), 3, range(4, 8)), ReadCell(5, 3)]
+    c = [Init(((range(10), (4,)),)), NorRow((2, 3), 4, range(10)), ReadCell(9, 4)]
+    d = [Init(((range(6, 10), (5,)),)), NorRow((3,), 5, range(6, 10)), ReadCell(6, 5), ReadCell(9, 5)]
+    blocks = [Block(unlabelled(ops)) for ops in (a, b, c, d)]
+    assert [_band(block.ops) for block in blocks] == [(0, ROWS), (4, 4), (0, ROWS), (6, 4)]
+    lanes = Lanes(blocks)
+    ops = a + b + c + d
+    rng = random.Random(12)
+    for lane_count in (1, 3, 64):
+        grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
+        wants = []
+        for g in grids:
+            want, want_bits = list(g), []
+            _interpret(ops, want, want_bits, True, None)
+            wants.append((want, want_bits))
+        assert run_as_lanes(lanes, grids) == wants, lane_count
+
+
+def test_lanes_of_a_body_that_reads_no_cell():
+    # no live-in cell: nothing to capture, and every lane writes the same
+    lanes = Lanes([Block(unlabelled([Init(((range(4), (3,)),)), ReadCell(2, 3)]))])
+    grids = [[0] * COLS, [5] * COLS]
+    assert lanes.capture(grids[0]) == ()
+    assert run_as_lanes(lanes, grids) == [([0] * 3 + [15] + [0] * (COLS - 4), [1]),
+                                          ([5] * 3 + [15] + [5] * (COLS - 4), [1])]
 
 
 @pytest.mark.parametrize("lo", [0, ROWS - 9])
@@ -1075,7 +1142,7 @@ def test_a_full_band_init_makes_its_column_known(lo, width):
            NorRow((6, 7), 5, band), ReadCell(lo, 5)]
     block = Block(unlabelled(ops))
     assert _band(ops) == (lo, width) if width <= 8 else (0, ROWS)
-    src = block._source().text
+    src = block._source()
     assert "|=" not in src and "c5 &=" not in src
     assert re.search(r"^    c5 = \(c6 \| c7\) \^ 0x", src, re.M)
     rng = random.Random(width)

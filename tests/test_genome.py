@@ -357,6 +357,40 @@ class TestRunFilter:
         assert fragments[1].oracle_mismatches == 0
         assert {d.verdict for d in fragments[0]} == {"keep", "discard"}
 
+    @pytest.mark.parametrize("eth,read_length", [(-3, 100), (101, 100), (500, 100), (65, 64), (2, 1)])
+    def test_an_edit_threshold_out_of_range_raises_before_any_tile_loads(self, monkeypatch, eth, read_length):
+        # with no candidate no tile is loaded, and in a capped call most
+        # candidates pass through: the threshold is checked at entry
+        # either way, with store_threshold's message
+        loads = []
+        monkeypatch.setattr(genome_mod, "load_tile", lambda *args: loads.append(args))
+        rng = random.Random(3)
+        genome = synth_genome(3 * TILE_STRIDE + 100, rng)
+        capped = [CandidateRecord(f"r{i}", synth_genome(read_length, rng), 50 + i) for i in range(30)]
+        for candidates in ([], capped):
+            with pytest.raises(ValueError, match="^edit threshold out of range$"):
+                run_filter(genome, candidates, eth=eth, read_length=read_length, iter_factor=1e-9)
+        with pytest.raises(ValueError, match="^edit threshold out of range$"):
+            run_filter("ACGT" * 100, [], eth=eth, read_length=read_length)
+        assert loads == []
+
+    def test_a_call_with_no_candidate_decides_nothing(self):
+        run = run_filter("ACGT" * 100, [], eth=4, verify_oracle=True)
+        assert run.decisions == [] and run.stats == genome_mod.FilterStats(oracle_mismatches=0)
+        assert (run.report.processed, run.report.overflow, run.report.waves) == (0, 0, 0)
+
+    def test_a_capped_call_that_passes_most_candidates_through(self):
+        # a cap of one location per tile: one kernel run, the rest pass
+        # through, on any threshold in range
+        rng = random.Random(4)
+        genome = synth_genome(TILE_STRIDE + 100, rng)
+        cands = [CandidateRecord(f"r{i}", synth_genome(100, rng), 10 * i) for i in range(20)]
+        for eth in (0, 100):
+            run = run_filter(genome, cands, eth=eth, iter_factor=1e-9, verify_oracle=True)
+            assert [d.verdict for d in run.decisions[1:]] == ["passthrough"] * 19
+            assert (run.stats.processed, run.stats.passthrough, run.stats.oracle_mismatches) == (1, 19, 0)
+            assert run.decisions[0].verdict == ("keep" if eth == 100 else "discard")
+
     def test_unroutable_candidate_rejected(self):
         genome = "A" * 200
         with pytest.raises(ValueError):

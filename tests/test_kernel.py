@@ -23,7 +23,6 @@ from pimfilter.crossbar import (
     _band,
     _dataflow,
     execute,
-    held_cells,
 )
 from pimfilter.genome import load_tile, partition
 from pimfilter.io import synth_genome
@@ -504,12 +503,14 @@ def random_counts(rng, read_length):
 class TestHeldStores:
     def test_a_sequence_on_one_state_matches_the_interpreted_path(self):
         # 300 locations at mixed read lengths, row phases and counts on one
-        # state, each replacing the last one's held stores; between them,
-        # at random, the grid is read, fragment pairs and thresholds are
-        # loaded, cells are set and a small program runs. The same
-        # sequence through build_program and execute, which stores
-        # everything, must give every decision and readout and, whenever
-        # the grid is read, the same grid
+        # state, in batches of random sizes, each replacing the last one's
+        # held stores; between them, at random, the grid is read, a
+        # pending result is read, a new batch starts while the last is
+        # still pending, fragment pairs and thresholds are loaded, cells
+        # are set and a small program runs. The same sequence through
+        # build_program and execute, which stores everything at once, must
+        # give every decision and readout and, whenever the grid is read,
+        # the same grid
         rng = random.Random(2027)
         genome = synth_genome(6600, rng)
         tile = partition(len(genome))[0]
@@ -518,19 +519,25 @@ class TestHeldStores:
         for state in (held, stored):
             state.cols[:] = grid
             load_tile(state, plan_layout(100), genome, tile, 3, EVERY_PAIR)
-        replaced = reads = 0
+        replaced = reads = pending_reads = 0
+        batch, results = kernel.Batch(), []
         for i in range(300):
             read_length = rng.choice((100, 64, 37, 1))
             layout = plan_layout(read_length)
             offset = rng.randint(0, TILE_STRIDE)
             counts = random_counts(rng, read_length)
-            replaced += bool(held._held)
-            discard = run_kernel(held, layout, counts, offset).discard
-            assert held._held
-            assert discard == interpreted(stored, layout, counts, offset).readout[0], i
+            replaced += held._held is not None or held._pending is not None
+            if batch.full or rng.randrange(8) == 0:
+                batch = kernel.Batch()
+            alone = rng.randrange(4) == 0
+            res = run_kernel(held, layout, counts, offset, batch=None if alone else batch)
+            assert (held._pending is None) == alone and (held._held is not None or not alone)
+            results.append((res, interpreted(stored, layout, counts, offset).readout[0], i))
             event = rng.randrange(16)
             if event == 0:
+                pending_reads += held._pending is not None
                 assert held.cols == stored.cols, i
+                assert held._pending is None and held._held is None
                 reads += 1
             elif event == 1:
                 pairs, eth = rng.sample(EVERY_PAIR, 3), rng.randint(0, read_length)
@@ -555,8 +562,13 @@ class TestHeldStores:
                 pb.read(rng.randrange(ROWS), rng.randrange(COLS))
                 program = pb.build()
                 assert execute(program, held).readout == execute(program, stored).readout, i
+            elif event < 8:
+                res, want, j = rng.choice(results)
+                assert res.discard == want, j
+        for res, want, j in results:
+            assert res.discard == want, j
         assert held.cols == stored.cols
-        assert reads > 10 and replaced > 150
+        assert reads > 10 and pending_reads > 5 and replaced > 150
 
     def test_a_write_back_keeps_the_list_object(self):
         state, stored = CrossbarState(), CrossbarState()
@@ -570,15 +582,25 @@ class TestHeldStores:
         assert cols == stored.cols
 
     def test_the_body_holds_cells_no_location_reads(self):
-        # the body holds back every store but the group's result band,
-        # and no shape of any read length reads a held cell (a shape that
-        # did would raise when it is built)
+        # the body holds back every store it makes, and reads first only
+        # the cells a batch captures: rows 0-99 of the match columns, the
+        # lane rows of the read counts and the threshold's row. It writes
+        # none of them, and no shape of any read length reads a cell it
+        # writes (a shape that did would raise when it is built)
         group, rest = _body()
-        held = kernel._held()
-        assert held == held_cells(_body())
-        assert set(group.keep) == set(plan_layout().res_cols) and not rest.keep
-        assert sum(bin(rows).count("1") for rows in held) > 1500
-        assert not any(held[k] for k in group.keep)
+        lanes = kernel._lanes()
+        assert kernel._held() == lanes.written == _dataflow(group.ops + rest.ops)[2]
+        assert sum(bin(rows).count("1") for rows in lanes.written) > 1500
+        L = plan_layout()
+        captured = [0] * COLS
+        for k in L.match_cols.values():
+            captured[k] = (1 << FRAGMENT_ROWS) - 1
+        for k in L.rb_cols:
+            captured[k] = 0xf << FRAGMENT_ROWS
+        for k in L.thr_cols:
+            captured[k] = 1 << L.lane_rows["A"]
+        assert lanes.live == captured
+        assert not any(map(int.__and__, lanes.live, lanes.written))
         for read_length in (100, 64, 37, 1):
             for phase in range(FRAGMENT_ROWS):
                 kernel._shape(read_length, phase)
@@ -599,21 +621,59 @@ class TestHeldStores:
         monkeypatch.setattr(kernel, "_held", lambda: real)
         assert callable(kernel._Shape(layout, 50).head)
 
-    def test_a_body_whose_later_block_reads_a_held_column_raises(self):
-        # a group that holds its result band back would leave steps 6-13
-        # reading stale cells
+    def test_a_body_that_writes_a_cell_it_reads_first_raises(self, monkeypatch):
+        # a capture could read such a cell while an earlier location's
+        # store of it still waits
         group, rest = _body()
-        steps = group.steps
-        holds_all = LaneGroup(zip(steps[0::2], steps[1::2]), keep=frozenset())
-        with pytest.raises(ValueError, match="reads or stores a column that an earlier block holds"):
-            held_cells((holds_all, rest))
-        # a block that holds a column it reads before writing it
         rows = range(100, 104)
-        loads = Block([(None, [Init(((rows, (6,)),)), NorRow((5,), 6, rows),
-                               Init(((range(100, 102), (5,)),)), NorRow((7,), 5, range(100, 102))])],
-                      keep=frozenset())
-        with pytest.raises(ValueError, match="live-in"):
-            held_cells((loads,))
+        writes_its_input = Block([(None, [Init(((rows, (6,)),)), NorRow((5,), 6, rows),
+                                          Init((((101,), (5,)),))])])
+        monkeypatch.setattr(kernel, "_body", lambda: (group, rest, writes_its_input))
+        kernel._lanes.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="writes a cell it reads before writing it"):
+                kernel._lanes()
+        finally:
+            monkeypatch.undo()
+            kernel._lanes.cache_clear()
+        assert kernel._lanes().written == kernel._held()
+
+
+class TestBatches:
+    @pytest.mark.parametrize("read_length", [100, 64, 37, 1])
+    def test_batches_match_one_by_one_runs(self, read_length):
+        # one location per row phase, each on one of three tiles' states,
+        # in batches of 1, 3, 64 and 65 locations that span the states:
+        # every location's discard, cycles and steps, and every state's
+        # grid, must be those of the same locations run one by one
+        # through build_program and execute
+        layout = plan_layout(read_length)
+        rng = random.Random(7 + read_length)
+        genome = synth_genome(3 * TILE_STRIDE + FRAGMENT_ROWS + 50, rng)
+        tiles = partition(len(genome))[:3]
+        locations = [(rng.randrange(3), FRAGMENT_ROWS * rng.randrange(64) + r0, random_counts(rng, read_length))
+                     for r0 in range(FRAGMENT_ROWS)]
+        rng.shuffle(locations)
+
+        def states():
+            out = [CrossbarState() for _ in tiles]
+            for state, tile in zip(out, tiles):
+                load_tile(state, layout, genome, tile, read_length // 2, EVERY_PAIR)
+            return out
+
+        alone = states()
+        want = []
+        for t, offset, counts in locations:
+            res = interpreted(alone[t], layout, counts, offset)
+            want.append((res.readout[0], res.compute_cycles, res.init_cycles, dict(res.steps)))
+        for size in (1, 3, 64, 65):
+            batched, results = states(), []
+            for n, (t, offset, counts) in enumerate(locations):
+                if n % size == 0:
+                    batch = kernel.Batch()
+                results.append(run_kernel(batched[t], layout, counts, offset, batch=batch))
+            assert [(res.discard, res.compute_cycles, res.init_cycles, dict(res.steps)) for res in results] == want
+            assert [state.cols for state in batched] == [state.cols for state in alone], size
 
 
 class TestLaneGroup:
@@ -648,23 +708,28 @@ class TestLaneGroup:
         # compile to one run function, with no `~` (so no negative value); a
         # pass that stops fusing, folding or banding shows here as more
         # lines. The group's function is the input pack, 497 template
-        # lines on lane locals and 232 of tails, lane loads and stores.
-        # The stores a body block holds back move, line for line, to its
-        # write-back function w, which first unpacks the locals f returns:
-        # one `return`, `def w` and unpack line more per body block
+        # lines on lane locals and 232 of tails, lane loads and stores
         group, rest = _body()
         phase = build_program(plan_layout(100), 137, oracle.BaseCounts(100, 0, 0, 0)).blocks[0]
-        codes = [block._source() for block in (phase, group, rest)]
-        sources = [code.text for code in codes]
+        sources = [block._source() for block in (phase, group, rest)]
         assert not any("~" in src for src in sources)
-        assert [len(src.splitlines()) - 1 for src in sources] == [14, 730 + 3, 704 + 3]
-        assert "def w" not in sources[0] and not codes[0].held
-        for code in codes[1:]:
-            run, write_back = code.text.split("\ndef w(g, v):\n")
-            assert run.splitlines()[-1].startswith("    return (")
-            assert len(write_back.splitlines()) == 1 + len(code.held)
+        assert [len(src.splitlines()) - 1 for src in sources] == [14, 730, 704]
         template = [line for line in sources[1].splitlines() if re.match(r"    l\d+ ", line)]
         assert len(template) == 1 + 497
+        # as lanes of locations, the body is one function per unit, the
+        # same text for any number of lanes: no constant is spelled out,
+        # each is a name bound per lane count. Past its def, K unpack and
+        # return lines, the template keeps its 497 lines, each tail is its
+        # 8 Inits and 16 moves, and steps 6-13, on a byte per lane, have
+        # no load or store line
+        units = kernel._lanes()._units
+        assert [(unit.fmt, n) for unit, n in units] == [((ROWS, 0, ROWS), 4)] + [((ROWS, 0, ROWS), 1)] * 4 \
+            + [((8, FRAGMENT_ROWS, 4), 1)]
+        texts = [unit.text for unit, _ in units]
+        assert not any("~" in text or "0x" in text for text in texts)
+        assert [len(text.splitlines()) - 3 for text in texts] == [497] + [24] * 4 + [556]
+        assert len(texts[-1].splitlines()) - 3 == len(sources[2].splitlines()) - 1 - len(
+            [line for line in sources[2].splitlines() if re.match(r"    (c\d+ = g\[|g\[)", line)])
 
     def test_matches_the_spans_run_as_separate_blocks(self):
         # every row phase, from a random grid: the group and the eight
