@@ -289,16 +289,24 @@ class _Unit:
     (column, live-in rows) of its parameters, `stores` the (column,
     written rows) of the values run returns, and constants(n) the value
     of each name in K: its one-lane value repeated in n lanes. A column
-    in neither `known` (default: every column it does not read before
-    writing, as 0) nor `loads` is never read."""
+    it does not read before writing starts known to hold 0, and one in
+    `known` to hold that value; any other is a parameter. The unit's
+    `known` holds the values the ops leave known.
 
-    def __init__(self, ops, known=None, var="c"):
+    With `fold` = (rows, spans), the ops touch only `rows` (_fold) and
+    run on whole columns, each lane holding `spans` copies of them, copy
+    x at rows r + x: a constant is bound as (value & rows) in every
+    copy. The copies are disjoint, so every op acts on each copy alone."""
+
+    def __init__(self, ops, known=None, var="c", fold=None):
         _, live, written = _dataflow(ops)
-        lo, width = _band(ops)
+        lo, width = _band(ops) if fold is None else (0, ROWS)
         self.fmt = (_BAND_ROWS if width <= _BAND_ROWS else ROWS, lo, width)
-        known = {k: 0 for k in range(COLS) if not live[k]} if known is None else known
-        src = _Source(known=known, band=(lo, width), var=var, consts={})
+        src = _Source(known={**{k: 0 for k in range(COLS) if not live[k]}, **(known or {})},
+                      band=(lo, width), var=var, consts={})
         src.ops(ops)
+        self.known = src.known
+        self.fold = (_ROW_MASK, 1) if fold is None else fold
         self.stores = tuple((k, rows) for k, rows in enumerate(written) if rows)
         self.text = src.function([k for k, _ in self.stores])
         self.loads = tuple((k, live[k]) for k in src.loads)
@@ -309,8 +317,30 @@ class _Unit:
         self.run = namespace["f"]
 
     def constants(self, n):
-        repeat = _repeat(self.fmt[0], n)
-        return tuple(v * repeat for v in self.consts)
+        rows, spans = self.fold
+        # the copies of `rows` are disjoint, so the product has no carry
+        repeat = _repeat(self.fmt[0], n) * ((1 << spans) - 1)
+        return tuple((v & rows) * repeat for v in self.consts)
+
+
+def _fold(ops, n):
+    """(cut, rows): the first Init of ops, or else their end, from which
+    the rows that the rest touch (_dataflow's live-in and written rows),
+    shifted by 0..n-1, are n disjoint sets inside ROWS rows, and those
+    rows. So n copies of the rest can share one whole-column lane."""
+    for cut in [i for i, op in enumerate(ops) if op.__class__ is Init] + [len(ops)]:
+        _, live, written = _dataflow(ops[cut:])
+        rows = 0
+        for k in range(COLS):
+            rows |= live[k] | written[k]
+        copies = 0
+        for x in range(n):
+            if copies & rows << x:
+                break
+            copies |= rows << x
+        else:
+            if copies <= _ROW_MASK:
+                return cut, rows
 
 
 def _repeat(stride, n):
@@ -341,17 +371,27 @@ class Lanes:
     cells and readout that running the blocks on that grid leaves.
 
     Each block runs as lane code compiled once (_Unit), whatever B is: a
-    Block on its own format; a LaneGroup as its template over
-    len(pairs) * B lanes, span x of lane j in lane x * B + j, then each
-    tail over B lanes. Each parameter of a unit is gathered, row by row
-    of the rows the unit reads before writing them, from the last unit
-    run before it that wrote the row, or else from the captures, and
-    converted to the unit's format. A tail takes the template-written
-    rows from its own span's lanes: the proof of the LaneGroup shows that
-    a tail reads no cell another tail writes and writes none a span uses.
-    So every unit reads what it reads in a run of the blocks. write_back
-    stores each unit's written rows in run order (the template as its
-    last span), so each cell takes its last writer's value.
+    Block on its own format; a LaneGroup of n = len(pairs) spans as its
+    template up to its fold's cut (_fold) over n * B lanes, span x of
+    lane j in lane x * B + j, then the rest of the template over B
+    lanes, span x of lane j at rows r + x of lane j (starting from the
+    columns the first part leaves known), then each tail over B lanes.
+    The rest touches only the fold's rows, whose n shifts are disjoint
+    and inside the column, and each of its constants is bound as its
+    value on those rows in every span, so each op acts on each span
+    alone, as over n * B lanes. A template with no cut folds at its
+    end, with an empty rest. Each parameter of a unit is gathered, row
+    by row of the rows the unit reads before writing them, from the last
+    unit run before it that wrote the row, or else from the captures,
+    and converted to the unit's format; a parameter of the rest is the
+    OR over x of span x's rows shifted by x. A tail takes the
+    template-written rows from its own span's lanes and row shift: the
+    proof of the LaneGroup shows that a tail reads no cell another tail
+    writes and writes none a span uses. So every unit reads what it
+    reads in a run of the blocks. write_back stores each unit's written
+    rows in run order (the template as its last span: lanes from
+    (n - 1) * B, then row shift n - 1), so each cell takes its last
+    writer's value.
 
     One more function, `_run`, compiled once like the units, gathers,
     runs the units and splits the read bits; the lane counts and masks
@@ -369,14 +409,14 @@ class Lanes:
             else:
                 fmt, expr = (ROWS, 0, ROWS), f"g[{k}] & {hex(rows)}"
             capture.append(expr)
-            layers[k] = [((None, i, fmt, 0), rows)]
+            layers[k] = [((None, i, fmt, 0, 0), rows)]
         for block in blocks:
             if isinstance(block, LaneGroup):
                 self._group(block, layers)
             else:
                 unit = _Unit(block.ops)
                 self._written(self._call(unit, 1, [[self._gather(layers.get(k, []), rows, unit.fmt)]
-                                                   for k, rows in unit.loads]), 0, layers)
+                                                   for k, rows in unit.loads]), layers)
         self._stores = []  # per column, the unit rows write_back stores, in run order
         for k, stack in layers.items():
             written = [layer for layer in stack if layer[0][0] is not None]
@@ -395,41 +435,57 @@ class Lanes:
         self.capture, self._run = namespace["capture"], namespace["run"]
 
     def _group(self, group, layers):
-        """The units of a LaneGroup: its template over its spans' lanes,
-        then its tails, each reading the template-written rows from its
-        span's lanes."""
+        """The units of a LaneGroup: its template up to its fold's cut
+        (_fold) over its spans' lanes, the rest of it over B lanes with
+        span x at row shift x, then its tails, each reading the
+        template-written rows from its span's lanes."""
         n, k0 = len(group._pairs), group._inputs[0]
-        template = _Unit(group._pairs[0][0], known={k: 0 for k in range(COLS) if k != k0}, var="l")
-        ((_, live),) = template.loads
-        t = self._call(template, n, [[self._gather(layers.get(k, []), live, template.fmt)
-                                      for k in group._inputs]])
-        spans = {k: (i, rows) for i, (k, rows) in enumerate(template.stores)}
-        self._written(t, n - 1, layers)
+        template = group._pairs[0][0]
+        cut, rows = _fold(template, n)
+        first = _Unit(template[:cut], known={k: 0 for k in range(COLS) if k != k0}, var="l")
+        p = self._call(first, n, [[self._gather(layers.get(k, []), live, first.fmt) for k in group._inputs]
+                                  for _, live in first.loads])
+        # the rest starts from the columns the first part leaves known,
+        # but for the input, which it reads from the spans' own columns
+        rest = _Unit(template[cut:], known={k: v for k, v in first.known.items() if k != k0}, var="l",
+                     fold=(rows, n))
+        inputs = [layers.get(k, []) for k in group._inputs]
+        q = self._call(rest, 1, [[self._gather((inputs[x] if k == k0 else []) + self._span(x, k, (p,)), live,
+                                               rest.fmt) for x in range(n)] for k, live in rest.loads])
+        self._written(p, layers, n - 1)
+        self._written(q, layers, n - 1)
         for x, (tail, _) in enumerate(group._tails):
             unit = _Unit(tail)
-            params = []
-            for k, rows in unit.loads:
-                stack = layers.get(k, [])
-                if k in spans:
-                    i, written = spans[k]
-                    stack = [*stack, ((t, i, template.fmt, x), written)]
-                params.append([self._gather(stack, rows, unit.fmt)])
-            self._written(self._call(unit, 1, params), 0, layers)
+            self._written(self._call(unit, 1, [[self._gather(layers.get(k, []) + self._span(x, k, (p, q)), live,
+                                                             unit.fmt)] for k, live in unit.loads]), layers)
 
-    def _written(self, u, offset, layers):
-        """Put the rows unit u writes on top of their columns' layers, as
-        its lanes from `offset` * B."""
+    def _layers(self, u, x=0):
+        """(column, layer) of each store of unit u, as span x holds it:
+        lanes from x * B of a unit over every span, row shift x of one
+        that folds them."""
         unit = self._units[u][0]
-        for i, (k, rows) in enumerate(unit.stores):
-            layers.setdefault(k, []).append(((u, i, unit.fmt, offset), rows))
+        at = (0, x) if unit.fold[1] > 1 else (x, 0)
+        return [(k, ((u, i, unit.fmt, *at), rows)) for i, (k, rows) in enumerate(unit.stores)]
+
+    def _span(self, x, k, units):
+        """The layers of column k that the template units `units` write,
+        as span x holds them."""
+        return [layer for u in units for c, layer in self._layers(u, x) if c == k]
+
+    def _written(self, u, layers, x=0):
+        """Put the rows unit u writes on top of their columns' layers, as
+        span x holds them."""
+        for k, layer in self._layers(u, x):
+            layers.setdefault(k, []).append(layer)
 
     def _call(self, unit, n, params):
         """Add the lines of _run that run `unit` over n * B lanes, each
-        parameter the OR of its gathers, gather x moved to lanes x * B..;
-        the unit's index."""
+        parameter the OR of its gathers, gather x moved to lanes x * B..,
+        or to row shift x in a unit that folds spans; the unit's index."""
         u = len(self._units)
         self._units.append((unit, n))
-        args = "".join(", " + " | ".join(f"({expr}) << {unit.fmt[0] * x} * B" if x else expr
+        fold = unit.fold[1] > 1
+        args = "".join(", " + " | ".join(f"({expr}) << {x if fold else f'{unit.fmt[0] * x} * B'}" if x else expr
                                          for x, expr in enumerate(gathers)) for gathers in params)
         self._lines.append(f"u{u} = f{u}(r.append, K{u}{args})")
         if unit.reads:
@@ -443,11 +499,12 @@ class Lanes:
     def _gather(self, stack, need, fmt):
         """The expression of a column's rows `need` in format fmt over B
         lanes, each row from the top layer of `stack` that holds it; 0
-        where none does. Rows from whole columns onto a band are ORed on
-        the whole columns, then moved to a byte per lane at once."""
+        where none does. A layer of unit u is its lanes from o * B, at row
+        shift x. Rows from whole columns onto a band are ORed on the whole
+        columns, then moved to a byte per lane at once."""
         stride, lo, _ = fmt
         exprs, moved = [], []
-        for (u, i, (s, l, w), o), rows in reversed(stack):
+        for (u, i, (s, l, w), o, x), rows in reversed(stack):
             take = rows & need
             if not take:
                 continue
@@ -459,10 +516,11 @@ class Lanes:
                 else:
                     exprs.append(f"pack([(v << {l} & {hex(take)}) >> {lo} for v in c{i}], {stride})")
             elif (s, l) == (stride, lo) or (s, stride) == (ROWS, _BAND_ROWS):
-                value = f"u{u}[{i}]" + (f" >> {s * o} * B" if o else "") + f" & {self._mask(s, take >> l)}"
+                at = [f"{s * o} * B"] * bool(o) + [str(x)] * bool(x)
+                value = f"u{u}[{i}]" + (f" >> {' + '.join(at)}" if at else "") + f" & {self._mask(s, take >> l)}"
                 (exprs if s == stride else moved).append(value)
             else:
-                exprs.append(f"pack([((u{u}[{i}] >> {s} * ({o} * B + j) & {hex((1 << w) - 1)}) << {l}"
+                exprs.append(f"pack([((u{u}[{i}] >> {s} * ({o} * B + j) + {x} & {hex((1 << w) - 1)}) << {l}"
                              f" & {hex(take)}) >> {lo} for j in range(B)], {stride})")
         if moved:
             exprs.append(f"from_bytes((({' | '.join(moved)}) >> {lo}).to_bytes(16 * B, 'little')[::16], 'little')")
@@ -495,8 +553,8 @@ class LaneRun:
         outs, B = self.outs, self.B
         for k, stack in self.lanes._stores:
             v = g[k]
-            for (u, i, (s, lo, w), o), rows in stack:
-                v = v & (_ROW_MASK ^ rows) | (outs[u][i] >> s * (o * B + j) & (1 << w) - 1) << lo & rows
+            for (u, i, (s, lo, w), o, x), rows in stack:
+                v = v & (_ROW_MASK ^ rows) | (outs[u][i] >> s * (o * B + j) + x & (1 << w) - 1) << lo & rows
             g[k] = v
 
 

@@ -185,10 +185,11 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     Decisions come back in (tile index, queue order); every non-overflow
     location is decided by the in-crossbar kernel, overflow locations are
     marked passthrough. The kernel's locations run in batches (Batch) of
-    up to 64, across tiles, whose bodies run as lanes of one pass; a
-    batch runs when it is full and at the end. With `verify_oracle` each
-    kernel decision is also checked against the golden model and
-    mismatches are counted. An edit threshold outside 0..read_length,
+    up to 256, across tiles, whose bodies run as lanes of one pass (four
+    lanes a location for the popcount tree's first two levels, one from
+    there: crossbar.Lanes); a batch runs when it is full and at the end.
+    With `verify_oracle` each kernel decision is also checked against
+    the golden model and mismatches are counted. An edit threshold outside 0..read_length,
     or a read holding a non-base, passthrough or not, raises ValueError;
     only the reads the kernel decides get a histogram.
     """

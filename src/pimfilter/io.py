@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .oracle import BASES, edit_distance
+from .oracle import BASES, within_edits
 
 MAX_POSITION = 2**32 - 1
 _DROP_ACGT = str.maketrans("", "", "ACGT")  # what is left is not a base
@@ -219,9 +219,10 @@ def mutate_read(window, max_edits, rng):
     """A read within `max_edits` Levenshtein distance of `window`.
 
     Applies substitutions, insertions, and deletions while keeping the
-    read length fixed, then certifies the distance; if the length
-    bookkeeping pushed it over, falls back to substitutions only (each
-    changes the distance by at most one).
+    read length fixed, then certifies the distance on the band of the
+    table that a distance of at most max_edits uses (within_edits); if
+    the length bookkeeping pushed it over, falls back to substitutions
+    only (each changes the distance by at most one).
     """
     n = len(window)
     if max_edits == 0:
@@ -243,7 +244,7 @@ def mutate_read(window, max_edits, rng):
         return "".join(read)
 
     read = apply_ops(subs_only=False)
-    if edit_distance(read, window) <= max_edits:
+    if within_edits(read, window, max_edits):
         return read
     return apply_ops(subs_only=True)
 

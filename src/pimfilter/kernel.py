@@ -38,15 +38,19 @@ cycle report; its ops (build_program) are built only for a trace.
 
 The body runs as the arrays of the paper run it: many locations in
 lockstep. A location's run captures the cells its body reads and joins
-a batch (Batch) of up to _BATCH locations, over any tiles; the batch
-runs the body once for all of them, each location a lane of the body's
-code, compiled once for any batch size (crossbar.Lanes). The body's
-stores wait on each state until its grid is read, and the next
-location's replace them, as in the array, where the scratch of one
-location stays unread until the next overwrites it. A proof made once
-(_lanes, and _Shape proof (f)) shows this exact: the decisions, cycles
-and cells are those of running the locations one by one, and the grid
-is exact whenever it is read (CrossbarState.cols).
+a batch (Batch) of up to _BATCH = 256 locations, over any tiles; the
+batch runs the body once for all of them, each location a lane of the
+body's code, compiled once for any batch size (crossbar.Lanes). The
+four popcounts of a location take four lanes for the tree's first two
+levels and fold into one from its third level on, where only every
+fourth row is live, each base at its own row shift; so a batch of 256
+pays less per location than one of 64, and a call of 200 locations is
+one pass. The body's stores wait on each state until its grid is read,
+and the next location's replace them, as in the array, where the
+scratch of one location stays unread until the next overwrites it. A
+proof made once (_lanes, and _Shape proof (f)) shows this exact: the
+decisions, cycles and cells are those of running the locations one by
+one, and the grid is exact whenever it is read (CrossbarState.cols).
 
 Per-step compute cycles at read length 100, against the step budgets:
 
@@ -230,29 +234,34 @@ def build_program(layout, offset, counts):
     and are the program's head, written here without a builder. Step 1
     is four host writes, one per read count, each shared by every
     location with that count in that lane (_count_write); step 2 is an
-    Init and NOTs. Every other op depends at most on the rows the window
-    covers: step 3 and a short read's bitmap zeroing are one proved Block
-    per window shape (_phase), followed by the blocks of the shared body
-    of steps 4-13 (_body). run_kernel runs none of these ops: it runs a
-    location as the code compiled from its shape's program (_Shape), and
-    builds the program only when a trace or a test reads its ops. The
-    program reads only the window's fragment columns and the threshold,
-    so a tile needs only those fragments stored (genome.load_tile).
+    Init and NOTs (_copy). Every other op depends at most on the rows
+    the window covers: step 3 and a short read's bitmap zeroing are one
+    proved Block per window shape (_phase), followed by the blocks of
+    the shared body of steps 4-13 (_body). run_kernel runs none of these
+    ops: it runs a location as the code compiled from its shape's
+    program (_Shape), and builds the program only when a trace or a test
+    reads its ops. The program reads only the window's fragment columns
+    and the threshold, so a tile needs only those fragments stored
+    (genome.load_tile).
     """
-    L = layout
-    n = L.read_length
-    ranges = window_row_ranges(offset, n)
-    # Step 1: host write of the four read counts, two cycles per value.
-    # Step 2: inverted copy of the window into the P column pair. The
-    # window may span two fragments, one NOT per bit column per fragment.
-    head = (
-        ("1", [_count_write(base, count) for base, count in zip(BASES, counts)]),
-        ("2", [Init(tuple((rng, L.p_cols) for _, rng in ranges)),
-               *(NorRow((2 * pair + i,), L.p_cols[i], rng) for pair, rng in ranges for i in (0, 1))]),
-    )
+    # Step 1: host write of the four read counts, two cycles per value;
+    # step 2: the window's inverted copy
+    copy, rows = _copy(layout, offset)
+    head = (("1", [_count_write(base, count) for base, count in zip(BASES, counts)]), ("2", copy))
     # a full-length window covers every row, whatever its phase
-    spans = (range(0, FRAGMENT_ROWS),) if n == FRAGMENT_ROWS else tuple(rng for _, rng in ranges)
+    spans = (range(0, FRAGMENT_ROWS),) if layout.read_length == FRAGMENT_ROWS else rows
     return MicroProgram(head, (_phase(spans), *_body()))
+
+
+def _copy(layout, offset):
+    """Step 2 at `offset`, the inverted copy of the window into the P
+    column pair (one Init, then one NOT per bit column per fragment the
+    window spans), and the row ranges the window covers."""
+    ranges = window_row_ranges(offset, layout.read_length)
+    p_cols = layout.p_cols
+    ops = [Init(tuple((rng, p_cols) for _, rng in ranges)),
+           *(NorRow((2 * pair + i,), p_cols[i], rng) for pair, rng in ranges for i in (0, 1))]
+    return ops, tuple(rng for _, rng in ranges)
 
 
 def _check_counts(counts):
@@ -280,7 +289,8 @@ def _body():
     differ only in the bitmap column they count, so they run as four
     lanes of one compiled pass, and each step-5 step then stages its own
     lane's result. Steps 6-13 are one Block. Locations run both as lanes
-    of one pass (_lanes).
+    of one pass (_lanes), the popcounts folded into one lane a location
+    from the tree's third level (crossbar._fold).
     """
     L = plan_layout()
     lanes = tuple(L.lane_rows[b] for b in BASES)
@@ -498,11 +508,12 @@ class _Shape:
     offset of the phase in 0..TILE_STRIDE:
 
     (a) the head is init-dominated, so no strict check can fail in it;
-    (b) the program at each offset has the same step-1 ops and the same
-        blocks as at pair 0, and its step 2 is built as pair 0's with the
-        columns it reads (its sources) renamed k -> k + s (_spec: ops
-        built alike lower alike, and pair 0's are lowered and checked, so
-        no op at another offset needs lowering);
+    (b) at each offset, step 2 (_copy) is built as pair 0's with the
+        columns it reads (its sources) renamed k -> k + s, over the same
+        rows (_spec: ops built alike lower alike, and pair 0's are
+        lowered and checked, so no op at another offset needs lowering);
+        step 1 depends on the counts alone and the blocks on those rows
+        alone (build_program), so they are pair 0's too;
     (c) every source column stays below genome_cols;
     (d) step 2 is one Init, then NorRows whose inputs are sources, so
         each column it writes takes, on the rows the Init sets, the NOR
@@ -533,6 +544,7 @@ class _Shape:
             raise ValueError("the blocks after the phase block are not the body")
         if any(map(int.__and__, _dataflow(self.phase.ops)[1], held)):
             raise ValueError("the phase block reads a cell the body holds back")
+        window = _copy(layout, phase)[1]
         live = _dataflow(copy)[1]
         sources = [k for k, rows in enumerate(live) if rows]
         specs = [_spec(op, {}) for op in copy]
@@ -542,10 +554,9 @@ class _Shape:
                 raise ValueError(f"the window at offset {offset} reads past the stored slice")
             if any(live[k] & held[k + s] for k in sources):
                 raise ValueError(f"the head at offset {offset} reads a cell the body holds back")
-            other = build_program(layout, offset, counts)
-            (_, w), (_, c) = other.head
+            c, rows = _copy(layout, offset)
             rename = {k + s: k for k in sources}
-            if other.blocks != self.blocks or w != writes or [_spec(op, rename) for op in c] != specs:
+            if rows != window or [_spec(op, rename) for op in c] != specs:
                 raise ValueError(f"the head at offset {offset} is not the head at offset "
                                  f"{phase} with its source columns renamed")
         slots, self.values = _count_values()
@@ -635,7 +646,7 @@ class _Location:
             emit(self.ops)
 
 
-_BATCH = 64  # most locations whose bodies run as lanes of one pass
+_BATCH = 256  # most locations whose bodies run as lanes of one pass
 
 
 class Batch:

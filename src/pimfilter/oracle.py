@@ -70,3 +70,30 @@ def edit_distance(a, b):
             ))
         prev = cur
     return prev[len(b)]
+
+
+def within_edits(a, b, k):
+    """True iff edit_distance(a, b) <= k, from the cells of its table on
+    the diagonal band |i - j| <= k alone.
+
+    A cell off the band is more than k indels from the origin, so it may
+    stand as k + 1; capping every value at k + 1 this way keeps each
+    value at most k exact, and a row with no value at most k ends the
+    search, since no value falls along a path.
+    """
+    n, m = len(a), len(b)
+    if abs(n - m) > k:
+        return False
+    over = k + 1
+    prev = [min(j, over) for j in range(m + 1)]
+    for i in range(1, n + 1):
+        lo, hi = max(1, i - k), min(m, i + k)
+        cur = [over] * (m + 1)
+        cur[0] = min(i, over)
+        ca = a[i - 1]
+        for j in range(lo, hi + 1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != b[j - 1]))
+        if min(cur[lo - 1:hi + 1]) > k:
+            return False
+        prev = cur
+    return prev[m] <= k

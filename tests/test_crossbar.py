@@ -25,6 +25,7 @@ from pimfilter.crossbar import (
     WriteExternal,
     _band,
     _dataflow,
+    _fold,
     _interpret,
     _lower,
     execute,
@@ -731,6 +732,35 @@ def late_span(k):
     return ops + [Init(((range(4), (12,)),)), NorRow((k, 31, 23), 12, range(4))]
 
 
+def fold_span(k):
+    """A template span on input column k whose ops from its second Init
+    touch only rows 0, 4 and 9: rows 0-7 of k inverted into column 10,
+    beside a column 13 of all 1s; then rows 0 and 4 of column 10 inverted
+    into column 11, row 4 of 11 moved into row 9 by a NorCol, and 13 read
+    by a gate into column 12."""
+    return [Init(((range(8), (10,)), (range(ROWS), (13,)))), NorRow((k,), 10, range(8)),
+            Init((((0, 4, 9), (11,)), ((0, 9), (12,)))), NorRow((10,), 11, (0, 4)),
+            NorCol((4,), 9, (11,)), NorRow((11, 13), 12, (0,)), NorRow((11,), 12, (9,))]
+
+
+def fold_tail(x):
+    """A tail that reads its span's rows from both sides of the cut."""
+    return [Init((((20 + x,), (11, 10)),)), NorCol((0, 9), 20 + x, (11,)), NorCol((5,), 20 + x, (10,)),
+            ReadCell(20 + x, 11), ReadCell(20 + x, 10), ReadCell(9, 12), ReadCell(0, 11)]
+
+
+def input_after_cut_span(k):
+    """A template span whose first part sets column 10 to 0 on rows 0-7
+    from constants alone, and whose rest, from its second Init, reads
+    its input column k for the first time, on rows 0 and 4."""
+    return [Init(((range(8), (10, 12)),)), NorRow((12,), 10, range(8)),
+            Init((((0, 4), (11,)),)), NorRow((k, 10), 11, (0, 4))]
+
+
+def read_tail(x):
+    return [ReadCell(0, 11), ReadCell(4, 11), ReadCell(0, 10)]
+
+
 def runs_like_its_spans_in_order(span, tail):
     """A LaneGroup of three (span, tail) pairs, on input columns 5-7, must
     run like its spans as separate blocks."""
@@ -751,7 +781,7 @@ def runs_like_its_spans_in_order(span, tail):
     # as lanes of many grids: span x of lane j in lane x * B + j, then
     # the tails, each on its own span's lanes
     lanes = Lanes([group])
-    for lane_count in (1, 3):
+    for lane_count in (1, 3, 64):
         grids = [snapshot_cols(rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)) for _ in range(lane_count)]
         wants = []
         for g in grids:
@@ -771,6 +801,18 @@ class TestLaneGroup:
         # at its end
         assert len(late_span(5)) > 64
         runs_like_its_spans_in_order(late_span, lambda x: stage_tail(x, 12))
+
+    def test_a_template_that_folds(self):
+        # from its second Init the template touches rows 0, 4 and 9 only,
+        # so as lanes its three spans share one lane from there, span x at
+        # row shift x; the tails read their span's rows from the lanes
+        # before the cut and from the shifted rows after it
+        assert _fold(lowered(fold_span(5)), 3) == (2, 1 | 1 << 4 | 1 << 9)
+        assert _fold(lowered(fold_span(5)), 6) == (7, 0)  # shifted by 5, row 4 meets row 9
+        runs_like_its_spans_in_order(fold_span, fold_tail)
+        # a rest that reads the input column the first part never read
+        assert _fold(lowered(input_after_cut_span(5)), 3) == (2, 1 | 1 << 4)
+        runs_like_its_spans_in_order(input_after_cut_span, read_tail)
 
     @pytest.mark.parametrize("pairs,match", [
         # a template that reads a second column before writing it

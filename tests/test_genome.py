@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimfilter import genome as genome_mod
-from pimfilter import oracle
-from pimfilter.crossbar import COLS, ROWS, CrossbarState
+from pimfilter import kernel, oracle
+from pimfilter.crossbar import COLS, ROWS, CrossbarState, execute
 from pimfilter.genome import (
     load_tile,
     partition,
@@ -19,7 +19,7 @@ from pimfilter.genome import (
     tile_count,
 )
 from pimfilter.io import CandidateRecord, mutate_read, synth_fixture, synth_genome
-from pimfilter.kernel import FRAGMENT_ROWS, FRAGMENTS_PER_TILE, TILE_SPAN, TILE_STRIDE, encode_base
+from pimfilter.kernel import FRAGMENT_ROWS, FRAGMENTS_PER_TILE, TILE_SPAN, TILE_STRIDE, build_program, encode_base
 
 from grid import load_grid, snapshot
 
@@ -356,6 +356,43 @@ class TestRunFilter:
         assert fragments == run()
         assert fragments[1].oracle_mismatches == 0
         assert {d.verdict for d in fragments[0]} == {"keep", "discard"}
+
+    @pytest.mark.parametrize("read_length", [100, 1])
+    def test_a_call_past_the_batch_cap_runs_like_one_location_at_a_time(self, monkeypatch, read_length):
+        # 330 locations over 3 tiles, none capped: one batch fills to the
+        # cap and a second takes the rest, each spanning the tiles. The
+        # decisions, stats and every tile's grid must be those of the same
+        # call with each location run alone, as its interpreted program
+        rng = random.Random(300 + read_length)
+        genome = synth_genome(3 * TILE_STRIDE + FRAGMENT_ROWS, rng)
+        cands = []
+        for i in range(330):
+            p = rng.randrange(3 * TILE_STRIDE)
+            read = list(genome[p:p + read_length])
+            for _ in range(rng.randrange(3) if i % 2 else read_length):
+                read[rng.randrange(read_length)] = rng.choice("ACGT")
+            cands.append(CandidateRecord(f"r{i}", "".join(read), p))
+
+        def run():
+            states, sizes = [], []
+            monkeypatch.setattr(genome_mod, "CrossbarState", lambda: states.append(CrossbarState()) or states[-1])
+            real = kernel.Batch.run
+            monkeypatch.setattr(kernel.Batch, "run", lambda self: sizes.append(len(self.captures)) or real(self))
+            res = run_filter(genome, cands, eth=read_length // 40, read_length=read_length, iter_factor=0,
+                             verify_oracle=True)
+            return res.decisions, res.stats, [state.cols for state in states], [n for n in sizes if n]
+
+        def alone(state, layout, counts, offset, strict=True, trace=None, batch=None):
+            res = execute(build_program(layout, offset, counts), state, strict=strict, trace=trace)
+            return kernel.KernelResult(res.readout, None, res.compute_cycles, res.init_cycles, res.steps)
+
+        batched = run()
+        monkeypatch.setattr(genome_mod, "run_kernel", alone)
+        one_by_one = run()
+        assert batched[:3] == one_by_one[:3]
+        assert batched[3] == [kernel._BATCH, 330 - kernel._BATCH] and one_by_one[3] == []
+        assert len(batched[2]) == 3 and batched[1].oracle_mismatches == 0
+        assert {d.verdict for d in batched[0]} == {"keep", "discard"}
 
     @pytest.mark.parametrize("eth,read_length", [(-3, 100), (101, 100), (500, 100), (65, 64), (2, 1)])
     def test_an_edit_threshold_out_of_range_raises_before_any_tile_loads(self, monkeypatch, eth, read_length):

@@ -472,24 +472,29 @@ class TestCompiledLocations:
 
     def test_a_head_that_fails_the_proof_raises(self, monkeypatch):
         layout = plan_layout(64)
-        real = kernel.build_program
+        real = kernel._copy
 
-        def shifted(layout, offset, counts):
+        def shifted(layout, offset):
             # the window one pair to the left, except at pair 0
-            return real(layout, offset - FRAGMENT_ROWS if offset >= 2 * FRAGMENT_ROWS else offset, counts)
+            return real(layout, offset - FRAGMENT_ROWS if offset >= 2 * FRAGMENT_ROWS else offset)
 
-        def bare(layout, offset, counts):
+        def bare(layout, offset):
             # step 2 without its Init
-            prog = real(layout, offset, counts)
-            (one, writes), (two, copy) = prog.head
-            return dataclasses.replace(prog, head=((one, writes), (two, copy[1:])))
+            copy, rows = real(layout, offset)
+            return copy[1:], rows
+
+        def moved(layout, offset):
+            # the window's rows one row down, except at pair 0
+            copy, rows = real(layout, offset)
+            return copy, rows if offset < FRAGMENT_ROWS else tuple(range(r.start + 1, r.stop + 1) for r in rows)
 
         for fake, match in ((shifted, "offset 250 is not the head at offset 50"),
-                            (bare, "not init-dominated")):
-            monkeypatch.setattr(kernel, "build_program", fake)
+                            (bare, "not init-dominated"),
+                            (moved, "offset 150 is not the head at offset 50")):
+            monkeypatch.setattr(kernel, "_copy", fake)
             with pytest.raises(ValueError, match=match):
                 kernel._Shape(layout, 50)
-        monkeypatch.setattr(kernel, "build_program", real)
+        monkeypatch.setattr(kernel, "_copy", real)
         assert callable(kernel._Shape(layout, 50).head)
 
 
@@ -703,6 +708,19 @@ class TestLaneGroup:
             lines += len(src.lines)
         assert lines == 28
 
+    def test_the_popcounts_fold_from_the_third_tree_level(self):
+        # from op 105 of 388, the Init of the tree's third level, the
+        # template touches only rows 0, 4, ..., 96 and the ones row 105,
+        # so its four spans share one lane from there; from the second
+        # level's Init (op 59) every other row is still live
+        template = _body()[0].steps[0][1]
+        inits = [i for i, op in enumerate(template) if op.__class__ is Init]
+        rows = sum(1 << r for r in range(0, FRAGMENT_ROWS, 4)) | 1 << plan_layout().ones_row
+        assert len(template) == 388 and inits[:4] == [0, 2, 59, 105]
+        assert crossbar._fold(template, 4) == (105, rows)
+        assert crossbar._fold(template[59:], 4)[0] == 105 - 59
+        assert kernel._lanes()._units[1][0].fold == (rows, 4)
+
     def test_each_block_is_one_function_of_pinned_length(self):
         # the read-length-100 phase block and the body's two blocks each
         # compile to one run function, with no `~` (so no negative value); a
@@ -719,15 +737,19 @@ class TestLaneGroup:
         # as lanes of locations, the body is one function per unit, the
         # same text for any number of lanes: no constant is spelled out,
         # each is a name bound per lane count. Past its def, K unpack and
-        # return lines, the template keeps its 497 lines, each tail is its
-        # 8 Inits and 16 moves, and steps 6-13, on a byte per lane, have
-        # no load or store line
+        # return lines, the template splits at its fold's cut into 33
+        # lines over four lanes a location and 445 over one (the columns
+        # the first part leaves known stay folded in, and the Inits of
+        # columns the rest reads nothing of before writing need no line),
+        # each tail is its 8 Inits and 16 moves, and steps 6-13, on a byte
+        # per lane, have no load or store line
         units = kernel._lanes()._units
-        assert [(unit.fmt, n) for unit, n in units] == [((ROWS, 0, ROWS), 4)] + [((ROWS, 0, ROWS), 1)] * 4 \
-            + [((8, FRAGMENT_ROWS, 4), 1)]
+        assert [(unit.fmt, n, unit.fold[1]) for unit, n in units] == \
+            [((ROWS, 0, ROWS), 4, 1), ((ROWS, 0, ROWS), 1, 4)] + [((ROWS, 0, ROWS), 1, 1)] * 4 \
+            + [((8, FRAGMENT_ROWS, 4), 1, 1)]
         texts = [unit.text for unit, _ in units]
         assert not any("~" in text or "0x" in text for text in texts)
-        assert [len(text.splitlines()) - 3 for text in texts] == [497] + [24] * 4 + [556]
+        assert [len(text.splitlines()) - 3 for text in texts] == [33, 445] + [24] * 4 + [556]
         assert len(texts[-1].splitlines()) - 3 == len(sources[2].splitlines()) - 1 - len(
             [line for line in sources[2].splitlines() if re.match(r"    (c\d+ = g\[|g\[)", line)])
 

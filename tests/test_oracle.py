@@ -13,6 +13,7 @@ from pimfilter.oracle import (
     edit_distance,
     histogram,
     should_discard,
+    within_edits,
 )
 
 seqs = st.text(alphabet="ACGT", max_size=40)
@@ -108,6 +109,41 @@ class TestEditDistance:
     @settings(max_examples=150, deadline=None)
     def test_matches_recursive_reference(self, a, b):
         assert edit_distance(a, b) == reference_distance(a, b)
+
+
+def edited(seq, data, edits):
+    """seq after up to `edits` drawn substitutions, insertions and
+    deletions."""
+    for _ in range(data.draw(st.integers(0, edits))):
+        i = data.draw(st.integers(0, len(seq)))
+        base = data.draw(st.sampled_from("ACGT"))
+        kind = data.draw(st.sampled_from(["sub", "ins", "del"]))
+        seq = seq[:i] + base + seq[i + (kind == "sub"):] if kind != "del" else seq[:i] + seq[i + 1:]
+    return seq
+
+
+class TestWithinEdits:
+    @given(seqs, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_full_table_on_every_bound(self, a, data):
+        # b is a few edits from a, or unrelated; every bound 0..25, so
+        # the pairs at the bound and one past it are among them
+        b = data.draw(seqs | st.just(a).map(lambda a: edited(a, data, 12)))
+        distance = edit_distance(a, b)
+        assert [within_edits(a, b, k) for k in range(26)] == [distance <= k for k in range(26)]
+        assert within_edits(b, a, distance) and (distance == 0 or not within_edits(a, b, distance - 1))
+
+    def test_a_read_of_length_100(self):
+        rng = random.Random(5)
+        for k in range(8):
+            window = "".join(rng.choice("ACGT") for _ in range(100))
+            read = list(window)
+            for _ in range(k):
+                read.insert(rng.randrange(100), rng.choice("ACGT"))
+                read.pop()
+            read = "".join(read)
+            distance = edit_distance(read, window)
+            assert [within_edits(read, window, j) for j in range(12)] == [distance <= j for j in range(12)]
 
 
 class TestSoundness:
