@@ -357,18 +357,19 @@ def _pack(values, stride):
 
 
 class Lanes:
-    """Blocks run once over the grids of many arrays, one lane each, as
-    many arrays run one program in lockstep.
+    """Blocks run once over many lanes, as many arrays run one program
+    in lockstep: lane j stands for the blocks run on one array's grid.
 
-    capture(g) reads from one grid the cells the blocks read before
-    writing them (`live`, from one _dataflow pass over their ops; `written`
-    holds the rows they write): per live column one int, its live rows,
-    shifted down to their band when they fit _BAND_ROWS rows. run(captures,
-    readouts) runs the blocks once over B = len(captures) lanes, lane j
-    standing for the blocks run on the grid that captures[j] came from: it
-    appends lane j's read bits to readouts[j] and returns a LaneRun, whose
-    write_back(g, j) makes lane j's stores on g. Lane j then leaves the
-    cells and readout that running the blocks on that grid leaves.
+    `inputs` lists, per column that the blocks read before writing it
+    (one _dataflow pass over their ops), (column, rows, fmt): its live-in
+    rows, and the format fmt = (stride, lo, width) of a _Unit that a
+    caller packs them in: a byte per lane, rows lo.. of the column, when
+    the rows fit _BAND_ROWS rows, else a whole column per lane.
+    run(values, readouts) runs the blocks once over B = len(readouts)
+    lanes, values[i] holding input i of every lane (lane j from bit
+    stride * j, shifted down by lo, with no bit off the input's rows:
+    _pack), and appends lane j's read bits to readouts[j]: those that
+    running the blocks on a grid holding lane j's inputs reads out.
 
     Each block runs as lane code compiled once (_Unit), whatever B is: a
     Block on its own format; a LaneGroup of n = len(pairs) spans as its
@@ -382,16 +383,13 @@ class Lanes:
     alone, as over n * B lanes. A template with no cut folds at its
     end, with an empty rest. Each parameter of a unit is gathered, row
     by row of the rows the unit reads before writing them, from the last
-    unit run before it that wrote the row, or else from the captures,
-    and converted to the unit's format; a parameter of the rest is the
-    OR over x of span x's rows shifted by x. A tail takes the
+    unit run before it that wrote the row, or else from the inputs, and
+    converted to the unit's format; a parameter of the rest is the OR
+    over x of span x's rows shifted by x. A tail takes the
     template-written rows from its own span's lanes and row shift: the
     proof of the LaneGroup shows that a tail reads no cell another tail
     writes and writes none a span uses. So every unit reads what it
-    reads in a run of the blocks. write_back stores each unit's written
-    rows in run order (the template as its last span: lanes from
-    (n - 1) * B, then row shift n - 1), so each cell takes its last
-    writer's value.
+    reads in a run of the blocks.
 
     One more function, `_run`, compiled once like the units, gathers,
     runs the units and splits the read bits; the lane counts and masks
@@ -399,17 +397,15 @@ class Lanes:
     """
 
     def __init__(self, blocks):
-        _, self.live, self.written = _dataflow([op for block in blocks for op in block.ops])
+        live = _dataflow([op for block in blocks for op in block.ops])[1]
         self._units, self._masks, self._lines = [], {}, []
-        capture, layers = [], {}
-        for i, (k, rows) in enumerate((k, rows) for k, rows in enumerate(self.live) if rows):
+        inputs, layers = [], {}
+        for i, (k, rows) in enumerate((k, rows) for k, rows in enumerate(live) if rows):
             lo = (rows & -rows).bit_length() - 1
-            if rows.bit_length() - lo <= _BAND_ROWS:
-                fmt, expr = (_BAND_ROWS, lo, _BAND_ROWS), f"g[{k}] >> {lo} & {hex(rows >> lo)}"
-            else:
-                fmt, expr = (ROWS, 0, ROWS), f"g[{k}] & {hex(rows)}"
-            capture.append(expr)
+            fmt = (_BAND_ROWS, lo, _BAND_ROWS) if rows.bit_length() - lo <= _BAND_ROWS else (ROWS, 0, ROWS)
+            inputs.append((k, rows, fmt))
             layers[k] = [((None, i, fmt, 0, 0), rows)]
+        self.inputs = tuple(inputs)
         for block in blocks:
             if isinstance(block, LaneGroup):
                 self._group(block, layers)
@@ -417,22 +413,14 @@ class Lanes:
                 unit = _Unit(block.ops)
                 self._written(self._call(unit, 1, [[self._gather(layers.get(k, []), rows, unit.fmt)]
                                                    for k, rows in unit.loads]), layers)
-        self._stores = []  # per column, the unit rows write_back stores, in run order
-        for k, stack in layers.items():
-            written = [layer for layer in stack if layer[0][0] is not None]
-            if written:
-                self._stores.append((k, written))
         names = [f"K{u}" for u in range(len(self._units))] + list(self._masks.values())
-        body = [*([f"({''.join(f'c{i}, ' for i in range(len(capture)))}) = zip(*caps)"] if capture else []),
+        body = [*([f"({''.join(f'c{i}, ' for i in range(len(inputs)))}) = values"] if inputs else []),
                 *([f"({''.join(n + ', ' for n in names)}) = P"] if names else []),
-                "r = []", *self._lines,
-                f"return ({''.join(f'u{u}, ' for u in range(len(self._units)))})"]
+                "r = []", *self._lines]
         namespace = {f"f{u}": unit.run for u, (unit, _) in enumerate(self._units)}
         namespace.update(pack=_pack, from_bytes=int.from_bytes)
-        text = "\n".join([_function("capture(g)", [f"return ({''.join(e + ', ' for e in capture)})"]),
-                          _function("run(caps, P, B, readouts)", body)])
-        exec(compile(text, "<lanes>", "exec"), namespace)
-        self.capture, self._run = namespace["capture"], namespace["run"]
+        exec(compile(_function("run(values, P, B, readouts)", body), "<lanes>", "exec"), namespace)
+        self._run = namespace["run"]
 
     def _group(self, group, layers):
         """The units of a LaneGroup: its template up to its fold's cut
@@ -500,7 +488,8 @@ class Lanes:
         """The expression of a column's rows `need` in format fmt over B
         lanes, each row from the top layer of `stack` that holds it; 0
         where none does. A layer of unit u is its lanes from o * B, at row
-        shift x. Rows from whole columns onto a band are ORed on the whole
+        shift x, and one of input i is c<i>, which holds only its rows.
+        Rows from whole columns onto a band are ORed on the whole
         columns, then moved to a byte per lane at once."""
         stride, lo, _ = fmt
         exprs, moved = [], []
@@ -509,18 +498,15 @@ class Lanes:
             if not take:
                 continue
             need &= ~take
-            if u is None:  # a capture: one int per lane
-                if (s, l) == (stride, lo):
-                    exprs.append(f"pack(c{i}, {stride})" +
-                                 (f" & {self._mask(stride, take >> lo)}" if take != rows else ""))
-                else:
-                    exprs.append(f"pack([(v << {l} & {hex(take)}) >> {lo} for v in c{i}], {stride})")
-            elif (s, l) == (stride, lo) or (s, stride) == (ROWS, _BAND_ROWS):
+            name = f"c{i}" if u is None else f"u{u}[{i}]"
+            if (s, l) == (stride, lo) or (s, stride) == (ROWS, _BAND_ROWS):
                 at = [f"{s * o} * B"] * bool(o) + [str(x)] * bool(x)
-                value = f"u{u}[{i}]" + (f" >> {' + '.join(at)}" if at else "") + f" & {self._mask(s, take >> l)}"
+                value = name + (f" >> {' + '.join(at)}" if at else "")
+                if u is not None or take != rows:
+                    value += f" & {self._mask(s, take >> l)}"
                 (exprs if s == stride else moved).append(value)
             else:
-                exprs.append(f"pack([((u{u}[{i}] >> {s} * ({o} * B + j) + {x} & {hex((1 << w) - 1)}) << {l}"
+                exprs.append(f"pack([(({name} >> {s} * ({o} * B + j) + {x} & {hex((1 << w) - 1)}) << {l}"
                              f" & {hex(take)}) >> {lo} for j in range(B)], {stride})")
         if moved:
             exprs.append(f"from_bytes((({' | '.join(moved)}) >> {lo}).to_bytes(16 * B, 'little')[::16], 'little')")
@@ -537,25 +523,9 @@ class Lanes:
         return (*(unit.constants(n * B) for unit, n in self._units),
                 *(rows * _repeat(stride, B) for stride, rows in self._masks))
 
-    def run(self, captures, readouts):
-        B = len(captures)
-        return LaneRun(self, self._run(captures, self._bind(B), B, readouts), B)
-
-
-class LaneRun:
-    """The values that one run of Lanes leaves, per unit, over B lanes."""
-
-    def __init__(self, lanes, outs, B):
-        self.lanes, self.outs, self.B = lanes, outs, B
-
-    def write_back(self, g, j):
-        """Make the stores of lane j on the grid g, in place."""
-        outs, B = self.outs, self.B
-        for k, stack in self.lanes._stores:
-            v = g[k]
-            for (u, i, (s, lo, w), o, x), rows in stack:
-                v = v & (_ROW_MASK ^ rows) | (outs[u][i] >> s * (o * B + j) + x & (1 << w) - 1) << lo & rows
-            g[k] = v
+    def run(self, values, readouts):
+        B = len(readouts)
+        self._run(values, self._bind(B), B, readouts)
 
 
 @dataclass
@@ -567,10 +537,10 @@ class MicroProgram:
     than one step, and steps in the head and in blocks alike. `ops` reads
     the whole program: the head's ops, then each block's. execute asks a
     program for its cycles (`cycles`), then runs it (`run`). A kernel
-    location (kernel.run_kernel) is a program of the same form whose head
-    runs as code compiled once per shape, whose body runs as lanes of a
-    batch, and whose head and ops are built only when something reads
-    them.
+    location (kernel.run_kernel) is a program of the same form that a
+    batch decides as a lane, that runs as its MicroProgram only when its
+    grid is read, and whose head and ops are built only when something
+    reads them.
     """
 
     head: tuple
@@ -660,28 +630,25 @@ class CrossbarState:
     bit off the array, and the compiled code (_Source) counts on it to
     clear bits with no negative value.
 
-    A kernel location (kernel._Location) runs its head on the list
-    itself, `_grid`, and leaves its body to a batch of locations
-    (kernel.Batch), `_pending`, which runs the body of every location in
-    it as lanes of one pass (Lanes). The batch leaves the stores of this
-    state's last location in it on the state, `_held`, as (LaneRun, lane);
-    the next location's replace them, which the body's proof shows exact
-    (kernel._lanes, kernel._Shape). Reading `cols` first runs the pending
-    batch, then makes the held stores, in the same list object.
+    A kernel location (kernel.run_kernel) does not run on the grid when
+    it is run: a batch of locations (kernel.Batch) decides it, as a lane
+    of one pass (Lanes), from the cells its program reads, which no
+    location writes, and it waits in `_replay` until the grid is read.
+    Reading `cols` replays the waiting locations in order, each as its
+    program (kernel._Location.replay), in the same list object. The list
+    is exact until the next kernel location runs on the state.
     """
 
     def __init__(self):
         self._grid = [0] * COLS
-        self._pending = self._held = None
+        self._replay = []
 
     @property
     def cols(self):
-        if self._pending is not None:
-            self._pending.run()
-        if self._held is not None:
-            run, lane = self._held
-            self._held = None
-            run.write_back(self._grid, lane)
+        if self._replay:
+            replay, self._replay = self._replay, []
+            for location in replay:
+                location.replay(self)
         return self._grid
 
     # Host-side accessors. These model pre-stored data (no cycle cost);
@@ -1196,10 +1163,11 @@ def _interpret(ops, g, readout, strict, emit):
     """Run ops, already lowered, on the column grid g, one op at a time.
 
     This is the one reference semantics in the package: every pass of the
-    compiler (_Source) and every kernel location's compiled head are
-    tested against it, cell for cell and bit for bit. It is also the one
-    place where strict mode checks gate outputs. It runs the head of a
-    MicroProgram; a kernel location runs no op through it."""
+    compiler (_Source) is tested against it, cell for cell and bit for
+    bit, and each kernel shape's proof runs its head through it. It is
+    also the one place where strict mode checks gate outputs. It runs the
+    head of a MicroProgram, a kernel location's too when its grid is read
+    and the location replayed."""
     for i, op in enumerate(ops):
         cls = op.__class__
         lowered = op._c
@@ -1262,11 +1230,11 @@ def execute(program, state, strict=True, trace=None):
     It then runs on the state (program.run), in its packed grid of COLS
     Python ints where bit r of column c is cell (r, c): a MicroProgram's
     head through the interpreter (_interpret), then each block as its
-    compiled code (Block.run); a kernel location as the compiled code of
-    its shape's head and phase block, its body joining a batch of
-    locations (kernel.Batch) whose bodies run later as lanes of one pass
-    (Lanes). Its readout is filled, and its body's stores are made, when
-    the batch runs; every path gives the same cells, readout and trace.
+    compiled code (Block.run). A kernel location runs no op: it joins a
+    batch of locations (kernel.Batch), which fills its readout when it
+    decides them as lanes of one pass (Lanes), and it waits on the state,
+    to run as its MicroProgram when the grid is read; every path gives
+    the same cells, readout and trace.
     A NorRow is one bitwise expression over its whole row mask; a NorCol
     is one per column. Both modes evaluate a NOR by conditional
     switching: output <- output AND NOR(inputs). Strict mode adds the

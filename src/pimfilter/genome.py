@@ -185,13 +185,15 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     Decisions come back in (tile index, queue order); every non-overflow
     location is decided by the in-crossbar kernel, overflow locations are
     marked passthrough. The kernel's locations run in batches (Batch) of
-    up to 256, across tiles, whose bodies run as lanes of one pass (four
-    lanes a location for the popcount tree's first two levels, one from
-    there: crossbar.Lanes); a batch runs when it is full and at the end.
+    up to 256, across tiles, each location a lane of one pass of every
+    step (four lanes a location for the popcount tree's first two levels,
+    one from there: crossbar.Lanes); a batch runs when it is full and at
+    the end, and no tile's grid is written.
     With `verify_oracle` each kernel decision is also checked against
-    the golden model and mismatches are counted. An edit threshold outside 0..read_length,
-    or a read holding a non-base, passthrough or not, raises ValueError;
-    only the reads the kernel decides get a histogram.
+    the golden model and mismatches are counted. An edit threshold
+    outside 0..read_length, or a read of another length or holding a
+    non-base, passthrough or not, raises ValueError when the candidate
+    is routed; only the reads the kernel decides get a histogram.
     """
     layout = plan_layout(read_length)
     if not 0 <= eth <= read_length:
@@ -200,6 +202,8 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     queues = {}  # only the tiles that get a candidate
     for cand in candidates:
         t, off = route(cand.position, glen, read_length)
+        if len(cand.seq) != read_length:
+            raise ValueError(f"read {cand.read_id!r} has {len(cand.seq)} bases, not the read length {read_length}")
         if cand.seq.encode().translate(None, _BASES):
             oracle.histogram(cand.seq)  # raises, naming the first non-base
         queues.setdefault(t, []).append((cand, off))

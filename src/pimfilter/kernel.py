@@ -29,28 +29,31 @@ per window shape. Steps 4-13 are one body of two Blocks, built once per
 process and shared by every read length; the zeroing lets its popcounts
 always count all 100 bitmap rows.
 
-A location runs as the compiled code of its shape, one per read length
-and row phase (_Shape), built from the shape's own ops on its first use:
-its head is one function of the counts and the fragment pair, proved
-once to stand for the head of every pair. No op is built, lowered or
-interpreted per location, and every location of a shape shares one
-cycle report; its ops (build_program) are built only for a trace.
+A location runs as the arrays of the paper run it: many locations in
+lockstep, each array writing only its read's counts. run_kernel counts
+a location's cycles from its shape, one per read length and row phase
+(_Shape, built on its first use), and queues it: no op is built, lowered
+or run per location, and every location of a shape shares one cycle
+report. A batch (Batch) of up to _BATCH = 256 locations, over any tiles
+and shapes, then decides them all in one pass (crossbar.Lanes) from
+what the host holds: each location's counts, its state's threshold, and
+its window's bits, gathered under the rows its shape's step 2 reads
+them at. The pass runs steps 2-3 and a short read's zeroing as one
+Block shared by every shape (_front), then the body, each location a
+lane of code compiled once for any batch size. The four popcounts of a
+location take four lanes for the tree's first two levels and fold into
+one from its third level on, where only every fourth row is live, each
+base at its own row shift; so a batch of 256 pays less per location
+than one of 64, and a call of 200 locations is one pass.
 
-The body runs as the arrays of the paper run it: many locations in
-lockstep. A location's run captures the cells its body reads and joins
-a batch (Batch) of up to _BATCH = 256 locations, over any tiles; the
-batch runs the body once for all of them, each location a lane of the
-body's code, compiled once for any batch size (crossbar.Lanes). The
-four popcounts of a location take four lanes for the tree's first two
-levels and fold into one from its third level on, where only every
-fourth row is live, each base at its own row shift; so a batch of 256
-pays less per location than one of 64, and a call of 200 locations is
-one pass. The body's stores wait on each state until its grid is read,
-and the next location's replace them, as in the array, where the
-scratch of one location stays unread until the next overwrites it. A
-proof made once (_lanes, and _Shape proof (f)) shows this exact: the
-decisions, cycles and cells are those of running the locations one by
-one, and the grid is exact whenever it is read (CrossbarState.cols).
+No grid is written then: a state keeps its locations until its grid is
+read, and reading it replays them in order, each as its program
+(build_program), the reference path, checked against its batch's
+decision. A proof made once per shape (_Shape) and once per process
+(_lanes) shows this exact: the decisions, cycles and cells are those of
+running the locations one by one, and the grid is exact whenever it is
+read (CrossbarState.cols). A location's ops are built only for a trace
+or a replay.
 
 Per-step compute cycles at read length 100, against the step budgets:
 
@@ -62,6 +65,7 @@ Per-step compute cycles at read length 100, against the step budgets:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -77,9 +81,11 @@ from .crossbar import (
     NorRow,
     ProgramBuilder,
     WriteExternal,
+    _BAND_ROWS,
     _count,
     _dataflow,
-    _put,
+    _interpret,
+    _pack,
     execute,
 )
 from .gates import (
@@ -238,9 +244,9 @@ def build_program(layout, offset, counts):
     the window covers: step 3 and a short read's bitmap zeroing are one
     proved Block per window shape (_phase), followed by the blocks of
     the shared body of steps 4-13 (_body). run_kernel runs none of these
-    ops: it runs a location as the code compiled from its shape's
-    program (_Shape), and builds the program only when a trace or a test
-    reads its ops. The program reads only the window's fragment columns
+    ops: a batch decides a location as a lane (Batch), and the program is
+    built only when a trace, a replay of the location on its grid, or a
+    test reads its ops. The program reads only the window's fragment columns
     and the threshold, so a tile needs only those fragments stored
     (genome.load_tile).
     """
@@ -380,34 +386,85 @@ def _body():
 
 @functools.cache
 def _lanes():
-    """The body as lanes of locations (crossbar.Lanes), proved once per
-    process to run exact when it waits for a batch:
-
-    - a batch captures a location's body reads (Lanes.capture: the
-      body's live-in cells, exactly) right after its head and phase
-      block ran, and runs the body later from those values;
-    - the body writes no cell it reads before writing it, so a capture
-      reads no cell whose store a body run before it still holds back
-      (CrossbarState._held) or has not yet made (_pending);
-    - each shape proves that its head and phase block read no cell the
-      body writes before writing it (_held; _Shape proof (f)), so the
-      body's stores may wait past later heads: a cell both write ends
-      with the value of the last location's body either way.
-
-    So running every head first and the bodies later, from the captured
-    values, leaves the same cells and readouts as running the locations
-    one by one. A body that fails the proof raises ValueError.
+    """What a batch runs (crossbar.Lanes): the front (_front), then the
+    body, as lanes of locations, built once per process on the first
+    batch. Its inputs, in column order, are the read counts on the lane
+    rows of rb_cols and the threshold on its row, each a byte per lane,
+    then the front's mask and the window's two bit columns, each a whole
+    column per lane: what Batch.run packs. The body reads first only
+    rows 0-99 of the match columns, which the front writes, and the
+    counts and the threshold on their rows; it writes no cell it reads
+    first, nor any cell a batch reads from a grid (_reads), so a
+    location decided later, from those cells, decides as its program
+    would on the grid. A body or front that breaks this raises
+    ValueError.
     """
-    lanes = Lanes(_body())
-    if any(map(int.__and__, lanes.live, lanes.written)):
+    L = plan_layout()
+    row = L.lane_rows["A"]
+    live, written = _body_flow()
+    if any(map(int.__and__, live, written)):
         raise ValueError("the body writes a cell it reads before writing it")
+    if any(map(int.__and__, written, _reads())):
+        raise ValueError("the body writes a cell a batch reads from the grid")
+    first = [0] * COLS
+    for cols, rows in ((L.match_cols.values(), _WINDOW), (L.rb_cols, 0xf << row), (L.thr_cols, 1 << row)):
+        for k in cols:
+            first[k] = rows
+    if live != first:
+        raise ValueError("the body reads first other cells than the bitmaps, the counts and the threshold")
+    lanes = Lanes((_front(), *_body()))
+    band, whole = (_BAND_ROWS, row, _BAND_ROWS), (ROWS, 0, ROWS)
+    if lanes.inputs != (*((k, 0xf << row, band) for k in L.rb_cols), *((k, 1 << row, band) for k in L.thr_cols),
+                        *((k, _WINDOW, whole) for k in (_MASK_COL, 2 * _FRONT_PAIR, 2 * _FRONT_PAIR + 1))):
+        raise ValueError("the lanes read other cells than a batch packs")
     return lanes
 
 
-def _held():
-    """The cells the body writes, whose stores a batch holds back until
-    the grid is read."""
-    return _lanes().written
+@functools.cache
+def _body_flow():
+    """(live, written) of the body's ops (_dataflow), once per process."""
+    return _dataflow([op for block in _body() for op in block.ops])[1:]
+
+
+_WINDOW = (1 << FRAGMENT_ROWS) - 1  # rows 0..99, the genome slice's
+
+
+@functools.cache
+def _reads():
+    """Per column, the rows a batch may read from a grid: the genome
+    slice's, where a window's bits lie, and the threshold's row."""
+    L = plan_layout()
+    reads = [_WINDOW if k < L.genome_cols else 0 for k in range(COLS)]
+    for k in L.thr_cols:
+        reads[k] |= 1 << L.lane_rows["A"]
+    return reads
+
+
+# The front reads the window's two bit columns from pair 64's columns,
+# as the full window at offset TILE_STRIDE does, and its mask from the
+# genome column left of them: no location writes any of the three, and
+# the body reads none of them.
+_FRONT_PAIR = FRAGMENTS_PER_TILE - 1
+_MASK_COL = 2 * _FRONT_PAIR - 1
+
+
+@functools.cache
+def _front():
+    """Steps 2 and 3 and a short read's zeroing for the lanes of a
+    batch, as one Block on rows 0-99 shared by every read length and row
+    phase: the inverted copy of a full window from pair 64's columns,
+    then step 3 over every row with the mask column as a third input of
+    each bitmap gate, so a row where the mask holds 1 (outside the
+    window) gets 0 in every bitmap. Its lanes take the window's bits
+    gathered into those columns (Batch.run), each under the rows its
+    shape's step 2 reads them at, and the shape's rows outside the
+    window as the mask; _Shape proof (f) shows it leaves the match rows
+    of the shape's head and phase block."""
+    copy, _ = _copy(plan_layout(), FRAGMENT_ROWS * _FRONT_PAIR)
+    pb = ProgramBuilder()
+    with pb.step("3"):
+        _compare(pb, (range(FRAGMENT_ROWS),), (_MASK_COL,))
+    return Block((("2", copy), *pb.build().head))
 
 
 @functools.cache
@@ -416,21 +473,8 @@ def _phase(spans):
     zeroing as a step-4 step, as one Block."""
     L = plan_layout()
     pb = ProgramBuilder()
-
-    # Step 3: the four base comparisons. NOT(pa) and NOT(pb) are computed
-    # once and reused, so A costs three gates and T, G, C one each.
     with pb.step("3"):
-        pa, pxb = L.p_cols
-        mc = L.match_cols
-        targets = (L.na_col, L.nb_col) + tuple(mc[b] for b in BASES)
-        pb.init(*((rng, targets) for rng in spans))
-        for rng in spans:
-            pb.nor_row((pa,), L.na_col, rng)
-            pb.nor_row((pxb,), L.nb_col, rng)
-            pb.nor_row((L.na_col, L.nb_col), mc["A"], rng)
-            pb.nor_row((L.na_col, pxb), mc["T"], rng)
-            pb.nor_row((pa, L.nb_col), mc["G"], rng)
-            pb.nor_row((pa, pxb), mc["C"], rng)
+        _compare(pb, spans)
 
     # A short read zeroes the bitmap rows its window leaves untouched,
     # so every read length counts the whole column in the shared body.
@@ -447,6 +491,25 @@ def _phase(spans):
     return Block(pb.build().head)
 
 
+def _compare(pb, spans, extra=()):
+    """Step 3, the four base comparisons, over the rows `spans`, each
+    bitmap gate also reading the columns `extra`. NOT(pa) and NOT(pb) are
+    computed once and reused, so A costs three gates and T, G, C one
+    each."""
+    L = plan_layout()
+    pa, pxb = L.p_cols
+    mc = L.match_cols
+    targets = (L.na_col, L.nb_col) + tuple(mc[b] for b in BASES)
+    pb.init(*((rng, targets) for rng in spans))
+    for rng in spans:
+        pb.nor_row((pa,), L.na_col, rng)
+        pb.nor_row((pxb,), L.nb_col, rng)
+        pb.nor_row((L.na_col, L.nb_col, *extra), mc["A"], rng)
+        pb.nor_row((L.na_col, pxb, *extra), mc["T"], rng)
+        pb.nor_row((pa, L.nb_col, *extra), mc["G"], rng)
+        pb.nor_row((pa, pxb, *extra), mc["C"], rng)
+
+
 def _complement_rows(spans):
     used = sorted(r for rng in spans for r in rng)
     rest = []
@@ -460,18 +523,21 @@ def _complement_rows(spans):
 
 @functools.cache
 def _count_values():
-    """Step 1's write of every count as one int: (slots, values).
-
-    slots lists (column, rows) of the cells the writes of the four bases
-    touch, and values[x][n] is the write of count n into the lane of
-    base x (_count_write's, built and lowered here one at a time outside
-    its cache, and dropped), with bit ROWS * j + r set for each cell
-    (r, slots[j][0]) it sets to 1. So the OR of one value per base holds
-    all of step 1 for any four counts, and each column takes its slot in
-    one masked write. That is exact because every count's write of a
-    base sets the same cells, and no two bases write one cell; a write
-    that breaks either raises ValueError.
+    """Step 1's write of every count, a byte per count column: values[x][n]
+    is the write of count n into the lane of base x (_count_write's,
+    built and lowered here one at a time outside its cache, and dropped),
+    with bit 8 * j + r - 100 set for each cell (r, rb_cols[j]) it sets
+    to 1. So the OR of one value per base holds all of step 1 for any
+    four counts: the count bytes of a batch's band record (Batch.run).
+    That is exact because every count's write of a base sets the same
+    cells, no two bases write one cell, and every cell is on a lane row
+    of a count column; a write that breaks any of these raises
+    ValueError.
     """
+    L = plan_layout()
+    lo = L.lane_rows["A"]
+    at = {k: 8 * j for j, k in enumerate(L.rb_cols)}
+
     def lowered(base, n):
         op = _count_write.__wrapped__(base, n)
         _count(((base, [op]),))
@@ -480,10 +546,8 @@ def _count_values():
     cells = [{(k, bit) for k, bit, _ in lowered(base, 0)} for base in BASES]
     if len(set().union(*cells)) != sum(map(len, cells)):
         raise ValueError("two bases' count writes set one cell")
-    slots = {}
-    for k, bit in sorted(set().union(*cells)):
-        slots[k] = slots.get(k, 0) | bit
-    at = {k: ROWS * j for j, k in enumerate(slots)}
+    if any(k not in at or bit >> lo not in (1, 2, 4, 8) for k, bit in set().union(*cells)):
+        raise ValueError("a count write sets a cell off the lane rows of the count columns")
     values = []
     for base, own in zip(BASES, cells):
         row = []
@@ -491,84 +555,133 @@ def _count_values():
             write = lowered(base, n)
             if {(k, bit) for k, bit, _ in write} != own:
                 raise ValueError(f"the count writes of {base} do not each set the same cells")
-            row.append(sum(bit << at[k] for k, bit, b in write if b))
+            row.append(sum(bit >> lo << at[k] for k, bit, b in write if b))
         values.append(tuple(row))
-    return tuple(slots.items()), tuple(values)
+    return tuple(values)
 
 
 class _Shape:
-    """What every location of one read length and row phase runs: its
+    """What every location of one read length and row phase shares: its
     blocks, its cycles and read-only step report (`cycles`, counted once
-    from the ops, MicroProgram.cycles) and its head compiled into one
-    function f(g, w, s) of the grid, the counts' step-1 value w
-    (_count_values) and the source offset s = 2 * pair.
+    from the ops, MicroProgram.cycles), and what a batch takes from its
+    grid: `gather` = (k0, m0, k2, m2, k1, m1, k3, m3), so that the
+    window's bits of P column i at offset s = 2 * pair are g[s + k] & m
+    ORed over its two (source, rows) pairs (a pad is (0, 0)), and
+    `outside`, the rows 0-99 its window leaves.
 
     It is built from the program at pair 0 (build_program), and a proof,
-    made once when it is built, shows that the code is exact at every
-    offset of the phase in 0..TILE_STRIDE:
+    made once when it is built, shows that a batch decides every location
+    of the shape, at every offset of the phase in 0..TILE_STRIDE, as its
+    program does, and that the program may run later, when the grid is
+    read (CrossbarState.cols):
 
     (a) the head is init-dominated, so no strict check can fail in it;
     (b) at each offset, step 2 (_copy) is built as pair 0's with the
         columns it reads (its sources) renamed k -> k + s, over the same
-        rows (_spec: ops built alike lower alike, and pair 0's are
-        lowered and checked, so no op at another offset needs lowering);
-        step 1 depends on the counts alone and the blocks on those rows
-        alone (build_program), so they are pair 0's too;
+        rows (_spec: ops built alike lower alike); step 1 depends on the
+        counts alone and the blocks on those rows alone (build_program),
+        so they are pair 0's too;
     (c) every source column stays below genome_cols;
-    (d) step 2 is one Init, then NorRows whose inputs are sources, so
-        each column it writes takes, on the rows the Init sets, the NOR
-        of its gates' inputs on their rows, and keeps its other rows;
-    (e) step 1 is the count writes of _count_values;
-    (f) its blocks are a phase block, then the body, and neither the
-        phase block nor the head at any offset reads a cell the body
-        writes (_held) before writing it. So the body may run later, as
-        lanes of a batch (_lanes), and its stores wait until the grid is
-        read: every location's body writes all of those cells after its
-        head and phase block, so a cell they write too ends with the
-        body's value in either order.
+    (d) the program reads first only its sources on the rows step 2
+        reads them and the threshold's row, and writes no cell a batch
+        reads from any grid (_reads): so what a batch reads of a state is
+        what the location reads, however many locations before it still
+        wait to run on the grid;
+    (e) step 1 is the count writes of _count_values, and interpreted, it
+        leaves on the lane rows of rb_cols their bytes there;
+    (f) step 2, the phase block and the front (_front) are Inits and
+        NorRows alone, which act on each row alone. Interpreted on the
+        16 grids where pair 0's columns hold one base on every row and
+        pair 1's another, the head and phase block leave on rows 0-99 of
+        the match columns what the front leaves from the window's bits
+        gathered under `gather` and the mask `outside`. Each row of a
+        grid reads only those four cells (d), and the 16 grids put every
+        value of them on every row, so the two agree on every grid.
 
-    A shape that fails the proof raises ValueError when it is built.
+    So the front, then the body, over a batch's lanes (_lanes) decide
+    each location as its program would. A shape that fails the proof
+    raises ValueError when it is built.
     """
 
     def __init__(self, layout, phase):
         counts = (layout.read_length, 0, 0, 0)
         program = build_program(layout, phase, counts)
-        self.blocks = program.blocks
-        self.phase, *self.body = self.blocks
         self.cycles = program.cycles()  # lowers the head
         (_, writes), (_, copy) = program.head
-        if not _dataflow(writes + copy)[0]:
+        head = writes + copy
+        if not _dataflow(head)[0]:
             raise ValueError("the head is not init-dominated")
-        held = _held()
-        if tuple(self.body) != _body():
+        block, *body = program.blocks
+        if tuple(body) != _body():
             raise ValueError("the blocks after the phase block are not the body")
-        if any(map(int.__and__, _dataflow(self.phase.ops)[1], held)):
-            raise ValueError("the phase block reads a cell the body holds back")
         window = _copy(layout, phase)[1]
-        live = _dataflow(copy)[1]
-        sources = [k for k, rows in enumerate(live) if rows]
+        first, *nots = copy
+        if first.__class__ is not Init or any(op.__class__ is not NorRow or len(op.input_cols) != 1 for op in nots):
+            raise ValueError("step 2 is not one Init, then NOTs")
+        nots = [(op._c[0][0], op._c[1], op._c[2]) for op in nots]  # (source, P column, rows)
+        sources = sorted({k for k, _, _ in nots})
         specs = [_spec(op, {}) for op in copy]
         for offset in range(phase, TILE_STRIDE + 1, FRAGMENT_ROWS):
             s = 2 * (offset // FRAGMENT_ROWS)
             if max(sources) + s >= layout.genome_cols:
                 raise ValueError(f"the window at offset {offset} reads past the stored slice")
-            if any(live[k] & held[k + s] for k in sources):
-                raise ValueError(f"the head at offset {offset} reads a cell the body holds back")
             c, rows = _copy(layout, offset)
             rename = {k + s: k for k in sources}
             if rows != window or [_spec(op, rename) for op in c] != specs:
                 raise ValueError(f"the head at offset {offset} is not the head at offset "
                                  f"{phase} with its source columns renamed")
-        slots, self.values = _count_values()
+
+        L = plan_layout()
+        row = L.lane_rows["A"]
+        ops = head + block.ops
+        _, live, written = _dataflow(ops)
+        body_live = _body_flow()[0]
+        reads, covered = [0] * COLS, 0
+        for k, _, rows in nots:
+            reads[k] |= rows
+            covered |= rows
+        for k in L.thr_cols:
+            reads[k] |= 1 << row
+        if [rows | body_live[k] & ~written[k] for k, rows in enumerate(live)] != reads:
+            raise ValueError("the program reads other cells than its window and the threshold")
+        if any(map(int.__and__, written, _reads())):
+            raise ValueError("the head or phase block writes a cell a batch reads from the grid")
+
+        self.gather = ()
+        for p in L.p_cols:
+            pairs = [(k, rows) for k, out, rows in nots if out == p]
+            if len(pairs) > 2:
+                raise ValueError("a P column's window bits come from more than two columns")
+            for k, rows in (pairs + [(0, 0)] * 2)[:2]:
+                self.gather += (k, rows)
+        self.outside = _WINDOW & ~covered
+
         if writes != [_count_write(base, n) for base, n in zip(BASES, counts)]:
             raise ValueError("step 1 is not the count writes")
-        lines = [_put(f"g[{k}]", _ROW_MASK & ~rows, f"w >> {ROWS * j} & {hex(rows)}")
-                 for j, (k, rows) in enumerate(slots)]
-        lines += _copy_lines(copy, sources)
-        namespace = {}
-        exec(compile("\n".join(["def f(g, w, s):", *(f"    {line}" for line in lines)]), "<head>", "exec"),
-             namespace)
-        self.head = namespace["f"]
+        g = [0] * COLS
+        _interpret(writes, g, [], True, None)
+        record = 0
+        for x, n in enumerate(counts):
+            record |= _count_values()[x][n]
+        if sum((g[k] >> row & 0xf) << 8 * j for j, k in enumerate(L.rb_cols)) != record:
+            raise ValueError("step 1 is not the band record of its counts")
+
+        front = _front()
+        if any(op.__class__ not in (Init, NorRow) for op in copy + block.ops + front.ops):
+            raise ValueError("step 2, the phase block or the front is not Inits and row NORs alone")
+        k0, m0, k2, m2, k1, m1, k3, m3 = self.gather
+        for b0, b1 in itertools.product(BASES, BASES):
+            g, lane = [0] * COLS, [0] * COLS
+            for i, bit in enumerate(BASE_CODES[b0] + BASE_CODES[b1]):
+                g[i] = _WINDOW * bit
+            lane[_MASK_COL] = self.outside
+            lane[2 * _FRONT_PAIR] = g[k0] & m0 | g[k2] & m2
+            lane[2 * _FRONT_PAIR + 1] = g[k1] & m1 | g[k3] & m3
+            _interpret(ops, g, [], True, None)
+            _interpret(front.ops, lane, [], True, None)
+            if any((g[k] ^ lane[k]) & _WINDOW for k in L.match_cols.values()):
+                raise ValueError(f"the front leaves other bitmaps than the head and phase block "
+                                 f"with bases {b0} and {b1} in pairs 0 and 1")
 
 
 def _spec(op, rename):
@@ -584,25 +697,6 @@ def _spec(op, rename):
     return op
 
 
-def _copy_lines(copy, sources):
-    """Step 2's code: one line per column it writes, reading each source
-    column k at g[s + k] (proof (d) of _Shape)."""
-    first, *gates = copy
-    written = {}
-    if first.__class__ is Init:
-        for cols, rows in first._c:
-            for k in cols:
-                written[k] = written.get(k, 0) | rows
-    if not written or any(op.__class__ is not NorRow for op in gates) \
-            or any(k not in sources or k in written for op in gates for k in op.input_cols):
-        raise ValueError("step 2 is not one Init and then NORs of the columns it reads first")
-    terms = {k: [] for k in written}
-    for ins, out, rows in (op._c for op in gates):
-        terms[out].append(f"({' | '.join(f'g[s + {k}]' for k in ins)}) & {hex(rows)}")
-    return [_put(f"g[{k}]", _ROW_MASK & ~rows, f"({' | '.join(terms[k])}) ^ {hex(rows)}" if terms[k] else rows)
-            for k, rows in written.items()]
-
-
 @functools.cache
 def _shape(read_length, phase):
     return _Shape(plan_layout(read_length), phase)
@@ -610,79 +704,103 @@ def _shape(read_length, phase):
 
 class _Location:
     """The program of one location check, as execute runs it: the cycles
-    and compiled code of its shape, its body left to `batch`. Its head
-    and ops are those of build_program, built only when something reads
-    them (a trace, or a test); `blocks` are its shape's."""
+    of its shape, and a run that leaves it to `batch` and to its state's
+    replay. Its ops are those of build_program, built only when
+    something reads them (a trace, a replay, or a test)."""
+
+    __slots__ = ("shape", "layout", "offset", "counts", "batch", "readout", "strict", "_built")
 
     def __init__(self, shape, layout, offset, counts, batch):
         self.shape, self.layout, self.offset, self.counts = shape, layout, offset, counts
-        self.batch = batch
+        self.batch, self._built = batch, None
 
-    @functools.cached_property
+    @property
     def _program(self):
-        return build_program(self.layout, self.offset, self.counts)
+        if self._built is None:
+            self._built = build_program(self.layout, self.offset, self.counts)
+        return self._built
 
-    head = property(lambda self: self._program.head)
     ops = property(lambda self: self._program.ops)
-    blocks = property(lambda self: self.shape.blocks)
 
     def cycles(self):
         return self.shape.cycles
 
     def run(self, state, readout, strict, emit):
-        # the shape's head and blocks are proved init-dominated, so no
-        # strict check can fail in them, and its head and phase block to
-        # read no cell the body writes, so they run on the grid itself,
-        # past the body stores of earlier locations that wait, and the
-        # body joins the batch (_Shape, _lanes)
-        shape = self.shape
-        g = state._grid
-        a, t, gg, c = self.counts
-        va, vt, vg, vc = shape.values
-        shape.head(g, va[a] | vt[t] | vg[gg] | vc[c], 2 * (self.offset // FRAGMENT_ROWS))
-        shape.phase.run(g, readout)
-        self.batch.add(state, readout)
+        # no op runs now: the batch decides the location, and its program
+        # runs on the grid when the grid is read (_Shape's proof)
+        self.readout, self.strict = readout, strict
+        self.batch.entries.append((state, self))
+        state._replay.append(self)
         if emit is not None:
             emit(self.ops)
 
+    def replay(self, state):
+        """Run the program on the grid of state (MicroProgram.run, its
+        head interpreted), once its batch decided it; RuntimeError if it
+        reads out other than the batch decided."""
+        if not self.readout:
+            self.batch.run()
+        program = self._program
+        program.cycles()  # lowers the head
+        readout = []
+        program.run(state, readout, self.strict, None)
+        if readout != self.readout:
+            raise RuntimeError(f"the location at offset {self.offset} reads out {readout} when replayed, "
+                               f"{self.readout} in its batch")
 
-_BATCH = 256  # most locations whose bodies run as lanes of one pass
+
+_BATCH = 256  # most locations a batch runs as lanes of one pass
 
 
 class Batch:
-    """Locations whose bodies run as lanes of one pass of the body's
-    compiled code (_lanes), at most _BATCH of them, over any tiles.
+    """Locations run as lanes of one pass (_lanes), at most _BATCH of
+    them, over any tiles: `entries` lists each location with its state.
 
-    add captures a location's body reads from its state's grid, after
-    its head ran, and leaves the batch pending on the state. run, which
-    reading a pending state's `cols` or a pending KernelResult's
-    `discard` calls, runs the bodies once, appends each location's
-    read bits to its readout, and leaves on each state that the batch
-    is still pending on the stores of its last location in the batch,
-    held until its grid is read (CrossbarState). The batch is then empty,
-    and takes new locations for another pass."""
+    run, which reading a result's `discard` or a waiting state's `cols`
+    calls, packs each location's inputs from what the host holds: its
+    counts (_count_values) and its state's threshold row, a byte per
+    column, then the rows its window leaves (_Shape.outside) and the
+    window's bits that its shape's step 2 reads (_Shape.gather), a whole
+    column each. It runs the front and the body once for all of them,
+    appends each location's read bit to its readout and empties the
+    batch, which then takes new locations for another pass. It writes no
+    grid: each location runs on its grid when the grid is read."""
 
     def __init__(self):
-        self.states, self.captures, self.readouts = [], [], []
+        self.entries = []
 
     @property
     def full(self):
-        return len(self.captures) >= _BATCH
-
-    def add(self, state, readout):
-        self.states.append(state)
-        self.captures.append(_lanes().capture(state._grid))
-        self.readouts.append(readout)
-        state._pending = self
+        return len(self.entries) >= _BATCH
 
     def run(self):
-        if not self.captures:
+        entries = self.entries
+        if not entries:
             return
-        lanes = _lanes().run(self.captures, self.readouts)
-        for state, lane in {state: lane for lane, state in enumerate(self.states)}.items():
-            if state._pending is self:
-                state._pending, state._held = None, (lanes, lane)
-        self.states, self.captures, self.readouts = [], [], []
+        self.entries = []
+        lanes = _lanes()
+        ba, bt, bg, bc = _count_values()
+        L = plan_layout()
+        row, counted, thr = L.lane_rows["A"], len(L.rb_cols), L.thr_cols
+        thresholds, records, masks, p0, p1 = {}, [], [], [], []
+        for state, location in entries:
+            g = state._grid
+            s = 2 * (location.offset // FRAGMENT_ROWS)
+            shape = location.shape
+            k0, m0, k2, m2, k1, m1, k3, m3 = shape.gather
+            p0.append(g[s + k0] & m0 | g[s + k2] & m2)
+            p1.append(g[s + k1] & m1 | g[s + k3] & m3)
+            masks.append(shape.outside)
+            t = thresholds.get(state)
+            if t is None:
+                t = thresholds[state] = int.from_bytes(bytes([g[k] >> row & 1 for k in thr]), "little") << 8 * counted
+            a, tt, gg, c = location.counts
+            records.append(ba[a] | bt[tt] | bg[gg] | bc[c] | t)
+        size = counted + len(thr)
+        data = b"".join([r.to_bytes(size, "little") for r in records])
+        lanes.run((*[int.from_bytes(data[i::size], "little") for i in range(size)],
+                   _pack(masks, ROWS), _pack(p0, ROWS), _pack(p1, ROWS)),
+                  [location.readout for _, location in entries])
 
 
 class KernelResult:
@@ -707,14 +825,14 @@ def run_kernel(state, layout, counts, offset, strict=True, trace=None, batch=Non
     The genome slice and the threshold constant must already be stored
     (see genome.load_tile and store_threshold). `counts` is the read's
     oracle.BaseCounts, `layout` plan_layout(read length). The inputs are
-    checked, then the location runs through one execute call as the code
-    of its shape (_Shape): its counts in one masked write per count
-    column, its window copied by one masked store per P column, then its
-    phase block; its body joins `batch` (Batch), whose pass runs the
-    bodies of all its locations as lanes. With no batch, the location is
-    a batch of one, run before this returns. The cycle report is exact
-    at once, the decision once the batch ran, and the grid whenever it
-    is read. A trace gets the ops of build_program.
+    checked, then the location runs through one execute call, which
+    counts its shape's cycles (_Shape) and queues it: it joins `batch`
+    (Batch), whose pass decides all its locations as lanes, and waits on
+    the state until the grid is read, when it runs as its program. With
+    no batch, the location is a batch of one, run before this returns.
+    The cycle report is exact at once, the decision once the batch ran,
+    and the grid whenever it is read. A trace gets the ops of
+    build_program.
     """
     if counts.total != layout.read_length:
         raise ValueError("read histogram does not sum to the read length")

@@ -28,6 +28,7 @@ from pimfilter.crossbar import (
     _fold,
     _interpret,
     _lower,
+    _pack,
     execute,
 )
 
@@ -780,15 +781,10 @@ def runs_like_its_spans_in_order(span, tail):
                (want_res.readout, want_res.compute_cycles, want_res.init_cycles, want_res.steps)
     # as lanes of many grids: span x of lane j in lane x * B + j, then
     # the tails, each on its own span's lanes
-    lanes = Lanes([group])
-    for lane_count in (1, 3, 64):
+    lanes = reading_back([group])
+    for lane_count in LANE_COUNTS:
         grids = [snapshot_cols(rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)) for _ in range(lane_count)]
-        wants = []
-        for g in grids:
-            want, want_bits = list(g), []
-            _interpret(group.ops, want, want_bits, True, None)
-            wants.append((want, want_bits))
-        assert run_as_lanes(lanes, grids) == wants
+        assert run_as_lanes(lanes, grids) == interpreted_reads(group.ops, grids), lane_count
 
 
 class TestLaneGroup:
@@ -1075,28 +1071,53 @@ def test_banded_blocks_match_the_interpreter(data):
     band_io(block, lo, width)
 
 
+LANE_COUNTS = (1, 3, 64, 256)
+
+
+def written_cells(ops):
+    """The (row, column) of every cell that lowered ops write, column by
+    column."""
+    return [(r, k) for k, rows in enumerate(_dataflow(ops)[2]) for r in range(ROWS) if rows >> r & 1]
+
+
+def reading_back(blocks):
+    """Lanes of the blocks, then of a block that reads out every cell
+    they write."""
+    cells = written_cells([op for block in blocks for op in block.ops])
+    return Lanes([*blocks, Block(unlabelled([ReadCell(r, k) for r, k in cells]))])
+
+
 def run_as_lanes(lanes, grids):
-    """Run Lanes over len(grids) lanes, lane j captured from grids[j]:
-    per lane, the grid after its write-back and its read bits."""
+    """Run Lanes over len(grids) lanes, lane j's inputs packed from
+    grids[j]: per lane, its read bits."""
     readouts = [[] for _ in grids]
-    run = lanes.run([lanes.capture(g) for g in grids], readouts)
-    outs = []
-    for j, (g, bits) in enumerate(zip(grids, readouts)):
-        got = list(g)
-        run.write_back(got, j)
-        outs.append((got, bits))
-    return outs
+    lanes.run([_pack([(g[k] & rows) >> lo for g in grids], stride) for k, rows, (stride, lo, _) in lanes.inputs],
+              readouts)
+    return readouts
+
+
+def interpreted_reads(ops, grids):
+    """Per grid, the bits that ops read out, interpreted on a copy of the
+    grid, then every cell they write as they leave it."""
+    cells = written_cells(ops)
+    wants = []
+    for g in grids:
+        want, bits = list(g), []
+        _interpret(ops, want, bits, True, None)
+        wants.append(bits + [want[k] >> r & 1 for r, k in cells])
+    return wants
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_held_stores_match_the_interpreter(data):
+def test_lanes_read_what_the_interpreter_leaves(data):
     # one or two random init-dominated blocks on the same 8 columns and
     # near rows, each on a band or on whole columns, so that the second
-    # often reads what the first wrote, in another format; compiled once
-    # and run as lanes at B = 1, 3 and 64: each lane's read bits, and its
-    # held stores made on its own grid, must be what the interpreter
-    # leaves on that grid
+    # often reads what the first wrote, in another format, then a block
+    # that reads back every cell they write; compiled once and run as
+    # lanes at B = 1, 3, 64 and 256, from inputs packed per lane: each
+    # lane's read bits must be what the interpreter reads out on its own
+    # grid, so each cell the blocks write ends as it does there
     c0 = data.draw(origins(COLS))
     lo = data.draw(st.sampled_from((0, ROWS - 8, ROWS - 1)) | st.integers(0, ROWS - 1))
     blocks = []
@@ -1104,52 +1125,40 @@ def test_held_stores_match_the_interpreter(data):
         width = data.draw(st.integers(1, min(8, ROWS - lo)) | st.just(ROWS - lo))
         blocks.append(Block(unlabelled(data.draw(band_ops(lo, width, c0)))))
         lo = data.draw(st.integers(max(0, lo - 4), min(lo + 4, ROWS - 1)))
-    lanes = Lanes(blocks)
     ops = [op for block in blocks for op in block.ops]
-    _, live, written = _dataflow(ops)
-    assert (lanes.live, lanes.written) == (live, written)
+    live = _dataflow(ops)[1]
+    lanes = reading_back(blocks)
+    assert [(k, rows) for k, rows, _ in lanes.inputs] == [(k, rows) for k, rows in enumerate(live) if rows]
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
-    for lane_count in (1, 3, 64):
+    for lane_count in LANE_COUNTS:
         grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
-        wants = []
-        for g in grids:
-            want, want_bits = list(g), []
-            _interpret(ops, want, want_bits, True, None)
-            wants.append((want, want_bits))
-        assert run_as_lanes(lanes, grids) == wants, lane_count
+        assert run_as_lanes(lanes, grids) == interpreted_reads(ops, grids), lane_count
 
 
 def test_lanes_move_values_between_formats():
     # each block reads what an earlier one wrote in another format: a
     # whole column onto a band, a band onto a whole column (with rows from
-    # the grid around it) and one band onto another; every lane from its
-    # own random grid
+    # the inputs around it) and one band onto another; every lane from
+    # its own random grid
     a = [Init(((range(10), (2,)),)), NorRow((1,), 2, range(10))]
     b = [Init(((range(4, 8), (3,)),)), NorRow((2,), 3, range(4, 8)), ReadCell(5, 3)]
     c = [Init(((range(10), (4,)),)), NorRow((2, 3), 4, range(10)), ReadCell(9, 4)]
     d = [Init(((range(6, 10), (5,)),)), NorRow((3,), 5, range(6, 10)), ReadCell(6, 5), ReadCell(9, 5)]
     blocks = [Block(unlabelled(ops)) for ops in (a, b, c, d)]
     assert [_band(block.ops) for block in blocks] == [(0, ROWS), (4, 4), (0, ROWS), (6, 4)]
-    lanes = Lanes(blocks)
-    ops = a + b + c + d
+    lanes = reading_back(blocks)
     rng = random.Random(12)
-    for lane_count in (1, 3, 64):
+    for lane_count in LANE_COUNTS:
         grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
-        wants = []
-        for g in grids:
-            want, want_bits = list(g), []
-            _interpret(ops, want, want_bits, True, None)
-            wants.append((want, want_bits))
-        assert run_as_lanes(lanes, grids) == wants, lane_count
+        assert run_as_lanes(lanes, grids) == interpreted_reads(a + b + c + d, grids), lane_count
 
 
 def test_lanes_of_a_body_that_reads_no_cell():
-    # no live-in cell: nothing to capture, and every lane writes the same
-    lanes = Lanes([Block(unlabelled([Init(((range(4), (3,)),)), ReadCell(2, 3)]))])
-    grids = [[0] * COLS, [5] * COLS]
-    assert lanes.capture(grids[0]) == ()
-    assert run_as_lanes(lanes, grids) == [([0] * 3 + [15] + [0] * (COLS - 4), [1]),
-                                          ([5] * 3 + [15] + [5] * (COLS - 4), [1])]
+    # no live-in cell: no input, and every lane reads out the same
+    block = Block(unlabelled([Init(((range(4), (3,)),)), ReadCell(2, 3)]))
+    lanes = reading_back([block])
+    assert lanes.inputs == ()
+    assert run_as_lanes(lanes, [[0] * COLS, [5] * COLS]) == [[1] * 5] * 2
 
 
 @pytest.mark.parametrize("lo", [0, ROWS - 9])

@@ -298,6 +298,20 @@ class TestRunFilter:
         with pytest.raises(ValueError, match="^invalid base 'N' at position 40$"):
             run_filter(genome, bad, eth=5, iter_factor=1)
 
+    @pytest.mark.parametrize("iter_factor", [0.1, None])
+    def test_a_read_of_another_length_raises_naming_it(self, iter_factor):
+        # capped, the short read would pass through; uncapped, the kernel
+        # would reach it. Either way it raises when it is routed, before
+        # any location runs
+        rng = random.Random(5)
+        genome = synth_genome(TILE_STRIDE + 100, rng)
+        good = synth_genome(100, rng)
+        cands = [CandidateRecord(f"r{i}", good, 10 * i) for i in range(3)] + [CandidateRecord("b", "ACGT", 5)]
+        with pytest.raises(ValueError, match="^read 'b' has 4 bases, not the read length 100$"):
+            run_filter(genome, cands, 3, iter_factor=iter_factor)
+        run = run_filter(genome, cands[:3], 3, iter_factor=iter_factor)
+        assert (run.stats.processed, run.stats.passthrough) == ((1, 2) if iter_factor else (3, 0))
+
     def test_zero_factor_runs_uncapped(self):
         rng = random.Random(9)
         genome = synth_genome(6_600, rng)
@@ -357,17 +371,20 @@ class TestRunFilter:
         assert fragments[1].oracle_mismatches == 0
         assert {d.verdict for d in fragments[0]} == {"keep", "discard"}
 
-    @pytest.mark.parametrize("read_length", [100, 1])
+    @pytest.mark.parametrize("read_length", [100, 64, 37, 1])
     def test_a_call_past_the_batch_cap_runs_like_one_location_at_a_time(self, monkeypatch, read_length):
-        # 330 locations over 3 tiles, none capped: one batch fills to the
-        # cap and a second takes the rest, each spanning the tiles. The
-        # decisions, stats and every tile's grid must be those of the same
-        # call with each location run alone, as its interpreted program
+        # 400 locations over 3 tiles, none capped, four at each row phase
+        # (so, but at read length 1, windows that span two fragments too):
+        # one batch fills to the cap of 256 and a second takes the other
+        # 144, each spanning the tiles and mixing the phases. The
+        # decisions, stats and every tile's grid, replayed when it is
+        # read, must be those of the same call with each location run
+        # alone, as its interpreted program
         rng = random.Random(300 + read_length)
         genome = synth_genome(3 * TILE_STRIDE + FRAGMENT_ROWS, rng)
         cands = []
-        for i in range(330):
-            p = rng.randrange(3 * TILE_STRIDE)
+        for i in range(400):
+            p = TILE_STRIDE * rng.randrange(3) + FRAGMENT_ROWS * rng.randrange(64) + i % FRAGMENT_ROWS
             read = list(genome[p:p + read_length])
             for _ in range(rng.randrange(3) if i % 2 else read_length):
                 read[rng.randrange(read_length)] = rng.choice("ACGT")
@@ -377,7 +394,7 @@ class TestRunFilter:
             states, sizes = [], []
             monkeypatch.setattr(genome_mod, "CrossbarState", lambda: states.append(CrossbarState()) or states[-1])
             real = kernel.Batch.run
-            monkeypatch.setattr(kernel.Batch, "run", lambda self: sizes.append(len(self.captures)) or real(self))
+            monkeypatch.setattr(kernel.Batch, "run", lambda self: sizes.append(len(self.entries)) or real(self))
             res = run_filter(genome, cands, eth=read_length // 40, read_length=read_length, iter_factor=0,
                              verify_oracle=True)
             return res.decisions, res.stats, [state.cols for state in states], [n for n in sizes if n]
@@ -390,7 +407,7 @@ class TestRunFilter:
         monkeypatch.setattr(genome_mod, "run_kernel", alone)
         one_by_one = run()
         assert batched[:3] == one_by_one[:3]
-        assert batched[3] == [kernel._BATCH, 330 - kernel._BATCH] and one_by_one[3] == []
+        assert batched[3] == [kernel._BATCH, 400 - kernel._BATCH] and one_by_one[3] == []
         assert len(batched[2]) == 3 and batched[1].oracle_mismatches == 0
         assert {d.verdict for d in batched[0]} == {"keep", "discard"}
 

@@ -335,10 +335,10 @@ class TestSharedBody:
         assert [id(op) for op in visited] == [id(op) for op in head]
 
     def test_count_values_keep_only_ints(self):
-        # step 1's table keeps its slot masks and value ints, not the 512
-        # lowered count writes (0.98 MB by tracemalloc); building every
-        # shape of one read length caches only the count writes its proof
-        # builds, those of the counts (64, 0, 0, 0)
+        # step 1's table keeps its value ints, not the 512 lowered count
+        # writes (0.98 MB by tracemalloc); building every shape of one
+        # read length caches only the count writes its proof builds,
+        # those of the counts (64, 0, 0, 0)
         for cached in (kernel._count_write, kernel._count_values, kernel._shape):
             cached.cache_clear()
         plan_layout()
@@ -396,10 +396,10 @@ class TestCompiledLocations:
     @pytest.mark.parametrize("read_length", [100, 64, 37, 1])
     def test_matches_the_interpreted_head_and_blocks(self, read_length):
         # every row phase of pairs 0, 1, 63 and 64 (offset <= 6400), from a
-        # grid whose every cell is random: the compiled head and blocks
-        # must leave the same cells, readout, cycles and step report as
-        # the program run through the interpreter; a sample also the
-        # same trace
+        # grid whose every cell is random: run_kernel's lane decision, its
+        # grid when read, cycles and step report must be those of the
+        # program run through the interpreter; a sample also the same
+        # trace
         layout = plan_layout(read_length)
         rng = random.Random(41 + read_length)
         offsets = [FRAGMENT_ROWS * pair + r0 for pair in (0, 1, 63, 64) for r0 in range(FRAGMENT_ROWS)
@@ -495,7 +495,8 @@ class TestCompiledLocations:
             with pytest.raises(ValueError, match=match):
                 kernel._Shape(layout, 50)
         monkeypatch.setattr(kernel, "_copy", real)
-        assert callable(kernel._Shape(layout, 50).head)
+        # the window takes rows 50-99 of pair 1 and rows 0-13 of pair 2
+        assert kernel._Shape(layout, 50).outside == (1 << 50) - (1 << 14)
 
 
 def random_counts(rng, read_length):
@@ -506,74 +507,87 @@ def random_counts(rng, read_length):
 
 
 class TestHeldStores:
-    def test_a_sequence_on_one_state_matches_the_interpreted_path(self):
-        # 300 locations at mixed read lengths, row phases and counts on one
-        # state, in batches of random sizes, each replacing the last one's
-        # held stores; between them, at random, the grid is read, a
-        # pending result is read, a new batch starts while the last is
-        # still pending, fragment pairs and thresholds are loaded, cells
-        # are set and a small program runs. The same sequence through
-        # build_program and execute, which stores everything at once, must
-        # give every decision and readout and, whenever the grid is read,
-        # the same grid
+    # a location's program runs on its grid only when the grid is read:
+    # the state holds its stores back until then, and replays them
+    def test_a_sequence_on_one_state_matches_the_interpreted_path(self, monkeypatch):
+        # per batch size B = 1, 3, 64 and 256, 300 locations (1000 at B =
+        # 256) at mixed read lengths, row phases and counts on one state,
+        # in batches of B (or fewer, when a new batch starts early), some
+        # alone; between batches, at random, the grid is read, and
+        # between locations, about once in 2B, the grid is read, a pending
+        # result is read, fragment pairs and thresholds are loaded, cells
+        # are set or a small program runs. The same sequence through
+        # build_program and execute, which runs each location on the grid
+        # at once, must give every decision and readout and, whenever the
+        # grid is read, the same grid
+        sizes = []
+        real = kernel.Batch.run
+        monkeypatch.setattr(kernel.Batch, "run", lambda self: sizes.append(len(self.entries)) or real(self))
         rng = random.Random(2027)
         genome = synth_genome(6600, rng)
         tile = partition(len(genome))[0]
-        grid = [rng.getrandbits(ROWS) for _ in range(COLS)]
-        held, stored = CrossbarState(), CrossbarState()
-        for state in (held, stored):
-            state.cols[:] = grid
-            load_tile(state, plan_layout(100), genome, tile, 3, EVERY_PAIR)
-        replaced = reads = pending_reads = 0
-        batch, results = kernel.Batch(), []
-        for i in range(300):
-            read_length = rng.choice((100, 64, 37, 1))
-            layout = plan_layout(read_length)
-            offset = rng.randint(0, TILE_STRIDE)
-            counts = random_counts(rng, read_length)
-            replaced += held._held is not None or held._pending is not None
-            if batch.full or rng.randrange(8) == 0:
-                batch = kernel.Batch()
-            alone = rng.randrange(4) == 0
-            res = run_kernel(held, layout, counts, offset, batch=None if alone else batch)
-            assert (held._pending is None) == alone and (held._held is not None or not alone)
-            results.append((res, interpreted(stored, layout, counts, offset).readout[0], i))
-            event = rng.randrange(16)
-            if event == 0:
-                pending_reads += held._pending is not None
-                assert held.cols == stored.cols, i
-                assert held._pending is None and held._held is None
-                reads += 1
-            elif event == 1:
-                pairs, eth = rng.sample(EVERY_PAIR, 3), rng.randint(0, read_length)
-                for state in (held, stored):
-                    load_tile(state, layout, genome, tile, eth, pairs)
-            elif event == 2:
-                eth = rng.randint(0, read_length)
-                for state in (held, stored):
-                    store_threshold(state, layout, eth)
-            elif event == 3:
-                cells = [(rng.randrange(ROWS), rng.randrange(COLS)) for _ in range(6)]
-                bits = [rng.randint(0, 1) for _ in cells]
-                for state in (held, stored):
-                    state.set_bits(cells, bits)
-            elif event == 4:
-                pb = ProgramBuilder()
-                row, col, other = rng.randrange(ROWS), rng.randrange(COLS), rng.randrange(COLS)
-                pb.init(((row,), (col,)))
-                if other != col:
-                    pb.nor_row((other,), col, (row,))
-                pb.read(row, col)
-                pb.read(rng.randrange(ROWS), rng.randrange(COLS))
-                program = pb.build()
-                assert execute(program, held).readout == execute(program, stored).readout, i
-            elif event < 8:
-                res, want, j = rng.choice(results)
+        for size, count in ((1, 300), (3, 300), (64, 300), (256, 1000)):
+            grid = [rng.getrandbits(ROWS) for _ in range(COLS)]
+            held, stored = CrossbarState(), CrossbarState()
+            for state in (held, stored):
+                state.cols[:] = grid
+                load_tile(state, plan_layout(100), genome, tile, 3, EVERY_PAIR)
+            replaced = reads = pending_reads = 0
+            batch, results = kernel.Batch(), []
+            sizes.clear()
+            for i in range(count):
+                read_length = rng.choice((100, 64, 37, 1))
+                layout = plan_layout(read_length)
+                offset = rng.randint(0, TILE_STRIDE)
+                counts = random_counts(rng, read_length)
+                replaced += bool(held._replay)
+                new = len(batch.entries) == size or rng.randrange(4 * size) == 0
+                if new:
+                    batch = kernel.Batch()
+                alone = rng.randrange(4) == 0
+                res = run_kernel(held, layout, counts, offset, batch=None if alone else batch)
+                assert bool(res._readout) == alone and held._replay[-1].readout is res._readout
+                results.append((res, interpreted(stored, layout, counts, offset).readout[0], i))
+                if new and rng.randrange(2):
+                    event = 0
+                else:
+                    event = rng.randrange(16) if rng.randrange(2 * size) == 0 else None
+                if event == 0:
+                    pending_reads += any(not location.readout for location in held._replay)
+                    assert held.cols == stored.cols, i
+                    assert not held._replay
+                    reads += 1
+                elif event == 1:
+                    pairs, eth = rng.sample(EVERY_PAIR, 3), rng.randint(0, read_length)
+                    for state in (held, stored):
+                        load_tile(state, layout, genome, tile, eth, pairs)
+                elif event == 2:
+                    eth = rng.randint(0, read_length)
+                    for state in (held, stored):
+                        store_threshold(state, layout, eth)
+                elif event == 3:
+                    cells = [(rng.randrange(ROWS), rng.randrange(COLS)) for _ in range(6)]
+                    bits = [rng.randint(0, 1) for _ in cells]
+                    for state in (held, stored):
+                        state.set_bits(cells, bits)
+                elif event == 4:
+                    pb = ProgramBuilder()
+                    row, col, other = rng.randrange(ROWS), rng.randrange(COLS), rng.randrange(COLS)
+                    pb.init(((row,), (col,)))
+                    if other != col:
+                        pb.nor_row((other,), col, (row,))
+                    pb.read(row, col)
+                    pb.read(rng.randrange(ROWS), rng.randrange(COLS))
+                    program = pb.build()
+                    assert execute(program, held).readout == execute(program, stored).readout, i
+                elif event is not None and event < 8:
+                    res, want, j = rng.choice(results)
+                    assert res.discard == want, j
+            for res, want, j in results:
                 assert res.discard == want, j
-        for res, want, j in results:
-            assert res.discard == want, j
-        assert held.cols == stored.cols
-        assert reads > 10 and pending_reads > 5 and replaced > 150
+            assert held.cols == stored.cols
+            assert max(sizes) == size, size
+            assert replaced > 150 and reads > 0 and pending_reads > 0, size
 
     def test_a_write_back_keeps_the_list_object(self):
         state, stored = CrossbarState(), CrossbarState()
@@ -582,66 +596,94 @@ class TestHeldStores:
         counts = oracle.BaseCounts(10, 20, 30, 4)
         run_kernel(state, layout, counts, 1234)
         interpreted(stored, layout, counts, 1234)
-        assert state._held and cols != stored.cols
-        assert state.cols is cols and not state._held
+        assert state._replay and cols != stored.cols
+        assert state.cols is cols and not state._replay
         assert cols == stored.cols
 
+    def test_a_replay_that_reads_out_other_than_its_batch_raises(self):
+        layout = plan_layout(37)
+        state = CrossbarState()
+        res = run_kernel(state, layout, oracle.BaseCounts(10, 20, 3, 4), 1290)
+        res._readout[0] ^= 1
+        with pytest.raises(RuntimeError, match="offset 1290 reads out"):
+            state.cols
+
     def test_the_body_holds_cells_no_location_reads(self):
-        # the body holds back every store it makes, and reads first only
-        # the cells a batch captures: rows 0-99 of the match columns, the
-        # lane rows of the read counts and the threshold's row. It writes
-        # none of them, and no shape of any read length reads a cell it
-        # writes (a shape that did would raise when it is built)
-        group, rest = _body()
-        lanes = kernel._lanes()
-        assert kernel._held() == lanes.written == _dataflow(group.ops + rest.ops)[2]
-        assert sum(bin(rows).count("1") for rows in lanes.written) > 1500
+        # the lanes read first only the cells a batch packs: the lane rows
+        # of the read counts, the threshold's row, and the front's window
+        # bits and mask. No location writes a cell a batch reads from a
+        # grid (the genome slice and the threshold's row), neither the
+        # body nor any shape's head and phase block (a shape that did
+        # would raise when it is built)
         L = plan_layout()
-        captured = [0] * COLS
-        for k in L.match_cols.values():
-            captured[k] = (1 << FRAGMENT_ROWS) - 1
-        for k in L.rb_cols:
-            captured[k] = 0xf << FRAGMENT_ROWS
+        lanes = kernel._lanes()
+        window = (1 << FRAGMENT_ROWS) - 1
+        want = [(k, 0xf << FRAGMENT_ROWS) for k in L.rb_cols] + [(k, 1 << L.lane_rows["A"]) for k in L.thr_cols]
+        want += [(k, window) for k in (kernel._MASK_COL, L.genome_cols - 2, L.genome_cols - 1)]
+        assert [(k, rows) for k, rows, _ in lanes.inputs] == want
+        written = _dataflow([op for block in _body() for op in block.ops])[2]
+        assert sum(bin(rows).count("1") for rows in written) > 1500
+        reads = [window] * L.genome_cols + [0] * (COLS - L.genome_cols)
         for k in L.thr_cols:
-            captured[k] = 1 << L.lane_rows["A"]
-        assert lanes.live == captured
-        assert not any(map(int.__and__, lanes.live, lanes.written))
+            reads[k] |= 1 << L.lane_rows["A"]
+        assert kernel._reads() == reads
+        assert not any(map(int.__and__, written, reads))
         for read_length in (100, 64, 37, 1):
             for phase in range(FRAGMENT_ROWS):
                 kernel._shape(read_length, phase)
 
     def test_a_head_or_phase_block_that_reads_a_held_cell_raises(self, monkeypatch):
-        layout = plan_layout(100)
-        real = kernel._held()
-        cases = [({0: 1 << 50}, "head at offset 50 reads a cell"),  # pair 0's first row
-                 ({2 * 10 + 1: 1 << 99}, "head at offset 1050 reads a cell"),  # pair 10's last row
-                 ({layout.p_cols[0]: 1 << 7}, "phase block reads a cell")]
-        for extra, match in cases:
-            held = list(real)
-            for k, rows in extra.items():
-                held[k] |= rows
-            monkeypatch.setattr(kernel, "_held", lambda held=held: held)
-            with pytest.raises(ValueError, match=match):
+        # a shape whose location writes a cell a batch reads from the grid
+        # (where a later location would read it before the store is
+        # made), whose front does not leave its bitmaps, or whose step 1
+        # is not its band record, raises when it is built
+        layout = plan_layout(64)
+        real_reads, real_bands = kernel._reads(), kernel._count_values()
+        reads = list(real_reads)
+        reads[layout.p_cols[0]] |= 1 << 7
+        monkeypatch.setattr(kernel, "_reads", lambda: reads)
+        with pytest.raises(ValueError, match="writes a cell a batch reads"):
+            kernel._Shape(layout, 50)
+        monkeypatch.setattr(kernel, "_reads", lambda: real_reads)
+        monkeypatch.setattr(kernel, "_count_values", lambda: [[v << 1 for v in row] for row in real_bands])
+        with pytest.raises(ValueError, match="not the band record"):
+            kernel._Shape(layout, 50)
+        monkeypatch.setattr(kernel, "_count_values", lambda: real_bands)
+        front = kernel._front()
+        gates = [i for i, op in enumerate(front.ops) if op.__class__ is NorRow and len(op.input_cols) == 3]
+        assert len(gates) == len(BASES)
+        # each bitmap gate without its first input, and A's without the
+        # mask (the other bases' bitmaps hold 0 off the window without it)
+        for gate, keep in [(i, slice(1, 3)) for i in gates] + [(gates[0], slice(0, 2))]:
+            ops = list(front.ops)
+            op = ops[gate]
+            ops[gate] = NorRow(op.input_cols[keep], op.output_col, op.rows)
+            broken = Block([(None, ops)])
+            monkeypatch.setattr(kernel, "_front", lambda broken=broken: broken)
+            with pytest.raises(ValueError, match="the front leaves other bitmaps"):
                 kernel._Shape(layout, 50)
-        monkeypatch.setattr(kernel, "_held", lambda: real)
-        assert callable(kernel._Shape(layout, 50).head)
+        monkeypatch.setattr(kernel, "_front", lambda: front)
+        assert kernel._Shape(layout, 50).gather == kernel._shape(64, 50).gather
 
     def test_a_body_that_writes_a_cell_it_reads_first_raises(self, monkeypatch):
-        # a capture could read such a cell while an earlier location's
-        # store of it still waits
+        # a later location would read such a cell in its batch before
+        # the store of an earlier one is made
         group, rest = _body()
         rows = range(100, 104)
         writes_its_input = Block([(None, [Init(((rows, (6,)),)), NorRow((5,), 6, rows),
                                           Init((((101,), (5,)),))])])
         monkeypatch.setattr(kernel, "_body", lambda: (group, rest, writes_its_input))
-        kernel._lanes.cache_clear()
+        caches = (kernel._lanes, kernel._body_flow)
+        for cached in caches:
+            cached.cache_clear()
         try:
             with pytest.raises(ValueError, match="writes a cell it reads before writing it"):
                 kernel._lanes()
         finally:
             monkeypatch.undo()
-            kernel._lanes.cache_clear()
-        assert kernel._lanes().written == kernel._held()
+            for cached in caches:
+                cached.cache_clear()
+        assert len(kernel._lanes().inputs) == 19
 
 
 class TestBatches:
@@ -719,7 +761,7 @@ class TestLaneGroup:
         assert len(template) == 388 and inits[:4] == [0, 2, 59, 105]
         assert crossbar._fold(template, 4) == (105, rows)
         assert crossbar._fold(template[59:], 4)[0] == 105 - 59
-        assert kernel._lanes()._units[1][0].fold == (rows, 4)
+        assert kernel._lanes()._units[2][0].fold == (rows, 4)
 
     def test_each_block_is_one_function_of_pinned_length(self):
         # the read-length-100 phase block and the body's two blocks each
@@ -734,10 +776,11 @@ class TestLaneGroup:
         assert [len(src.splitlines()) - 1 for src in sources] == [14, 730, 704]
         template = [line for line in sources[1].splitlines() if re.match(r"    l\d+ ", line)]
         assert len(template) == 1 + 497
-        # as lanes of locations, the body is one function per unit, the
-        # same text for any number of lanes: no constant is spelled out,
-        # each is a name bound per lane count. Past its def, K unpack and
-        # return lines, the template splits at its fold's cut into 33
+        # as lanes of locations, the front and the body are one function
+        # per unit, the same text for any number of lanes: no constant is
+        # spelled out, each is a name bound per lane count. Past its def,
+        # K unpack and return lines, the front is one line per gate, the
+        # template splits at its fold's cut into 33
         # lines over four lanes a location and 445 over one (the columns
         # the first part leaves known stay folded in, and the Inits of
         # columns the rest reads nothing of before writing need no line),
@@ -745,11 +788,11 @@ class TestLaneGroup:
         # per lane, have no load or store line
         units = kernel._lanes()._units
         assert [(unit.fmt, n, unit.fold[1]) for unit, n in units] == \
-            [((ROWS, 0, ROWS), 4, 1), ((ROWS, 0, ROWS), 1, 4)] + [((ROWS, 0, ROWS), 1, 1)] * 4 \
-            + [((8, FRAGMENT_ROWS, 4), 1, 1)]
+            [((ROWS, 0, ROWS), 1, 1), ((ROWS, 0, ROWS), 4, 1), ((ROWS, 0, ROWS), 1, 4)] \
+            + [((ROWS, 0, ROWS), 1, 1)] * 4 + [((8, FRAGMENT_ROWS, 4), 1, 1)]
         texts = [unit.text for unit, _ in units]
         assert not any("~" in text or "0x" in text for text in texts)
-        assert [len(text.splitlines()) - 3 for text in texts] == [33, 445] + [24] * 4 + [556]
+        assert [len(text.splitlines()) - 3 for text in texts] == [8, 33, 445] + [24] * 4 + [556]
         assert len(texts[-1].splitlines()) - 3 == len(sources[2].splitlines()) - 1 - len(
             [line for line in sources[2].splitlines() if re.match(r"    (c\d+ = g\[|g\[)", line)])
 
