@@ -285,31 +285,41 @@ class _Unit:
     *params) runs them over any number n of lanes of the format `fmt` =
     (stride, lo, width), where lane j of a value holds rows lo..lo+width-1
     of its column from bit stride * j: a byte per lane on a band of at
-    most _BAND_ROWS rows (_band), else a whole column. `loads` lists the
-    (column, live-in rows) of its parameters, `stores` the (column,
-    written rows) of the values run returns, and constants(n) the value
-    of each name in K: its one-lane value repeated in n lanes. A column
-    it does not read before writing starts known to hold 0, and one in
-    `known` to hold that value; any other is a parameter. The unit's
-    `known` holds the values the ops leave known.
+    most _BAND_ROWS rows (_band), else a whole column. constants(n) is
+    the value of each name in K: its one-lane value repeated in n lanes.
+
+    The unit is compiled from the rows live after it (`after`, per
+    column, those that something run later reads) that it writes, back
+    to the rows it reads first (_live, _Source.lane_op). `loads` lists
+    the (column, live-in rows) of its parameters, and `stores` the
+    (column, written rows) of the values run returns, for each column
+    with a written row live after: a value holds what the ops leave on
+    those rows, and anything on the other written rows. A column with no
+    live-in row starts known to hold 0, and one in `known` that value
+    (`entry` maps each column known on entry to its value); any other is
+    a parameter. The unit's `known` holds the values the ops leave known.
 
     With `fold` = (rows, spans), the ops touch only `rows` (_fold) and
     run on whole columns, each lane holding `spans` copies of them, copy
     x at rows r + x: a constant is bound as (value & rows) in every
     copy. The copies are disjoint, so every op acts on each copy alone."""
 
-    def __init__(self, ops, known=None, var="c", fold=None):
-        _, live, written = _dataflow(ops)
+    def __init__(self, ops, after, known=None, var="c", fold=None):
+        written = _dataflow(ops)[2]
+        # from the rows it writes that are live after it, back to the rows
+        # it reads first
+        per_op, live_in = _live(ops, list(map(int.__and__, after, written)))
         lo, width = _band(ops) if fold is None else (0, ROWS)
         self.fmt = (_BAND_ROWS if width <= _BAND_ROWS else ROWS, lo, width)
-        src = _Source(known={**{k: 0 for k in range(COLS) if not live[k]}, **(known or {})},
-                      band=(lo, width), var=var, consts={})
-        src.ops(ops)
+        self.ops, self.after = ops, after
+        self.entry = {**{k: 0 for k in range(COLS) if not live_in[k]}, **(known or {})}
+        src = _Source(known=dict(self.entry), band=(lo, width), var=var, consts={})
+        src.ops(ops, per_op)
         self.known = src.known
         self.fold = (_ROW_MASK, 1) if fold is None else fold
-        self.stores = tuple((k, rows) for k, rows in enumerate(written) if rows)
+        self.stores = tuple((k, rows) for k, rows in enumerate(written) if rows & after[k])
         self.text = src.function([k for k, _ in self.stores])
-        self.loads = tuple((k, live[k]) for k in src.loads)
+        self.loads = tuple((k, live_in[k]) for k in src.loads)
         self.consts = tuple(src.consts)
         self.reads = any(op.__class__ is ReadCell for op in ops)
         namespace = {}
@@ -380,16 +390,22 @@ class Lanes:
     The rest touches only the fold's rows, whose n shifts are disjoint
     and inside the column, and each of its constants is bound as its
     value on those rows in every span, so each op acts on each span
-    alone, as over n * B lanes. A template with no cut folds at its
-    end, with an empty rest. Each parameter of a unit is gathered, row
-    by row of the rows the unit reads before writing them, from the last
-    unit run before it that wrote the row, or else from the inputs, and
-    converted to the unit's format; a parameter of the rest is the OR
-    over x of span x's rows shifted by x. A tail takes the
-    template-written rows from its own span's lanes and row shift: the
-    proof of the LaneGroup shows that a tail reads no cell another tail
-    writes and writes none a span uses. So every unit reads what it
-    reads in a run of the blocks.
+    alone, as over n * B lanes. A template with no cut folds at its end,
+    with an empty rest.
+
+    Each unit is compiled from the rows live after it: one backward pass
+    (_live) from the read bits, the only thing live after the last unit,
+    through every unit in reverse, each span's input taking the live
+    rows of the template's input. Each parameter of a unit is gathered,
+    row by row of its live-in rows, from the last unit run before it
+    that wrote the row, or else from the inputs, and converted to the
+    unit's format; a parameter of the rest is the OR over x of span x's
+    rows shifted by x. A tail takes the template-written rows from its
+    own span's lanes and row shift: the proof of the LaneGroup
+    shows that a tail reads no cell another tail writes and writes none
+    a span uses. So every unit reads, on its live-in rows, what it reads
+    in a run of the blocks, and every row a later unit reads holds what
+    the run leaves there.
 
     One more function, `_run`, compiled once like the units, gathers,
     runs the units and splits the read bits; the lane counts and masks
@@ -406,11 +422,21 @@ class Lanes:
             inputs.append((k, rows, fmt))
             layers[k] = [((None, i, fmt, 0, 0), rows)]
         self.inputs = tuple(inputs)
+        # the rows live after each unit, from the last back (_live): only
+        # the read bits are live after the last
+        live, afters = [0] * COLS, []
+        for block in reversed(blocks):
+            for ops in reversed(self._parts(block)):
+                afters.append(live)
+                live = _live(ops, live)[1]
+            if isinstance(block, LaneGroup):  # each span reads its own input as the template reads k0
+                for k in block._inputs:
+                    live[k] |= live[block._inputs[0]]
         for block in blocks:
             if isinstance(block, LaneGroup):
-                self._group(block, layers)
+                self._group(block, layers, afters)
             else:
-                unit = _Unit(block.ops)
+                unit = _Unit(block.ops, afters.pop())
                 self._written(self._call(unit, 1, [[self._gather(layers.get(k, []), rows, unit.fmt)]
                                                    for k, rows in unit.loads]), layers)
         names = [f"K{u}" for u in range(len(self._units))] + list(self._masks.values())
@@ -422,28 +448,40 @@ class Lanes:
         exec(compile(_function("run(values, P, B, readouts)", body), "<lanes>", "exec"), namespace)
         self._run = namespace["run"]
 
-    def _group(self, group, layers):
+    @staticmethod
+    def _parts(block):
+        """The op lists of a block's units, in run order: a LaneGroup's
+        template up to its fold's cut (_fold), the rest of it, then its
+        tails; any other block's ops."""
+        if not isinstance(block, LaneGroup):
+            return [block.ops]
+        template = block._pairs[0][0]
+        cut, _ = _fold(template, len(block._pairs))
+        return [template[:cut], template[cut:], *(tail for tail, _ in block._tails)]
+
+    def _group(self, group, layers, afters):
         """The units of a LaneGroup: its template up to its fold's cut
         (_fold) over its spans' lanes, the rest of it over B lanes with
         span x at row shift x, then its tails, each reading the
-        template-written rows from its span's lanes."""
+        template-written rows from its span's lanes. `afters` lists the
+        rows live after each unit, the last unit's first."""
         n, k0 = len(group._pairs), group._inputs[0]
         template = group._pairs[0][0]
         cut, rows = _fold(template, n)
-        first = _Unit(template[:cut], known={k: 0 for k in range(COLS) if k != k0}, var="l")
+        first = _Unit(template[:cut], afters.pop(), known={k: 0 for k in range(COLS) if k != k0}, var="l")
         p = self._call(first, n, [[self._gather(layers.get(k, []), live, first.fmt) for k in group._inputs]
                                   for _, live in first.loads])
         # the rest starts from the columns the first part leaves known,
         # but for the input, which it reads from the spans' own columns
-        rest = _Unit(template[cut:], known={k: v for k, v in first.known.items() if k != k0}, var="l",
-                     fold=(rows, n))
+        rest = _Unit(template[cut:], afters.pop(), known={k: v for k, v in first.known.items() if k != k0},
+                     var="l", fold=(rows, n))
         inputs = [layers.get(k, []) for k in group._inputs]
         q = self._call(rest, 1, [[self._gather((inputs[x] if k == k0 else []) + self._span(x, k, (p,)), live,
                                                rest.fmt) for x in range(n)] for k, live in rest.loads])
         self._written(p, layers, n - 1)
         self._written(q, layers, n - 1)
         for x, (tail, _) in enumerate(group._tails):
-            unit = _Unit(tail)
+            unit = _Unit(tail, afters.pop())
             self._written(self._call(unit, 1, [[self._gather(layers.get(k, []) + self._span(x, k, (p, q)), live,
                                                              unit.fmt)] for k, live in unit.loads]), layers)
 
@@ -873,6 +911,51 @@ def _dataflow(ops):
     return dominated, live, written
 
 
+def _live(ops, after_ops):
+    """Backward row liveness over the lowered ops of a Block, which are
+    init-dominated: from `after_ops`, per column the rows read after the
+    ops, (per op the rows of each column it writes that are live after
+    it, per column the rows read before the ops).
+
+    A NorRow's output held 1 on its rows, so the gate assigns them the
+    NOR of its inputs: it kills them in its output and makes the live
+    ones live in its inputs; with none live it is dead and reads
+    nothing. A NorCol whose output row is live in a column reads its
+    input rows there, and its output row stays live, so its Init stays.
+    An Init or a WriteExternal kills its cells; a ReadCell reads its
+    cell."""
+    live, after = list(after_ops), [None] * len(ops)
+    for i in range(len(ops) - 1, -1, -1):
+        op = ops[i]
+        cls = op.__class__
+        lowered = op._c
+        if cls is NorRow:
+            ins, out, rows = lowered
+            a = live[out]
+            after[i] = {out: a}
+            if a & rows:
+                live[out] = a & ~rows
+                for k in ins:
+                    live[k] |= a & rows
+        elif cls is NorCol:
+            ins, out, cols = lowered
+            after[i] = {k: live[k] for k in cols}
+            for k in cols:
+                if live[k] & out:
+                    live[k] |= ins
+        elif cls is ReadCell:
+            k, bit = lowered
+            after[i] = {}
+            live[k] |= bit
+        else:  # Init, WriteExternal
+            cells = lowered if cls is Init else [((part[0],), part[1]) for part in lowered]
+            after[i] = {k: live[k] for cols, _ in cells for k in cols}
+            for cols, rows in cells:
+                for k in cols:
+                    live[k] &= ~rows
+    return after, live
+
+
 def _form(op, rename):
     """The lowered form of op, with its columns mapped through `rename`."""
     cls = op.__class__
@@ -961,6 +1044,20 @@ class _Source:
     one-lane value to, so one text runs over any number of lanes of any
     stride once the names are bound to the values repeated in each lane
     (_Unit). Every op acts on each lane alone, so the lines stay exact.
+
+    Lane code is built from the rows live after each op (ops with
+    `after`, from _live): it need be exact only on those, so two more
+    passes cut lines (lane_op, nor_cols). Every Block is init-dominated,
+    so a gate's output held 1 on its rows, and a NorRow assigns them:
+    `c = (acc) ^ m` when the column holds no live row off them, which
+    leaves anything on those rows, else `c = c & keep | (acc) & m ^ m`,
+    and nothing when none of its rows is live. An
+    Init sets only the rows something reads before a gate assigns them,
+    and makes its column known when it sets every live row. A NorCol
+    clears its output row, so its Init stays; it is no term in a column
+    where its output row is dead. The code of a Block run on a grid
+    (source) stores every written row exactly: it is built with no
+    `after`, every row live.
     """
 
     def __init__(self, lanes=1, known=None, band=(0, ROWS), var="c", consts=None):
@@ -1008,14 +1105,79 @@ class _Source:
         expr = f"{self.var}{k} >> {ROWS * x}" if x else f"{self.var}{k}"
         return expr if rows is None else f"{expr} & {hex(rows)}"
 
-    def ops(self, ops):
-        """Append the lines of lowered ops."""
-        for is_col, run in groupby(ops, lambda op: op.__class__ is NorCol):
+    def ops(self, ops, after=None):
+        """Append the lines of lowered ops; with `after` (_live), those of
+        lane code that is exact on the rows live after each op
+        (lane_op)."""
+        for is_col, run in groupby(zip(ops, after or [None] * len(ops)), lambda pair: pair[0].__class__ is NorCol):
             if is_col:
                 self.nor_cols(list(run))
             else:
-                for op in run:
-                    self.op(op)
+                for op, live in run:
+                    if live is None:
+                        self.op(op)
+                    else:
+                        self.lane_op(op, {k: self.mask(rows) for k, rows in live.items()})
+
+    def lane_op(self, op, after):
+        """Append the lines of one lowered op other than a NorCol, exact on
+        the rows live after it (`after`, per column it writes, as masks).
+        A NorRow assigns its rows (assign): with no live row off them,
+        `c = (acc) ^ m`, which leaves anything on the other rows; a dead
+        one emits nothing. An Init sets only the live rows, those
+        something reads before a gate assigns them, and makes its column
+        known when it sets every live row. A WriteExternal or a ReadCell
+        is as in op."""
+        cls = op.__class__
+        known = self.known
+        if cls is NorRow:
+            ins, out, rows = op._c
+            rows, a = self.mask(rows), after[out]
+            if a & rows:
+                const = 0
+                for k in ins:
+                    const |= known.get(k, 0)
+                m, keep = rows & ~const, a & ~rows
+                names = [k for k in ins if k not in known]
+                if not names or not m:
+                    value = m
+                elif keep:
+                    value = f"{self.within(' | '.join(map(self.col, names)), m)} ^ {self.num(m)}"
+                else:  # no live row off the gate's rows, so no mask
+                    acc = [*map(self.col, names), *([self.num(const & rows)] if const & rows else [])]
+                    value = f"({' | '.join(acc)}) ^ {self.num(rows)}"
+                self.assign(out, keep, value)
+        elif cls is Init:
+            per_col = {}  # one line per column, whatever its regions
+            for cols, rows in op._c:
+                for k in cols:
+                    per_col[k] = per_col.get(k, 0) | self.mask(rows)
+            for k, rows in per_col.items():
+                a = after[k]
+                if k in known or not a & ~rows:
+                    known[k] = known.get(k, 0) | rows
+                elif a & rows:
+                    self.lines.append(f"{self.col(k, True)} |= {self.num(a & rows)}")
+        else:
+            self.op(op)
+
+    def assign(self, k, keep, value):
+        """Column k takes `value`, an int or an expression that is 0 off
+        the rows an op assigns, and keeps its rows `keep`, the live ones
+        off them. It stays or becomes known when both parts are."""
+        known, num = self.known, self.num
+        if k in known or not keep:
+            rest = known.pop(k, 0) & keep
+            if value.__class__ is int:
+                known[k] = value | rest
+                return
+            line = value + (f" | {num(rest)}" if rest else "")
+        else:
+            line = f"{self.col(k)} & {num(keep)}"
+            if value:
+                line += f" | {num(value) if value.__class__ is int else value}"
+        self.local.add(k)
+        self.lines.append(f"{self.var}{k} = {line}")
 
     def op(self, op):
         """Append the lines of one lowered op other than a NorCol."""
@@ -1073,14 +1235,17 @@ class _Source:
             if k in known:
                 lines.append(f"append({num(known[k] >> shift & self.repeat)})")
             else:
-                lines.append(f"append({self.col(k)} >> {shift} & {num(self.repeat)})")
+                lines.append(f"append({self.col(k)}{f' >> {shift}' if shift else ''} & {num(self.repeat)})")
 
     def nor_cols(self, ops):
-        """Lines for a run of NorCol ops, column by column."""
+        """Lines for a run of NorCol ops, each with its live rows (_live)
+        or None, column by column; a gate whose output row is dead in a
+        column is no term there."""
         per_col = {}
-        for op in ops:
+        for op, after in ops:
             for k in dict.fromkeys(op._c[2]):
-                per_col.setdefault(k, []).append(op._c)
+                if after is None or after[k] & op._c[1]:
+                    per_col.setdefault(k, []).append(op._c)
         for k, gates in per_col.items():
             if k in self.known:
                 value = self.known[k]

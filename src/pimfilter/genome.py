@@ -225,8 +225,7 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
             stats.discarded += discard
             stats.kept += 1 - discard
             if verify_oracle:
-                window = genome[cand.position:cand.position + read_length]
-                if oracle.decide(counts, window, eth) != discard:
+                if oracle.decide(counts, genome, eth, cand.position, read_length) != discard:
                     stats.oracle_mismatches += 1
         pending.clear()
 

@@ -40,6 +40,20 @@ def histogram(seq):
     return counts
 
 
+def window_counts(seq, start, length):
+    """histogram(seq[start:start + length]), counted in place with
+    str.count over the window, without slicing it: a window of `length`
+    bases needs no other check, and any other goes through histogram.
+
+    :raises ValueError: on any letter other than A, C, G, T, as histogram
+        does.
+    """
+    end = start + length
+    count = seq.count
+    a, t, g, c = count("A", start, end), count("T", start, end), count("G", start, end), count("C", start, end)
+    return BaseCounts(a, t, g, c) if a + t + g + c == length else histogram(seq[start:end])
+
+
 def base_count_error(read_counts, window_counts):
     """Sum over base types of |window count - read count|."""
     return sum(abs(s - r) for r, s in zip(read_counts, window_counts))
@@ -50,9 +64,12 @@ def should_discard(error, eth):
     return 1 if error > 2 * eth else 0
 
 
-def decide(read_counts, window, eth):
-    """Filter decision (1 = discard) for a read histogram and a window."""
-    return should_discard(base_count_error(read_counts, histogram(window)), eth)
+def decide(read_counts, seq, eth, start=0, length=None):
+    """Filter decision (1 = discard) for a read histogram and the window
+    of `length` bases of seq from `start` (all of seq by default),
+    counted in place (window_counts)."""
+    counts = window_counts(seq, start, len(seq) - start if length is None else length)
+    return should_discard(base_count_error(read_counts, counts), eth)
 
 
 def edit_distance(a, b):

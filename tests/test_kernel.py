@@ -22,6 +22,8 @@ from pimfilter.crossbar import (
     ProgramBuilder,
     _band,
     _dataflow,
+    _interpret,
+    _pack,
     execute,
 )
 from pimfilter.genome import load_tile, partition
@@ -723,6 +725,63 @@ class TestBatches:
             assert [state.cols for state in batched] == [state.cols for state in alone], size
 
 
+class TestLiveRows:
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_every_unit_is_exact_on_the_rows_live_after_it(self, lanes):
+        # each unit of the lanes is compiled from the rows live after it
+        # (crossbar._live): from random inputs, on B lanes, every value it
+        # returns must hold, on the rows it writes that are live after
+        # it, what interpreting its ops leaves on a grid holding the same
+        # inputs and the values the unit takes as known on entry; and its
+        # read bits must be the interpreter's. A unit over n spans holds
+        # span x of location j in lane x * B + j, and one that folds them
+        # at row shift x of lane j, so each span has its own grid
+        rng = random.Random(lanes)
+        units = kernel._lanes()._units
+        for u, (unit, n) in enumerate(units):
+            assert _dataflow(unit.ops)[0], u  # so each unit may be interpreted alone
+            stride, lo, width = unit.fmt
+            spans = unit.fold[1]
+            grids = [[[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(max(n, spans))]
+                     for _ in range(lanes)]
+            for g in itertools.chain(*grids):
+                for k, value in unit.entry.items():
+                    g[k] = value
+            params = []
+            for k, live in unit.loads:
+                if spans > 1:
+                    values = [sum((span[k] & live) << x for x, span in enumerate(lane)) for lane in grids]
+                else:
+                    values = [(lane[x][k] & live) >> lo for x in range(n) for lane in grids]
+                params.append(_pack(values, stride))
+            bits = []
+            got = unit.run(bits.append, unit.constants(n * lanes), *params)
+            band = (1 << width) - 1
+            for j, lane in enumerate(grids):
+                for x, g in enumerate(lane):
+                    readout = []
+                    _interpret(unit.ops, g, readout, True, None)
+                    assert [v >> stride * j & 1 for v in bits] == readout, (u, j)
+                    for (k, rows), value in zip(unit.stores, got):
+                        if spans > 1:
+                            value = (value >> stride * j & band) >> x
+                        else:
+                            value = (value >> stride * (x * lanes + j) & band) << lo
+                        live = rows & unit.after[k]
+                        assert value & live == g[k] & live, (u, j, x, k)
+        assert sum(unit.reads for unit, _ in units) == 1
+
+    def test_an_init_line_is_left_only_where_a_nor_col_clears_its_row(self):
+        # a gate assigns its rows, so no Init line (`|=`) sets a row for
+        # a NorRow: one is left only in a column where a NorCol, which
+        # clears its output row, needs the row set first
+        units = kernel._lanes()._units
+        for unit, _ in units:
+            inits = [re.match(r"    [cl](\d+) \|= ", line) for line in unit.text.splitlines() if "|=" in line]
+            assert {int(m[1]) for m in inits} <= {k for op in unit.ops if op.__class__ is NorCol for k in op.cols}
+        assert sum("|=" in unit.text for unit, _ in units) == 4  # the four tails'
+
+
 class TestLaneGroup:
     def test_group_covers_the_step_4_and_5_spans(self):
         group, rest = _body()
@@ -778,23 +837,22 @@ class TestLaneGroup:
         assert len(template) == 1 + 497
         # as lanes of locations, the front and the body are one function
         # per unit, the same text for any number of lanes: no constant is
-        # spelled out, each is a name bound per lane count. Past its def,
-        # K unpack and return lines, the front is one line per gate, the
-        # template splits at its fold's cut into 33
-        # lines over four lanes a location and 445 over one (the columns
-        # the first part leaves known stay folded in, and the Inits of
-        # columns the rest reads nothing of before writing need no line),
-        # each tail is its 8 Inits and 16 moves, and steps 6-13, on a byte
-        # per lane, have no load or store line
+        # spelled out, each is a name bound per lane count. Each unit is
+        # compiled from the rows live after it: a gate assigns its rows, a
+        # dead gate and the Init rows that a gate assigns before anything
+        # reads them emit no line. Past its def, K unpack and return
+        # lines, the front is one line per gate, the template splits at
+        # its fold's cut into 29 lines over four lanes a location and 278
+        # over one, each tail is its 8 Inits and 16 moves, and steps 6-13,
+        # on a byte per lane, take fewer lines than they have gates
         units = kernel._lanes()._units
         assert [(unit.fmt, n, unit.fold[1]) for unit, n in units] == \
             [((ROWS, 0, ROWS), 1, 1), ((ROWS, 0, ROWS), 4, 1), ((ROWS, 0, ROWS), 1, 4)] \
             + [((ROWS, 0, ROWS), 1, 1)] * 4 + [((8, FRAGMENT_ROWS, 4), 1, 1)]
         texts = [unit.text for unit, _ in units]
         assert not any("~" in text or "0x" in text for text in texts)
-        assert [len(text.splitlines()) - 3 for text in texts] == [8, 33, 445] + [24] * 4 + [556]
-        assert len(texts[-1].splitlines()) - 3 == len(sources[2].splitlines()) - 1 - len(
-            [line for line in sources[2].splitlines() if re.match(r"    (c\d+ = g\[|g\[)", line)])
+        assert [len(text.splitlines()) - 3 for text in texts] == [8, 29, 278] + [24] * 4 + [345]
+        assert len(texts[-1].splitlines()) - 3 < sum(op.__class__ in (NorRow, NorCol) for op in rest.ops)
 
     def test_matches_the_spans_run_as_separate_blocks(self):
         # every row phase, from a random grid: the group and the eight

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimfilter.io import synth_genome
+from pimfilter.kernel import TILE_SPAN
 from pimfilter.oracle import (
     BaseCounts,
     base_count_error,
@@ -13,6 +15,7 @@ from pimfilter.oracle import (
     edit_distance,
     histogram,
     should_discard,
+    window_counts,
     within_edits,
 )
 
@@ -48,6 +51,29 @@ class TestHistogram:
     def test_rejects_invalid_letter(self):
         with pytest.raises(ValueError, match="position 2"):
             histogram("ACNT")
+
+    @pytest.mark.parametrize("read_length", [1, 37, 64, 100])
+    def test_window_counts_on_every_window_of_a_tile(self, read_length):
+        # and decide counts a window of the tile in place as it counts the
+        # window's slice
+        tile = synth_genome(TILE_SPAN, random.Random(read_length))
+        read = histogram(tile[:read_length])
+        for p in range(len(tile) - read_length + 1):
+            assert window_counts(tile, p, read_length) == histogram(tile[p:p + read_length]), p
+            assert decide(read, tile, 1, p, read_length) == decide(read, tile[p:p + read_length], 1), p
+
+    @pytest.mark.parametrize("start,length", [(0, 5), (3, 4), (6, 4), (9, 3), (-2, 2)])
+    def test_window_counts_is_histogram_of_the_slice(self, start, length):
+        # a window that holds a non-base raises as histogram does, naming
+        # its position in the window; one that runs past the end counts
+        # the bases it holds
+        seq = "ACGTNACGTA"
+        window = seq[start:start + length]
+        if "N" in window:
+            with pytest.raises(ValueError, match=f"^invalid base 'N' at position {window.index('N')}$"):
+                window_counts(seq, start, length)
+        else:
+            assert window_counts(seq, start, length) == histogram(window)
 
     @given(st.text(alphabet="ACGTacgtNU-", max_size=40))
     def test_matches_counter_model(self, seq):
