@@ -290,8 +290,11 @@ class _Unit:
 
     The unit is compiled from the rows live after it (`after`, per
     column, those that something run later reads) that it writes, back
-    to the rows it reads first (_live, _Source.lane_op). `loads` lists
-    the (column, live-in rows) of its parameters, and `stores` the
+    to the rows it reads first (_live, _Source.lane_op): a gate assigns
+    its output cells, so an Init that only readies them emits nothing,
+    and a cone of NorRows on the same rows that only its root's readers
+    see is one line of its cheapest bitwise expression (_Cones). `loads`
+    lists the (column, live-in rows) of its parameters, and `stores` the
     (column, written rows) of the values run returns, for each column
     with a written row live after: a value holds what the ops leave on
     those rows, and anything on the other written rows. A column with no
@@ -322,6 +325,9 @@ class _Unit:
         self.loads = tuple((k, live_in[k]) for k in src.loads)
         self.consts = tuple(src.consts)
         self.reads = any(op.__class__ is ReadCell for op in ops)
+        # per store, (shift, rows) if its value only moves rows it loaded,
+        # up by the shift if positive
+        self.copies = [None if k in src.known else src.copies.get(k) for k, _ in self.stores]
         namespace = {}
         exec(compile(self.text, "<lanes>", "exec"), namespace)
         self.run = namespace["f"]
@@ -351,6 +357,14 @@ def _fold(ops, n):
         else:
             if copies <= _ROW_MASK:
                 return cut, rows
+
+
+def _shifted(name, stride, o, x):
+    """The expression of value `name`'s lanes from o * B of the stride,
+    at row shift x: down by x, or up by -x when x is negative."""
+    if o:
+        return f"{name} >> {stride * o} * B" + (f" + {x}" if x > 0 else f" - {-x}" if x < 0 else "")
+    return name + (f" >> {x}" if x > 0 else f" << {-x}" if x < 0 else "")
 
 
 def _repeat(stride, n):
@@ -405,7 +419,10 @@ class Lanes:
     shows that a tail reads no cell another tail writes and writes none
     a span uses. So every unit reads, on its live-in rows, what it reads
     in a run of the blocks, and every row a later unit reads holds what
-    the run leaves there.
+    the run leaves there. A tail on whole columns that reads no cell out
+    and whose every value only moves rows of its own column that one
+    layer on whole columns holds (_Unit.copies) runs as no unit: its
+    rows are that layer's, at the shift that moves them.
 
     One more function, `_run`, compiled once like the units, gathers,
     runs the units and splits the read bits; the lane counts and masks
@@ -482,8 +499,30 @@ class Lanes:
         self._written(q, layers, n - 1)
         for x, (tail, _) in enumerate(group._tails):
             unit = _Unit(tail, afters.pop())
-            self._written(self._call(unit, 1, [[self._gather(layers.get(k, []) + self._span(x, k, (p, q)), live,
-                                                             unit.fmt)] for k, live in unit.loads]), layers)
+            moved = self._copy_layers(unit, [layers.get(k, []) + self._span(x, k, (p, q)) for k, _ in unit.stores])
+            if moved is None:
+                self._written(self._call(unit, 1, [[self._gather(layers.get(k, []) + self._span(x, k, (p, q)), live,
+                                                                 unit.fmt)] for k, live in unit.loads]), layers)
+            for k, layer in moved or ():
+                layers.setdefault(k, []).append(layer)
+
+    @staticmethod
+    def _copy_layers(unit, stacks):
+        """The layers of a unit on whole columns that reads no cell out
+        and whose every value only moves rows of its own column, each
+        held by one layer on whole columns in its stack (stacks, one per
+        store): (column, that layer at the moved rows and row shift), so
+        the unit need not run; else None."""
+        if unit.reads or unit.fmt[0] != ROWS or None in unit.copies:
+            return None
+        moved = []
+        for (k, _), stack, (shift, rows) in zip(unit.stores, stacks, unit.copies):
+            top = next(((key, held) for key, held in reversed(stack) if held & rows), None)
+            if top is None or top[1] & rows != rows or top[0][2][0] != ROWS:
+                return None
+            (u, i, fmt, o, x), _ = top
+            moved.append((k, ((u, i, fmt, o, x - shift), rows << shift if shift > 0 else rows >> -shift)))
+        return moved
 
     def _layers(self, u, x=0):
         """(column, layer) of each store of unit u, as span x holds it:
@@ -527,27 +566,32 @@ class Lanes:
         lanes, each row from the top layer of `stack` that holds it; 0
         where none does. A layer of unit u is its lanes from o * B, at row
         shift x, and one of input i is c<i>, which holds only its rows.
-        Rows from whole columns onto a band are ORed on the whole
-        columns, then moved to a byte per lane at once."""
+        A negative row shift moves rows up. Rows from whole columns onto a
+        band are ORed on the whole columns, shifted down by lo, one term
+        per (unit value, lanes, shift), then moved to a byte per lane at
+        once."""
         stride, lo, _ = fmt
-        exprs, moved = [], []
+        exprs, moved = [], {}
         for (u, i, (s, l, w), o, x), rows in reversed(stack):
             take = rows & need
             if not take:
                 continue
             need &= ~take
             name = f"c{i}" if u is None else f"u{u}[{i}]"
-            if (s, l) == (stride, lo) or (s, stride) == (ROWS, _BAND_ROWS):
-                at = [f"{s * o} * B"] * bool(o) + [str(x)] * bool(x)
-                value = name + (f" >> {' + '.join(at)}" if at else "")
+            if (s, l) == (stride, lo):
+                value = _shifted(name, s, o, x)
                 if u is not None or take != rows:
                     value += f" & {self._mask(s, take >> l)}"
-                (exprs if s == stride else moved).append(value)
+                exprs.append(value)
+            elif (s, stride) == (ROWS, _BAND_ROWS):
+                moved[name, o, x + lo] = moved.get((name, o, x + lo), 0) | take >> lo
             else:
                 exprs.append(f"pack([(({name} >> {s} * ({o} * B + j) + {x} & {hex((1 << w) - 1)}) << {l}"
                              f" & {hex(take)}) >> {lo} for j in range(B)], {stride})")
         if moved:
-            exprs.append(f"from_bytes((({' | '.join(moved)}) >> {lo}).to_bytes(16 * B, 'little')[::16], 'little')")
+            terms = " | ".join(f"{_shifted(name, ROWS, o, x)} & {self._mask(ROWS, rows)}"
+                               for (name, o, x), rows in moved.items())
+            exprs.append(f"from_bytes(({terms}).to_bytes(16 * B, 'little')[::16], 'little')")
         return " | ".join(f"({expr})" for expr in exprs) or "0"
 
     def _mask(self, stride, rows):
@@ -917,13 +961,13 @@ def _live(ops, after_ops):
     ops, (per op the rows of each column it writes that are live after
     it, per column the rows read before the ops).
 
-    A NorRow's output held 1 on its rows, so the gate assigns them the
-    NOR of its inputs: it kills them in its output and makes the live
-    ones live in its inputs; with none live it is dead and reads
-    nothing. A NorCol whose output row is live in a column reads its
-    input rows there, and its output row stays live, so its Init stays.
-    An Init or a WriteExternal kills its cells; a ReadCell reads its
-    cell."""
+    A gate's output held 1, so the gate assigns it the NOR of its
+    inputs: a NorRow kills its live rows in its output column and makes
+    them live in its inputs, and a NorCol, in each column where its
+    output row is live, kills that row and makes its input rows live;
+    a gate with no live output cell is dead and reads nothing. So an
+    Init that only readies gate outputs is dead too. An Init or a
+    WriteExternal kills its cells; a ReadCell reads its cell."""
     live, after = list(after_ops), [None] * len(ops)
     for i in range(len(ops) - 1, -1, -1):
         op = ops[i]
@@ -942,7 +986,7 @@ def _live(ops, after_ops):
             after[i] = {k: live[k] for k in cols}
             for k in cols:
                 if live[k] & out:
-                    live[k] |= ins
+                    live[k] = live[k] & ~out | ins
         elif cls is ReadCell:
             k, bit = lowered
             after[i] = {}
@@ -1046,18 +1090,26 @@ class _Source:
     (_Unit). Every op acts on each lane alone, so the lines stay exact.
 
     Lane code is built from the rows live after each op (ops with
-    `after`, from _live): it need be exact only on those, so two more
-    passes cut lines (lane_op, nor_cols). Every Block is init-dominated,
-    so a gate's output held 1 on its rows, and a NorRow assigns them:
-    `c = (acc) ^ m` when the column holds no live row off them, which
-    leaves anything on those rows, else `c = c & keep | (acc) & m ^ m`,
-    and nothing when none of its rows is live. An
-    Init sets only the rows something reads before a gate assigns them,
-    and makes its column known when it sets every live row. A NorCol
-    clears its output row, so its Init stays; it is no term in a column
-    where its output row is dead. The code of a Block run on a grid
-    (source) stores every written row exactly: it is built with no
-    `after`, every row live.
+    `after`, from _live): it need be exact only on those, so more passes
+    cut lines (lane_op, moves, _Cones). Every Block is init-dominated,
+    so a gate's output held 1, and a gate assigns its output cells:
+    - A NorRow is `c = (acc) ^ m` when the column holds no live row off
+      its rows m, which leaves anything off them, else `c = c & keep |
+      (acc) & m ^ m`, and nothing when none of its rows is live.
+    - A NorRow of the first form is a node of a cone (_Cones): it gets a
+      line only where something other than such gates on the same rows
+      reads it, and that line is the cheapest expression of its cone's
+      truth table over at most three leaves, proved on every leaf
+      pattern against the cone's NOR gates.
+    - A run of NorCol ops on a column assigns the output rows it writes,
+      `c = c & keep | (terms) ^ outs`, keeping only the rows live after
+      it; a move through a row that nothing reads later, moved on again,
+      is a copy with no NOR, and a move of a node `NOT x` moves x.
+    - An Init sets only the rows something reads before a gate assigns
+      them, and makes its column known when it sets every live row.
+    The code of a Block run on a grid (source) stores every written row
+    exactly: it is built with no `after`, every row live, and NorCol ops
+    clear their output rows, which an Init set.
     """
 
     def __init__(self, lanes=1, known=None, band=(0, ROWS), var="c", consts=None):
@@ -1069,6 +1121,8 @@ class _Source:
         self.full = ((1 << self.width) - 1) * self.repeat
         self.consts = consts
         self.num = hex if consts is None else self.name
+        self.cones = None if consts is None else _Cones(var)
+        self.copies = {}  # column -> (shift, rows) of a last line that only moves its loaded rows
 
     def name(self, value):
         """The name of a one-lane constant in lane code."""
@@ -1078,15 +1132,33 @@ class _Source:
         """A lowered row mask in every lane, or on the band."""
         return (rows >> self.lo) * self.repeat
 
-    def col(self, k, write=False):
-        """The local holding column k, loaded on entry unless assigned
-        first (stored on exit if written)."""
+    def load(self, k):
+        """Column k's local, loaded on entry unless assigned first."""
         if k not in self.local:
             self.local.add(k)
             self.loads.append(k)
+
+    def col(self, k, write=False):
+        """The local holding column k, loaded on entry unless assigned
+        first (stored on exit if written). In lane code the next line
+        reads its value, which so must exist (_Cones), and writes a new
+        one if `write`."""
+        self.load(k)
         if write:
             self.written[k] = None
+            self.copies.pop(k, None)
+        if self.cones is not None:
+            self.cones.pinned.add(self.cones.value(k))
+            if write:
+                self.cones.assign(k, len(self.lines))
         return f"{self.var}{k}"
+
+    def set(self, k, line):
+        """Append the lane-code line that assigns column k's local."""
+        self.copies.pop(k, None)
+        self.local.add(k)
+        self.cones.assign(k, len(self.lines))
+        self.lines.append(f"{self.var}{k} = {line}")
 
     def clear(self, v, expr):
         """The line that clears the bits of column local v where expr is 1."""
@@ -1107,8 +1179,9 @@ class _Source:
 
     def ops(self, ops, after=None):
         """Append the lines of lowered ops; with `after` (_live), those of
-        lane code that is exact on the rows live after each op
-        (lane_op)."""
+        lane code that is exact on the rows live after each op (lane_op,
+        moves), with a placeholder for each node of a cone, which
+        function replaces."""
         for is_col, run in groupby(zip(ops, after or [None] * len(ops)), lambda pair: pair[0].__class__ is NorCol):
             if is_col:
                 self.nor_cols(list(run))
@@ -1122,12 +1195,12 @@ class _Source:
     def lane_op(self, op, after):
         """Append the lines of one lowered op other than a NorCol, exact on
         the rows live after it (`after`, per column it writes, as masks).
-        A NorRow assigns its rows (assign): with no live row off them,
-        `c = (acc) ^ m`, which leaves anything on the other rows; a dead
-        one emits nothing. An Init sets only the live rows, those
-        something reads before a gate assigns them, and makes its column
-        known when it sets every live row. A WriteExternal or a ReadCell
-        is as in op."""
+        A NorRow assigns its rows (assign); with no live row off them,
+        and at most three leaves, it is a node of a cone (_Cones.gate),
+        whose line, if any, waits for the cone pass; a dead one emits
+        nothing. An Init sets only the live rows, those something reads
+        before a gate assigns them, and makes its column known when it
+        sets every live row. A WriteExternal or a ReadCell is as in op."""
         cls = op.__class__
         known = self.known
         if cls is NorRow:
@@ -1143,7 +1216,22 @@ class _Source:
                     value = m
                 elif keep:
                     value = f"{self.within(' | '.join(map(self.col, names)), m)} ^ {self.num(m)}"
-                else:  # no live row off the gate's rows, so no mask
+                elif len(names) + bool(const & rows) <= 3:
+                    # no live row off the gate's rows, so no mask: a node
+                    # of a cone, emitted, if at all, when the lines are
+                    # done (_Cones)
+                    cones = self.cones
+                    leaves = []
+                    for k in names:
+                        self.load(k)
+                        leaves.append(cones.value(k))
+                    if const & rows:
+                        leaves.append(cones.constant(self.num(const & rows)))
+                    known.pop(out, None)
+                    self.local.add(out)
+                    self.lines.append(cones.gate(out, rows, leaves, len(self.lines)))
+                    return
+                else:
                     acc = [*map(self.col, names), *([self.num(const & rows)] if const & rows else [])]
                     value = f"({' | '.join(acc)}) ^ {self.num(rows)}"
                 self.assign(out, keep, value)
@@ -1176,8 +1264,7 @@ class _Source:
             line = f"{self.col(k)} & {num(keep)}"
             if value:
                 line += f" | {num(value) if value.__class__ is int else value}"
-        self.local.add(k)
-        self.lines.append(f"{self.var}{k} = {line}")
+        self.set(k, line)
 
     def op(self, op):
         """Append the lines of one lowered op other than a NorCol."""
@@ -1241,11 +1328,13 @@ class _Source:
         """Lines for a run of NorCol ops, each with its live rows (_live)
         or None, column by column; a gate whose output row is dead in a
         column is no term there."""
-        per_col = {}
+        per_col, lives = {}, {}
         for op, after in ops:
             for k in dict.fromkeys(op._c[2]):
                 if after is None or after[k] & op._c[1]:
                     per_col.setdefault(k, []).append(op._c)
+                if after is not None:
+                    lives[k] = after[k]
         for k, gates in per_col.items():
             if k in self.known:
                 value = self.known[k]
@@ -1257,20 +1346,66 @@ class _Source:
                 self.known[k] = value
                 self.written[k] = None
                 continue
-            v = self.col(k, True)
-            terms, wrote = {}, 0
+            groups, terms, wrote = [], {}, 0
             for ins, out, _ in gates:
                 if ins & wrote:  # a hazard: the op reads a row the group wrote
-                    self.lines.append(self.clear(v, self.terms(v, terms)))
+                    groups.append((terms, self.mask(wrote)))
                     terms, wrote = {}, 0
                 for s, m in self.shifts(ins, out):
                     terms[s] = terms.get(s, 0) | m
                 wrote |= out
-            self.lines.append(self.clear(v, self.terms(v, terms)))
+            groups.append((terms, self.mask(wrote)))
+            if self.cones is None:
+                v = self.col(k, True)
+                for terms, _ in groups:
+                    self.lines.append(self.clear(v, self.terms(v, terms)))
+            else:
+                self.moves(k, groups, self.mask(lives[k]))
+
+    def moves(self, k, groups, live):
+        """Lane-code lines for the groups of a run of NorCol ops on column
+        k, each (terms, rows it writes), with `live` the rows live after
+        the run. A gate's output held 1, so a group assigns its rows the
+        NOR of its terms, and keeps only the rows live after it that it
+        does not write. A group of one-row moves by one shift whose rows
+        the next group moves again by one shift, and that nothing reads
+        later, is inverted twice: the two are one move, a copy; one of
+        the rows the unit loads, with nothing else on the column, is
+        recorded in `copies` until the column is written again."""
+        num, loaded = self.num, k not in self.local
+        lives = []  # the rows live after each group, from the last back
+        for terms, wrote in reversed(groups):
+            lives.append(live)
+            live &= ~wrote
+            for m in terms.values():
+                live |= m
+        merged = []  # (terms, rows written, inverted, rows live after)
+        for (terms, wrote), live in zip(groups, reversed(lives)):
+            if merged and len(terms) == 1 and len(merged[-1][0]) == 1:
+                (s0, m0), = merged[-1][0].items()
+                (s, m), = terms.items()
+                if m == merged[-1][1] == (m0 << s0 if s0 > 0 else m0 >> -s0) and not m & live:
+                    merged[-1] = ({s0 + s: m0}, wrote, not merged[-1][2], live)
+                    continue
+            merged.append((terms, wrote, True, live))
+        for i, (terms, wrote, inverted, live) in enumerate(merged):
+            source = None
+            if not i and len(terms) == 1:  # a move of a NOT that nothing else reads moves its input
+                (m,) = terms.values()
+                source = self.cones.inverse(k, m, len(self.lines))
+            if source is not None:
+                inverted = not inverted
+            value = self.terms(source or self.col(k), terms)
+            if inverted:
+                value = f"({value}) ^ {num(wrote)}"
+            keep = live & ~wrote
+            self.set(k, f"{self.col(k)} & {num(keep)} | {value}" if keep else value)
+            if loaded and not i and source is None and not inverted and not keep:
+                (self.copies[k],) = terms.items()
 
     def terms(self, v, terms):
         """The OR of the shifted terms {shift: mask} of column local v."""
-        return " | ".join(f"({v} & {self.num(m)}) " + (f"<< {s}" if s > 0 else f">> {-s}")
+        return " | ".join(f"({v} & {self.num(m)})" + (f" << {s}" if s > 0 else f" >> {-s}" if s else "")
                           for s, m in terms.items())
 
     def shifts(self, ins, out):
@@ -1303,11 +1438,242 @@ class _Source:
         """The lines as lane code, `def f(append, K, <loads>)`: K binds
         the constants' names in order, each column the lines read before
         assigning it is a parameter, and f returns the value of each
-        column in `stores`, a local or a constant."""
-        values = [self.num(self.known[k]) if k in self.known else f"{self.var}{k}" for k in stores]
+        column in `stores`, a local or a constant. The values returned
+        are pinned, then each cone placeholder becomes its line, or
+        none (_Cones.lines)."""
+        values = []
+        for k in stores:
+            if k in self.known:
+                values.append(self.num(self.known[k]))
+            else:
+                values.append(self.col(k))
+        lines = self.cones.lines(self.lines, self.num)
         params = "".join(f", {self.var}{k}" for k in self.loads)
         unpack = [f"({', '.join(self.consts.values())},) = K"] if self.consts else []
-        return _function(f"f(append, K{params})", [*unpack, *self.lines, f"return ({''.join(v + ', ' for v in values)})"])
+        return _function(f"f(append, K{params})", [*unpack, *lines, f"return ({''.join(v + ', ' for v in values)})"])
+
+
+class _Cones:
+    """The cone pass of lane code (_Source with `consts`): which NorRows
+    in the no-keep form `c = (acc) ^ m` get a line, and which fold into
+    the lines of the gates that read them.
+
+    Each value a column local takes gets an id. Such a NorRow is a node
+    (gate), with a placeholder in the lines. A line that reads a local
+    other than a node pins the value it holds (_Source.col), and so does
+    a node on other rows and the unit's return; a node whose value is
+    not pinned, so that only nodes on its rows read it, folds into them.
+    Every pinned node, and every node a chosen cone has as a leaf, gets
+    a line: a cone of at most three leaves, each a loaded or assigned
+    local, a named constant or another node with a line, that its local
+    still holds where the cone's line stands, written as the cheapest
+    expression over `&`, `|`, `^` and NOT as `^ m` of the cone's truth
+    table (_expressions). The cones are chosen by area flow (cover).
+
+    Proof: each line's text is evaluated on all eight leaf patterns and
+    must give the truth table of the cone's NOR gates, or ValueError.
+    Bitwise ops act on each row alone and every gate of a cone has the
+    same rows m, so the line holds the cone's value on m, and no row off
+    m is live after it.
+    """
+
+    _LEAVES = (0xAA, 0xCC, 0xF0)
+
+    def __init__(self, var):
+        self.var = var
+        self.count = 0
+        self.held = {}  # column -> id of the value its local holds
+        self.names = {}  # id -> the text of its local or constant
+        self.ends = {}  # id -> the line that next assigns its local
+        self.gates = {}  # id -> (column, rows, leaf ids, line) of a node
+        self.readers = {}  # node id -> how many nodes read it
+        self.pinned = set()
+
+    def new(self, name):
+        self.count += 1
+        self.names[self.count] = name
+        return self.count
+
+    def value(self, k):
+        """The id of the value column k's local holds."""
+        if k not in self.held:
+            self.held[k] = self.new(f"{self.var}{k}")
+        return self.held[k]
+
+    def constant(self, name):
+        """The id of a named constant leaf."""
+        if name not in self.held:
+            self.held[name] = self.new(name)
+        return self.held[name]
+
+    def assign(self, k, line):
+        """Column k's local takes a new value at line `line`."""
+        if k in self.held:
+            self.ends[self.held[k]] = line
+        self.held[k] = self.new(f"{self.var}{k}")
+
+    def gate(self, k, rows, leaves, line):
+        """A node: the NorRow of the ids `leaves` on rows, into column k's
+        local at line `line`; its id, the line's placeholder."""
+        self.assign(k, line)
+        g = self.held[k]
+        self.gates[g] = (k, rows, leaves, line)
+        self.readers[g] = 0
+        for v in leaves:
+            if v in self.gates:
+                self.readers[v] += 1
+                if self.gates[v][1] != rows:
+                    self.pinned.add(v)
+        return g
+
+    def inverse(self, k, rows, line):
+        """The name of x where column k's local holds a node NOT x on
+        `rows` that nothing reads, and x's local holds x at line `line`;
+        else None. The caller reads x instead of the node."""
+        g = self.held.get(k)
+        if g in self.gates and g not in self.pinned and not self.readers[g]:
+            _, mask, leaves, _ = self.gates[g]
+            if len(leaves) == 1 and mask & rows == rows and self.ends.get(leaves[0], line) >= line:
+                self.pinned.add(leaves[0])
+                return self.names[leaves[0]]
+        return None
+
+    def table(self, g, leaves):
+        """The truth table of node g's cone over `leaves` (_LEAVES)."""
+        tables = dict(zip(leaves, self._LEAVES))
+
+        def value(v):
+            if v not in tables:
+                acc = 0
+                for x in self.gates[v][2]:
+                    acc |= value(x)
+                tables[v] = acc ^ 0xFF
+            return tables[v]
+        return value(g)
+
+    def lines(self, lines, num):
+        """The lines with each placeholder replaced by its cone's line, or
+        dropped where the node folds."""
+        expressions = _expressions()
+        # node -> [(leaves, truth table, operators, unpinned node leaves)]
+        # of each cone, its table from its inputs' tables over its leaves
+        cuts = {}
+        for g, (_, _, leaves, line) in self.gates.items():
+            combos = {frozenset(): ()}  # leaves -> a cone of each input so far
+            for v in leaves:
+                options = [((v,), 0xAA)]
+                if v in cuts and v not in self.pinned:  # those of its cones whose leaves are still held
+                    options += [cut[:2] for cut in cuts[v] if all(self.ends.get(x, line) >= line for x in cut[0])]
+                combos = {u: combo + (o,) for union, combo in combos.items() for o in options
+                          if len(u := union.union(o[0])) <= 3}
+            tables = {}
+            for union, combo in combos.items():
+                cut = tuple(sorted(union))
+                acc = 0
+                for o, t in combo:
+                    acc |= _spread(t, tuple(map(cut.index, o)))
+                tables[cut] = acc ^ 0xFF
+            cuts[g] = [(cut, tt, expressions[tt][1], tuple(v for v in cut if v in cuts and v not in self.pinned))
+                       for cut, tt in sorted(tables.items())]
+        # area flow, each node's operators shared by the nodes that read
+        # it; then again, shared by the cones that use it as a leaf in
+        # that cover. The cover with fewer operators wins
+        first = self.cover(cuts, self.readers)
+        share = dict.fromkeys(self.gates, 0)
+        for _, _, _, nodes in first.values():
+            for v in nodes:
+                share[v] += 1
+        text = {}
+        for g, (cut, tt, _, _) in min(first, self.cover(cuts, share),
+                                      key=lambda cover: sum(ops for _, _, ops, _ in cover.values())).items():
+            k, rows, _, _ = self.gates[g]
+            tree = expressions[tt][0]
+            names = [self.names[v] for v in cut] + [num(rows)] * _inverts(tree)
+            expr = _render(tree, names)
+            if eval(expr, dict(zip(names, (*self._LEAVES[:len(cut)], 0xFF)))) != self.table(g, cut):
+                raise ValueError(f"the line of column {k}'s cone, {expr}, is not its NOR gates")
+            text[g] = f"{self.var}{k} = {expr}"
+        return [text[line] if line.__class__ is int else line for line in lines
+                if line.__class__ is not int or line in text]
+
+    def cover(self, cuts, share):
+        """The cone of each emitted node: the pinned nodes, and the leaves
+        of the cones chosen, each choosing its cone of least area flow
+        (operators, plus each unpinned node leaf's flow over its share)."""
+        flow, chosen = {}, {}
+        for g, found in cuts.items():
+            least = None
+            for cut in found:
+                area = cut[2]
+                for v in cut[3]:
+                    area += flow[v] / (share[v] or 1)
+                if least is None or area < least:
+                    least, chosen[g] = area, cut
+            flow[g] = least
+        need, cover = self.pinned & self.gates.keys(), {}
+        for g in reversed(self.gates):
+            if g in need:
+                cover[g] = chosen[g]
+                need.update(v for v in chosen[g][0] if v in self.gates)
+        return cover
+
+
+@functools.cache
+def _expressions():
+    """The cheapest expression of each of the 256 functions of three
+    leaves, keyed by truth table (leaf i is _Cones._LEAVES[i]): (tree,
+    operators), where a tree is a leaf index, "0", "1" (the gate's rows)
+    or (operator, tree, tree), a NOT being ("^", tree, "1"). Found level
+    by level of operator count, so each function's first tree is a
+    cheapest; built once per process, by the first lane code."""
+    best = dict(zip(_Cones._LEAVES, range(3)))
+    best.update({0: "0", 0xFF: "1"})
+    levels = [list(best)]
+    while len(best) < 256:
+        size, new = len(levels), {}
+        for f in levels[-1]:
+            if f ^ 0xFF not in best:
+                new.setdefault(f ^ 0xFF, ("^", best[f], "1"))
+        for i in range((size - 1) // 2 + 1):
+            for f in levels[i]:
+                for g in levels[size - 1 - i]:
+                    for h, op in ((f & g, "&"), (f | g, "|"), (f ^ g, "^")):
+                        if h not in best and h not in new:
+                            new[h] = (op, best[f], best[g])
+        best.update(new)
+        levels.append(list(new))
+    return {f: (best[f], size) for size, level in enumerate(levels) for f in level}
+
+
+@functools.cache
+def _spread(table, places):
+    """A truth table over leaves 0, 1, .. as one over the three leaves,
+    leaf j of the one being leaf places[j] of the other."""
+    spread = 0
+    for p in range(8):
+        q = sum((p >> i & 1) << j for j, i in enumerate(places))
+        spread |= (table >> q & 1) << p
+    return spread
+
+
+def _inverts(tree):
+    """Whether an expression tree holds "1", the rows a NOT flips."""
+    return tree == "1" or tree.__class__ is tuple and any(map(_inverts, tree[1:]))
+
+
+def _render(tree, names):
+    """The text of an expression tree over the leaf names, "1" named
+    names[-1], with only the parentheses precedence needs."""
+    def text(tree):
+        if tree.__class__ is int:
+            return names[tree], 4
+        if tree.__class__ is str:
+            return (names[-1] if tree == "1" else "0"), 4
+        op, *args = tree
+        level = " | ^ &".split().index(op) + 1
+        parts = [t if p >= level else f"({t})" for t, p in map(text, args)]
+        return f" {op} ".join(parts), level
+    return text(tree)[0]
 
 
 def _function(signature, body):

@@ -29,8 +29,10 @@ from pimfilter.crossbar import (
     _interpret,
     _lower,
     _pack,
+    _Unit,
     execute,
 )
+from pimfilter.gates import _adder_gates
 
 from compiled import band_io, compiled, grid_io
 from dataflow import annotations, live_cells
@@ -787,9 +789,41 @@ def runs_like_its_spans_in_order(span, tail):
         assert run_as_lanes(lanes, grids) == interpreted_reads(group.ops, grids), lane_count
 
 
+def copy_tail(x):
+    """A tail that only moves the template's row-0 result in column 11
+    into row 20 + x, through row 40."""
+    return [Init((((40, 20 + x), (11,)),)), NorCol((0,), 40, (11,)), NorCol((40,), 20 + x, (11,))]
+
+
 class TestLaneGroup:
     def test_runs_like_its_spans_in_order(self):
         runs_like_its_spans_in_order(copy_span, stage_tail)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_tails_that_only_move_rows_run_as_no_unit(self, wide):
+        # a tail that only moves a row of its span (row 40 is read by
+        # nothing later) runs as no unit: what reads the row it writes
+        # reads it from the template's folded lane, where span x's row 0
+        # is row x, moved up by 20: onto a band of rows 20-22, or, with a
+        # read of row 120 too, onto whole columns
+        pairs = [(("t", fold_span(k)), ("s", copy_tail(x))) for x, k in enumerate((5, 6, 7))]
+        group = LaneGroup(pairs)
+        reads = [ReadCell(20 + x, 11) for x in range(3)] + [ReadCell(120, 3)] * wide
+        lanes = Lanes([group, Block(unlabelled(reads))])
+        assert [(unit.fmt[0], unit.fold[1]) for unit, _ in lanes._units] == \
+            [(ROWS, 1), (ROWS, 3), (ROWS if wide else 8, 1)]
+        rng = random.Random(9)
+        for lane_count in LANE_COUNTS:
+            grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
+            readouts = [[] for _ in grids]
+            lanes.run([_pack([(g[k] & rows) >> lo for g in grids], stride) for k, rows, (stride, lo, _) in lanes.inputs],
+                      readouts)
+            wants = []
+            for g in grids:
+                bits = []
+                _interpret(group.ops + reads, list(g), bits, True, None)
+                wants.append(bits)
+            assert readouts == wants, lane_count
 
     def test_a_template_that_reads_its_input_column_late(self):
         # the template folds columns it starts at 0 on the lane grid into
@@ -1133,6 +1167,68 @@ def test_lanes_read_what_the_interpreter_leaves(data):
     for lane_count in LANE_COUNTS:
         grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
         assert run_as_lanes(lanes, grids) == interpreted_reads(ops, grids), lane_count
+
+
+@st.composite
+def cone_ops(draw, rows, c0):
+    """Init-dominated NorRows over six columns c0.. that they reuse, most
+    on the row set `rows`, some on a part of it: so chains of gates fold
+    into cones of lane code, and a cone's leaf is often assigned again
+    before the cone's line."""
+    cols = st.integers(c0, c0 + 5)
+    masks = st.sampled_from((rows, rows, rows, rows[:len(rows) // 2 + 1]))
+    ops = []
+    for _ in range(draw(st.integers(1, 24))):
+        ins = tuple(draw(st.lists(cols, min_size=1, max_size=3, unique=True)))
+        out, lines = draw(cols.filter(lambda v: v not in ins)), draw(masks)
+        ops += [Init(((lines, (out,)),)), NorRow(ins, out, lines)]
+    return ops
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cones_of_nor_rows_read_what_the_interpreter_leaves(data):
+    # a gate network on one row set, on a band or on whole columns, whose
+    # gates fold into cones of at most three leaves, each one line of its
+    # cheapest expression (crossbar._Cones), then a block that reads back
+    # every cell it writes: run as lanes at B = 1 and 3, each lane's read
+    # bits must be what the interpreter reads out on its own grid
+    c0 = data.draw(origins(COLS))
+    lo = data.draw(st.integers(0, ROWS - 8))
+    span = data.draw(st.sampled_from((8, ROWS - lo)))
+    rows = tuple(sorted(data.draw(st.sets(st.integers(lo, lo + span - 1), min_size=1, max_size=8))))
+    ops = data.draw(cone_ops(rows, c0))
+    lanes = reading_back([Block(unlabelled(ops))])
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    for lane_count in (1, 3):
+        grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
+        assert run_as_lanes(lanes, grids) == interpreted_reads(ops, grids), lane_count
+
+
+def test_a_full_adder_cell_is_two_lines_of_six_operators():
+    # the nine NOR gates of a full adder cell fold into two cones over
+    # its three inputs: the sum, a three-leaf XOR of 2 operators, and the
+    # carry, a majority of 4; on every input pattern, in every row of the
+    # cell's rows, they hold what the interpreter leaves
+    pb, rows = ProgramBuilder(), (1, 2, 5)
+    a, b, q, s, carry, t = 0, 1, 2, 3, 4, tuple(range(5, 12))
+    pb.init((rows, t + (s, carry)))
+    _adder_gates(pb, 1, (a,), (b,), (s, carry), t, (), rows, q)
+    ops = pb.build().head[0][1]
+    after = [0] * COLS
+    after[s] = after[carry] = sum(1 << r for r in rows)
+    unit = _Unit(Block(unlabelled(ops)).ops, after)
+    lines = unit.text.splitlines()[2:-1]
+    assert len(lines) == 2
+    assert sum(len(re.findall(r"[&|^]", line)) for line in lines) == 6
+    assert [k for k, _ in unit.loads] == [a, b, q] and [k for k, _ in unit.stores] == [s, carry]
+    for pattern in range(8):
+        grid = [0] * COLS
+        for bit, k in enumerate((a, b, q)):
+            grid[k] = sum(1 << r for r in rows) * (pattern >> bit & 1)
+        got = unit.run(None, unit.constants(1), *(grid[k] >> unit.fmt[1] for k, _ in unit.loads))
+        _interpret(ops, grid, [], True, None)
+        assert [v << unit.fmt[1] & after[k] for v, (k, _) in zip(got, unit.stores)] == [grid[s], grid[carry]]
 
 
 def test_lanes_move_values_between_formats():

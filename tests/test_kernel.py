@@ -726,7 +726,7 @@ class TestBatches:
 
 
 class TestLiveRows:
-    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("lanes", [1, 3, 64])
     def test_every_unit_is_exact_on_the_rows_live_after_it(self, lanes):
         # each unit of the lanes is compiled from the rows live after it
         # (crossbar._live): from random inputs, on B lanes, every value it
@@ -771,15 +771,43 @@ class TestLiveRows:
                         assert value & live == g[k] & live, (u, j, x, k)
         assert sum(unit.reads for unit, _ in units) == 1
 
-    def test_an_init_line_is_left_only_where_a_nor_col_clears_its_row(self):
-        # a gate assigns its rows, so no Init line (`|=`) sets a row for
-        # a NorRow: one is left only in a column where a NorCol, which
-        # clears its output row, needs the row set first
-        units = kernel._lanes()._units
-        for unit, _ in units:
-            inits = [re.match(r"    [cl](\d+) \|= ", line) for line in unit.text.splitlines() if "|=" in line]
-            assert {int(m[1]) for m in inits} <= {k for op in unit.ops if op.__class__ is NorCol for k in op.cols}
-        assert sum("|=" in unit.text for unit, _ in units) == 4  # the four tails'
+    def test_a_cone_line_that_is_not_its_nor_gates_raises(self, monkeypatch):
+        # the cone pass proves each line on every leaf pattern against the
+        # NOR gates it replaces: an expression table that maps the
+        # three-leaf XOR (the adders' sums) to a three-leaf OR, at the same
+        # cost, must fail the build of the lanes
+        table = dict(crossbar._expressions())
+        xor3, or3 = 0xAA ^ 0xCC ^ 0xF0, 0xAA | 0xCC | 0xF0
+        assert table[xor3][1] == table[or3][1] == 2
+        table[xor3] = table[or3]
+        monkeypatch.setattr(crossbar, "_expressions", lambda: table)
+        kernel._lanes.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="is not its NOR gates"):
+                kernel._lanes()
+        finally:
+            monkeypatch.undo()
+            kernel._lanes.cache_clear()
+        assert len(kernel._lanes().inputs) == 19
+
+    def test_every_gate_assigns_its_cells_so_no_init_line_is_left(self):
+        # every Block is init-dominated, so a NorRow assigns its rows and a
+        # NorCol its output row: no Init line (`|=`, `&=`) is left in lane
+        # code. Each step-5 tail only moves row 0 of its span to its lane
+        # row, through the stage row, so it runs as no unit: steps 6-13
+        # read the lane rows of each result column straight from the
+        # folded popcount, where span x's row 0 is row x and lane row
+        # 100 + x its row, one masked term a column
+        lanes = kernel._lanes()
+        units = lanes._units
+        assert not any(re.search(r"[&|]=", unit.text) for unit, _ in units)
+        L = plan_layout()
+        assert [L.lane_rows[base] for base in BASES] == list(range(FRAGMENT_ROWS, FRAGMENT_ROWS + len(BASES)))
+        calls = [line for line in lanes._lines if re.match(r"u\d+ = ", line)]
+        assert len(units) == len(calls) == 4 and calls[3].startswith("u3 = f3(")
+        body = calls[3]
+        for i, k in enumerate(L.res_cols):
+            assert re.search(rf"from_bytes\(\(u2\[{i}\] & m\d+\)\.to_bytes", body), k
 
 
 class TestLaneGroup:
@@ -838,20 +866,23 @@ class TestLaneGroup:
         # as lanes of locations, the front and the body are one function
         # per unit, the same text for any number of lanes: no constant is
         # spelled out, each is a name bound per lane count. Each unit is
-        # compiled from the rows live after it: a gate assigns its rows, a
-        # dead gate and the Init rows that a gate assigns before anything
-        # reads them emit no line. Past its def, K unpack and return
-        # lines, the front is one line per gate, the template splits at
-        # its fold's cut into 29 lines over four lanes a location and 278
-        # over one, each tail is its 8 Inits and 16 moves, and steps 6-13,
-        # on a byte per lane, take fewer lines than they have gates
+        # compiled from the rows live after it: a gate assigns its cells,
+        # a dead gate and an Init that only readies gate outputs emit no
+        # line, and a cone of NorRows is one line of its cheapest
+        # expression (crossbar._Cones). Past its def, K unpack and return
+        # lines, the front is 4 lines, the template splits at its fold's
+        # cut into 9 lines over four lanes a location and 84 over one, the
+        # tails, which only move rows, run as no unit, and steps 6-13, on
+        # a byte per lane, are 83 lines. The bitwise operators of those
+        # lines are pinned too, so a pass that stops folding shows here
         units = kernel._lanes()._units
         assert [(unit.fmt, n, unit.fold[1]) for unit, n in units] == \
-            [((ROWS, 0, ROWS), 1, 1), ((ROWS, 0, ROWS), 4, 1), ((ROWS, 0, ROWS), 1, 4)] \
-            + [((ROWS, 0, ROWS), 1, 1)] * 4 + [((8, FRAGMENT_ROWS, 4), 1, 1)]
+            [((ROWS, 0, ROWS), 1, 1), ((ROWS, 0, ROWS), 4, 1), ((ROWS, 0, ROWS), 1, 4),
+             ((8, FRAGMENT_ROWS, 4), 1, 1)]
         texts = [unit.text for unit, _ in units]
         assert not any("~" in text or "0x" in text for text in texts)
-        assert [len(text.splitlines()) - 3 for text in texts] == [8, 29, 278] + [24] * 4 + [345]
+        assert [len(text.splitlines()) - 3 for text in texts] == [4, 9, 84, 83]
+        assert [operators(text) for text in texts] == [12, 18, 219, 218]
         assert len(texts[-1].splitlines()) - 3 < sum(op.__class__ in (NorRow, NorCol) for op in rest.ops)
 
     def test_matches_the_spans_run_as_separate_blocks(self):
@@ -895,6 +926,12 @@ def test_steps_6_to_13_run_on_their_4_row_band():
     assert callable(rest._compiled)
 
 
+def operators(text):
+    """The bitwise operators of a unit's lines, past its def, K unpack and
+    return lines."""
+    return sum(len(re.findall(r"<<|>>|[&|^]", line)) for line in text.splitlines()[2:-1])
+
+
 def packed(values, rows, bit):
     """A column over len(values) lanes: bit `bit` of values[x, i] in row
     rows[i] of lane x."""
@@ -912,6 +949,36 @@ def unpacked(v, lanes, rows):
 
 def live_ins(ops):
     return {k: rows for k, rows in enumerate(_dataflow(ops)[1]) if rows}
+
+
+def banded(values, rows, bit):
+    """A column over len(values) lanes of a byte each, the lane rows'
+    band (Lanes' format of steps 6-13): bit `bit` of values[x, i] in row
+    rows[i] of lane x."""
+    cells = np.zeros((len(values), 8), np.uint8)
+    cells[:, [r - FRAGMENT_ROWS for r in rows]] = values >> bit & 1
+    return int.from_bytes(np.packbits(cells, bitorder="little").tobytes(), "little")
+
+
+def unbanded(v, lanes, rows):
+    """The cells of rows `rows` of a banded column, one lane a row."""
+    cells = np.unpackbits(np.frombuffer(v.to_bytes(lanes, "little"), np.uint8), bitorder="little")
+    return cells.reshape(lanes, 8)[:, [r - FRAGMENT_ROWS for r in rows]].astype(int)
+
+
+def lane_unit(ops, cols, rows, lanes, inputs):
+    """Run ops as lane code (crossbar._Unit), exact only on rows `rows`
+    of the columns `cols` (what the next stage reads), over `lanes` lanes
+    of the lane rows' band, each parameter from `inputs` (column ->
+    banded value, 0 if absent): its values by column and its read bits."""
+    after = [0] * COLS
+    for k in cols:
+        after[k] = sum(1 << r for r in rows)
+    unit = crossbar._Unit(ops, after)
+    assert unit.fmt[:2] == (8, FRAGMENT_ROWS)
+    bits = []
+    got = unit.run(bits.append, unit.constants(lanes), *(inputs.get(k, 0) for k, _ in unit.loads))
+    return dict(zip((k for k, _ in unit.stores), got)), bits
 
 
 class TestWholeInputDomain:
@@ -955,6 +1022,12 @@ class TestWholeInputDomain:
         compiled(ops, lanes)(g, None)  # steps 6-7 read no cell out
         z = sum(unpacked(g[k], lanes, rows) << bit for bit, k in enumerate(L.z_cols))
         assert (z == abs(window - read)).all()
+        # and as the lane code the product runs, exact on what round 1 reads
+        inputs = {k: banded(values, rows, bit) for cols, values in ((L.res_cols, window), (L.rb_cols, read))
+                  for bit, k in enumerate(cols)}
+        out, bits = lane_unit(ops, L.z_cols, rows, lanes, inputs)
+        z = sum(unbanded(out[k], lanes, rows) << bit for bit, k in enumerate(L.z_cols))
+        assert (z == abs(window - read)).all() and not bits
 
     def test_steps_8_to_11_on_every_input_of_each_adder_round(self):
         # steps 8-11 split at each adder round's Init. Round 1 reads two
@@ -1005,6 +1078,11 @@ class TestWholeInputDomain:
             f(g, None)  # steps 8-11 read no cell out
             s1 = sum(unpacked(g[k], lanes, [lane_a, lane_g]) << bit for bit, k in enumerate(L.s1_cols))
             assert (s1 == z[:, [0, 2]] + z[:, [1, 3]]).all()
+            # as lane code, exact on the first sums round 2 reads
+            out, _ = lane_unit(round1, L.s1_cols, [lane_a, lane_g], lanes,
+                               {k: banded(z, rows, bit) for bit, k in enumerate(L.z_cols)})
+            s1 = sum(unbanded(out[k], lanes, [lane_a, lane_g]) << bit for bit, k in enumerate(L.s1_cols))
+            assert (s1 == z[:, [0, 2]] + z[:, [1, 3]]).all()
 
         f = compiled(round2, lanes)
         for pair in np.arange(1 << 16).reshape(-1, lanes):
@@ -1014,6 +1092,10 @@ class TestWholeInputDomain:
                 g[k] = packed(s1, [lane_a, lane_g], bit)
             f(g, None)
             total = sum(unpacked(g[k], lanes, [lane_a]) << bit for bit, k in enumerate(L.total_cols))
+            assert (total[:, 0] == s1[:, 0] + s1[:, 1]).all()
+            out, _ = lane_unit(round2, L.total_cols, [lane_a], lanes,
+                               {k: banded(s1, [lane_a, lane_g], bit) for bit, k in enumerate(L.s1_cols)})
+            total = sum(unbanded(out[k], lanes, [lane_a]) << bit for bit, k in enumerate(L.total_cols))
             assert (total[:, 0] == s1[:, 0] + s1[:, 1]).all()
 
     def test_steps_12_and_13_on_every_threshold_and_total(self):
@@ -1039,6 +1121,13 @@ class TestWholeInputDomain:
             f(g, readout.append)
             (bits,) = readout
             assert (unpacked(bits, lanes, [0]) == (total > threshold)).all()
+            # as lane code, nothing live after it but the bit it reads
+            _, readout = lane_unit(ops, (), (), lanes, {k: banded(values, [row], bit)
+                                                        for cols, values in ((L.thr_cols, threshold),
+                                                                             (L.total_cols[:8], total))
+                                                        for bit, k in enumerate(cols)})
+            (bits,) = readout
+            assert (unbanded(bits, lanes, [FRAGMENT_ROWS]) == (total > threshold)).all()
 
 
 class TestDecisions:
