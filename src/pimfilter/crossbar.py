@@ -27,8 +27,8 @@ from types import MappingProxyType
 
 ROWS, COLS = 128, 256
 _ROW_MASK = (1 << ROWS) - 1
-# Widest row band a 1-lane block runs on as small ints (_band): 8 rows
-# keep every value at most 255, which CPython caches.
+# Widest row band whose lane code runs on a byte per lane (_band, _Unit):
+# at one lane, 8 rows keep every value at most 255, which CPython caches.
 _BAND_ROWS = 8
 _BITS = frozenset((0, 1))
 
@@ -141,13 +141,11 @@ class Block:
     steps) and proves the ops init-dominated: every gate output is set by
     an Init among them, with no write since (_dataflow).
     Ops that are not raise ValueError. So a strict run cannot fail inside
-    a block, whatever the grid held before, and strict and permissive
-    runs share one unchecked form. `ops` lists the steps' ops in order.
-    The block is compiled once, on its first run, into one straight-line
-    function f(g, append) (_source: on its row band, small ints when the
-    rows fit one), which execute runs in place of interpreting the ops;
-    the interpreter stays its tested reference. Lanes runs blocks over
-    many grids at once, from code compiled once per block (_Unit).
+    a block, whatever the grid held before. `ops` lists the steps' ops in
+    order. A block has two executors: on a grid, the interpreter runs its
+    ops (MicroProgram.run, _interpret), which defines what they do; over
+    many grids at once, Lanes runs them as lane code compiled once per
+    block (_Unit), tested against the interpreter.
     """
 
     def __init__(self, steps):
@@ -156,47 +154,19 @@ class Block:
         self.counted = _count(self.steps)
         if not _dataflow(self.ops)[0]:
             raise ValueError("the block is not init-dominated")
-        self._compiled = None  # built on the first run
-
-    def run(self, g, readout):
-        """Run the ops on the column grid g, appending read bits to readout."""
-        if self._compiled is None:
-            # one function however long the block: with the body compiled,
-            # perfbench dense-r100 peaks at 38.0 MB RSS (CPython 3.11.7,
-            # x86-64), 1.2 MB above compiling it as 64-op functions
-            namespace = {}
-            exec(compile(self._source(), f"<{type(self).__name__}>", "exec"), namespace)
-            self._compiled = namespace["f"]
-        self._compiled(g, readout.append)
-
-    def _source(self):
-        """The code of the block (_Source.source): its ops on the row band
-        they touch (_band), where each column that no op reads before
-        writing it starts known to hold 0."""
-        _, live, written = _dataflow(self.ops)
-        src = _Source(known={k: 0 for k in range(COLS) if not live[k]}, band=_band(self.ops))
-        src.ops(self.ops)
-        return src.source(written)
 
 
 class LaneGroup(Block):
     """Spans that run one template op for op, each on its own input
-    column and each followed by its own tail, run as lanes of the
-    template and then the tails, all in one compiled function.
+    column and each followed by its own tail, which Lanes runs as lanes
+    of the template and then the tails.
 
     `pairs` lists (template step, tail step) pairs; the block's steps are
-    those steps in that order, so a program, its cycle counts and its
-    trace hold them as if they were separate blocks. run gives the same
-    cells and readout as running the ops in order. Its function packs
-    lane x of the template's input column from span x's input column,
-    starts every other template column at 0 and runs the template once
-    over all the lanes, on lane locals (a _Source with one lane per pair,
-    and every column but the input known to hold 0 on entry, which it
-    folds). Before tail x runs on the grid, the template-written cells it
-    reads get lane x's values; at the end every template-written cell
-    gets the last lane's values, on its written rows only. Those lane
-    loads and that store read the lane locals, or the template's known
-    constants, directly (_source).
+    those steps in that order, so a program, its cycle counts, its trace
+    and a run on a grid hold them as if they were separate blocks. Lanes
+    runs span x of a grid as lane x of the template, from span x's input
+    column, with every other template column at 0 on entry, then tail x
+    on lane x's template-written cells (Lanes._group).
 
     That is exact because a proof, made once when the group is built
     (from _dataflow's live-in and written rows), shows that the group is
@@ -236,48 +206,13 @@ class LaneGroup(Block):
         t_touched = list(t_written)
         for k, rows in inputs:
             t_touched[k] |= rows
-        self._tails = []
         for x, (_, tail) in enumerate(self._pairs):
             _, live, written = _dataflow(tail)
             if any(live[k] & ~t_written[k] & group_written[k] or written[k] & t_touched[k]
                    for k in range(COLS)):
                 raise ValueError(f"tail {x} reads a cell the group writes outside the "
                                  "template, or writes one the template uses")
-            loads = tuple((k, rows) for k, rows in enumerate(map(int.__and__, live, t_written)) if rows)
-            self._tails.append((tail, loads))
         self._inputs = tuple(k for k, _ in inputs)
-        self._stores = tuple((k, rows) for k, rows in enumerate(t_written) if rows)
-
-    def _source(self):
-        """The code of the group: the input lanes packed into one lane
-        local, the template on lane locals, then per tail its lane loads
-        and its ops on whole columns, then the store of the last lane."""
-        k0 = self._inputs[0]
-        lanes = _Source(len(self._inputs), {k: 0 for k in range(COLS) if k != k0}, var="l")
-        lanes.ops(self._pairs[0][0])
-        src = _Source()
-        src.lines += [f"l{k0} = " + " | ".join(f"g[{k}] << {ROWS * x}" if x else f"g[{k}]"
-                                                for x, k in enumerate(self._inputs)),
-                      *lanes.lines]
-        # src knows no column these lane loads and stores set: only an Init
-        # of all of a column's rows makes it known, and the proof lets a
-        # tail write every cell of a column only if the template leaves it
-        # alone
-        for x, (tail, loads) in enumerate(self._tails):
-            for k, rows in loads:
-                src.lines.append(_put(src.col(k, True), _ROW_MASK & ~rows, lanes.lane(k, x, rows)))
-            src.ops(tail)
-        # only the template writes its columns of the lane grid, so the
-        # last lane holds no bit outside the written rows; a column no
-        # tail touches takes it straight into the grid
-        stores = []
-        for k, rows in self._stores:
-            value = lanes.lane(k, len(self._tails) - 1)
-            if k in src.local:
-                src.lines.append(_put(src.col(k, True), _ROW_MASK & ~rows, value))
-            else:
-                stores.append((k, rows, value))
-        return src.source(stores=stores)
 
 
 class _Unit:
@@ -316,7 +251,7 @@ class _Unit:
         self.fmt = (_BAND_ROWS if width <= _BAND_ROWS else ROWS, lo, width)
         self.ops, self.after = ops, after
         self.entry = {**{k: 0 for k in range(COLS) if not live_in[k]}, **(known or {})}
-        src = _Source(known=dict(self.entry), band=(lo, width), var=var, consts={})
+        src = _Source(dict(self.entry), (lo, width), var)
         src.ops(ops, per_op)
         self.known = src.known
         self.fold = (_ROW_MASK, 1) if fold is None else fold
@@ -474,7 +409,7 @@ class Lanes:
             return [block.ops]
         template = block._pairs[0][0]
         cut, _ = _fold(template, len(block._pairs))
-        return [template[:cut], template[cut:], *(tail for tail, _ in block._tails)]
+        return [template[:cut], template[cut:], *(tail for _, tail in block._pairs)]
 
     def _group(self, group, layers, afters):
         """The units of a LaneGroup: its template up to its fold's cut
@@ -497,7 +432,7 @@ class Lanes:
                                                rest.fmt) for x in range(n)] for k, live in rest.loads])
         self._written(p, layers, n - 1)
         self._written(q, layers, n - 1)
-        for x, (tail, _) in enumerate(group._tails):
+        for x, (_, tail) in enumerate(group._pairs):
             unit = _Unit(tail, afters.pop())
             moved = self._copy_layers(unit, [layers.get(k, []) + self._span(x, k, (p, q)) for k, _ in unit.stores])
             if moved is None:
@@ -618,11 +553,12 @@ class MicroProgram:
     A label of None marks ops outside every step. A label may name more
     than one step, and steps in the head and in blocks alike. `ops` reads
     the whole program: the head's ops, then each block's. execute asks a
-    program for its cycles (`cycles`), then runs it (`run`). A kernel
+    program for its cycles (`cycles`), then runs it (`run`) on a grid
+    through the interpreter, the head and the blocks alike. A kernel
     location (kernel.run_kernel) is a program of the same form that a
-    batch decides as a lane, that runs as its MicroProgram only when its
-    grid is read, and whose head and ops are built only when something
-    reads them.
+    batch decides as a lane (Lanes), that runs as its MicroProgram only
+    when its grid is read, and whose head and ops are built only when
+    something reads them.
     """
 
     head: tuple
@@ -648,14 +584,8 @@ class MicroProgram:
         return compute, init, MappingProxyType({label: StepCycles(c, i) for label, (c, i) in per_label.items()})
 
     def run(self, state, readout, strict, emit):
-        """Run the head through the interpreter (_interpret), then each
-        block as its compiled code (Block.run), on the grid of state."""
-        g = state.cols
-        _interpret([op for _, ops in self.head for op in ops], g, readout, strict, emit)
-        for block in self.blocks:
-            block.run(g, readout)
-            if emit is not None:
-                emit(block.ops)
+        """Run every op through the interpreter on the grid of state."""
+        _interpret(self.ops, state.cols, readout, strict, emit)
 
 
 class ProgramBuilder:
@@ -709,8 +639,7 @@ class CrossbarState:
     `cols` is a list of COLS Python ints in which bit r of cols[c] is
     cell (r, c); execute runs programs on it, and the grid is exact
     whenever it is read. Every column stays in [0, 2**ROWS): no op sets a
-    bit off the array, and the compiled code (_Source) counts on it to
-    clear bits with no negative value.
+    bit off the array.
 
     A kernel location (kernel.run_kernel) does not run on the grid when
     it is run: a batch of locations (kernel.Batch) decides it, as a lane
@@ -1041,58 +970,31 @@ def _band(ops):
 
 
 class _Source:
-    """Straight-line Python code on column locals, built line by line.
+    """Lane code: straight-line Python on column locals, built line by
+    line from lowered ops for one lane, which _Unit runs over any number
+    of lanes.
 
-    Lane l of column k is bits ROWS*l .. ROWS*l + ROWS-1 of its value, so
-    each op acts on every lane at once: every mask is the lowered one
-    repeated in each lane, and a column NOR clears its output row by one
-    shifted term per input row, which moves each lane's input bit onto
-    its output bit. One lane is the grid execute runs on. With a `band`
-    (lo, width) there is one lane of `width` rows: a value holds rows lo..
-    of its column and every mask is shifted down by lo. The code is built
-    from the same lowered forms as _interpret; each column the lines touch
-    is a local named `var` and its column, and each mask a hex constant (a
-    decimal one of many lanes would pass the int-to-str digit limit). A
-    ReadCell appends an int holding each lane's bit at that lane's bit 0.
-    The code loads the columns the lines read before assigning them, runs
-    the lines with no test and stores the columns they write (source): no
-    gate checks its outputs, since every Block is init-dominated.
+    A value holds rows lo..lo+width-1 of its column (`band`), so every
+    mask is shifted down by lo. Each column the lines touch is a local
+    named `var` and its column, and each constant a name that `consts`
+    maps its one-lane value to: one text runs over any number of lanes of
+    any stride once the names are bound to the values repeated in each
+    lane (_Unit), and every op acts on each lane alone, so the lines stay
+    exact. A ReadCell appends an int holding each lane's bit at that
+    lane's bit 0. The code takes the columns the lines read before
+    assigning them as parameters, runs the lines with no test and returns
+    the columns asked for (function): no gate checks its outputs, since
+    every Block is init-dominated. No value goes negative: a value holds
+    no bit outside `full`, the all-ones value of its band, so a clear is
+    an AND with the kept bits, and all of `full` needs no mask.
 
-    No value goes negative: a value holds no bit outside `full`, the
-    all-ones value of its lanes or band, since a grid column only ever
-    holds bits 0..ROWS-1; so a clear is an AND with the cleared bits
-    XORed with `full`, and the whole of `full` needs no mask. Three passes
-    make fewer, cheaper lines, each exact:
-
-    - A run of NorCol ops becomes one `&=` line per column for each group
-      of ops in which no op reads a row an earlier one wrote (a hazard
-      starts a new group), with one term per distinct shift. A NorCol
-      only clears bits, so the group's clears commute; every term reads
-      the column as it was before the group, which is what each op reads
-      when the ops run in order, since no op reads a row the group
-      changed before it. Each line touches only its own column, so the
-      lines may be emitted column by column.
+    The code is built from the rows live after each op (`after`, from
+    _live): it need be exact only on those. A gate's output held 1, so a
+    gate assigns its output cells:
     - A column in `known` holds that value, and has no local: an op that
       writes it only updates the value, and a gate that reads it folds
-      the value in as a constant. An Init that sets all of `full` makes
-      its column known. The first gate whose result depends on a local
-      assigns the column outright, `c = (acc) & m ^ m | rest`, where m is
-      its output rows that hold 1 and rest the value off its rows, which
-      is what the gate leaves there. A column still known at the end is
-      stored as its value.
-    - On a narrow band every value is a small int of at most _BAND_ROWS
-      bits, one CPython does not allocate.
-
-    With `consts`, a dict, the code is lane code (function): it is built
-    for one lane, and each constant is a name that consts maps its
-    one-lane value to, so one text runs over any number of lanes of any
-    stride once the names are bound to the values repeated in each lane
-    (_Unit). Every op acts on each lane alone, so the lines stay exact.
-
-    Lane code is built from the rows live after each op (ops with
-    `after`, from _live): it need be exact only on those, so more passes
-    cut lines (lane_op, moves, _Cones). Every Block is init-dominated,
-    so a gate's output held 1, and a gate assigns its output cells:
+      the value in as a constant. A column still known at the end is
+      returned as its value.
     - A NorRow is `c = (acc) ^ m` when the column holds no live row off
       its rows m, which leaves anything off them, else `c = c & keep |
       (acc) & m ^ m`, and nothing when none of its rows is live.
@@ -1101,36 +1003,35 @@ class _Source:
       reads it, and that line is the cheapest expression of its cone's
       truth table over at most three leaves, proved on every leaf
       pattern against the cone's NOR gates.
-    - A run of NorCol ops on a column assigns the output rows it writes,
-      `c = c & keep | (terms) ^ outs`, keeping only the rows live after
-      it; a move through a row that nothing reads later, moved on again,
-      is a copy with no NOR, and a move of a node `NOT x` moves x.
+    - A run of NorCol ops on a column is one line for each group of ops
+      in which no op reads a row an earlier one wrote (a hazard starts a
+      new group), with one term per distinct shift: every term reads the
+      column as it was before the group, which is what each op reads
+      when the ops run in order. A group assigns the output rows it
+      writes, `c = c & keep | (terms) ^ outs`, keeping only the rows live
+      after it; a move through a row that nothing reads later, moved on
+      again, is a copy with no NOR, and a move of a node `NOT x` moves x.
     - An Init sets only the rows something reads before a gate assigns
       them, and makes its column known when it sets every live row.
-    The code of a Block run on a grid (source) stores every written row
-    exactly: it is built with no `after`, every row live, and NorCol ops
-    clear their output rows, which an Init set.
     """
 
-    def __init__(self, lanes=1, known=None, band=(0, ROWS), var="c", consts=None):
-        self.lines, self.loads, self.local, self.written = [], [], set(), {}
-        self.known = {} if known is None else known
+    def __init__(self, known, band, var):
+        self.lines, self.loads, self.local = [], [], set()
+        self.known = known
         self.lo, self.width = band
         self.var = var
-        self.repeat = sum(1 << ROWS * lane for lane in range(lanes))
-        self.full = ((1 << self.width) - 1) * self.repeat
-        self.consts = consts
-        self.num = hex if consts is None else self.name
-        self.cones = None if consts is None else _Cones(var)
+        self.full = (1 << self.width) - 1
+        self.consts = {}
+        self.cones = _Cones(var)
         self.copies = {}  # column -> (shift, rows) of a last line that only moves its loaded rows
 
-    def name(self, value):
-        """The name of a one-lane constant in lane code."""
+    def num(self, value):
+        """The name of a one-lane constant."""
         return self.consts.setdefault(value, f"k{len(self.consts)}")
 
     def mask(self, rows):
-        """A lowered row mask in every lane, or on the band."""
-        return (rows >> self.lo) * self.repeat
+        """A lowered row mask on the band."""
+        return rows >> self.lo
 
     def load(self, k):
         """Column k's local, loaded on entry unless assigned first."""
@@ -1140,57 +1041,36 @@ class _Source:
 
     def col(self, k, write=False):
         """The local holding column k, loaded on entry unless assigned
-        first (stored on exit if written). In lane code the next line
-        reads its value, which so must exist (_Cones), and writes a new
-        one if `write`."""
+        first. The next line reads its value, which so must exist
+        (_Cones), and writes a new one if `write`."""
         self.load(k)
+        self.cones.pinned.add(self.cones.value(k))
         if write:
-            self.written[k] = None
             self.copies.pop(k, None)
-        if self.cones is not None:
-            self.cones.pinned.add(self.cones.value(k))
-            if write:
-                self.cones.assign(k, len(self.lines))
+            self.cones.assign(k, len(self.lines))
         return f"{self.var}{k}"
 
     def set(self, k, line):
-        """Append the lane-code line that assigns column k's local."""
+        """Append the line that assigns column k's local."""
         self.copies.pop(k, None)
         self.local.add(k)
         self.cones.assign(k, len(self.lines))
         self.lines.append(f"{self.var}{k} = {line}")
 
-    def clear(self, v, expr):
-        """The line that clears the bits of column local v where expr is 1."""
-        return f"{v} &= ({expr}) ^ {self.num(self.full)}"
-
     def within(self, expr, m):
         """expr masked to m; all of `full` needs no mask."""
         return f"({expr})" if m == self.full else f"({expr}) & {self.num(m)}"
 
-    def lane(self, k, x, rows=None):
-        """Lane x of column k on `rows`, as an int if the column is known,
-        else as an expression; None takes every row of the top lane."""
-        if k in self.known:
-            value = self.known[k] >> ROWS * x
-            return value if rows is None else value & rows
-        expr = f"{self.var}{k} >> {ROWS * x}" if x else f"{self.var}{k}"
-        return expr if rows is None else f"{expr} & {hex(rows)}"
-
-    def ops(self, ops, after=None):
-        """Append the lines of lowered ops; with `after` (_live), those of
-        lane code that is exact on the rows live after each op (lane_op,
-        moves), with a placeholder for each node of a cone, which
-        function replaces."""
-        for is_col, run in groupby(zip(ops, after or [None] * len(ops)), lambda pair: pair[0].__class__ is NorCol):
+    def ops(self, ops, after):
+        """Append the lines of lowered ops, exact on the rows live after
+        each op (`after`, from _live: lane_op, moves), with a placeholder
+        for each node of a cone, which function replaces."""
+        for is_col, run in groupby(zip(ops, after), lambda pair: pair[0].__class__ is NorCol):
             if is_col:
                 self.nor_cols(list(run))
             else:
                 for op, live in run:
-                    if live is None:
-                        self.op(op)
-                    else:
-                        self.lane_op(op, {k: self.mask(rows) for k, rows in live.items()})
+                    self.lane_op(op, {k: self.mask(rows) for k, rows in live.items()})
 
     def lane_op(self, op, after):
         """Append the lines of one lowered op other than a NorCol, exact on
@@ -1267,74 +1147,36 @@ class _Source:
         self.set(k, line)
 
     def op(self, op):
-        """Append the lines of one lowered op other than a NorCol."""
-        cls = op.__class__
-        lowered = op._c
-        known, lines, full, num = self.known, self.lines, self.full, self.num
-        if cls is NorRow:
-            ins, out, rows = lowered
-            rows = self.mask(rows)
-            const = 0
-            for k in ins:
-                const |= known.get(k, 0)
-            names = [k for k in ins if k not in known]
-            if out in known:
-                value = known[out]
-                self.written[out] = None
-                m = value & rows & ~const
-                if not names or not m:
-                    known[out] = value & ~(const & rows)
-                    return
-                rest = value & ~rows
-                acc = " | ".join(map(self.col, names))
-                del known[out]
-                self.local.add(out)
-                lines.append(f"{self.var}{out} = {self.within(acc, m)} ^ {num(m)}" + (f" | {num(rest)}" if rest else ""))
-            elif names:
-                acc = " | ".join([*map(self.col, names), *([num(const)] if const else [])])
-                lines.append(self.clear(self.col(out, True), self.within(acc, rows)))
-            elif const & rows:
-                lines.append(f"{self.col(out, True)} &= {num(full & ~(const & rows))}")
-        elif cls is Init:
-            per_col = {}  # one line per column, whatever its regions
-            for cols, rows in lowered:
-                for k in cols:
-                    per_col[k] = per_col.get(k, 0) | self.mask(rows)
-            for k, rows in per_col.items():
-                if k in known or rows == full:
-                    known[k] = known.get(k, 0) | rows
-                    self.written[k] = None
-                else:
-                    lines.append(f"{self.col(k, True)} |= {num(rows)}")
-        elif cls is WriteExternal:
-            for k, bit, b in lowered:
+        """Append the lines of a lowered WriteExternal or ReadCell."""
+        known, lines, num = self.known, self.lines, self.num
+        if op.__class__ is WriteExternal:
+            for k, bit, b in op._c:
                 bit = self.mask(bit)
                 if k in known:
                     known[k] = known[k] | bit if b else known[k] & ~bit
-                    self.written[k] = None
                 elif b:
                     lines.append(f"{self.col(k, True)} |= {num(bit)}")
                 else:
-                    lines.append(f"{self.col(k, True)} &= {num(full & ~bit)}")
+                    lines.append(f"{self.col(k, True)} &= {num(self.full & ~bit)}")
         else:  # ReadCell
-            k, bit = lowered
+            k, bit = op._c
             shift = bit.bit_length() - 1 - self.lo
             if k in known:
-                lines.append(f"append({num(known[k] >> shift & self.repeat)})")
+                lines.append(f"append({num(known[k] >> shift & 1)})")
             else:
-                lines.append(f"append({self.col(k)}{f' >> {shift}' if shift else ''} & {num(self.repeat)})")
+                lines.append(f"append({self.col(k)}{f' >> {shift}' if shift else ''} & {num(1)})")
 
     def nor_cols(self, ops):
-        """Lines for a run of NorCol ops, each with its live rows (_live)
-        or None, column by column; a gate whose output row is dead in a
-        column is no term there."""
+        """Lines for a run of NorCol ops, each with its live rows (_live),
+        column by column: a gate whose output row is dead in a column is
+        no term there, and each group of the rest with no hazard is one
+        line (moves)."""
         per_col, lives = {}, {}
         for op, after in ops:
             for k in dict.fromkeys(op._c[2]):
-                if after is None or after[k] & op._c[1]:
+                if after[k] & op._c[1]:
                     per_col.setdefault(k, []).append(op._c)
-                if after is not None:
-                    lives[k] = after[k]
+                lives[k] = after[k]
         for k, gates in per_col.items():
             if k in self.known:
                 value = self.known[k]
@@ -1344,7 +1186,6 @@ class _Source:
                         moved |= (value & m) << s if s > 0 else (value & m) >> -s
                     value &= ~moved
                 self.known[k] = value
-                self.written[k] = None
                 continue
             groups, terms, wrote = [], {}, 0
             for ins, out, _ in gates:
@@ -1355,12 +1196,7 @@ class _Source:
                     terms[s] = terms.get(s, 0) | m
                 wrote |= out
             groups.append((terms, self.mask(wrote)))
-            if self.cones is None:
-                v = self.col(k, True)
-                for terms, _ in groups:
-                    self.lines.append(self.clear(v, self.terms(v, terms)))
-            else:
-                self.moves(k, groups, self.mask(lives[k]))
+            self.moves(k, groups, self.mask(lives[k]))
 
     def moves(self, k, groups, live):
         """Lane-code lines for the groups of a run of NorCol ops on column
@@ -1414,26 +1250,6 @@ class _Source:
         to = out.bit_length() - 1
         return [(to - r, self.mask(1 << r)) for r in range(ins.bit_length()) if ins >> r & 1]
 
-    def source(self, written=None, stores=()):
-        """The lines as `def f(g, append)` on the grid g: one load per
-        column the lines read before assigning it, `c = g[k] >> lo & W`,
-        the lines, then one store per written column, `g[k] = g[k] & KEEP
-        | c << lo`, then `stores`. KEEP holds the rows off the band for a
-        loaded column, and off the rows in `written` (the grid rows each
-        column's ops write, if given) for any other; a whole column needs
-        no shift, nor a mask when nothing is kept. `stores` lists more
-        (column, rows, value) stores of value, an int or an expression,
-        over those rows."""
-        lo, var, known = self.lo, self.var, self.known
-        down = (f" >> {lo}" if lo else "") + (f" & {hex(self.full)}" if lo + self.width < ROWS else "")
-        body = [*(f"{var}{k} = g[{k}]{down}" for k in self.loads), *self.lines]
-        for k in self.written:
-            value = known[k] << lo if k in known else f"{var}{k} << {lo}" if lo else f"{var}{k}"
-            rows = self.full << lo if k in self.loads or written is None else written[k]
-            body.append(_put(f"g[{k}]", _ROW_MASK & ~rows, value))
-        body += [_put(f"g[{k}]", _ROW_MASK & ~rows, value) for k, rows, value in stores]
-        return _function("f(g, append)", body)
-
     def function(self, stores):
         """The lines as lane code, `def f(append, K, <loads>)`: K binds
         the constants' names in order, each column the lines read before
@@ -1454,7 +1270,7 @@ class _Source:
 
 
 class _Cones:
-    """The cone pass of lane code (_Source with `consts`): which NorRows
+    """The cone pass of lane code (_Source): which NorRows
     in the no-keep form `c = (acc) ^ m` get a line, and which fold into
     the lines of the gates that read them.
 
@@ -1681,24 +1497,16 @@ def _function(signature, body):
     return "\n".join([f"def {signature}:", *(f"    {line}" for line in body or ["pass"])])
 
 
-def _put(v, keep, value):
-    """The line that keeps the bits `keep` of v and ORs in value, an int
-    or an expression."""
-    value = hex(value) if value.__class__ is int else value
-    if not keep:
-        return f"{v} = {value}"
-    return f"{v} &= {hex(keep)}" if value == "0x0" else f"{v} = {v} & {hex(keep)} | {value}"
-
-
 def _interpret(ops, g, readout, strict, emit):
     """Run ops, already lowered, on the column grid g, one op at a time.
 
-    This is the one reference semantics in the package: every pass of the
-    compiler (_Source) is tested against it, cell for cell and bit for
-    bit, and each kernel shape's proof runs its head through it. It is
-    also the one place where strict mode checks gate outputs. It runs the
-    head of a MicroProgram, a kernel location's too when its grid is read
-    and the location replayed."""
+    Of the two executors, this one defines the semantics. It runs every
+    MicroProgram on a grid, its head and its blocks alike, a kernel
+    location's too when its grid is read and the location replayed, and
+    each kernel shape's proof runs through it. The other, Lanes, runs
+    blocks as lane code (_Source) over many grids at once, and is tested
+    against it bit for bit. It is also the one place where strict mode
+    checks gate outputs."""
     for i, op in enumerate(ops):
         cls = op.__class__
         lowered = op._c
@@ -1760,20 +1568,19 @@ def execute(program, state, strict=True, trace=None):
     untouched; a block's ops were checked and lowered when it was built.
     It then runs on the state (program.run), in its packed grid of COLS
     Python ints where bit r of column c is cell (r, c): a MicroProgram's
-    head through the interpreter (_interpret), then each block as its
-    compiled code (Block.run). A kernel location runs no op: it joins a
-    batch of locations (kernel.Batch), which fills its readout when it
-    decides them as lanes of one pass (Lanes), and it waits on the state,
-    to run as its MicroProgram when the grid is read; every path gives
-    the same cells, readout and trace.
+    every op through the interpreter (_interpret). A kernel location
+    runs no op: it joins a batch of locations (kernel.Batch), which fills
+    its readout when it decides them as lanes of one pass (Lanes), and it
+    waits on the state, to run as its MicroProgram when the grid is read;
+    both paths give the same cells, readout and trace.
     A NorRow is one bitwise expression over its whole row mask; a NorCol
     is one per column. Both modes evaluate a NOR by conditional
     switching: output <- output AND NOR(inputs). Strict mode adds the
     precondition that every output cell of a gate holds 1, checked before
     the gate switches any cell, and aborts at the first gate that finds a
-    0, leaving the cells the ops before it wrote. Only an interpreted head
-    is checked: a Block, and a kernel location's head, are proved
-    init-dominated before they first run, so no gate in them can fail.
+    0, leaving the cells the ops before it wrote. Only a head can fail
+    the check: a Block, and a kernel location's head, are proved
+    init-dominated before they first run.
 
     :param trace: optional callable receiving one line per op run,
         formatted `cycle_kind cycle_index op_descriptor`.

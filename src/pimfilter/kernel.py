@@ -735,8 +735,8 @@ class _Location:
             emit(self.ops)
 
     def replay(self, state):
-        """Run the program on the grid of state (MicroProgram.run, its
-        head interpreted), once its batch decided it; RuntimeError if it
+        """Run the program on the grid of state through the interpreter
+        (MicroProgram.run), once its batch decided it; RuntimeError if it
         reads out other than the batch decided."""
         if not self.readout:
             self.batch.run()

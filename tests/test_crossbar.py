@@ -34,7 +34,6 @@ from pimfilter.crossbar import (
 )
 from pimfilter.gates import _adder_gates
 
-from compiled import band_io, compiled, grid_io
 from dataflow import annotations, live_cells
 from grid import load_grid, snapshot
 
@@ -543,9 +542,11 @@ def with_block(program, cut):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_execute_matches_cell_model(strict, data):
-    # the interpreter, the whole program as one compiled Block, and a
-    # Block after interpreted ops must all agree with the cell model; a
-    # Block is built only from init-dominated ops
+    # the interpreter must agree with the cell model; the program with
+    # its ops from a cut on as one Block, a step that straddles the cut
+    # split in two, holds the same ops and merges the Block's cycle
+    # report into the same one; a Block is built only from init-dominated
+    # ops
     r0, c0 = data.draw(origins(ROWS)), data.draw(origins(COLS))
     program = data.draw(programs(strict, r0, c0))
     cut = data.draw(st.integers(0, len(program.ops) - 1))
@@ -554,59 +555,58 @@ def test_execute_matches_cell_model(strict, data):
     grid = np.zeros((ROWS, COLS), np.uint8)
     grid[r0:r0 + GRID, c0:c0 + GRID] = window.reshape(GRID, GRID)
     cells, readout, compute, init, steps, model_trace, failed = model_run(program, grid, strict)
-    interpreted = run_program(program, grid, strict)
-    whole = with_block(program, 0)
-    blocks = [run_program(p, grid, strict) for p in (whole, with_block(program, cut))
-              if p is not None]
-    for got, res, err, trace in (interpreted, *blocks):
-        assert got == cells
-        assert [" ".join(line.split(" ", 2)[:2]) for line in trace] == model_trace
-        assert trace == interpreted[3]
-        if failed is None:
-            assert err is None
-            assert res.readout == readout
-            assert (res.compute_cycles, res.init_cycles) == (compute, init)
-            assert {k: [v.compute, v.init] for k, v in res.steps.items()} == steps
-        else:
-            assert res is None
-            assert err.op_index == failed
-            assert err.violations == ["output not initialized"]
-            assert str(err) == str(interpreted[2])
+    got, res, err, trace = run_program(program, grid, strict)
+    assert got == cells
+    assert [" ".join(line.split(" ", 2)[:2]) for line in trace] == model_trace
+    if failed is None:
+        assert err is None
+        assert res.readout == readout
+        assert (res.compute_cycles, res.init_cycles) == (compute, init)
+        assert {k: [v.compute, v.init] for k, v in res.steps.items()} == steps
+    else:
+        assert res is None
+        assert err.op_index == failed
+        assert err.violations == ["output not initialized"]
 
-    # a Block cannot fail in strict mode, whatever the grid held: both
-    # modes run it alike and match the cell model
+    model = model_run(program, grid, False)
+    whole = with_block(program, 0)
+    for prog in (whole, with_block(program, cut)):
+        if prog is not None:
+            assert prog.ops == program.ops
+            c, i, report = prog.cycles()
+            assert (c, i, {k: [v.compute, v.init] for k, v in report.items()}) == model[2:5]
+
+    # a Block cannot fail in strict mode, whatever the grid held: a strict
+    # run of it matches the cell model of a permissive one
     if whole is not None:
-        model = model_run(program, grid, False)
         assert model_run(program, grid, True) == model
-        runs = [run_program(whole, grid, mode) for mode in (True, False)]
-        for got, res, err, trace in runs:
-            assert err is None
-            assert got == model[0]
-            assert (res.readout, res.compute_cycles, res.init_cycles) == model[1:4]
-            assert {k: [v.compute, v.init] for k, v in res.steps.items()} == model[4]
-            assert [" ".join(line.split(" ", 2)[:2]) for line in trace] == model[5]
-        assert runs[0][3] == runs[1][3]
+        got, res, err, trace = run_program(whole, grid, True)
+        assert err is None
+        assert got == model[0]
+        assert (res.readout, res.compute_cycles, res.init_cycles) == model[1:4]
+        assert [" ".join(line.split(" ", 2)[:2]) for line in trace] == model[5]
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_every_column_stays_in_range(data):
-    # interpreted, as one compiled Block, or compiled over three lanes, a
-    # drawn program leaves every column in [0, 2**ROWS), or every lane of
-    # it in [0, 2**(3 * ROWS)), from grids whose every cell is random
+    # interpreted, a drawn program leaves every column in [0, 2**ROWS)
+    # from a grid whose every cell is random; as lanes at B = 1 and 3, an
+    # init-dominated one reads back in each lane what the interpreter
+    # leaves on that lane's grid, so no lane's value spills into another
     r0, c0 = data.draw(origins(ROWS)), data.draw(origins(COLS))
     program = data.draw(programs(True, r0, c0))
-    rng = data.draw(st.randoms(use_true_random=False))
-    grid = [rng.getrandbits(ROWS) for _ in range(COLS)]
-    for prog in (program, with_block(program, 0), with_block(program, len(program.ops) // 2)):
-        if prog is not None:
-            state = fresh()
-            state.cols[:] = grid
-            execute(prog, state, strict=False)
-            assert all(0 <= v < 1 << ROWS for v in state.cols)
-    lanes = [rng.getrandbits(3 * ROWS) for _ in range(COLS)]
-    compiled(program.ops, 3)(lanes, [].append)
-    assert all(0 <= v < 1 << 3 * ROWS for v in lanes)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    state = fresh()
+    state.cols[:] = [rng.getrandbits(ROWS) for _ in range(COLS)]
+    execute(program, state, strict=False)
+    assert all(0 <= v < 1 << ROWS for v in state.cols)
+    whole = with_block(program, 0)
+    if whole is not None:
+        lanes = reading_back(whole.blocks)
+        for lane_count in (1, 3):
+            grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
+            assert run_as_lanes(lanes, grids) == interpreted_reads(whole.ops, grids), lane_count
 
 
 def test_block_fails_in_its_second_chunk():
@@ -641,50 +641,10 @@ def lowered(ops):
     return ops
 
 
-def run_lanes(ops, grids, known=()):
-    """Run ops compiled over len(grids) lanes on the packed grids, with
-    the columns `known` compiled as known values: the unpacked lane grids
-    and the unpacked readout of each lane."""
-    packed = [sum(g[k] << ROWS * lane for lane, g in enumerate(grids)) for k in range(COLS)]
-    readout = []
-    compiled(ops, len(grids), {k: packed[k] for k in known})(packed, readout.append)
-    full = (1 << ROWS) - 1
-    lanes = [[v >> ROWS * lane & full for v in packed] for lane in range(len(grids))]
-    bits = [[v >> ROWS * lane & 1 for v in readout] for lane in range(len(grids))]
-    assert readout == [sum(b << ROWS * lane for lane, b in enumerate(col)) for col in zip(*bits)]
-    return lanes, bits
-
-
-@pytest.mark.parametrize("inits", [True, False])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_compiled_lanes_match_scalar_code(inits, data):
-    # each lane of a program compiled over 1, 3 or 4 lanes matches the
-    # one-lane compiled code and the interpreter on its own grid; with
-    # `inits`, most drawn gates get an Init of their outputs first. The
-    # lanes compile with some columns as known values, which the code
-    # folds in as constants
-    r0, c0 = data.draw(origins(ROWS)), data.draw(origins(COLS))
-    ops = lowered(data.draw(programs(inits, r0, c0)).ops)
-    rng = data.draw(st.randoms(use_true_random=False))
-    grids = [[rng.getrandbits(ROWS) for _ in range(COLS)]
-             for _ in range(data.draw(st.sampled_from((1, 3, 4))))]
-    known = data.draw(st.sets(st.integers(c0, c0 + GRID - 1), max_size=8))
-    wants = []
-    for g in grids:
-        want, want_bits = list(g), []
-        _interpret(ops, want, want_bits, False, None)
-        got, got_bits = list(g), []
-        compiled(ops)(got, got_bits.append)
-        assert (got, got_bits) == (want, want_bits)
-        wants.append((want, want_bits))
-    lanes, bits = run_lanes(ops, grids, known)
-    assert list(zip(lanes, bits)) == wants
-
-
 def test_compile_at_256_lanes():
     # a mask repeated in 256 lanes has about 9900 decimal digits, past the
-    # default int-to-str limit of 4300; the compiled code spells it in hex
+    # default int-to-str limit of 4300; lane code names each constant and
+    # binds it per lane count, so it spells out none
     default = getattr(sys.int_info, "default_max_str_digits", 4300)
     assert ROWS * 256 * 0.30103 > default
     ops = lowered([Init(((range(0, ROWS), (3, 4)),)), NorRow((1, 2), 3, range(0, ROWS)),
@@ -697,14 +657,11 @@ def test_compile_at_256_lanes():
         saved = limit()
         sys.set_int_max_str_digits(default)
     try:
-        lanes, bits = run_lanes(ops, grids)
+        got = run_as_lanes(reading_back([Block(unlabelled(ops))]), grids)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(saved)
-    for g, lane, lane_bits in zip(grids, lanes, bits):
-        want, want_bits = list(g), []
-        _interpret(ops, want, want_bits, True, None)
-        assert (lane, lane_bits) == (want, want_bits)
+    assert got == interpreted_reads(ops, grids)
 
 
 def snapshot_cols(grid):
@@ -766,23 +723,17 @@ def read_tail(x):
 
 def runs_like_its_spans_in_order(span, tail):
     """A LaneGroup of three (span, tail) pairs, on input columns 5-7, must
-    run like its spans as separate blocks."""
+    hold its spans' steps and cycles as separate blocks would, and run as
+    lanes like its ops interpreted in order."""
     pairs = [(("t", span(k)), ("s", tail(x))) for x, k in enumerate((5, 6, 7))]
     group = LaneGroup(pairs)
     assert group.steps == tuple(step for pair in pairs for step in pair)
     assert group.ops == [op for pair in pairs for _, ops in pair for op in ops]
     separate = MicroProgram((), tuple(Block([step]) for pair in pairs for step in pair))
-    together = MicroProgram((), (group,))
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        grid = rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
-        want, want_res, _, want_trace = run_program(separate, grid, True)
-        got, res, _, trace = run_program(together, grid, True)
-        assert got == want and trace == want_trace
-        assert (res.readout, res.compute_cycles, res.init_cycles, res.steps) == \
-               (want_res.readout, want_res.compute_cycles, want_res.init_cycles, want_res.steps)
+    assert MicroProgram((), (group,)).cycles() == separate.cycles()
     # as lanes of many grids: span x of lane j in lane x * B + j, then
     # the tails, each on its own span's lanes
+    rng = np.random.default_rng(6)
     lanes = reading_back([group])
     for lane_count in LANE_COUNTS:
         grids = [snapshot_cols(rng.integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)) for _ in range(lane_count)]
@@ -899,14 +850,6 @@ class TestInitDominance:
                 Block(unlabelled(ops))
         assert _dataflow(ops)[0] is proved
 
-    def test_proved_block_compiles_once_for_both_modes(self):
-        block = Block(unlabelled([Init((((0,), (5,)),)), NorRow((3,), 5, (0,))]))
-        prog = MicroProgram((), (block,))
-        execute(prog, fresh(), strict=True)
-        compiled = block._compiled
-        execute(prog, fresh(), strict=False)
-        assert compiled is not None and block._compiled is compiled
-
 
 class TestState:
     def test_cells_round_trip(self):
@@ -1005,48 +948,57 @@ def test_lower_matches_set_model(rows, cols, cells):
         assert op._c == (None if want else lowered()), op
 
 
-# Differential checks of the compiler's passes against the interpreter,
-# cell for cell and bit for bit.
+# Differential checks of lane code against the interpreter, bit for bit.
 
 @st.composite
 def nor_col_runs(draw):
-    """A run of NorCol ops on columns 0-5, over the rows of a 4- or 16-row
-    range: in the short range a later op often reads a row that an earlier
-    one wrote."""
+    """An Init, then a run of NorCol ops on columns 0-5, over the rows of a
+    4- or 16-row range: in the short range a later op often reads a row
+    that an earlier one wrote. An op drops each column where an earlier
+    one wrote its output row, and the Init readies every output cell, so
+    the ops are init-dominated."""
     r0 = draw(origins(ROWS))
     rows = st.integers(r0, r0 + draw(st.sampled_from((3, 15))))
-    ops = []
+    ops, written = [], set()
     for _ in range(draw(st.integers(1, 16))):
         ins = tuple(draw(st.lists(rows, min_size=1, max_size=2, unique=True)))
         out = draw(rows.filter(lambda v: v not in ins))
-        ops.append(NorCol(ins, out, tuple(draw(st.lists(st.integers(0, 5), min_size=1, max_size=4)))))
-    return lowered(ops)
+        cols = tuple(k for k in draw(st.lists(st.integers(0, 5), min_size=1, max_size=4)) if (out, k) not in written)
+        if cols:
+            written.update((out, k) for k in cols)
+            ops.append(NorCol(ins, out, cols))
+    return lowered([Init(tuple(((out,), (k,)) for out, k in sorted(written))), *ops])
 
 
 @settings(max_examples=100, deadline=None)
 @given(ops=nor_col_runs(), data=st.data())
 def test_fused_nor_col_runs_match_the_interpreter(ops, data):
-    # the run compiles to one line per column per group of ops with no
-    # hazard; each lane must match the interpreter on its own grid
-    rng = data.draw(st.randoms(use_true_random=False))
-    grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(data.draw(st.sampled_from((1, 3))))]
-    wants = []
-    for g in grids:
-        want = list(g)
-        _interpret(ops, want, [], False, None)
-        wants.append(want)
-    lanes, _ = run_lanes(ops, grids)
-    assert lanes == wants
+    # the run is one line per column per group of ops with no hazard
+    # (crossbar._Source.nor_cols); as lanes at B = 1 and 3, each lane must
+    # read back what the interpreter leaves on its own grid
+    lanes = reading_back([Block(unlabelled(ops))])
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    for lane_count in (1, 3):
+        grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
+        assert run_as_lanes(lanes, grids) == interpreted_reads(ops, grids), lane_count
 
 
 def test_a_hazard_starts_a_new_line():
-    # the second op reads row 1, which the first clears: fused into one
-    # line, it would read row 1 as it was before the first op
-    ops = lowered([NorCol((0,), 1, (5,)), NorCol((1,), 2, (5,)), NorCol((3,), 4, (5,))])
+    # the second op reads row 1, which the first writes: fused into one
+    # line, it would read row 1 as it was before the first op. So the run
+    # is two lines of column 5, and each lane reads back what the
+    # interpreter leaves
+    ops = lowered([Init((((1, 2, 4), (5,)),)),
+                   NorCol((0,), 1, (5,)), NorCol((1,), 2, (5,)), NorCol((3,), 4, (5,))])
+    lanes = reading_back([Block(unlabelled(ops))])
+    assert len(re.findall(r"^    c5 = ", lanes._units[0][0].text, re.M)) == 2
     g = [0] * COLS
     g[5] = 0b11111
-    compiled(ops)(g, None)
-    assert g[5] == 0b01101
+    assert interpreted_reads(ops, [g]) == [[0, 1, 0]]  # rows 1, 2 and 4: 0b01101
+    rng = random.Random(3)
+    grids = [g] + [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(2)]
+    for lane_count in (1, 3):
+        assert run_as_lanes(lanes, grids[:lane_count]) == interpreted_reads(ops, grids[:lane_count]), lane_count
 
 
 @st.composite
@@ -1084,25 +1036,20 @@ def band_ops(draw, lo, width, c0=None):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_banded_blocks_match_the_interpreter(data):
-    # a block whose rows fit 8 rows runs on small ints: at both edges of
-    # the array and in between, it must leave the interpreter's cells and
-    # readout, whatever the grid held
+    # a block whose rows fit 8 rows runs as lane code on a byte per lane,
+    # its band: at both edges of the array and in between, each lane at
+    # B = 1 and 3 must read back what the interpreter leaves on its own
+    # grid, whatever the grid held
     lo = data.draw(st.sampled_from((0, ROWS - 8)) | st.integers(0, ROWS - 8))
     width = data.draw(st.sampled_from((8,)) | st.integers(1, 8))
     ops = data.draw(band_ops(lo, width))
-    block = Block(unlabelled(ops))
-    assert _band(ops) == (lo, width)
-    rng = data.draw(st.randoms(use_true_random=False))
-    g = [rng.getrandbits(ROWS) for _ in range(COLS)]
-    want, want_bits = list(g), []
-    _interpret(ops, want, want_bits, True, None)
-    got, got_bits = list(g), []
-    block.run(got, got_bits)
-    assert (got, got_bits) == (want, want_bits)
-    # one function on the band: each live-in column loaded once, shifted
-    # down to the band and masked to it, and each written column stored
-    # once, shifted back up, keeping the rows off its written ones
-    band_io(block, lo, width)
+    assert _band(lowered(ops)) == (lo, width)
+    lanes = reading_back([Block(unlabelled(ops))])
+    assert lanes._units[0][0].fmt == (8, lo, width)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    for lane_count in (1, 3):
+        grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
+        assert run_as_lanes(lanes, grids) == interpreted_reads(ops, grids), lane_count
 
 
 LANE_COUNTS = (1, 3, 64, 256)
@@ -1111,7 +1058,7 @@ LANE_COUNTS = (1, 3, 64, 256)
 def written_cells(ops):
     """The (row, column) of every cell that lowered ops write, column by
     column."""
-    return [(r, k) for k, rows in enumerate(_dataflow(ops)[2]) for r in range(ROWS) if rows >> r & 1]
+    return [(r, k) for k, rows in enumerate(_dataflow(ops)[2]) for r in range(rows.bit_length()) if rows >> r & 1]
 
 
 def reading_back(blocks):
@@ -1259,43 +1206,40 @@ def test_lanes_of_a_body_that_reads_no_cell():
 
 @pytest.mark.parametrize("lo", [0, ROWS - 9])
 def test_a_nine_row_block_runs_on_whole_columns(lo):
+    # nine rows do not fit a byte: the block's lane code runs on a whole
+    # column per lane, its live-in columns loaded on their nine rows, and
+    # each lane reads back what the interpreter leaves
     ops = [Init(((range(lo, lo + 9), (3, 4)),)), NorRow((1, 2), 3, range(lo, lo + 9)),
            NorCol((lo,), lo + 8, (4,)), ReadCell(lo + 8, 4)]
-    block = Block(unlabelled(ops))
+    lanes = reading_back([Block(unlabelled(ops))])
     assert _band(ops) == (0, ROWS)
-    rng = random.Random(lo)
-    g = [rng.getrandbits(ROWS) for _ in range(COLS)]
-    want, want_bits = list(g), []
-    _interpret(ops, want, want_bits, True, None)
-    got, got_bits = list(g), []
-    block.run(got, got_bits)
-    assert (got, got_bits) == (want, want_bits)
-    # the live-in columns load whole, and the gate outputs, which start
-    # known to hold 0, store their nine written rows over the kept ones;
+    unit = lanes._units[0][0]
+    assert unit.fmt == (ROWS, 0, ROWS)
+    assert unit.loads == ((1, 0x1ff << lo), (2, 0x1ff << lo))
     # column 4 stays known, since its NOR reads a row its Init set
-    loads, stores = grid_io(block)
-    assert loads == {1: "g[1]", 2: "g[2]"}
-    keep = hex(((1 << ROWS) - 1) ^ ((1 << 9) - 1) << lo)
-    assert stores == {3: f"g[3] = g[3] & {keep} | c3", 4: f"g[4] = g[4] & {keep} | {hex(0xff << lo)}"}
+    assert 4 in unit.known and 3 not in unit.known
+    rng = random.Random(lo)
+    for lane_count in (1, 3):
+        grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
+        assert run_as_lanes(lanes, grids) == interpreted_reads(ops, grids), lane_count
 
 
 @pytest.mark.parametrize("lo,width", [(0, 4), (ROWS - 4, 4), (40, 1), (0, ROWS)])
 def test_a_full_band_init_makes_its_column_known(lo, width):
-    # column 5 is live-in, then an Init sets every row of the band in it:
-    # the gate after it assigns the column outright, with no `|=` line,
-    # and the block still matches the interpreter
+    # column 5 is live-in, then an Init sets every row of the band in it,
+    # all of them dead until the gate after it assigns them: the Init
+    # makes the column known and emits no line, the gate assigns the
+    # column outright, and each lane reads back what the interpreter
+    # leaves
     band = range(lo, lo + width)
     ops = [Init(((band, (6,)),)), NorRow((5,), 6, band), Init(((band, (5,)),)),
            NorRow((6, 7), 5, band), ReadCell(lo, 5)]
-    block = Block(unlabelled(ops))
-    assert _band(ops) == (lo, width) if width <= 8 else (0, ROWS)
-    src = block._source()
-    assert "|=" not in src and "c5 &=" not in src
-    assert re.search(r"^    c5 = \(c6 \| c7\) \^ 0x", src, re.M)
+    lanes = reading_back([Block(unlabelled(ops))])
+    assert _band(ops) == ((lo, width) if width <= 8 else (0, ROWS))
+    text = lanes._units[0][0].text
+    assert "|=" not in text and "&=" not in text
+    assert re.search(r"^    c5 = \(c6 \| c7\) \^ k\d+$", text, re.M), text
     rng = random.Random(width)
-    g = [rng.getrandbits(ROWS) for _ in range(COLS)]
-    want, want_bits = list(g), []
-    _interpret(ops, want, want_bits, True, None)
-    got, got_bits = list(g), []
-    block.run(got, got_bits)
-    assert (got, got_bits) == (want, want_bits)
+    for lane_count in (1, 3):
+        grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
+        assert run_as_lanes(lanes, grids) == interpreted_reads(ops, grids), lane_count

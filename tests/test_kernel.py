@@ -45,7 +45,6 @@ from pimfilter.kernel import (
     window_row_ranges,
 )
 
-from compiled import band_io, compiled
 from dataflow import annotations, live_cells, live_rows
 from grid import snapshot
 
@@ -267,7 +266,6 @@ class TestFragmentOnlyLoads:
 class TestSharedBody:
     @pytest.mark.parametrize("read_length", [100, 64])
     def test_body_is_shared_and_lowered_once(self, monkeypatch, read_length):
-        kernel._phase.cache_clear()  # no phase block compiled by earlier tests
         layout = plan_layout(read_length)
         counts = oracle.BaseCounts(read_length, 0, 0, 0)
         first = build_program(layout, 250, counts)
@@ -295,27 +293,17 @@ class TestSharedBody:
                 build_program(layout, 0, oracle.BaseCounts(bad, 0, 0, read_length - bad))
 
         execute(first, CrossbarState())
-        # each block of the program ran as one compiled function
-        assert all(callable(block._compiled) for block in first.blocks)
-        lowered, sourced = [], []
-        real_lower, real_source = crossbar._lower, Block._source
+        lowered = []
+        real_lower = crossbar._lower
         monkeypatch.setattr(crossbar, "_lower",
                             lambda op: lowered.append(op) or real_lower(op))
-        monkeypatch.setattr(Block, "_source",
-                            lambda block: sourced.append(block) or real_source(block))
         execute(second, CrossbarState())
         # only step 2 is lowered per location: 5 ops for a window that
-        # spans two fragments, 3 for one inside a fragment; a short
-        # read's new window shape compiles its phase block once, into
-        # one function, and the body compiles no more
+        # spans two fragments, 3 for one inside a fragment; the phase
+        # block and the body were lowered when they were built
         assert [label for label, _ in second.head] == ["1", "2"]
         assert [id(op) for op in lowered] == [id(op) for op in second.head[1][1]]
         assert len(lowered) == 5
-        if read_length == 100:
-            assert sourced == []
-        else:
-            assert sourced == [second.blocks[0]]
-        assert all(callable(block._compiled) for block in second.blocks)
         lowered.clear()
         execute(aligned, CrossbarState())
         assert [id(op) for op in lowered] == [id(op) for op in aligned.head[1][1]]
@@ -821,9 +809,9 @@ class TestLaneGroup:
 
     def test_popcount_moves_fuse_to_one_line_per_column_per_level(self):
         # each popcount level moves its pairs with one run of NorCol ops,
-        # none of which reads a row another one writes, so the compiler
-        # emits one line per column the level moves on: 28 lines for the
-        # template's 100 moves
+        # none of which reads a row another one writes, so lane code has
+        # one line per column the level moves on, every row live after
+        # it: 28 lines for the template's 100 moves
         template = _body()[0].steps[0][1]
         levels = [list(ops) for is_col, ops in itertools.groupby(template, lambda op: op.__class__ is NorCol)
                   if is_col]
@@ -831,8 +819,8 @@ class TestLaneGroup:
         assert sum(map(len, levels)) == FRAGMENT_ROWS
         lines = 0
         for ops in levels:
-            src = crossbar._Source(len(BASES))
-            src.ops(ops)
+            src = crossbar._Source({}, (0, ROWS), "l")
+            src.ops(ops, crossbar._live(ops, [crossbar._ROW_MASK] * COLS)[0])
             assert len(src.lines) == len({k for op in ops for k in op.cols})
             lines += len(src.lines)
         assert lines == 28
@@ -851,30 +839,20 @@ class TestLaneGroup:
         assert kernel._lanes()._units[2][0].fold == (rows, 4)
 
     def test_each_block_is_one_function_of_pinned_length(self):
-        # the read-length-100 phase block and the body's two blocks each
-        # compile to one run function, with no `~` (so no negative value); a
-        # pass that stops fusing, folding or banding shows here as more
-        # lines. The group's function is the input pack, 497 template
-        # lines on lane locals and 232 of tails, lane loads and stores
-        group, rest = _body()
-        phase = build_program(plan_layout(100), 137, oracle.BaseCounts(100, 0, 0, 0)).blocks[0]
-        sources = [block._source() for block in (phase, group, rest)]
-        assert not any("~" in src for src in sources)
-        assert [len(src.splitlines()) - 1 for src in sources] == [14, 730, 704]
-        template = [line for line in sources[1].splitlines() if re.match(r"    l\d+ ", line)]
-        assert len(template) == 1 + 497
         # as lanes of locations, the front and the body are one function
-        # per unit, the same text for any number of lanes: no constant is
-        # spelled out, each is a name bound per lane count. Each unit is
-        # compiled from the rows live after it: a gate assigns its cells,
-        # a dead gate and an Init that only readies gate outputs emit no
-        # line, and a cone of NorRows is one line of its cheapest
+        # per unit, with no `~` (so no negative value) and the same text
+        # for any number of lanes: no constant is spelled out, each is a
+        # name bound per lane count. Each unit is compiled from the rows
+        # live after it: a gate assigns its cells, a dead gate and an Init
+        # that only readies gate outputs emit no line, and a cone of
+        # NorRows is one line of its cheapest
         # expression (crossbar._Cones). Past its def, K unpack and return
         # lines, the front is 4 lines, the template splits at its fold's
         # cut into 9 lines over four lanes a location and 84 over one, the
         # tails, which only move rows, run as no unit, and steps 6-13, on
         # a byte per lane, are 83 lines. The bitwise operators of those
         # lines are pinned too, so a pass that stops folding shows here
+        rest = _body()[1]
         units = kernel._lanes()._units
         assert [(unit.fmt, n, unit.fold[1]) for unit, n in units] == \
             [((ROWS, 0, ROWS), 1, 1), ((ROWS, 0, ROWS), 4, 1), ((ROWS, 0, ROWS), 1, 4),
@@ -886,9 +864,9 @@ class TestLaneGroup:
         assert len(texts[-1].splitlines()) - 3 < sum(op.__class__ in (NorRow, NorCol) for op in rest.ops)
 
     def test_matches_the_spans_run_as_separate_blocks(self):
-        # every row phase, from a random grid: the group and the eight
-        # spans it holds, each run as its own Block, must leave the same
-        # cells, readout, cycles, steps and trace
+        # every row phase: the program with the group and the one with the
+        # eight spans it holds, each as its own Block, hold the same ops and
+        # report the same cycles per step
         group, _ = _body()
         spans = tuple(Block([step]) for step in group.steps)
         layout = plan_layout(100)
@@ -902,28 +880,30 @@ class TestLaneGroup:
             phase, together, rest = prog.blocks
             assert together is group
             split = MicroProgram(prog.head, (phase, *spans, rest))
-            grid = [rng.getrandbits(ROWS) for _ in range(len(CrossbarState().cols))]
-            runs = []
-            for program in (prog, split):
-                state, trace = CrossbarState(), []
-                state.cols[:] = grid
-                res = execute(program, state, strict=bool(r0 % 2), trace=trace.append)
-                runs.append((state.cols, res.readout, res.compute_cycles, res.init_cycles,
-                             {k: (v.compute, v.init) for k, v in res.steps.items()}, trace))
-            assert runs[0] == runs[1], r0
+            assert split.ops == prog.ops
+            assert split.cycles() == prog.cycles(), r0
 
 
 def test_steps_6_to_13_run_on_their_4_row_band():
-    # steps 6-13 touch only the four lane rows, so the block is one
-    # function on small ints: each live-in column loaded once as its four
-    # lane rows, each written column stored once over them; the decisions
-    # and the whole-input-domain tests check its cells
+    # steps 6-13 touch only the four lane rows, so their lane code runs on
+    # a byte per lane: from any inputs on the band, no value it returns
+    # holds a bit off the band in any lane, nor any read bit one off bit
+    # 0, so no lane spills into the next; the decisions and the
+    # whole-input-domain tests check the values on the band
     rest = _body()[1]
     assert _band(rest.ops) == (FRAGMENT_ROWS, len(BASES))
-    loads, _ = band_io(rest, FRAGMENT_ROWS, len(BASES))
-    assert loads
-    rest.run(CrossbarState().cols, [])
-    assert callable(rest._compiled)
+    unit, _ = kernel._lanes()._units[-1]
+    assert unit.ops is rest.ops and unit.fmt == (8, FRAGMENT_ROWS, len(BASES))
+    rng = random.Random(13)
+    for lanes in (1, 3, 64):
+        params = [_pack([rows >> FRAGMENT_ROWS & rng.getrandbits(8) for _ in range(lanes)], 8)
+                  for _, rows in unit.loads]
+        bits = []
+        values = unit.run(bits.append, unit.constants(lanes), *params)
+        assert len(values) == len(unit.stores) and len(bits) == 1
+        for value in values:
+            assert max(value.to_bytes(lanes, "little")) < 1 << len(BASES), lanes
+        assert max(bits[0].to_bytes(lanes, "little")) <= 1, lanes
 
 
 def operators(text):
@@ -966,16 +946,17 @@ def unbanded(v, lanes, rows):
     return cells.reshape(lanes, 8)[:, [r - FRAGMENT_ROWS for r in rows]].astype(int)
 
 
-def lane_unit(ops, cols, rows, lanes, inputs):
+def lane_unit(ops, cols, rows, lanes, inputs, fmt=(8, FRAGMENT_ROWS)):
     """Run ops as lane code (crossbar._Unit), exact only on rows `rows`
     of the columns `cols` (what the next stage reads), over `lanes` lanes
-    of the lane rows' band, each parameter from `inputs` (column ->
-    banded value, 0 if absent): its values by column and its read bits."""
+    of the format `fmt`, (stride, lo): by default the lane rows' band,
+    each parameter from `inputs` (column -> value in that format, 0 if
+    absent): its values by column and its read bits."""
     after = [0] * COLS
     for k in cols:
         after[k] = sum(1 << r for r in rows)
     unit = crossbar._Unit(ops, after)
-    assert unit.fmt[:2] == (8, FRAGMENT_ROWS)
+    assert unit.fmt[:2] == fmt
     bits = []
     got = unit.run(bits.append, unit.constants(lanes), *(inputs.get(k, 0) for k, _ in unit.loads))
     return dict(zip((k for k, _ in unit.stores), got)), bits
@@ -993,20 +974,21 @@ class TestWholeInputDomain:
                for op in step]
         assert live_ins(ops) == {k: (1 << FRAGMENT_ROWS) - 1 for k in L.p_cols}
 
+        # as lane code on a whole column per lane, exact on the bitmaps
         codes = (np.arange(4)[:, None] + np.arange(FRAGMENT_ROWS)) % 4
-        g = [0] * COLS
-        for k, shift in zip(L.p_cols, (1, 0)):  # the window is kept inverted
-            g[k] = packed(1 - (codes >> shift & 1), rows, 0)
-        compiled(ops, 4)(g, None)  # step 3 reads no cell out
+        inputs = {k: packed(1 - (codes >> shift & 1), rows, 0)  # the window is kept inverted
+                  for k, shift in zip(L.p_cols, (1, 0))}
+        out, bits = lane_unit(ops, L.match_cols.values(), rows, 4, inputs, (ROWS, 0))
+        assert not bits  # step 3 reads no cell out
         for base, (a, b) in kernel.BASE_CODES.items():
-            assert (unpacked(g[L.match_cols[base]], 4, rows) == (codes == 2 * a + b)).all(), base
+            assert (unpacked(out[L.match_cols[base]], 4, rows) == (codes == 2 * a + b)).all(), base
 
     def test_steps_6_and_7_on_every_count_pair(self):
         # steps 6-7 read only the window counts (res_cols) and the read
-        # counts (rb_cols) on the four lane rows, so one compiled pass
-        # over 4096 lanes, one (window, read) pair per lane row, runs all
-        # 16,384 pairs of 7-bit counts; each must leave |window - read|
-        # in z_cols
+        # counts (rb_cols) on the four lane rows, so one pass of their
+        # lane code over 4096 lanes, one (window, read) pair per lane row, runs
+        # all 16,384 pairs of 7-bit counts; each must leave |window -
+        # read| in z_cols, where round 1 reads it
         L = plan_layout()
         ops = [op for label, step in _body()[1].steps if label in ("6", "7") for op in step]
         rows = [L.lane_rows[b] for b in BASES]
@@ -1015,14 +997,6 @@ class TestWholeInputDomain:
         lanes = 4096
         pair = np.arange(128 * 128).reshape(lanes, len(rows))
         window, read = pair >> 7, pair & 127
-        g = [0] * COLS
-        for cols, values in ((L.res_cols, window), (L.rb_cols, read)):
-            for bit, k in enumerate(cols):
-                g[k] = packed(values, rows, bit)
-        compiled(ops, lanes)(g, None)  # steps 6-7 read no cell out
-        z = sum(unpacked(g[k], lanes, rows) << bit for bit, k in enumerate(L.z_cols))
-        assert (z == abs(window - read)).all()
-        # and as the lane code the product runs, exact on what round 1 reads
         inputs = {k: banded(values, rows, bit) for cols, values in ((L.res_cols, window), (L.rb_cols, read))
                   for bit, k in enumerate(cols)}
         out, bits = lane_unit(ops, L.z_cols, rows, lanes, inputs)
@@ -1065,34 +1039,21 @@ class TestWholeInputDomain:
                 assert live & ~written[k] & ~constants.get(k, 0) == 0, k
 
         lanes = 4096
-        f = compiled(round1, lanes)
         for run in range(2):
             # (A, T) holds v and (G, C) 16383 - v: each 7-bit half of the
             # one differs from the same half of the other, and the two
             # runs give each of the 16,384 inputs to one of the pairs
             v = lanes * run + np.arange(lanes)
             z = np.stack([v >> 7, v & 127, (16383 - v) >> 7, (16383 - v) & 127], axis=1)
-            g = [0] * COLS  # the zero cell holds 0
-            for bit, k in enumerate(L.z_cols):
-                g[k] = packed(z, rows, bit)
-            f(g, None)  # steps 8-11 read no cell out
-            s1 = sum(unpacked(g[k], lanes, [lane_a, lane_g]) << bit for bit, k in enumerate(L.s1_cols))
-            assert (s1 == z[:, [0, 2]] + z[:, [1, 3]]).all()
-            # as lane code, exact on the first sums round 2 reads
-            out, _ = lane_unit(round1, L.s1_cols, [lane_a, lane_g], lanes,
-                               {k: banded(z, rows, bit) for bit, k in enumerate(L.z_cols)})
+            # exact on the first sums round 2 reads; the zero cell holds 0
+            out, bits = lane_unit(round1, L.s1_cols, [lane_a, lane_g], lanes,
+                                  {k: banded(z, rows, bit) for bit, k in enumerate(L.z_cols)})
+            assert not bits  # steps 8-11 read no cell out
             s1 = sum(unbanded(out[k], lanes, [lane_a, lane_g]) << bit for bit, k in enumerate(L.s1_cols))
             assert (s1 == z[:, [0, 2]] + z[:, [1, 3]]).all()
 
-        f = compiled(round2, lanes)
         for pair in np.arange(1 << 16).reshape(-1, lanes):
             s1 = np.stack([pair >> 8, pair & 255], axis=1)
-            g = [0] * COLS
-            for bit, k in enumerate(L.s1_cols):
-                g[k] = packed(s1, [lane_a, lane_g], bit)
-            f(g, None)
-            total = sum(unpacked(g[k], lanes, [lane_a]) << bit for bit, k in enumerate(L.total_cols))
-            assert (total[:, 0] == s1[:, 0] + s1[:, 1]).all()
             out, _ = lane_unit(round2, L.total_cols, [lane_a], lanes,
                                {k: banded(s1, [lane_a, lane_g], bit) for bit, k in enumerate(L.s1_cols)})
             total = sum(unbanded(out[k], lanes, [lane_a]) << bit for bit, k in enumerate(L.total_cols))
@@ -1101,7 +1062,7 @@ class TestWholeInputDomain:
     def test_steps_12_and_13_on_every_threshold_and_total(self):
         # steps 12-13 read the threshold, the low eight bits of the total
         # and the zero cell seeded in step 6, on lane A's row only, so 16
-        # runs of one compiled pass over 4096 lanes cover all 65,536
+        # passes of their lane code over 4096 lanes cover all 65,536
         # pairs of 8-bit values; the bit read out must be 1 exactly when
         # the total exceeds the threshold
         L = plan_layout()
@@ -1110,18 +1071,10 @@ class TestWholeInputDomain:
         assert live_ins(ops) == {k: 1 << row for k in L.thr_cols + L.total_cols[:8] + (L.q0_col,)}
 
         lanes = 4096
-        f = compiled(ops, lanes)
         for pair in np.arange(1 << 16).reshape(-1, lanes, 1):
             threshold, total = pair >> 8, pair & 255
-            g = [0] * COLS  # the zero cell holds 0
-            for cols, values in ((L.thr_cols, threshold), (L.total_cols[:8], total)):
-                for bit, k in enumerate(cols):
-                    g[k] = packed(values, [row], bit)
-            readout = []
-            f(g, readout.append)
-            (bits,) = readout
-            assert (unpacked(bits, lanes, [0]) == (total > threshold)).all()
-            # as lane code, nothing live after it but the bit it reads
+            # nothing live after it but the bit it reads; the zero cell
+            # holds 0
             _, readout = lane_unit(ops, (), (), lanes, {k: banded(values, [row], bit)
                                                         for cols, values in ((L.thr_cols, threshold),
                                                                              (L.total_cols[:8], total))
