@@ -141,7 +141,8 @@ class Block:
     steps) and proves the ops init-dominated: every gate output is set by
     an Init among them, with no write since (_dataflow).
     Ops that are not raise ValueError. So a strict run cannot fail inside
-    a block, whatever the grid held before. `ops` lists the steps' ops in
+    a block, whatever the grid held before, and MicroProgram.run runs its
+    ops without the check. `ops` lists the steps' ops in
     order. A block has two executors: on a grid, the interpreter runs its
     ops (MicroProgram.run, _interpret), which defines what they do; over
     many grids at once, Lanes runs them as lane code compiled once per
@@ -554,7 +555,8 @@ class MicroProgram:
     than one step, and steps in the head and in blocks alike. `ops` reads
     the whole program: the head's ops, then each block's. execute asks a
     program for its cycles (`cycles`), then runs it (`run`) on a grid
-    through the interpreter, the head and the blocks alike. A kernel
+    through the interpreter: the head with the caller's strict check, the
+    blocks, proved init-dominated, without it. A kernel
     location (kernel.run_kernel) is a program of the same form that a
     batch decides as a lane (Lanes), that runs as its MicroProgram only
     when its grid is read, and whose head and ops are built only when
@@ -584,8 +586,13 @@ class MicroProgram:
         return compute, init, MappingProxyType({label: StepCycles(c, i) for label, (c, i) in per_label.items()})
 
     def run(self, state, readout, strict, emit):
-        """Run every op through the interpreter on the grid of state."""
-        _interpret(self.ops, state.cols, readout, strict, emit)
+        """Run every op through the interpreter on the grid of state: the
+        head's with the `strict` check, the blocks' without it, since a
+        Block is proved init-dominated and none of its gates can fail it."""
+        g = state.cols
+        _interpret(chain(*(ops for _, ops in self.head)), g, readout, strict, emit)
+        for block in self.blocks:
+            _interpret(block.ops, g, readout, False, emit)
 
 
 class ProgramBuilder:
@@ -704,7 +711,7 @@ class StepCycles:
     init: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecResult:
     """Outcome of running a program: read-out bits plus the cycle report."""
 
@@ -1578,9 +1585,10 @@ def execute(program, state, strict=True, trace=None):
     switching: output <- output AND NOR(inputs). Strict mode adds the
     precondition that every output cell of a gate holds 1, checked before
     the gate switches any cell, and aborts at the first gate that finds a
-    0, leaving the cells the ops before it wrote. Only a head can fail
-    the check: a Block, and a kernel location's head, are proved
-    init-dominated before they first run.
+    0, leaving the cells the ops before it wrote. Only a head is
+    checked, and only a head can fail the check: a Block is proved
+    init-dominated when it is built, so its ops run unchecked, and a
+    kernel location's head is proved init-dominated by its shape.
 
     :param trace: optional callable receiving one line per op run,
         formatted `cycle_kind cycle_index op_descriptor`.

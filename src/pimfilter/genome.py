@@ -25,14 +25,13 @@ from .kernel import (
     plan_layout,
     run_kernel,
     store_threshold,
-    window_row_ranges,
 )
 
 BYTES_PER_LOCATION = 13  # 60 bits in, 33 bits out, rounded up per direction
 
 _BASES = "".join(BASE_CODES).encode()
 # translate each base to its first, then its second code bit, as a digit
-_BITS = tuple(str.maketrans({b: str(code[i]) for b, code in BASE_CODES.items()}) for i in (0, 1))
+_BITS = tuple(bytes.maketrans(_BASES, "".join(str(code[i]) for code in BASE_CODES.values()).encode()) for i in (0, 1))
 _ABOVE_SLICE = -1 << FRAGMENT_ROWS  # rows past the genome slice, kept by load_tile
 
 
@@ -84,19 +83,20 @@ def load_tile(state, layout, genome, tile, eth, pairs):
     2 * (i // 100) and the next one; a short final tile is zero padded.
     A location reads only its window's fragments (window_row_ranges), so
     a caller lists the ones its windows read and the other columns keep
-    what they held. Each listed column is read straight from the genome
-    string, and its rows past the slice keep what they held too. Every
-    base of the tile is still checked, listed or not: a non-base raises
-    ValueError.
+    what they held. The tile's slice is encoded to bytes once: they serve
+    the check of every base of the tile, listed or not (a non-base raises
+    ValueError), and one translate of each listed column to bit digits.
+    A listed column's rows past the slice keep what they held.
     """
     seq = genome[tile.start:tile.start + tile.length]
-    if seq.encode().translate(None, _BASES):
+    data = seq.encode()  # one byte a base, once the check has passed
+    if data.translate(None, _BASES):
         encode_base(next(b for b in seq if b not in BASE_CODES))
     cols = state.cols
     for pair in pairs:
-        rows = seq[pair * FRAGMENT_ROWS:(pair + 1) * FRAGMENT_ROWS][::-1]  # int(, 2) reads row 0 last
+        rows = data[pair * FRAGMENT_ROWS:(pair + 1) * FRAGMENT_ROWS][::-1]  # int(, 2) reads row 0 last
         for c, bits in enumerate(_BITS, 2 * pair):
-            cols[c] = cols[c] & _ABOVE_SLICE | int("0" + rows.translate(bits), 2)
+            cols[c] = cols[c] & _ABOVE_SLICE | int(b"0" + rows.translate(bits), 2)
     store_threshold(state, layout, eth)
 
 
@@ -163,7 +163,7 @@ class FilterStats:
     oracle_mismatches: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Decision:
     read_id: str
     position: int
@@ -211,49 +211,55 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     processed, report = schedule([len(queues[t]) for t in busy], iter_factor, active_limit,
                                  tiles=tile_count(glen, read_length))
 
-    stats = FilterStats(queued=len(candidates))
-    if verify_oracle:
-        stats.oracle_mismatches = 0
+    discarded = mismatches = compute = init = done_total = 0
     decisions, pending = [], []  # pending: the kernel runs of the batch
 
     def decide():
         # each result's discard runs its batch, the first one reading it
+        nonlocal discarded, mismatches
         for decision, cand, counts, res in pending:
             discard = res.discard
             decision.verdict = "discard" if discard else "keep"
-            stats.processed += 1
-            stats.discarded += discard
-            stats.kept += 1 - discard
-            if verify_oracle:
-                if oracle.decide(counts, genome, eth, cand.position, read_length) != discard:
-                    stats.oracle_mismatches += 1
+            discarded += discard
+            if verify_oracle and oracle.decide(counts, genome, eth, cand.position, read_length) != discard:
+                mismatches += 1
         pending.clear()
 
+    spill = FRAGMENT_ROWS - read_length  # a window from a later row reads the next pair too
     batch = Batch()
     for t, done in zip(busy, processed):
         queue = queues[t]
-        pairs = {pair for _, off in queue[:done]
-                 for pair, _ in window_row_ranges(off, read_length)}
+        pairs = set()
+        for _, off in queue[:done]:
+            pair, r0 = divmod(off, FRAGMENT_ROWS)
+            pairs.add(pair)
+            if r0 > spill:
+                pairs.add(pair + 1)
         state = CrossbarState()
         load_tile(state, layout, genome, _tile(t, glen), eth, pairs)
-        for j, (cand, off) in enumerate(queue):
-            decisions.append(Decision(cand.read_id, cand.position, "passthrough"))
-            if j >= done:
-                stats.passthrough += 1
-                continue
+        for cand, off in queue[:done]:
+            decision = Decision(cand.read_id, cand.position, "passthrough")
+            decisions.append(decision)
             counts = oracle.histogram(cand.seq)
             res = run_kernel(state, layout, counts, off, strict=strict, trace=trace, batch=batch)
-            stats.compute_cycles += res.compute_cycles
-            stats.init_cycles += res.init_cycles
-            pending.append((decisions[-1], cand, counts, res))
+            compute += res.compute_cycles
+            init += res.init_cycles
+            pending.append((decision, cand, counts, res))
             if batch.full:
                 decide()
+        for cand, _ in queue[done:]:
+            decisions.append(Decision(cand.read_id, cand.position, "passthrough"))
+        done_total += done
     decide()
 
-    stats.waves = report.waves
-    stats.bytes_transferred = BYTES_PER_LOCATION * stats.processed
-    if stats.processed:
-        stats.discard_rate = stats.discarded / stats.processed
-    if stats.queued:
-        stats.passthrough_rate = stats.passthrough / stats.queued
+    queued = len(candidates)
+    stats = FilterStats(queued=queued, processed=done_total, passthrough=queued - done_total,
+                        discarded=discarded, kept=done_total - discarded,
+                        compute_cycles=compute, init_cycles=init, waves=report.waves,
+                        bytes_transferred=BYTES_PER_LOCATION * done_total,
+                        oracle_mismatches=mismatches if verify_oracle else None)
+    if done_total:
+        stats.discard_rate = discarded / done_total
+    if queued:
+        stats.passthrough_rate = stats.passthrough / queued
     return FilterRun(decisions, stats, report)

@@ -808,6 +808,8 @@ class KernelResult:
     the read-only step report its shape shares. `discard` runs the
     location's batch first if it is still pending."""
 
+    __slots__ = ("_readout", "_batch", "compute_cycles", "init_cycles", "steps")
+
     def __init__(self, readout, batch, compute_cycles, init_cycles, steps):
         self._readout, self._batch = readout, batch
         self.compute_cycles, self.init_cycles, self.steps = compute_cycles, init_cycles, steps
@@ -834,14 +836,18 @@ def run_kernel(state, layout, counts, offset, strict=True, trace=None, batch=Non
     and the grid whenever it is read. A trace gets the ops of
     build_program.
     """
-    if counts.total != layout.read_length:
+    a, t, g, c = counts
+    if a + t + g + c != layout.read_length:
         raise ValueError("read histogram does not sum to the read length")
-    _, phase = _split(offset)
-    _check_counts(counts)
+    if not 0 <= offset <= TILE_STRIDE:
+        raise ValueError("offset out of range")
+    # counts summing to at most FRAGMENT_ROWS fit in 7 bits if none is negative
+    if a < 0 or t < 0 or g < 0 or c < 0:
+        raise ValueError("base count must fit in 7 bits")
     alone = batch is None
     if alone:
         batch = Batch()
-    program = _Location(_shape(layout.read_length, phase), layout, offset, counts, batch)
+    program = _Location(_shape(layout.read_length, offset % FRAGMENT_ROWS), layout, offset, counts, batch)
     result = execute(program, state, strict=strict, trace=trace)
     if alone:
         batch.run()

@@ -28,16 +28,22 @@ class BaseCounts(NamedTuple):
         return self.a + self.t + self.g + self.c
 
 
+# _counts(BaseCounts, (a, t, g, c)) is BaseCounts(a, t, g, c), built
+# without the Python-level __new__ that NamedTuple generates
+_counts = tuple.__new__
+
+
 def histogram(seq):
     """Exact per-base counts of a sequence over {A, C, G, T}.
 
     :raises ValueError: on any other letter.
     """
-    counts = BaseCounts(*map(seq.count, BASES))
-    if counts.total != len(seq):
+    count = seq.count
+    a, t, g, c = count("A"), count("T"), count("G"), count("C")
+    if a + t + g + c != len(seq):
         i, ch = next((i, ch) for i, ch in enumerate(seq) if ch not in BASES)
         raise ValueError(f"invalid base {ch!r} at position {i}")
-    return counts
+    return _counts(BaseCounts, (a, t, g, c))
 
 
 def window_counts(seq, start, length):
@@ -51,12 +57,14 @@ def window_counts(seq, start, length):
     end = start + length
     count = seq.count
     a, t, g, c = count("A", start, end), count("T", start, end), count("G", start, end), count("C", start, end)
-    return BaseCounts(a, t, g, c) if a + t + g + c == length else histogram(seq[start:end])
+    return _counts(BaseCounts, (a, t, g, c)) if a + t + g + c == length else histogram(seq[start:end])
 
 
 def base_count_error(read_counts, window_counts):
     """Sum over base types of |window count - read count|."""
-    return sum(abs(s - r) for r, s in zip(read_counts, window_counts))
+    a, t, g, c = read_counts
+    wa, wt, wg, wc = window_counts
+    return abs(wa - a) + abs(wt - t) + abs(wg - g) + abs(wc - c)
 
 
 def should_discard(error, eth):

@@ -165,6 +165,38 @@ class TestLoadTile:
         with pytest.raises(ValueError, match="invalid base 'N'"):
             run_filter(genome, [CandidateRecord("r", genome[:100], 0)], eth=3)
 
+    def test_a_non_ascii_letter_in_a_fragment_no_window_reads(self, layout):
+        # "é" encodes to two bytes, so the tile's bytes are checked before
+        # any listed fragment is sliced out of them
+        genome = synth_genome(7000, random.Random(15))
+        genome = genome[:5012] + "\u00e9" + genome[5013:]
+        with pytest.raises(ValueError, match="^invalid base '\u00e9'$"):
+            load_tile(CrossbarState(), layout, genome, partition(len(genome))[0], 3, [0])
+        with pytest.raises(ValueError, match="^invalid base '\u00e9'$"):
+            run_filter(genome, [CandidateRecord("r", genome[:100], 0)], eth=3)
+
+    @pytest.mark.parametrize("genome_len,index", [(7000, 0), (TILE_STRIDE + 3210, -1), (2 * TILE_STRIDE + 150, -1)])
+    def test_listed_pairs_match_the_cell_loop(self, layout, genome_len, index):
+        # a whole tile, and short final tiles of 3210 and 150 bases, over
+        # a random grid: the two columns of every listed pair, a partly
+        # stored one and ones past the stored slice among them, hold on
+        # rows 0-99 what looped_tile writes there, and every other cell
+        # but the threshold's keeps what it held
+        rng = random.Random(genome_len)
+        genome = synth_genome(genome_len, rng)
+        tile = partition(len(genome))[index]
+        pairs = {*rng.sample(range(FRAGMENTS_PER_TILE), 20), 0, 32, 40, FRAGMENTS_PER_TILE - 1}
+        state = CrossbarState()
+        grid = np.random.default_rng(genome_len).integers(0, 2, size=(ROWS, COLS), dtype=np.uint8)
+        load_grid(state, grid)
+        load_tile(state, layout, genome, tile, 3, sorted(pairs))
+        after, want = snapshot(state), looped_tile(genome, tile)
+        listed = sorted(c for pair in pairs for c in (2 * pair, 2 * pair + 1))
+        expected = grid.copy()
+        expected[:FRAGMENT_ROWS, listed] = want[:FRAGMENT_ROWS, listed]
+        expected[layout.lane_rows["A"], list(layout.thr_cols)] = [(6 >> i) & 1 for i in range(len(layout.thr_cols))]
+        assert (after == expected).all()
+
 
 class TestSchedule:
     def test_uniform_queues_no_overflow(self):

@@ -22,6 +22,43 @@ from pimfilter.oracle import (
 seqs = st.text(alphabet="ACGT", max_size=40)
 
 
+# letters of every kind the oracle meets: bases, lowercase bases, N,
+# other ASCII and non-ASCII letters; a sequence is all bases, all bases
+# but one letter, or any mix
+BASE_RUNS = st.text(alphabet="ACGT", max_size=30)
+OTHERS = "acgtNU-x\u00e9\u00fc"
+MIXED = (BASE_RUNS
+         | st.builds("".join, st.tuples(BASE_RUNS, st.sampled_from(OTHERS), BASE_RUNS))
+         | st.text(alphabet="ACGT" + OTHERS, max_size=40))
+
+
+def windows(seq):
+    """(start, length) of windows of seq: inside it, empty, ending at or
+    just past its end, or starting before it (counted from the end, as a
+    slice is)."""
+    n = len(seq)
+    return st.tuples(st.integers(-3, n + 2), st.integers(0, n + 3)) | st.integers(0, n).map(
+        lambda start: (start, n - start + 1))
+
+
+def counter_model(seq):
+    """(BaseCounts, None) of a sequence by collections.Counter, or (None,
+    message) with the ValueError message the oracle raises on it."""
+    bad = [(i, ch) for i, ch in enumerate(seq) if ch not in "ATGC"]
+    if bad:
+        i, ch = bad[0]
+        return None, f"invalid base {ch!r} at position {i}"
+    counts = Counter(seq)
+    return BaseCounts(*(counts[b] for b in "ATGC")), None
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
 @lru_cache(maxsize=None)
 def reference_distance(a, b):
     """Independent recursive definition of the edit distance."""
@@ -75,16 +112,11 @@ class TestHistogram:
         else:
             assert window_counts(seq, start, length) == histogram(window)
 
-    @given(st.text(alphabet="ACGTacgtNU-", max_size=40))
+    @given(MIXED)
     def test_matches_counter_model(self, seq):
-        bad = [(i, ch) for i, ch in enumerate(seq) if ch not in "ATGC"]
-        if bad:
-            i, ch = bad[0]
-            with pytest.raises(ValueError, match=f"^invalid base {ch!r} at position {i}$"):
-                histogram(seq)
-        else:
-            counts = Counter(seq)
-            assert histogram(seq) == BaseCounts(*(counts[b] for b in "ATGC"))
+        got = outcome(histogram, seq)
+        assert got == counter_model(seq)
+        assert got[0] is None or type(got[0]) is BaseCounts
 
     @given(seqs)
     def test_total_is_length(self, seq):
@@ -95,6 +127,34 @@ class TestHistogram:
         shuffled = list(seq)
         rnd.shuffle(shuffled)
         assert histogram(seq) == histogram("".join(shuffled))
+
+
+class TestAgainstCounter:
+    """The oracle, counted with str.count into locals, against a
+    collections.Counter model of each of its functions."""
+
+    @given(MIXED, st.data())
+    def test_window_counts(self, seq, data):
+        start, length = data.draw(windows(seq))
+        got = outcome(window_counts, seq, start, length)
+        assert got == counter_model(seq[start:start + length])
+        assert got[0] is None or type(got[0]) is BaseCounts
+
+    @given(BASE_RUNS, BASE_RUNS)
+    def test_base_count_error(self, read, window):
+        r, w = Counter(read), Counter(window)
+        assert base_count_error(histogram(read), histogram(window)) == sum(((w - r) + (r - w)).values())
+
+    @given(BASE_RUNS, MIXED, st.integers(0, 30), st.data())
+    def test_decide(self, read, seq, eth, data):
+        # length None: the window is seq from start to its end
+        start, length = data.draw(windows(seq) | st.integers(-3, len(seq) + 1).map(lambda start: (start, None)))
+        window = seq[start:] if length is None else seq[start:start + length]
+        want = counter_model(window)
+        if want[1] is None:
+            r, w = Counter(read), Counter(window)
+            want = (1 if sum(((w - r) + (r - w)).values()) > 2 * eth else 0, None)
+        assert outcome(decide, histogram(read), seq, eth, start, length) == want
 
 
 class TestBaseCountError:
