@@ -25,7 +25,6 @@ from .gates import (
 )
 from .kernel import (
     KernelLayout,
-    KernelResult,
     STEP_BUDGETS,
     build_program,
     encode_base,

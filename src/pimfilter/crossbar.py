@@ -998,18 +998,21 @@ class _Source:
     The code is built from the rows live after each op (`after`, from
     _live): it need be exact only on those. A gate's output held 1, so a
     gate assigns its output cells:
-    - A column in `known` holds that value, and has no local: an op that
-      writes it only updates the value, and a gate that reads it folds
-      the value in as a constant. A column still known at the end is
-      returned as its value.
-    - A NorRow is `c = (acc) ^ m` when the column holds no live row off
-      its rows m, which leaves anything off them, else `c = c & keep |
-      (acc) & m ^ m`, and nothing when none of its rows is live.
-    - A NorRow of the first form is a node of a cone (_Cones): it gets a
-      line only where something other than such gates on the same rows
-      reads it, and that line is the cheapest expression of its cone's
-      truth table over at most three leaves, proved on every leaf
+    - A column in `known` holds that value, and has no local: an Init, a
+      write or a NorRow that writes it only updates the value, a NorRow
+      that reads it folds the value in as a constant, and a NorCol run
+      on it first binds the value to its local. A column still known at
+      the end is returned as its value.
+    - A NorRow of at most three leaves, none of them known, whose column
+      holds no live row off its rows, is a node of a cone (_Cones): it
+      gets a line only where something other than such gates on the
+      same rows reads it, and that line is the cheapest expression of
+      its cone's truth table over its leaves, proved on every leaf
       pattern against the cone's NOR gates.
+    - Any other NorRow is `c = c & keep | (acc) & m ^ m`, where m is its
+      rows less those a known input holds 1 on, and keep the live rows
+      off its rows (with none, `c = (acc) & m ^ m`); it is nothing when
+      none of its rows is live.
     - A run of NorCol ops on a column is one line for each group of ops
       in which no op reads a row an earlier one wrote (a hazard starts a
       new group), with one term per distinct shift: every term reads the
@@ -1083,7 +1086,8 @@ class _Source:
         """Append the lines of one lowered op other than a NorCol, exact on
         the rows live after it (`after`, per column it writes, as masks).
         A NorRow assigns its rows (assign); with no live row off them,
-        and at most three leaves, it is a node of a cone (_Cones.gate),
+        no known leaf holding 1 on them and at most three leaves, it is
+        a node of a cone (_Cones.gate),
         whose line, if any, waits for the cone pass; a dead one emits
         nothing. An Init sets only the live rows, those something reads
         before a gate assigns them, and makes its column known when it
@@ -1101,9 +1105,9 @@ class _Source:
                 names = [k for k in ins if k not in known]
                 if not names or not m:
                     value = m
-                elif keep:
+                elif keep or m != rows or len(names) > 3:
                     value = f"{self.within(' | '.join(map(self.col, names)), m)} ^ {self.num(m)}"
-                elif len(names) + bool(const & rows) <= 3:
+                else:
                     # no live row off the gate's rows, so no mask: a node
                     # of a cone, emitted, if at all, when the lines are
                     # done (_Cones)
@@ -1112,15 +1116,10 @@ class _Source:
                     for k in names:
                         self.load(k)
                         leaves.append(cones.value(k))
-                    if const & rows:
-                        leaves.append(cones.constant(self.num(const & rows)))
                     known.pop(out, None)
                     self.local.add(out)
                     self.lines.append(cones.gate(out, rows, leaves, len(self.lines)))
                     return
-                else:
-                    acc = [*map(self.col, names), *([self.num(const & rows)] if const & rows else [])]
-                    value = f"({' | '.join(acc)}) ^ {self.num(rows)}"
                 self.assign(out, keep, value)
         elif cls is Init:
             per_col = {}  # one line per column, whatever its regions
@@ -1177,7 +1176,7 @@ class _Source:
         """Lines for a run of NorCol ops, each with its live rows (_live),
         column by column: a gate whose output row is dead in a column is
         no term there, and each group of the rest with no hazard is one
-        line (moves)."""
+        line (moves). A known column is first bound to its local."""
         per_col, lives = {}, {}
         for op, after in ops:
             for k in dict.fromkeys(op._c[2]):
@@ -1186,14 +1185,7 @@ class _Source:
                 lives[k] = after[k]
         for k, gates in per_col.items():
             if k in self.known:
-                value = self.known[k]
-                for ins, out, _ in gates:
-                    moved = 0
-                    for s, m in self.shifts(ins, out):
-                        moved |= (value & m) << s if s > 0 else (value & m) >> -s
-                    value &= ~moved
-                self.known[k] = value
-                continue
+                self.set(k, self.num(self.known.pop(k)))
             groups, terms, wrote = [], {}, 0
             for ins, out, _ in gates:
                 if ins & wrote:  # a hazard: the op reads a row the group wrote
@@ -1277,9 +1269,9 @@ class _Source:
 
 
 class _Cones:
-    """The cone pass of lane code (_Source): which NorRows
-    in the no-keep form `c = (acc) ^ m` get a line, and which fold into
-    the lines of the gates that read them.
+    """The cone pass of lane code (_Source): which NorRows of at most
+    three leaves and no live row off their rows get a line, and which
+    fold into the lines of the gates that read them.
 
     Each value a column local takes gets an id. Such a NorRow is a node
     (gate), with a placeholder in the lines. A line that reads a local
@@ -1288,7 +1280,7 @@ class _Cones:
     not pinned, so that only nodes on its rows read it, folds into them.
     Every pinned node, and every node a chosen cone has as a leaf, gets
     a line: a cone of at most three leaves, each a loaded or assigned
-    local, a named constant or another node with a line, that its local
+    local or another node with a line, that its local
     still holds where the cone's line stands, written as the cheapest
     expression over `&`, `|`, `^` and NOT as `^ m` of the cone's truth
     table (_expressions). The cones are chosen by area flow (cover).
@@ -1322,12 +1314,6 @@ class _Cones:
         if k not in self.held:
             self.held[k] = self.new(f"{self.var}{k}")
         return self.held[k]
-
-    def constant(self, name):
-        """The id of a named constant leaf."""
-        if name not in self.held:
-            self.held[name] = self.new(name)
-        return self.held[name]
 
     def assign(self, k, line):
         """Column k's local takes a new value at line `line`."""
@@ -1576,10 +1562,10 @@ def execute(program, state, strict=True, trace=None):
     It then runs on the state (program.run), in its packed grid of COLS
     Python ints where bit r of column c is cell (r, c): a MicroProgram's
     every op through the interpreter (_interpret). A kernel location
-    runs no op: it joins a batch of locations (kernel.Batch), which fills
-    its readout when it decides them as lanes of one pass (Lanes), and it
-    waits on the state, to run as its MicroProgram when the grid is read;
-    both paths give the same cells, readout and trace.
+    runs no op: it waits on the state, to run as its MicroProgram when
+    the grid is read, and its readout fills when the batch of locations
+    that run_kernel queues it on (kernel.Batch) decides them as lanes of
+    one pass (Lanes); both paths give the same cells, readout and trace.
     A NorRow is one bitwise expression over its whole row mask; a NorCol
     is one per column. Both modes evaluate a NOR by conditional
     switching: output <- output AND NOR(inputs). Strict mode adds the

@@ -184,13 +184,14 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
 
     Decisions come back in (tile index, queue order); every non-overflow
     location is decided by the in-crossbar kernel, overflow locations are
-    marked passthrough. The kernel's locations run in batches (Batch) of
-    up to 256, across tiles, each location a lane of one pass of every
+    marked passthrough. The kernel's locations are queued on one batch
+    (Batch), across tiles, each location a lane of one pass of every
     step (four lanes a location for the popcount tree's first two levels,
-    one from there: crossbar.Lanes); a batch runs when it is full and at
-    the end, and no tile's grid is written.
-    With `verify_oracle` each kernel decision is also checked against
-    the golden model and mismatches are counted. An edit threshold
+    one from there: crossbar.Lanes); the batch runs itself when it
+    fills and once more after the last tile, and no tile's grid is
+    written. The verdicts are then read off the readouts, and with
+    `verify_oracle` each is also checked against the golden model in the
+    same loop and mismatches are counted. An edit threshold
     outside 0..read_length, or a read of another length or holding a
     non-base, passthrough or not, raises ValueError when the candidate
     is routed; only the reads the kernel decides get a histogram.
@@ -211,20 +212,8 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
     processed, report = schedule([len(queues[t]) for t in busy], iter_factor, active_limit,
                                  tiles=tile_count(glen, read_length))
 
-    discarded = mismatches = compute = init = done_total = 0
-    decisions, pending = [], []  # pending: the kernel runs of the batch
-
-    def decide():
-        # each result's discard runs its batch, the first one reading it
-        nonlocal discarded, mismatches
-        for decision, cand, counts, res in pending:
-            discard = res.discard
-            decision.verdict = "discard" if discard else "keep"
-            discarded += discard
-            if verify_oracle and oracle.decide(counts, genome, eth, cand.position, read_length) != discard:
-                mismatches += 1
-        pending.clear()
-
+    compute = init = done_total = 0
+    decisions, runs = [], []  # each kernel run, its readout filled once the batch has run
     spill = FRAGMENT_ROWS - read_length  # a window from a later row reads the next pair too
     batch = Batch()
     for t, done in zip(busy, processed):
@@ -244,13 +233,19 @@ def run_filter(genome, candidates, eth, read_length=100, iter_factor=5,
             res = run_kernel(state, layout, counts, off, strict=strict, trace=trace, batch=batch)
             compute += res.compute_cycles
             init += res.init_cycles
-            pending.append((decision, cand, counts, res))
-            if batch.full:
-                decide()
+            runs.append((decision, counts, res))
         for cand, _ in queue[done:]:
             decisions.append(Decision(cand.read_id, cand.position, "passthrough"))
         done_total += done
-    decide()
+    batch.run()
+
+    discarded = mismatches = 0
+    for decision, counts, res in runs:
+        discard = res.readout[0]
+        decision.verdict = "discard" if discard else "keep"
+        discarded += discard
+        if verify_oracle and oracle.decide(counts, genome, eth, decision.position, read_length) != discard:
+            mismatches += 1
 
     queued = len(candidates)
     stats = FilterStats(queued=queued, processed=done_total, passthrough=queued - done_total,

@@ -32,10 +32,12 @@ always count all 100 bitmap rows.
 A location runs as the arrays of the paper run it: many locations in
 lockstep, each array writing only its read's counts. run_kernel counts
 a location's cycles from its shape, one per read length and row phase
-(_Shape, built on its first use), and queues it: no op is built, lowered
-or run per location, and every location of a shape shares one cycle
-report. A batch (Batch) of up to _BATCH = 256 locations, over any tiles
-and shapes, then decides them all in one pass (crossbar.Lanes) from
+(_Shape, built on its first use), returns them at once, and queues the
+location: no op is built, lowered or run per location, and every
+location of a shape shares one cycle report. A batch (Batch), over any
+tiles and shapes, runs itself at its _BATCH = 256th location and
+otherwise when its caller runs it or a grid is read; it decides its
+locations in one pass (crossbar.Lanes) from
 what the host holds: each location's counts, its state's threshold, and
 its window's bits, gathered under the rows its shape's step 2 reads
 them at. The pass runs steps 2-3 and a short read's zeroing as one
@@ -704,9 +706,11 @@ def _shape(read_length, phase):
 
 class _Location:
     """The program of one location check, as execute runs it: the cycles
-    of its shape, and a run that leaves it to `batch` and to its state's
-    replay. Its ops are those of build_program, built only when
-    something reads them (a trace, a replay, or a test)."""
+    of its shape, and a run that sets its readout, which `batch` fills
+    once run_kernel has queued it there (Batch.add) and the batch has
+    run, and leaves it to its state's replay. Its ops are those of
+    build_program, built only when something reads them (a trace, a
+    replay, or a test)."""
 
     __slots__ = ("shape", "layout", "offset", "counts", "batch", "readout", "strict", "_built")
 
@@ -729,7 +733,6 @@ class _Location:
         # no op runs now: the batch decides the location, and its program
         # runs on the grid when the grid is read (_Shape's proof)
         self.readout, self.strict = readout, strict
-        self.batch.entries.append((state, self))
         state._replay.append(self)
         if emit is not None:
             emit(self.ops)
@@ -753,25 +756,27 @@ _BATCH = 256  # most locations a batch runs as lanes of one pass
 
 
 class Batch:
-    """Locations run as lanes of one pass (_lanes), at most _BATCH of
-    them, over any tiles: `entries` lists each location with its state.
+    """Locations run as lanes of one pass (_lanes), over any tiles:
+    `entries` lists each location with its state. add queues one and
+    runs the batch at its _BATCH-th, so no pass holds more.
 
-    run, which reading a result's `discard` or a waiting state's `cols`
-    calls, packs each location's inputs from what the host holds: its
-    counts (_count_values) and its state's threshold row, a byte per
-    column, then the rows its window leaves (_Shape.outside) and the
-    window's bits that its shape's step 2 reads (_Shape.gather), a whole
-    column each. It runs the front and the body once for all of them,
-    appends each location's read bit to its readout and empties the
-    batch, which then takes new locations for another pass. It writes no
-    grid: each location runs on its grid when the grid is read."""
+    run, which add, a caller, or reading a waiting state's `cols` calls,
+    packs each location's inputs from what the host holds: its counts
+    (_count_values) and its state's threshold row, a byte per column,
+    then the rows its window leaves (_Shape.outside) and the window's
+    bits that its shape's step 2 reads (_Shape.gather), a whole column
+    each. It runs the front and the body once for all of them, appends
+    each location's read bit to its readout and empties the batch,
+    which then takes new locations for another pass. It writes no grid:
+    each location runs on its grid when the grid is read."""
 
     def __init__(self):
         self.entries = []
 
-    @property
-    def full(self):
-        return len(self.entries) >= _BATCH
+    def add(self, state, location):
+        self.entries.append((state, location))
+        if len(self.entries) == _BATCH:
+            self.run()
 
     def run(self):
         entries = self.entries
@@ -803,24 +808,6 @@ class Batch:
                   [location.readout for _, location in entries])
 
 
-class KernelResult:
-    """Decision and cycle accounting for one location check; `steps` is
-    the read-only step report its shape shares. `discard` runs the
-    location's batch first if it is still pending."""
-
-    __slots__ = ("_readout", "_batch", "compute_cycles", "init_cycles", "steps")
-
-    def __init__(self, readout, batch, compute_cycles, init_cycles, steps):
-        self._readout, self._batch = readout, batch
-        self.compute_cycles, self.init_cycles, self.steps = compute_cycles, init_cycles, steps
-
-    @property
-    def discard(self):
-        if not self._readout:
-            self._batch.run()
-        return self._readout[0]
-
-
 def run_kernel(state, layout, counts, offset, strict=True, trace=None, batch=None):
     """Run one location check on a pre-loaded crossbar.
 
@@ -828,12 +815,13 @@ def run_kernel(state, layout, counts, offset, strict=True, trace=None, batch=Non
     (see genome.load_tile and store_threshold). `counts` is the read's
     oracle.BaseCounts, `layout` plan_layout(read length). The inputs are
     checked, then the location runs through one execute call, which
-    counts its shape's cycles (_Shape) and queues it: it joins `batch`
-    (Batch), whose pass decides all its locations as lanes, and waits on
-    the state until the grid is read, when it runs as its program. With
-    no batch, the location is a batch of one, run before this returns.
-    The cycle report is exact at once, the decision once the batch ran,
-    and the grid whenever it is read. A trace gets the ops of
+    counts its shape's cycles (_Shape) and leaves it waiting on the
+    state until the grid is read, when it runs as its program; it then
+    joins `batch` (Batch.add), whose pass decides all its locations as
+    lanes. With no batch, the location is a batch of one, run before
+    this returns. It returns execute's ExecResult: the cycle report, its
+    `steps` the shape's, is exact at once, and the readout, the decision
+    bit, fills once the batch has run. A trace gets the ops of
     build_program.
     """
     a, t, g, c = counts
@@ -849,6 +837,7 @@ def run_kernel(state, layout, counts, offset, strict=True, trace=None, batch=Non
         batch = Batch()
     program = _Location(_shape(layout.read_length, offset % FRAGMENT_ROWS), layout, offset, counts, batch)
     result = execute(program, state, strict=strict, trace=trace)
+    batch.add(state, program)
     if alone:
         batch.run()
-    return KernelResult(result.readout, batch, result.compute_cycles, result.init_cycles, result.steps)
+    return result

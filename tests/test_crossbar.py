@@ -1216,12 +1216,54 @@ def test_a_nine_row_block_runs_on_whole_columns(lo):
     unit = lanes._units[0][0]
     assert unit.fmt == (ROWS, 0, ROWS)
     assert unit.loads == ((1, 0x1ff << lo), (2, 0x1ff << lo))
-    # column 4 stays known, since its NOR reads a row its Init set
-    assert 4 in unit.known and 3 not in unit.known
+    assert 3 not in unit.known
     rng = random.Random(lo)
     for lane_count in (1, 3):
         grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
         assert run_as_lanes(lanes, grids) == interpreted_reads(ops, grids), lane_count
+
+
+@pytest.mark.parametrize("lo", [0, ROWS - 6, 60])
+@pytest.mark.parametrize("gate", ["constant leaf", "four leaves", "five leaves"])
+def test_a_row_nor_outside_every_cone_takes_the_masked_form(lo, gate):
+    # a NorRow whose column holds no live row off its rows is a node of a
+    # cone only with at most three leaves, none of them known: one that
+    # reads a known column holding 1 on some of its rows (a constant
+    # leaf), or that reads four or five columns, is the masked line
+    # `(acc) & m ^ m`, m its rows less the known 1s. A cone gate then
+    # reads it, and each lane reads back what the interpreter leaves
+    rows = range(lo + 2, lo + 6)
+    ops = [Init(((range(lo, lo + 6), (3,)),))]  # column 3 known, on a six-row band
+    if gate == "constant leaf":
+        ops.append(WriteExternal(((lo + 4, 3), (lo + 5, 3)), (0, 0)))
+        ins = (1, 3)
+    else:
+        ins = (1, 2, 5, 6, 8)[:4 if gate == "four leaves" else 5]
+    ops += [Init(((rows, (4, 7)),)), NorRow(ins, 4, rows), NorRow((4,), 7, rows)]
+    lanes = reading_back([Block(unlabelled(ops))])
+    text = lanes._units[0][0].text
+    acc = " | ".join(f"c{k}" for k in ins if k != 3)
+    assert re.search(rf"^    c4 = \({re.escape(acc)}\) & (k\d+) \^ \1$", text, re.M), text
+    rng = random.Random(lo)
+    for lane_count in (1, 3):
+        grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
+        assert run_as_lanes(lanes, grids) == interpreted_reads(ops, grids), lane_count
+
+
+def test_a_nor_col_run_on_a_known_column_binds_it_first():
+    # column 4 is known after its Init, then a NorCol run moves its rows:
+    # the column is bound to its local as a constant, and the run takes
+    # the general path; each lane reads back what the interpreter leaves
+    for lo in (0, ROWS - 9):
+        ops = [Init(((range(lo, lo + 9), (4,)),)), NorCol((lo, lo + 1), lo + 8, (4,)),
+               NorCol((lo + 8,), lo + 5, (4,)), ReadCell(lo + 5, 4)]
+        lanes = reading_back([Block(unlabelled(ops))])
+        unit = lanes._units[0][0]
+        assert 4 not in unit.known and re.search(r"^    c4 = k\d+$", unit.text, re.M), unit.text
+        rng = random.Random(lo)
+        for lane_count in (1, 3):
+            grids = [[rng.getrandbits(ROWS) for _ in range(COLS)] for _ in range(lane_count)]
+            assert run_as_lanes(lanes, grids) == interpreted_reads(ops, grids), lane_count
 
 
 @pytest.mark.parametrize("lo,width", [(0, 4), (ROWS - 4, 4), (40, 1), (0, ROWS)])

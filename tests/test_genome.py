@@ -407,8 +407,9 @@ class TestRunFilter:
     def test_a_call_past_the_batch_cap_runs_like_one_location_at_a_time(self, monkeypatch, read_length):
         # 400 locations over 3 tiles, none capped, four at each row phase
         # (so, but at read length 1, windows that span two fragments too):
-        # one batch fills to the cap of 256 and a second takes the other
-        # 144, each spanning the tiles and mixing the phases. The
+        # the batch runs itself at its cap of 256 and again after the last
+        # tile for the other 144, each pass spanning the tiles and mixing
+        # the phases. The
         # decisions, stats and every tile's grid, replayed when it is
         # read, must be those of the same call with each location run
         # alone, as its interpreted program
@@ -432,8 +433,7 @@ class TestRunFilter:
             return res.decisions, res.stats, [state.cols for state in states], [n for n in sizes if n]
 
         def alone(state, layout, counts, offset, strict=True, trace=None, batch=None):
-            res = execute(build_program(layout, offset, counts), state, strict=strict, trace=trace)
-            return kernel.KernelResult(res.readout, None, res.compute_cycles, res.init_cycles, res.steps)
+            return execute(build_program(layout, offset, counts), state, strict=strict, trace=trace)
 
         batched = run()
         monkeypatch.setattr(genome_mod, "run_kernel", alone)

@@ -14,6 +14,7 @@ from pimfilter.crossbar import (
     ROWS,
     Block,
     CrossbarState,
+    ExecResult,
     Init,
     LaneGroup,
     MicroProgram,
@@ -409,8 +410,7 @@ class TestCompiledLocations:
                 state.cols[:] = grid
                 res = run(state, layout, counts, offset, strict=strict,
                           trace=trace.append if traced else None)
-                discard = res.discard if run is run_kernel else res.readout[0]
-                runs.append((state.cols, discard, res.compute_cycles, res.init_cycles,
+                runs.append((state.cols, res.readout[0], res.compute_cycles, res.init_cycles,
                              list(res.steps.items()), trace))
             assert runs[0] == runs[1], offset
 
@@ -504,9 +504,10 @@ class TestHeldStores:
         # 256) at mixed read lengths, row phases and counts on one state,
         # in batches of B (or fewer, when a new batch starts early), some
         # alone; between batches, at random, the grid is read, and
-        # between locations, about once in 2B, the grid is read, a pending
-        # result is read, fragment pairs and thresholds are loaded, cells
-        # are set or a small program runs. The same sequence through
+        # between locations, about once in 2B, the grid is read, a result
+        # is read (one still pending once its batch runs or the grid is
+        # read), fragment pairs and thresholds are loaded, cells are set
+        # or a small program runs. The same sequence through
         # build_program and execute, which runs each location on the grid
         # at once, must give every decision and readout and, whenever the
         # grid is read, the same grid
@@ -536,8 +537,10 @@ class TestHeldStores:
                     batch = kernel.Batch()
                 alone = rng.randrange(4) == 0
                 res = run_kernel(held, layout, counts, offset, batch=None if alone else batch)
-                assert bool(res._readout) == alone and held._replay[-1].readout is res._readout
-                results.append((res, interpreted(stored, layout, counts, offset).readout[0], i))
+                # a batch runs itself at its cap, so it then holds no entry
+                assert bool(res.readout) == (alone or not batch.entries)
+                assert held._replay[-1].readout is res.readout
+                results.append((res, batch, interpreted(stored, layout, counts, offset).readout[0], i))
                 if new and rng.randrange(2):
                     event = 0
                 else:
@@ -571,11 +574,15 @@ class TestHeldStores:
                     program = pb.build()
                     assert execute(program, held).readout == execute(program, stored).readout, i
                 elif event is not None and event < 8:
-                    res, want, j = rng.choice(results)
-                    assert res.discard == want, j
-            for res, want, j in results:
-                assert res.discard == want, j
+                    res, queued, want, j = rng.choice(results)
+                    if not res.readout and j % 2:
+                        queued.run()
+                    elif not res.readout:
+                        assert held.cols == stored.cols, i
+                    assert res.readout[0] == want, j
             assert held.cols == stored.cols
+            for res, _, want, j in results:
+                assert res.readout[0] == want, j
             assert max(sizes) == size, size
             assert replaced > 150 and reads > 0 and pending_reads > 0, size
 
@@ -594,7 +601,7 @@ class TestHeldStores:
         layout = plan_layout(37)
         state = CrossbarState()
         res = run_kernel(state, layout, oracle.BaseCounts(10, 20, 3, 4), 1290)
-        res._readout[0] ^= 1
+        res.readout[0] ^= 1
         with pytest.raises(RuntimeError, match="offset 1290 reads out"):
             state.cols
 
@@ -704,13 +711,47 @@ class TestBatches:
             res = interpreted(alone[t], layout, counts, offset)
             want.append((res.readout[0], res.compute_cycles, res.init_cycles, dict(res.steps)))
         for size in (1, 3, 64, 65):
-            batched, results = states(), []
+            batched, results, batches = states(), [], []
             for n, (t, offset, counts) in enumerate(locations):
                 if n % size == 0:
                     batch = kernel.Batch()
+                    batches.append(batch)
                 results.append(run_kernel(batched[t], layout, counts, offset, batch=batch))
-            assert [(res.discard, res.compute_cycles, res.init_cycles, dict(res.steps)) for res in results] == want
+            for batch in batches:
+                batch.run()
+            assert [(res.readout[0], res.compute_cycles, res.init_cycles, dict(res.steps)) for res in results] == want
             assert [state.cols for state in batched] == [state.cols for state in alone], size
+
+    @pytest.mark.parametrize("then", ["run", "grid read"])
+    def test_a_batch_runs_itself_at_its_cap(self, then):
+        # 257 locations at mixed read lengths and row phases queued on one
+        # batch: add runs it at the 256th, which fills the first 256
+        # readouts, and the 257th waits until the batch runs or the grid
+        # is read. Each result is execute's: its readout the one its
+        # location fills, its steps its shape's report
+        rng = random.Random(257)
+        genome = synth_genome(6600, rng)
+        state = CrossbarState()
+        load_tile(state, plan_layout(100), genome, partition(len(genome))[0], 1, EVERY_PAIR)
+        batch, results = kernel.Batch(), []
+        for i in range(kernel._BATCH + 1):
+            read_length = rng.choice((100, 64, 37, 1))
+            offset = rng.randint(0, TILE_STRIDE)
+            res = run_kernel(state, plan_layout(read_length), random_counts(rng, read_length), offset, batch=batch)
+            assert res.__class__ is ExecResult
+            assert state._replay[-1].readout is res.readout
+            assert res.steps is kernel._shape(read_length, offset % FRAGMENT_ROWS).cycles[2]
+            results.append(res)
+            filled = sum(bool(r.readout) for r in results)
+            assert filled == (kernel._BATCH if i >= kernel._BATCH - 1 else 0), i
+        assert len(batch.entries) == 1 and not results[-1].readout
+        if then == "run":
+            batch.run()
+        else:
+            state.cols  # replays every location, the 257th's batch run first
+        assert not batch.entries and len(results[-1].readout) == 1
+        state.cols  # each replay checks its readout against its program's
+        assert all(len(res.readout) == 1 for res in results)
 
 
 class TestLiveRows:
@@ -1089,21 +1130,21 @@ class TestDecisions:
         counts = oracle.histogram(genome[200:300])
         store_threshold(state, layout, 0)
         res = run_kernel(state, layout, counts, 200)
-        assert res.discard == 0
+        assert res.readout[0] == 0
 
     def test_all_a_read_against_all_a_window(self, layout):
         genome = "A" * 6500
         state = CrossbarState()
         load_tile(state, layout, genome, partition(len(genome))[0], eth=0, pairs=EVERY_PAIR)
         counts = oracle.BaseCounts(100, 0, 0, 0)
-        assert run_kernel(state, layout, counts, 0).discard == 0
+        assert run_kernel(state, layout, counts, 0).readout[0] == 0
 
     def test_fully_disjoint_alphabets_discard(self, layout):
         genome = "G" * 50 + "C" * 6450
         state = CrossbarState()
         load_tile(state, layout, genome, partition(len(genome))[0], eth=10, pairs=EVERY_PAIR)
         counts = oracle.BaseCounts(50, 50, 0, 0)  # error 200 > 20
-        assert run_kernel(state, layout, counts, 0).discard == 1
+        assert run_kernel(state, layout, counts, 0).readout[0] == 1
 
     def test_boundary_error_exactly_twice_eth(self, layout):
         # window has k non-A bases against an all-A read: error = 2k
@@ -1112,9 +1153,9 @@ class TestDecisions:
         state = CrossbarState()
         load_tile(state, layout, genome, partition(len(genome))[0], eth=k, pairs=EVERY_PAIR)
         counts = oracle.BaseCounts(100, 0, 0, 0)
-        assert run_kernel(state, layout, counts, 0).discard == 0
+        assert run_kernel(state, layout, counts, 0).readout[0] == 0
         store_threshold(state, layout, k - 1)
-        assert run_kernel(state, layout, counts, 0).discard == 1
+        assert run_kernel(state, layout, counts, 0).readout[0] == 1
 
     def test_window_lands_in_p_as_row_rotation(self, layout, tile_state):
         # the inverted window copy rotates rows by the in-fragment phase
@@ -1154,7 +1195,7 @@ class TestDecisions:
             genome = w + "A" * 6450
             state = CrossbarState()
             load_tile(state, layout, genome, partition(len(genome))[0], eth=3, pairs=EVERY_PAIR)
-            results.append(run_kernel(state, layout, counts, 0).discard)
+            results.append(run_kernel(state, layout, counts, 0).readout[0])
         assert results[0] == results[1]
 
     def test_randomized_against_golden_model(self, layout, tile_state):
@@ -1172,7 +1213,7 @@ class TestDecisions:
             counts = oracle.histogram(read)
             store_threshold(state, layout, eth)
             res = run_kernel(state, layout, counts, offset)
-            assert res.discard == oracle.decide(counts, genome[offset:offset + 100], eth)
+            assert res.readout[0] == oracle.decide(counts, genome[offset:offset + 100], eth)
 
 
 class TestValidation:
@@ -1228,7 +1269,7 @@ class TestValidation:
             read = synth_genome(60, rng)
             counts = oracle.histogram(read)
             res = run_kernel(state, short, counts, offset)
-            assert res.discard == oracle.decide(counts, genome[offset:offset + 60], 2)
+            assert res.readout[0] == oracle.decide(counts, genome[offset:offset + 60], 2)
 
     @pytest.mark.parametrize("read_length", [64, 37, 1])
     def test_short_reads_every_row_phase(self, read_length):
@@ -1255,5 +1296,5 @@ class TestValidation:
                 state.cols[:] = [rng.getrandbits(ROWS) for _ in state.cols]
                 load_tile(state, layout, genome, tile, eth, EVERY_PAIR)
                 res = run_kernel(state, layout, counts, offset, strict=strict)
-                assert res.discard == want, (r0, strict)
+                assert res.readout[0] == want, (r0, strict)
         assert decisions == {0, 1}
