@@ -173,44 +173,48 @@ class LaneGroup(Block):
     (from _dataflow's live-in and written rows), shows that the group is
     init-dominated, as every Block is, and that:
 
-    (a) every template span is the first with its input column renamed;
-    (b) the template reads no cell before writing it outside its input
-        column, writes no span's input column and reads no cell out;
+    (a) every template span is Inits and NORs alone, so it reads no cell
+        out, reads before writing it one column, its input, and is the
+        first with its input column renamed;
+    (b) the template writes no span's input column;
     (c) each tail reads, before writing, only template-written cells or
         cells nothing in the group writes, and writes no cell a template
         span reads or writes.
 
-    A group that fails the proof raises ValueError when it is built.
+    A group that fails the proof raises ValueError when it is built,
+    from the check marked with the letter of the property that fails.
     """
 
     def __init__(self, pairs):
         super().__init__(step for pair in pairs for step in pair)
         parts = [ops for _, ops in self.steps]
         self._pairs = list(zip(parts[0::2], parts[1::2]))
+        if any(op.__class__ not in (Init, NorRow, NorCol) for span, _ in self._pairs for op in span):  # (a)
+            raise ValueError("a template span holds an op other than Init, NorRow and NorCol")
         group_written = _dataflow(self.ops)[2]
         inputs = []
         for span, _ in self._pairs:
             live = _dataflow(span)[1]
             cols = [k for k, rows in enumerate(live) if rows]
-            if len(cols) != 1:
+            if len(cols) != 1:  # (a)
                 raise ValueError(f"a template span reads columns {cols} before writing them, not one")
             inputs.append((cols[0], live[cols[0]]))
         template = self._pairs[0][0]
         k0 = inputs[0][0]
         forms = [_form(op, {}) for op in template]
         for (k, _), (span, _) in zip(inputs, self._pairs):
-            if [_form(op, {k: k0}) for op in span] != forms:
+            if [_form(op, {k: k0}) for op in span] != forms:  # (a)
                 raise ValueError(f"the span on column {k} is not the template on column {k0}")
         t_written = _dataflow(template)[2]
-        if any(t_written[k] for k, _ in inputs) or any(op.__class__ is ReadCell for op in template):
-            raise ValueError("the template writes an input column or reads a cell out")
+        if any(t_written[k] for k, _ in inputs):  # (b)
+            raise ValueError("the template writes an input column")
         t_touched = list(t_written)
         for k, rows in inputs:
             t_touched[k] |= rows
         for x, (_, tail) in enumerate(self._pairs):
             _, live, written = _dataflow(tail)
             if any(live[k] & ~t_written[k] & group_written[k] or written[k] & t_touched[k]
-                   for k in range(COLS)):
+                   for k in range(COLS)):  # (c)
                 raise ValueError(f"tail {x} reads a cell the group writes outside the "
                                  "template, or writes one the template uses")
         self._inputs = tuple(k for k, _ in inputs)
@@ -937,7 +941,8 @@ def _live(ops, after_ops):
 
 
 def _form(op, rename):
-    """The lowered form of op, with its columns mapped through `rename`."""
+    """The lowered form of an Init, NorRow or NorCol, with its columns
+    mapped through `rename`."""
     cls = op.__class__
     c = op._c
 
@@ -948,11 +953,7 @@ def _form(op, rename):
         return cls, tuple(map(col, c[0])), col(c[1]), c[2]
     if cls is NorCol:
         return cls, c[0], c[1], tuple(map(col, c[2]))
-    if cls is Init:
-        return cls, tuple((tuple(map(col, cols)), rows) for cols, rows in c)
-    if cls is WriteExternal:
-        return cls, tuple((col(k), bit, b) for k, bit, b in c)
-    return cls, col(c[0]), c[1]
+    return cls, tuple((tuple(map(col, cols)), rows) for cols, rows in c)
 
 
 def _band(ops):

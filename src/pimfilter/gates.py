@@ -4,8 +4,8 @@ Every builder emits a MicroProgram made of NOR gates (plus batched
 initializations) on the fixed crossbar. A Build's compute-cycle cost is
 the sum of its emitted ops' costs; by construction it comes to:
 
-    NOT              1 per parallelizable group
-    COPY             2 (two chained NOTs)
+    NOT              1 (a column group or a row group)
+    COPY             2 (two chained NOTs, a column group)
     half adder       5
     N-bit adder      9*N + 1
     N-bit subtractor 9*N + 1
@@ -294,7 +294,7 @@ def emit_popcount(pb, col, height, pool, res_cols, ones_row=None):
 # ---------------------------------------------------------------------------
 # Standalone builders. Operands are explicit (row, col) cells; arithmetic
 # operands sit little-endian in a single row, and each builder takes its
-# scratch cells from the columns (or rows) its operands leave free.
+# scratch cells from the columns its operands leave free.
 
 def _require_disjoint(*cell_groups):
     seen = set()
@@ -317,56 +317,42 @@ def _pool_for_row(used_cols):
 
 
 def build_not(src_cells, dst_cells):
-    """dst <- bitwise NOT of src. One cycle per parallelizable group:
-    a column-aligned group (same source and destination column, matching
-    rows) or a row-aligned group (same rows, matching columns) inverts in
-    a single cycle; anything else falls back to one gate per bit."""
+    """dst <- bitwise NOT of src in one cycle. It takes one of two
+    shapes: a column group (one source and one destination column, the
+    same rows in the same order) or a row group (one source and one
+    destination row, the same columns in the same order). Any other
+    shape raises ValueError."""
     src, dst = list(src_cells), list(dst_cells)
     if len(src) != len(dst) or not src:
         raise ValueError("src and dst must be same nonempty length")
     _require_disjoint(src, dst)
+    (src_rows, src_cols), (dst_rows, dst_cols) = zip(*src), zip(*dst)
     pb = ProgramBuilder()
-
-    src_cols = {c for _, c in src}
-    dst_cols = {c for _, c in dst}
-    src_rows = {r for r, _ in src}
-    dst_rows = {r for r, _ in dst}
-    if len(src_cols) == 1 and len(dst_cols) == 1 and all(a[0] == b[0] for a, b in zip(src, dst)):
-        row_set = tuple(r for r, _ in src)
-        pb.init((row_set, (dst[0][1],)))
-        pb.nor_row((src[0][1],), dst[0][1], row_set)
-    elif len(src_rows) == 1 and len(dst_rows) == 1 and all(a[1] == b[1] for a, b in zip(src, dst)):
-        col_set = tuple(c for _, c in src)
-        pb.init(((dst[0][0],), col_set))
-        pb.nor_col((src[0][0],), dst[0][0], col_set)
+    if len(set(src_cols)) == len(set(dst_cols)) == 1 and src_rows == dst_rows:
+        pb.init((src_rows, (dst_cols[0],)))
+        pb.nor_row((src_cols[0],), dst_cols[0], src_rows)
+    elif len(set(src_rows)) == len(set(dst_rows)) == 1 and src_cols == dst_cols:
+        pb.init(((dst_rows[0],), src_cols))
+        pb.nor_col((src_rows[0],), dst_rows[0], src_cols)
     else:
-        for (sr, sc), (dr, dc) in zip(src, dst):
-            if sr != dr:
-                raise ValueError("scattered NOT bits must stay in their row")
-            pb.init(((dr,), (dc,)))
-            pb.nor_row((sc,), dc, (dr,))
+        raise ValueError("a NOT takes a column group or a row group")
     return Build(pb.build(), dst)
 
 
 def build_copy(src_cells, dst_cells):
-    """dst <- src via two chained NOTs through free scratch cells. Two
-    cycles per group."""
+    """dst <- src in two cycles, as two chained NOTs through the lowest
+    free column. It takes one shape: a column group (one source and one
+    destination column, the same rows in the same order). Any other
+    shape raises ValueError."""
     src, dst = list(src_cells), list(dst_cells)
     if len(src) != len(dst) or not src:
         raise ValueError("src and dst must be same nonempty length")
     _require_disjoint(src, dst)
-    used_cols = {c for _, c in src} | {c for _, c in dst}
-    free_cols = [c for c in range(COLS) if c not in used_cols]
-    src_cols = {c for _, c in src}
-    src_rows = {r for r, _ in src}
-    if len(src_cols) == 1 and all(a[0] == b[0] for a, b in zip(src, dst)):
-        mid_cells = [(r, free_cols[0]) for r, _ in src]
-    elif len(src_rows) == 1 and all(a[1] == b[1] for a, b in zip(src, dst)):
-        used_rows = src_rows | {r for r, _ in dst}
-        tmp_row = next(r for r in range(ROWS) if r not in used_rows)
-        mid_cells = [(tmp_row, c) for _, c in src]
-    else:
-        mid_cells = [(r, free_cols[i]) for i, (r, _) in enumerate(src)]
+    (rows, src_cols), (dst_rows, dst_cols) = zip(*src), zip(*dst)
+    if len(set(src_cols)) != 1 or len(set(dst_cols)) != 1 or rows != dst_rows:
+        raise ValueError("a COPY takes one source and one destination column on the same rows")
+    mid = next(c for c in range(COLS) if c not in (src_cols[0], dst_cols[0]))
+    mid_cells = [(r, mid) for r in rows]
     first = build_not(src, mid_cells)
     second = build_not(mid_cells, dst)
     return Build(MicroProgram(first.program.head + second.program.head), dst)

@@ -47,7 +47,7 @@ class Tile:
 def tile_count(genome_length, read_length=100):
     if genome_length < read_length:
         raise ValueError("genome shorter than one read")
-    return max(1, math.ceil((genome_length - read_length) / TILE_STRIDE))
+    return max(1, -(-(genome_length - read_length) // TILE_STRIDE))
 
 
 def partition(genome_length, read_length=100):

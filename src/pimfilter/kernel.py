@@ -393,31 +393,31 @@ def _lanes():
     batch. Its inputs, in column order, are the read counts on the lane
     rows of rb_cols and the threshold on its row, each a byte per lane,
     then the front's mask and the window's two bit columns, each a whole
-    column per lane: what Batch.run packs. The body reads first only
-    rows 0-99 of the match columns, which the front writes, and the
-    counts and the threshold on their rows; it writes no cell it reads
-    first, nor any cell a batch reads from a grid (_reads), so a
-    location decided later, from those cells, decides as its program
-    would on the grid. A body or front that breaks this raises
-    ValueError.
+    column per lane: what Batch.run packs (d). The body reads first
+    only rows 0-99 of the match columns, which the front writes, and the
+    counts and the threshold on their rows (c); it writes no cell it
+    reads first (a), nor any cell a batch reads from a grid (_reads, b),
+    so a location decided later, from those cells, decides as its
+    program would on the grid. Each check raises ValueError where the
+    property its letter names fails.
     """
     L = plan_layout()
     row = L.lane_rows["A"]
     live, written = _body_flow()
-    if any(map(int.__and__, live, written)):
+    if any(map(int.__and__, live, written)):  # (a)
         raise ValueError("the body writes a cell it reads before writing it")
-    if any(map(int.__and__, written, _reads())):
+    if any(map(int.__and__, written, _reads())):  # (b)
         raise ValueError("the body writes a cell a batch reads from the grid")
     first = [0] * COLS
     for cols, rows in ((L.match_cols.values(), _WINDOW), (L.rb_cols, 0xf << row), (L.thr_cols, 1 << row)):
         for k in cols:
             first[k] = rows
-    if live != first:
+    if live != first:  # (c)
         raise ValueError("the body reads first other cells than the bitmaps, the counts and the threshold")
     lanes = Lanes((_front(), *_body()))
     band, whole = (_BAND_ROWS, row, _BAND_ROWS), (ROWS, 0, ROWS)
     if lanes.inputs != (*((k, 0xf << row, band) for k in L.rb_cols), *((k, 1 << row, band) for k in L.thr_cols),
-                        *((k, _WINDOW, whole) for k in (_MASK_COL, 2 * _FRONT_PAIR, 2 * _FRONT_PAIR + 1))):
+                        *((k, _WINDOW, whole) for k in (_MASK_COL, 2 * _FRONT_PAIR, 2 * _FRONT_PAIR + 1))):  # (d)
         raise ValueError("the lanes read other cells than a batch packs")
     return lanes
 
@@ -532,9 +532,9 @@ def _count_values():
     to 1. So the OR of one value per base holds all of step 1 for any
     four counts: the count bytes of a batch's band record (Batch.run).
     That is exact because every count's write of a base sets the same
-    cells, no two bases write one cell, and every cell is on a lane row
-    of a count column; a write that breaks any of these raises
-    ValueError.
+    cells (a), no two bases write one cell (b), and every cell is on a
+    lane row of a count column (c); each check raises ValueError where
+    the property its letter names fails.
     """
     L = plan_layout()
     lo = L.lane_rows["A"]
@@ -546,16 +546,16 @@ def _count_values():
         return op._c
 
     cells = [{(k, bit) for k, bit, _ in lowered(base, 0)} for base in BASES]
-    if len(set().union(*cells)) != sum(map(len, cells)):
+    if len(set().union(*cells)) != sum(map(len, cells)):  # (b)
         raise ValueError("two bases' count writes set one cell")
-    if any(k not in at or bit >> lo not in (1, 2, 4, 8) for k, bit in set().union(*cells)):
+    if any(k not in at or bit >> lo not in (1, 2, 4, 8) for k, bit in set().union(*cells)):  # (c)
         raise ValueError("a count write sets a cell off the lane rows of the count columns")
     values = []
     for base, own in zip(BASES, cells):
         row = []
         for n in range(128):
             write = lowered(base, n)
-            if {(k, bit) for k, bit, _ in write} != own:
+            if {(k, bit) for k, bit, _ in write} != own:  # (a)
                 raise ValueError(f"the count writes of {base} do not each set the same cells")
             row.append(sum(bit >> lo << at[k] for k, bit, b in write if b))
         values.append(tuple(row))
@@ -578,11 +578,12 @@ class _Shape:
     read (CrossbarState.cols):
 
     (a) the head is init-dominated, so no strict check can fail in it;
-    (b) at each offset, step 2 (_copy) is built as pair 0's with the
-        columns it reads (its sources) renamed k -> k + s, over the same
-        rows (_spec: ops built alike lower alike); step 1 depends on the
-        counts alone and the blocks on those rows alone (build_program),
-        so they are pair 0's too;
+    (b) the blocks after the phase block are the body, step 2 (_copy)
+        is one Init, then NOTs, and at each offset it is built as pair
+        0's with the columns it reads (its sources) renamed k -> k + s,
+        over the same rows (_spec: ops built alike lower alike); step 1
+        depends on the counts alone and the blocks on those rows alone
+        (build_program), so they are pair 0's too;
     (c) every source column stays below genome_cols;
     (d) the program reads first only its sources on the rows step 2
         reads them and the threshold's row, and writes no cell a batch
@@ -591,18 +592,21 @@ class _Shape:
         wait to run on the grid;
     (e) step 1 is the count writes of _count_values, and interpreted, it
         leaves on the lane rows of rb_cols their bytes there;
-    (f) step 2, the phase block and the front (_front) are Inits and
-        NorRows alone, which act on each row alone. Interpreted on the
-        16 grids where pair 0's columns hold one base on every row and
-        pair 1's another, the head and phase block leave on rows 0-99 of
-        the match columns what the front leaves from the window's bits
-        gathered under `gather` and the mask `outside`. Each row of a
-        grid reads only those four cells (d), and the 16 grids put every
-        value of them on every row, so the two agree on every grid.
+    (f) each P column's window bits come from at most two NOTs
+        (`gather`); step 2, the phase block and the front (_front) are
+        Inits and NorRows alone, which act on each row alone.
+        Interpreted on the 16 grids where pair 0's columns hold one base
+        on every row and pair 1's another, the head and phase block
+        leave on rows 0-99 of the match columns what the front leaves
+        from the window's bits gathered under `gather` and the mask
+        `outside`. Each row of a grid reads only those four cells (d),
+        and the 16 grids put every value of them on every row, so the
+        two agree on every grid.
 
     So the front, then the body, over a batch's lanes (_lanes) decide
     each location as its program would. A shape that fails the proof
-    raises ValueError when it is built.
+    raises ValueError when it is built, from the check marked with the
+    letter of the property that fails.
     """
 
     def __init__(self, layout, phase):
@@ -611,25 +615,25 @@ class _Shape:
         self.cycles = program.cycles()  # lowers the head
         (_, writes), (_, copy) = program.head
         head = writes + copy
-        if not _dataflow(head)[0]:
+        if not _dataflow(head)[0]:  # (a)
             raise ValueError("the head is not init-dominated")
         block, *body = program.blocks
-        if tuple(body) != _body():
+        if tuple(body) != _body():  # (b)
             raise ValueError("the blocks after the phase block are not the body")
         window = _copy(layout, phase)[1]
         first, *nots = copy
         if first.__class__ is not Init or any(op.__class__ is not NorRow or len(op.input_cols) != 1 for op in nots):
-            raise ValueError("step 2 is not one Init, then NOTs")
+            raise ValueError("step 2 is not one Init, then NOTs")  # (b)
         nots = [(op._c[0][0], op._c[1], op._c[2]) for op in nots]  # (source, P column, rows)
         sources = sorted({k for k, _, _ in nots})
         specs = [_spec(op, {}) for op in copy]
         for offset in range(phase, TILE_STRIDE + 1, FRAGMENT_ROWS):
             s = 2 * (offset // FRAGMENT_ROWS)
-            if max(sources) + s >= layout.genome_cols:
+            if max(sources) + s >= layout.genome_cols:  # (c)
                 raise ValueError(f"the window at offset {offset} reads past the stored slice")
             c, rows = _copy(layout, offset)
             rename = {k + s: k for k in sources}
-            if rows != window or [_spec(op, rename) for op in c] != specs:
+            if rows != window or [_spec(op, rename) for op in c] != specs:  # (b)
                 raise ValueError(f"the head at offset {offset} is not the head at offset "
                                  f"{phase} with its source columns renamed")
 
@@ -644,32 +648,32 @@ class _Shape:
             covered |= rows
         for k in L.thr_cols:
             reads[k] |= 1 << row
-        if [rows | body_live[k] & ~written[k] for k, rows in enumerate(live)] != reads:
+        if [rows | body_live[k] & ~written[k] for k, rows in enumerate(live)] != reads:  # (d)
             raise ValueError("the program reads other cells than its window and the threshold")
-        if any(map(int.__and__, written, _reads())):
+        if any(map(int.__and__, written, _reads())):  # (d)
             raise ValueError("the head or phase block writes a cell a batch reads from the grid")
 
         self.gather = ()
         for p in L.p_cols:
             pairs = [(k, rows) for k, out, rows in nots if out == p]
-            if len(pairs) > 2:
+            if len(pairs) > 2:  # (f)
                 raise ValueError("a P column's window bits come from more than two columns")
             for k, rows in (pairs + [(0, 0)] * 2)[:2]:
                 self.gather += (k, rows)
         self.outside = _WINDOW & ~covered
 
-        if writes != [_count_write(base, n) for base, n in zip(BASES, counts)]:
+        if writes != [_count_write(base, n) for base, n in zip(BASES, counts)]:  # (e)
             raise ValueError("step 1 is not the count writes")
         g = [0] * COLS
         _interpret(writes, g, [], True, None)
         record = 0
         for x, n in enumerate(counts):
             record |= _count_values()[x][n]
-        if sum((g[k] >> row & 0xf) << 8 * j for j, k in enumerate(L.rb_cols)) != record:
+        if sum((g[k] >> row & 0xf) << 8 * j for j, k in enumerate(L.rb_cols)) != record:  # (e)
             raise ValueError("step 1 is not the band record of its counts")
 
         front = _front()
-        if any(op.__class__ not in (Init, NorRow) for op in copy + block.ops + front.ops):
+        if any(op.__class__ not in (Init, NorRow) for op in copy + block.ops + front.ops):  # (f)
             raise ValueError("step 2, the phase block or the front is not Inits and row NORs alone")
         k0, m0, k2, m2, k1, m1, k3, m3 = self.gather
         for b0, b1 in itertools.product(BASES, BASES):
@@ -681,7 +685,7 @@ class _Shape:
             lane[2 * _FRONT_PAIR + 1] = g[k1] & m1 | g[k3] & m3
             _interpret(ops, g, [], True, None)
             _interpret(front.ops, lane, [], True, None)
-            if any((g[k] ^ lane[k]) & _WINDOW for k in L.match_cols.values()):
+            if any((g[k] ^ lane[k]) & _WINDOW for k in L.match_cols.values()):  # (f)
                 raise ValueError(f"the front leaves other bitmaps than the head and phase block "
                                  f"with bases {b0} and {b1} in pairs 0 and 1")
 
@@ -689,14 +693,14 @@ class _Shape:
 def _spec(op, rename):
     """An Init or NorRow as it was built, its columns mapped through
     `rename`: two ops with the same spec lower to the same form. Any
-    other op is its own spec."""
+    other op raises ValueError."""
     cls = op.__class__
     col = rename.get
     if cls is Init:
         return cls, tuple([(rows, tuple(map(col, cols, cols))) for rows, cols in op.regions])
-    if cls is NorRow:
-        return cls, tuple(map(col, op.input_cols, op.input_cols)), col(op.output_col, op.output_col), op.rows
-    return op
+    if cls is not NorRow:
+        raise ValueError(f"step 2 holds a {cls.__name__}, not only an Init and NOTs")
+    return cls, tuple(map(col, op.input_cols, op.input_cols)), col(op.output_col, op.output_col), op.rows
 
 
 @functools.cache

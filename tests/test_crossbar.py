@@ -820,6 +820,11 @@ class TestLaneGroup:
         # a gate output with no Init before it
         ([(copy_span(5)[1:], stage_tail(0)), (copy_span(6)[1:], stage_tail(1))],
          "not init-dominated"),
+        # a span that writes from the host or reads a cell out
+        ([(copy_span(k) + [WriteExternal(((8, 10),), (1,))], stage_tail(x)) for x, k in enumerate((5, 6))],
+         "^a template span holds an op other than Init, NorRow and NorCol$"),
+        ([(copy_span(k) + [ReadCell(0, 10)], stage_tail(x)) for x, k in enumerate((5, 6))],
+         "^a template span holds an op other than Init, NorRow and NorCol$"),
     ])
     def test_a_failed_proof_raises(self, pairs, match):
         with pytest.raises(ValueError, match=match):
@@ -900,6 +905,13 @@ class TestState:
         s.write_value(cells, 255)
         assert s.read_value(cells) == 255
 
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_set_bits_rejects_a_non_bit(self, bit):
+        s = fresh()
+        with pytest.raises(ValueError, match=f"^cell value must be 0 or 1, got {bit}$"):
+            s.set_bits([(0, 0)], [bit])
+        assert s.cols == [0] * COLS
+
     @pytest.mark.parametrize("cell", [(ROWS, 0), (0, COLS), (-1, 0), (0, -1)])
     def test_cell_outside_the_array(self, cell):
         with pytest.raises(IndexError, match="outside"):
@@ -934,14 +946,21 @@ def specs(bound):
 def test_lower_matches_set_model(rows, cols, cells):
     # the constant-time bounds and range mask agree with a set-based model
     want_rows, want_cols = ref_violations(rows, "row", ROWS), ref_violations(cols, "column", COLS)
+    cell_violations = [v for r, c in cells for v in ref_violations(r, "row", ROWS) + ref_violations(c, "column", COLS)]
     # each case: op, its violations, and its lowered form when it has none
     cases = [
         (Init(((rows, cols),)), want_rows + want_cols, lambda: ((cols, ref_mask(rows)),)),
         (NorRow((3, 4), 5, rows), want_rows, lambda: ((3, 4), 5, ref_mask(rows))),
         (NorCol((3, 4), 5, cols), want_cols, lambda: (0b11000, 1 << 5, cols)),
-        (WriteExternal(tuple(cells), (1,) * len(cells)),
-         [v for r, c in cells for v in ref_violations(r, "row", ROWS) + ref_violations(c, "column", COLS)],
+        (WriteExternal(tuple(cells), (1,) * len(cells)), cell_violations,
          lambda: tuple((c, 1 << r, 1) for r, c in cells)),
+        # ops that no well-formed program holds, each with its violations
+        (NorRow((), 5, rows), ["empty input set", "empty column set"] + want_rows, None),
+        (NorRow((3, 4), COLS, rows), ["column out of bounds"] + want_rows, None),
+        (Init(()), ["empty cell set"], None),
+        (WriteExternal((), ()), ["empty cell set"], None),
+        (WriteExternal(tuple(cells), (2,) * len(cells)), ["bits must be 0 or 1"] + cell_violations, None),
+        (ReadCell(cells[0][0], COLS), ref_violations(cells[0][0], "row", ROWS) + ["column out of bounds"], None),
     ]
     for op, want, lowered in cases:
         assert _lower(op) == want, op

@@ -1,9 +1,10 @@
 import hashlib
 import random
+import re
 
 import pytest
 
-from pimfilter.crossbar import CrossbarState, execute
+from pimfilter.crossbar import CrossbarState, ProgramBuilder, execute
 from pimfilter.gates import (
     ColumnPool,
     build_adder,
@@ -13,6 +14,8 @@ from pimfilter.gates import (
     build_not,
     build_popcount,
     build_subtractor,
+    emit_adder,
+    emit_popcount,
 )
 
 from dataflow import live_cells
@@ -60,6 +63,16 @@ class TestNot:
         with pytest.raises(ValueError, match="aliased"):
             build_not([(0, 0)], [(0, 0)])
 
+    @pytest.mark.parametrize("src,dst", [
+        # two destination columns, two destination rows, and rows out of order
+        ([(0, 0), (1, 0)], [(0, 2), (1, 3)]),
+        ([(0, 0), (0, 1)], [(2, 0), (3, 1)]),
+        ([(0, 0), (1, 0)], [(1, 2), (0, 2)]),
+    ])
+    def test_any_other_shape_raises(self, src, dst):
+        with pytest.raises(ValueError, match="^a NOT takes a column group or a row group$"):
+            build_not(src, dst)
+
 
 class TestCopy:
     def test_two_chained_nots(self):
@@ -75,6 +88,17 @@ class TestCopy:
         state, res = run(b, [([(0, 0)], 1)])
         assert snapshot(state)[0, 3] == 1
         assert res.compute_cycles == 2
+
+    @pytest.mark.parametrize("src,dst", [
+        # a scattered destination, which cost 3 cycles when it was taken,
+        # and a row group
+        ([(0, 0), (1, 0)], [(0, 2), (1, 3)]),
+        ([(0, c) for c in range(4)], [(1, c) for c in range(4)]),
+        ([(0, 0), (1, 0)], [(1, 2), (0, 2)]),
+    ])
+    def test_any_other_shape_raises(self, src, dst):
+        with pytest.raises(ValueError, match="^a COPY takes one source and one destination column on the same rows$"):
+            build_copy(src, dst)
 
 
 class TestHalfAdder:
@@ -254,6 +278,25 @@ class TestTaintCleanliness:
     def test_popcount_taint_clean(self):
         b = build_popcount(0, 100)
         assert live_cells(b.program) <= {(r, 0) for r in range(100)}
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: emit_adder(ProgramBuilder(), 4, range(4), range(4, 8), range(8, 12), ColumnPool(range(12, 60)), (0,)),
+     "result needs width+1 cells"),
+    (lambda: build_popcount(0, 0), "height must be >= 1"),
+    (lambda: emit_popcount(ProgramBuilder(), 0, 100, ColumnPool(range(20, 256)), (1, 2)), "result band too narrow"),
+    (lambda: emit_popcount(ProgramBuilder(), 0, 100, ColumnPool(range(20, 256)), range(1, 9), ones_row=50),
+     "ones_row must lie outside the bit column"),
+    (lambda: build_half_adder((0, 0), (1, 1), (0, 2), (0, 3)), "half adder cells must sit in one row"),
+    (lambda: build_not([(0, 0)], []), "src and dst must be same nonempty length"),
+    (lambda: build_copy([], []), "src and dst must be same nonempty length"),
+    (lambda: build_adder(4, *lane(4, "xyz")[:2], lane(4, "xyz")[2][:4]), "result must be width+1 bits"),
+    (lambda: build_subtractor(4, lane(4, "x")[0][:3], *lane(4, "yz")), "operands must be `width` bits"),
+    (lambda: build_mux(4, *lane(4, "xy"), (0, 100), lane(3, "x")[0]), "mux operands and result must be `width` bits"),
+])
+def test_a_builder_rejects_a_bad_shape(build, match):
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        build()
 
 
 def test_column_pool_exhaustion():

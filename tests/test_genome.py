@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimfilter import genome as genome_mod
-from pimfilter import kernel, oracle
+from pimfilter import crossbar, kernel, oracle
+from pimfilter.cli import main
 from pimfilter.crossbar import COLS, ROWS, CrossbarState, execute
 from pimfilter.genome import (
     load_tile,
@@ -18,7 +19,7 @@ from pimfilter.genome import (
     schedule,
     tile_count,
 )
-from pimfilter.io import CandidateRecord, mutate_read, synth_fixture, synth_genome
+from pimfilter.io import CandidateRecord, mutate_read, parse_candidates, parse_fasta, synth_fixture, synth_genome
 from pimfilter.kernel import FRAGMENT_ROWS, FRAGMENTS_PER_TILE, TILE_SPAN, TILE_STRIDE, build_program, encode_base
 
 from grid import load_grid, snapshot
@@ -50,6 +51,19 @@ class TestPartition:
     def test_too_short(self):
         with pytest.raises(ValueError):
             tile_count(99)
+
+    @pytest.mark.parametrize("read_length", [100, 64, 1])
+    def test_tile_count_is_the_float_ceiling(self, read_length):
+        # every length within 2 of each of the first six multiples of the
+        # stride past one read, and within 2 of 2**32
+        lengths = [read_length + TILE_STRIDE * k + d for k in range(6) for d in (-2, -1, 0, 1, 2)]
+        lengths += [2 ** 32 + d for d in range(-2, 3)]
+        for length in (n for n in lengths if n >= read_length):
+            want = max(1, math.ceil((length - read_length) / TILE_STRIDE))
+            got = tile_count(length, read_length)
+            assert got == want and type(got) is int, length
+        with pytest.raises(ValueError, match="^genome shorter than one read$"):
+            tile_count(read_length - 1, read_length)
 
 
 class TestRoute:
@@ -231,6 +245,11 @@ class TestSchedule:
     def test_zero_factor_disables_cap(self):
         assert schedule([3, 1], iter_factor=0) == schedule([3, 1], iter_factor=None)
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_an_active_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="^active limit must be >= 1$"):
+            schedule([1, 2], active_limit=limit)
+
     def test_negative_or_infinite_factor_rejected(self):
         # a negative cap never drains a queue and an infinite one cannot
         # be rounded; empty queues keep this test from hanging if the
@@ -299,6 +318,35 @@ class TestRunFilter:
         assert passthrough and len(passthrough) == run.stats.passthrough
         assert run.report.overflow == len(passthrough)
         assert not any(d.verdict == "discard" for d in passthrough)
+
+    def test_a_wrong_kernel_decision_is_an_oracle_mismatch(self, monkeypatch, tmp_path, capsys):
+        # the lanes decide the first location of each pass wrongly; 10
+        # candidates over 2 tiles, none capped, are one pass. With the
+        # oracle check on, the run counts one mismatch, and the command
+        # writes its results but fails
+        assert main(["synth", "--out-dir", str(tmp_path), "--genome-len", "13000", "--reads", "5",
+                     "--decoys", "1", "--edits", "2", "--seed", "4"]) == 0
+        with open(tmp_path / "genome.fa") as fh:
+            genome = parse_fasta(fh).seq
+        with open(tmp_path / "candidates.tsv") as fh:
+            candidates = parse_candidates(fh)
+        args = ["filter", "--genome", str(tmp_path / "genome.fa"), "--candidates", str(tmp_path / "candidates.tsv"),
+                "--eth", "4", "--out", str(tmp_path / "results.tsv"), "--verify-oracle"]
+        real = crossbar.Lanes.run
+
+        def flipped(self, values, readouts):
+            real(self, values, readouts)
+            readouts[0][-1] ^= 1
+
+        for flip, mismatches in ((False, 0), (True, 1)):
+            if flip:
+                monkeypatch.setattr(crossbar.Lanes, "run", flipped)
+            run = run_filter(genome, candidates, eth=4, verify_oracle=True)
+            assert (run.stats.processed, run.stats.oracle_mismatches) == (10, mismatches)
+            assert run_filter(genome, candidates, eth=4).stats.oracle_mismatches is None
+            assert main(args) == mismatches
+            assert capsys.readouterr().err == ("error: 1 oracle mismatches\n" if flip else "")
+            assert f"# oracle_mismatches {mismatches}\n" in (tmp_path / "results.tsv").read_text()
 
     def test_only_decided_reads_get_a_histogram(self, monkeypatch):
         # a capped run: the hot tile takes 12 of its 30 reads, and 18 of

@@ -127,6 +127,12 @@ class TestCandidates:
         with pytest.raises(CandidateError, match="32 bits"):
             parse_candidates(io.StringIO(text))
 
+    @pytest.mark.parametrize("position", ["x", "1.5", "", "0x10"])
+    def test_malformed_position(self, position):
+        text = "# header\nr1\t" + "A" * 100 + f"\t{position}\n"
+        with pytest.raises(CandidateError, match=r"^malformed position \(line 2\)$"):
+            parse_candidates(io.StringIO(text))
+
     def test_malformed_line(self):
         with pytest.raises(CandidateError, match="line 1"):
             parse_candidates(io.StringIO("just-one-field\n"))
@@ -404,6 +410,7 @@ class TestCli:
         (["--eth", "2", "--active-limit", "0"], "active_limit"),
         (["--eth", "500"], "eth"),
         (["--eth", "70", "--read-length", "64"], "eth"),
+        ([], "error: --eth or --config is required"),
     ])
     def test_wrong_filter_flag_exits_1_before_reading_input(self, tmp_path, capsys, flags, match):
         # the input files do not exist: the flags must fail first

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pimfilter.crossbar import (
     NorCol,
     NorRow,
     ProgramBuilder,
+    WriteExternal,
     _band,
     _dataflow,
     _interpret,
@@ -124,6 +126,11 @@ class TestLayout:
         with pytest.raises(dataclasses.FrozenInstanceError):
             layout.read_length = 100
         assert plan_layout(64).match_cols["A"] == layout.genome_cols + 2
+
+    @pytest.mark.parametrize("read_length", [0, FRAGMENT_ROWS + 1])
+    def test_a_read_length_outside_one_fragment_raises(self, read_length):
+        with pytest.raises(ValueError, match=f"^read length must be 1..{FRAGMENT_ROWS}$"):
+            plan_layout(read_length)
 
 
 class TestWindowRows:
@@ -345,6 +352,19 @@ class TestSharedBody:
             kernel._shape(64, phase)
         assert kernel._count_write.cache_info().currsize <= len(BASES)
 
+    @pytest.mark.parametrize("fault,match", [
+        ("every_base_in_lane_a", "two bases' count writes set one cell"),
+        ("off_the_count_columns", "a count write sets a cell off the lane rows of the count columns"),
+        ("count_100_sets_7_cells", "the count writes of A do not each set the same cells"),
+    ])
+    def test_count_writes_that_fail_the_proof_raise(self, monkeypatch, fault, match):
+        # _count_values builds its writes outside _count_write's cache,
+        # from the function it wraps
+        real = kernel._count_write.__wrapped__
+        monkeypatch.setattr(kernel, "_count_write", types.SimpleNamespace(__wrapped__=COUNT_FAULTS[fault](real)))
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            kernel._count_values.__wrapped__()
+
     @pytest.mark.parametrize("read_length", [100, 64, 1])
     def test_every_body_block_is_proved(self, read_length):
         # every read length runs the body's blocks; every gate output in
@@ -487,6 +507,93 @@ class TestCompiledLocations:
         monkeypatch.setattr(kernel, "_copy", real)
         # the window takes rows 50-99 of pair 1 and rows 0-13 of pair 2
         assert kernel._Shape(layout, 50).outside == (1 << 50) - (1 << 14)
+
+    @pytest.mark.parametrize("builder,fault,match", [
+        ("build_program", "drop_a_body_block", "the blocks after the phase block are not the body"),
+        ("_copy", "a_two_input_not", "step 2 is not one Init, then NOTs"),
+        ("_copy", "a_nor_col_past_pair_0", "step 2 holds a NorCol, not only an Init and NOTs"),
+        ("_copy", "one_pair_right", "the window at offset 6350 reads past the stored slice"),
+        ("_phase", "read_a_pool_cell", "the program reads other cells than its window and the threshold"),
+        ("_copy", "split_each_not", "a P column's window bits come from more than two columns"),
+        ("build_program", "swap_t_and_g", "step 1 is not the count writes"),
+        ("_phase", "a_nor_col", "step 2, the phase block or the front is not Inits and row NORs alone"),
+    ])
+    def test_a_shape_that_fails_the_proof_raises(self, monkeypatch, builder, fault, match):
+        # each fault breaks one property of _Shape's proof, in the
+        # builder the proof reads, and only that property's check fails
+        real = getattr(kernel, builder)
+        monkeypatch.setattr(kernel, builder, SHAPE_FAULTS[fault](real))
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            kernel._Shape(plan_layout(64), 50)
+
+
+def _drop_a_body_block(build):
+    # the program stops before steps 6-13
+    return lambda *args: dataclasses.replace(build(*args), blocks=build(*args).blocks[:-1])
+
+
+def _a_two_input_not(copy):
+    # the first NOT also reads the second bit column of its fragment
+    def fake(layout, offset):
+        ops, rows = copy(layout, offset)
+        op = ops[1]
+        return [ops[0], NorRow(op.input_cols + (op.input_cols[0] + 1,), op.output_col, op.rows), *ops[2:]], rows
+    return fake
+
+
+def _a_nor_col_past_pair_0(copy):
+    # past pair 0, step 2 ends with a column NOR
+    def fake(layout, offset):
+        ops, rows = copy(layout, offset)
+        return ops + [NorCol((0,), 1, (layout.p_cols[0],))] * (offset >= FRAGMENT_ROWS), rows
+    return fake
+
+
+def _one_pair_right(copy):
+    # every NOT reads the window from the pair right of its own
+    def fake(layout, offset):
+        ops, rows = copy(layout, offset)
+        return [ops[0], *(NorRow((op.input_cols[0] + 2,), op.output_col, op.rows) for op in ops[1:])], rows
+    return fake
+
+
+def _split_each_not(copy):
+    # each NOT over n rows, as two over n // 2 and the rest
+    def fake(layout, offset):
+        ops, rows = copy(layout, offset)
+        nots = [NorRow(op.input_cols, op.output_col, part) for op in ops[1:]
+                for part in (op.rows[:len(op.rows) // 2], op.rows[len(op.rows) // 2:]) if part]
+        return [ops[0], *nots], rows
+    return fake
+
+
+def _with_phase_ops(ops):
+    # the phase block, then `ops` as one more step-3 step
+    return lambda phase: lambda spans: Block((*phase(spans).steps, ("3", ops)))
+
+
+def _swap_t_and_g(build):
+    # step 1 writes G's count into T's lane and T's into G's: the same
+    # band record at the counts a shape is built from, where both are 0
+    def fake(layout, offset, counts):
+        program = build(layout, offset, counts)
+        (one, (a, t, g, c)), two = program.head
+        return dataclasses.replace(program, head=((one, [a, g, t, c]), two))
+    return fake
+
+
+SHAPE_FAULTS = {
+    "drop_a_body_block": _drop_a_body_block,
+    "a_two_input_not": _a_two_input_not,
+    "a_nor_col_past_pair_0": _a_nor_col_past_pair_0,
+    "one_pair_right": _one_pair_right,
+    "split_each_not": _split_each_not,
+    # row 5 of pool column 200, read before anything writes it
+    "read_a_pool_cell": _with_phase_ops([Init((((5,), (201,)),)), NorRow((200,), 201, (5,))]),
+    # a column NOR on cells the block set itself
+    "a_nor_col": _with_phase_ops([Init((((5, 6), (200,)),)), NorCol((5,), 6, (200,))]),
+    "swap_t_and_g": _swap_t_and_g,
+}
 
 
 def random_counts(rng, read_length):
@@ -681,6 +788,65 @@ class TestHeldStores:
             for cached in caches:
                 cached.cache_clear()
         assert len(kernel._lanes().inputs) == 19
+
+    @pytest.mark.parametrize("builder,fault,match", [
+        ("_body", "writes_the_genome", "the body writes a cell a batch reads from the grid"),
+        ("_body", "reads_row_120", "the body reads first other cells than the bitmaps, the counts and the threshold"),
+        ("_front", "reads_pair_0", "the lanes read other cells than a batch packs"),
+    ])
+    def test_lanes_that_fail_the_proof_raise(self, monkeypatch, builder, fault, match):
+        # each fault breaks one property of _lanes' proof, and only that
+        # property's check fails
+        broken = LANE_FAULTS[fault]()
+        monkeypatch.setattr(kernel, builder, lambda: broken)
+        kernel._body_flow.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+                kernel._lanes.__wrapped__()
+        finally:
+            monkeypatch.undo()
+            kernel._body_flow.cache_clear()
+        assert len(kernel._lanes().inputs) == 19
+
+
+def _front_from_pair_0():
+    # the front as it is built, but copying the window from pair 0,
+    # whose columns no batch packs
+    copy, _ = kernel._copy(plan_layout(), 0)
+    pb = ProgramBuilder()
+    with pb.step("3"):
+        kernel._compare(pb, (range(FRAGMENT_ROWS),), (kernel._MASK_COL,))
+    return Block((("2", copy), *pb.build().head))
+
+
+LANE_FAULTS = {
+    # the body, then an Init of the genome slice's cell (0, 0)
+    "writes_the_genome": lambda: (*_body(), Block([(None, [Init((((0,), (0,)),))])])),
+    # the body, then a NOT of row 120 of column 250, which nothing writes
+    "reads_row_120": lambda: (*_body(), Block([(None, [Init((((120,), (251,)),)), NorRow((250,), 251, (120,))])])),
+    "reads_pair_0": _front_from_pair_0,
+}
+
+
+def _moved_100_columns_right(write):
+    def fake(base, n):
+        op = write(base, n)
+        return WriteExternal(tuple((r, c + 100) for r, c in op.cells), op.bits)
+    return fake
+
+
+def _short_at_100(write):
+    def fake(base, n):
+        op = write(base, n)
+        return WriteExternal(op.cells[:7], op.bits[:7]) if n == 100 else op
+    return fake
+
+
+COUNT_FAULTS = {
+    "every_base_in_lane_a": lambda write: lambda base, n: write("A", n),
+    "off_the_count_columns": _moved_100_columns_right,
+    "count_100_sets_7_cells": _short_at_100,
+}
 
 
 class TestBatches:

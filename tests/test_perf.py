@@ -103,6 +103,11 @@ class TestCurve:
         assert total_latency(p, n, cpu)[0] < cpu.total_s
         assert total_latency(p, n - 1, cpu)[0] >= cpu.total_s
 
+    def test_no_crossover_when_transfer_alone_is_slower(self):
+        # 598 GB at 0.01 GB/s take 59,800 s, past the CPU's 7,360 s total
+        with pytest.raises(ValueError, match="^transfer alone exceeds the baseline$"):
+            crossover_arrays(PerfParams(transfer_rate_gb_s=0.01))
+
     def test_endpoint(self):
         total, _ = total_latency(figure_params(), 500_000)
         assert 61.5 <= total <= 63.0
